@@ -6,17 +6,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .core import (
     CollapseData,
     EstimatorId,
     SpeedBounds,
-    RootBracket,
     UnsupportedEstimator,
+    WaveData,
     WavePattern,
     find_root,
     interpolate_root,
+    star_bracket,
+    star_start,
+    wave_data,
 )
 
 _SONIC_EPS = 1e-8  # q_factor is 0/0 at unit area ratio; return the limit 1
@@ -62,6 +66,19 @@ class BfeProblem:
     left: BfeState
     right: BfeState
     params: BfeParams = BfeParams()
+
+    @cached_property
+    def _wave_data(self) -> WaveData:
+        """Wave speeds, f at the data areas, A_rr and the pattern,
+        computed on first use and kept for every later call."""
+        return wave_data(
+            lambda a: area_function(a, self),
+            self.left.a,
+            self.right.a,
+            wave_speed(self.left, self.params),
+            wave_speed(self.right, self.params),
+            (lambda: two_rarefaction_area(self)) if is_open(self) else None,
+        )
 
 
 @dataclass(frozen=True)
@@ -152,51 +169,32 @@ def q_factor(a: float, side_state: BfeState, params: BfeParams) -> float:
     return math.sqrt(2.0 / 3.0 * (y**1.5 - 1.0) * y / (y - 1.0))
 
 
-def _a_min_max(problem: BfeProblem):
-    if problem.right.a <= problem.left.a:
-        return problem.right.a, problem.left.a
-    return problem.left.a, problem.right.a
-
-
 def classify(problem: BfeProblem) -> WavePattern:
-    if not is_open(problem):
-        return WavePattern.VACUUM
-    a_min, a_max = _a_min_max(problem)
-    f_min = area_function(a_min, problem)
-    if f_min >= 0.0:
-        return WavePattern.RR
-    f_max = area_function(a_max, problem)
-    if f_max < 0.0:
-        return WavePattern.SS
-    return WavePattern.RS if a_min == problem.right.a else WavePattern.SR
+    return problem._wave_data.pattern
 
 
 def solve_exact(problem: BfeProblem, rel_tol: float = 1e-12) -> BfeExactSolution:
-    """Exact star state and extreme wave speeds."""
+    """Exact star state and extreme wave speeds.
+
+    Newton runs inside the bracket that the wave pattern gives
+    (`core.star_bracket`), from the start `core.star_start` picks.
+    """
     pattern = classify(problem)
     if pattern is WavePattern.VACUUM:
         raise CollapseData("data collapse the vessel")
     left, right, params = problem.left, problem.right, problem.params
-    cl = wave_speed(left, params)
-    cr = wave_speed(right, params)
+    wave = problem._wave_data
+    cl, cr = wave.c_left, wave.c_right
 
-    a_rr = two_rarefaction_area(problem)
-    hi, f_hi = a_rr, area_function(a_rr, problem)
-    while f_hi < 0.0:  # rounding guard; analytically f(a_rr) >= 0
-        hi *= 2.0
-        f_hi = area_function(hi, problem)
-    if f_hi == 0.0:
-        a_star = hi
-    else:
-        lo = 1e-300
-        bracket = RootBracket(lo, hi, area_function(lo, problem), f_hi)
-        a_star = find_root(
-            lambda a: area_function(a, problem),
-            bracket,
-            rel_tol=rel_tol,
-            fprime=lambda a: area_function_deriv(a, problem),
-            x0=hi,
-        )
+    curve = lambda a: area_function(a, problem)  # noqa: E731
+    bracket = star_bracket(wave, curve)
+    a_star = find_root(
+        curve,
+        bracket,
+        rel_tol=rel_tol,
+        fprime=lambda a: area_function_deriv(a, problem),
+        x0=star_start(wave, bracket),
+    )
 
     u_star = 0.5 * (left.u + right.u) + 0.5 * (
         f_side(a_star, right, params) - f_side(a_star, left, params)
@@ -224,9 +222,10 @@ def _davis_b(problem: BfeProblem):
 def _toro(problem: BfeProblem):
     # Two-rarefaction analog of the Euler estimator: q factors at A_*rr.
     left, right, params = problem.left, problem.right, problem.params
-    cl = wave_speed(left, params)
-    cr = wave_speed(right, params)
-    a_rr = two_rarefaction_area(problem)
+    wave = problem._wave_data
+    if wave.pattern is WavePattern.VACUUM:
+        raise CollapseData("data collapse the vessel; no positive star area")
+    cl, cr, a_rr = wave.c_left, wave.c_right, wave.x_rr
     ql = q_factor(a_rr, left, params) if a_rr > left.a else 1.0
     qr = q_factor(a_rr, right, params) if a_rr > right.a else 1.0
     return left.u - cl * ql, right.u + cr * qr
@@ -248,31 +247,27 @@ def _tms_d(problem: BfeProblem):
 
 def _tms(problem: BfeProblem, variant: EstimatorId):
     left, right, params = problem.left, problem.right, problem.params
-    cl = wave_speed(left, params)
-    cr = wave_speed(right, params)
-    a_min, a_max = _a_min_max(problem)
-    f_min = area_function(a_min, problem)
-    if f_min >= 0.0:  # R/R: eigenvalue speeds are exact
+    wave = problem._wave_data
+    cl, cr = wave.c_left, wave.c_right
+    if wave.pattern is WavePattern.RR:  # eigenvalue speeds are exact
         return left.u - cl, right.u + cr
-    f_max = area_function(a_max, problem)
-    a_rr = two_rarefaction_area(problem)
+    a_min, a_max, a_rr = wave.x_min, wave.x_max, wave.x_rr
+    f_min, f_max, f_rr = wave.f_min, wave.f_max, wave.f_rr
 
-    if f_max >= 0.0:  # mixed: the shock sits on the low-area side
-        right_shock = a_min == right.a
+    if wave.pattern is not WavePattern.SS:  # the shock sits on the low-area side
         if variant is EstimatorId.TMS_A:
             a_hat = interpolate_root((a_min, f_min), (a_max, f_max))
         elif variant is EstimatorId.TMS_B:
-            a_hat = interpolate_root((a_min, f_min), (a_rr, area_function(a_rr, problem)))
+            a_hat = interpolate_root((a_min, f_min), (a_rr, f_rr))
         else:  # TMS_C: data area of the opposite side
             a_hat = a_max
-        if right_shock:
+        if wave.pattern is WavePattern.RS:
             return left.u - cl, right.u + cr * q_factor(a_hat, right, params)
         return left.u - cl * q_factor(a_hat, left, params), right.u + cr
 
     # S/S: both waves are shocks
     if variant is EstimatorId.TMS_C:
         return right.u - cr, left.u + cl
-    f_rr = area_function(a_rr, problem)
     if variant is EstimatorId.TMS_A:
         a_hat = interpolate_root((a_max, f_max), (a_rr, f_rr))
     else:

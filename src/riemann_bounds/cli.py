@@ -26,6 +26,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PHYSICAL = 2
 EXIT_TOLERANCE = 3
+EXIT_VIOLATIONS = 4
 
 _STATE_ARITY = {"euler": 3, "swe": 2, "bfe": 2}
 _STAR_LABEL = {"euler": "p_*", "swe": "h_*", "bfe": "A_*"}
@@ -226,7 +227,7 @@ def _cmd_fuzz(args) -> int:
             "violations": [asdict(violation) for violation in report.violations],
         }
         print(json.dumps(payload, indent=2))
-        return EXIT_OK
+        return EXIT_VIOLATIONS if report.violations else EXIT_OK
 
     print(f"system = {report.system}")
     print(f"trials = {report.trials}")
@@ -237,7 +238,7 @@ def _cmd_fuzz(args) -> int:
               f"{violation.side} = {violation.estimate!r} vs exact "
               f"{violation.exact!r} (left={violation.left}, "
               f"right={violation.right})")
-    return EXIT_OK
+    return EXIT_VIOLATIONS if report.violations else EXIT_OK
 
 
 def _build_parser() -> _Parser:

@@ -107,6 +107,113 @@ class RootBracket:
         return cls(lo, hi, f(lo), f(hi))
 
 
+@dataclass(frozen=True)
+class WaveData:
+    """Wave-curve data of one Riemann problem, computed once per problem.
+
+    `x_min <= x_max` are the ordered data values of the star variable
+    (ties resolve to (x_R, x_L)), `f_min`, `f_max` the wave-curve function
+    there, `x_rr` the two-rarefaction closed form and `f_rr = f(x_rr)`.
+    Values the pattern does not need are NaN and were never computed:
+    everything but the celerities under VACUUM, `f_max` and `f_rr` under RR.
+    """
+
+    c_left: float
+    c_right: float
+    x_min: float
+    x_max: float
+    f_min: float
+    f_max: float
+    x_rr: float
+    f_rr: float
+    pattern: WavePattern
+
+
+def wave_data(
+    curve: Callable[[float], float],
+    x_left: float,
+    x_right: float,
+    c_left: float,
+    c_right: float,
+    two_rarefaction: Optional[Callable[[], float]],
+) -> WaveData:
+    """Wave data from the signs of the wave-curve function `curve` at the
+    data values, without solving for the star state.
+
+    `two_rarefaction` returns the two-rarefaction closed form; it is None
+    when the data leave no positive star value.
+    """
+    right_min = x_right <= x_left
+    x_min, x_max = (x_right, x_left) if right_min else (x_left, x_right)
+    nan = math.nan
+    if two_rarefaction is None:
+        return WaveData(c_left, c_right, x_min, x_max, nan, nan, nan, nan, WavePattern.VACUUM)
+    x_rr = two_rarefaction()
+    f_min = curve(x_min)
+    if f_min >= 0.0:
+        return WaveData(c_left, c_right, x_min, x_max, f_min, nan, x_rr, nan, WavePattern.RR)
+    f_max = curve(x_max)
+    if f_max < 0.0:
+        pattern = WavePattern.SS
+    else:
+        pattern = WavePattern.RS if right_min else WavePattern.SR
+    return WaveData(c_left, c_right, x_min, x_max, f_min, f_max, x_rr, curve(x_rr), pattern)
+
+
+def star_bracket(wave: WaveData, curve: Callable[[float], float]) -> RootBracket:
+    """Bracket of the star value that the wave pattern gives.
+
+    RR: (0, x_min].  RS/SR: [x_min, x_max], cut down to [x_min, x_rr] when
+    f(x_rr) >= 0 there.  SS: [x_max, hi], where hi starts at x_rr and
+    doubles, from a positive value, while f(hi) < 0 (rounding, or a closed
+    form that underflowed or is no upper bound).
+    """
+    if wave.pattern is WavePattern.RR:
+        return RootBracket(0.0, wave.x_min, curve(0.0), wave.f_min)
+    if wave.pattern is not WavePattern.SS:
+        if wave.x_min < wave.x_rr < wave.x_max and wave.f_rr >= 0.0:
+            return RootBracket(wave.x_min, wave.x_rr, wave.f_min, wave.f_rr)
+        return RootBracket(wave.x_min, wave.x_max, wave.f_min, wave.f_max)
+    hi, f_hi = wave.x_rr, wave.f_rr
+    if not hi > wave.x_max:
+        hi, f_hi = wave.x_max, wave.f_max
+    while f_hi < 0.0 and hi < math.inf:
+        hi *= 2.0
+        f_hi = curve(hi)
+    if not f_hi >= 0.0:
+        raise NoConvergence(f"no upper bracket for the star value above {wave.x_max}")
+    return RootBracket(wave.x_max, hi, wave.f_max, f_hi)
+
+
+def star_start(
+    wave: WaveData,
+    bracket: RootBracket,
+    two_shock: Optional[Callable[[float], float]] = None,
+) -> float:
+    """Newton start for the star value, strictly inside `bracket`.
+
+    Under RR it is x_rr, which is then the root.  Otherwise it is the root
+    of the chord through the bracket's end points drawn over sqrt(x), where
+    the wave curves of strong shocks are nearly straight; under SS it is
+    refined by the system's two-shock approximation linearized about that
+    value, `two_shock(x0)`, when the system has one.  A value outside the
+    bracket falls back to the bracket's midpoint.
+    """
+    if wave.pattern is WavePattern.RR:
+        x = wave.x_rr
+    else:
+        # f_lo < f_hi in every bracket of star_bracket; sqrt(lo) may equal
+        # sqrt(hi) when the data values are one ulp apart.
+        q_lo, q_hi = math.sqrt(bracket.lo), math.sqrt(bracket.hi)
+        q = q_lo - (q_hi - q_lo) / (bracket.f_hi - bracket.f_lo) * bracket.f_lo
+        x = q * q
+        if wave.pattern is WavePattern.SS and two_shock is not None:
+            x = two_shock(x)
+    if bracket.lo < x < bracket.hi:
+        return x
+    return 0.5 * (bracket.lo + bracket.hi)
+
+
 def interpolate_root(p1: Tuple[float, float], p2: Tuple[float, float]) -> float:
     """Root of the chord through two points of a function.
 
@@ -137,10 +244,12 @@ def find_root(
 
     With `fprime` this is a Newton iteration started from `x0` (default:
     the endpoint with the smaller |f|) that falls back to bisection
-    whenever an iterate leaves the current bracket.  Without `fprime` it
-    is an Illinois-damped false-position iteration.  Either way each
-    function evaluation shrinks the bracket, so convergence is guaranteed
-    for monotone f.
+    whenever an iterate leaves the current bracket.  Once |f| passes the
+    residual test it returns the pending Newton correction, when that lies
+    inside the bracket and is below sqrt(rel_tol) * |x| or is the third
+    one past the test.  Without `fprime` it is an Illinois-damped
+    false-position iteration.  Either way each function evaluation shrinks
+    the bracket, so convergence is guaranteed for monotone f.
     """
     if rel_tol <= 0.0:
         raise ValueError("rel_tol must be positive")
@@ -161,9 +270,22 @@ def find_root(
     fx = f(x)
 
     side = 0  # Illinois bookkeeping for the derivative-free path
+    corrections = 3  # Newton steps allowed past the residual test
     for _ in range(max_iter):
         if abs(fx) <= rel_tol * f_scale:
-            return x
+            if fprime is None:
+                return x
+            # f_scale can be far above f near the root (a distant bracket
+            # end), so the test can pass early.  The correction costs no
+            # evaluation of f, and once it is small, Newton's quadratic
+            # convergence makes the corrected value exact to rel_tol.
+            dfx = fprime(x)
+            cand = x - fx / dfx if dfx != 0.0 and math.isfinite(dfx) else x
+            if not min(lo, hi) < cand < max(lo, hi):
+                return x
+            corrections -= 1
+            if corrections == 0 or abs(cand - x) <= math.sqrt(rel_tol) * abs(x):
+                return cand
         if fx < 0.0:
             if side == -1 and fprime is None:
                 f_hi *= 0.5  # Illinois: damp the stagnant endpoint

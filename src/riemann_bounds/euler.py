@@ -5,17 +5,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .core import (
     EstimatorId,
     SpeedBounds,
-    RootBracket,
     UnsupportedEstimator,
     VacuumData,
+    WaveData,
     WavePattern,
     find_root,
     interpolate_root,
+    star_bracket,
+    star_start,
+    wave_data,
 )
 
 
@@ -48,6 +52,19 @@ class EulerProblem:
     left: EulerState
     right: EulerState
     params: EulerParams = EulerParams()
+
+    @cached_property
+    def _wave_data(self) -> WaveData:
+        """Sound speeds, f at the data pressures, p_rr and the pattern,
+        computed on first use and kept for every later call."""
+        return wave_data(
+            lambda p: pressure_function(p, self),
+            self.left.p,
+            self.right.p,
+            sound_speed(self.left, self.params),
+            sound_speed(self.right, self.params),
+            (lambda: two_rarefaction_pressure(self)) if check_positivity(self) else None,
+        )
 
 
 @dataclass(frozen=True)
@@ -160,55 +177,46 @@ def q_factor(p: float, side_state: EulerState, params: EulerParams) -> float:
     return math.sqrt(1.0 + (g + 1.0) / (2.0 * g) * (p / side_state.p - 1.0))
 
 
-def _p_min_max(problem: EulerProblem):
-    # Ties resolve to (p_R, p_L); both mixed-case conditions then coincide.
-    if problem.right.p <= problem.left.p:
-        return problem.right.p, problem.left.p
-    return problem.left.p, problem.right.p
-
-
 def classify(problem: EulerProblem) -> WavePattern:
     """Wave pattern from the signs of f at the data pressures, without
     solving for the star state."""
-    if not check_positivity(problem):
-        return WavePattern.VACUUM
-    p_min, p_max = _p_min_max(problem)
-    f_min = pressure_function(p_min, problem)
-    if f_min >= 0.0:
-        return WavePattern.RR
-    f_max = pressure_function(p_max, problem)
-    if f_max < 0.0:
-        return WavePattern.SS
-    return WavePattern.RS if p_min == problem.right.p else WavePattern.SR
+    return problem._wave_data.pattern
+
+
+def _two_shock_pressure(problem: EulerProblem, p0: float) -> float:
+    """Toro's two-shock approximation of p*, linearized about p0
+    (Toro, Riemann Solvers and Numerical Methods for Fluid Dynamics,
+    3rd ed., 2009, Sec. 4.3.2)."""
+    left, right = problem.left, problem.right
+    g = problem.params.gamma
+    gl = math.sqrt(2.0 / ((g + 1.0) * left.rho) / (p0 + (g - 1.0) / (g + 1.0) * left.p))
+    gr = math.sqrt(2.0 / ((g + 1.0) * right.rho) / (p0 + (g - 1.0) / (g + 1.0) * right.p))
+    return (gl * left.p + gr * right.p - (right.u - left.u)) / (gl + gr)
 
 
 def solve_exact(problem: EulerProblem, rel_tol: float = 1e-12) -> EulerExactSolution:
-    """Exact star state and extreme wave speeds."""
+    """Exact star state and extreme wave speeds.
+
+    Newton runs inside the bracket that the wave pattern gives
+    (`core.star_bracket`), from the start `core.star_start` picks; under
+    SS that is refined by Toro's two-shock approximation.
+    """
     pattern = classify(problem)
     if pattern is WavePattern.VACUUM:
         raise VacuumData("data generate vacuum")
     left, right, params = problem.left, problem.right, problem.params
-    cl = sound_speed(left, params)
-    cr = sound_speed(right, params)
+    wave = problem._wave_data
+    cl, cr = wave.c_left, wave.c_right
 
-    p_rr = two_rarefaction_pressure(problem)
-    hi, f_hi = p_rr, pressure_function(p_rr, problem)
-    while f_hi < 0.0:  # rounding guard; analytically f(p_rr) >= 0
-        hi *= 2.0
-        f_hi = pressure_function(hi, problem)
-    if f_hi == 0.0:
-        p_star = hi
-    else:
-        # f(0+) < 0 under positivity; p_rr is a guaranteed upper bound.
-        lo = 0.0
-        bracket = RootBracket(lo, hi, pressure_function(lo, problem), f_hi)
-        p_star = find_root(
-            lambda p: pressure_function(p, problem),
-            bracket,
-            rel_tol=rel_tol,
-            fprime=lambda p: pressure_function_deriv(p, problem),
-            x0=hi,
-        )
+    curve = lambda p: pressure_function(p, problem)  # noqa: E731
+    bracket = star_bracket(wave, curve)
+    p_star = find_root(
+        curve,
+        bracket,
+        rel_tol=rel_tol,
+        fprime=lambda p: pressure_function_deriv(p, problem),
+        x0=star_start(wave, bracket, lambda x: _two_shock_pressure(problem, x)),
+    )
 
     u_star = 0.5 * (left.u + right.u) + 0.5 * (
         f_side(p_star, right, params) - f_side(p_star, left, params)
@@ -266,9 +274,10 @@ def _batten(problem: EulerProblem):
 
 def _toro(problem: EulerProblem):
     left, right, params = problem.left, problem.right, problem.params
-    cl = sound_speed(left, params)
-    cr = sound_speed(right, params)
-    p_rr = two_rarefaction_pressure(problem)
+    wave = problem._wave_data
+    if wave.pattern is WavePattern.VACUUM:
+        raise VacuumData("data generate vacuum; no positive star pressure")
+    cl, cr, p_rr = wave.c_left, wave.c_right, wave.x_rr
     ql = q_factor(p_rr, left, params) if p_rr > left.p else 1.0
     qr = q_factor(p_rr, right, params) if p_rr > right.p else 1.0
     return left.u - cl * ql, right.u + cr * qr
@@ -276,31 +285,28 @@ def _toro(problem: EulerProblem):
 
 def _tms(problem: EulerProblem, variant: EstimatorId):
     left, right, params = problem.left, problem.right, problem.params
-    cl = sound_speed(left, params)
-    cr = sound_speed(right, params)
-    p_min, p_max = _p_min_max(problem)
-    f_min = pressure_function(p_min, problem)
-    if f_min >= 0.0:  # R/R: eigenvalue speeds are exact
+    wave = problem._wave_data
+    cl, cr = wave.c_left, wave.c_right
+    if wave.pattern is WavePattern.RR:  # eigenvalue speeds are exact
         return left.u - cl, right.u + cr
-    f_max = pressure_function(p_max, problem)
-    p_rr = two_rarefaction_pressure(problem)
+    p_min, p_max, p_rr = wave.x_min, wave.x_max, wave.x_rr
+    f_min, f_max, f_rr = wave.f_min, wave.f_max, wave.f_rr
 
-    if f_max >= 0.0:  # mixed: the shock sits on the low-pressure side
-        right_shock = p_min == right.p
+    if wave.pattern is not WavePattern.SS:  # the shock sits on the low-pressure side
         if variant is EstimatorId.TMS_A:
             p_hat = interpolate_root((p_min, f_min), (p_max, f_max))
         elif variant is EstimatorId.TMS_B:
-            p_hat = interpolate_root((p_min, f_min), (p_rr, pressure_function(p_rr, problem)))
+            p_hat = interpolate_root((p_min, f_min), (p_rr, f_rr))
         else:  # TMS_C: data pressure of the opposite side
             p_hat = p_max
-        if right_shock:
+        if wave.pattern is WavePattern.RS:
             return left.u - cl, right.u + cr * q_factor(p_hat, right, params)
         return left.u - cl * q_factor(p_hat, left, params), right.u + cr
 
     # S/S: both waves are shocks, so the interpolation nodes evaluate the
     # wave curves with their shock expressions on both sides; at p_min the
     # high-pressure side extends its shock branch below its data value.
-    f_rr = pressure_function(p_rr, problem)  # p_rr > p_max: shock on both sides
+    # p_rr > p_max, so f_rr is on the shock branch of both sides.
     if variant is EstimatorId.TMS_A:
         p_hat = interpolate_root((p_max, f_max), (p_rr, f_rr))
     elif variant is EstimatorId.TMS_B:

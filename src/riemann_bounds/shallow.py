@@ -6,17 +6,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .core import (
     DryBed,
     EstimatorId,
     SpeedBounds,
-    RootBracket,
     UnsupportedEstimator,
+    WaveData,
     WavePattern,
     find_root,
     interpolate_root,
+    star_bracket,
+    star_start,
+    wave_data,
 )
 
 
@@ -46,6 +50,19 @@ class SweProblem:
     left: SweState
     right: SweState
     params: SweParams = SweParams()
+
+    @cached_property
+    def _wave_data(self) -> WaveData:
+        """Celerities, f at the data depths, h_rr and the pattern,
+        computed on first use and kept for every later call."""
+        return wave_data(
+            lambda h: depth_function(h, self),
+            self.left.h,
+            self.right.h,
+            celerity(self.left, self.params),
+            celerity(self.right, self.params),
+            (lambda: two_rarefaction_depth(self)) if is_wet(self) else None,
+        )
 
 
 @dataclass(frozen=True)
@@ -136,51 +153,42 @@ def q_factor(h: float, side_state: SweState, params: SweParams) -> float:
     return math.sqrt(0.5 * (y * y + y))
 
 
-def _h_min_max(problem: SweProblem):
-    if problem.right.h <= problem.left.h:
-        return problem.right.h, problem.left.h
-    return problem.left.h, problem.right.h
-
-
 def classify(problem: SweProblem) -> WavePattern:
-    if not is_wet(problem):
-        return WavePattern.VACUUM
-    h_min, h_max = _h_min_max(problem)
-    f_min = depth_function(h_min, problem)
-    if f_min >= 0.0:
-        return WavePattern.RR
-    f_max = depth_function(h_max, problem)
-    if f_max < 0.0:
-        return WavePattern.SS
-    return WavePattern.RS if h_min == problem.right.h else WavePattern.SR
+    return problem._wave_data.pattern
+
+
+def _two_shock_depth(problem: SweProblem, h0: float) -> float:
+    """Two-shock approximation of h*, linearized about h0 (Toro,
+    Shock-Capturing Methods for Free-Surface Shallow Flows, 2001)."""
+    left, right, g = problem.left, problem.right, problem.params.g
+    gl = math.sqrt(0.5 * g * (h0 + left.h) / (h0 * left.h))
+    gr = math.sqrt(0.5 * g * (h0 + right.h) / (h0 * right.h))
+    return (gl * left.h + gr * right.h - (right.u - left.u)) / (gl + gr)
 
 
 def solve_exact(problem: SweProblem, rel_tol: float = 1e-12) -> SweExactSolution:
-    """Exact star state and extreme wave speeds."""
+    """Exact star state and extreme wave speeds.
+
+    Newton runs inside the bracket that the wave pattern gives
+    (`core.star_bracket`), from the start `core.star_start` picks; under
+    SS that is refined by the two-shock approximation.
+    """
     pattern = classify(problem)
     if pattern is WavePattern.VACUUM:
         raise DryBed("data dry the bed")
     left, right, params = problem.left, problem.right, problem.params
-    cl = celerity(left, params)
-    cr = celerity(right, params)
+    wave = problem._wave_data
+    cl, cr = wave.c_left, wave.c_right
 
-    h_rr = two_rarefaction_depth(problem)
-    hi, f_hi = h_rr, depth_function(h_rr, problem)
-    while f_hi < 0.0:  # rounding guard; analytically f(h_rr) >= 0
-        hi *= 2.0
-        f_hi = depth_function(hi, problem)
-    if f_hi == 0.0:
-        h_star = hi
-    else:
-        lo = 1e-300
-        bracket = RootBracket(lo, hi, depth_function(lo, problem), f_hi)
-        h_star = find_root(
-            lambda h: depth_function(h, problem),
-            bracket,
-            rel_tol=rel_tol,
-            fprime=lambda h: depth_function_deriv(h, problem),
-            x0=hi,
-        )
+    curve = lambda h: depth_function(h, problem)  # noqa: E731
+    bracket = star_bracket(wave, curve)
+    h_star = find_root(
+        curve,
+        bracket,
+        rel_tol=rel_tol,
+        fprime=lambda h: depth_function_deriv(h, problem),
+        x0=star_start(wave, bracket, lambda x: _two_shock_depth(problem, x)),
+    )
 
     u_star = 0.5 * (left.u + right.u) + 0.5 * (
         f_side(h_star, right, params) - f_side(h_star, left, params)
@@ -208,9 +216,10 @@ def _davis_b(problem: SweProblem):
 def _toro(problem: SweProblem):
     # Two-rarefaction analog of the Euler estimator: q factors at h_*rr.
     left, right, params = problem.left, problem.right, problem.params
-    cl = celerity(left, params)
-    cr = celerity(right, params)
-    h_rr = two_rarefaction_depth(problem)
+    wave = problem._wave_data
+    if wave.pattern is WavePattern.VACUUM:
+        raise DryBed("data dry the bed; no positive star depth")
+    cl, cr, h_rr = wave.c_left, wave.c_right, wave.x_rr
     ql = q_factor(h_rr, left, params) if h_rr > left.h else 1.0
     qr = q_factor(h_rr, right, params) if h_rr > right.h else 1.0
     return left.u - cl * ql, right.u + cr * qr
@@ -225,33 +234,30 @@ def _tms_d(problem: SweProblem):
 
 def _tms(problem: SweProblem, variant: EstimatorId):
     left, right, params = problem.left, problem.right, problem.params
-    cl = celerity(left, params)
-    cr = celerity(right, params)
-    h_min, h_max = _h_min_max(problem)
-    f_min = depth_function(h_min, problem)
-    if f_min >= 0.0:  # R/R: eigenvalue speeds are exact
+    wave = problem._wave_data
+    cl, cr = wave.c_left, wave.c_right
+    if wave.pattern is WavePattern.RR:  # eigenvalue speeds are exact
         return left.u - cl, right.u + cr
-    f_max = depth_function(h_max, problem)
-    h_rr = two_rarefaction_depth(problem)
+    h_min, h_max, h_rr = wave.x_min, wave.x_max, wave.x_rr
+    f_min, f_max, f_rr = wave.f_min, wave.f_max, wave.f_rr
 
-    if f_max >= 0.0:  # mixed: the shock sits on the low-depth side
-        right_shock = h_min == right.h
+    if wave.pattern is not WavePattern.SS:  # the shock sits on the low-depth side
         if variant is EstimatorId.TMS_A:
             h_hat = interpolate_root((h_min, f_min), (h_max, f_max))
         elif variant is EstimatorId.TMS_B:
-            h_hat = interpolate_root((h_min, f_min), (h_rr, depth_function(h_rr, problem)))
+            h_hat = interpolate_root((h_min, f_min), (h_rr, f_rr))
         else:  # TMS_C: data depth of the opposite side
             h_hat = h_max
-        if right_shock:
+        if wave.pattern is WavePattern.RS:
             return left.u - cl, right.u + cr * q_factor(h_hat, right, params)
         return left.u - cl * q_factor(h_hat, left, params), right.u + cr
 
     # S/S: both waves are shocks, so the interpolation nodes evaluate the
     # wave curves with their shock expressions on both sides; at h_min the
     # deep side extends its shock branch below its data value.
+    # h_rr > h_max, so f_rr is on the shock branch of both sides.
     if variant is EstimatorId.TMS_C:
         return right.u - cr, left.u + cl
-    f_rr = depth_function(h_rr, problem)  # h_rr > h_max: shock on both sides
     if variant is EstimatorId.TMS_A:
         h_hat = interpolate_root((h_max, f_max), (h_rr, f_rr))
     else:

@@ -4,6 +4,7 @@ which published estimates fail to bound the exact wave speeds."""
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -68,8 +69,13 @@ def star_values(system: str, solution) -> Dict[str, float]:
     }
 
 
+@functools.cache
 def load_reference(system: str) -> dict:
-    """Embedded golden table for a system."""
+    """Embedded golden table for a system, parsed once per process.
+
+    Every call returns the same dict, shared by all callers: treat it as
+    read-only.
+    """
     if system not in SYSTEMS:
         raise ValueError(f"unknown system {system!r}")
     path = resources.files(__package__) / "data" / f"{system}.json"

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from riemann_bounds import cli, tables
+from riemann_bounds.fuzz import FuzzReport, FuzzViolation
 
 
 def run(capsys, *argv):
@@ -178,6 +179,18 @@ class TestFuzz:
         payload = json.loads(out)
         assert payload == {"system": "bfe", "trials": 25, "seed": 7,
                            "violations": []}
+
+
+    @pytest.mark.parametrize("fmt", ("md", "json"))
+    def test_violations_exit_code(self, capsys, monkeypatch, fmt):
+        violation = FuzzViolation(3, "tms_b", "s_left", -0.5, -1.0,
+                                  (1.0, 0.0, 1.0), (1.0, 0.0, 0.1))
+        report = FuzzReport("euler", 10, 42, (violation,))
+        monkeypatch.setattr(cli, "run_fuzz", lambda *args: report)
+        code, out, _ = run(capsys, "fuzz", "--system", "euler",
+                           "--count", "10", "--seed", "42", "--format", fmt)
+        assert code == cli.EXIT_VIOLATIONS == 4
+        assert "tms_b" in out
 
 
 class TestUsage:

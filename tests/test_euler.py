@@ -1,17 +1,21 @@
 """Tests for the Euler-system exact solver and speed estimators."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import riemann_bounds
 from riemann_bounds.core import (
     EstimatorId,
     UnsupportedEstimator,
     VacuumData,
     WavePattern,
 )
-from riemann_bounds import euler
+from riemann_bounds import euler, fuzz
 from riemann_bounds.euler import (
     EulerParams,
     EulerProblem,
@@ -103,6 +107,73 @@ class TestSolveExact:
             solution = solve_exact(prob)
             du = abs(prob.right.u - prob.left.u) + 1.0
             assert abs(pressure_function(solution.p_star, prob)) <= 1e-9 * du
+
+    def test_matches_log_space_bisection(self):
+        # An independent float wave curve, bisected in log p down to the
+        # last bit, on the first problems of the seed-42 acceptance ensemble.
+        def side(p, rho, pk, g):
+            if p > pk:
+                return (p - pk) * math.sqrt(2.0 / ((g + 1.0) * rho) / (p + (g - 1.0) / (g + 1.0) * pk))
+            c = math.sqrt(g * pk / rho)
+            return 2.0 * c / (g - 1.0) * ((p / pk) ** ((g - 1.0) / (2.0 * g)) - 1.0)
+
+        def bisect(prob):
+            g, l, r = prob.params.gamma, prob.left, prob.right
+            lo, hi = -700.0, 700.0
+            while lo < 0.5 * (lo + hi) < hi:
+                mid = 0.5 * (lo + hi)
+                p = math.exp(mid)
+                if side(p, l.rho, l.p, g) + side(p, r.rho, r.p, g) + r.u - l.u < 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            return math.exp(0.5 * (lo + hi))
+
+        rng = random.Random(42)
+        problems = [fuzz.sample_problem("euler", rng) for _ in range(500)]
+        # S/S with gamma near 1: p_rr is far above p*, and so is f(p_rr).
+        problems += [
+            EulerProblem(EulerState(3.2653944412788496, 224.16133681551423, 0.006410281123590723),
+                         EulerState(226866.715332922, -273.827887634019, 55264.10524050066),
+                         EulerParams(1.01)),
+            EulerProblem(EulerState(0.005181614249557227, 106.63838883941355, 3.0331489752402375e-05),
+                         EulerState(1.6848733404941143, -250.49693689690136, 48.8825382906358),
+                         EulerParams(1.001)),
+            # R/S next to a near-vacuum state, where f(p_rr) is far above f(p*).
+            EulerProblem(EulerState(4.8e5, 1247.0, 5.7e4), EulerState(2.9e-4, -6035.0, 3.8e-10)),
+        ]
+        for i, prob in enumerate(problems):
+            want = bisect(prob)
+            got = solve_exact(prob).p_star
+            assert abs(got - want) <= 1e-11 * want, (i, got, want)
+
+    def test_gamma_near_one_terminates(self):
+        # For gamma near 1 the two-rarefaction pressure underflows to 0;
+        # the solve must return a root or raise, not loop.
+        code = """
+from riemann_bounds.core import RiemannBoundsError
+from riemann_bounds.euler import EulerParams, EulerProblem, EulerState, pressure_function, solve_exact
+cases = [
+    ((8.319408137833142e-06, -173.92641653883788, 9.268240455140981e-08),
+     (74.21221382399398, 139.84099873740388, 1.0556042681071893)),
+    ((666.4296166189765, -254.41115263737265, 0.35320957542169235),
+     (1234.3473299275995, -110.93493126953695, 9.511868748437648)),
+]
+for left, right in cases:
+    prob = EulerProblem(EulerState(*left), EulerState(*right), EulerParams(1.001))
+    try:
+        p = solve_exact(prob).p_star
+    except RiemannBoundsError as exc:
+        print(type(exc).__name__)
+    else:
+        assert p > 0.0 and abs(pressure_function(p, prob)) <= 1e-9, p
+        print("root")
+"""
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(riemann_bounds.__file__)))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert len(done.stdout.split()) == 2
 
 
 class TestClassification:

@@ -21,6 +21,9 @@ class TestLoadReference:
         with pytest.raises(ValueError):
             tables.load_reference("mhd")
 
+    def test_parsed_once(self):
+        assert tables.load_reference("swe") is tables.load_reference("swe")
+
     def test_bfe_areas_are_pi_multiples(self):
         ref = tables.load_reference("bfe")
         first = ref["tests"][0]
