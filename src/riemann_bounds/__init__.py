@@ -2,6 +2,7 @@
 Euler, shallow-water and arterial blood-flow equations."""
 
 from .core import (
+    ClosedFormOverflow,
     CollapseData,
     DegeneratePoints,
     DryBed,
@@ -21,6 +22,7 @@ from .core import (
 )
 
 __all__ = [
+    "ClosedFormOverflow",
     "CollapseData",
     "DegeneratePoints",
     "DryBed",

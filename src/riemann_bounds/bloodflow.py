@@ -6,16 +6,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional
+from functools import partial
 
 from .core import (
+    ClosedFormOverflow,
     CollapseData,
     EstimatorId,
     SpeedBounds,
     UnsupportedEstimator,
     WaveData,
     WavePattern,
+    cached_attribute,
     find_root,
     interpolate_root,
     star_bracket,
@@ -35,8 +36,10 @@ class BfeState:
     u: float
 
     def __post_init__(self):
-        if not self.a > 0.0:
-            raise ValueError(f"a must be positive, got {self.a}")
+        if not 0.0 < self.a < math.inf:
+            raise ValueError(f"a must be positive and finite, got {self.a}")
+        if not math.isfinite(self.u):
+            raise ValueError(f"u must be finite, got {self.u}")
 
 
 @dataclass(frozen=True)
@@ -47,10 +50,10 @@ class BfeParams:
     rho: float = 1.05
 
     def __post_init__(self):
-        if not self.beta > 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if not self.rho > 0.0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        if not 0.0 < self.rho < math.inf:
+            raise ValueError(f"rho must be positive and finite, got {self.rho}")
 
     @property
     def gamma_tube(self) -> float:
@@ -67,18 +70,45 @@ class BfeProblem:
     right: BfeState
     params: BfeParams = BfeParams()
 
-    @cached_property
+    @cached_attribute
+    def _sides(self) -> "_Sides":
+        """Per-side wave-curve constants, computed on first use."""
+        return _Sides(self)
+
+    @cached_attribute
     def _wave_data(self) -> WaveData:
         """Wave speeds, f at the data areas, A_rr and the pattern,
         computed on first use and kept for every later call."""
+        k = self._sides
         return wave_data(
             lambda a: area_function(a, self),
-            self.left.a,
-            self.right.a,
-            wave_speed(self.left, self.params),
-            wave_speed(self.right, self.params),
+            k.a_l,
+            k.a_r,
+            k.c_l,
+            k.c_r,
             (lambda: two_rarefaction_area(self)) if is_open(self) else None,
         )
+
+
+class _Sides:
+    """Wave-curve constants of both sides of one problem: per side K the
+    data area A_K, A_K^(1/4), A_K^(3/2) and the wave speed c_K; zeta,
+    4 zeta and gamma_tube; and du = u_R - u_L."""
+
+    __slots__ = ("a_l", "a14_l", "a32_l", "c_l", "a_r", "a14_r", "a32_r", "c_r",
+                 "zeta", "zeta4", "gamma_tube", "du")
+
+    def __init__(self, problem: BfeProblem):
+        left, right, params = problem.left, problem.right, problem.params
+        self.a_l, self.a_r = left.a, right.a
+        self.a14_l, self.a14_r = left.a**0.25, right.a**0.25
+        self.a32_l, self.a32_r = left.a**1.5, right.a**1.5
+        self.zeta = zeta = params.zeta
+        self.zeta4 = 4.0 * zeta
+        self.gamma_tube = params.gamma_tube
+        self.c_l = zeta * self.a14_l  # wave_speed(left, params)
+        self.c_r = zeta * self.a14_r
+        self.du = right.u - left.u
 
 
 @dataclass(frozen=True)
@@ -90,75 +120,85 @@ class BfeExactSolution:
     s_right: float
 
 
-ESTIMATORS = (
-    EstimatorId.DAVIS_A,
-    EstimatorId.DAVIS_B,
-    EstimatorId.TORO,
-    EstimatorId.TMS_A,
-    EstimatorId.TMS_B,
-    EstimatorId.TMS_C,
-    EstimatorId.TMS_D,
-)
-
-
 def wave_speed(state: BfeState, params: BfeParams) -> float:
     """Elastic-wall wave speed c = zeta * A^(1/4)."""
     return params.zeta * state.a**0.25
 
 
-def f_side(a: float, side_state: BfeState, params: BfeParams) -> float:
-    """Wave-curve branch connecting the star region to one data state."""
-    ak = side_state.a
-    if a < ak:
-        return 4.0 * params.zeta * (a**0.25 - ak**0.25)
-    return math.sqrt(params.gamma_tube * (a - ak) * (a**1.5 - ak**1.5) / (a * ak))
-
-
-def f_side_deriv(a: float, side_state: BfeState, params: BfeParams) -> float:
-    ak = side_state.a
-    if a < ak:
-        return params.zeta * a**-0.75
-    g = params.gamma_tube
-    n = (a - ak) * (a**1.5 - ak**1.5)
-    if n == 0.0:  # sonic point: rarefaction-branch slope is the limit
-        return params.zeta * a**-0.75
-    dn = (a**1.5 - ak**1.5) + 1.5 * (a - ak) * a**0.5
-    s = g * n / (a * ak)
-    ds = g * (dn / (a * ak) - n / (a * a * ak))
-    return 0.5 * ds / math.sqrt(s)
-
-
 def area_function(a: float, problem: BfeProblem) -> float:
-    return (
-        f_side(a, problem.left, problem.params)
-        + f_side(a, problem.right, problem.params)
-        + (problem.right.u - problem.left.u)
-    )
+    """f(A) = f_L(A) + f_R(A) + u_R - u_L: rarefaction branch below the
+    side's data area, shock branch at or above it."""
+    k = problem._sides
+    if a < k.a_l:
+        f_l = k.zeta4 * (a**0.25 - k.a14_l)
+    else:
+        f_l = math.sqrt(k.gamma_tube * (a - k.a_l) * (a**1.5 - k.a32_l) / (a * k.a_l))
+    if a < k.a_r:
+        f_r = k.zeta4 * (a**0.25 - k.a14_r)
+    else:
+        f_r = math.sqrt(k.gamma_tube * (a - k.a_r) * (a**1.5 - k.a32_r) / (a * k.a_r))
+    return f_l + f_r + k.du
 
 
 def area_function_deriv(a: float, problem: BfeProblem) -> float:
-    return f_side_deriv(a, problem.left, problem.params) + f_side_deriv(
-        a, problem.right, problem.params
-    )
+    k = problem._sides
+    g = k.gamma_tube
+    if a < k.a_l:
+        d_l = k.zeta * a**-0.75
+    else:
+        n = (a - k.a_l) * (a**1.5 - k.a32_l)
+        if n == 0.0:  # sonic point: rarefaction-branch slope is the limit
+            d_l = k.zeta * a**-0.75
+        else:
+            dn = (a**1.5 - k.a32_l) + 1.5 * (a - k.a_l) * a**0.5
+            s = g * n / (a * k.a_l)
+            ds = g * (dn / (a * k.a_l) - n / (a * a * k.a_l))
+            d_l = 0.5 * ds / math.sqrt(s)
+    if a < k.a_r:
+        d_r = k.zeta * a**-0.75
+    else:
+        n = (a - k.a_r) * (a**1.5 - k.a32_r)
+        if n == 0.0:
+            d_r = k.zeta * a**-0.75
+        else:
+            dn = (a**1.5 - k.a32_r) + 1.5 * (a - k.a_r) * a**0.5
+            s = g * n / (a * k.a_r)
+            ds = g * (dn / (a * k.a_r) - n / (a * a * k.a_r))
+            d_r = 0.5 * ds / math.sqrt(s)
+    return d_l + d_r
+
+
+def _side_curves(a: float, k: _Sides):
+    """(f_L(A), f_R(A)), the two terms of `area_function`."""
+    if a < k.a_l:
+        f_l = k.zeta4 * (a**0.25 - k.a14_l)
+    else:
+        f_l = math.sqrt(k.gamma_tube * (a - k.a_l) * (a**1.5 - k.a32_l) / (a * k.a_l))
+    if a < k.a_r:
+        f_r = k.zeta4 * (a**0.25 - k.a14_r)
+    else:
+        f_r = math.sqrt(k.gamma_tube * (a - k.a_r) * (a**1.5 - k.a32_r) / (a * k.a_r))
+    return f_l, f_r
 
 
 def is_open(problem: BfeProblem) -> bool:
     """True when the data do not collapse the vessel (positive star area)."""
-    cl = wave_speed(problem.left, problem.params)
-    cr = wave_speed(problem.right, problem.params)
-    return 4.0 * cl + 4.0 * cr > problem.right.u - problem.left.u
+    k = problem._sides
+    return 4.0 * k.c_l + 4.0 * k.c_r > k.du
 
 
 def two_rarefaction_area(problem: BfeProblem) -> float:
     """Closed-form star area assuming both waves are rarefactions;
-    an upper bound for the true star area."""
+    an upper bound for the true star area.  Raises `ClosedFormOverflow`
+    when the value exceeds the float range."""
     if not is_open(problem):
         raise CollapseData("data collapse the vessel; no positive star area")
-    params = problem.params
-    cl = wave_speed(problem.left, params)
-    cr = wave_speed(problem.right, params)
-    b = 0.5 * (cl + cr) - 0.125 * (problem.right.u - problem.left.u)
-    return (2.0 * params.rho * b * b / params.beta) ** 2
+    params, k = problem.params, problem._sides
+    b = 0.5 * (k.c_l + k.c_r) - 0.125 * k.du
+    try:
+        return (2.0 * params.rho * b * b / params.beta) ** 2
+    except OverflowError:
+        raise ClosedFormOverflow("two-rarefaction area overflows") from None
 
 
 def q_factor(a: float, side_state: BfeState, params: BfeParams) -> float:
@@ -183,11 +223,12 @@ def solve_exact(problem: BfeProblem, rel_tol: float = 1e-12) -> BfeExactSolution
     if pattern is WavePattern.VACUUM:
         raise CollapseData("data collapse the vessel")
     left, right, params = problem.left, problem.right, problem.params
-    wave = problem._wave_data
-    cl, cr = wave.c_left, wave.c_right
+    wave, k = problem._wave_data, problem._sides
+    cl, cr = k.c_l, k.c_r
 
     curve = lambda a: area_function(a, problem)  # noqa: E731
-    bracket = star_bracket(wave, curve)
+    f_zero = k.zeta4 * (0.0 - k.a14_l) + k.zeta4 * (0.0 - k.a14_r) + k.du
+    bracket = star_bracket(wave, curve, f_zero)
     a_star = find_root(
         curve,
         bracket,
@@ -196,23 +237,21 @@ def solve_exact(problem: BfeProblem, rel_tol: float = 1e-12) -> BfeExactSolution
         x0=star_start(wave, bracket),
     )
 
-    u_star = 0.5 * (left.u + right.u) + 0.5 * (
-        f_side(a_star, right, params) - f_side(a_star, left, params)
-    )
+    f_l, f_r = _side_curves(a_star, k)
+    u_star = 0.5 * (left.u + right.u) + 0.5 * (f_r - f_l)
     s_left = left.u - cl if a_star <= left.a else left.u - cl * q_factor(a_star, left, params)
     s_right = right.u + cr if a_star <= right.a else right.u + cr * q_factor(a_star, right, params)
     return BfeExactSolution(a_star, u_star, pattern, s_left, s_right)
 
 
 def _davis_a(problem: BfeProblem):
-    cl = wave_speed(problem.left, problem.params)
-    cr = wave_speed(problem.right, problem.params)
-    return problem.left.u - cl, problem.right.u + cr
+    k = problem._sides
+    return problem.left.u - k.c_l, problem.right.u + k.c_r
 
 
 def _davis_b(problem: BfeProblem):
-    cl = wave_speed(problem.left, problem.params)
-    cr = wave_speed(problem.right, problem.params)
+    k = problem._sides
+    cl, cr = k.c_l, k.c_r
     return (
         min(problem.left.u - cl, problem.right.u - cr),
         max(problem.left.u + cl, problem.right.u + cr),
@@ -235,10 +274,9 @@ def _tms_d(problem: BfeProblem):
     # The crude opposite-side term is the front speed of a rarefaction
     # expanding into a near-empty vessel with floor area 1e-12 cm^2,
     # u -/+ 4(c - c_floor), rather than the full-vacuum limit u -/+ 4c.
-    left, right, params = problem.left, problem.right, problem.params
-    cl = wave_speed(left, params)
-    cr = wave_speed(right, params)
-    c_floor = params.zeta * _VACUUM_FLOOR_AREA**0.25
+    left, right, k = problem.left, problem.right, problem._sides
+    cl, cr = k.c_l, k.c_r
+    c_floor = k.zeta * _VACUUM_FLOOR_AREA**0.25
     return (
         min(left.u - cl, right.u - 4.0 * (cr - c_floor)),
         max(right.u + cr, left.u + 4.0 * (cl - c_floor)),
@@ -278,30 +316,36 @@ def _tms(problem: BfeProblem, variant: EstimatorId):
     )
 
 
+#: Per estimator: its speed pair, and whether `estimate` reports the wave
+#: pattern (raising `CollapseData` for data that collapse the vessel).
+_SPEEDS = {
+    EstimatorId.DAVIS_A: (_davis_a, False),
+    EstimatorId.DAVIS_B: (_davis_b, False),
+    EstimatorId.TORO: (_toro, False),
+    EstimatorId.TMS_A: (partial(_tms, variant=EstimatorId.TMS_A), True),
+    EstimatorId.TMS_B: (partial(_tms, variant=EstimatorId.TMS_B), True),
+    EstimatorId.TMS_C: (partial(_tms, variant=EstimatorId.TMS_C), True),
+    EstimatorId.TMS_D: (_tms_d, True),
+}
+
+ESTIMATORS = tuple(_SPEEDS)
+
+
 def estimate(problem: BfeProblem, estimator: EstimatorId) -> SpeedBounds:
     """Wave-speed pair (S_L, S_R) for the requested estimator."""
-    pattern: Optional[WavePattern] = None
     if estimator is EstimatorId.EXACT:
         sol = solve_exact(problem)
         return SpeedBounds(sol.s_left, sol.s_right, estimator, sol.pattern)
-    if estimator is EstimatorId.DAVIS_A:
-        sl, sr = _davis_a(problem)
-    elif estimator is EstimatorId.DAVIS_B:
-        sl, sr = _davis_b(problem)
-    elif estimator is EstimatorId.TORO:
-        sl, sr = _toro(problem)
-    elif estimator is EstimatorId.TMS_D:
-        pattern = classify(problem)
-        if pattern is WavePattern.VACUUM:
-            raise CollapseData("data collapse the vessel")
-        sl, sr = _tms_d(problem)
-    elif estimator in (EstimatorId.TMS_A, EstimatorId.TMS_B, EstimatorId.TMS_C):
-        pattern = classify(problem)
-        if pattern is WavePattern.VACUUM:
-            raise CollapseData("data collapse the vessel")
-        sl, sr = _tms(problem, estimator)
-    else:
+    entry = _SPEEDS.get(estimator)
+    if entry is None:
         raise UnsupportedEstimator(
             f"{estimator.value} is not defined for the blood-flow system"
         )
+    speeds, with_pattern = entry
+    pattern = None
+    if with_pattern:
+        pattern = classify(problem)
+        if pattern is WavePattern.VACUUM:
+            raise CollapseData("data collapse the vessel")
+    sl, sr = speeds(problem)
     return SpeedBounds(sl, sr, estimator, pattern)

@@ -15,6 +15,7 @@ from .core import (
     CollapseData,
     DryBed,
     EstimatorId,
+    RiemannBoundsError,
     UnsupportedEstimator,
     VacuumData,
 )
@@ -27,6 +28,7 @@ EXIT_USAGE = 1
 EXIT_PHYSICAL = 2
 EXIT_TOLERANCE = 3
 EXIT_VIOLATIONS = 4
+EXIT_SOLVER = 5  # any other library error: no convergence, closed-form overflow, ...
 
 _STATE_ARITY = {"euler": 3, "swe": 2, "bfe": 2}
 _STAR_LABEL = {"euler": "p_*", "swe": "h_*", "bfe": "A_*"}
@@ -298,6 +300,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (VacuumData, DryBed, CollapseData, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PHYSICAL
+    except RiemannBoundsError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

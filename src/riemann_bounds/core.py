@@ -45,6 +45,30 @@ class UnsupportedEstimator(RiemannBoundsError):
     """Estimator not defined for the requested system."""
 
 
+class ClosedFormOverflow(RiemannBoundsError):
+    """A closed-form star value (the two-rarefaction one) exceeds the
+    floating-point range."""
+
+
+class cached_attribute:
+    """`functools.cached_property` without a lock: the value is computed on
+    first access and stored in the instance dict, which later lookups find
+    first.  Python 3.11's cached_property takes an RLock on every first
+    access; two threads racing here both compute the value, which is
+    harmless for a pure function of frozen fields."""
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
 class WavePattern(enum.Enum):
     """Outer-wave configuration of the Riemann solution."""
 
@@ -160,16 +184,19 @@ def wave_data(
     return WaveData(c_left, c_right, x_min, x_max, f_min, f_max, x_rr, curve(x_rr), pattern)
 
 
-def star_bracket(wave: WaveData, curve: Callable[[float], float]) -> RootBracket:
+def star_bracket(
+    wave: WaveData, curve: Callable[[float], float], f_zero: float
+) -> RootBracket:
     """Bracket of the star value that the wave pattern gives.
 
-    RR: (0, x_min].  RS/SR: [x_min, x_max], cut down to [x_min, x_rr] when
-    f(x_rr) >= 0 there.  SS: [x_max, hi], where hi starts at x_rr and
+    RR: (0, x_min], with f(0) given as `f_zero`, the system's closed form
+    of the curve at zero, so that no evaluation is needed.  RS/SR:
+    [x_min, x_max], cut down to [x_min, x_rr] when f(x_rr) >= 0 there.  SS: [x_max, hi], where hi starts at x_rr and
     doubles, from a positive value, while f(hi) < 0 (rounding, or a closed
     form that underflowed or is no upper bound).
     """
     if wave.pattern is WavePattern.RR:
-        return RootBracket(0.0, wave.x_min, curve(0.0), wave.f_min)
+        return RootBracket(0.0, wave.x_min, f_zero, wave.f_min)
     if wave.pattern is not WavePattern.SS:
         if wave.x_min < wave.x_rr < wave.x_max and wave.f_rr >= 0.0:
             return RootBracket(wave.x_min, wave.x_rr, wave.f_min, wave.f_rr)

@@ -5,16 +5,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional
+from functools import partial
 
 from .core import (
+    ClosedFormOverflow,
     EstimatorId,
     SpeedBounds,
     UnsupportedEstimator,
     VacuumData,
     WaveData,
     WavePattern,
+    cached_attribute,
     find_root,
     interpolate_root,
     star_bracket,
@@ -32,10 +33,12 @@ class EulerState:
     p: float
 
     def __post_init__(self):
-        if not self.rho > 0.0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
-        if not self.p > 0.0:
-            raise ValueError(f"p must be positive, got {self.p}")
+        if not 0.0 < self.rho < math.inf:
+            raise ValueError(f"rho must be positive and finite, got {self.rho}")
+        if not math.isfinite(self.u):
+            raise ValueError(f"u must be finite, got {self.u}")
+        if not 0.0 < self.p < math.inf:
+            raise ValueError(f"p must be positive and finite, got {self.p}")
 
 
 @dataclass(frozen=True)
@@ -43,8 +46,8 @@ class EulerParams:
     gamma: float = 1.4
 
     def __post_init__(self):
-        if not self.gamma > 1.0:
-            raise ValueError(f"gamma must exceed 1, got {self.gamma}")
+        if not 1.0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and exceed 1, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -53,18 +56,57 @@ class EulerProblem:
     right: EulerState
     params: EulerParams = EulerParams()
 
-    @cached_property
+    @cached_attribute
+    def _sides(self) -> "_Sides":
+        """Per-side wave-curve constants, computed on first use."""
+        return _Sides(self)
+
+    @cached_attribute
     def _wave_data(self) -> WaveData:
         """Sound speeds, f at the data pressures, p_rr and the pattern,
         computed on first use and kept for every later call."""
+        k = self._sides
         return wave_data(
             lambda p: pressure_function(p, self),
-            self.left.p,
-            self.right.p,
-            sound_speed(self.left, self.params),
-            sound_speed(self.right, self.params),
+            k.p_l,
+            k.p_r,
+            k.c_l,
+            k.c_r,
             (lambda: two_rarefaction_pressure(self)) if check_positivity(self) else None,
         )
+
+
+class _Sides:
+    """Wave-curve constants of both sides of one problem, as in Toro's
+    PREFUN (Riemann Solvers and Numerical Methods for Fluid Dynamics, 3rd
+    ed., 2009, Sec. 4.9).  Per side K: the data pressure p_K, the shock
+    constants A_K = 2/((gamma+1) rho_K) and B_K = (gamma-1)/(gamma+1) p_K,
+    the sound speed c_K, the rarefaction factor 2 c_K/(gamma-1) and the
+    impedance rho_K c_K; the exponents z = (gamma-1)/(2 gamma) and
+    -(gamma+1)/(2 gamma); and du = u_R - u_L.  Each is computed with the
+    formula's own expression and order of operations, so the curve values
+    are the same bits as with the formulas written out in full."""
+
+    __slots__ = ("p_l", "a_l", "b_l", "c_l", "rar_l", "imp_l",
+                 "p_r", "a_r", "b_r", "c_r", "rar_r", "imp_r", "z", "zd", "du")
+
+    def __init__(self, problem: EulerProblem):
+        left, right, params = problem.left, problem.right, problem.params
+        g = params.gamma
+        self.p_l, self.p_r = left.p, right.p
+        self.a_l = 2.0 / ((g + 1.0) * left.rho)
+        self.a_r = 2.0 / ((g + 1.0) * right.rho)
+        self.b_l = (g - 1.0) / (g + 1.0) * left.p
+        self.b_r = (g - 1.0) / (g + 1.0) * right.p
+        self.c_l = cl = sound_speed(left, params)
+        self.c_r = cr = sound_speed(right, params)
+        self.rar_l = 2.0 * cl / (g - 1.0)
+        self.rar_r = 2.0 * cr / (g - 1.0)
+        self.imp_l = left.rho * cl
+        self.imp_r = right.rho * cr
+        self.z = (g - 1.0) / (2.0 * g)
+        self.zd = -(g + 1.0) / (2.0 * g)
+        self.du = right.u - left.u
 
 
 @dataclass(frozen=True)
@@ -74,18 +116,6 @@ class EulerExactSolution:
     pattern: WavePattern
     s_left: float
     s_right: float
-
-
-ESTIMATORS = (
-    EstimatorId.DAVIS_A,
-    EstimatorId.DAVIS_B,
-    EstimatorId.EINFELDT,
-    EstimatorId.BATTEN,
-    EstimatorId.TORO,
-    EstimatorId.TMS_A,
-    EstimatorId.TMS_B,
-    EstimatorId.TMS_C,
-)
 
 
 def sound_speed(state: EulerState, params: EulerParams) -> float:
@@ -98,77 +128,77 @@ def specific_enthalpy(state: EulerState, params: EulerParams) -> float:
     return 0.5 * state.u * state.u + g / (g - 1.0) * state.p / state.rho
 
 
-def _shock_branch(p: float, side_state: EulerState, params: EulerParams) -> float:
-    """Shock-branch expression of the wave curve.
-
-    Also meaningful below the data pressure, where it extends the shock
-    curve smoothly; used when the realized wave is known to be a shock.
-    """
-    g = params.gamma
-    ak = 2.0 / ((g + 1.0) * side_state.rho)
-    bk = (g - 1.0) / (g + 1.0) * side_state.p
-    return (p - side_state.p) * math.sqrt(ak / (p + bk))
-
-
-def f_side(p: float, side_state: EulerState, params: EulerParams) -> float:
-    """Wave-curve branch connecting the star region to one data state."""
-    g = params.gamma
-    pk = side_state.p
-    if p > pk:
-        return _shock_branch(p, side_state, params)
-    ck = sound_speed(side_state, params)
-    return 2.0 * ck / (g - 1.0) * ((p / pk) ** ((g - 1.0) / (2.0 * g)) - 1.0)
-
-
-def f_side_deriv(p: float, side_state: EulerState, params: EulerParams) -> float:
-    g = params.gamma
-    pk, rhok = side_state.p, side_state.rho
-    if p > pk:
-        ak = 2.0 / ((g + 1.0) * rhok)
-        bk = (g - 1.0) / (g + 1.0) * pk
-        return math.sqrt(ak / (p + bk)) * (1.0 - 0.5 * (p - pk) / (p + bk))
-    ck = sound_speed(side_state, params)
-    return (p / pk) ** (-(g + 1.0) / (2.0 * g)) / (rhok * ck)
-
-
 def pressure_function(p: float, problem: EulerProblem) -> float:
-    return (
-        f_side(p, problem.left, problem.params)
-        + f_side(p, problem.right, problem.params)
-        + (problem.right.u - problem.left.u)
-    )
+    """f(p) = f_L(p) + f_R(p) + u_R - u_L: shock branch above the side's
+    data pressure, rarefaction branch at or below it."""
+    k = problem._sides
+    if p > k.p_l:
+        f_l = (p - k.p_l) * math.sqrt(k.a_l / (p + k.b_l))
+    else:
+        f_l = k.rar_l * ((p / k.p_l) ** k.z - 1.0)
+    if p > k.p_r:
+        f_r = (p - k.p_r) * math.sqrt(k.a_r / (p + k.b_r))
+    else:
+        f_r = k.rar_r * ((p / k.p_r) ** k.z - 1.0)
+    return f_l + f_r + k.du
 
 
 def pressure_function_deriv(p: float, problem: EulerProblem) -> float:
-    return f_side_deriv(p, problem.left, problem.params) + f_side_deriv(
-        p, problem.right, problem.params
-    )
+    k = problem._sides
+    try:
+        if p > k.p_l:
+            b = p + k.b_l
+            d_l = math.sqrt(k.a_l / b) * (1.0 - 0.5 * (p - k.p_l) / b)
+        else:
+            d_l = (p / k.p_l) ** k.zd / k.imp_l
+        if p > k.p_r:
+            b = p + k.b_r
+            d_r = math.sqrt(k.a_r / b) * (1.0 - 0.5 * (p - k.p_r) / b)
+        else:
+            d_r = (p / k.p_r) ** k.zd / k.imp_r
+    except OverflowError:  # (p/p_K)**zd as p -> 0: the slope is past the float range
+        return math.inf
+    return d_l + d_r
+
+
+def _side_curves(p: float, k: _Sides):
+    """(f_L(p), f_R(p)), the two terms of `pressure_function`."""
+    if p > k.p_l:
+        f_l = (p - k.p_l) * math.sqrt(k.a_l / (p + k.b_l))
+    else:
+        f_l = k.rar_l * ((p / k.p_l) ** k.z - 1.0)
+    if p > k.p_r:
+        f_r = (p - k.p_r) * math.sqrt(k.a_r / (p + k.b_r))
+    else:
+        f_r = k.rar_r * ((p / k.p_r) ** k.z - 1.0)
+    return f_l, f_r
 
 
 def check_positivity(problem: EulerProblem) -> bool:
     """Pressure positivity: the data do not generate vacuum."""
-    g = problem.params.gamma
-    cl = sound_speed(problem.left, problem.params)
-    cr = sound_speed(problem.right, problem.params)
-    du = problem.right.u - problem.left.u
-    return 2.0 * cl / (g - 1.0) + 2.0 * cr / (g - 1.0) > du
+    k = problem._sides
+    return k.rar_l + k.rar_r > k.du
 
 
 def two_rarefaction_pressure(problem: EulerProblem) -> float:
     """Closed-form star pressure assuming both waves are rarefactions.
 
-    Always an upper bound for the true star pressure.
+    An upper bound for the true star pressure for 1 < gamma <= 5/3
+    (Guermond & Popov, J. Comput. Phys. 321, 2016); above 5/3 it can fall
+    below it.  Raises `ClosedFormOverflow` when the value exceeds the
+    float range (gamma near 1).
     """
     if not check_positivity(problem):
         raise VacuumData("data generate vacuum; no positive star pressure")
-    g = problem.params.gamma
-    left, right = problem.left, problem.right
-    cl = sound_speed(left, problem.params)
-    cr = sound_speed(right, problem.params)
-    z = (g - 1.0) / (2.0 * g)
-    num = cl + cr - 0.5 * (g - 1.0) * (right.u - left.u)
-    den = cl / left.p**z + cr / right.p**z
-    return (num / den) ** (1.0 / z)
+    k = problem._sides
+    num = k.c_l + k.c_r - 0.5 * (problem.params.gamma - 1.0) * k.du
+    den = k.c_l / k.p_l**k.z + k.c_r / k.p_r**k.z
+    try:
+        return (num / den) ** (1.0 / k.z)
+    except OverflowError:
+        raise ClosedFormOverflow(
+            f"two-rarefaction pressure ({num / den})**{1.0 / k.z} overflows"
+        ) from None
 
 
 def q_factor(p: float, side_state: EulerState, params: EulerParams) -> float:
@@ -187,11 +217,10 @@ def _two_shock_pressure(problem: EulerProblem, p0: float) -> float:
     """Toro's two-shock approximation of p*, linearized about p0
     (Toro, Riemann Solvers and Numerical Methods for Fluid Dynamics,
     3rd ed., 2009, Sec. 4.3.2)."""
-    left, right = problem.left, problem.right
-    g = problem.params.gamma
-    gl = math.sqrt(2.0 / ((g + 1.0) * left.rho) / (p0 + (g - 1.0) / (g + 1.0) * left.p))
-    gr = math.sqrt(2.0 / ((g + 1.0) * right.rho) / (p0 + (g - 1.0) / (g + 1.0) * right.p))
-    return (gl * left.p + gr * right.p - (right.u - left.u)) / (gl + gr)
+    k = problem._sides
+    gl = math.sqrt(k.a_l / (p0 + k.b_l))
+    gr = math.sqrt(k.a_r / (p0 + k.b_r))
+    return (gl * k.p_l + gr * k.p_r - k.du) / (gl + gr)
 
 
 def solve_exact(problem: EulerProblem, rel_tol: float = 1e-12) -> EulerExactSolution:
@@ -205,11 +234,11 @@ def solve_exact(problem: EulerProblem, rel_tol: float = 1e-12) -> EulerExactSolu
     if pattern is WavePattern.VACUUM:
         raise VacuumData("data generate vacuum")
     left, right, params = problem.left, problem.right, problem.params
-    wave = problem._wave_data
-    cl, cr = wave.c_left, wave.c_right
+    wave, k = problem._wave_data, problem._sides
+    cl, cr = k.c_l, k.c_r
 
     curve = lambda p: pressure_function(p, problem)  # noqa: E731
-    bracket = star_bracket(wave, curve)
+    bracket = star_bracket(wave, curve, -k.rar_l - k.rar_r + k.du)
     p_star = find_root(
         curve,
         bracket,
@@ -218,9 +247,8 @@ def solve_exact(problem: EulerProblem, rel_tol: float = 1e-12) -> EulerExactSolu
         x0=star_start(wave, bracket, lambda x: _two_shock_pressure(problem, x)),
     )
 
-    u_star = 0.5 * (left.u + right.u) + 0.5 * (
-        f_side(p_star, right, params) - f_side(p_star, left, params)
-    )
+    f_l, f_r = _side_curves(p_star, k)
+    u_star = 0.5 * (left.u + right.u) + 0.5 * (f_r - f_l)
     s_left = left.u - cl if p_star <= left.p else left.u - cl * q_factor(p_star, left, params)
     s_right = right.u + cr if p_star <= right.p else right.u + cr * q_factor(p_star, right, params)
     return EulerExactSolution(p_star, u_star, pattern, s_left, s_right)
@@ -233,14 +261,13 @@ def _roe_velocity(problem: EulerProblem) -> float:
 
 
 def _davis_a(problem: EulerProblem):
-    cl = sound_speed(problem.left, problem.params)
-    cr = sound_speed(problem.right, problem.params)
-    return problem.left.u - cl, problem.right.u + cr
+    k = problem._sides
+    return problem.left.u - k.c_l, problem.right.u + k.c_r
 
 
 def _davis_b(problem: EulerProblem):
-    cl = sound_speed(problem.left, problem.params)
-    cr = sound_speed(problem.right, problem.params)
+    k = problem._sides
+    cl, cr = k.c_l, k.c_r
     return (
         min(problem.left.u - cl, problem.right.u - cr),
         max(problem.left.u + cl, problem.right.u + cr),
@@ -249,11 +276,10 @@ def _davis_b(problem: EulerProblem):
 
 def _einfeldt(problem: EulerProblem):
     left, right = problem.left, problem.right
+    k = problem._sides
     wl, wr = math.sqrt(left.rho), math.sqrt(right.rho)
-    cl = sound_speed(left, problem.params)
-    cr = sound_speed(right, problem.params)
+    cl, cr, du = k.c_l, k.c_r, k.du
     u_roe = _roe_velocity(problem)
-    du = right.u - left.u
     d2 = (wl * cl * cl + wr * cr * cr) / (wl + wr) + 0.5 * wl * wr / (wl + wr) ** 2 * du * du
     d = math.sqrt(d2)
     return u_roe - d, u_roe + d
@@ -261,9 +287,9 @@ def _einfeldt(problem: EulerProblem):
 
 def _batten(problem: EulerProblem):
     left, right, params = problem.left, problem.right, problem.params
+    k = problem._sides
     wl, wr = math.sqrt(left.rho), math.sqrt(right.rho)
-    cl = sound_speed(left, params)
-    cr = sound_speed(right, params)
+    cl, cr = k.c_l, k.c_r
     u_roe = _roe_velocity(problem)
     h_roe = (wl * specific_enthalpy(left, params) + wr * specific_enthalpy(right, params)) / (
         wl + wr
@@ -310,10 +336,11 @@ def _tms(problem: EulerProblem, variant: EstimatorId):
     if variant is EstimatorId.TMS_A:
         p_hat = interpolate_root((p_max, f_max), (p_rr, f_rr))
     elif variant is EstimatorId.TMS_B:
+        k = problem._sides
         f_min_ss = (
-            _shock_branch(p_min, left, params)
-            + _shock_branch(p_min, right, params)
-            + (right.u - left.u)
+            (p_min - k.p_l) * math.sqrt(k.a_l / (p_min + k.b_l))
+            + (p_min - k.p_r) * math.sqrt(k.a_r / (p_min + k.b_r))
+            + k.du
         )
         p_hat = interpolate_root((p_min, f_min_ss), (p_rr, f_rr))
     else:
@@ -324,27 +351,35 @@ def _tms(problem: EulerProblem, variant: EstimatorId):
     )
 
 
+#: Per estimator: its speed pair, and whether `estimate` reports the wave
+#: pattern (raising `VacuumData` for vacuum data).
+_SPEEDS = {
+    EstimatorId.DAVIS_A: (_davis_a, False),
+    EstimatorId.DAVIS_B: (_davis_b, False),
+    EstimatorId.EINFELDT: (_einfeldt, False),
+    EstimatorId.BATTEN: (_batten, False),
+    EstimatorId.TORO: (_toro, False),
+    EstimatorId.TMS_A: (partial(_tms, variant=EstimatorId.TMS_A), True),
+    EstimatorId.TMS_B: (partial(_tms, variant=EstimatorId.TMS_B), True),
+    EstimatorId.TMS_C: (partial(_tms, variant=EstimatorId.TMS_C), True),
+}
+
+ESTIMATORS = tuple(_SPEEDS)
+
+
 def estimate(problem: EulerProblem, estimator: EstimatorId) -> SpeedBounds:
     """Wave-speed pair (S_L, S_R) for the requested estimator."""
-    pattern: Optional[WavePattern] = None
     if estimator is EstimatorId.EXACT:
         sol = solve_exact(problem)
         return SpeedBounds(sol.s_left, sol.s_right, estimator, sol.pattern)
-    if estimator is EstimatorId.DAVIS_A:
-        sl, sr = _davis_a(problem)
-    elif estimator is EstimatorId.DAVIS_B:
-        sl, sr = _davis_b(problem)
-    elif estimator is EstimatorId.EINFELDT:
-        sl, sr = _einfeldt(problem)
-    elif estimator is EstimatorId.BATTEN:
-        sl, sr = _batten(problem)
-    elif estimator is EstimatorId.TORO:
-        sl, sr = _toro(problem)
-    elif estimator in (EstimatorId.TMS_A, EstimatorId.TMS_B, EstimatorId.TMS_C):
+    entry = _SPEEDS.get(estimator)
+    if entry is None:
+        raise UnsupportedEstimator(f"{estimator.value} is not defined for the Euler system")
+    speeds, with_pattern = entry
+    pattern = None
+    if with_pattern:
         pattern = classify(problem)
         if pattern is WavePattern.VACUUM:
             raise VacuumData("data generate vacuum")
-        sl, sr = _tms(problem, estimator)
-    else:
-        raise UnsupportedEstimator(f"{estimator.value} is not defined for the Euler system")
+    sl, sr = speeds(problem)
     return SpeedBounds(sl, sr, estimator, pattern)

@@ -89,6 +89,13 @@ def _star(system: str, solution) -> float:
     return solution.a_star
 
 
+def _violation(trial: int, estimator: str, side: str, estimate: float,
+               exact: float, problem) -> FuzzViolation:
+    return FuzzViolation(trial, estimator, side, estimate, exact,
+                         tuple(vars(problem.left).values()),
+                         tuple(vars(problem.right).values()))
+
+
 def run_fuzz(system: str, count: int, seed: int,
              estimators: Optional[Tuple[EstimatorId, ...]] = None) -> FuzzReport:
     """Check the bound and dominance properties on `count` random problems."""
@@ -102,26 +109,24 @@ def run_fuzz(system: str, count: int, seed: int,
 
     for trial in range(count):
         problem = sample_problem(system, rng)
-        left = tuple(vars(problem.left).values())
-        right = tuple(vars(problem.right).values())
         exact = module.solve_exact(problem)
         slack = REL_SLACK * max(1.0, abs(exact.s_left), abs(exact.s_right))
 
         for estimator in estimators:
             bounds = module.estimate(problem, estimator)
             if bounds.s_left > exact.s_left + slack:
-                violations.append(FuzzViolation(
+                violations.append(_violation(
                     trial, estimator.value, "s_left", bounds.s_left,
-                    exact.s_left, left, right))
+                    exact.s_left, problem))
             if bounds.s_right < exact.s_right - slack:
-                violations.append(FuzzViolation(
+                violations.append(_violation(
                     trial, estimator.value, "s_right", bounds.s_right,
-                    exact.s_right, left, right))
+                    exact.s_right, problem))
 
         star = _star(system, exact)
         star_rr = problem._wave_data.x_rr  # the closed form, computed by the solve
         if star_rr < star - REL_SLACK * max(1.0, star):
-            violations.append(FuzzViolation(
-                trial, "two_rarefaction", "star", star_rr, star, left, right))
+            violations.append(_violation(
+                trial, "two_rarefaction", "star", star_rr, star, problem))
 
     return FuzzReport(system, count, seed, tuple(violations))

@@ -6,8 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional
+from functools import partial
 
 from .core import (
     DryBed,
@@ -16,6 +15,7 @@ from .core import (
     UnsupportedEstimator,
     WaveData,
     WavePattern,
+    cached_attribute,
     find_root,
     interpolate_root,
     star_bracket,
@@ -32,8 +32,10 @@ class SweState:
     u: float
 
     def __post_init__(self):
-        if not self.h > 0.0:
-            raise ValueError(f"h must be positive, got {self.h}")
+        if not 0.0 < self.h < math.inf:
+            raise ValueError(f"h must be positive and finite, got {self.h}")
+        if not math.isfinite(self.u):
+            raise ValueError(f"u must be finite, got {self.u}")
 
 
 @dataclass(frozen=True)
@@ -41,8 +43,8 @@ class SweParams:
     g: float = 9.8
 
     def __post_init__(self):
-        if not self.g > 0.0:
-            raise ValueError(f"g must be positive, got {self.g}")
+        if not 0.0 < self.g < math.inf:
+            raise ValueError(f"g must be positive and finite, got {self.g}")
 
 
 @dataclass(frozen=True)
@@ -51,18 +53,39 @@ class SweProblem:
     right: SweState
     params: SweParams = SweParams()
 
-    @cached_property
+    @cached_attribute
+    def _sides(self) -> "_Sides":
+        """Per-side wave-curve constants, computed on first use."""
+        return _Sides(self)
+
+    @cached_attribute
     def _wave_data(self) -> WaveData:
         """Celerities, f at the data depths, h_rr and the pattern,
         computed on first use and kept for every later call."""
+        k = self._sides
         return wave_data(
             lambda h: depth_function(h, self),
-            self.left.h,
-            self.right.h,
-            celerity(self.left, self.params),
-            celerity(self.right, self.params),
+            k.h_l,
+            k.h_r,
+            k.c_l,
+            k.c_r,
             (lambda: two_rarefaction_depth(self)) if is_wet(self) else None,
         )
+
+
+class _Sides:
+    """Wave-curve constants of both sides of one problem: per side K the
+    data depth h_K and the celerity c_K = sqrt(g h_K); g; and
+    du = u_R - u_L."""
+
+    __slots__ = ("h_l", "c_l", "h_r", "c_r", "g", "du")
+
+    def __init__(self, problem: SweProblem):
+        left, right, params = problem.left, problem.right, problem.params
+        self.h_l, self.h_r, self.g = left.h, right.h, params.g
+        self.c_l = celerity(left, params)
+        self.c_r = celerity(right, params)
+        self.du = right.u - left.u
 
 
 @dataclass(frozen=True)
@@ -74,66 +97,60 @@ class SweExactSolution:
     s_right: float
 
 
-ESTIMATORS = (
-    EstimatorId.DAVIS_A,
-    EstimatorId.DAVIS_B,
-    EstimatorId.TORO,
-    EstimatorId.TMS_A,
-    EstimatorId.TMS_B,
-    EstimatorId.TMS_C,
-    EstimatorId.TMS_D,
-)
-
-
 def celerity(state: SweState, params: SweParams) -> float:
     return math.sqrt(params.g * state.h)
 
 
-def _shock_branch(h: float, side_state: SweState, params: SweParams) -> float:
-    """Shock-branch expression of the wave curve.
-
-    Also meaningful below the data depth, where it extends the shock curve
-    smoothly; used when the realized wave is known to be a shock.
-    """
-    g, hk = params.g, side_state.h
-    return (h - hk) * math.sqrt(0.5 * g * (h + hk) / (h * hk))
-
-
-def f_side(h: float, side_state: SweState, params: SweParams) -> float:
-    """Wave-curve branch connecting the star region to one data state."""
-    g, hk = params.g, side_state.h
-    if h > hk:
-        return _shock_branch(h, side_state, params)
-    return 2.0 * (math.sqrt(g * h) - math.sqrt(g * hk))
-
-
-def f_side_deriv(h: float, side_state: SweState, params: SweParams) -> float:
-    g, hk = params.g, side_state.h
-    if h > hk:
-        s = math.sqrt(0.5 * g * (1.0 / h + 1.0 / hk))
-        return s - 0.25 * g * (h - hk) / (h * h * s)
-    return math.sqrt(g / h)
-
-
 def depth_function(h: float, problem: SweProblem) -> float:
-    return (
-        f_side(h, problem.left, problem.params)
-        + f_side(h, problem.right, problem.params)
-        + (problem.right.u - problem.left.u)
-    )
+    """f(h) = f_L(h) + f_R(h) + u_R - u_L: shock branch above the side's
+    data depth, rarefaction branch at or below it."""
+    k = problem._sides
+    g = k.g
+    if h > k.h_l:
+        f_l = (h - k.h_l) * math.sqrt(0.5 * g * (h + k.h_l) / (h * k.h_l))
+    else:
+        f_l = 2.0 * (math.sqrt(g * h) - k.c_l)
+    if h > k.h_r:
+        f_r = (h - k.h_r) * math.sqrt(0.5 * g * (h + k.h_r) / (h * k.h_r))
+    else:
+        f_r = 2.0 * (math.sqrt(g * h) - k.c_r)
+    return f_l + f_r + k.du
 
 
 def depth_function_deriv(h: float, problem: SweProblem) -> float:
-    return f_side_deriv(h, problem.left, problem.params) + f_side_deriv(
-        h, problem.right, problem.params
-    )
+    k = problem._sides
+    g = k.g
+    if h > k.h_l:
+        s = math.sqrt(0.5 * g * (1.0 / h + 1.0 / k.h_l))
+        d_l = s - 0.25 * g * (h - k.h_l) / (h * h * s)
+    else:
+        d_l = math.sqrt(g / h)
+    if h > k.h_r:
+        s = math.sqrt(0.5 * g * (1.0 / h + 1.0 / k.h_r))
+        d_r = s - 0.25 * g * (h - k.h_r) / (h * h * s)
+    else:
+        d_r = math.sqrt(g / h)
+    return d_l + d_r
+
+
+def _side_curves(h: float, k: _Sides):
+    """(f_L(h), f_R(h)), the two terms of `depth_function`."""
+    g = k.g
+    if h > k.h_l:
+        f_l = (h - k.h_l) * math.sqrt(0.5 * g * (h + k.h_l) / (h * k.h_l))
+    else:
+        f_l = 2.0 * (math.sqrt(g * h) - k.c_l)
+    if h > k.h_r:
+        f_r = (h - k.h_r) * math.sqrt(0.5 * g * (h + k.h_r) / (h * k.h_r))
+    else:
+        f_r = 2.0 * (math.sqrt(g * h) - k.c_r)
+    return f_l, f_r
 
 
 def is_wet(problem: SweProblem) -> bool:
     """True when the data do not dry the bed (positive star depth)."""
-    cl = celerity(problem.left, problem.params)
-    cr = celerity(problem.right, problem.params)
-    return 2.0 * cl + 2.0 * cr > problem.right.u - problem.left.u
+    k = problem._sides
+    return 2.0 * k.c_l + 2.0 * k.c_r > k.du
 
 
 def two_rarefaction_depth(problem: SweProblem) -> float:
@@ -141,10 +158,9 @@ def two_rarefaction_depth(problem: SweProblem) -> float:
     an upper bound for the true star depth."""
     if not is_wet(problem):
         raise DryBed("data dry the bed; no positive star depth")
-    cl = celerity(problem.left, problem.params)
-    cr = celerity(problem.right, problem.params)
-    b = 0.5 * (cl + cr) + 0.25 * (problem.left.u - problem.right.u)
-    return b * b / problem.params.g
+    k = problem._sides
+    b = 0.5 * (k.c_l + k.c_r) + 0.25 * (problem.left.u - problem.right.u)
+    return b * b / k.g
 
 
 def q_factor(h: float, side_state: SweState, params: SweParams) -> float:
@@ -177,11 +193,11 @@ def solve_exact(problem: SweProblem, rel_tol: float = 1e-12) -> SweExactSolution
     if pattern is WavePattern.VACUUM:
         raise DryBed("data dry the bed")
     left, right, params = problem.left, problem.right, problem.params
-    wave = problem._wave_data
-    cl, cr = wave.c_left, wave.c_right
+    wave, k = problem._wave_data, problem._sides
+    cl, cr = k.c_l, k.c_r
 
     curve = lambda h: depth_function(h, problem)  # noqa: E731
-    bracket = star_bracket(wave, curve)
+    bracket = star_bracket(wave, curve, 2.0 * (0.0 - cl) + 2.0 * (0.0 - cr) + k.du)
     h_star = find_root(
         curve,
         bracket,
@@ -190,23 +206,21 @@ def solve_exact(problem: SweProblem, rel_tol: float = 1e-12) -> SweExactSolution
         x0=star_start(wave, bracket, lambda x: _two_shock_depth(problem, x)),
     )
 
-    u_star = 0.5 * (left.u + right.u) + 0.5 * (
-        f_side(h_star, right, params) - f_side(h_star, left, params)
-    )
+    f_l, f_r = _side_curves(h_star, k)
+    u_star = 0.5 * (left.u + right.u) + 0.5 * (f_r - f_l)
     s_left = left.u - cl if h_star <= left.h else left.u - cl * q_factor(h_star, left, params)
     s_right = right.u + cr if h_star <= right.h else right.u + cr * q_factor(h_star, right, params)
     return SweExactSolution(h_star, u_star, pattern, s_left, s_right)
 
 
 def _davis_a(problem: SweProblem):
-    cl = celerity(problem.left, problem.params)
-    cr = celerity(problem.right, problem.params)
-    return problem.left.u - cl, problem.right.u + cr
+    k = problem._sides
+    return problem.left.u - k.c_l, problem.right.u + k.c_r
 
 
 def _davis_b(problem: SweProblem):
-    cl = celerity(problem.left, problem.params)
-    cr = celerity(problem.right, problem.params)
+    k = problem._sides
+    cl, cr = k.c_l, k.c_r
     return (
         min(problem.left.u - cl, problem.right.u - cr),
         max(problem.left.u + cl, problem.right.u + cr),
@@ -226,9 +240,8 @@ def _toro(problem: SweProblem):
 
 
 def _tms_d(problem: SweProblem):
-    left, right = problem.left, problem.right
-    cl = celerity(left, problem.params)
-    cr = celerity(right, problem.params)
+    left, right, k = problem.left, problem.right, problem._sides
+    cl, cr = k.c_l, k.c_r
     return min(left.u - cl, right.u - 2.0 * cr), max(right.u + cr, left.u + 2.0 * cl)
 
 
@@ -261,10 +274,12 @@ def _tms(problem: SweProblem, variant: EstimatorId):
     if variant is EstimatorId.TMS_A:
         h_hat = interpolate_root((h_max, f_max), (h_rr, f_rr))
     else:
+        k = problem._sides
+        g = k.g
         f_min_ss = (
-            _shock_branch(h_min, left, params)
-            + _shock_branch(h_min, right, params)
-            + (right.u - left.u)
+            (h_min - k.h_l) * math.sqrt(0.5 * g * (h_min + k.h_l) / (h_min * k.h_l))
+            + (h_min - k.h_r) * math.sqrt(0.5 * g * (h_min + k.h_r) / (h_min * k.h_r))
+            + k.du
         )
         h_hat = interpolate_root((h_min, f_min_ss), (h_rr, f_rr))
     return (
@@ -273,30 +288,36 @@ def _tms(problem: SweProblem, variant: EstimatorId):
     )
 
 
+#: Per estimator: its speed pair, and whether `estimate` reports the wave
+#: pattern (raising `DryBed` for data that dry the bed).
+_SPEEDS = {
+    EstimatorId.DAVIS_A: (_davis_a, False),
+    EstimatorId.DAVIS_B: (_davis_b, False),
+    EstimatorId.TORO: (_toro, False),
+    EstimatorId.TMS_A: (partial(_tms, variant=EstimatorId.TMS_A), True),
+    EstimatorId.TMS_B: (partial(_tms, variant=EstimatorId.TMS_B), True),
+    EstimatorId.TMS_C: (partial(_tms, variant=EstimatorId.TMS_C), True),
+    EstimatorId.TMS_D: (_tms_d, True),
+}
+
+ESTIMATORS = tuple(_SPEEDS)
+
+
 def estimate(problem: SweProblem, estimator: EstimatorId) -> SpeedBounds:
     """Wave-speed pair (S_L, S_R) for the requested estimator."""
-    pattern: Optional[WavePattern] = None
     if estimator is EstimatorId.EXACT:
         sol = solve_exact(problem)
         return SpeedBounds(sol.s_left, sol.s_right, estimator, sol.pattern)
-    if estimator is EstimatorId.DAVIS_A:
-        sl, sr = _davis_a(problem)
-    elif estimator is EstimatorId.DAVIS_B:
-        sl, sr = _davis_b(problem)
-    elif estimator is EstimatorId.TORO:
-        sl, sr = _toro(problem)
-    elif estimator is EstimatorId.TMS_D:
-        pattern = classify(problem)
-        if pattern is WavePattern.VACUUM:
-            raise DryBed("data dry the bed")
-        sl, sr = _tms_d(problem)
-    elif estimator in (EstimatorId.TMS_A, EstimatorId.TMS_B, EstimatorId.TMS_C):
-        pattern = classify(problem)
-        if pattern is WavePattern.VACUUM:
-            raise DryBed("data dry the bed")
-        sl, sr = _tms(problem, estimator)
-    else:
+    entry = _SPEEDS.get(estimator)
+    if entry is None:
         raise UnsupportedEstimator(
             f"{estimator.value} is not defined for the shallow-water system"
         )
+    speeds, with_pattern = entry
+    pattern = None
+    if with_pattern:
+        pattern = classify(problem)
+        if pattern is WavePattern.VACUUM:
+            raise DryBed("data dry the bed")
+    sl, sr = speeds(problem)
     return SpeedBounds(sl, sr, estimator, pattern)

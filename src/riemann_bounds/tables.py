@@ -51,13 +51,16 @@ def system_module(system: str):
 
 def make_problem(system: str, left: Sequence[float], right: Sequence[float],
                  params: Optional[Dict[str, float]] = None):
-    """Riemann problem object for a system from plain numeric data."""
+    """Riemann problem object for a system from plain numeric data.
+
+    Without overrides the problem keeps its class's default params object,
+    shared by all such problems (params are frozen).
+    """
     glue = _GLUE[system]
-    return glue.problem_type(
-        glue.state_type(*left),
-        glue.state_type(*right),
-        glue.params_type(**(params or {})),
-    )
+    left_state, right_state = glue.state_type(*left), glue.state_type(*right)
+    if params:
+        return glue.problem_type(left_state, right_state, glue.params_type(**params))
+    return glue.problem_type(left_state, right_state)
 
 
 def star_values(system: str, solution) -> Dict[str, float]:

@@ -75,6 +75,29 @@ class TestExact:
         assert code == 1
         assert "non-numeric" in err
 
+    @pytest.mark.parametrize("state", ["1,inf,1", "1,nan,1", "inf,0,1", "1,0,-inf"])
+    def test_non_finite_state_exit_code(self, capsys, state):
+        code, _, err = run(capsys, "exact", "--system", "euler",
+                           "--left", state, "--right", "1,0,1")
+        assert code == cli.EXIT_PHYSICAL
+        assert "finite" in err
+
+    @pytest.mark.parametrize("command, left, right, cause", [
+        # gamma near 1: the solve stops without a root
+        ("exact", "8.319408137833142e-06,-173.92641653883788,9.268240455140981e-08",
+         "74.21221382399398,139.84099873740388,1.0556042681071893", "NoConvergence"),
+        # gamma near 1: the two-rarefaction pressure leaves the float range
+        ("bounds", "0.00015136449718168365,281.1340646027413,1.4127480054273994e-05",
+         "381203.3349056888,-70.06590530817707,2.2137232894201813e-08",
+         "ClosedFormOverflow"),
+    ])
+    def test_solver_error_exit_code(self, capsys, command, left, right, cause):
+        code, out, err = run(capsys, command, "--system", "euler", "--gamma", "1.001",
+                             "--left", left, "--right", right)
+        assert code == cli.EXIT_SOLVER
+        assert err.startswith("error: ") and cause in err
+        assert out == ""
+
 
 class TestBounds:
     def test_euler_test1_tms_b_row(self, capsys):

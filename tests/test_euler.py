@@ -10,6 +10,7 @@ import pytest
 
 import riemann_bounds
 from riemann_bounds.core import (
+    ClosedFormOverflow,
     EstimatorId,
     UnsupportedEstimator,
     VacuumData,
@@ -175,6 +176,27 @@ for left, right in cases:
         assert done.returncode == 0, done.stderr
         assert len(done.stdout.split()) == 2
 
+    def test_infinite_slope_near_zero(self):
+        # RR with gamma near 1 and p* far below both data pressures:
+        # (p/p_K)**(-(gamma+1)/(2 gamma)) leaves the float range, so the
+        # slope is infinite there, not an OverflowError.
+        prob = EulerProblem(
+            EulerState(7161.399641034175, -188.07624418868846, 36078.10689062148),
+            EulerState(656968.9367820944, 250.55109268950116, 0.015453662390909735),
+            EulerParams(1.01),
+        )
+        assert euler.pressure_function_deriv(1e-310, prob) == math.inf
+        solution = solve_exact(prob)
+        assert solution.pattern is WavePattern.RR
+        assert 0.0 < solution.p_star and abs(pressure_function(solution.p_star, prob)) <= 1e-9
+        prob = EulerProblem(
+            EulerState(417374.64569131803, -191.92516856619073, 0.7606976394137228),
+            EulerState(0.004109112726123057, 133.94401460249242, 0.0011493725773445537),
+            EulerParams(1.001),
+        )
+        with pytest.raises(riemann_bounds.RiemannBoundsError):
+            solve_exact(prob)
+
 
 class TestClassification:
     @pytest.mark.parametrize(
@@ -222,6 +244,23 @@ class TestTwoRarefaction:
     def test_vacuum_raises(self):
         with pytest.raises(VacuumData):
             two_rarefaction_pressure(problem((1.0, -50.0, 0.01), (1.0, 50.0, 0.01)))
+
+    @pytest.mark.parametrize("call", [
+        two_rarefaction_pressure,
+        classify,
+        solve_exact,
+        lambda prob: estimate(prob, EstimatorId.TORO),
+        lambda prob: estimate(prob, EstimatorId.TMS_B),
+    ])
+    def test_overflow_raises_named_error(self, call):
+        # gamma near 1: (num/den)**(1/z) with 1/z = 2002 leaves the float range.
+        prob = EulerProblem(
+            EulerState(0.00015136449718168365, 281.1340646027413, 1.4127480054273994e-05),
+            EulerState(381203.3349056888, -70.06590530817707, 2.2137232894201813e-08),
+            EulerParams(1.001),
+        )
+        with pytest.raises(ClosedFormOverflow, match="overflows"):
+            call(prob)
 
 
 class TestQFactor:
