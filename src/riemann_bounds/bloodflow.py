@@ -5,22 +5,24 @@ Toro-analog and TMS_a-d.  Units are CGS (cm, g, dyne) throughout."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from functools import partial
 
+from . import core
 from .core import (
     ClosedFormOverflow,
     CollapseData,
     EstimatorId,
     SpeedBounds,
-    UnsupportedEstimator,
+    System,
     WaveData,
     WavePattern,
     cached_attribute,
-    find_root,
-    interpolate_root,
-    star_bracket,
-    star_start,
+    find_root,  # read as a module attribute by core.solve_star
+    interpolate_root,  # read as a module attribute by core.tms
+    solve_star,
+    speed_registry,
+    star_speeds,
     wave_data,
 )
 
@@ -79,28 +81,21 @@ class BfeProblem:
     def _wave_data(self) -> WaveData:
         """Wave speeds, f at the data areas, A_rr and the pattern,
         computed on first use and kept for every later call."""
-        k = self._sides
-        return wave_data(
-            lambda a: area_function(a, self),
-            k.a_l,
-            k.a_r,
-            k.c_l,
-            k.c_r,
-            (lambda: two_rarefaction_area(self)) if is_open(self) else None,
-        )
+        return wave_data(SYSTEM, self)
 
 
 class _Sides:
     """Wave-curve constants of both sides of one problem: per side K the
-    data area A_K, A_K^(1/4), A_K^(3/2) and the wave speed c_K; zeta,
-    4 zeta and gamma_tube; and du = u_R - u_L."""
+    data area A_K (also as x_K, the name the shared code reads), A_K^(1/4),
+    A_K^(3/2) and the wave speed c_K; zeta, 4 zeta and gamma_tube; and
+    du = u_R - u_L."""
 
     __slots__ = ("a_l", "a14_l", "a32_l", "c_l", "a_r", "a14_r", "a32_r", "c_r",
-                 "zeta", "zeta4", "gamma_tube", "du")
+                 "x_l", "x_r", "zeta", "zeta4", "gamma_tube", "du")
 
     def __init__(self, problem: BfeProblem):
         left, right, params = problem.left, problem.right, problem.params
-        self.a_l, self.a_r = left.a, right.a
+        self.a_l, self.a_r = self.x_l, self.x_r = left.a, right.a
         self.a14_l, self.a14_r = left.a**0.25, right.a**0.25
         self.a32_l, self.a32_r = left.a**1.5, right.a**1.5
         self.zeta = zeta = params.zeta
@@ -129,14 +124,7 @@ def area_function(a: float, problem: BfeProblem) -> float:
     """f(A) = f_L(A) + f_R(A) + u_R - u_L: rarefaction branch below the
     side's data area, shock branch at or above it."""
     k = problem._sides
-    if a < k.a_l:
-        f_l = k.zeta4 * (a**0.25 - k.a14_l)
-    else:
-        f_l = math.sqrt(k.gamma_tube * (a - k.a_l) * (a**1.5 - k.a32_l) / (a * k.a_l))
-    if a < k.a_r:
-        f_r = k.zeta4 * (a**0.25 - k.a14_r)
-    else:
-        f_r = math.sqrt(k.gamma_tube * (a - k.a_r) * (a**1.5 - k.a32_r) / (a * k.a_r))
+    f_l, f_r = _side_curves(a, k)
     return f_l + f_r + k.du
 
 
@@ -192,7 +180,7 @@ def two_rarefaction_area(problem: BfeProblem) -> float:
     an upper bound for the true star area.  Raises `ClosedFormOverflow`
     when the value exceeds the float range."""
     if not is_open(problem):
-        raise CollapseData("data collapse the vessel; no positive star area")
+        raise SYSTEM.no_star_error()
     params, k = problem.params, problem._sides
     b = 0.5 * (k.c_l + k.c_r) - 0.125 * k.du
     try:
@@ -217,60 +205,21 @@ def solve_exact(problem: BfeProblem, rel_tol: float = 1e-12) -> BfeExactSolution
     """Exact star state and extreme wave speeds.
 
     Newton runs inside the bracket that the wave pattern gives
-    (`core.star_bracket`), from the start `core.star_start` picks.
+    (`core.solve_star`), from the start `core.star_start` picks.
     """
     pattern = classify(problem)
     if pattern is WavePattern.VACUUM:
-        raise CollapseData("data collapse the vessel")
-    left, right, params = problem.left, problem.right, problem.params
-    wave, k = problem._wave_data, problem._sides
-    cl, cr = k.c_l, k.c_r
-
-    curve = lambda a: area_function(a, problem)  # noqa: E731
+        raise SYSTEM.no_star_error()
+    left, right, k = problem.left, problem.right, problem._sides
     f_zero = k.zeta4 * (0.0 - k.a14_l) + k.zeta4 * (0.0 - k.a14_r) + k.du
-    bracket = star_bracket(wave, curve, f_zero)
-    a_star = find_root(
-        curve,
-        bracket,
-        rel_tol=rel_tol,
-        fprime=lambda a: area_function_deriv(a, problem),
-        x0=star_start(wave, bracket),
-    )
+    a_star = solve_star(SYSTEM, problem, f_zero, None, rel_tol)
 
     f_l, f_r = _side_curves(a_star, k)
     u_star = 0.5 * (left.u + right.u) + 0.5 * (f_r - f_l)
-    s_left = left.u - cl if a_star <= left.a else left.u - cl * q_factor(a_star, left, params)
-    s_right = right.u + cr if a_star <= right.a else right.u + cr * q_factor(a_star, right, params)
-    return BfeExactSolution(a_star, u_star, pattern, s_left, s_right)
+    return BfeExactSolution(a_star, u_star, pattern, *star_speeds(SYSTEM, problem, a_star))
 
 
-def _davis_a(problem: BfeProblem):
-    k = problem._sides
-    return problem.left.u - k.c_l, problem.right.u + k.c_r
-
-
-def _davis_b(problem: BfeProblem):
-    k = problem._sides
-    cl, cr = k.c_l, k.c_r
-    return (
-        min(problem.left.u - cl, problem.right.u - cr),
-        max(problem.left.u + cl, problem.right.u + cr),
-    )
-
-
-def _toro(problem: BfeProblem):
-    # Two-rarefaction analog of the Euler estimator: q factors at A_*rr.
-    left, right, params = problem.left, problem.right, problem.params
-    wave = problem._wave_data
-    if wave.pattern is WavePattern.VACUUM:
-        raise CollapseData("data collapse the vessel; no positive star area")
-    cl, cr, a_rr = wave.c_left, wave.c_right, wave.x_rr
-    ql = q_factor(a_rr, left, params) if a_rr > left.a else 1.0
-    qr = q_factor(a_rr, right, params) if a_rr > right.a else 1.0
-    return left.u - cl * ql, right.u + cr * qr
-
-
-def _tms_d(problem: BfeProblem):
+def _tms_d(system: System, problem: BfeProblem):
     # The crude opposite-side term is the front speed of a rarefaction
     # expanding into a near-empty vessel with floor area 1e-12 cm^2,
     # u -/+ 4(c - c_floor), rather than the full-vacuum limit u -/+ 4c.
@@ -283,69 +232,30 @@ def _tms_d(problem: BfeProblem):
     )
 
 
-def _tms(problem: BfeProblem, variant: EstimatorId):
-    left, right, params = problem.left, problem.right, problem.params
-    wave = problem._wave_data
-    cl, cr = wave.c_left, wave.c_right
-    if wave.pattern is WavePattern.RR:  # eigenvalue speeds are exact
-        return left.u - cl, right.u + cr
-    a_min, a_max, a_rr = wave.x_min, wave.x_max, wave.x_rr
-    f_min, f_max, f_rr = wave.f_min, wave.f_max, wave.f_rr
-
-    if wave.pattern is not WavePattern.SS:  # the shock sits on the low-area side
-        if variant is EstimatorId.TMS_A:
-            a_hat = interpolate_root((a_min, f_min), (a_max, f_max))
-        elif variant is EstimatorId.TMS_B:
-            a_hat = interpolate_root((a_min, f_min), (a_rr, f_rr))
-        else:  # TMS_C: data area of the opposite side
-            a_hat = a_max
-        if wave.pattern is WavePattern.RS:
-            return left.u - cl, right.u + cr * q_factor(a_hat, right, params)
-        return left.u - cl * q_factor(a_hat, left, params), right.u + cr
-
-    # S/S: both waves are shocks
-    if variant is EstimatorId.TMS_C:
-        return right.u - cr, left.u + cl
-    if variant is EstimatorId.TMS_A:
-        a_hat = interpolate_root((a_max, f_max), (a_rr, f_rr))
-    else:
-        a_hat = interpolate_root((a_min, f_min), (a_rr, f_rr))
-    return (
-        left.u - cl * q_factor(a_hat, left, params),
-        right.u + cr * q_factor(a_hat, right, params),
-    )
-
-
-#: Per estimator: its speed pair, and whether `estimate` reports the wave
-#: pattern (raising `CollapseData` for data that collapse the vessel).
-_SPEEDS = {
-    EstimatorId.DAVIS_A: (_davis_a, False),
-    EstimatorId.DAVIS_B: (_davis_b, False),
-    EstimatorId.TORO: (_toro, False),
-    EstimatorId.TMS_A: (partial(_tms, variant=EstimatorId.TMS_A), True),
-    EstimatorId.TMS_B: (partial(_tms, variant=EstimatorId.TMS_B), True),
-    EstimatorId.TMS_C: (partial(_tms, variant=EstimatorId.TMS_C), True),
-    EstimatorId.TMS_D: (_tms_d, True),
-}
-
-ESTIMATORS = tuple(_SPEEDS)
-
-
 def estimate(problem: BfeProblem, estimator: EstimatorId) -> SpeedBounds:
     """Wave-speed pair (S_L, S_R) for the requested estimator."""
-    if estimator is EstimatorId.EXACT:
-        sol = solve_exact(problem)
-        return SpeedBounds(sol.s_left, sol.s_right, estimator, sol.pattern)
-    entry = _SPEEDS.get(estimator)
-    if entry is None:
-        raise UnsupportedEstimator(
-            f"{estimator.value} is not defined for the blood-flow system"
-        )
-    speeds, with_pattern = entry
-    pattern = None
-    if with_pattern:
-        pattern = classify(problem)
-        if pattern is WavePattern.VACUUM:
-            raise CollapseData("data collapse the vessel")
-    sl, sr = speeds(problem)
-    return SpeedBounds(sl, sr, estimator, pattern)
+    return core.estimate(SYSTEM, problem, estimator)
+
+
+SYSTEM = System(
+    name="bfe",
+    title="blood-flow",
+    module=sys.modules[__name__],
+    state_type=BfeState,
+    params_type=BfeParams,
+    problem_type=BfeProblem,
+    star="a",
+    star_label="A_*",
+    no_star=CollapseData,
+    no_star_message="data collapse the vessel; no positive star area",
+    curve="area_function",
+    two_rarefaction="two_rarefaction_area",
+    positive=is_open,
+    flags={"--beta": "beta", "--rho-blood": "rho"},
+    draw=lambda rng: (10.0 ** rng.uniform(-2, 1), rng.uniform(-300, 300)),
+    speeds=speed_registry({EstimatorId.TMS_D: (_tms_d, True)}),
+    ss_shock_curve=None,  # Test 5 moves by 1.6e-3 with the shock extension
+    ss_tms_c_eigen=True,
+)
+
+ESTIMATORS = tuple(SYSTEM.speeds)

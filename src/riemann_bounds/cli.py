@@ -8,20 +8,19 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import Dict, List, Optional, Sequence
 
 from .core import (
-    CollapseData,
-    DryBed,
     EstimatorId,
     RiemannBoundsError,
+    SpeedBounds,
+    System,
     UnsupportedEstimator,
-    VacuumData,
 )
 from . import tables
 from .fuzz import run_fuzz
-from .tables import make_problem, star_values, system_module
+from .tables import make_problem, star_values, system_record
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -30,8 +29,12 @@ EXIT_TOLERANCE = 3
 EXIT_VIOLATIONS = 4
 EXIT_SOLVER = 5  # any other library error: no convergence, closed-form overflow, ...
 
-_STATE_ARITY = {"euler": 3, "swe": 2, "bfe": 2}
-_STAR_LABEL = {"euler": "p_*", "swe": "h_*", "bfe": "A_*"}
+_RECORDS = tuple(system_record(system) for system in tables.SYSTEMS)
+#: Physical-constant flags of all systems; each applies to one system.
+_CONSTANT_FLAGS = tuple(flag for record in _RECORDS for flag in record.flags)
+#: Errors in the physical data: no positive star value, or a state or
+#: constant out of range.
+_PHYSICAL_ERRORS = tuple(record.no_star for record in _RECORDS) + (ValueError,)
 
 
 class _UsageError(Exception):
@@ -43,11 +46,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _parse_state(text: str, system: str) -> List[float]:
+def _parse_state(text: str, record: System) -> List[float]:
     parts = text.split(",")
-    if len(parts) != _STATE_ARITY[system]:
+    arity = len(fields(record.state_type))
+    if len(parts) != arity:
         raise _UsageError(
-            f"--left/--right for {system} need {_STATE_ARITY[system]} "
+            f"--left/--right for {record.name} need {arity} "
             f"comma-separated values, got {text!r}"
         )
     try:
@@ -56,17 +60,15 @@ def _parse_state(text: str, system: str) -> List[float]:
         raise _UsageError(f"non-numeric state component in {text!r}") from None
 
 
-def _params_overrides(system: str, args) -> Dict[str, float]:
+def _params_overrides(record: System, args) -> Dict[str, float]:
     overrides: Dict[str, float] = {}
-    if system == "euler" and args.gamma is not None:
-        overrides["gamma"] = args.gamma
-    if system == "swe" and args.gravity is not None:
-        overrides["g"] = args.gravity
-    if system == "bfe":
-        if args.beta is not None:
-            overrides["beta"] = args.beta
-        if args.rho_blood is not None:
-            overrides["rho"] = args.rho_blood
+    for flag in _CONSTANT_FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is None:
+            continue
+        if flag not in record.flags:
+            raise _UsageError(f"{flag} does not apply to the {record.name} system")
+        overrides[record.flags[flag]] = value
     return overrides
 
 
@@ -91,7 +93,7 @@ def _emit_csv(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return buffer.getvalue().rstrip("\n")
 
 
-def _problem_json(system: str, left, right, params) -> dict:
+def _problem_json(left, right, params) -> dict:
     return {
         "left": list(left),
         "right": list(right),
@@ -111,28 +113,33 @@ def _result_json(bounds, star: Optional[dict] = None) -> dict:
     return result
 
 
+def _problem(args):
+    """(record, left, right, problem) of --system, --left, --right and flags."""
+    record = system_record(args.system)
+    left = _parse_state(args.left, record)
+    right = _parse_state(args.right, record)
+    overrides = _params_overrides(record, args)
+    return record, left, right, make_problem(args.system, left, right, overrides)
+
+
 def _cmd_exact(args) -> int:
-    system = args.system
-    left = _parse_state(args.left, system)
-    right = _parse_state(args.right, system)
-    problem = make_problem(system, left, right, _params_overrides(system, args))
-    module = system_module(system)
-    solution = module.solve_exact(problem)
-    star = star_values(system, solution)
-    star_field = next(key for key in star if key != "u_star")
+    record, left, right, problem = _problem(args)
+    solution = record.module.solve_exact(problem)
+    star = star_values(args.system, solution)
 
     if args.format == "json":
-        bounds = module.estimate(problem, EstimatorId.EXACT)
+        bounds = SpeedBounds(solution.s_left, solution.s_right, EstimatorId.EXACT,
+                             solution.pattern)
         payload = {
-            "system": system,
-            "problem": _problem_json(system, left, right, problem.params),
+            "system": args.system,
+            "problem": _problem_json(left, right, problem.params),
             "results": [_result_json(bounds, star)],
         }
         print(json.dumps(payload, indent=2))
         return EXIT_OK
 
-    header = [_STAR_LABEL[system], "u_*", "pattern", "s_left", "s_right"]
-    row = [_fmt(star[star_field]), _fmt(solution.u_star),
+    header = [record.star_label, "u_*", "pattern", "s_left", "s_right"]
+    row = [_fmt(star[record.star_field]), _fmt(solution.u_star),
            solution.pattern.value, _fmt(solution.s_left),
            _fmt(solution.s_right)]
     if args.format == "csv":
@@ -150,26 +157,19 @@ def _resolve_estimators(args, module) -> List[EstimatorId]:
         estimator = EstimatorId(args.estimator)
     except ValueError:
         raise _UsageError(f"unknown estimator {args.estimator!r}") from None
-    if estimator is not EstimatorId.EXACT and estimator not in module.ESTIMATORS:
-        raise _UsageError(
-            f"estimator {args.estimator!r} is not defined for this system"
-        )
-    return [estimator]
+    return [estimator]  # estimate raises UnsupportedEstimator, naming the system
 
 
 def _cmd_bounds(args) -> int:
-    system = args.system
-    left = _parse_state(args.left, system)
-    right = _parse_state(args.right, system)
-    problem = make_problem(system, left, right, _params_overrides(system, args))
-    module = system_module(system)
+    record, left, right, problem = _problem(args)
+    module = record.module
     results = [module.estimate(problem, estimator)
                for estimator in _resolve_estimators(args, module)]
 
     if args.format == "json":
         payload = {
-            "system": system,
-            "problem": _problem_json(system, left, right, problem.params),
+            "system": args.system,
+            "problem": _problem_json(left, right, problem.params),
             "results": [_result_json(bounds) for bounds in results],
         }
         print(json.dumps(payload, indent=2))
@@ -249,17 +249,14 @@ def _build_parser() -> _Parser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     def add_common(sub, states: bool):
-        sub.add_argument("--system", required=True,
-                         choices=("euler", "swe", "bfe"))
+        sub.add_argument("--system", required=True, choices=tables.SYSTEMS)
         sub.add_argument("--format", choices=("md", "csv", "json"),
                          default="md")
         if states:
             sub.add_argument("--left", required=True, metavar="a,b[,c]")
             sub.add_argument("--right", required=True, metavar="a,b[,c]")
-            sub.add_argument("--gamma", type=float, default=None)
-            sub.add_argument("--gravity", type=float, default=None)
-            sub.add_argument("--beta", type=float, default=None)
-            sub.add_argument("--rho-blood", type=float, default=None)
+            for flag in _CONSTANT_FLAGS:
+                sub.add_argument(flag, type=float, default=None)
 
     sub = subparsers.add_parser("exact", help="exact star state and speeds")
     add_common(sub, states=True)
@@ -291,13 +288,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, UnsupportedEstimator) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except UnsupportedEstimator as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (VacuumData, DryBed, CollapseData, ValueError) as exc:
+    except _PHYSICAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PHYSICAL
     except RiemannBoundsError as exc:

@@ -1,12 +1,15 @@
-"""System-agnostic scaffolding: wave patterns, estimator ids, root finding,
-linear interpolation of wave-curve functions and the Courant time step."""
+"""System-agnostic scaffolding: wave patterns, estimator ids, the `System`
+record that describes one system, the estimators shared by all systems,
+root finding, linear interpolation of wave-curve functions and the
+Courant time step."""
 
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, Mapping, Optional, Sequence, Tuple
 
 
 class RiemannBoundsError(Exception):
@@ -46,8 +49,8 @@ class UnsupportedEstimator(RiemannBoundsError):
 
 
 class ClosedFormOverflow(RiemannBoundsError):
-    """A closed-form star value (the two-rarefaction one) exceeds the
-    floating-point range."""
+    """A closed-form star value (the two-rarefaction one), or the wave-curve
+    function at a node of the wave data, exceeds the floating-point range."""
 
 
 class cached_attribute:
@@ -153,35 +156,82 @@ class WaveData:
     pattern: WavePattern
 
 
-def wave_data(
-    curve: Callable[[float], float],
-    x_left: float,
-    x_right: float,
-    c_left: float,
-    c_right: float,
-    two_rarefaction: Optional[Callable[[], float]],
-) -> WaveData:
-    """Wave data from the signs of the wave-curve function `curve` at the
-    data values, without solving for the star state.
+@dataclass(frozen=True)
+class System:
+    """One hyperbolic system, described once for the shared code below, the
+    registry in `tables`, the fuzzer and the CLI.
 
-    `two_rarefaction` returns the two-rarefaction closed form; it is None
-    when the data leave no positive star value.
+    Shared code reaches `classify`, `q_factor`, `interpolate_root`,
+    `find_root`, `solve_exact` and the functions named by `curve` and
+    `two_rarefaction` as attributes of `module` when it runs, so that
+    replacing them on the module (to count or time calls) takes effect.
+    It reads the data values x_l, x_r and celerities c_l, c_r of a problem
+    from its `_sides`.
     """
+
+    name: str  # registry key and CLI --system value
+    title: str  # in messages: "the <title> system"
+    module: Any
+    state_type: type
+    params_type: type
+    problem_type: type
+    star: str  # state field of the star variable; the solution's is star + "_star"
+    star_label: str  # CLI label of the star value
+    no_star: type  # error raised for data that leave no positive star value
+    no_star_message: str
+    positive: Callable[[Any], bool]  # the data leave a positive star value
+    curve: str  # wave-curve function f(x, problem); its slope is <curve>_deriv
+    two_rarefaction: str  # closed-form star value of both waves rarefactions
+    flags: Mapping[str, str]  # CLI constant flag -> params field
+    draw: Callable[[Any], Tuple[float, ...]]  # one state of the fuzz ensemble from an rng
+    #: From `speed_registry`; its key order is the module's `ESTIMATORS`.
+    speeds: Mapping[EstimatorId, Tuple[Callable[[Any, Any], Tuple[float, float]], bool]]
+    #: S/S node of TMS_b at x_min: f with both sides on their shock branch,
+    #: or None to use f(x_min) itself (blood flow, pinned by its Test 5).
+    ss_shock_curve: Optional[Callable[[float, Any], float]]
+    #: S/S TMS_c is the eigenvalue pair instead of the q factors at x_rr.
+    ss_tms_c_eigen: bool
+
+    @property
+    def star_field(self) -> str:
+        return self.star + "_star"
+
+    def no_star_error(self) -> RiemannBoundsError:
+        return self.no_star(self.no_star_message)
+
+
+def wave_data(system: System, problem) -> WaveData:
+    """Wave data of `problem` from the signs of the wave-curve function at
+    the data values, without solving for the star state.
+
+    Raises `ClosedFormOverflow` when x_rr or f at a node it evaluates is not
+    finite or overflows while being evaluated.
+    """
+    k, module = problem._sides, system.module
+    x_left, x_right = k.x_l, k.x_r
     right_min = x_right <= x_left
     x_min, x_max = (x_right, x_left) if right_min else (x_left, x_right)
-    nan = math.nan
-    if two_rarefaction is None:
+    c_left, c_right, nan = k.c_l, k.c_r, math.nan
+    if not system.positive(problem):
         return WaveData(c_left, c_right, x_min, x_max, nan, nan, nan, nan, WavePattern.VACUUM)
-    x_rr = two_rarefaction()
-    f_min = curve(x_min)
-    if f_min >= 0.0:
-        return WaveData(c_left, c_right, x_min, x_max, f_min, nan, x_rr, nan, WavePattern.RR)
-    f_max = curve(x_max)
+    curve, isfinite = getattr(module, system.curve), math.isfinite
+    try:
+        x_rr = getattr(module, system.two_rarefaction)(problem)
+        f_min = curve(x_min, problem)
+        if not (isfinite(x_rr) and isfinite(f_min)):
+            raise ClosedFormOverflow(f"wave data overflows: x_rr = {x_rr}, f(x_min) = {f_min}")
+        if f_min >= 0.0:
+            return WaveData(c_left, c_right, x_min, x_max, f_min, nan, x_rr, nan, WavePattern.RR)
+        f_max, f_rr = curve(x_max, problem), curve(x_rr, problem)
+        if not (isfinite(f_max) and isfinite(f_rr)):
+            raise ClosedFormOverflow(f"wave data overflows: f(x_max) = {f_max}, f(x_rr) = {f_rr}")
+    except OverflowError:
+        raise ClosedFormOverflow("the wave curve overflows at a wave-data node") from None
     if f_max < 0.0:
         pattern = WavePattern.SS
     else:
         pattern = WavePattern.RS if right_min else WavePattern.SR
-    return WaveData(c_left, c_right, x_min, x_max, f_min, f_max, x_rr, curve(x_rr), pattern)
+    return WaveData(c_left, c_right, x_min, x_max, f_min, f_max, x_rr, f_rr, pattern)
 
 
 def star_bracket(
@@ -239,6 +289,140 @@ def star_start(
     if bracket.lo < x < bracket.hi:
         return x
     return 0.5 * (bracket.lo + bracket.hi)
+
+
+def solve_star(
+    system: System,
+    problem,
+    f_zero: float,
+    two_shock: Optional[Callable[[float], float]],
+    rel_tol: float,
+) -> float:
+    """Star value of a problem that has a positive one: Newton inside the
+    bracket that the wave pattern gives (`star_bracket`, with f(0) given as
+    `f_zero`), from the start `star_start` picks."""
+    wave, module = problem._wave_data, system.module
+    curve = getattr(module, system.curve)
+    slope = getattr(module, system.curve + "_deriv")
+    f = lambda x: curve(x, problem)  # noqa: E731
+    bracket = star_bracket(wave, f, f_zero)
+    return module.find_root(
+        f,
+        bracket,
+        rel_tol=rel_tol,
+        fprime=lambda x: slope(x, problem),
+        x0=star_start(wave, bracket, two_shock),
+    )
+
+
+def star_speeds(system: System, problem, x: float) -> Tuple[float, float]:
+    """(S_L, S_R) for star value x: on a side whose data value x exceeds
+    the wave is a shock, u_K -/+ c_K q_K(x), otherwise a rarefaction
+    headed by the eigenvalue u_K -/+ c_K."""
+    left, right, params, k = problem.left, problem.right, problem.params, problem._sides
+    q_factor = system.module.q_factor
+    s_left = left.u - k.c_l if x <= k.x_l else left.u - k.c_l * q_factor(x, left, params)
+    s_right = right.u + k.c_r if x <= k.x_r else right.u + k.c_r * q_factor(x, right, params)
+    return s_left, s_right
+
+
+def davis_a(system: System, problem) -> Tuple[float, float]:
+    k = problem._sides
+    return problem.left.u - k.c_l, problem.right.u + k.c_r
+
+
+def davis_b(system: System, problem) -> Tuple[float, float]:
+    k = problem._sides
+    cl, cr = k.c_l, k.c_r
+    return (
+        min(problem.left.u - cl, problem.right.u - cr),
+        max(problem.left.u + cl, problem.right.u + cr),
+    )
+
+
+def toro(system: System, problem) -> Tuple[float, float]:
+    """Two-rarefaction estimator: the q factors at the closed form x_rr."""
+    wave = problem._wave_data
+    if wave.pattern is WavePattern.VACUUM:
+        raise system.no_star_error()
+    return star_speeds(system, problem, wave.x_rr)
+
+
+def tms(system: System, problem, variant: EstimatorId) -> Tuple[float, float]:
+    """Interpolation bounds TMS_a-c: the q factors at a star value from a
+    chord of the wave curve (a, b) or at a data value (c)."""
+    left, right, params = problem.left, problem.right, problem.params
+    wave = problem._wave_data
+    cl, cr = wave.c_left, wave.c_right
+    if wave.pattern is WavePattern.RR:  # eigenvalue speeds are exact
+        return left.u - cl, right.u + cr
+    module = system.module
+    x_min, x_max, x_rr = wave.x_min, wave.x_max, wave.x_rr
+    f_min, f_max, f_rr = wave.f_min, wave.f_max, wave.f_rr
+
+    if wave.pattern is not WavePattern.SS:  # the shock sits on the side of x_min
+        if variant is EstimatorId.TMS_A:
+            x_hat = module.interpolate_root((x_min, f_min), (x_max, f_max))
+        elif variant is EstimatorId.TMS_B:
+            x_hat = module.interpolate_root((x_min, f_min), (x_rr, f_rr))
+        else:  # TMS_C: data value of the opposite side
+            x_hat = x_max
+        if wave.pattern is WavePattern.RS:
+            return left.u - cl, right.u + cr * module.q_factor(x_hat, right, params)
+        return left.u - cl * module.q_factor(x_hat, left, params), right.u + cr
+
+    # S/S: both waves are shocks.  x_rr > x_max, so f_rr is on the shock
+    # branch of both sides.
+    if variant is EstimatorId.TMS_C and system.ss_tms_c_eigen:
+        return right.u - cr, left.u + cl
+    if variant is EstimatorId.TMS_A:
+        x_hat = module.interpolate_root((x_max, f_max), (x_rr, f_rr))
+    elif variant is EstimatorId.TMS_B:
+        # The side with the larger data value extends its shock branch below it.
+        if system.ss_shock_curve is not None:
+            f_min = system.ss_shock_curve(x_min, problem)
+        x_hat = module.interpolate_root((x_min, f_min), (x_rr, f_rr))
+    else:
+        x_hat = x_rr
+    return (
+        left.u - cl * module.q_factor(x_hat, left, params),
+        right.u + cr * module.q_factor(x_hat, right, params),
+    )
+
+
+def speed_registry(own: Mapping) -> dict:
+    """The estimators all systems share and a system's `own` ones, in
+    `EstimatorId` order.  Per estimator: its speed pair, called as
+    fn(system, problem), and whether `estimate` reports the wave pattern."""
+    speeds = {
+        EstimatorId.DAVIS_A: (davis_a, False),
+        EstimatorId.DAVIS_B: (davis_b, False),
+        EstimatorId.TORO: (toro, False),
+        EstimatorId.TMS_A: (partial(tms, variant=EstimatorId.TMS_A), True),
+        EstimatorId.TMS_B: (partial(tms, variant=EstimatorId.TMS_B), True),
+        EstimatorId.TMS_C: (partial(tms, variant=EstimatorId.TMS_C), True),
+        **own,
+    }
+    return {estimator: speeds[estimator] for estimator in EstimatorId if estimator in speeds}
+
+
+def estimate(system: System, problem, estimator: EstimatorId) -> SpeedBounds:
+    """Wave-speed pair (S_L, S_R) of `problem` for the requested estimator."""
+    if estimator is EstimatorId.EXACT:
+        sol = system.module.solve_exact(problem)
+        return SpeedBounds(sol.s_left, sol.s_right, estimator, sol.pattern)
+    entry = system.speeds.get(estimator)
+    if entry is None:
+        raise UnsupportedEstimator(
+            f"{estimator.value} is not defined for the {system.title} system")
+    speeds, with_pattern = entry
+    pattern = None
+    if with_pattern:
+        pattern = system.module.classify(problem)
+        if pattern is WavePattern.VACUUM:
+            raise system.no_star_error()
+    s_left, s_right = speeds(system, problem)
+    return SpeedBounds(s_left, s_right, estimator, pattern)
 
 
 def interpolate_root(p1: Tuple[float, float], p2: Tuple[float, float]) -> float:

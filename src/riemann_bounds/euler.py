@@ -4,22 +4,24 @@ star state and extreme wave speeds, and the nine wave-speed estimators."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from functools import partial
 
+from . import core
 from .core import (
     ClosedFormOverflow,
     EstimatorId,
     SpeedBounds,
-    UnsupportedEstimator,
+    System,
     VacuumData,
     WaveData,
     WavePattern,
     cached_attribute,
-    find_root,
-    interpolate_root,
-    star_bracket,
-    star_start,
+    find_root,  # read as a module attribute by core.solve_star
+    interpolate_root,  # read as a module attribute by core.tms
+    solve_star,
+    speed_registry,
+    star_speeds,
     wave_data,
 )
 
@@ -65,15 +67,7 @@ class EulerProblem:
     def _wave_data(self) -> WaveData:
         """Sound speeds, f at the data pressures, p_rr and the pattern,
         computed on first use and kept for every later call."""
-        k = self._sides
-        return wave_data(
-            lambda p: pressure_function(p, self),
-            k.p_l,
-            k.p_r,
-            k.c_l,
-            k.c_r,
-            (lambda: two_rarefaction_pressure(self)) if check_positivity(self) else None,
-        )
+        return wave_data(SYSTEM, self)
 
 
 class _Sides:
@@ -83,17 +77,18 @@ class _Sides:
     constants A_K = 2/((gamma+1) rho_K) and B_K = (gamma-1)/(gamma+1) p_K,
     the sound speed c_K, the rarefaction factor 2 c_K/(gamma-1) and the
     impedance rho_K c_K; the exponents z = (gamma-1)/(2 gamma) and
-    -(gamma+1)/(2 gamma); and du = u_R - u_L.  Each is computed with the
+    -(gamma+1)/(2 gamma); and du = u_R - u_L.  x_l, x_r repeat p_L, p_R
+    under the names the shared code reads.  Each is computed with the
     formula's own expression and order of operations, so the curve values
     are the same bits as with the formulas written out in full."""
 
-    __slots__ = ("p_l", "a_l", "b_l", "c_l", "rar_l", "imp_l",
+    __slots__ = ("p_l", "a_l", "b_l", "c_l", "rar_l", "imp_l", "x_l", "x_r",
                  "p_r", "a_r", "b_r", "c_r", "rar_r", "imp_r", "z", "zd", "du")
 
     def __init__(self, problem: EulerProblem):
         left, right, params = problem.left, problem.right, problem.params
         g = params.gamma
-        self.p_l, self.p_r = left.p, right.p
+        self.p_l, self.p_r = self.x_l, self.x_r = left.p, right.p
         self.a_l = 2.0 / ((g + 1.0) * left.rho)
         self.a_r = 2.0 / ((g + 1.0) * right.rho)
         self.b_l = (g - 1.0) / (g + 1.0) * left.p
@@ -132,14 +127,7 @@ def pressure_function(p: float, problem: EulerProblem) -> float:
     """f(p) = f_L(p) + f_R(p) + u_R - u_L: shock branch above the side's
     data pressure, rarefaction branch at or below it."""
     k = problem._sides
-    if p > k.p_l:
-        f_l = (p - k.p_l) * math.sqrt(k.a_l / (p + k.b_l))
-    else:
-        f_l = k.rar_l * ((p / k.p_l) ** k.z - 1.0)
-    if p > k.p_r:
-        f_r = (p - k.p_r) * math.sqrt(k.a_r / (p + k.b_r))
-    else:
-        f_r = k.rar_r * ((p / k.p_r) ** k.z - 1.0)
+    f_l, f_r = _side_curves(p, k)
     return f_l + f_r + k.du
 
 
@@ -189,7 +177,7 @@ def two_rarefaction_pressure(problem: EulerProblem) -> float:
     float range (gamma near 1).
     """
     if not check_positivity(problem):
-        raise VacuumData("data generate vacuum; no positive star pressure")
+        raise SYSTEM.no_star_error()
     k = problem._sides
     num = k.c_l + k.c_r - 0.5 * (problem.params.gamma - 1.0) * k.du
     den = k.c_l / k.p_l**k.z + k.c_r / k.p_r**k.z
@@ -227,31 +215,19 @@ def solve_exact(problem: EulerProblem, rel_tol: float = 1e-12) -> EulerExactSolu
     """Exact star state and extreme wave speeds.
 
     Newton runs inside the bracket that the wave pattern gives
-    (`core.star_bracket`), from the start `core.star_start` picks; under
+    (`core.solve_star`), from the start `core.star_start` picks; under
     SS that is refined by Toro's two-shock approximation.
     """
     pattern = classify(problem)
     if pattern is WavePattern.VACUUM:
-        raise VacuumData("data generate vacuum")
-    left, right, params = problem.left, problem.right, problem.params
-    wave, k = problem._wave_data, problem._sides
-    cl, cr = k.c_l, k.c_r
-
-    curve = lambda p: pressure_function(p, problem)  # noqa: E731
-    bracket = star_bracket(wave, curve, -k.rar_l - k.rar_r + k.du)
-    p_star = find_root(
-        curve,
-        bracket,
-        rel_tol=rel_tol,
-        fprime=lambda p: pressure_function_deriv(p, problem),
-        x0=star_start(wave, bracket, lambda x: _two_shock_pressure(problem, x)),
-    )
+        raise SYSTEM.no_star_error()
+    left, right, k = problem.left, problem.right, problem._sides
+    f_zero = -k.rar_l - k.rar_r + k.du
+    p_star = solve_star(SYSTEM, problem, f_zero, lambda x: _two_shock_pressure(problem, x), rel_tol)
 
     f_l, f_r = _side_curves(p_star, k)
     u_star = 0.5 * (left.u + right.u) + 0.5 * (f_r - f_l)
-    s_left = left.u - cl if p_star <= left.p else left.u - cl * q_factor(p_star, left, params)
-    s_right = right.u + cr if p_star <= right.p else right.u + cr * q_factor(p_star, right, params)
-    return EulerExactSolution(p_star, u_star, pattern, s_left, s_right)
+    return EulerExactSolution(p_star, u_star, pattern, *star_speeds(SYSTEM, problem, p_star))
 
 
 def _roe_velocity(problem: EulerProblem) -> float:
@@ -260,21 +236,7 @@ def _roe_velocity(problem: EulerProblem) -> float:
     return (wl * left.u + wr * right.u) / (wl + wr)
 
 
-def _davis_a(problem: EulerProblem):
-    k = problem._sides
-    return problem.left.u - k.c_l, problem.right.u + k.c_r
-
-
-def _davis_b(problem: EulerProblem):
-    k = problem._sides
-    cl, cr = k.c_l, k.c_r
-    return (
-        min(problem.left.u - cl, problem.right.u - cr),
-        max(problem.left.u + cl, problem.right.u + cr),
-    )
-
-
-def _einfeldt(problem: EulerProblem):
+def _einfeldt(system: System, problem: EulerProblem):
     left, right = problem.left, problem.right
     k = problem._sides
     wl, wr = math.sqrt(left.rho), math.sqrt(right.rho)
@@ -285,7 +247,7 @@ def _einfeldt(problem: EulerProblem):
     return u_roe - d, u_roe + d
 
 
-def _batten(problem: EulerProblem):
+def _batten(system: System, problem: EulerProblem):
     left, right, params = problem.left, problem.right, problem.params
     k = problem._sides
     wl, wr = math.sqrt(left.rho), math.sqrt(right.rho)
@@ -298,88 +260,44 @@ def _batten(problem: EulerProblem):
     return min(left.u - cl, u_roe - c_roe), max(right.u + cr, u_roe + c_roe)
 
 
-def _toro(problem: EulerProblem):
-    left, right, params = problem.left, problem.right, problem.params
-    wave = problem._wave_data
-    if wave.pattern is WavePattern.VACUUM:
-        raise VacuumData("data generate vacuum; no positive star pressure")
-    cl, cr, p_rr = wave.c_left, wave.c_right, wave.x_rr
-    ql = q_factor(p_rr, left, params) if p_rr > left.p else 1.0
-    qr = q_factor(p_rr, right, params) if p_rr > right.p else 1.0
-    return left.u - cl * ql, right.u + cr * qr
-
-
-def _tms(problem: EulerProblem, variant: EstimatorId):
-    left, right, params = problem.left, problem.right, problem.params
-    wave = problem._wave_data
-    cl, cr = wave.c_left, wave.c_right
-    if wave.pattern is WavePattern.RR:  # eigenvalue speeds are exact
-        return left.u - cl, right.u + cr
-    p_min, p_max, p_rr = wave.x_min, wave.x_max, wave.x_rr
-    f_min, f_max, f_rr = wave.f_min, wave.f_max, wave.f_rr
-
-    if wave.pattern is not WavePattern.SS:  # the shock sits on the low-pressure side
-        if variant is EstimatorId.TMS_A:
-            p_hat = interpolate_root((p_min, f_min), (p_max, f_max))
-        elif variant is EstimatorId.TMS_B:
-            p_hat = interpolate_root((p_min, f_min), (p_rr, f_rr))
-        else:  # TMS_C: data pressure of the opposite side
-            p_hat = p_max
-        if wave.pattern is WavePattern.RS:
-            return left.u - cl, right.u + cr * q_factor(p_hat, right, params)
-        return left.u - cl * q_factor(p_hat, left, params), right.u + cr
-
-    # S/S: both waves are shocks, so the interpolation nodes evaluate the
-    # wave curves with their shock expressions on both sides; at p_min the
-    # high-pressure side extends its shock branch below its data value.
-    # p_rr > p_max, so f_rr is on the shock branch of both sides.
-    if variant is EstimatorId.TMS_A:
-        p_hat = interpolate_root((p_max, f_max), (p_rr, f_rr))
-    elif variant is EstimatorId.TMS_B:
-        k = problem._sides
-        f_min_ss = (
-            (p_min - k.p_l) * math.sqrt(k.a_l / (p_min + k.b_l))
-            + (p_min - k.p_r) * math.sqrt(k.a_r / (p_min + k.b_r))
-            + k.du
-        )
-        p_hat = interpolate_root((p_min, f_min_ss), (p_rr, f_rr))
-    else:
-        p_hat = p_rr
+def _shock_curve(p: float, problem: EulerProblem) -> float:
+    """f(p) with both sides on their shock branch, below their data pressures too."""
+    k = problem._sides
     return (
-        left.u - cl * q_factor(p_hat, left, params),
-        right.u + cr * q_factor(p_hat, right, params),
+        (p - k.p_l) * math.sqrt(k.a_l / (p + k.b_l))
+        + (p - k.p_r) * math.sqrt(k.a_r / (p + k.b_r))
+        + k.du
     )
-
-
-#: Per estimator: its speed pair, and whether `estimate` reports the wave
-#: pattern (raising `VacuumData` for vacuum data).
-_SPEEDS = {
-    EstimatorId.DAVIS_A: (_davis_a, False),
-    EstimatorId.DAVIS_B: (_davis_b, False),
-    EstimatorId.EINFELDT: (_einfeldt, False),
-    EstimatorId.BATTEN: (_batten, False),
-    EstimatorId.TORO: (_toro, False),
-    EstimatorId.TMS_A: (partial(_tms, variant=EstimatorId.TMS_A), True),
-    EstimatorId.TMS_B: (partial(_tms, variant=EstimatorId.TMS_B), True),
-    EstimatorId.TMS_C: (partial(_tms, variant=EstimatorId.TMS_C), True),
-}
-
-ESTIMATORS = tuple(_SPEEDS)
 
 
 def estimate(problem: EulerProblem, estimator: EstimatorId) -> SpeedBounds:
     """Wave-speed pair (S_L, S_R) for the requested estimator."""
-    if estimator is EstimatorId.EXACT:
-        sol = solve_exact(problem)
-        return SpeedBounds(sol.s_left, sol.s_right, estimator, sol.pattern)
-    entry = _SPEEDS.get(estimator)
-    if entry is None:
-        raise UnsupportedEstimator(f"{estimator.value} is not defined for the Euler system")
-    speeds, with_pattern = entry
-    pattern = None
-    if with_pattern:
-        pattern = classify(problem)
-        if pattern is WavePattern.VACUUM:
-            raise VacuumData("data generate vacuum")
-    sl, sr = speeds(problem)
-    return SpeedBounds(sl, sr, estimator, pattern)
+    return core.estimate(SYSTEM, problem, estimator)
+
+
+SYSTEM = System(
+    name="euler",
+    title="Euler",
+    module=sys.modules[__name__],
+    state_type=EulerState,
+    params_type=EulerParams,
+    problem_type=EulerProblem,
+    star="p",
+    star_label="p_*",
+    no_star=VacuumData,
+    no_star_message="data generate vacuum; no positive star pressure",
+    curve="pressure_function",
+    two_rarefaction="two_rarefaction_pressure",
+    positive=check_positivity,
+    flags={"--gamma": "gamma"},
+    draw=lambda rng: (10.0 ** rng.uniform(-3, 3), rng.uniform(-100, 100),
+                      10.0 ** rng.uniform(-3, 3)),
+    speeds=speed_registry({
+        EstimatorId.EINFELDT: (_einfeldt, False),
+        EstimatorId.BATTEN: (_batten, False),
+    }),
+    ss_shock_curve=_shock_curve,
+    ss_tms_c_eigen=False,
+)
+
+ESTIMATORS = tuple(SYSTEM.speeds)

@@ -8,9 +8,8 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from . import bloodflow, euler, shallow
 from .core import EstimatorId
-from .tables import make_problem, system_module
+from .tables import make_problem, system_record
 
 #: Estimators with a proven bound property, per system.
 BOUND_ESTIMATORS: Dict[str, Tuple[EstimatorId, ...]] = {
@@ -50,43 +49,13 @@ class FuzzReport:
     violations: Tuple[FuzzViolation, ...]
 
 
-def _log_uniform(rng: random.Random, lo_exp: float, hi_exp: float) -> float:
-    return 10.0 ** rng.uniform(lo_exp, hi_exp)
-
-
 def sample_problem(system: str, rng: random.Random):
     """One random non-degenerate Riemann problem from the system ensemble."""
+    record = system_record(system)
     while True:
-        if system == "euler":
-            left = (_log_uniform(rng, -3, 3), rng.uniform(-100, 100),
-                    _log_uniform(rng, -3, 3))
-            right = (_log_uniform(rng, -3, 3), rng.uniform(-100, 100),
-                     _log_uniform(rng, -3, 3))
-            problem = make_problem(system, left, right)
-            if euler.check_positivity(problem):
-                return problem
-        elif system == "swe":
-            left = (_log_uniform(rng, -3, 2), rng.uniform(-20, 20))
-            right = (_log_uniform(rng, -3, 2), rng.uniform(-20, 20))
-            problem = make_problem(system, left, right)
-            if shallow.is_wet(problem):
-                return problem
-        elif system == "bfe":
-            left = (_log_uniform(rng, -2, 1), rng.uniform(-300, 300))
-            right = (_log_uniform(rng, -2, 1), rng.uniform(-300, 300))
-            problem = make_problem(system, left, right)
-            if bloodflow.is_open(problem):
-                return problem
-        else:
-            raise ValueError(f"unknown system {system!r}")
-
-
-def _star(system: str, solution) -> float:
-    if system == "euler":
-        return solution.p_star
-    if system == "swe":
-        return solution.h_star
-    return solution.a_star
+        problem = make_problem(system, record.draw(rng), record.draw(rng))
+        if record.positive(problem):
+            return problem
 
 
 def _violation(trial: int, estimator: str, side: str, estimate: float,
@@ -103,7 +72,8 @@ def run_fuzz(system: str, count: int, seed: int,
         raise ValueError("count must be positive")
     if estimators is None:
         estimators = BOUND_ESTIMATORS[system]
-    module = system_module(system)
+    record = system_record(system)
+    module, star_field = record.module, record.star_field
     rng = random.Random(seed)
     violations = []
 
@@ -123,7 +93,7 @@ def run_fuzz(system: str, count: int, seed: int,
                     trial, estimator.value, "s_right", bounds.s_right,
                     exact.s_right, problem))
 
-        star = _star(system, exact)
+        star = getattr(exact, star_field)
         star_rr = problem._wave_data.x_rr  # the closed form, computed by the solve
         if star_rr < star - REL_SLACK * max(1.0, star):
             violations.append(_violation(

@@ -5,21 +5,23 @@ and TMS_a-d."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from functools import partial
 
+from . import core
 from .core import (
     DryBed,
     EstimatorId,
     SpeedBounds,
-    UnsupportedEstimator,
+    System,
     WaveData,
     WavePattern,
     cached_attribute,
-    find_root,
-    interpolate_root,
-    star_bracket,
-    star_start,
+    find_root,  # read as a module attribute by core.solve_star
+    interpolate_root,  # read as a module attribute by core.tms
+    solve_star,
+    speed_registry,
+    star_speeds,
     wave_data,
 )
 
@@ -62,27 +64,20 @@ class SweProblem:
     def _wave_data(self) -> WaveData:
         """Celerities, f at the data depths, h_rr and the pattern,
         computed on first use and kept for every later call."""
-        k = self._sides
-        return wave_data(
-            lambda h: depth_function(h, self),
-            k.h_l,
-            k.h_r,
-            k.c_l,
-            k.c_r,
-            (lambda: two_rarefaction_depth(self)) if is_wet(self) else None,
-        )
+        return wave_data(SYSTEM, self)
 
 
 class _Sides:
     """Wave-curve constants of both sides of one problem: per side K the
-    data depth h_K and the celerity c_K = sqrt(g h_K); g; and
-    du = u_R - u_L."""
+    data depth h_K (also as x_K, the name the shared code reads) and the
+    celerity c_K = sqrt(g h_K); g; and du = u_R - u_L."""
 
-    __slots__ = ("h_l", "c_l", "h_r", "c_r", "g", "du")
+    __slots__ = ("h_l", "c_l", "h_r", "c_r", "x_l", "x_r", "g", "du")
 
     def __init__(self, problem: SweProblem):
         left, right, params = problem.left, problem.right, problem.params
-        self.h_l, self.h_r, self.g = left.h, right.h, params.g
+        self.h_l, self.h_r = self.x_l, self.x_r = left.h, right.h
+        self.g = params.g
         self.c_l = celerity(left, params)
         self.c_r = celerity(right, params)
         self.du = right.u - left.u
@@ -105,15 +100,7 @@ def depth_function(h: float, problem: SweProblem) -> float:
     """f(h) = f_L(h) + f_R(h) + u_R - u_L: shock branch above the side's
     data depth, rarefaction branch at or below it."""
     k = problem._sides
-    g = k.g
-    if h > k.h_l:
-        f_l = (h - k.h_l) * math.sqrt(0.5 * g * (h + k.h_l) / (h * k.h_l))
-    else:
-        f_l = 2.0 * (math.sqrt(g * h) - k.c_l)
-    if h > k.h_r:
-        f_r = (h - k.h_r) * math.sqrt(0.5 * g * (h + k.h_r) / (h * k.h_r))
-    else:
-        f_r = 2.0 * (math.sqrt(g * h) - k.c_r)
+    f_l, f_r = _side_curves(h, k)
     return f_l + f_r + k.du
 
 
@@ -157,7 +144,7 @@ def two_rarefaction_depth(problem: SweProblem) -> float:
     """Closed-form star depth assuming both waves are rarefactions;
     an upper bound for the true star depth."""
     if not is_wet(problem):
-        raise DryBed("data dry the bed; no positive star depth")
+        raise SYSTEM.no_star_error()
     k = problem._sides
     b = 0.5 * (k.c_l + k.c_r) + 0.25 * (problem.left.u - problem.right.u)
     return b * b / k.g
@@ -186,138 +173,62 @@ def solve_exact(problem: SweProblem, rel_tol: float = 1e-12) -> SweExactSolution
     """Exact star state and extreme wave speeds.
 
     Newton runs inside the bracket that the wave pattern gives
-    (`core.star_bracket`), from the start `core.star_start` picks; under
+    (`core.solve_star`), from the start `core.star_start` picks; under
     SS that is refined by the two-shock approximation.
     """
     pattern = classify(problem)
     if pattern is WavePattern.VACUUM:
-        raise DryBed("data dry the bed")
-    left, right, params = problem.left, problem.right, problem.params
-    wave, k = problem._wave_data, problem._sides
-    cl, cr = k.c_l, k.c_r
-
-    curve = lambda h: depth_function(h, problem)  # noqa: E731
-    bracket = star_bracket(wave, curve, 2.0 * (0.0 - cl) + 2.0 * (0.0 - cr) + k.du)
-    h_star = find_root(
-        curve,
-        bracket,
-        rel_tol=rel_tol,
-        fprime=lambda h: depth_function_deriv(h, problem),
-        x0=star_start(wave, bracket, lambda x: _two_shock_depth(problem, x)),
-    )
+        raise SYSTEM.no_star_error()
+    left, right, k = problem.left, problem.right, problem._sides
+    f_zero = 2.0 * (0.0 - k.c_l) + 2.0 * (0.0 - k.c_r) + k.du
+    h_star = solve_star(SYSTEM, problem, f_zero, lambda x: _two_shock_depth(problem, x), rel_tol)
 
     f_l, f_r = _side_curves(h_star, k)
     u_star = 0.5 * (left.u + right.u) + 0.5 * (f_r - f_l)
-    s_left = left.u - cl if h_star <= left.h else left.u - cl * q_factor(h_star, left, params)
-    s_right = right.u + cr if h_star <= right.h else right.u + cr * q_factor(h_star, right, params)
-    return SweExactSolution(h_star, u_star, pattern, s_left, s_right)
+    return SweExactSolution(h_star, u_star, pattern, *star_speeds(SYSTEM, problem, h_star))
 
 
-def _davis_a(problem: SweProblem):
-    k = problem._sides
-    return problem.left.u - k.c_l, problem.right.u + k.c_r
-
-
-def _davis_b(problem: SweProblem):
-    k = problem._sides
-    cl, cr = k.c_l, k.c_r
-    return (
-        min(problem.left.u - cl, problem.right.u - cr),
-        max(problem.left.u + cl, problem.right.u + cr),
-    )
-
-
-def _toro(problem: SweProblem):
-    # Two-rarefaction analog of the Euler estimator: q factors at h_*rr.
-    left, right, params = problem.left, problem.right, problem.params
-    wave = problem._wave_data
-    if wave.pattern is WavePattern.VACUUM:
-        raise DryBed("data dry the bed; no positive star depth")
-    cl, cr, h_rr = wave.c_left, wave.c_right, wave.x_rr
-    ql = q_factor(h_rr, left, params) if h_rr > left.h else 1.0
-    qr = q_factor(h_rr, right, params) if h_rr > right.h else 1.0
-    return left.u - cl * ql, right.u + cr * qr
-
-
-def _tms_d(problem: SweProblem):
+def _tms_d(system: System, problem: SweProblem):
     left, right, k = problem.left, problem.right, problem._sides
     cl, cr = k.c_l, k.c_r
     return min(left.u - cl, right.u - 2.0 * cr), max(right.u + cr, left.u + 2.0 * cl)
 
 
-def _tms(problem: SweProblem, variant: EstimatorId):
-    left, right, params = problem.left, problem.right, problem.params
-    wave = problem._wave_data
-    cl, cr = wave.c_left, wave.c_right
-    if wave.pattern is WavePattern.RR:  # eigenvalue speeds are exact
-        return left.u - cl, right.u + cr
-    h_min, h_max, h_rr = wave.x_min, wave.x_max, wave.x_rr
-    f_min, f_max, f_rr = wave.f_min, wave.f_max, wave.f_rr
-
-    if wave.pattern is not WavePattern.SS:  # the shock sits on the low-depth side
-        if variant is EstimatorId.TMS_A:
-            h_hat = interpolate_root((h_min, f_min), (h_max, f_max))
-        elif variant is EstimatorId.TMS_B:
-            h_hat = interpolate_root((h_min, f_min), (h_rr, f_rr))
-        else:  # TMS_C: data depth of the opposite side
-            h_hat = h_max
-        if wave.pattern is WavePattern.RS:
-            return left.u - cl, right.u + cr * q_factor(h_hat, right, params)
-        return left.u - cl * q_factor(h_hat, left, params), right.u + cr
-
-    # S/S: both waves are shocks, so the interpolation nodes evaluate the
-    # wave curves with their shock expressions on both sides; at h_min the
-    # deep side extends its shock branch below its data value.
-    # h_rr > h_max, so f_rr is on the shock branch of both sides.
-    if variant is EstimatorId.TMS_C:
-        return right.u - cr, left.u + cl
-    if variant is EstimatorId.TMS_A:
-        h_hat = interpolate_root((h_max, f_max), (h_rr, f_rr))
-    else:
-        k = problem._sides
-        g = k.g
-        f_min_ss = (
-            (h_min - k.h_l) * math.sqrt(0.5 * g * (h_min + k.h_l) / (h_min * k.h_l))
-            + (h_min - k.h_r) * math.sqrt(0.5 * g * (h_min + k.h_r) / (h_min * k.h_r))
-            + k.du
-        )
-        h_hat = interpolate_root((h_min, f_min_ss), (h_rr, f_rr))
+def _shock_curve(h: float, problem: SweProblem) -> float:
+    """f(h) with both sides on their shock branch, below their data depths too."""
+    k = problem._sides
+    g = k.g
     return (
-        left.u - cl * q_factor(h_hat, left, params),
-        right.u + cr * q_factor(h_hat, right, params),
+        (h - k.h_l) * math.sqrt(0.5 * g * (h + k.h_l) / (h * k.h_l))
+        + (h - k.h_r) * math.sqrt(0.5 * g * (h + k.h_r) / (h * k.h_r))
+        + k.du
     )
-
-
-#: Per estimator: its speed pair, and whether `estimate` reports the wave
-#: pattern (raising `DryBed` for data that dry the bed).
-_SPEEDS = {
-    EstimatorId.DAVIS_A: (_davis_a, False),
-    EstimatorId.DAVIS_B: (_davis_b, False),
-    EstimatorId.TORO: (_toro, False),
-    EstimatorId.TMS_A: (partial(_tms, variant=EstimatorId.TMS_A), True),
-    EstimatorId.TMS_B: (partial(_tms, variant=EstimatorId.TMS_B), True),
-    EstimatorId.TMS_C: (partial(_tms, variant=EstimatorId.TMS_C), True),
-    EstimatorId.TMS_D: (_tms_d, True),
-}
-
-ESTIMATORS = tuple(_SPEEDS)
 
 
 def estimate(problem: SweProblem, estimator: EstimatorId) -> SpeedBounds:
     """Wave-speed pair (S_L, S_R) for the requested estimator."""
-    if estimator is EstimatorId.EXACT:
-        sol = solve_exact(problem)
-        return SpeedBounds(sol.s_left, sol.s_right, estimator, sol.pattern)
-    entry = _SPEEDS.get(estimator)
-    if entry is None:
-        raise UnsupportedEstimator(
-            f"{estimator.value} is not defined for the shallow-water system"
-        )
-    speeds, with_pattern = entry
-    pattern = None
-    if with_pattern:
-        pattern = classify(problem)
-        if pattern is WavePattern.VACUUM:
-            raise DryBed("data dry the bed")
-    sl, sr = speeds(problem)
-    return SpeedBounds(sl, sr, estimator, pattern)
+    return core.estimate(SYSTEM, problem, estimator)
+
+
+SYSTEM = System(
+    name="swe",
+    title="shallow-water",
+    module=sys.modules[__name__],
+    state_type=SweState,
+    params_type=SweParams,
+    problem_type=SweProblem,
+    star="h",
+    star_label="h_*",
+    no_star=DryBed,
+    no_star_message="data dry the bed; no positive star depth",
+    curve="depth_function",
+    two_rarefaction="two_rarefaction_depth",
+    positive=is_wet,
+    flags={"--gravity": "g"},
+    draw=lambda rng: (10.0 ** rng.uniform(-3, 2), rng.uniform(-20, 20)),
+    speeds=speed_registry({EstimatorId.TMS_D: (_tms_d, True)}),
+    ss_shock_curve=_shock_curve,
+    ss_tms_c_eigen=True,
+)
+
+ESTIMATORS = tuple(SYSTEM.speeds)

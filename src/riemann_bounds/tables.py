@@ -11,9 +11,14 @@ from importlib import resources
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import bloodflow, euler, shallow
-from .core import EstimatorId, SpeedBounds
+from .core import EstimatorId, System
 
-SYSTEMS = ("euler", "swe", "bfe")
+#: The systems, keyed by name; each module describes its system once, in
+#: its `SYSTEM` record.
+_REGISTRY: Dict[str, System] = {
+    record.name: record for record in (euler.SYSTEM, shallow.SYSTEM, bloodflow.SYSTEM)
+}
+SYSTEMS = tuple(_REGISTRY)
 TABLES = ("ic", "s_left", "s_right")
 
 #: |computed - published| tolerance floor for speed cells; the published
@@ -25,28 +30,17 @@ CELL_TOL_REL = 1e-6
 VIOLATION_TOL = 1e-3
 
 
-@dataclass(frozen=True)
-class _SystemGlue:
-    module: object
-    state_type: type
-    params_type: type
-    problem_type: type
-    star_attr: str
-
-
-_GLUE = {
-    "euler": _SystemGlue(euler, euler.EulerState, euler.EulerParams,
-                         euler.EulerProblem, "p_star"),
-    "swe": _SystemGlue(shallow, shallow.SweState, shallow.SweParams,
-                       shallow.SweProblem, "h_star"),
-    "bfe": _SystemGlue(bloodflow, bloodflow.BfeState, bloodflow.BfeParams,
-                       bloodflow.BfeProblem, "a_star"),
-}
+def system_record(system: str) -> System:
+    """`System` record of the named system."""
+    try:
+        return _REGISTRY[system]
+    except KeyError:
+        raise ValueError(f"unknown system {system!r}") from None
 
 
 def system_module(system: str):
     """Solver module implementing the named system."""
-    return _GLUE[system].module
+    return system_record(system).module
 
 
 def make_problem(system: str, left: Sequence[float], right: Sequence[float],
@@ -56,20 +50,17 @@ def make_problem(system: str, left: Sequence[float], right: Sequence[float],
     Without overrides the problem keeps its class's default params object,
     shared by all such problems (params are frozen).
     """
-    glue = _GLUE[system]
-    left_state, right_state = glue.state_type(*left), glue.state_type(*right)
+    record = system_record(system)
+    left_state, right_state = record.state_type(*left), record.state_type(*right)
     if params:
-        return glue.problem_type(left_state, right_state, glue.params_type(**params))
-    return glue.problem_type(left_state, right_state)
+        return record.problem_type(left_state, right_state, record.params_type(**params))
+    return record.problem_type(left_state, right_state)
 
 
 def star_values(system: str, solution) -> Dict[str, float]:
     """Star-region values of an exact solution keyed like the reference."""
-    glue = _GLUE[system]
-    return {
-        glue.star_attr: getattr(solution, glue.star_attr),
-        "u_star": solution.u_star,
-    }
+    field = system_record(system).star_field
+    return {field: getattr(solution, field), "u_star": solution.u_star}
 
 
 @functools.cache

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from riemann_bounds import cli, tables
+from riemann_bounds import cli, euler, tables
 from riemann_bounds.fuzz import FuzzReport, FuzzViolation
 
 
@@ -97,6 +97,67 @@ class TestExact:
         assert code == cli.EXIT_SOLVER
         assert err.startswith("error: ") and cause in err
         assert out == ""
+
+
+    @pytest.mark.parametrize("command", ["exact", "bounds"])
+    @pytest.mark.parametrize("system, left, right", [
+        ("bfe", "1,1e34", "1,-1e34"),   # f(x_rr) overflows to inf
+        ("bfe", "1,1e60", "1,-1e60"),   # A**1.5 raises OverflowError
+        ("swe", "1,1e160", "1,-1e160"),  # x_rr overflows to inf
+    ])
+    def test_non_finite_wave_data_exit_code(self, capsys, command, system, left, right):
+        code, out, err = run(capsys, command, "--system", system,
+                             "--left", left, "--right", right)
+        assert code == cli.EXIT_SOLVER
+        assert err.startswith("error: ClosedFormOverflow: ")
+        assert out == ""
+
+    def test_json_solves_once(self, capsys, monkeypatch):
+        solves = []
+        solve = euler.solve_exact
+        monkeypatch.setattr(euler, "solve_exact",
+                            lambda problem: solves.append(problem) or solve(problem))
+        code, out, _ = run(capsys, "exact", "--system", "euler",
+                           "--left", "1,0,1", "--right", "1,0,0.1",
+                           "--format", "json")
+        assert code == 0
+        assert len(solves) == 1
+        assert json.loads(out)["results"][0]["s_right"] == solve(solves[0]).s_right
+
+
+class TestConstantFlags:
+    @pytest.mark.parametrize("command", ["exact", "bounds"])
+    @pytest.mark.parametrize("system, state, flag", [
+        ("swe", "1,0", "--gamma"),
+        ("euler", "1,0,1", "--gravity"),
+        ("bfe", "1,0", "--gamma"),
+        ("euler", "1,0,1", "--rho-blood"),
+        ("swe", "1,0", "--beta"),
+    ])
+    def test_flag_of_another_system_is_usage_error(self, capsys, command, system, state, flag):
+        code, out, err = run(capsys, command, "--system", system, "--left", state,
+                             "--right", state, flag, "3")
+        assert code == cli.EXIT_USAGE
+        assert flag in err and system in err
+        assert out == ""
+
+    @pytest.mark.parametrize("system, state, flag, field", [
+        ("euler", "1,0,1", "--gamma", "gamma"),
+        ("swe", "1,0", "--gravity", "g"),
+        ("bfe", "1,0", "--beta", "beta"),
+        ("bfe", "1,0", "--rho-blood", "rho"),
+    ])
+    def test_flag_of_the_system_sets_its_constant(self, capsys, system, state, flag, field):
+        code, out, _ = run(capsys, "exact", "--system", system, "--left", state,
+                           "--right", state, flag, "1.5", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["problem"]["params"][field] == 1.5
+
+    def test_system_choices_are_the_registry(self, capsys):
+        code, _, err = run(capsys, "exact", "--system", "mhd",
+                           "--left", "1,0", "--right", "1,0")
+        assert code == cli.EXIT_USAGE
+        assert all(repr(system) in err for system in tables.SYSTEMS)
 
 
 class TestBounds:

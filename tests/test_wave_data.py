@@ -8,8 +8,13 @@ import random
 
 import pytest
 
-from riemann_bounds import bloodflow, euler, shallow
-from riemann_bounds.core import EstimatorId, WavePattern
+from riemann_bounds import bloodflow, euler, shallow, tables
+from riemann_bounds.core import (
+    ClosedFormOverflow,
+    EstimatorId,
+    UnsupportedEstimator,
+    WavePattern,
+)
 from riemann_bounds.fuzz import sample_problem
 
 
@@ -171,3 +176,57 @@ def test_rr_solve_evaluates_the_curve_twice(monkeypatch, system):
         assert calls[0] == 2
         solved += 1
     assert solved > 10
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_shared_code_reaches_module_functions(monkeypatch, system):
+    # The estimators and the root solve shared in core must call the
+    # module's functions through its attributes, so that a replacement
+    # (a counter, a timing wrapper) sees every call.
+    module, _, make, data, _, _ = SYSTEMS[system]
+    calls = {name: counting(monkeypatch, module, name)
+             for name in ("interpolate_root", "q_factor", "classify")}
+    roots = []
+    find_root = module.find_root
+    monkeypatch.setattr(module, "find_root",
+                        lambda *args, **kwargs: roots.append(args) or find_root(*args, **kwargs))
+    bounds = module.estimate(make(*data[1]), EstimatorId.TMS_A)
+    assert bounds.pattern is WavePattern.RS
+    assert {name: count[0] for name, count in calls.items()} == {
+        "interpolate_root": 1, "q_factor": 1, "classify": 1}
+    module.estimate(make(*data[0]), EstimatorId.EXACT)
+    assert len(roots) == 1 and calls["classify"][0] == 2
+
+
+@pytest.mark.parametrize("system, estimator, title", [
+    ("euler", EstimatorId.TMS_D, "Euler"),
+    ("swe", EstimatorId.EINFELDT, "shallow-water"),
+    ("bfe", EstimatorId.BATTEN, "blood-flow"),
+])
+def test_unsupported_estimator_names_the_system(system, estimator, title):
+    problem = sample_problem(system, random.Random(0))
+    with pytest.raises(UnsupportedEstimator,
+                       match=f"{estimator.value} is not defined for the {title} system"):
+        tables.system_module(system).estimate(problem, estimator)
+
+
+# Huge opposing velocities: f(x_rr) overflows to inf (BFE 1e34 and 1e50),
+# A**1.5 raises OverflowError (BFE 1e60), x_rr overflows to inf (SWE).
+NON_FINITE = [
+    ("bfe", (1.0, 1e34), (1.0, -1e34)),
+    ("bfe", (1.0, 1e50), (1.0, -1e50)),
+    ("bfe", (1.0, 1e60), (1.0, -1e60)),
+    ("swe", (1.0, 1e160), (1.0, -1e160)),
+]
+
+
+@pytest.mark.parametrize("call", ["exact", "toro", "tms_a", "tms_b", "tms_c"])
+@pytest.mark.parametrize("system, left, right", NON_FINITE)
+def test_non_finite_wave_data_raise(system, left, right, call):
+    module = tables.system_module(system)
+    problem = tables.make_problem(system, left, right)
+    with pytest.raises(ClosedFormOverflow, match="overflows"):
+        if call == "exact":
+            module.solve_exact(problem)
+        else:
+            module.estimate(problem, EstimatorId(call))
