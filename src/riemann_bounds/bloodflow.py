@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from . import core
 from .core import (
@@ -17,9 +16,11 @@ from .core import (
     System,
     WaveData,
     WavePattern,
+    _VACUUM,  # WavePattern.VACUUM, bound once
     cached_attribute,
     find_root,  # read as a module attribute by core.solve_star
     interpolate_root,  # read as a module attribute by core.tms
+    record,
     solve_star,
     speed_registry,
     star_speeds,
@@ -30,7 +31,7 @@ _SONIC_EPS = 1e-8  # q_factor is 0/0 at unit area ratio; return the limit 1
 _VACUUM_FLOOR_AREA = 1e-12  # cm^2; near-empty vessel used by the crude bound
 
 
-@dataclass(frozen=True)
+@record
 class BfeState:
     """Cross-sectional area (cm^2) and velocity (cm/s)."""
 
@@ -44,7 +45,7 @@ class BfeState:
             raise ValueError(f"u must be finite, got {self.u}")
 
 
-@dataclass(frozen=True)
+@record
 class BfeParams:
     """Wall stiffness beta (dyne/cm^3) and blood density rho (g/cm^3)."""
 
@@ -66,7 +67,7 @@ class BfeParams:
         return math.sqrt(self.beta / (2.0 * self.rho))
 
 
-@dataclass(frozen=True)
+@record
 class BfeProblem:
     left: BfeState
     right: BfeState
@@ -106,7 +107,7 @@ class _Sides:
         self.du = right.u - left.u
 
 
-@dataclass(frozen=True)
+@record
 class BfeExactSolution:
     a_star: float
     u_star: float
@@ -208,7 +209,7 @@ def solve_exact(problem: BfeProblem, rel_tol: float = 1e-12) -> BfeExactSolution
     (`core.solve_star`), from the start `core.star_start` picks.
     """
     pattern = classify(problem)
-    if pattern is WavePattern.VACUUM:
+    if pattern is _VACUUM:
         raise SYSTEM.no_star_error()
     left, right, k = problem.left, problem.right, problem._sides
     f_zero = k.zeta4 * (0.0 - k.a14_l) + k.zeta4 * (0.0 - k.a14_r) + k.du

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import partial
 from typing import Any, Callable, Mapping, Optional, Sequence, Tuple
 
@@ -72,6 +72,49 @@ class cached_attribute:
         return value
 
 
+def record(cls: type) -> type:
+    """Class decorator of the package's value types: `dataclass(frozen=True)`
+    with a faster `__init__`.
+
+    A frozen dataclass's own `__init__` looks `object.__setattr__` up again
+    for every field it stores.  This one calls it bound once, through a
+    closure, in field order, and then calls `__post_init__` when the class
+    has one.  It does not write into the instance `__dict__`: on CPython
+    3.11 that turns the attribute values kept inline in the object into a
+    separate dict, a second object for the garbage collector that makes
+    its full collections more frequent.  Everything else is the
+    dataclass's: assignment raises `FrozenInstanceError`, and equality,
+    hashing, repr, `fields`, `asdict`, `replace`, `vars()` and pickling are
+    unchanged.  Only plain positional fields, with or without a default,
+    are handled; any other field kind (`default_factory`, `init=False`,
+    `kw_only`, `InitVar`) raises `TypeError` when the class is created.
+    """
+    cls = dataclass(frozen=True)(cls)
+    plain = cls.__init__
+    code, own = plain.__code__, fields(cls)
+    names = tuple(f.name for f in own)
+    if (code.co_varnames[1:code.co_argcount] != names or code.co_kwonlyargcount
+            or any(f.default_factory is not MISSING for f in own)):
+        raise TypeError(f"record {cls.__qualname__}: every field must be a plain "
+                        f"positional one (no default_factory, init=False, kw_only "
+                        f"or InitVar)")
+    lines = ["def make_init(__store):",  # no field name can start with __
+             f"    def __init__(self, {', '.join(names)}):"]
+    lines += [f"        __store(self, {name!r}, {name})" for name in names]
+    if hasattr(cls, "__post_init__"):
+        lines.append("        self.__post_init__()")
+    lines.append("    return __init__")
+    namespace: dict = {}
+    exec(compile("\n".join(lines), "<record>", "exec"), {}, namespace)
+    init = namespace["make_init"](object.__setattr__)
+    init.__defaults__ = plain.__defaults__
+    init.__annotations__ = plain.__annotations__
+    init.__qualname__ = plain.__qualname__
+    init.__module__ = plain.__module__
+    cls.__init__ = init
+    return cls
+
+
 class WavePattern(enum.Enum):
     """Outer-wave configuration of the Riemann solution."""
 
@@ -80,6 +123,10 @@ class WavePattern(enum.Enum):
     SR = "SR"
     SS = "SS"
     VACUUM = "Vacuum"
+
+    # Members are unique objects compared by identity; Enum's own __hash__
+    # hashes the name in Python code on every dict or set lookup.
+    __hash__ = object.__hash__
 
 
 class EstimatorId(enum.Enum):
@@ -100,8 +147,18 @@ class EstimatorId(enum.Enum):
     TMS_D = "tms_d"
     EXACT = "exact"
 
+    __hash__ = object.__hash__  # as WavePattern's
 
-@dataclass(frozen=True)
+
+# Members that the hot paths below compare against, bound once: looking a
+# member up on its Enum class costs several times a global lookup.
+_RR, _RS, _SR, _SS, _VACUUM = (WavePattern.RR, WavePattern.RS, WavePattern.SR,
+                               WavePattern.SS, WavePattern.VACUUM)
+_TMS_A, _TMS_B, _TMS_C, _EXACT = (EstimatorId.TMS_A, EstimatorId.TMS_B,
+                                  EstimatorId.TMS_C, EstimatorId.EXACT)
+
+
+@record
 class SpeedBounds:
     """Estimated (or exact) pair of minimal/maximal wave speeds."""
 
@@ -111,7 +168,7 @@ class SpeedBounds:
     pattern: Optional[WavePattern] = None
 
 
-@dataclass(frozen=True)
+@record
 class RootBracket:
     """Interval with a sign change (or an exact root at an endpoint)."""
 
@@ -121,9 +178,13 @@ class RootBracket:
     f_hi: float
 
     def __post_init__(self):
-        if not self.lo < self.hi:
-            raise InvalidBracket(f"lo={self.lo} must be < hi={self.hi}")
-        if self.f_lo * self.f_hi > 0.0:
+        if not -math.inf < self.lo < self.hi < math.inf:
+            raise InvalidBracket(f"lo={self.lo} must be < hi={self.hi}, both finite")
+        if not (math.isfinite(self.f_lo) and math.isfinite(self.f_hi)):
+            raise InvalidBracket(f"f must be finite at both endpoints: "
+                                 f"f({self.lo})={self.f_lo}, f({self.hi})={self.f_hi}")
+        # Signs, not the product's: f_lo * f_hi underflows to 0 for tiny values.
+        if (self.f_lo > 0.0 and self.f_hi > 0.0) or (self.f_lo < 0.0 and self.f_hi < 0.0):
             raise InvalidBracket(
                 f"f has the same sign at both endpoints: "
                 f"f({self.lo})={self.f_lo}, f({self.hi})={self.f_hi}"
@@ -134,7 +195,7 @@ class RootBracket:
         return cls(lo, hi, f(lo), f(hi))
 
 
-@dataclass(frozen=True)
+@record
 class WaveData:
     """Wave-curve data of one Riemann problem, computed once per problem.
 
@@ -156,7 +217,7 @@ class WaveData:
     pattern: WavePattern
 
 
-@dataclass(frozen=True)
+@record
 class System:
     """One hyperbolic system, described once for the shared code below, the
     registry in `tables`, the fuzzer and the CLI.
@@ -213,7 +274,7 @@ def wave_data(system: System, problem) -> WaveData:
     x_min, x_max = (x_right, x_left) if right_min else (x_left, x_right)
     c_left, c_right, nan = k.c_l, k.c_r, math.nan
     if not system.positive(problem):
-        return WaveData(c_left, c_right, x_min, x_max, nan, nan, nan, nan, WavePattern.VACUUM)
+        return WaveData(c_left, c_right, x_min, x_max, nan, nan, nan, nan, _VACUUM)
     curve, isfinite = getattr(module, system.curve), math.isfinite
     try:
         x_rr = getattr(module, system.two_rarefaction)(problem)
@@ -221,16 +282,16 @@ def wave_data(system: System, problem) -> WaveData:
         if not (isfinite(x_rr) and isfinite(f_min)):
             raise ClosedFormOverflow(f"wave data overflows: x_rr = {x_rr}, f(x_min) = {f_min}")
         if f_min >= 0.0:
-            return WaveData(c_left, c_right, x_min, x_max, f_min, nan, x_rr, nan, WavePattern.RR)
+            return WaveData(c_left, c_right, x_min, x_max, f_min, nan, x_rr, nan, _RR)
         f_max, f_rr = curve(x_max, problem), curve(x_rr, problem)
         if not (isfinite(f_max) and isfinite(f_rr)):
             raise ClosedFormOverflow(f"wave data overflows: f(x_max) = {f_max}, f(x_rr) = {f_rr}")
     except OverflowError:
         raise ClosedFormOverflow("the wave curve overflows at a wave-data node") from None
     if f_max < 0.0:
-        pattern = WavePattern.SS
+        pattern = _SS
     else:
-        pattern = WavePattern.RS if right_min else WavePattern.SR
+        pattern = _RS if right_min else _SR
     return WaveData(c_left, c_right, x_min, x_max, f_min, f_max, x_rr, f_rr, pattern)
 
 
@@ -243,11 +304,12 @@ def star_bracket(
     of the curve at zero, so that no evaluation is needed.  RS/SR:
     [x_min, x_max], cut down to [x_min, x_rr] when f(x_rr) >= 0 there.  SS: [x_max, hi], where hi starts at x_rr and
     doubles, from a positive value, while f(hi) < 0 (rounding, or a closed
-    form that underflowed or is no upper bound).
+    form that underflowed or is no upper bound).  Raises `NoConvergence`
+    when the doubling reaches an infinite end or value of f first.
     """
-    if wave.pattern is WavePattern.RR:
+    if wave.pattern is _RR:
         return RootBracket(0.0, wave.x_min, f_zero, wave.f_min)
-    if wave.pattern is not WavePattern.SS:
+    if wave.pattern is not _SS:
         if wave.x_min < wave.x_rr < wave.x_max and wave.f_rr >= 0.0:
             return RootBracket(wave.x_min, wave.x_rr, wave.f_min, wave.f_rr)
         return RootBracket(wave.x_min, wave.x_max, wave.f_min, wave.f_max)
@@ -257,7 +319,7 @@ def star_bracket(
     while f_hi < 0.0 and hi < math.inf:
         hi *= 2.0
         f_hi = curve(hi)
-    if not f_hi >= 0.0:
+    if not (0.0 <= f_hi < math.inf and hi < math.inf):
         raise NoConvergence(f"no upper bracket for the star value above {wave.x_max}")
     return RootBracket(wave.x_max, hi, wave.f_max, f_hi)
 
@@ -276,7 +338,7 @@ def star_start(
     value, `two_shock(x0)`, when the system has one.  A value outside the
     bracket falls back to the bracket's midpoint.
     """
-    if wave.pattern is WavePattern.RR:
+    if wave.pattern is _RR:
         x = wave.x_rr
     else:
         # f_lo < f_hi in every bracket of star_bracket; sqrt(lo) may equal
@@ -284,7 +346,7 @@ def star_start(
         q_lo, q_hi = math.sqrt(bracket.lo), math.sqrt(bracket.hi)
         q = q_lo - (q_hi - q_lo) / (bracket.f_hi - bracket.f_lo) * bracket.f_lo
         x = q * q
-        if wave.pattern is WavePattern.SS and two_shock is not None:
+        if wave.pattern is _SS and two_shock is not None:
             x = two_shock(x)
     if bracket.lo < x < bracket.hi:
         return x
@@ -343,41 +405,41 @@ def davis_b(system: System, problem) -> Tuple[float, float]:
 def toro(system: System, problem) -> Tuple[float, float]:
     """Two-rarefaction estimator: the q factors at the closed form x_rr."""
     wave = problem._wave_data
-    if wave.pattern is WavePattern.VACUUM:
+    if wave.pattern is _VACUUM:
         raise system.no_star_error()
     return star_speeds(system, problem, wave.x_rr)
 
 
-def tms(system: System, problem, variant: EstimatorId) -> Tuple[float, float]:
+def tms(variant: EstimatorId, system: System, problem) -> Tuple[float, float]:
     """Interpolation bounds TMS_a-c: the q factors at a star value from a
     chord of the wave curve (a, b) or at a data value (c)."""
     left, right, params = problem.left, problem.right, problem.params
     wave = problem._wave_data
     cl, cr = wave.c_left, wave.c_right
-    if wave.pattern is WavePattern.RR:  # eigenvalue speeds are exact
+    if wave.pattern is _RR:  # eigenvalue speeds are exact
         return left.u - cl, right.u + cr
     module = system.module
     x_min, x_max, x_rr = wave.x_min, wave.x_max, wave.x_rr
     f_min, f_max, f_rr = wave.f_min, wave.f_max, wave.f_rr
 
-    if wave.pattern is not WavePattern.SS:  # the shock sits on the side of x_min
-        if variant is EstimatorId.TMS_A:
+    if wave.pattern is not _SS:  # the shock sits on the side of x_min
+        if variant is _TMS_A:
             x_hat = module.interpolate_root((x_min, f_min), (x_max, f_max))
-        elif variant is EstimatorId.TMS_B:
+        elif variant is _TMS_B:
             x_hat = module.interpolate_root((x_min, f_min), (x_rr, f_rr))
         else:  # TMS_C: data value of the opposite side
             x_hat = x_max
-        if wave.pattern is WavePattern.RS:
+        if wave.pattern is _RS:
             return left.u - cl, right.u + cr * module.q_factor(x_hat, right, params)
         return left.u - cl * module.q_factor(x_hat, left, params), right.u + cr
 
     # S/S: both waves are shocks.  x_rr > x_max, so f_rr is on the shock
     # branch of both sides.
-    if variant is EstimatorId.TMS_C and system.ss_tms_c_eigen:
+    if variant is _TMS_C and system.ss_tms_c_eigen:
         return right.u - cr, left.u + cl
-    if variant is EstimatorId.TMS_A:
+    if variant is _TMS_A:
         x_hat = module.interpolate_root((x_max, f_max), (x_rr, f_rr))
-    elif variant is EstimatorId.TMS_B:
+    elif variant is _TMS_B:
         # The side with the larger data value extends its shock branch below it.
         if system.ss_shock_curve is not None:
             f_min = system.ss_shock_curve(x_min, problem)
@@ -398,9 +460,10 @@ def speed_registry(own: Mapping) -> dict:
         EstimatorId.DAVIS_A: (davis_a, False),
         EstimatorId.DAVIS_B: (davis_b, False),
         EstimatorId.TORO: (toro, False),
-        EstimatorId.TMS_A: (partial(tms, variant=EstimatorId.TMS_A), True),
-        EstimatorId.TMS_B: (partial(tms, variant=EstimatorId.TMS_B), True),
-        EstimatorId.TMS_C: (partial(tms, variant=EstimatorId.TMS_C), True),
+        # Positional: a keyword partial builds a dict on every call.
+        EstimatorId.TMS_A: (partial(tms, EstimatorId.TMS_A), True),
+        EstimatorId.TMS_B: (partial(tms, EstimatorId.TMS_B), True),
+        EstimatorId.TMS_C: (partial(tms, EstimatorId.TMS_C), True),
         **own,
     }
     return {estimator: speeds[estimator] for estimator in EstimatorId if estimator in speeds}
@@ -408,7 +471,7 @@ def speed_registry(own: Mapping) -> dict:
 
 def estimate(system: System, problem, estimator: EstimatorId) -> SpeedBounds:
     """Wave-speed pair (S_L, S_R) of `problem` for the requested estimator."""
-    if estimator is EstimatorId.EXACT:
+    if estimator is _EXACT:
         sol = system.module.solve_exact(problem)
         return SpeedBounds(sol.s_left, sol.s_right, estimator, sol.pattern)
     entry = system.speeds.get(estimator)
@@ -419,7 +482,7 @@ def estimate(system: System, problem, estimator: EstimatorId) -> SpeedBounds:
     pattern = None
     if with_pattern:
         pattern = system.module.classify(problem)
-        if pattern is WavePattern.VACUUM:
+        if pattern is _VACUUM:
             raise system.no_star_error()
     s_left, s_right = speeds(system, problem)
     return SpeedBounds(s_left, s_right, estimator, pattern)
@@ -537,13 +600,23 @@ def find_root(
 
 
 def courant_dt(speeds: Sequence[SpeedBounds], dx: float, c_cfl: float) -> float:
-    """Stable explicit time step dt = C_cfl * dx / S_max."""
-    if dx <= 0.0:
-        raise ValueError("dx must be positive")
+    """Stable explicit time step dt = C_cfl * dx / S_max.
+
+    Raises `ValueError` for a dx that is not positive and finite, naming
+    it, and for the first speed pair with a NaN or infinite speed.
+    """
+    if not 0.0 < dx < math.inf:
+        raise ValueError(f"dx must be positive and finite, got {dx}")
     if not 0.0 < c_cfl <= 1.0:
         raise ValueError("c_cfl must lie in (0, 1]")
     if not speeds:
         raise ValueError("speeds must be non-empty")
+    isfinite = math.isfinite
+    for i, s in enumerate(speeds):
+        # Checked first: with a NaN in it, max() depends on the order.
+        if not (isfinite(s.s_left) and isfinite(s.s_right)):
+            raise ValueError(f"speeds[{i}] is not finite: s_left={s.s_left}, "
+                             f"s_right={s.s_right} ({s.estimator})")
     s_max = max(max(abs(s.s_left), abs(s.s_right)) for s in speeds)
     if s_max == 0.0:
         raise ZeroMaxSpeed("all wave speeds are zero")

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from . import core
 from .core import (
@@ -16,9 +15,11 @@ from .core import (
     VacuumData,
     WaveData,
     WavePattern,
+    _VACUUM,  # WavePattern.VACUUM, bound once
     cached_attribute,
     find_root,  # read as a module attribute by core.solve_star
     interpolate_root,  # read as a module attribute by core.tms
+    record,
     solve_star,
     speed_registry,
     star_speeds,
@@ -26,7 +27,7 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class EulerState:
     """Primitive gas state (SI units)."""
 
@@ -43,7 +44,7 @@ class EulerState:
             raise ValueError(f"p must be positive and finite, got {self.p}")
 
 
-@dataclass(frozen=True)
+@record
 class EulerParams:
     gamma: float = 1.4
 
@@ -52,7 +53,7 @@ class EulerParams:
             raise ValueError(f"gamma must be finite and exceed 1, got {self.gamma}")
 
 
-@dataclass(frozen=True)
+@record
 class EulerProblem:
     left: EulerState
     right: EulerState
@@ -104,7 +105,7 @@ class _Sides:
         self.du = right.u - left.u
 
 
-@dataclass(frozen=True)
+@record
 class EulerExactSolution:
     p_star: float
     u_star: float
@@ -219,7 +220,7 @@ def solve_exact(problem: EulerProblem, rel_tol: float = 1e-12) -> EulerExactSolu
     SS that is refined by Toro's two-shock approximation.
     """
     pattern = classify(problem)
-    if pattern is WavePattern.VACUUM:
+    if pattern is _VACUUM:
         raise SYSTEM.no_star_error()
     left, right, k = problem.left, problem.right, problem._sides
     f_zero = -k.rar_l - k.rar_r + k.du

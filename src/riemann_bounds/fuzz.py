@@ -5,10 +5,9 @@ value must dominate the exact one, on large random problem ensembles."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .core import EstimatorId
+from .core import EstimatorId, record
 from .tables import make_problem, system_record
 
 #: Estimators with a proven bound property, per system.
@@ -26,7 +25,7 @@ BOUND_ESTIMATORS: Dict[str, Tuple[EstimatorId, ...]] = {
 REL_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
+@record
 class FuzzViolation:
     """One failed property check on one random problem."""
 
@@ -39,7 +38,7 @@ class FuzzViolation:
     right: Tuple[float, ...]
 
 
-@dataclass(frozen=True)
+@record
 class FuzzReport:
     """Outcome of a randomized property run; empty violations == all held."""
 

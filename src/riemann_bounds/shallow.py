@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from . import core
 from .core import (
@@ -16,9 +15,11 @@ from .core import (
     System,
     WaveData,
     WavePattern,
+    _VACUUM,  # WavePattern.VACUUM, bound once
     cached_attribute,
     find_root,  # read as a module attribute by core.solve_star
     interpolate_root,  # read as a module attribute by core.tms
+    record,
     solve_star,
     speed_registry,
     star_speeds,
@@ -26,7 +27,7 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class SweState:
     """Depth and velocity (SI units)."""
 
@@ -40,7 +41,7 @@ class SweState:
             raise ValueError(f"u must be finite, got {self.u}")
 
 
-@dataclass(frozen=True)
+@record
 class SweParams:
     g: float = 9.8
 
@@ -49,7 +50,7 @@ class SweParams:
             raise ValueError(f"g must be positive and finite, got {self.g}")
 
 
-@dataclass(frozen=True)
+@record
 class SweProblem:
     left: SweState
     right: SweState
@@ -83,7 +84,7 @@ class _Sides:
         self.du = right.u - left.u
 
 
-@dataclass(frozen=True)
+@record
 class SweExactSolution:
     h_star: float
     u_star: float
@@ -177,7 +178,7 @@ def solve_exact(problem: SweProblem, rel_tol: float = 1e-12) -> SweExactSolution
     SS that is refined by the two-shock approximation.
     """
     pattern = classify(problem)
-    if pattern is WavePattern.VACUUM:
+    if pattern is _VACUUM:
         raise SYSTEM.no_star_error()
     left, right, k = problem.left, problem.right, problem._sides
     f_zero = 2.0 * (0.0 - k.c_l) + 2.0 * (0.0 - k.c_r) + k.du

@@ -6,12 +6,11 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
 from importlib import resources
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import bloodflow, euler, shallow
-from .core import EstimatorId, System
+from .core import EstimatorId, System, record
 
 #: The systems, keyed by name; each module describes its system once, in
 #: its `SYSTEM` record.
@@ -80,7 +79,7 @@ def cell_tolerance(expected: float) -> float:
     return max(CELL_TOL_ABS, CELL_TOL_REL * abs(expected))
 
 
-@dataclass(frozen=True)
+@record
 class CellCheck:
     """One recomputed table cell compared against its published value."""
 
@@ -93,7 +92,7 @@ class CellCheck:
     note: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class TableReport:
     """Comparison of one full recomputed table against the reference."""
 

@@ -9,14 +9,19 @@ from riemann_bounds.core import (
     DegeneratePoints,
     EstimatorId,
     InvalidBracket,
+    NoConvergence,
     RootBracket,
     SpeedBounds,
+    WaveData,
     WavePattern,
     ZeroMaxSpeed,
     courant_dt,
     find_root,
     interpolate_root,
+    star_bracket,
 )
+
+NAN, INF = math.nan, math.inf
 
 
 class TestRootBracket:
@@ -32,12 +37,61 @@ class TestRootBracket:
         with pytest.raises(InvalidBracket):
             RootBracket(0.0, 5.0, 1.0, 3.0)
 
+    def test_same_sign_rejected_when_the_product_underflows(self):
+        with pytest.raises(InvalidBracket, match="same sign"):
+            RootBracket(0.0, 5.0, 1e-200, 1e-200)
+        with pytest.raises(InvalidBracket, match="same sign"):
+            RootBracket(0.0, 5.0, -1e-200, -1e-300)
+
     def test_endpoint_root_allowed(self):
         RootBracket(0.0, 5.0, 0.0, 3.0)
 
     def test_from_function(self):
         bracket = RootBracket.from_function(lambda x: x - 2.0, 0.0, 5.0)
         assert bracket.f_lo == -2.0 and bracket.f_hi == 3.0
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, INF), (-INF, 1.0), (-INF, INF), (NAN, 1.0),
+                                        (0.0, NAN)])
+    def test_non_finite_end_rejected(self, lo, hi):
+        with pytest.raises(InvalidBracket, match="finite"):
+            RootBracket(lo, hi, -1.0, 1.0)
+
+    @pytest.mark.parametrize("f_lo, f_hi", [(-0.5, INF), (-INF, 1.0), (NAN, 1.0), (-1.0, NAN)])
+    def test_non_finite_value_rejected(self, f_lo, f_hi):
+        with pytest.raises(InvalidBracket, match="finite"):
+            RootBracket(0.0, 1.0, f_lo, f_hi)
+
+    def test_find_root_never_sees_a_non_finite_bracket(self):
+        # With f(hi) = inf the residual test passes at once, and an infinite
+        # end is returned as the root: neither bracket can be built now.
+        with pytest.raises(InvalidBracket):
+            find_root(lambda x: x - 0.5, RootBracket(0.0, 1.0, -0.5, INF))
+        with pytest.raises(InvalidBracket):
+            find_root(lambda x: x - 0.5, RootBracket(0.0, INF, -1.0, 1.0))
+
+
+def _ss_wave(curve):
+    """S/S wave data whose two-rarefaction node still has f < 0."""
+    x_max, x_rr = 1.0, 2.0
+    return WaveData(1.0, 1.0, 0.5, x_max, curve(0.5), curve(x_max), x_rr, curve(x_rr),
+                    WavePattern.SS)
+
+
+class TestStarBracket:
+    def test_ss_doubling(self):
+        curve = lambda x: x - 5.0
+        bracket = star_bracket(_ss_wave(curve), curve, -5.0)
+        assert (bracket.lo, bracket.hi, bracket.f_hi) == (1.0, 8.0, 3.0)
+
+    @pytest.mark.parametrize("curve", [
+        lambda x: -1.0,                           # never turns positive
+        lambda x: -1.0 if x < INF else INF,       # turns positive at an infinite end
+        lambda x: -1.0 if x < 4.0 else INF,       # turns positive with an infinite value
+        lambda x: -1.0 if x < 4.0 else NAN,
+    ])
+    def test_ss_doubling_to_infinity_does_not_converge(self, curve):
+        with pytest.raises(NoConvergence):
+            star_bracket(_ss_wave(curve), curve, -5.0)
 
 
 class TestInterpolateRoot:
@@ -128,6 +182,34 @@ class TestCourantDt:
             courant_dt([], dx=1.0, c_cfl=0.5)
         with pytest.raises(ZeroMaxSpeed):
             courant_dt([SpeedBounds(0.0, 0.0, EstimatorId.EXACT)], 1.0, 0.5)
+
+    @pytest.mark.parametrize("bad", [NAN, INF, -INF])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("side", ["s_left", "s_right"])
+    def test_non_finite_speed_rejected(self, bad, position, side):
+        # max() over a sequence holding NaN depends on where the NaN sits.
+        speeds = [SpeedBounds(-1.0, 2.0, EstimatorId.TMS_B) for _ in range(3)]
+        pair = {"s_left": -1.0, "s_right": 2.0, side: bad}
+        speeds[position] = SpeedBounds(pair["s_left"], pair["s_right"], EstimatorId.TORO)
+        with pytest.raises(ValueError, match=rf"speeds\[{position}\] is not finite"):
+            courant_dt(speeds, dx=1.0, c_cfl=0.5)
+
+    def test_first_non_finite_speed_is_named(self):
+        speeds = [SpeedBounds(-1.0, 2.0, EstimatorId.TORO), SpeedBounds(NAN, 2.0, EstimatorId.TORO),
+                  SpeedBounds(-1.0, INF, EstimatorId.TORO)]
+        with pytest.raises(ValueError, match=r"speeds\[1\] is not finite: s_left=nan"):
+            courant_dt(speeds, dx=1.0, c_cfl=0.5)
+
+    @pytest.mark.parametrize("dx", [NAN, INF])
+    def test_non_finite_dx_rejected(self, dx):
+        speeds = [SpeedBounds(-1.0, 2.0, EstimatorId.TORO)]
+        with pytest.raises(ValueError, match="dx must be positive and finite"):
+            courant_dt(speeds, dx=dx, c_cfl=0.5)
+
+    def test_finite_result_unchanged(self):
+        speeds = [SpeedBounds(-0.1, 0.3, EstimatorId.TORO), SpeedBounds(-7.25, 1e-3, EstimatorId.TORO),
+                  SpeedBounds(-0.0, 7.25, EstimatorId.TORO)]
+        assert courant_dt(speeds, 0.01, 0.9) == 0.9 * 0.01 / 7.25
 
 
 def test_wave_pattern_values():

@@ -1,0 +1,206 @@
+"""The package's value types are declared with `core.record`: a frozen
+dataclass with a faster generated `__init__`.  Each record must behave
+exactly like a plain `dataclass(frozen=True)` twin with the same fields and
+methods, and the enums that key the estimator registry must hash by
+identity."""
+
+import dataclasses
+import importlib
+import inspect
+import math
+import pickle
+import pkgutil
+import sys
+import types
+from dataclasses import FrozenInstanceError, InitVar, dataclass, field
+from typing import ClassVar
+
+import pytest
+
+import riemann_bounds
+from riemann_bounds import bloodflow, core, euler, fuzz, shallow, tables
+from riemann_bounds.core import EstimatorId, InvalidBracket, WavePattern, record
+
+
+def package_dataclasses():
+    """Every dataclass defined at module level in the package."""
+    found = {}
+    for info in pkgutil.walk_packages(riemann_bounds.__path__, "riemann_bounds."):
+        module = importlib.import_module(info.name)
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and obj.__module__ == module.__name__
+                    and dataclasses.is_dataclass(obj)):
+                found[f"{module.__name__}.{obj.__qualname__}"] = obj
+    return found
+
+
+def samples():
+    """One instance of every record type, taken from real library output."""
+    out = []
+    for system in tables.SYSTEMS:
+        record_ = tables.system_record(system)
+        ref = tables.load_reference(system)["tests"][0]
+        problem = tables.make_problem(system, ref["left"], ref["right"])
+        out += [problem.left, problem.params, problem, record_.module.solve_exact(problem),
+                record_.module.estimate(problem, EstimatorId.TMS_B), problem._wave_data,
+                record_]
+    report = tables.reproduce("euler", "s_left")
+    violation = fuzz.FuzzViolation(3, "tms_b", "s_left", 1.5, 1.25, (1.0, 0.0, 1.0),
+                                   (0.125, 0.0, 0.1))
+    out += [core.RootBracket(0.0, 1.0, -0.5, 2.0), report, report.cells[0],
+            fuzz.run_fuzz("swe", 3, 1), fuzz.FuzzReport("euler", 1, 2, (violation,)),
+            violation]
+    return out
+
+
+# A module to hold the twins, so that pickle finds them by name.
+TWINS = types.ModuleType("record_twins")
+sys.modules[TWINS.__name__] = TWINS
+
+
+def twin_of(cls):
+    """A plain `dataclass(frozen=True)` with the fields and methods of `cls`,
+    under the same name, so that its repr is the same."""
+    twin = dataclass(frozen=True)(type(cls.__name__, (cls,), {
+        "__module__": TWINS.__name__, "__qualname__": cls.__qualname__}))
+    setattr(TWINS, cls.__qualname__, twin)
+    return twin
+
+
+SAMPLES = samples()
+IDS = [f"{type(s).__module__.split('.')[-1]}.{type(s).__qualname__}" for s in SAMPLES]
+
+
+def outcome(fn, obj):
+    """fn(obj), or the type of the error it raises: a System holds its
+    module, which can be neither pickled nor deep-copied, and dicts, which
+    cannot be hashed."""
+    try:
+        return fn(obj)
+    except TypeError as exc:
+        return type(exc)
+
+
+def pickle_round_trip(obj):
+    back = pickle.loads(pickle.dumps(obj))
+    return type(back).__qualname__, vars(back), back == obj
+
+
+def test_samples_cover_every_record_type():
+    assert {type(s) for s in SAMPLES} == set(package_dataclasses().values())
+
+
+def test_every_dataclass_is_a_record():
+    # A dataclass declared with plain `dataclass(...)` gets the generated
+    # __init__ that stores each field through object.__setattr__.
+    slow = [name for name, cls in package_dataclasses().items()
+            if cls.__init__.__code__.co_filename != "<record>"]
+    assert not slow, f"declare these with core.record: {slow}"
+
+
+@pytest.mark.parametrize("sample", SAMPLES, ids=IDS)
+def test_matches_plain_frozen_dataclass(sample):
+    cls = type(sample)
+    twin = twin_of(cls)
+    values = [getattr(sample, f.name) for f in dataclasses.fields(cls)]
+    mine, theirs = cls(*values), twin(*values)
+
+    assert [(f.name, f.type, f.default) for f in dataclasses.fields(mine)] == [
+        (f.name, f.type, f.default) for f in dataclasses.fields(theirs)]
+    assert inspect.signature(cls) == inspect.signature(twin)
+    assert vars(mine) == vars(theirs)
+    assert list(vars(mine)) == [f.name for f in dataclasses.fields(cls)]
+    assert outcome(dataclasses.asdict, mine) == outcome(dataclasses.asdict, theirs)
+    assert outcome(dataclasses.astuple, mine) == outcome(dataclasses.astuple, theirs)
+    assert repr(mine) == repr(theirs)
+    assert mine == cls(*values) and mine == sample and mine != theirs
+    assert outcome(hash, mine) == outcome(hash, theirs) == outcome(hash, sample)
+    assert dataclasses.replace(mine) == mine
+    assert vars(dataclasses.replace(theirs)) == vars(mine)
+    first = dataclasses.fields(cls)[0].name
+    assert getattr(dataclasses.replace(mine, **{first: values[0]}), first) is values[0]
+    assert outcome(pickle_round_trip, mine) == outcome(pickle_round_trip, theirs)
+
+    for target in (mine, theirs):
+        with pytest.raises(FrozenInstanceError):
+            setattr(target, first, values[0])
+        with pytest.raises(FrozenInstanceError):
+            delattr(target, first)
+
+
+def test_defaults_are_kept():
+    left, right = euler.EulerState(1.0, 0.0, 1.0), euler.EulerState(0.125, 0.0, 0.1)
+    # Problems without explicit params share their class's default object.
+    assert euler.EulerProblem(left, right).params is euler.EulerProblem(right, left).params
+    assert euler.EulerProblem(left, right).params == euler.EulerParams(1.4)
+    assert shallow.SweParams().g == 9.8
+    assert bloodflow.BfeParams() == bloodflow.BfeParams(28209.4792, 1.05)
+    assert core.SpeedBounds(1.0, 2.0, EstimatorId.TORO).pattern is None
+    assert tables.CellCheck(1, "toro", 1.0, 1.0, 0.0, "ok").note == ""
+    assert tables.make_problem("bfe", (1.0, 0.0), (2.0, 0.0)).params is (
+        bloodflow.BfeProblem.__dataclass_fields__["params"].default)
+
+
+@pytest.mark.parametrize("cls, args, error", [
+    (euler.EulerState, (-1.0, 0.0, 1.0), ValueError),
+    (euler.EulerState, (1.0, math.nan, 1.0), ValueError),
+    (euler.EulerParams, (1.0,), ValueError),
+    (shallow.SweState, (0.0, 0.0), ValueError),
+    (shallow.SweParams, (math.inf,), ValueError),
+    (bloodflow.BfeState, (1.0, math.inf), ValueError),
+    (bloodflow.BfeParams, (1.0, -1.0), ValueError),
+    (core.RootBracket, (1.0, 0.0, -1.0, 1.0), InvalidBracket),
+], ids=lambda v: getattr(v, "__qualname__", None))
+def test_post_init_runs(cls, args, error):
+    with pytest.raises(error):
+        cls(*args)
+    # ... and keyword arguments reach it too.
+    names = [f.name for f in dataclasses.fields(cls)]
+    with pytest.raises(error):
+        cls(**dict(zip(names, args)))
+
+
+def test_post_init_cases_cover_every_validating_record():
+    validating = {cls for cls in package_dataclasses().values() if hasattr(cls, "__post_init__")}
+    covered = {args[0] for args in test_post_init_runs.pytestmark[0].args[1]}
+    assert validating == covered
+
+
+def test_wrong_arguments_raise_type_error():
+    with pytest.raises(TypeError):
+        euler.EulerState(1.0, 0.0)
+    with pytest.raises(TypeError):
+        euler.EulerState(1.0, 0.0, 1.0, 2.0)
+    with pytest.raises(TypeError):
+        euler.EulerState(1.0, 0.0, p=1.0, rho=2.0)
+
+
+@pytest.mark.parametrize("body", [
+    {"__annotations__": {"x": float, "y": list}, "y": field(default_factory=list)},
+    {"__annotations__": {"x": float, "y": float}, "y": field(default=0.0, init=False)},
+    {"__annotations__": {"x": float, "y": float}, "y": field(kw_only=True)},
+    {"__annotations__": {"x": float, "y": InitVar[float]}},
+], ids=["default_factory", "init_false", "kw_only", "initvar"])
+def test_unsupported_field_kinds_are_refused(body):
+    with pytest.raises(TypeError, match="plain positional"):
+        record(type("Bad", (), dict(body)))
+
+
+def test_class_variables_are_not_fields():
+    Point = record(type("Point", (), {"__annotations__": {"x": float, "unit": ClassVar[str]},
+                                      "unit": "m"}))
+    assert vars(Point(2.0)) == {"x": 2.0} and Point.unit == "m"
+
+
+@pytest.mark.parametrize("enum", [WavePattern, EstimatorId])
+def test_enum_members_hash_by_identity(enum):
+    members = list(enum)
+    table = {member: member.value for member in members}
+    assert [table[enum(member.value)] for member in members] == [m.value for m in members]
+    assert set(members) == {enum[m.name] for m in members} and len(set(members)) == len(members)
+    for member in members:
+        assert hash(member) == object.__hash__(member)
+        assert pickle.loads(pickle.dumps(member)) is member
+        assert pickle.loads(pickle.dumps({member: 1})) == {member: 1}
+    assert EstimatorId("tms_a") is EstimatorId.TMS_A
+    assert EstimatorId.TMS_A in euler.SYSTEM.speeds and EstimatorId.TMS_D not in euler.SYSTEM.speeds
