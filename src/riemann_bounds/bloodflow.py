@@ -125,7 +125,15 @@ def area_function(a: float, problem: BfeProblem) -> float:
     """f(A) = f_L(A) + f_R(A) + u_R - u_L: rarefaction branch below the
     side's data area, shock branch at or above it."""
     k = problem._sides
-    f_l, f_r = _side_curves(a, k)
+    # The branches of _side_curves, written out as in euler.pressure_function.
+    if a < k.a_l:
+        f_l = k.zeta4 * (a**0.25 - k.a14_l)
+    else:
+        f_l = math.sqrt(k.gamma_tube * (a - k.a_l) * (a**1.5 - k.a32_l) / (a * k.a_l))
+    if a < k.a_r:
+        f_r = k.zeta4 * (a**0.25 - k.a14_r)
+    else:
+        f_r = math.sqrt(k.gamma_tube * (a - k.a_r) * (a**1.5 - k.a32_r) / (a * k.a_r))
     return f_l + f_r + k.du
 
 
@@ -158,7 +166,7 @@ def area_function_deriv(a: float, problem: BfeProblem) -> float:
 
 
 def _side_curves(a: float, k: _Sides):
-    """(f_L(A), f_R(A)), the two terms of `area_function`."""
+    """(f_L(A), f_R(A)), the two terms of `area_function`, for u*."""
     if a < k.a_l:
         f_l = k.zeta4 * (a**0.25 - k.a14_l)
     else:
@@ -253,10 +261,13 @@ SYSTEM = System(
     two_rarefaction="two_rarefaction_area",
     positive=is_open,
     flags={"--beta": "beta", "--rho-blood": "rho"},
-    draw=lambda rng: (10.0 ** rng.uniform(-2, 1), rng.uniform(-300, 300)),
+    # a + (b - a) * rng.random() is rng.uniform(a, b), without its call.
+    draw=lambda rng: (10.0 ** (-2.0 + 3.0 * rng.random()), -300.0 + 600.0 * rng.random()),
     speeds=speed_registry({EstimatorId.TMS_D: (_tms_d, True)}),
     ss_shock_curve=None,  # Test 5 moves by 1.6e-3 with the shock extension
     ss_tms_c_eigen=True,
+    bound_estimators=(EstimatorId.TORO, EstimatorId.TMS_A, EstimatorId.TMS_B,
+                      EstimatorId.TMS_C, EstimatorId.TMS_D),
 )
 
 ESTIMATORS = tuple(SYSTEM.speeds)

@@ -252,6 +252,8 @@ class System:
     ss_shock_curve: Optional[Callable[[float, Any], float]]
     #: S/S TMS_c is the eigenvalue pair instead of the q factors at x_rr.
     ss_tms_c_eigen: bool
+    #: Estimators with a proven bound property, which `fuzz.run_fuzz` checks.
+    bound_estimators: Tuple[EstimatorId, ...]
 
     @property
     def star_field(self) -> str:
@@ -368,13 +370,9 @@ def solve_star(
     slope = getattr(module, system.curve + "_deriv")
     f = lambda x: curve(x, problem)  # noqa: E731
     bracket = star_bracket(wave, f, f_zero)
-    return module.find_root(
-        f,
-        bracket,
-        rel_tol=rel_tol,
-        fprime=lambda x: slope(x, problem),
-        x0=star_start(wave, bracket, two_shock),
-    )
+    # Positional: keywords cost a dict per call.
+    return module.find_root(f, bracket, rel_tol, 100, lambda x: slope(x, problem),
+                            star_start(wave, bracket, two_shock))
 
 
 def star_speeds(system: System, problem, x: float) -> Tuple[float, float]:
@@ -521,81 +519,106 @@ def find_root(
     whenever an iterate leaves the current bracket.  Once |f| passes the
     residual test it returns the pending Newton correction, when that lies
     inside the bracket and is below sqrt(rel_tol) * |x| or is the third
-    one past the test.  Without `fprime` it is an Illinois-damped
-    false-position iteration.  Either way each function evaluation shrinks
-    the bracket, so convergence is guaranteed for monotone f.
+    one past the test.  It evaluates `fprime` at most once per iterate.
+    Without `fprime` it is an Illinois-damped false-position iteration.
+    Either way each function evaluation shrinks the bracket, so
+    convergence is guaranteed for monotone f.  Raises `ValueError` unless
+    0 < rel_tol < 1.
     """
-    if rel_tol <= 0.0:
-        raise ValueError("rel_tol must be positive")
+    if not 0.0 < rel_tol < 1.0:
+        raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     lo, hi, f_lo, f_hi = bracket.lo, bracket.hi, bracket.f_lo, bracket.f_hi
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
         return hi
-    # Orient so f(lo) < 0 < f(hi).
-    if f_lo > 0.0:
+    # Orient so f(lo) < 0 < f(hi); `rising` tells whether lo < hi then.  An
+    # iterate strictly inside the bracket keeps that orientation, and one
+    # that would flip it ends the iteration first (the width test).
+    rising = f_lo < 0.0
+    if not rising:
         lo, hi, f_lo, f_hi = hi, lo, f_hi, f_lo
-    f_scale = max(abs(f_lo), abs(f_hi))
+    f_tol = rel_tol * max(abs(f_lo), abs(f_hi))
 
-    if x0 is not None and min(lo, hi) <= x0 <= max(lo, hi):
+    if x0 is not None and (lo <= x0 <= hi if rising else hi <= x0 <= lo):
         x = x0
     else:
         x = lo if abs(f_lo) <= abs(f_hi) else hi
     fx = f(x)
+    ax = abs(x)
+    x_tol = rel_tol * (1e-300 if ax < 1e-300 else ax)  # rel_tol * max(|x|, 1e-300)
 
-    side = 0  # Illinois bookkeeping for the derivative-free path
+    if fprime is None:
+        side = 0  # Illinois bookkeeping
+        for _ in range(max_iter):
+            if abs(fx) <= f_tol:
+                return x
+            if fx < 0.0:
+                if side == -1:
+                    f_hi *= 0.5  # Illinois: damp the stagnant endpoint
+                lo, f_lo = x, fx
+                side = -1
+            else:
+                if side == 1:
+                    f_lo *= 0.5
+                hi, f_hi = x, fx
+                side = 1
+            if abs(hi - lo) <= x_tol:
+                return x
+            x_new = 0.5 * (lo + hi)
+            if f_hi != f_lo:
+                cand = lo - (hi - lo) / (f_hi - f_lo) * f_lo
+                if lo < cand < hi if rising else hi < cand < lo:
+                    x_new = cand
+            if x_new == x:
+                return x
+            x = x_new
+            fx = f(x)
+            ax = abs(x)
+            x_tol = rel_tol * (1e-300 if ax < 1e-300 else ax)
+            if abs(x - lo) <= x_tol and fx * f_lo > 0:
+                return x
+            if abs(hi - x) <= x_tol and fx * f_hi > 0:
+                return x
+        raise NoConvergence(f"no root to rel_tol={rel_tol} within {max_iter} iterations")
+
+    isfinite, sqrt_tol = math.isfinite, math.sqrt(rel_tol)
     corrections = 3  # Newton steps allowed past the residual test
     for _ in range(max_iter):
-        if abs(fx) <= rel_tol * f_scale:
-            if fprime is None:
-                return x
-            # f_scale can be far above f near the root (a distant bracket
+        step = None  # the Newton iterate from x, once fprime(x) is known
+        if abs(fx) <= f_tol:
+            # f_tol can be far above f near the root (a distant bracket
             # end), so the test can pass early.  The correction costs no
             # evaluation of f, and once it is small, Newton's quadratic
             # convergence makes the corrected value exact to rel_tol.
             dfx = fprime(x)
-            cand = x - fx / dfx if dfx != 0.0 and math.isfinite(dfx) else x
-            if not min(lo, hi) < cand < max(lo, hi):
+            step = x - fx / dfx if dfx != 0.0 and isfinite(dfx) else x
+            if not (lo < step < hi if rising else hi < step < lo):
                 return x
             corrections -= 1
-            if corrections == 0 or abs(cand - x) <= math.sqrt(rel_tol) * abs(x):
-                return cand
+            if corrections == 0 or abs(step - x) <= sqrt_tol * ax:
+                return step
+            # Past here dfx is finite and nonzero: step == x returned above.
         if fx < 0.0:
-            if side == -1 and fprime is None:
-                f_hi *= 0.5  # Illinois: damp the stagnant endpoint
             lo, f_lo = x, fx
-            side = -1
         else:
-            if side == 1 and fprime is None:
-                f_lo *= 0.5
             hi, f_hi = x, fx
-            side = 1
-        if abs(hi - lo) <= rel_tol * max(abs(x), 1e-300):
+        if abs(hi - lo) <= x_tol:
             return x
-
-        x_new = None
-        if fprime is not None:
+        if step is None:
             dfx = fprime(x)
-            if dfx != 0.0 and math.isfinite(dfx):
-                cand = x - fx / dfx
-                if min(lo, hi) < cand < max(lo, hi):
-                    x_new = cand
-        elif f_hi != f_lo:
-            cand = lo - (hi - lo) / (f_hi - f_lo) * f_lo
-            if min(lo, hi) < cand < max(lo, hi):
-                x_new = cand
-        if x_new is None:
-            x_new = 0.5 * (lo + hi)
-
+            step = x - fx / dfx if dfx != 0.0 and isfinite(dfx) else math.nan
+        x_new = step if (lo < step < hi if rising else hi < step < lo) else 0.5 * (lo + hi)
         if x_new == x:
             return x
         x = x_new
         fx = f(x)
-        if abs(x - lo) <= rel_tol * max(abs(x), 1e-300) and fx * f_lo > 0:
+        ax = abs(x)
+        x_tol = rel_tol * (1e-300 if ax < 1e-300 else ax)
+        if abs(x - lo) <= x_tol and fx * f_lo > 0:
             return x
-        if abs(hi - x) <= rel_tol * max(abs(x), 1e-300) and fx * f_hi > 0:
+        if abs(hi - x) <= x_tol and fx * f_hi > 0:
             return x
-
     raise NoConvergence(f"no root to rel_tol={rel_tol} within {max_iter} iterations")
 
 

@@ -94,8 +94,8 @@ class _Sides:
         self.a_r = 2.0 / ((g + 1.0) * right.rho)
         self.b_l = (g - 1.0) / (g + 1.0) * left.p
         self.b_r = (g - 1.0) / (g + 1.0) * right.p
-        self.c_l = cl = sound_speed(left, params)
-        self.c_r = cr = sound_speed(right, params)
+        self.c_l = cl = math.sqrt(g * left.p / left.rho)  # sound_speed(left, params)
+        self.c_r = cr = math.sqrt(g * right.p / right.rho)
         self.rar_l = 2.0 * cl / (g - 1.0)
         self.rar_r = 2.0 * cr / (g - 1.0)
         self.imp_l = left.rho * cl
@@ -128,7 +128,16 @@ def pressure_function(p: float, problem: EulerProblem) -> float:
     """f(p) = f_L(p) + f_R(p) + u_R - u_L: shock branch above the side's
     data pressure, rarefaction branch at or below it."""
     k = problem._sides
-    f_l, f_r = _side_curves(p, k)
+    # The branches of _side_curves, written out: a call per evaluation costs
+    # as much as the arithmetic.
+    if p > k.p_l:
+        f_l = (p - k.p_l) * math.sqrt(k.a_l / (p + k.b_l))
+    else:
+        f_l = k.rar_l * ((p / k.p_l) ** k.z - 1.0)
+    if p > k.p_r:
+        f_r = (p - k.p_r) * math.sqrt(k.a_r / (p + k.b_r))
+    else:
+        f_r = k.rar_r * ((p / k.p_r) ** k.z - 1.0)
     return f_l + f_r + k.du
 
 
@@ -151,7 +160,7 @@ def pressure_function_deriv(p: float, problem: EulerProblem) -> float:
 
 
 def _side_curves(p: float, k: _Sides):
-    """(f_L(p), f_R(p)), the two terms of `pressure_function`."""
+    """(f_L(p), f_R(p)), the two terms of `pressure_function`, for u*."""
     if p > k.p_l:
         f_l = (p - k.p_l) * math.sqrt(k.a_l / (p + k.b_l))
     else:
@@ -291,14 +300,17 @@ SYSTEM = System(
     two_rarefaction="two_rarefaction_pressure",
     positive=check_positivity,
     flags={"--gamma": "gamma"},
-    draw=lambda rng: (10.0 ** rng.uniform(-3, 3), rng.uniform(-100, 100),
-                      10.0 ** rng.uniform(-3, 3)),
+    # a + (b - a) * rng.random() is rng.uniform(a, b), without its call.
+    draw=lambda rng: (10.0 ** (-3.0 + 6.0 * rng.random()), -100.0 + 200.0 * rng.random(),
+                      10.0 ** (-3.0 + 6.0 * rng.random())),
     speeds=speed_registry({
         EstimatorId.EINFELDT: (_einfeldt, False),
         EstimatorId.BATTEN: (_batten, False),
     }),
     ss_shock_curve=_shock_curve,
     ss_tms_c_eigen=False,
+    bound_estimators=(EstimatorId.TORO, EstimatorId.TMS_A, EstimatorId.TMS_B,
+                      EstimatorId.TMS_C),
 )
 
 ESTIMATORS = tuple(SYSTEM.speeds)

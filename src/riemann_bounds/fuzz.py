@@ -8,16 +8,12 @@ import random
 from typing import Dict, Optional, Tuple
 
 from .core import EstimatorId, record
-from .tables import make_problem, system_record
+from .tables import SYSTEMS, make_problem, system_record
 
-#: Estimators with a proven bound property, per system.
+#: Estimators with a proven bound property, per system: each `System`
+#: record's `bound_estimators`.
 BOUND_ESTIMATORS: Dict[str, Tuple[EstimatorId, ...]] = {
-    "euler": (EstimatorId.TORO, EstimatorId.TMS_A, EstimatorId.TMS_B,
-              EstimatorId.TMS_C),
-    "swe": (EstimatorId.TORO, EstimatorId.TMS_A, EstimatorId.TMS_B,
-            EstimatorId.TMS_C, EstimatorId.TMS_D),
-    "bfe": (EstimatorId.TORO, EstimatorId.TMS_A, EstimatorId.TMS_B,
-            EstimatorId.TMS_C, EstimatorId.TMS_D),
+    name: system_record(name).bound_estimators for name in SYSTEMS
 }
 
 #: Relative slack applied to every comparison, scaled by the problem's
@@ -69,9 +65,9 @@ def run_fuzz(system: str, count: int, seed: int,
     """Check the bound and dominance properties on `count` random problems."""
     if count <= 0:
         raise ValueError("count must be positive")
-    if estimators is None:
-        estimators = BOUND_ESTIMATORS[system]
     record = system_record(system)
+    if estimators is None:
+        estimators = record.bound_estimators
     module, star_field = record.module, record.star_field
     rng = random.Random(seed)
     violations = []

@@ -101,7 +101,15 @@ def depth_function(h: float, problem: SweProblem) -> float:
     """f(h) = f_L(h) + f_R(h) + u_R - u_L: shock branch above the side's
     data depth, rarefaction branch at or below it."""
     k = problem._sides
-    f_l, f_r = _side_curves(h, k)
+    g = k.g  # the branches of _side_curves, written out as in pressure_function
+    if h > k.h_l:
+        f_l = (h - k.h_l) * math.sqrt(0.5 * g * (h + k.h_l) / (h * k.h_l))
+    else:
+        f_l = 2.0 * (math.sqrt(g * h) - k.c_l)
+    if h > k.h_r:
+        f_r = (h - k.h_r) * math.sqrt(0.5 * g * (h + k.h_r) / (h * k.h_r))
+    else:
+        f_r = 2.0 * (math.sqrt(g * h) - k.c_r)
     return f_l + f_r + k.du
 
 
@@ -122,7 +130,7 @@ def depth_function_deriv(h: float, problem: SweProblem) -> float:
 
 
 def _side_curves(h: float, k: _Sides):
-    """(f_L(h), f_R(h)), the two terms of `depth_function`."""
+    """(f_L(h), f_R(h)), the two terms of `depth_function`, for u*."""
     g = k.g
     if h > k.h_l:
         f_l = (h - k.h_l) * math.sqrt(0.5 * g * (h + k.h_l) / (h * k.h_l))
@@ -226,10 +234,13 @@ SYSTEM = System(
     two_rarefaction="two_rarefaction_depth",
     positive=is_wet,
     flags={"--gravity": "g"},
-    draw=lambda rng: (10.0 ** rng.uniform(-3, 2), rng.uniform(-20, 20)),
+    # a + (b - a) * rng.random() is rng.uniform(a, b), without its call.
+    draw=lambda rng: (10.0 ** (-3.0 + 5.0 * rng.random()), -20.0 + 40.0 * rng.random()),
     speeds=speed_registry({EstimatorId.TMS_D: (_tms_d, True)}),
     ss_shock_curve=_shock_curve,
     ss_tms_c_eigen=True,
+    bound_estimators=(EstimatorId.TORO, EstimatorId.TMS_A, EstimatorId.TMS_B,
+                      EstimatorId.TMS_C, EstimatorId.TMS_D),
 )
 
 ESTIMATORS = tuple(SYSTEM.speeds)

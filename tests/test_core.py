@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from riemann_bounds import euler
 from riemann_bounds.core import (
     DegeneratePoints,
     EstimatorId,
@@ -129,6 +130,47 @@ class TestFindRoot:
         bracket = RootBracket.from_function(lambda x: x - 2.0, 0.0, 5.0)
         with pytest.raises(ValueError):
             find_root(lambda x: x - 2.0, bracket, rel_tol=0.0)
+
+    @pytest.mark.parametrize("rel_tol", [NAN, INF, -INF, 1.0, 1.5, -1e-12, 0.0])
+    @pytest.mark.parametrize("use_derivative", [False, True])
+    def test_tolerance_outside_zero_one_rejected(self, rel_tol, use_derivative):
+        # A tolerance of 1 or more passes the residual test at once: the
+        # cubic below came back as 0.0, where f = -2.  NaN passed `<= 0`.
+        f = lambda x: x**3 - 2.0
+        fprime = (lambda x: 3.0 * x * x) if use_derivative else None
+        with pytest.raises(ValueError, match=r"rel_tol must lie in \(0, 1\)"):
+            find_root(f, RootBracket(0.0, 2.0, -2.0, 6.0), rel_tol, fprime=fprime)
+
+    def test_exact_solve_rejects_an_infinite_tolerance(self):
+        # It returned p* = 0.30312980 for Sod (exact 0.30313018) as exact.
+        sod = euler.EulerProblem(euler.EulerState(1.0, 0.0, 1.0),
+                                 euler.EulerState(0.125, 0.0, 0.1))
+        with pytest.raises(ValueError, match="rel_tol"):
+            euler.solve_exact(sod, rel_tol=INF)
+        assert euler.solve_exact(sod, rel_tol=0.5).p_star > 0.0
+
+    @pytest.mark.parametrize("rel_tol", [5e-324, 1e-300, 0.5, 0.999])
+    def test_tolerance_inside_zero_one_accepted(self, rel_tol):
+        f = lambda x: x**3 - 2.0
+        root = find_root(f, RootBracket(0.0, 2.0, -2.0, 6.0), rel_tol,
+                         fprime=lambda x: 3.0 * x * x)
+        assert 0.0 <= root <= 2.0
+        if rel_tol < 1e-12:
+            assert root == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-15)
+
+    def test_slope_evaluated_at_most_once_per_iterate(self):
+        seen = []
+
+        def fprime(x):
+            seen.append(x)
+            return 3.0 * x * x
+
+        # The far bracket end makes the residual test pass with a large
+        # Newton correction still pending, which is then also the next step.
+        f = lambda x: x**3 - 8.0
+        root = find_root(f, RootBracket(0.0, 1e4, -8.0, 1e12 - 8.0), fprime=fprime, x0=3.0)
+        assert root == pytest.approx(2.0, rel=1e-12)
+        assert len(seen) == len(set(seen)) >= 3, seen
 
     @given(
         a=st.floats(0.01, 10.0),

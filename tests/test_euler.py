@@ -148,6 +148,20 @@ class TestSolveExact:
             got = solve_exact(prob).p_star
             assert abs(got - want) <= 1e-11 * want, (i, got, want)
 
+    def test_slope_evaluated_once_per_iterate(self, monkeypatch):
+        # S/S: the Newton correction past the residual test and the step
+        # that follows it use the slope at the same p (about 1.432e6).
+        seen = []
+        slope = euler.pressure_function_deriv
+        monkeypatch.setattr(euler, "pressure_function_deriv",
+                            lambda p, prob: seen.append(p) or slope(p, prob))
+        solution = solve_exact(problem(
+            (237.32875920814521, 89.73595514807405, 0.002056492569103933),
+            (85.89659094784898, -99.06046803822117, 0.003947084437770148)))
+        assert solution.pattern is WavePattern.SS
+        assert solution.p_star == pytest.approx(1.4322962668652562e6, rel=1e-15)
+        assert seen and len(seen) == len(set(seen)), seen
+
     def test_gamma_near_one_terminates(self):
         # For gamma near 1 the two-rarefaction pressure underflows to 0;
         # the solve must return a root or raise, not loop.

@@ -2,7 +2,7 @@
 
 import pytest
 
-from riemann_bounds import bloodflow, euler, shallow
+from riemann_bounds import bloodflow, euler, shallow, tables
 from riemann_bounds.fuzz import BOUND_ESTIMATORS, run_fuzz, sample_problem
 import random
 
@@ -36,6 +36,20 @@ class TestSampleProblem:
         with pytest.raises(ValueError):
             sample_problem("mhd", random.Random(0))
 
+    @pytest.mark.parametrize("system, uniform", [
+        ("euler", lambda rng: (10.0 ** rng.uniform(-3, 3), rng.uniform(-100, 100),
+                               10.0 ** rng.uniform(-3, 3))),
+        ("swe", lambda rng: (10.0 ** rng.uniform(-3, 2), rng.uniform(-20, 20))),
+        ("bfe", lambda rng: (10.0 ** rng.uniform(-2, 1), rng.uniform(-300, 300))),
+    ])
+    def test_draws_are_those_of_rng_uniform(self, system, uniform):
+        # The ensemble is defined by these rng.uniform draws; a draw written
+        # differently must give the same bits, or every fixed-seed report moves.
+        draw = tables.system_record(system).draw
+        mine, theirs = random.Random(2024), random.Random(2024)
+        for _ in range(10_000):
+            assert draw(mine) == uniform(theirs)
+
 
 class TestRunFuzz:
     @pytest.mark.parametrize("system", ("euler", "swe", "bfe"))
@@ -58,6 +72,12 @@ class TestRunFuzz:
         assert names["euler"] == {"toro", "tms_a", "tms_b", "tms_c"}
         assert names["swe"] == {"toro", "tms_a", "tms_b", "tms_c", "tms_d"}
         assert names["bfe"] == names["swe"]
+
+    @pytest.mark.parametrize("system", ("euler", "swe", "bfe"))
+    def test_estimator_sets_come_from_the_system_records(self, system):
+        record = tables.system_record(system)
+        assert BOUND_ESTIMATORS[system] is record.bound_estimators
+        assert set(record.bound_estimators) <= set(record.speeds)
 
     def test_detects_planted_violation(self):
         # A deliberately wrong "estimator" must be reported.

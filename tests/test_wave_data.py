@@ -138,7 +138,8 @@ def test_data_values_one_ulp_apart(system):
 @pytest.mark.parametrize("system", SYSTEMS)
 def test_curves_match_textbook_formulas(system):
     # The per-problem side constants must leave every value of the wave
-    # curve and its slope unchanged, bit for bit, on both branches.
+    # curve and its slope unchanged, bit for bit, on both branches; so must
+    # the curve's copy of the side terms that u* is computed from.
     module, curve, _, _, side, var = SYSTEMS[system]
     f, fprime = getattr(module, curve), getattr(module, curve + "_deriv")
     rng = random.Random(11)
@@ -156,6 +157,7 @@ def test_curves_match_textbook_formulas(system):
             f_r, d_r = side(x, right, problem.params)
             assert f(x, problem) == f_l + f_r + (right.u - left.u), x
             assert fprime(x, problem) == d_l + d_r, x
+            assert module._side_curves(x, problem._sides) == (f_l, f_r), x
 
 
 @pytest.mark.parametrize("system", SYSTEMS)

@@ -1,0 +1,160 @@
+"""SHA-256 digest of the library's numerical outputs, to check that a change
+leaves every output bit as it was.
+
+    python3 tools/output_digest.py src
+    python3 tools/output_digest.py ../base/src --problems 500 --dump base.txt
+
+`<src>` is the `src/` directory of the checkout to digest; the library is
+imported from there.  Run it on two checkouts and compare the digests; with
+`--dump` each also writes its lines, so that `diff` names the first output
+that moved.  The lines are, per system:
+
+- the first `--problems` problems of the acceptance ensemble (the seeds of
+  `tests/test_acceptance.py`): `solve_exact`, `classify` and `estimate` for
+  every `EstimatorId`, unsupported ones included;
+- the benchmark's mesh grids of seeds 1-3 and their mirror images: every
+  estimator of the system and the exact solve at every interface, and
+  `courant_dt` of each estimator's column per grid;
+- `run_fuzz` for seeds 1-3 with 1000 trials;
+
+and then the nine `tables.reproduce` reports.  Values are written with
+`repr`, which gives every float's bits exactly, and an error as its type
+and message.  The mesh grids come from `bench/workloads.py` of the checkout
+this script belongs to.
+"""
+
+from __future__ import annotations
+
+import argparse
+import functools
+import hashlib
+import random
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+#: Per system, the seed of its acceptance ensemble.
+ACCEPTANCE_SEEDS = {"euler": 42, "swe": 7, "bfe": 13}
+MESH_SEEDS = (1, 2, 3)
+FUZZ_SEEDS = (1, 2, 3)
+FUZZ_TRIALS = 1000
+
+
+def outcome(fn, *args) -> str:
+    """repr of fn(*args), or the error it raises."""
+    try:
+        return repr(fn(*args))
+    except Exception as error:  # noqa: BLE001 - errors are outputs too
+        return f"{type(error).__name__}: {error}"
+
+
+def acceptance_lines(system: str, count: int):
+    from riemann_bounds import fuzz, tables
+    from riemann_bounds.core import EstimatorId
+
+    module = tables.system_module(system)
+    rng = random.Random(ACCEPTANCE_SEEDS[system])
+    for i in range(count):
+        problem = fuzz.sample_problem(system, rng)
+        yield f"{system} {i} exact {outcome(module.solve_exact, problem)}"
+        yield f"{system} {i} classify {outcome(module.classify, problem)}"
+        for estimator in EstimatorId:
+            yield f"{system} {i} {estimator.value} {outcome(module.estimate, problem, estimator)}"
+
+
+@functools.cache
+def mesh(seed: int):
+    """The benchmark's mesh workload of `seed`: its grids, dx and CFL number."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return workloads.Mesh(seed, 1.0, str(ROOT))
+
+
+def mesh_lines(system: str, seed: int):
+    from riemann_bounds import core, tables
+    from riemann_bounds.core import EstimatorId
+
+    grids = mesh(seed)
+    module = tables.system_module(system)
+    estimators = tuple(module.ESTIMATORS) + (EstimatorId.EXACT,)
+    for k, pair in enumerate(grids.grids[system]):
+        for side, problems in zip(("grid", "mirror"), pair):
+            columns = {e: [] for e in estimators}
+            for i, problem in enumerate(problems):
+                for estimator in estimators:
+                    try:
+                        bounds = module.estimate(problem, estimator)
+                    except Exception as error:  # noqa: BLE001
+                        yield f"mesh {system} {seed} {k} {side} {i} {estimator.value} " \
+                              f"{type(error).__name__}: {error}"
+                        continue
+                    columns[estimator].append(bounds)
+                    yield f"mesh {system} {seed} {k} {side} {i} {bounds!r}"
+            for estimator, column in columns.items():
+                yield f"mesh {system} {seed} {k} {side} courant_dt {estimator.value} " \
+                      f"{outcome(core.courant_dt, column, grids.dx, grids.CFL)}"
+
+
+def fuzz_lines(system: str):
+    from riemann_bounds import fuzz
+
+    for seed in FUZZ_SEEDS:
+        yield f"fuzz {system} {seed} {outcome(fuzz.run_fuzz, system, FUZZ_TRIALS, seed)}"
+
+
+def table_lines():
+    from riemann_bounds import tables
+
+    for system in tables.SYSTEMS:
+        for table in tables.TABLES:
+            yield f"table {system} {table} {outcome(tables.reproduce, system, table)}"
+
+
+def sections(problems: int):
+    for system in ACCEPTANCE_SEEDS:
+        yield f"acceptance {system}", acceptance_lines(system, problems)
+        for seed in MESH_SEEDS:
+            yield f"mesh {system} seed {seed}", mesh_lines(system, seed)
+        yield f"fuzz {system}", fuzz_lines(system)
+    yield "tables", table_lines()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src", help="src/ directory of the checkout to digest")
+    parser.add_argument("--problems", type=int, default=4000,
+                        help="acceptance problems per system (default 4000)")
+    parser.add_argument("--dump", help="also write every line to this file")
+    args = parser.parse_args(argv)
+    src = Path(args.src).resolve()
+    if not (src / "riemann_bounds" / "__init__.py").is_file():
+        parser.error(f"{src} holds no riemann_bounds package")
+    sys.path.insert(0, str(src))
+    import riemann_bounds
+
+    total, count = hashlib.sha256(), 0
+    dump = open(args.dump, "w") if args.dump else None
+    try:
+        for name, lines in sections(args.problems):
+            part, n = hashlib.sha256(), 0
+            for line in lines:
+                data = (line + "\n").encode()
+                part.update(data)
+                total.update(data)
+                n += 1
+                if dump:
+                    dump.write(line + "\n")
+            count += n
+            print(f"{part.hexdigest()[:16]}  {n:7d}  {name}")
+    finally:
+        if dump:
+            dump.close()
+    print(f"{total.hexdigest()}  {count}  total ({Path(riemann_bounds.__file__).parent})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
