@@ -12,19 +12,17 @@ from .core import (
     ClosedFormOverflow,
     CollapseData,
     EstimatorId,
+    Problem,
     SpeedBounds,
     System,
-    WaveData,
     WavePattern,
     _VACUUM,  # WavePattern.VACUUM, bound once
-    cached_attribute,
     find_root,  # read as a module attribute by core.solve_star
     interpolate_root,  # read as a module attribute by core.tms
     record,
     solve_star,
     speed_registry,
     star_speeds,
-    wave_data,
 )
 
 _SONIC_EPS = 1e-8  # q_factor is 0/0 at unit area ratio; return the limit 1
@@ -68,43 +66,31 @@ class BfeParams:
 
 
 @record
-class BfeProblem:
+class BfeProblem(Problem):
     left: BfeState
     right: BfeState
     params: BfeParams = BfeParams()
 
-    @cached_attribute
-    def _sides(self) -> "_Sides":
-        """Per-side wave-curve constants, computed on first use."""
-        return _Sides(self)
 
-    @cached_attribute
-    def _wave_data(self) -> WaveData:
-        """Wave speeds, f at the data areas, A_rr and the pattern,
-        computed on first use and kept for every later call."""
-        return wave_data(SYSTEM, self)
+class _Side:
+    """Wave-curve constants of one side K of a problem: the data area
+    x = A_K, the velocity u_K, A_K^(1/4), A_K^(3/2), the wave speed c_K,
+    zeta, 4 zeta and gamma_tube.  Raises `ClosedFormOverflow` when
+    A_K^(3/2) exceeds the float range."""
 
+    __slots__ = ("x", "u", "c", "a14", "a32", "zeta", "zeta4", "gamma_tube")
 
-class _Sides:
-    """Wave-curve constants of both sides of one problem: per side K the
-    data area A_K (also as x_K, the name the shared code reads), A_K^(1/4),
-    A_K^(3/2) and the wave speed c_K; zeta, 4 zeta and gamma_tube; and
-    du = u_R - u_L."""
-
-    __slots__ = ("a_l", "a14_l", "a32_l", "c_l", "a_r", "a14_r", "a32_r", "c_r",
-                 "x_l", "x_r", "zeta", "zeta4", "gamma_tube", "du")
-
-    def __init__(self, problem: BfeProblem):
-        left, right, params = problem.left, problem.right, problem.params
-        self.a_l, self.a_r = self.x_l, self.x_r = left.a, right.a
-        self.a14_l, self.a14_r = left.a**0.25, right.a**0.25
-        self.a32_l, self.a32_r = left.a**1.5, right.a**1.5
-        self.zeta = zeta = params.zeta
+    def __init__(self, state: BfeState, params: BfeParams):
+        self.x, self.u = state.a, state.u
+        self.a14 = state.a**0.25
+        try:
+            self.a32 = state.a**1.5
+        except OverflowError:
+            raise ClosedFormOverflow(f"A**1.5 overflows at A = {state.a}") from None
+        self.zeta = zeta = math.sqrt(params.beta / (2.0 * params.rho))  # params.zeta
         self.zeta4 = 4.0 * zeta
-        self.gamma_tube = params.gamma_tube
-        self.c_l = zeta * self.a14_l  # wave_speed(left, params)
-        self.c_r = zeta * self.a14_r
-        self.du = right.u - left.u
+        self.gamma_tube = params.beta / (3.0 * params.rho)  # params.gamma_tube
+        self.c = zeta * self.a14  # wave_speed(state, params)
 
 
 @record
@@ -121,67 +107,38 @@ def wave_speed(state: BfeState, params: BfeParams) -> float:
     return params.zeta * state.a**0.25
 
 
-def area_function(a: float, problem: BfeProblem) -> float:
-    """f(A) = f_L(A) + f_R(A) + u_R - u_L: rarefaction branch below the
-    side's data area, shock branch at or above it."""
-    k = problem._sides
-    # The branches of _side_curves, written out as in euler.pressure_function.
-    if a < k.a_l:
-        f_l = k.zeta4 * (a**0.25 - k.a14_l)
-    else:
-        f_l = math.sqrt(k.gamma_tube * (a - k.a_l) * (a**1.5 - k.a32_l) / (a * k.a_l))
-    if a < k.a_r:
-        f_r = k.zeta4 * (a**0.25 - k.a14_r)
-    else:
-        f_r = math.sqrt(k.gamma_tube * (a - k.a_r) * (a**1.5 - k.a32_r) / (a * k.a_r))
-    return f_l + f_r + k.du
+# Side K's term f_K(A) of f(A) = f_L(A) + f_R(A) + u_R - u_L and its slope
+# on the shock (A > A_K) and rarefaction (A <= A_K) branch, which agree at
+# A = A_K (+0.0, the same slope); `core.wave_curves` composes them.
 
 
-def area_function_deriv(a: float, problem: BfeProblem) -> float:
-    k = problem._sides
-    g = k.gamma_tube
-    if a < k.a_l:
-        d_l = k.zeta * a**-0.75
-    else:
-        n = (a - k.a_l) * (a**1.5 - k.a32_l)
-        if n == 0.0:  # sonic point: rarefaction-branch slope is the limit
-            d_l = k.zeta * a**-0.75
-        else:
-            dn = (a**1.5 - k.a32_l) + 1.5 * (a - k.a_l) * a**0.5
-            s = g * n / (a * k.a_l)
-            ds = g * (dn / (a * k.a_l) - n / (a * a * k.a_l))
-            d_l = 0.5 * ds / math.sqrt(s)
-    if a < k.a_r:
-        d_r = k.zeta * a**-0.75
-    else:
-        n = (a - k.a_r) * (a**1.5 - k.a32_r)
-        if n == 0.0:
-            d_r = k.zeta * a**-0.75
-        else:
-            dn = (a**1.5 - k.a32_r) + 1.5 * (a - k.a_r) * a**0.5
-            s = g * n / (a * k.a_r)
-            ds = g * (dn / (a * k.a_r) - n / (a * a * k.a_r))
-            d_r = 0.5 * ds / math.sqrt(s)
-    return d_l + d_r
+def _shock(a: float, s: _Side) -> float:
+    return math.sqrt(s.gamma_tube * (a - s.x) * (a**1.5 - s.a32) / (a * s.x))
 
 
-def _side_curves(a: float, k: _Sides):
-    """(f_L(A), f_R(A)), the two terms of `area_function`, for u*."""
-    if a < k.a_l:
-        f_l = k.zeta4 * (a**0.25 - k.a14_l)
-    else:
-        f_l = math.sqrt(k.gamma_tube * (a - k.a_l) * (a**1.5 - k.a32_l) / (a * k.a_l))
-    if a < k.a_r:
-        f_r = k.zeta4 * (a**0.25 - k.a14_r)
-    else:
-        f_r = math.sqrt(k.gamma_tube * (a - k.a_r) * (a**1.5 - k.a32_r) / (a * k.a_r))
-    return f_l, f_r
+def _rarefaction(a: float, s: _Side) -> float:
+    return s.zeta4 * (a**0.25 - s.a14)
+
+
+def _shock_slope(a: float, s: _Side) -> float:
+    n = (a - s.x) * (a**1.5 - s.a32)
+    if n == 0.0:  # sonic point: the rarefaction-branch slope is the limit
+        return _rarefaction_slope(a, s)
+    g = s.gamma_tube
+    dn = (a**1.5 - s.a32) + 1.5 * (a - s.x) * a**0.5
+    q = g * n / (a * s.x)
+    dq = g * (dn / (a * s.x) - n / (a * a * s.x))
+    return 0.5 * dq / math.sqrt(q)
+
+
+def _rarefaction_slope(a: float, s: _Side) -> float:
+    return s.zeta * a**-0.75
 
 
 def is_open(problem: BfeProblem) -> bool:
     """True when the data do not collapse the vessel (positive star area)."""
-    k = problem._sides
-    return 4.0 * k.c_l + 4.0 * k.c_r > k.du
+    left, right = problem._sides
+    return 4.0 * left.c + 4.0 * right.c > right.u - left.u
 
 
 def two_rarefaction_area(problem: BfeProblem) -> float:
@@ -190,8 +147,8 @@ def two_rarefaction_area(problem: BfeProblem) -> float:
     when the value exceeds the float range."""
     if not is_open(problem):
         raise SYSTEM.no_star_error()
-    params, k = problem.params, problem._sides
-    b = 0.5 * (k.c_l + k.c_r) - 0.125 * k.du
+    params, (left, right) = problem.params, problem._sides
+    b = 0.5 * (left.c + right.c) - 0.125 * (right.u - left.u)
     try:
         return (2.0 * params.rho * b * b / params.beta) ** 2
     except OverflowError:
@@ -203,7 +160,10 @@ def q_factor(a: float, side_state: BfeState, params: BfeParams) -> float:
     y = a / side_state.a
     if abs(y - 1.0) < _SONIC_EPS:
         return 1.0
-    return math.sqrt(2.0 / 3.0 * (y**1.5 - 1.0) * y / (y - 1.0))
+    try:
+        return math.sqrt(2.0 / 3.0 * (y**1.5 - 1.0) * y / (y - 1.0))
+    except OverflowError:  # y**1.5 past the float range, and the speed with it
+        return math.inf
 
 
 def classify(problem: BfeProblem) -> WavePattern:
@@ -219,12 +179,9 @@ def solve_exact(problem: BfeProblem, rel_tol: float = 1e-12) -> BfeExactSolution
     pattern = classify(problem)
     if pattern is _VACUUM:
         raise SYSTEM.no_star_error()
-    left, right, k = problem.left, problem.right, problem._sides
-    f_zero = k.zeta4 * (0.0 - k.a14_l) + k.zeta4 * (0.0 - k.a14_r) + k.du
-    a_star = solve_star(SYSTEM, problem, f_zero, None, rel_tol)
-
-    f_l, f_r = _side_curves(a_star, k)
-    u_star = 0.5 * (left.u + right.u) + 0.5 * (f_r - f_l)
+    left, right = problem.left, problem.right
+    a_star = solve_star(SYSTEM, problem, None, rel_tol)
+    u_star = 0.5 * (left.u + right.u) + 0.5 * core.side_difference(SYSTEM, problem, a_star)
     return BfeExactSolution(a_star, u_star, pattern, *star_speeds(SYSTEM, problem, a_star))
 
 
@@ -232,9 +189,9 @@ def _tms_d(system: System, problem: BfeProblem):
     # The crude opposite-side term is the front speed of a rarefaction
     # expanding into a near-empty vessel with floor area 1e-12 cm^2,
     # u -/+ 4(c - c_floor), rather than the full-vacuum limit u -/+ 4c.
-    left, right, k = problem.left, problem.right, problem._sides
-    cl, cr = k.c_l, k.c_r
-    c_floor = k.zeta * _VACUUM_FLOOR_AREA**0.25
+    left, right = problem._sides
+    cl, cr = left.c, right.c
+    c_floor = left.zeta * _VACUUM_FLOOR_AREA**0.25
     return (
         min(left.u - cl, right.u - 4.0 * (cr - c_floor)),
         max(right.u + cr, left.u + 4.0 * (cl - c_floor)),
@@ -253,6 +210,7 @@ SYSTEM = System(
     state_type=BfeState,
     params_type=BfeParams,
     problem_type=BfeProblem,
+    side=_Side,
     star="a",
     star_label="A_*",
     no_star=CollapseData,
@@ -264,10 +222,16 @@ SYSTEM = System(
     # a + (b - a) * rng.random() is rng.uniform(a, b), without its call.
     draw=lambda rng: (10.0 ** (-2.0 + 3.0 * rng.random()), -300.0 + 600.0 * rng.random()),
     speeds=speed_registry({EstimatorId.TMS_D: (_tms_d, True)}),
-    ss_shock_curve=None,  # Test 5 moves by 1.6e-3 with the shock extension
+    shock=_shock,
+    rarefaction=_rarefaction,
+    shock_slope=_shock_slope,
+    rarefaction_slope=_rarefaction_slope,
+    ss_shock_extension=False,  # Test 5 moves by 1.6e-3 with the shock extension
     ss_tms_c_eigen=True,
     bound_estimators=(EstimatorId.TORO, EstimatorId.TMS_A, EstimatorId.TMS_B,
                       EstimatorId.TMS_C, EstimatorId.TMS_D),
 )
 
+area_function, area_function_deriv = core.wave_curves(SYSTEM)
+BfeProblem._system = SYSTEM
 ESTIMATORS = tuple(SYSTEM.speeds)

@@ -49,16 +49,19 @@ class UnsupportedEstimator(RiemannBoundsError):
 
 
 class ClosedFormOverflow(RiemannBoundsError):
-    """A closed-form star value (the two-rarefaction one), or the wave-curve
-    function at a node of the wave data, exceeds the floating-point range."""
+    """A closed-form value (the two-rarefaction star value, a side's
+    wave-curve constants), the wave-curve function at a node of the wave
+    data or during the root solve, or a wave speed leaves the
+    floating-point range."""
 
 
 class cached_attribute:
     """`functools.cached_property` without a lock: the value is computed on
-    first access and stored in the instance dict, which later lookups find
-    first.  Python 3.11's cached_property takes an RLock on every first
+    first access and stored as an instance attribute, which later lookups
+    find first.  Python 3.11's cached_property takes an RLock on every first
     access; two threads racing here both compute the value, which is
-    harmless for a pure function of frozen fields."""
+    harmless for a pure function of frozen fields.  Stored as `record`
+    stores fields, for the reason given there."""
 
     def __init__(self, func):
         self.func = func
@@ -68,7 +71,8 @@ class cached_attribute:
     def __get__(self, instance, owner=None):
         if instance is None:
             return self
-        value = instance.__dict__[self.name] = self.func(instance)
+        value = self.func(instance)
+        object.__setattr__(instance, self.name, value)
         return value
 
 
@@ -156,6 +160,7 @@ _RR, _RS, _SR, _SS, _VACUUM = (WavePattern.RR, WavePattern.RS, WavePattern.SR,
                                WavePattern.SS, WavePattern.VACUUM)
 _TMS_A, _TMS_B, _TMS_C, _EXACT = (EstimatorId.TMS_A, EstimatorId.TMS_B,
                                   EstimatorId.TMS_C, EstimatorId.EXACT)
+_INF, _NEG_INF = math.inf, -math.inf
 
 
 @record
@@ -226,8 +231,7 @@ class System:
     `find_root`, `solve_exact` and the functions named by `curve` and
     `two_rarefaction` as attributes of `module` when it runs, so that
     replacing them on the module (to count or time calls) takes effect.
-    It reads the data values x_l, x_r and celerities c_l, c_r of a problem
-    from its `_sides`.
+    A problem's `_sides` is the pair of `side` records of its two states.
     """
 
     name: str  # registry key and CLI --system value
@@ -235,21 +239,31 @@ class System:
     module: Any
     state_type: type
     params_type: type
-    problem_type: type
+    problem_type: type  # a `Problem` whose `_system` is this record
+    #: Per-side record `side(state, params)`: the side's data value `x`,
+    #: velocity `u`, celerity `c` and the constants its branches read.
+    side: type
     star: str  # state field of the star variable; the solution's is star + "_star"
     star_label: str  # CLI label of the star value
     no_star: type  # error raised for data that leave no positive star value
     no_star_message: str
     positive: Callable[[Any], bool]  # the data leave a positive star value
-    curve: str  # wave-curve function f(x, problem); its slope is <curve>_deriv
+    curve: str  # module name of the wave curve f(x, problem); its slope is <curve>_deriv
     two_rarefaction: str  # closed-form star value of both waves rarefactions
     flags: Mapping[str, str]  # CLI constant flag -> params field
     draw: Callable[[Any], Tuple[float, ...]]  # one state of the fuzz ensemble from an rng
     #: From `speed_registry`; its key order is the module's `ESTIMATORS`.
     speeds: Mapping[EstimatorId, Tuple[Callable[[Any, Any], Tuple[float, float]], bool]]
-    #: S/S node of TMS_b at x_min: f with both sides on their shock branch,
-    #: or None to use f(x_min) itself (blood flow, pinned by its Test 5).
-    ss_shock_curve: Optional[Callable[[float, Any], float]]
+    #: One side's wave-curve term f_K(x, side) on its shock branch (taken
+    #: where x exceeds the side's data value) and its rarefaction branch
+    #: (at or below it), and the slopes of both; `wave_curves` composes them.
+    shock: Callable[[float, Any], float]
+    rarefaction: Callable[[float, Any], float]
+    shock_slope: Callable[[float, Any], float]
+    rarefaction_slope: Callable[[float, Any], float]
+    #: S/S node of TMS_b at x_min: both sides on their shock branch when
+    #: true, else f(x_min) itself (blood flow, pinned by its Test 5).
+    ss_shock_extension: bool
     #: S/S TMS_c is the eigenvalue pair instead of the q factors at x_rr.
     ss_tms_c_eigen: bool
     #: Estimators with a proven bound property, which `fuzz.run_fuzz` checks.
@@ -263,18 +277,53 @@ class System:
         return self.no_star(self.no_star_message)
 
 
+def wave_curves(system: System):
+    """The wave curve f(x, problem) = f_L(x) + f_R(x) + u_R - u_L of
+    `system` and its slope, composed from the per-side branches: the shock
+    branch where x exceeds the side's data value, the rarefaction branch
+    at or below it.  Each system module binds them under the names
+    `system.curve` and `system.curve + "_deriv"`."""
+    shock, rarefaction = system.shock, system.rarefaction
+    shock_slope, rarefaction_slope = system.shock_slope, system.rarefaction_slope
+
+    def curve(x: float, problem) -> float:
+        left, right = problem._sides
+        return ((shock(x, left) if x > left.x else rarefaction(x, left))
+                + (shock(x, right) if x > right.x else rarefaction(x, right))
+                + (right.u - left.u))
+
+    def slope(x: float, problem) -> float:
+        left, right = problem._sides
+        return ((shock_slope(x, left) if x > left.x else rarefaction_slope(x, left))
+                + (shock_slope(x, right) if x > right.x else rarefaction_slope(x, right)))
+
+    for fn, name in ((curve, system.curve), (slope, system.curve + "_deriv")):
+        fn.__name__ = fn.__qualname__ = name
+        fn.__module__ = system.module.__name__
+    return curve, slope
+
+
+def side_difference(system: System, problem, x: float) -> float:
+    """f_R(x) - f_L(x), the difference of the wave curve's side terms that
+    u* = (u_L + u_R)/2 + (f_R(p*) - f_L(p*))/2 is computed from."""
+    left, right = problem._sides
+    return ((system.shock(x, right) if x > right.x else system.rarefaction(x, right))
+            - (system.shock(x, left) if x > left.x else system.rarefaction(x, left)))
+
+
 def wave_data(system: System, problem) -> WaveData:
     """Wave data of `problem` from the signs of the wave-curve function at
     the data values, without solving for the star state.
 
     Raises `ClosedFormOverflow` when x_rr or f at a node it evaluates is not
-    finite or overflows while being evaluated.
+    finite, or when evaluating one raises an arithmetic error (overflow, or
+    a division by a product that underflowed to zero).
     """
-    k, module = problem._sides, system.module
-    x_left, x_right = k.x_l, k.x_r
+    (left, right), module = problem._sides, system.module
+    x_left, x_right = left.x, right.x
     right_min = x_right <= x_left
     x_min, x_max = (x_right, x_left) if right_min else (x_left, x_right)
-    c_left, c_right, nan = k.c_l, k.c_r, math.nan
+    c_left, c_right, nan = left.c, right.c, math.nan
     if not system.positive(problem):
         return WaveData(c_left, c_right, x_min, x_max, nan, nan, nan, nan, _VACUUM)
     curve, isfinite = getattr(module, system.curve), math.isfinite
@@ -288,7 +337,7 @@ def wave_data(system: System, problem) -> WaveData:
         f_max, f_rr = curve(x_max, problem), curve(x_rr, problem)
         if not (isfinite(f_max) and isfinite(f_rr)):
             raise ClosedFormOverflow(f"wave data overflows: f(x_max) = {f_max}, f(x_rr) = {f_rr}")
-    except OverflowError:
+    except ArithmeticError:
         raise ClosedFormOverflow("the wave curve overflows at a wave-data node") from None
     if f_max < 0.0:
         pattern = _SS
@@ -297,14 +346,31 @@ def wave_data(system: System, problem) -> WaveData:
     return WaveData(c_left, c_right, x_min, x_max, f_min, f_max, x_rr, f_rr, pattern)
 
 
+class Problem:
+    """Base of the problem types: what every solve and estimate of one
+    problem reads, computed on first use and kept on the object.  Each
+    system module sets its problem type's `_system` to its `SYSTEM`."""
+
+    @cached_attribute
+    def _sides(self) -> tuple:
+        """(left, right): the system's per-side record of each state."""
+        side = self._system.side
+        return side(self.left, self.params), side(self.right, self.params)
+
+    @cached_attribute
+    def _wave_data(self) -> WaveData:
+        """The problem's `wave_data`."""
+        return wave_data(self._system, self)
+
+
 def star_bracket(
     wave: WaveData, curve: Callable[[float], float], f_zero: float
 ) -> RootBracket:
     """Bracket of the star value that the wave pattern gives.
 
-    RR: (0, x_min], with f(0) given as `f_zero`, the system's closed form
-    of the curve at zero, so that no evaluation is needed.  RS/SR:
-    [x_min, x_max], cut down to [x_min, x_rr] when f(x_rr) >= 0 there.  SS: [x_max, hi], where hi starts at x_rr and
+    RR: (0, x_min], with f(0) given as `f_zero`, so that no evaluation of
+    `curve` is needed.  RS/SR: [x_min, x_max], cut down to [x_min, x_rr]
+    when f(x_rr) >= 0 there.  SS: [x_max, hi], where hi starts at x_rr and
     doubles, from a positive value, while f(hi) < 0 (rounding, or a closed
     form that underflowed or is no upper bound).  Raises `NoConvergence`
     when the doubling reaches an infinite end or value of f first.
@@ -358,46 +424,53 @@ def star_start(
 def solve_star(
     system: System,
     problem,
-    f_zero: float,
     two_shock: Optional[Callable[[float], float]],
     rel_tol: float,
 ) -> float:
     """Star value of a problem that has a positive one: Newton inside the
-    bracket that the wave pattern gives (`star_bracket`, with f(0) given as
-    `f_zero`), from the start `star_start` picks."""
-    wave, module = problem._wave_data, system.module
+    bracket that the wave pattern gives (`star_bracket`), from the start
+    `star_start` picks.  Raises `ClosedFormOverflow` when an evaluation
+    raises an arithmetic error."""
+    wave, module, (left, right) = problem._wave_data, system.module, problem._sides
     curve = getattr(module, system.curve)
     slope = getattr(module, system.curve + "_deriv")
     f = lambda x: curve(x, problem)  # noqa: E731
-    bracket = star_bracket(wave, f, f_zero)
-    # Positional: keywords cost a dict per call.
-    return module.find_root(f, bracket, rel_tol, 100, lambda x: slope(x, problem),
-                            star_start(wave, bracket, two_shock))
+    # f(0) of the RR bracket, where both sides are on their rarefaction
+    # branch, without a call of `curve`
+    f_zero = (system.rarefaction(0.0, left) + system.rarefaction(0.0, right) + (right.u - left.u)
+              if wave.pattern is _RR else math.nan)
+    try:
+        bracket = star_bracket(wave, f, f_zero)
+        # Positional: keywords cost a dict per call.
+        return module.find_root(f, bracket, rel_tol, 100, lambda x: slope(x, problem),
+                                star_start(wave, bracket, two_shock))
+    except ArithmeticError:
+        raise ClosedFormOverflow("the wave curve overflows during the root solve") from None
 
 
 def star_speeds(system: System, problem, x: float) -> Tuple[float, float]:
     """(S_L, S_R) for star value x: on a side whose data value x exceeds
     the wave is a shock, u_K -/+ c_K q_K(x), otherwise a rarefaction
-    headed by the eigenvalue u_K -/+ c_K."""
-    left, right, params, k = problem.left, problem.right, problem.params, problem._sides
-    q_factor = system.module.q_factor
-    s_left = left.u - k.c_l if x <= k.x_l else left.u - k.c_l * q_factor(x, left, params)
-    s_right = right.u + k.c_r if x <= k.x_r else right.u + k.c_r * q_factor(x, right, params)
+    headed by the eigenvalue u_K -/+ c_K.  Raises `ClosedFormOverflow`
+    for a speed that is not finite."""
+    left, right = problem._sides
+    params, q_factor = problem.params, system.module.q_factor
+    s_left = left.u - left.c if x <= left.x else left.u - left.c * q_factor(x, problem.left, params)
+    s_right = (right.u + right.c if x <= right.x
+               else right.u + right.c * q_factor(x, problem.right, params))
+    if not _NEG_INF < s_left < _INF > s_right > _NEG_INF:  # NaN fails every comparison
+        raise ClosedFormOverflow(f"wave speeds are not finite: S_L = {s_left}, S_R = {s_right}")
     return s_left, s_right
 
 
 def davis_a(system: System, problem) -> Tuple[float, float]:
-    k = problem._sides
-    return problem.left.u - k.c_l, problem.right.u + k.c_r
+    left, right = problem._sides
+    return left.u - left.c, right.u + right.c
 
 
 def davis_b(system: System, problem) -> Tuple[float, float]:
-    k = problem._sides
-    cl, cr = k.c_l, k.c_r
-    return (
-        min(problem.left.u - cl, problem.right.u - cr),
-        max(problem.left.u + cl, problem.right.u + cr),
-    )
+    left, right = problem._sides
+    return min(left.u - left.c, right.u - right.c), max(left.u + left.c, right.u + right.c)
 
 
 def toro(system: System, problem) -> Tuple[float, float]:
@@ -410,44 +483,50 @@ def toro(system: System, problem) -> Tuple[float, float]:
 
 def tms(variant: EstimatorId, system: System, problem) -> Tuple[float, float]:
     """Interpolation bounds TMS_a-c: the q factors at a star value from a
-    chord of the wave curve (a, b) or at a data value (c)."""
+    chord of the wave curve (a, b) or at a data value (c).  Raises
+    `ClosedFormOverflow` for a speed that is not finite."""
     left, right, params = problem.left, problem.right, problem.params
     wave = problem._wave_data
-    cl, cr = wave.c_left, wave.c_right
+    cl, cr, module = wave.c_left, wave.c_right, system.module
+
     if wave.pattern is _RR:  # eigenvalue speeds are exact
-        return left.u - cl, right.u + cr
-    module = system.module
-    x_min, x_max, x_rr = wave.x_min, wave.x_max, wave.x_rr
-    f_min, f_max, f_rr = wave.f_min, wave.f_max, wave.f_rr
-
-    if wave.pattern is not _SS:  # the shock sits on the side of x_min
+        s_left, s_right = left.u - cl, right.u + cr
+    elif wave.pattern is not _SS:  # the shock sits on the side of x_min
         if variant is _TMS_A:
-            x_hat = module.interpolate_root((x_min, f_min), (x_max, f_max))
+            x_hat = module.interpolate_root((wave.x_min, wave.f_min), (wave.x_max, wave.f_max))
         elif variant is _TMS_B:
-            x_hat = module.interpolate_root((x_min, f_min), (x_rr, f_rr))
+            x_hat = module.interpolate_root((wave.x_min, wave.f_min), (wave.x_rr, wave.f_rr))
         else:  # TMS_C: data value of the opposite side
-            x_hat = x_max
+            x_hat = wave.x_max
         if wave.pattern is _RS:
-            return left.u - cl, right.u + cr * module.q_factor(x_hat, right, params)
-        return left.u - cl * module.q_factor(x_hat, left, params), right.u + cr
-
+            s_left, s_right = left.u - cl, right.u + cr * module.q_factor(x_hat, right, params)
+        else:
+            s_left, s_right = left.u - cl * module.q_factor(x_hat, left, params), right.u + cr
     # S/S: both waves are shocks.  x_rr > x_max, so f_rr is on the shock
     # branch of both sides.
-    if variant is _TMS_C and system.ss_tms_c_eigen:
-        return right.u - cr, left.u + cl
-    if variant is _TMS_A:
-        x_hat = module.interpolate_root((x_max, f_max), (x_rr, f_rr))
-    elif variant is _TMS_B:
-        # The side with the larger data value extends its shock branch below it.
-        if system.ss_shock_curve is not None:
-            f_min = system.ss_shock_curve(x_min, problem)
-        x_hat = module.interpolate_root((x_min, f_min), (x_rr, f_rr))
+    elif variant is _TMS_C and system.ss_tms_c_eigen:
+        s_left, s_right = right.u - cr, left.u + cl
     else:
-        x_hat = x_rr
-    return (
-        left.u - cl * module.q_factor(x_hat, left, params),
-        right.u + cr * module.q_factor(x_hat, right, params),
-    )
+        if variant is _TMS_A:
+            x_hat = module.interpolate_root((wave.x_max, wave.f_max), (wave.x_rr, wave.f_rr))
+        elif variant is _TMS_B:
+            x_min, f_min = wave.x_min, wave.f_min
+            # The side with the larger data value extends its shock branch below it.
+            if system.ss_shock_extension:
+                side_l, side_r = problem._sides
+                try:
+                    f_min = (system.shock(x_min, side_l) + system.shock(x_min, side_r)
+                             + (right.u - left.u))
+                except ArithmeticError:
+                    raise ClosedFormOverflow("the shock branches overflow at x_min") from None
+            x_hat = module.interpolate_root((x_min, f_min), (wave.x_rr, wave.f_rr))
+        else:
+            x_hat = wave.x_rr
+        s_left = left.u - cl * module.q_factor(x_hat, left, params)
+        s_right = right.u + cr * module.q_factor(x_hat, right, params)
+    if not _NEG_INF < s_left < _INF > s_right > _NEG_INF:
+        raise ClosedFormOverflow(f"wave speeds are not finite: S_L = {s_left}, S_R = {s_right}")
+    return s_left, s_right
 
 
 def speed_registry(own: Mapping) -> dict:

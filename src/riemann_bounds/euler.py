@@ -10,20 +10,18 @@ from . import core
 from .core import (
     ClosedFormOverflow,
     EstimatorId,
+    Problem,
     SpeedBounds,
     System,
     VacuumData,
-    WaveData,
     WavePattern,
     _VACUUM,  # WavePattern.VACUUM, bound once
-    cached_attribute,
     find_root,  # read as a module attribute by core.solve_star
     interpolate_root,  # read as a module attribute by core.tms
     record,
     solve_star,
     speed_registry,
     star_speeds,
-    wave_data,
 )
 
 
@@ -54,55 +52,35 @@ class EulerParams:
 
 
 @record
-class EulerProblem:
+class EulerProblem(Problem):
     left: EulerState
     right: EulerState
     params: EulerParams = EulerParams()
 
-    @cached_attribute
-    def _sides(self) -> "_Sides":
-        """Per-side wave-curve constants, computed on first use."""
-        return _Sides(self)
 
-    @cached_attribute
-    def _wave_data(self) -> WaveData:
-        """Sound speeds, f at the data pressures, p_rr and the pattern,
-        computed on first use and kept for every later call."""
-        return wave_data(SYSTEM, self)
+class _Side:
+    """Wave-curve constants of one side K of a problem, as in Toro's PREFUN
+    (Riemann Solvers and Numerical Methods for Fluid Dynamics, 3rd ed.,
+    2009, Sec. 4.9): the data pressure x = p_K and velocity u_K, the sound
+    speed c_K, the shock constants A_K = 2/((gamma+1) rho_K) and
+    B_K = (gamma-1)/(gamma+1) p_K, the rarefaction factor 2 c_K/(gamma-1),
+    the impedance rho_K c_K, and the exponents z = (gamma-1)/(2 gamma) and
+    -(gamma+1)/(2 gamma).  Each is computed with the formula's own
+    expression and order of operations, so the curve values are the same
+    bits as with the formulas written out in full."""
 
+    __slots__ = ("x", "u", "c", "a", "b", "rar", "imp", "z", "zd")
 
-class _Sides:
-    """Wave-curve constants of both sides of one problem, as in Toro's
-    PREFUN (Riemann Solvers and Numerical Methods for Fluid Dynamics, 3rd
-    ed., 2009, Sec. 4.9).  Per side K: the data pressure p_K, the shock
-    constants A_K = 2/((gamma+1) rho_K) and B_K = (gamma-1)/(gamma+1) p_K,
-    the sound speed c_K, the rarefaction factor 2 c_K/(gamma-1) and the
-    impedance rho_K c_K; the exponents z = (gamma-1)/(2 gamma) and
-    -(gamma+1)/(2 gamma); and du = u_R - u_L.  x_l, x_r repeat p_L, p_R
-    under the names the shared code reads.  Each is computed with the
-    formula's own expression and order of operations, so the curve values
-    are the same bits as with the formulas written out in full."""
-
-    __slots__ = ("p_l", "a_l", "b_l", "c_l", "rar_l", "imp_l", "x_l", "x_r",
-                 "p_r", "a_r", "b_r", "c_r", "rar_r", "imp_r", "z", "zd", "du")
-
-    def __init__(self, problem: EulerProblem):
-        left, right, params = problem.left, problem.right, problem.params
+    def __init__(self, state: EulerState, params: EulerParams):
         g = params.gamma
-        self.p_l, self.p_r = self.x_l, self.x_r = left.p, right.p
-        self.a_l = 2.0 / ((g + 1.0) * left.rho)
-        self.a_r = 2.0 / ((g + 1.0) * right.rho)
-        self.b_l = (g - 1.0) / (g + 1.0) * left.p
-        self.b_r = (g - 1.0) / (g + 1.0) * right.p
-        self.c_l = cl = math.sqrt(g * left.p / left.rho)  # sound_speed(left, params)
-        self.c_r = cr = math.sqrt(g * right.p / right.rho)
-        self.rar_l = 2.0 * cl / (g - 1.0)
-        self.rar_r = 2.0 * cr / (g - 1.0)
-        self.imp_l = left.rho * cl
-        self.imp_r = right.rho * cr
+        self.x, self.u = state.p, state.u
+        self.a = 2.0 / ((g + 1.0) * state.rho)
+        self.b = (g - 1.0) / (g + 1.0) * state.p
+        self.c = c = math.sqrt(g * state.p / state.rho)  # sound_speed(state, params)
+        self.rar = 2.0 * c / (g - 1.0)
+        self.imp = state.rho * c
         self.z = (g - 1.0) / (2.0 * g)
         self.zd = -(g + 1.0) / (2.0 * g)
-        self.du = right.u - left.u
 
 
 @record
@@ -124,58 +102,35 @@ def specific_enthalpy(state: EulerState, params: EulerParams) -> float:
     return 0.5 * state.u * state.u + g / (g - 1.0) * state.p / state.rho
 
 
-def pressure_function(p: float, problem: EulerProblem) -> float:
-    """f(p) = f_L(p) + f_R(p) + u_R - u_L: shock branch above the side's
-    data pressure, rarefaction branch at or below it."""
-    k = problem._sides
-    # The branches of _side_curves, written out: a call per evaluation costs
-    # as much as the arithmetic.
-    if p > k.p_l:
-        f_l = (p - k.p_l) * math.sqrt(k.a_l / (p + k.b_l))
-    else:
-        f_l = k.rar_l * ((p / k.p_l) ** k.z - 1.0)
-    if p > k.p_r:
-        f_r = (p - k.p_r) * math.sqrt(k.a_r / (p + k.b_r))
-    else:
-        f_r = k.rar_r * ((p / k.p_r) ** k.z - 1.0)
-    return f_l + f_r + k.du
+# Side K's term f_K(p) of f(p) = f_L(p) + f_R(p) + u_R - u_L and its slope
+# on the shock (p > p_K) and rarefaction (p <= p_K) branch, Toro (2009),
+# eqs. (4.6)-(4.7) and (4.37); `core.wave_curves` composes them.
 
 
-def pressure_function_deriv(p: float, problem: EulerProblem) -> float:
-    k = problem._sides
+def _shock(p: float, s: _Side) -> float:
+    return (p - s.x) * math.sqrt(s.a / (p + s.b))
+
+
+def _rarefaction(p: float, s: _Side) -> float:
+    return s.rar * ((p / s.x) ** s.z - 1.0)
+
+
+def _shock_slope(p: float, s: _Side) -> float:
+    b = p + s.b
+    return math.sqrt(s.a / b) * (1.0 - 0.5 * (p - s.x) / b)
+
+
+def _rarefaction_slope(p: float, s: _Side) -> float:
     try:
-        if p > k.p_l:
-            b = p + k.b_l
-            d_l = math.sqrt(k.a_l / b) * (1.0 - 0.5 * (p - k.p_l) / b)
-        else:
-            d_l = (p / k.p_l) ** k.zd / k.imp_l
-        if p > k.p_r:
-            b = p + k.b_r
-            d_r = math.sqrt(k.a_r / b) * (1.0 - 0.5 * (p - k.p_r) / b)
-        else:
-            d_r = (p / k.p_r) ** k.zd / k.imp_r
-    except OverflowError:  # (p/p_K)**zd as p -> 0: the slope is past the float range
+        return (p / s.x) ** s.zd / s.imp
+    except ArithmeticError:  # (p/p_K)**zd overflows, or p/p_K underflowed to 0
         return math.inf
-    return d_l + d_r
-
-
-def _side_curves(p: float, k: _Sides):
-    """(f_L(p), f_R(p)), the two terms of `pressure_function`, for u*."""
-    if p > k.p_l:
-        f_l = (p - k.p_l) * math.sqrt(k.a_l / (p + k.b_l))
-    else:
-        f_l = k.rar_l * ((p / k.p_l) ** k.z - 1.0)
-    if p > k.p_r:
-        f_r = (p - k.p_r) * math.sqrt(k.a_r / (p + k.b_r))
-    else:
-        f_r = k.rar_r * ((p / k.p_r) ** k.z - 1.0)
-    return f_l, f_r
 
 
 def check_positivity(problem: EulerProblem) -> bool:
     """Pressure positivity: the data do not generate vacuum."""
-    k = problem._sides
-    return k.rar_l + k.rar_r > k.du
+    left, right = problem._sides
+    return left.rar + right.rar > right.u - left.u
 
 
 def two_rarefaction_pressure(problem: EulerProblem) -> float:
@@ -188,14 +143,15 @@ def two_rarefaction_pressure(problem: EulerProblem) -> float:
     """
     if not check_positivity(problem):
         raise SYSTEM.no_star_error()
-    k = problem._sides
-    num = k.c_l + k.c_r - 0.5 * (problem.params.gamma - 1.0) * k.du
-    den = k.c_l / k.p_l**k.z + k.c_r / k.p_r**k.z
+    left, right = problem._sides
+    z = left.z
+    num = left.c + right.c - 0.5 * (problem.params.gamma - 1.0) * (right.u - left.u)
+    den = left.c / left.x**z + right.c / right.x**z
     try:
-        return (num / den) ** (1.0 / k.z)
+        return (num / den) ** (1.0 / z)
     except OverflowError:
         raise ClosedFormOverflow(
-            f"two-rarefaction pressure ({num / den})**{1.0 / k.z} overflows"
+            f"two-rarefaction pressure ({num / den})**{1.0 / z} overflows"
         ) from None
 
 
@@ -215,10 +171,10 @@ def _two_shock_pressure(problem: EulerProblem, p0: float) -> float:
     """Toro's two-shock approximation of p*, linearized about p0
     (Toro, Riemann Solvers and Numerical Methods for Fluid Dynamics,
     3rd ed., 2009, Sec. 4.3.2)."""
-    k = problem._sides
-    gl = math.sqrt(k.a_l / (p0 + k.b_l))
-    gr = math.sqrt(k.a_r / (p0 + k.b_r))
-    return (gl * k.p_l + gr * k.p_r - k.du) / (gl + gr)
+    left, right = problem._sides
+    gl = math.sqrt(left.a / (p0 + left.b))
+    gr = math.sqrt(right.a / (p0 + right.b))
+    return (gl * left.x + gr * right.x - (right.u - left.u)) / (gl + gr)
 
 
 def solve_exact(problem: EulerProblem, rel_tol: float = 1e-12) -> EulerExactSolution:
@@ -231,12 +187,9 @@ def solve_exact(problem: EulerProblem, rel_tol: float = 1e-12) -> EulerExactSolu
     pattern = classify(problem)
     if pattern is _VACUUM:
         raise SYSTEM.no_star_error()
-    left, right, k = problem.left, problem.right, problem._sides
-    f_zero = -k.rar_l - k.rar_r + k.du
-    p_star = solve_star(SYSTEM, problem, f_zero, lambda x: _two_shock_pressure(problem, x), rel_tol)
-
-    f_l, f_r = _side_curves(p_star, k)
-    u_star = 0.5 * (left.u + right.u) + 0.5 * (f_r - f_l)
+    left, right = problem.left, problem.right
+    p_star = solve_star(SYSTEM, problem, lambda x: _two_shock_pressure(problem, x), rel_tol)
+    u_star = 0.5 * (left.u + right.u) + 0.5 * core.side_difference(SYSTEM, problem, p_star)
     return EulerExactSolution(p_star, u_star, pattern, *star_speeds(SYSTEM, problem, p_star))
 
 
@@ -248,9 +201,9 @@ def _roe_velocity(problem: EulerProblem) -> float:
 
 def _einfeldt(system: System, problem: EulerProblem):
     left, right = problem.left, problem.right
-    k = problem._sides
+    side_l, side_r = problem._sides
     wl, wr = math.sqrt(left.rho), math.sqrt(right.rho)
-    cl, cr, du = k.c_l, k.c_r, k.du
+    cl, cr, du = side_l.c, side_r.c, right.u - left.u
     u_roe = _roe_velocity(problem)
     d2 = (wl * cl * cl + wr * cr * cr) / (wl + wr) + 0.5 * wl * wr / (wl + wr) ** 2 * du * du
     d = math.sqrt(d2)
@@ -259,25 +212,15 @@ def _einfeldt(system: System, problem: EulerProblem):
 
 def _batten(system: System, problem: EulerProblem):
     left, right, params = problem.left, problem.right, problem.params
-    k = problem._sides
+    side_l, side_r = problem._sides
     wl, wr = math.sqrt(left.rho), math.sqrt(right.rho)
-    cl, cr = k.c_l, k.c_r
+    cl, cr = side_l.c, side_r.c
     u_roe = _roe_velocity(problem)
     h_roe = (wl * specific_enthalpy(left, params) + wr * specific_enthalpy(right, params)) / (
         wl + wr
     )
     c_roe = math.sqrt((params.gamma - 1.0) * (h_roe - 0.5 * u_roe * u_roe))
     return min(left.u - cl, u_roe - c_roe), max(right.u + cr, u_roe + c_roe)
-
-
-def _shock_curve(p: float, problem: EulerProblem) -> float:
-    """f(p) with both sides on their shock branch, below their data pressures too."""
-    k = problem._sides
-    return (
-        (p - k.p_l) * math.sqrt(k.a_l / (p + k.b_l))
-        + (p - k.p_r) * math.sqrt(k.a_r / (p + k.b_r))
-        + k.du
-    )
 
 
 def estimate(problem: EulerProblem, estimator: EstimatorId) -> SpeedBounds:
@@ -292,6 +235,7 @@ SYSTEM = System(
     state_type=EulerState,
     params_type=EulerParams,
     problem_type=EulerProblem,
+    side=_Side,
     star="p",
     star_label="p_*",
     no_star=VacuumData,
@@ -307,10 +251,16 @@ SYSTEM = System(
         EstimatorId.EINFELDT: (_einfeldt, False),
         EstimatorId.BATTEN: (_batten, False),
     }),
-    ss_shock_curve=_shock_curve,
+    shock=_shock,
+    rarefaction=_rarefaction,
+    shock_slope=_shock_slope,
+    rarefaction_slope=_rarefaction_slope,
+    ss_shock_extension=True,
     ss_tms_c_eigen=False,
     bound_estimators=(EstimatorId.TORO, EstimatorId.TMS_A, EstimatorId.TMS_B,
                       EstimatorId.TMS_C),
 )
 
+pressure_function, pressure_function_deriv = core.wave_curves(SYSTEM)
+EulerProblem._system = SYSTEM
 ESTIMATORS = tuple(SYSTEM.speeds)

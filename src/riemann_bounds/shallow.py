@@ -11,19 +11,17 @@ from . import core
 from .core import (
     DryBed,
     EstimatorId,
+    Problem,
     SpeedBounds,
     System,
-    WaveData,
     WavePattern,
     _VACUUM,  # WavePattern.VACUUM, bound once
-    cached_attribute,
     find_root,  # read as a module attribute by core.solve_star
     interpolate_root,  # read as a module attribute by core.tms
     record,
     solve_star,
     speed_registry,
     star_speeds,
-    wave_data,
 )
 
 
@@ -51,37 +49,21 @@ class SweParams:
 
 
 @record
-class SweProblem:
+class SweProblem(Problem):
     left: SweState
     right: SweState
     params: SweParams = SweParams()
 
-    @cached_attribute
-    def _sides(self) -> "_Sides":
-        """Per-side wave-curve constants, computed on first use."""
-        return _Sides(self)
 
-    @cached_attribute
-    def _wave_data(self) -> WaveData:
-        """Celerities, f at the data depths, h_rr and the pattern,
-        computed on first use and kept for every later call."""
-        return wave_data(SYSTEM, self)
+class _Side:
+    """Wave-curve constants of one side K of a problem: the data depth
+    x = h_K, the velocity u_K, the celerity c_K = sqrt(g h_K) and g."""
 
+    __slots__ = ("x", "u", "c", "g")
 
-class _Sides:
-    """Wave-curve constants of both sides of one problem: per side K the
-    data depth h_K (also as x_K, the name the shared code reads) and the
-    celerity c_K = sqrt(g h_K); g; and du = u_R - u_L."""
-
-    __slots__ = ("h_l", "c_l", "h_r", "c_r", "x_l", "x_r", "g", "du")
-
-    def __init__(self, problem: SweProblem):
-        left, right, params = problem.left, problem.right, problem.params
-        self.h_l, self.h_r = self.x_l, self.x_r = left.h, right.h
-        self.g = params.g
-        self.c_l = celerity(left, params)
-        self.c_r = celerity(right, params)
-        self.du = right.u - left.u
+    def __init__(self, state: SweState, params: SweParams):
+        self.x, self.u, self.g = state.h, state.u, params.g
+        self.c = math.sqrt(params.g * state.h)  # celerity(state, params)
 
 
 @record
@@ -97,56 +79,32 @@ def celerity(state: SweState, params: SweParams) -> float:
     return math.sqrt(params.g * state.h)
 
 
-def depth_function(h: float, problem: SweProblem) -> float:
-    """f(h) = f_L(h) + f_R(h) + u_R - u_L: shock branch above the side's
-    data depth, rarefaction branch at or below it."""
-    k = problem._sides
-    g = k.g  # the branches of _side_curves, written out as in pressure_function
-    if h > k.h_l:
-        f_l = (h - k.h_l) * math.sqrt(0.5 * g * (h + k.h_l) / (h * k.h_l))
-    else:
-        f_l = 2.0 * (math.sqrt(g * h) - k.c_l)
-    if h > k.h_r:
-        f_r = (h - k.h_r) * math.sqrt(0.5 * g * (h + k.h_r) / (h * k.h_r))
-    else:
-        f_r = 2.0 * (math.sqrt(g * h) - k.c_r)
-    return f_l + f_r + k.du
+# Side K's term f_K(h) of f(h) = f_L(h) + f_R(h) + u_R - u_L and its slope
+# on the shock (h > h_K) and rarefaction (h <= h_K) branch;
+# `core.wave_curves` composes them.
 
 
-def depth_function_deriv(h: float, problem: SweProblem) -> float:
-    k = problem._sides
-    g = k.g
-    if h > k.h_l:
-        s = math.sqrt(0.5 * g * (1.0 / h + 1.0 / k.h_l))
-        d_l = s - 0.25 * g * (h - k.h_l) / (h * h * s)
-    else:
-        d_l = math.sqrt(g / h)
-    if h > k.h_r:
-        s = math.sqrt(0.5 * g * (1.0 / h + 1.0 / k.h_r))
-        d_r = s - 0.25 * g * (h - k.h_r) / (h * h * s)
-    else:
-        d_r = math.sqrt(g / h)
-    return d_l + d_r
+def _shock(h: float, s: _Side) -> float:
+    return (h - s.x) * math.sqrt(0.5 * s.g * (h + s.x) / (h * s.x))
 
 
-def _side_curves(h: float, k: _Sides):
-    """(f_L(h), f_R(h)), the two terms of `depth_function`, for u*."""
-    g = k.g
-    if h > k.h_l:
-        f_l = (h - k.h_l) * math.sqrt(0.5 * g * (h + k.h_l) / (h * k.h_l))
-    else:
-        f_l = 2.0 * (math.sqrt(g * h) - k.c_l)
-    if h > k.h_r:
-        f_r = (h - k.h_r) * math.sqrt(0.5 * g * (h + k.h_r) / (h * k.h_r))
-    else:
-        f_r = 2.0 * (math.sqrt(g * h) - k.c_r)
-    return f_l, f_r
+def _rarefaction(h: float, s: _Side) -> float:
+    return 2.0 * (math.sqrt(s.g * h) - s.c)
+
+
+def _shock_slope(h: float, s: _Side) -> float:
+    root = math.sqrt(0.5 * s.g * (1.0 / h + 1.0 / s.x))
+    return root - 0.25 * s.g * (h - s.x) / (h * h * root)
+
+
+def _rarefaction_slope(h: float, s: _Side) -> float:
+    return math.sqrt(s.g / h)
 
 
 def is_wet(problem: SweProblem) -> bool:
     """True when the data do not dry the bed (positive star depth)."""
-    k = problem._sides
-    return 2.0 * k.c_l + 2.0 * k.c_r > k.du
+    left, right = problem._sides
+    return 2.0 * left.c + 2.0 * right.c > right.u - left.u
 
 
 def two_rarefaction_depth(problem: SweProblem) -> float:
@@ -154,9 +112,9 @@ def two_rarefaction_depth(problem: SweProblem) -> float:
     an upper bound for the true star depth."""
     if not is_wet(problem):
         raise SYSTEM.no_star_error()
-    k = problem._sides
-    b = 0.5 * (k.c_l + k.c_r) + 0.25 * (problem.left.u - problem.right.u)
-    return b * b / k.g
+    left, right = problem._sides
+    b = 0.5 * (left.c + right.c) + 0.25 * (left.u - right.u)
+    return b * b / problem.params.g
 
 
 def q_factor(h: float, side_state: SweState, params: SweParams) -> float:
@@ -188,30 +146,16 @@ def solve_exact(problem: SweProblem, rel_tol: float = 1e-12) -> SweExactSolution
     pattern = classify(problem)
     if pattern is _VACUUM:
         raise SYSTEM.no_star_error()
-    left, right, k = problem.left, problem.right, problem._sides
-    f_zero = 2.0 * (0.0 - k.c_l) + 2.0 * (0.0 - k.c_r) + k.du
-    h_star = solve_star(SYSTEM, problem, f_zero, lambda x: _two_shock_depth(problem, x), rel_tol)
-
-    f_l, f_r = _side_curves(h_star, k)
-    u_star = 0.5 * (left.u + right.u) + 0.5 * (f_r - f_l)
+    left, right = problem.left, problem.right
+    h_star = solve_star(SYSTEM, problem, lambda x: _two_shock_depth(problem, x), rel_tol)
+    u_star = 0.5 * (left.u + right.u) + 0.5 * core.side_difference(SYSTEM, problem, h_star)
     return SweExactSolution(h_star, u_star, pattern, *star_speeds(SYSTEM, problem, h_star))
 
 
 def _tms_d(system: System, problem: SweProblem):
-    left, right, k = problem.left, problem.right, problem._sides
-    cl, cr = k.c_l, k.c_r
+    left, right = problem._sides
+    cl, cr = left.c, right.c
     return min(left.u - cl, right.u - 2.0 * cr), max(right.u + cr, left.u + 2.0 * cl)
-
-
-def _shock_curve(h: float, problem: SweProblem) -> float:
-    """f(h) with both sides on their shock branch, below their data depths too."""
-    k = problem._sides
-    g = k.g
-    return (
-        (h - k.h_l) * math.sqrt(0.5 * g * (h + k.h_l) / (h * k.h_l))
-        + (h - k.h_r) * math.sqrt(0.5 * g * (h + k.h_r) / (h * k.h_r))
-        + k.du
-    )
 
 
 def estimate(problem: SweProblem, estimator: EstimatorId) -> SpeedBounds:
@@ -226,6 +170,7 @@ SYSTEM = System(
     state_type=SweState,
     params_type=SweParams,
     problem_type=SweProblem,
+    side=_Side,
     star="h",
     star_label="h_*",
     no_star=DryBed,
@@ -237,10 +182,16 @@ SYSTEM = System(
     # a + (b - a) * rng.random() is rng.uniform(a, b), without its call.
     draw=lambda rng: (10.0 ** (-3.0 + 5.0 * rng.random()), -20.0 + 40.0 * rng.random()),
     speeds=speed_registry({EstimatorId.TMS_D: (_tms_d, True)}),
-    ss_shock_curve=_shock_curve,
+    shock=_shock,
+    rarefaction=_rarefaction,
+    shock_slope=_shock_slope,
+    rarefaction_slope=_rarefaction_slope,
+    ss_shock_extension=True,
     ss_tms_c_eigen=True,
     bound_estimators=(EstimatorId.TORO, EstimatorId.TMS_A, EstimatorId.TMS_B,
                       EstimatorId.TMS_C, EstimatorId.TMS_D),
 )
 
+depth_function, depth_function_deriv = core.wave_curves(SYSTEM)
+SweProblem._system = SYSTEM
 ESTIMATORS = tuple(SYSTEM.speeds)

@@ -1,0 +1,149 @@
+"""Every input gives finite wave speeds or a named error.
+
+On a seeded moderate-range ensemble per system, with the constants varied
+as well as the states, `solve_exact` and every estimator must return
+finite speeds or raise a `RiemannBoundsError`; never a raw arithmetic
+error or an infinite or NaN "bound".  The reproducers below are inputs
+that once leaked one or the other."""
+
+import math
+import random
+
+import pytest
+
+from riemann_bounds import bloodflow, euler, shallow, tables
+from riemann_bounds.core import ClosedFormOverflow, EstimatorId, RiemannBoundsError
+
+SEED = 2005
+DRAWS = 8000  # per system
+GAMMAS = (1.001, 1.01, 1.4, 5.0 / 3.0, 3.0, 10.0)
+
+
+def log_uniform(rng, lo, hi):
+    return 10.0 ** rng.uniform(math.log10(lo), math.log10(hi))
+
+
+def draw(system, rng):
+    """One problem of the ensemble: states 1e-8-1e8, |u| <= 1e4, and the
+    system's constants over their ranges."""
+    def state():
+        value, u = log_uniform(rng, 1e-8, 1e8), rng.uniform(-1e4, 1e4)
+        return (log_uniform(rng, 1e-8, 1e8), u, value) if system == "euler" else (value, u)
+
+    if system == "euler":
+        params = {"gamma": rng.choice(GAMMAS)}
+    elif system == "swe":
+        params = {"g": log_uniform(rng, 1e-2, 1e2)}
+    else:
+        params = {"beta": log_uniform(rng, 1e2, 1e8), "rho": rng.uniform(0.5, 2.0)}
+    return tables.make_problem(system, state(), state(), params)
+
+
+def euler_problem(left, right, gamma):
+    return euler.EulerProblem(euler.EulerState(*left), euler.EulerState(*right),
+                              euler.EulerParams(gamma))
+
+
+def swe_problem(left, right, g):
+    return shallow.SweProblem(shallow.SweState(*left), shallow.SweState(*right),
+                              shallow.SweParams(g))
+
+
+# Per reproducer: system, problem, the calls ("exact" or an estimator id)
+# that must raise, and the error they must raise.
+REPRODUCERS = {
+    # (p/p_K)**zd with p/p_K underflowed to 0 in the slope raised ZeroDivisionError.
+    "euler-slope-underflow": ("euler", euler_problem(
+        (3.163620301440339e-264, -0.0005312154766262234, 4.044859046496202e-205),
+        (1.0035356994693857e+68, -2.3538580921671553e+45, 1.1914666961457971e+188),
+        1.068152417570789), ["exact"], RiemannBoundsError),
+    # h * h_K underflowed to 0 in the shock branch, inside the root solve.
+    "swe-root-solve-underflow": ("swe", swe_problem(
+        (7.2148075922827245e+165, 5.029258498855064),
+        (2.045802597946942e-167, 4.296782966012525e+29),
+        3.499033247592021e-95), ["exact"], ClosedFormOverflow),
+    # The same, at a node of the wave data.
+    "swe-wave-data-underflow": ("swe", swe_problem(
+        (1.2626514801501569e-68, 1.5659859329363785e+61),
+        (1.2441858229005578e-291, -1.877277891299176e+94),
+        21268712340021.547), ["exact", "toro", "tms_a", "tms_b", "tms_c"],
+        ClosedFormOverflow),
+    # A**1.5 of the side constants overflows.
+    "bfe-side-constants-overflow": ("bfe", bloodflow.BfeProblem(
+        bloodflow.BfeState(1.0, 0.0), bloodflow.BfeState(1e206, 0.0)),
+        ["exact"] + [e.value for e in bloodflow.ESTIMATORS], ClosedFormOverflow),
+    # The S/S TMS_b node: h * h_K underflowed to 0 in the shock branch at x_min.
+    "swe-tms-b-node-underflow": ("swe", swe_problem(
+        (5.577095318685274e-97, 2885.2300985634156),
+        (6.210485525756503e-186, 13.515405851412652),
+        4.726378406126793), ["tms_b"], ClosedFormOverflow),
+    # y**1.5 overflowed in the blood-flow q factor.
+    "bfe-q-factor-overflow": ("bfe", bloodflow.BfeProblem(
+        bloodflow.BfeState(2.0389789260611394e-248, 5574.383476429288),
+        bloodflow.BfeState(2.404138726322127e+20, -5900.474455118428),
+        bloodflow.BfeParams(1250.9621175519806, 0.9822234077450813)),
+        ["toro", "tms_c"], ClosedFormOverflow),
+    # x_rr is finite, but x_rr / p_L overflows in the q factor: S_L = -inf.
+    "euler-toro-infinite-speed": ("euler", euler_problem(
+        (130334.44925440526, 0.28859086379431537, 8.738092032232124e-06),
+        (8068.802889344685, -14.281837286913785, 0.04105669341105046),
+        1.010080595678447), ["toro", "tms_c"], ClosedFormOverflow),
+    # Both speeds infinite.
+    "euler-toro-both-infinite": ("euler", euler_problem(
+        (5.290847432789679, -0.0013223454932869741, 1.8826183268763195e-05),
+        (599101.3998629061, -1.6234075087363549, 3.1650185557538326e-05),
+        1.001), ["toro", "tms_c"], ClosedFormOverflow),
+}
+
+
+def speeds(module, problem, call):
+    """(S_L, S_R) of `call`: "exact" or an estimator id."""
+    if call == "exact":
+        solution = module.solve_exact(problem)
+        return solution.s_left, solution.s_right
+    bounds = module.estimate(problem, EstimatorId(call))
+    return bounds.s_left, bounds.s_right
+
+
+def check_contract(system, problem):
+    module = tables.system_module(system)
+    for call in ["exact"] + [e.value for e in module.ESTIMATORS]:
+        try:
+            s_left, s_right = speeds(module, problem, call)
+        except RiemannBoundsError:
+            continue
+        assert math.isfinite(s_left) and math.isfinite(s_right), (call, problem, s_left, s_right)
+
+
+@pytest.mark.parametrize("name", REPRODUCERS)
+def test_reproducer_raises_a_named_error(name):
+    system, problem, calls, error = REPRODUCERS[name]
+    module = tables.system_module(system)
+    if name == "bfe-side-constants-overflow":
+        with pytest.raises(error):
+            module.is_open(problem)
+        with pytest.raises(error):
+            module.classify(problem)
+    for call in calls:
+        with pytest.raises(error):
+            speeds(module, problem, call)
+    check_contract(system, problem)
+
+
+def test_euler_slope_is_infinite_where_the_pressure_ratio_underflows():
+    # As where (p/p_K)**zd overflows: find_root then bisects.
+    _, problem, _, _ = REPRODUCERS["euler-slope-underflow"]
+    assert euler.pressure_function_deriv(5e-324, problem) == math.inf
+
+
+def test_exact_speeds_of_the_toro_reproducer_are_finite():
+    # Only the closed-form estimators overflow; the star state fits a float.
+    _, problem, _, _ = REPRODUCERS["euler-toro-infinite-speed"]
+    assert euler.solve_exact(problem).s_left == pytest.approx(-2.629057572203892, rel=1e-9)
+
+
+@pytest.mark.parametrize("system", ["euler", "swe", "bfe"])
+def test_moderate_range_ensemble_meets_the_contract(system):
+    rng = random.Random(f"{SEED}:{system}")
+    for _ in range(DRAWS):
+        check_contract(system, draw(system, rng))

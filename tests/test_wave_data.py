@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from riemann_bounds import bloodflow, euler, shallow, tables
+from riemann_bounds import bloodflow, core, euler, shallow, tables
 from riemann_bounds.core import (
     ClosedFormOverflow,
     EstimatorId,
@@ -19,36 +19,50 @@ from riemann_bounds.fuzz import sample_problem
 
 
 # Textbook wave-curve branches (f_K, f_K') of one side K, written out from
-# the formulas with no precomputed constant.
+# the formulas with no precomputed constant, and the side term f_K on the
+# branch the textbook selects (blood flow with the opposite comparison,
+# which gives the same bits at A = A_K).
 
 
-def euler_side(p, s, params):
+def euler_shock(p, s, params):
     # Toro (2009), eqs. (4.6)-(4.7) and (4.37)
     g = params.gamma
-    if p > s.p:
-        ak = 2.0 / ((g + 1.0) * s.rho)
-        bk = (g - 1.0) / (g + 1.0) * s.p
-        root = math.sqrt(ak / (p + bk))
-        return (p - s.p) * root, root * (1.0 - 0.5 * (p - s.p) / (p + bk))
+    ak = 2.0 / ((g + 1.0) * s.rho)
+    bk = (g - 1.0) / (g + 1.0) * s.p
+    root = math.sqrt(ak / (p + bk))
+    return (p - s.p) * root, root * (1.0 - 0.5 * (p - s.p) / (p + bk))
+
+
+def euler_rarefaction(p, s, params):
+    g = params.gamma
     ck = math.sqrt(g * s.p / s.rho)
     return (2.0 * ck / (g - 1.0) * ((p / s.p) ** ((g - 1.0) / (2.0 * g)) - 1.0),
             (p / s.p) ** (-(g + 1.0) / (2.0 * g)) / (s.rho * ck))
 
 
-def swe_side(h, s, params):
+def euler_side(p, s, params):
+    return (euler_shock if p > s.p else euler_rarefaction)(p, s, params)
+
+
+def swe_shock(h, s, params):
     g = params.g
-    if h > s.h:
-        root = math.sqrt(0.5 * g * (1.0 / h + 1.0 / s.h))
-        return ((h - s.h) * math.sqrt(0.5 * g * (h + s.h) / (h * s.h)),
-                root - 0.25 * g * (h - s.h) / (h * h * root))
+    root = math.sqrt(0.5 * g * (1.0 / h + 1.0 / s.h))
+    return ((h - s.h) * math.sqrt(0.5 * g * (h + s.h) / (h * s.h)),
+            root - 0.25 * g * (h - s.h) / (h * h * root))
+
+
+def swe_rarefaction(h, s, params):
+    g = params.g
     return 2.0 * (math.sqrt(g * h) - math.sqrt(g * s.h)), math.sqrt(g / h)
 
 
-def bfe_side(a, s, params):
+def swe_side(h, s, params):
+    return (swe_shock if h > s.h else swe_rarefaction)(h, s, params)
+
+
+def bfe_shock(a, s, params):
     zeta = math.sqrt(params.beta / (2.0 * params.rho))
     gamma_tube = params.beta / (3.0 * params.rho)
-    if a < s.a:
-        return 4.0 * zeta * (a**0.25 - s.a**0.25), zeta * a**-0.75
     n = (a - s.a) * (a**1.5 - s.a**1.5)
     f = math.sqrt(gamma_tube * (a - s.a) * (a**1.5 - s.a**1.5) / (a * s.a))
     if n == 0.0:
@@ -57,6 +71,20 @@ def bfe_side(a, s, params):
     q = gamma_tube * n / (a * s.a)
     dq = gamma_tube * (dn / (a * s.a) - n / (a * a * s.a))
     return f, 0.5 * dq / math.sqrt(q)
+
+
+def bfe_rarefaction(a, s, params):
+    zeta = math.sqrt(params.beta / (2.0 * params.rho))
+    return 4.0 * zeta * (a**0.25 - s.a**0.25), zeta * a**-0.75
+
+
+def bfe_side(a, s, params):
+    return (bfe_rarefaction if a < s.a else bfe_shock)(a, s, params)
+
+
+# Per system: the textbook shock and rarefaction branches.
+BRANCHES = {"euler": (euler_shock, euler_rarefaction), "swe": (swe_shock, swe_rarefaction),
+            "bfe": (bfe_shock, bfe_rarefaction)}
 
 
 # Per system: module, name of its wave-curve function, problem constructor,
@@ -136,16 +164,29 @@ def test_data_values_one_ulp_apart(system):
 
 
 @pytest.mark.parametrize("system", SYSTEMS)
-def test_curves_match_textbook_formulas(system):
-    # The per-problem side constants must leave every value of the wave
-    # curve and its slope unchanged, bit for bit, on both branches; so must
-    # the curve's copy of the side terms that u* is computed from.
-    module, curve, _, _, side, var = SYSTEMS[system]
+def test_curves_match_textbook_formulas(monkeypatch, system):
+    # Each per-side branch function and its slope must give the textbook
+    # term bit for bit, on either side of the data value, and the curve and
+    # slope composed in core the textbook sums.  So must the two other
+    # compositions: f(0) of the RR bracket from the rarefaction branches,
+    # which must equal the curve at 0, and the S/S TMS_b node at x_min from
+    # the shock branches (Euler, SWE; blood flow interpolates from f(x_min)).
+    module, curve, make, data, side, var = SYSTEMS[system]
+    shock, rarefaction = BRANCHES[system]
     f, fprime = getattr(module, curve), getattr(module, curve + "_deriv")
+    f_zeros, nodes = [], []
+    star_bracket = core.star_bracket
+    monkeypatch.setattr(core, "star_bracket", lambda wave, g, f_zero: (
+        f_zeros.append(f_zero) or star_bracket(wave, g, f_zero)))
+    interpolate_root = module.interpolate_root
+    monkeypatch.setattr(module, "interpolate_root",
+                        lambda p1, p2: nodes.append(p1) or interpolate_root(p1, p2))
     rng = random.Random(11)
-    for _ in range(20):
-        problem = sample_problem(system, rng)
-        left, right = problem.left, problem.right
+    problems = [make(*d) for d in data] + [sample_problem(system, rng) for _ in range(20)]
+    patterns = set()
+    for problem in problems:
+        left, right, params = problem.left, problem.right, problem.params
+        du = right.u - left.u
         x_min, x_max = sorted((getattr(left, var), getattr(right, var)))
         points = [x_min, x_max] + [
             x_min * 10.0 ** rng.uniform(-2.0, math.log10(x_max / x_min) + 2.0)
@@ -153,11 +194,26 @@ def test_curves_match_textbook_formulas(system):
         ]
         assert min(points) < x_min and max(points) > x_max
         for x in points:
-            f_l, d_l = side(x, left, problem.params)
-            f_r, d_r = side(x, right, problem.params)
-            assert f(x, problem) == f_l + f_r + (right.u - left.u), x
+            f_l, d_l = side(x, left, params)
+            f_r, d_r = side(x, right, params)
+            assert f(x, problem) == f_l + f_r + du, x
             assert fprime(x, problem) == d_l + d_r, x
-            assert module._side_curves(x, problem._sides) == (f_l, f_r), x
+            for s, state in zip(problem._sides, (left, right)):
+                assert (module._shock(x, s), module._shock_slope(x, s)) == shock(x, state, params)
+                assert ((module._rarefaction(x, s), module._rarefaction_slope(x, s))
+                        == rarefaction(x, state, params))
+
+        pattern = module.solve_exact(problem).pattern
+        patterns.add(pattern)
+        if pattern is WavePattern.RR:
+            assert f_zeros[-1] == f(0.0, problem)
+        if pattern is WavePattern.SS:
+            module.estimate(problem, EstimatorId.TMS_B)
+            node = problem._wave_data.f_min
+            if system != "bfe":
+                node = shock(x_min, left, params)[0] + shock(x_min, right, params)[0] + du
+            assert nodes[-1] == (x_min, node)
+    assert patterns == set(WavePattern) - {WavePattern.VACUUM}
 
 
 @pytest.mark.parametrize("system", SYSTEMS)
