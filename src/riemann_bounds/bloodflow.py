@@ -189,6 +189,8 @@ def _tms_d(system: System, problem: BfeProblem):
     # The crude opposite-side term is the front speed of a rarefaction
     # expanding into a near-empty vessel with floor area 1e-12 cm^2,
     # u -/+ 4(c - c_floor), rather than the full-vacuum limit u -/+ 4c.
+    if problem._wave_data.pattern is _VACUUM:
+        raise system.no_star_error()
     left, right = problem._sides
     cl, cr = left.c, right.c
     c_floor = left.zeta * _VACUUM_FLOOR_AREA**0.25

@@ -50,9 +50,12 @@ class UnsupportedEstimator(RiemannBoundsError):
 
 class ClosedFormOverflow(RiemannBoundsError):
     """A closed-form value (the two-rarefaction star value, a side's
-    wave-curve constants), the wave-curve function at a node of the wave
-    data or during the root solve, or a wave speed leaves the
-    floating-point range."""
+    wave-curve constants such as its sound speed), the wave-curve function
+    at a node of the wave data or during the root solve, or a wave speed
+    leaves the floating-point range; or a value that is positive in exact
+    arithmetic (a chord root of the star value, a Roe-averaged sound speed
+    squared) is not a positive float after overflow or rounding, where a
+    square root of it would follow."""
 
 
 class cached_attribute:
@@ -253,6 +256,9 @@ class System:
     flags: Mapping[str, str]  # CLI constant flag -> params field
     draw: Callable[[Any], Tuple[float, ...]]  # one state of the fuzz ensemble from an rng
     #: From `speed_registry`; its key order is the module's `ESTIMATORS`.
+    #: Its three callers: `estimate`, which wraps the pair in a
+    #: `SpeedBounds`, and, through `speed_function`, `fuzz.run_fuzz` and
+    #: `tables._speed_cells`, which read the pair itself.
     speeds: Mapping[EstimatorId, Tuple[Callable[[Any, Any], Tuple[float, float]], bool]]
     #: One side's wave-curve term f_K(x, side) on its shock branch (taken
     #: where x exceeds the side's data value) and its rarefaction branch
@@ -275,6 +281,10 @@ class System:
 
     def no_star_error(self) -> RiemannBoundsError:
         return self.no_star(self.no_star_message)
+
+    def unsupported_error(self, estimator: EstimatorId) -> UnsupportedEstimator:
+        return UnsupportedEstimator(
+            f"{estimator.value} is not defined for the {self.title} system")
 
 
 def wave_curves(system: System):
@@ -481,16 +491,24 @@ def toro(system: System, problem) -> Tuple[float, float]:
     return star_speeds(system, problem, wave.x_rr)
 
 
+def _no_chord_root(x_hat: float) -> ClosedFormOverflow:
+    return ClosedFormOverflow(f"the chord root of the star value is not positive: {x_hat}")
+
+
 def tms(variant: EstimatorId, system: System, problem) -> Tuple[float, float]:
     """Interpolation bounds TMS_a-c: the q factors at a star value from a
-    chord of the wave curve (a, b) or at a data value (c).  Raises
-    `ClosedFormOverflow` for a speed that is not finite."""
+    chord of the wave curve (a, b) or at a data value (c).  Raises the
+    system's no-star error for data without a positive star value, and
+    `ClosedFormOverflow` for a chord root that is not positive (overflow
+    or rounding in the wave data) or a speed that is not finite."""
     left, right, params = problem.left, problem.right, problem.params
     wave = problem._wave_data
     cl, cr, module = wave.c_left, wave.c_right, system.module
 
     if wave.pattern is _RR:  # eigenvalue speeds are exact
         s_left, s_right = left.u - cl, right.u + cr
+    elif wave.pattern is _VACUUM:
+        raise system.no_star_error()
     elif wave.pattern is not _SS:  # the shock sits on the side of x_min
         if variant is _TMS_A:
             x_hat = module.interpolate_root((wave.x_min, wave.f_min), (wave.x_max, wave.f_max))
@@ -498,6 +516,8 @@ def tms(variant: EstimatorId, system: System, problem) -> Tuple[float, float]:
             x_hat = module.interpolate_root((wave.x_min, wave.f_min), (wave.x_rr, wave.f_rr))
         else:  # TMS_C: data value of the opposite side
             x_hat = wave.x_max
+        if not x_hat > 0.0:
+            raise _no_chord_root(x_hat)
         if wave.pattern is _RS:
             s_left, s_right = left.u - cl, right.u + cr * module.q_factor(x_hat, right, params)
         else:
@@ -522,6 +542,8 @@ def tms(variant: EstimatorId, system: System, problem) -> Tuple[float, float]:
             x_hat = module.interpolate_root((x_min, f_min), (wave.x_rr, wave.f_rr))
         else:
             x_hat = wave.x_rr
+        if not x_hat > 0.0:
+            raise _no_chord_root(x_hat)
         s_left = left.u - cl * module.q_factor(x_hat, left, params)
         s_right = right.u + cr * module.q_factor(x_hat, right, params)
     if not _NEG_INF < s_left < _INF > s_right > _NEG_INF:
@@ -532,7 +554,10 @@ def tms(variant: EstimatorId, system: System, problem) -> Tuple[float, float]:
 def speed_registry(own: Mapping) -> dict:
     """The estimators all systems share and a system's `own` ones, in
     `EstimatorId` order.  Per estimator: its speed pair, called as
-    fn(system, problem), and whether `estimate` reports the wave pattern."""
+    fn(system, problem), and whether `estimate` reports the wave pattern.
+    A function that reports it raises the system's no-star error itself
+    for data without a positive star value, so that a caller of the pair
+    alone sees what `estimate` raises."""
     speeds = {
         EstimatorId.DAVIS_A: (davis_a, False),
         EstimatorId.DAVIS_B: (davis_b, False),
@@ -547,22 +572,37 @@ def speed_registry(own: Mapping) -> dict:
 
 
 def estimate(system: System, problem, estimator: EstimatorId) -> SpeedBounds:
-    """Wave-speed pair (S_L, S_R) of `problem` for the requested estimator."""
+    """Wave-speed pair (S_L, S_R) of `problem` for the requested estimator,
+    as a `SpeedBounds` record: the public entry point.  Loops that read
+    only the pair call the function `speed_function` resolves, once."""
     if estimator is _EXACT:
         sol = system.module.solve_exact(problem)
         return SpeedBounds(sol.s_left, sol.s_right, estimator, sol.pattern)
     entry = system.speeds.get(estimator)
     if entry is None:
-        raise UnsupportedEstimator(
-            f"{estimator.value} is not defined for the {system.title} system")
+        raise system.unsupported_error(estimator)
     speeds, with_pattern = entry
-    pattern = None
-    if with_pattern:
-        pattern = system.module.classify(problem)
-        if pattern is _VACUUM:
-            raise system.no_star_error()
+    # A function that reports the pattern raises the no-star error itself.
+    pattern = system.module.classify(problem) if with_pattern else None
     s_left, s_right = speeds(system, problem)
     return SpeedBounds(s_left, s_right, estimator, pattern)
+
+
+def speed_function(
+    system: System, estimator: EstimatorId
+) -> Optional[Callable[[System, Any], Tuple[float, float]]]:
+    """The registry function that `estimate` calls for `estimator`,
+    fn(system, problem) -> (S_L, S_R): the same pair, without building a
+    `SpeedBounds` or classifying, for loops that read only the speeds.
+    None for EXACT, whose pair is the exact solve's.  Raises
+    `UnsupportedEstimator`, as `estimate` does, for an id the system
+    lacks."""
+    if estimator is _EXACT:
+        return None
+    entry = system.speeds.get(estimator)
+    if entry is None:
+        raise system.unsupported_error(estimator)
+    return entry[0]
 
 
 def interpolate_root(p1: Tuple[float, float], p2: Tuple[float, float]) -> float:

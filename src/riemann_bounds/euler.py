@@ -67,7 +67,8 @@ class _Side:
     the impedance rho_K c_K, and the exponents z = (gamma-1)/(2 gamma) and
     -(gamma+1)/(2 gamma).  Each is computed with the formula's own
     expression and order of operations, so the curve values are the same
-    bits as with the formulas written out in full."""
+    bits as with the formulas written out in full.  Raises
+    `ClosedFormOverflow` when c_K exceeds the float range."""
 
     __slots__ = ("x", "u", "c", "a", "b", "rar", "imp", "z", "zd")
 
@@ -77,6 +78,9 @@ class _Side:
         self.a = 2.0 / ((g + 1.0) * state.rho)
         self.b = (g - 1.0) / (g + 1.0) * state.p
         self.c = c = math.sqrt(g * state.p / state.rho)  # sound_speed(state, params)
+        if c == math.inf:
+            raise ClosedFormOverflow(f"the sound speed overflows at p = {state.p}, "
+                                     f"rho = {state.rho}")
         self.rar = 2.0 * c / (g - 1.0)
         self.imp = state.rho * c
         self.z = (g - 1.0) / (2.0 * g)
@@ -219,7 +223,10 @@ def _batten(system: System, problem: EulerProblem):
     h_roe = (wl * specific_enthalpy(left, params) + wr * specific_enthalpy(right, params)) / (
         wl + wr
     )
-    c_roe = math.sqrt((params.gamma - 1.0) * (h_roe - 0.5 * u_roe * u_roe))
+    c_roe2 = (params.gamma - 1.0) * (h_roe - 0.5 * u_roe * u_roe)
+    if not 0.0 <= c_roe2 < math.inf:  # cancellation or overflow in the Roe averages
+        raise ClosedFormOverflow(f"the Roe sound speed squared is {c_roe2}")
+    c_roe = math.sqrt(c_roe2)
     return min(left.u - cl, u_roe - c_roe), max(right.u + cr, u_roe + c_roe)
 
 

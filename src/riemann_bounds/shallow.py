@@ -153,6 +153,8 @@ def solve_exact(problem: SweProblem, rel_tol: float = 1e-12) -> SweExactSolution
 
 
 def _tms_d(system: System, problem: SweProblem):
+    if problem._wave_data.pattern is _VACUUM:
+        raise system.no_star_error()
     left, right = problem._sides
     cl, cr = left.c, right.c
     return min(left.u - cl, right.u - 2.0 * cr), max(right.u + cr, left.u + 2.0 * cl)

@@ -10,7 +10,7 @@ from importlib import resources
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import bloodflow, euler, shallow
-from .core import EstimatorId, System, record
+from .core import EstimatorId, System, record, speed_function
 
 #: The systems, keyed by name; each module describes its system once, in
 #: its `SYSTEM` record.
@@ -104,8 +104,11 @@ class TableReport:
 
 
 def _speed_cells(system: str, ref: dict, test: dict, side: str) -> List[CellCheck]:
-    module = system_module(system)
+    """One row of a speed table: each column's speed pair read from the
+    registry function `estimate` calls, or from `solve_exact` for EXACT."""
+    record = system_record(system)
     problem = make_problem(system, test["left"], test["right"])
+    index = 0 if side == "s_left" else 1
     unimplemented = ref.get("unimplemented_columns", {})
     skipped = test.get("skipped_cells", {}).get(side, {})
     cells = []
@@ -119,8 +122,13 @@ def _speed_cells(system: str, ref: dict, test: dict, side: str) -> List[CellChec
             cells.append(CellCheck(test["id"], column, expected, None, None,
                                    "skipped", skipped[column]))
             continue
-        bounds = module.estimate(problem, EstimatorId(column))
-        computed = bounds.s_left if side == "s_left" else bounds.s_right
+        speeds = speed_function(record, EstimatorId(column))
+        if speeds is None:
+            exact = record.module.solve_exact(problem)
+            pair = exact.s_left, exact.s_right
+        else:
+            pair = speeds(record, problem)
+        computed = pair[index]
         deviation = abs(computed - expected)
         status = "ok" if deviation <= cell_tolerance(expected) else "fail"
         cells.append(CellCheck(test["id"], column, expected, computed,

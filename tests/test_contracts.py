@@ -93,6 +93,38 @@ REPRODUCERS = {
         (5.290847432789679, -0.0013223454932869741, 1.8826183268763195e-05),
         (599101.3998629061, -1.6234075087363549, 3.1650185557538326e-05),
         1.001), ["toro", "tms_c"], ClosedFormOverflow),
+    # The Roe enthalpy overflows: Batten's c_Roe**2 is +inf (gamma = 1.01).
+    "euler-batten-roe-enthalpy-overflow": ("euler", euler_problem(
+        (2.6253149457325776e-290, -7412.820158872064, 1.8059384531807626e-93),
+        (1.6672378868217063e-290, -4536.70999193011, 2.966675226996676e+17), 1.01),
+        ["batten"], ClosedFormOverflow),
+    # The rest at the default constants.
+    # Cancellation in h_Roe - u_Roe**2/2: Batten's c_Roe**2 is negative.
+    "euler-batten-roe-sound-speed": ("euler", tables.make_problem(
+        "euler", (5.3340097753571314e+197, 8133.430277554056, 9.28512128125268e+68),
+        (5.297495636365946e-248, 82.80458655341135, 5.63989070365722e-159)),
+        ["batten"], ClosedFormOverflow),
+    # The TMS_a chord root is negative, and q_factor took its square root.
+    "euler-tms-a-negative-chord-root": ("euler", tables.make_problem(
+        "euler", (4.218711246146151e+174, 900.4840954410993, 6.39103596564457e+146),
+        (3.869184416937872e+169, -5627.047518164938, 5.026772276168695e-47)),
+        ["tms_a"], ClosedFormOverflow),
+    # The same for TMS_b.
+    "euler-tms-b-negative-chord-root": ("euler", tables.make_problem(
+        "euler", (3.35140239615322e+229, 9614.871707839637, 3.939094590922741e+230),
+        (1.6194710822460035e+257, -8366.027878089182, 2.2309770306664407e+259)),
+        ["tms_b"], ClosedFormOverflow),
+    # The same for SWE TMS_b, after h * h_K overflowed at the S/S node.
+    "swe-tms-b-negative-chord-root": ("swe", tables.make_problem(
+        "swe", (8.487361008586014e+276, -2484.5044844899776),
+        (2.9607947920135834e+92, -4370.537533982078)),
+        ["tms_b"], ClosedFormOverflow),
+    # c_L = sqrt(gamma p/rho) overflows: Davis a/b, Einfeldt and Batten gave
+    # infinite speeds, the rest already raised from the wave data.
+    "euler-sound-speed-overflow": ("euler", tables.make_problem(
+        "euler", (1.3573213500443768e-141, -5096.667016126539, 3.539777407430506e+187),
+        (0.09568177268457889, -1682.5579811141924, 4.5235660048190316e+136)),
+        ["exact"] + [e.value for e in euler.ESTIMATORS], ClosedFormOverflow),
 }
 
 

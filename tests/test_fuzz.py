@@ -1,10 +1,19 @@
 """Tests for the randomized bound-property fuzzer."""
 
+import random
+
 import pytest
 
 from riemann_bounds import bloodflow, euler, shallow, tables
-from riemann_bounds.fuzz import BOUND_ESTIMATORS, run_fuzz, sample_problem
-import random
+from riemann_bounds.core import EstimatorId, UnsupportedEstimator
+from riemann_bounds.fuzz import (
+    BOUND_ESTIMATORS,
+    REL_SLACK,
+    FuzzReport,
+    FuzzViolation,
+    run_fuzz,
+    sample_problem,
+)
 
 
 class TestSampleProblem:
@@ -91,3 +100,70 @@ class TestRunFuzz:
         violation = report.violations[0]
         assert violation.estimator == "davis_a"
         assert violation.side in ("s_left", "s_right")
+
+
+def public_fuzz(system, count, seed, estimators):
+    """run_fuzz written with the public sample_problem, solve_exact and
+    estimate: one SpeedBounds record per estimator and trial."""
+    record = tables.system_record(system)
+    module, star_field = record.module, record.star_field
+    two_rarefaction = getattr(module, record.two_rarefaction)
+    rng = random.Random(seed)
+    violations = []
+
+    def violation(trial, name, side, value, exact, problem):
+        return FuzzViolation(trial, name, side, value, exact,
+                             tuple(vars(problem.left).values()),
+                             tuple(vars(problem.right).values()))
+
+    for trial in range(count):
+        problem = sample_problem(system, rng)
+        exact = module.solve_exact(problem)
+        slack = REL_SLACK * max(1.0, abs(exact.s_left), abs(exact.s_right))
+        for estimator in estimators:
+            bounds = module.estimate(problem, estimator)
+            if bounds.s_left > exact.s_left + slack:
+                violations.append(violation(trial, estimator.value, "s_left",
+                                            bounds.s_left, exact.s_left, problem))
+            if bounds.s_right < exact.s_right - slack:
+                violations.append(violation(trial, estimator.value, "s_right",
+                                            bounds.s_right, exact.s_right, problem))
+        star = getattr(exact, star_field)
+        star_rr = two_rarefaction(problem)
+        if star_rr < star - REL_SLACK * max(1.0, star):
+            violations.append(violation(trial, "two_rarefaction", "star", star_rr, star, problem))
+    return FuzzReport(system, count, seed, tuple(violations))
+
+
+#: Estimators without a proven bound property, per system: their reports
+#: hold violations, which must match field for field.
+NON_BOUND = {
+    "euler": (EstimatorId.DAVIS_A, EstimatorId.DAVIS_B, EstimatorId.EINFELDT,
+              EstimatorId.BATTEN),
+    "swe": (EstimatorId.DAVIS_A, EstimatorId.DAVIS_B, EstimatorId.TMS_D),
+    "bfe": (EstimatorId.DAVIS_A, EstimatorId.DAVIS_B),
+}
+
+
+class TestRunFuzzMatchesThePublicLoop:
+    @pytest.mark.parametrize("system", ("euler", "swe", "bfe"))
+    @pytest.mark.parametrize("seed", (3, 71))
+    @pytest.mark.parametrize("kind", ("bound", "non_bound", "exact"))
+    def test_same_report(self, system, seed, kind):
+        estimators = {
+            "bound": BOUND_ESTIMATORS[system],
+            "non_bound": NON_BOUND[system],
+            "exact": (EstimatorId.EXACT, EstimatorId.DAVIS_A),
+        }[kind]
+        report = run_fuzz(system, 300, seed, estimators)
+        assert report == public_fuzz(system, 300, seed, estimators)
+        if kind != "bound":
+            assert report.violations  # the comparison covers violation records
+
+    def test_unsupported_estimator_raises_as_estimate_does(self):
+        problem = sample_problem("swe", random.Random(0))
+        with pytest.raises(UnsupportedEstimator) as from_estimate:
+            shallow.estimate(problem, EstimatorId.EINFELDT)
+        with pytest.raises(UnsupportedEstimator) as from_fuzz:
+            run_fuzz("swe", 10, seed=1, estimators=(EstimatorId.EINFELDT,))
+        assert str(from_fuzz.value) == str(from_estimate.value)

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from riemann_bounds import tables
+from riemann_bounds.core import EstimatorId
 
 
 ALL_COMBOS = [(s, t) for s in tables.SYSTEMS for t in tables.TABLES]
@@ -36,6 +37,21 @@ class TestReproduce:
     def test_tables_reproduce(self, system, table):
         report = tables.reproduce(system, table)
         assert report.passed, [c for c in report.cells if c.status == "fail"]
+
+    @pytest.mark.parametrize("system", tables.SYSTEMS)
+    @pytest.mark.parametrize("side", ("s_left", "s_right"))
+    def test_speed_cells_are_the_sides_of_estimate(self, system, side):
+        # reproduce reads the registry's speed pairs; the public estimate
+        # must give the same bits, EXACT (solve_exact) included.
+        module = tables.system_module(system)
+        tests = {test["id"]: test for test in tables.load_reference(system)["tests"]}
+        computed = [c for c in tables.reproduce(system, side).cells if c.computed is not None]
+        assert {c.column for c in computed} >= {"exact", "toro", "tms_a"}
+        for cell in computed:
+            test = tests[cell.test_id]
+            problem = tables.make_problem(system, test["left"], test["right"])
+            bounds = module.estimate(problem, EstimatorId(cell.column))
+            assert cell.computed == getattr(bounds, side), cell
 
     def test_unknown_table(self):
         with pytest.raises(ValueError):
