@@ -80,14 +80,14 @@ class _Side:
 
     __slots__ = ("x", "u", "c", "a14", "a32", "zeta", "zeta4", "gamma_tube")
 
-    def __init__(self, state: BfeState, params: BfeParams):
+    def __init__(self, state: BfeState, params: BfeParams, sqrt=math.sqrt):
         self.x, self.u = state.a, state.u
         self.a14 = state.a**0.25
         try:
             self.a32 = state.a**1.5
         except OverflowError:
             raise ClosedFormOverflow(f"A**1.5 overflows at A = {state.a}") from None
-        self.zeta = zeta = math.sqrt(params.beta / (2.0 * params.rho))  # params.zeta
+        self.zeta = zeta = sqrt(params.beta / (2.0 * params.rho))  # params.zeta
         self.zeta4 = 4.0 * zeta
         self.gamma_tube = params.beta / (3.0 * params.rho)  # params.gamma_tube
         self.c = zeta * self.a14  # wave_speed(state, params)
@@ -112,26 +112,29 @@ def wave_speed(state: BfeState, params: BfeParams) -> float:
 # A = A_K (+0.0, the same slope); `core.wave_curves` composes them.
 
 
-def _shock(a: float, s: _Side) -> float:
-    return math.sqrt(s.gamma_tube * (a - s.x) * (a**1.5 - s.a32) / (a * s.x))
+def _shock(a: float, s: _Side, sqrt=math.sqrt) -> float:
+    return sqrt(s.gamma_tube * (a - s.x) * (a**1.5 - s.a32) / (a * s.x))
 
 
-def _rarefaction(a: float, s: _Side) -> float:
+def _rarefaction(a: float, s: _Side, sqrt=math.sqrt) -> float:
     return s.zeta4 * (a**0.25 - s.a14)
 
 
-def _shock_slope(a: float, s: _Side) -> float:
+def _shock_slope(a: float, s: _Side, sqrt=math.sqrt) -> float:
     n = (a - s.x) * (a**1.5 - s.a32)
-    if n == 0.0:  # sonic point: the rarefaction-branch slope is the limit
-        return _rarefaction_slope(a, s)
     g = s.gamma_tube
     dn = (a**1.5 - s.a32) + 1.5 * (a - s.x) * a**0.5
     q = g * n / (a * s.x)
     dq = g * (dn / (a * s.x) - n / (a * a * s.x))
-    return 0.5 * dq / math.sqrt(q)
+    try:
+        return 0.5 * dq / sqrt(q)
+    except ZeroDivisionError:
+        # The sonic point, n = 0: the rarefaction-branch slope is the
+        # limit.  Arrays divide without raising; a lane there is not finite.
+        return _rarefaction_slope(a, s)
 
 
-def _rarefaction_slope(a: float, s: _Side) -> float:
+def _rarefaction_slope(a: float, s: _Side, sqrt=math.sqrt) -> float:
     return s.zeta * a**-0.75
 
 
@@ -147,21 +150,26 @@ def two_rarefaction_area(problem: BfeProblem) -> float:
     when the value exceeds the float range."""
     if not is_open(problem):
         raise SYSTEM.no_star_error()
-    params, (left, right) = problem.params, problem._sides
-    b = 0.5 * (left.c + right.c) - 0.125 * (right.u - left.u)
     try:
-        return (2.0 * params.rho * b * b / params.beta) ** 2
+        return _two_rarefaction(*problem._sides, problem.params)
     except OverflowError:
         raise ClosedFormOverflow("two-rarefaction area overflows") from None
 
 
-def q_factor(a: float, side_state: BfeState, params: BfeParams) -> float:
-    """Shock-speed multiplier: S = u_K -/+ c_K * q_K(A)."""
+def _two_rarefaction(left: _Side, right: _Side, params: BfeParams) -> float:
+    b = 0.5 * (left.c + right.c) - 0.125 * (right.u - left.u)
+    return (2.0 * params.rho * b * b / params.beta) ** 2
+
+
+def q_factor(a: float, side_state: BfeState, params: BfeParams, sqrt=math.sqrt) -> float:
+    """Shock-speed multiplier: S = u_K -/+ c_K * q_K(A).  Over arrays it
+    skips the sonic-point test: the lane kernel of `fuzz.run_fuzz` leaves
+    shocks that weak to the scalar path."""
     y = a / side_state.a
-    if abs(y - 1.0) < _SONIC_EPS:
+    if isinstance(y, float) and abs(y - 1.0) < _SONIC_EPS:
         return 1.0
     try:
-        return math.sqrt(2.0 / 3.0 * (y**1.5 - 1.0) * y / (y - 1.0))
+        return sqrt(2.0 / 3.0 * (y**1.5 - 1.0) * y / (y - 1.0))
     except OverflowError:  # y**1.5 past the float range, and the speed with it
         return math.inf
 
@@ -180,12 +188,12 @@ def solve_exact(problem: BfeProblem, rel_tol: float = 1e-12) -> BfeExactSolution
     if pattern is _VACUUM:
         raise SYSTEM.no_star_error()
     left, right = problem.left, problem.right
-    a_star = solve_star(SYSTEM, problem, None, rel_tol)
+    a_star = solve_star(SYSTEM, problem, rel_tol)
     u_star = 0.5 * (left.u + right.u) + 0.5 * core.side_difference(SYSTEM, problem, a_star)
     return BfeExactSolution(a_star, u_star, pattern, *star_speeds(SYSTEM, problem, a_star))
 
 
-def _tms_d(system: System, problem: BfeProblem):
+def _tms_d(system: System, problem: BfeProblem, minimum=min, maximum=max):
     # The crude opposite-side term is the front speed of a rarefaction
     # expanding into a near-empty vessel with floor area 1e-12 cm^2,
     # u -/+ 4(c - c_floor), rather than the full-vacuum limit u -/+ 4c.
@@ -195,8 +203,8 @@ def _tms_d(system: System, problem: BfeProblem):
     cl, cr = left.c, right.c
     c_floor = left.zeta * _VACUUM_FLOOR_AREA**0.25
     return (
-        min(left.u - cl, right.u - 4.0 * (cr - c_floor)),
-        max(right.u + cr, left.u + 4.0 * (cl - c_floor)),
+        minimum(left.u - cl, right.u - 4.0 * (cr - c_floor)),
+        maximum(right.u + cr, left.u + 4.0 * (cl - c_floor)),
     )
 
 
@@ -219,6 +227,8 @@ SYSTEM = System(
     no_star_message="data collapse the vessel; no positive star area",
     curve="area_function",
     two_rarefaction="two_rarefaction_area",
+    rr_closed_form=_two_rarefaction,
+    two_shock=None,
     positive=is_open,
     flags={"--beta": "beta", "--rho-blood": "rho"},
     # a + (b - a) * rng.random() is rng.uniform(a, b), without its call.

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import MISSING, dataclass, fields
 from functools import partial
 from typing import Any, Callable, Mapping, Optional, Sequence, Tuple
@@ -243,8 +244,9 @@ class System:
     state_type: type
     params_type: type
     problem_type: type  # a `Problem` whose `_system` is this record
-    #: Per-side record `side(state, params)`: the side's data value `x`,
-    #: velocity `u`, celerity `c` and the constants its branches read.
+    #: Per-side record `side(state, params, sqrt=math.sqrt)`: the side's
+    #: data value `x`, velocity `u`, celerity `c` and the constants its
+    #: branches read.
     side: type
     star: str  # state field of the star variable; the solution's is star + "_star"
     star_label: str  # CLI label of the star value
@@ -253,6 +255,16 @@ class System:
     positive: Callable[[Any], bool]  # the data leave a positive star value
     curve: str  # module name of the wave curve f(x, problem); its slope is <curve>_deriv
     two_rarefaction: str  # closed-form star value of both waves rarefactions
+    #: The formulas below, the per-side branches and the `_tms_d`
+    #: estimators evaluate numpy arrays as well as floats, for the lane
+    #: kernel of `fuzz.run_fuzz`: a `sqrt` argument takes `numpy.sqrt`, a
+    #: side record or params object may hold arrays.
+    #: x_rr from the two side records and the params, for data that leave
+    #: a positive star value: the formula of `two_rarefaction`.
+    rr_closed_form: Callable[[Any, Any, Any], float]
+    #: S/S Newton start refined by the two-shock approximation linearized
+    #: about x0, two_shock(problem, x0, sqrt); None where there is none.
+    two_shock: Optional[Callable[..., float]]
     flags: Mapping[str, str]  # CLI constant flag -> params field
     draw: Callable[[Any], Tuple[float, ...]]  # one state of the fuzz ensemble from an rng
     #: From `speed_registry`; its key order is the module's `ESTIMATORS`.
@@ -260,9 +272,10 @@ class System:
     #: `SpeedBounds`, and, through `speed_function`, `fuzz.run_fuzz` and
     #: `tables._speed_cells`, which read the pair itself.
     speeds: Mapping[EstimatorId, Tuple[Callable[[Any, Any], Tuple[float, float]], bool]]
-    #: One side's wave-curve term f_K(x, side) on its shock branch (taken
-    #: where x exceeds the side's data value) and its rarefaction branch
-    #: (at or below it), and the slopes of both; `wave_curves` composes them.
+    #: One side's wave-curve term f_K(x, side, sqrt=math.sqrt) on its shock
+    #: branch (taken where x exceeds the side's data value) and its
+    #: rarefaction branch (at or below it), and the slopes of both;
+    #: `wave_curves` composes them.
     shock: Callable[[float, Any], float]
     rarefaction: Callable[[float, Any], float]
     shock_slope: Callable[[float, Any], float]
@@ -402,19 +415,15 @@ def star_bracket(
     return RootBracket(wave.x_max, hi, wave.f_max, f_hi)
 
 
-def star_start(
-    wave: WaveData,
-    bracket: RootBracket,
-    two_shock: Optional[Callable[[float], float]] = None,
-) -> float:
+def star_start(system: System, problem, wave: WaveData, bracket: RootBracket) -> float:
     """Newton start for the star value, strictly inside `bracket`.
 
     Under RR it is x_rr, which is then the root.  Otherwise it is the root
     of the chord through the bracket's end points drawn over sqrt(x), where
     the wave curves of strong shocks are nearly straight; under SS it is
     refined by the system's two-shock approximation linearized about that
-    value, `two_shock(x0)`, when the system has one.  A value outside the
-    bracket falls back to the bracket's midpoint.
+    value, `system.two_shock(problem, x0)`, when the system has one.  A
+    value outside the bracket falls back to the bracket's midpoint.
     """
     if wave.pattern is _RR:
         x = wave.x_rr
@@ -424,19 +433,14 @@ def star_start(
         q_lo, q_hi = math.sqrt(bracket.lo), math.sqrt(bracket.hi)
         q = q_lo - (q_hi - q_lo) / (bracket.f_hi - bracket.f_lo) * bracket.f_lo
         x = q * q
-        if wave.pattern is _SS and two_shock is not None:
-            x = two_shock(x)
+        if wave.pattern is _SS and system.two_shock is not None:
+            x = system.two_shock(problem, x)
     if bracket.lo < x < bracket.hi:
         return x
     return 0.5 * (bracket.lo + bracket.hi)
 
 
-def solve_star(
-    system: System,
-    problem,
-    two_shock: Optional[Callable[[float], float]],
-    rel_tol: float,
-) -> float:
+def solve_star(system: System, problem, rel_tol: float) -> float:
     """Star value of a problem that has a positive one: Newton inside the
     bracket that the wave pattern gives (`star_bracket`), from the start
     `star_start` picks.  Raises `ClosedFormOverflow` when an evaluation
@@ -453,7 +457,7 @@ def solve_star(
         bracket = star_bracket(wave, f, f_zero)
         # Positional: keywords cost a dict per call.
         return module.find_root(f, bracket, rel_tol, 100, lambda x: slope(x, problem),
-                                star_start(wave, bracket, two_shock))
+                                star_start(system, problem, wave, bracket))
     except ArithmeticError:
         raise ClosedFormOverflow("the wave curve overflows during the root solve") from None
 
@@ -623,6 +627,25 @@ def interpolate_root(p1: Tuple[float, float], p2: Tuple[float, float]) -> float:
     return x1 - (x2 - x1) / (f2 - f1) * f1
 
 
+#: Bracket ends of one sign more than this factor apart are bisected at
+#: their geometric mean, so that a bracket spanning hundreds of decades
+#: closes within `find_root`'s iteration budget.
+_GEOMETRIC_RATIO = 10.0
+_MIN_NORMAL = sys.float_info.min
+
+
+def _bisect(lo: float, hi: float) -> float:
+    """Bisection point of the bracket between `lo` and `hi`, in either
+    order: sqrt(lo) * sqrt(hi) when both are normal positive floats more
+    than `_GEOMETRIC_RATIO` apart, the midpoint otherwise.  Among
+    subnormals `find_root`'s absolute floor on the width test would accept
+    a geometric step far from the root."""
+    small, large = (lo, hi) if lo < hi else (hi, lo)
+    if small >= _MIN_NORMAL and large > small * _GEOMETRIC_RATIO:
+        return math.sqrt(lo) * math.sqrt(hi)
+    return 0.5 * (lo + hi)
+
+
 def find_root(
     f: Callable[[float], float],
     bracket: RootBracket,
@@ -684,7 +707,7 @@ def find_root(
                 side = 1
             if abs(hi - lo) <= x_tol:
                 return x
-            x_new = 0.5 * (lo + hi)
+            x_new = _bisect(lo, hi)
             if f_hi != f_lo:
                 cand = lo - (hi - lo) / (f_hi - f_lo) * f_lo
                 if lo < cand < hi if rising else hi < cand < lo:
@@ -727,7 +750,7 @@ def find_root(
         if step is None:
             dfx = fprime(x)
             step = x - fx / dfx if dfx != 0.0 and isfinite(dfx) else math.nan
-        x_new = step if (lo < step < hi if rising else hi < step < lo) else 0.5 * (lo + hi)
+        x_new = step if (lo < step < hi if rising else hi < step < lo) else _bisect(lo, hi)
         if x_new == x:
             return x
         x = x_new

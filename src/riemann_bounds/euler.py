@@ -58,6 +58,10 @@ class EulerProblem(Problem):
     params: EulerParams = EulerParams()
 
 
+#: Largest A_K / B_K whose shock constants `_Side` keeps unscaled.
+_SHOCK_RATIO_MAX = 2.0**1000
+
+
 class _Side:
     """Wave-curve constants of one side K of a problem, as in Toro's PREFUN
     (Riemann Solvers and Numerical Methods for Fluid Dynamics, 3rd ed.,
@@ -67,24 +71,35 @@ class _Side:
     the impedance rho_K c_K, and the exponents z = (gamma-1)/(2 gamma) and
     -(gamma+1)/(2 gamma).  Each is computed with the formula's own
     expression and order of operations, so the curve values are the same
-    bits as with the formulas written out in full.  Raises
-    `ClosedFormOverflow` when c_K exceeds the float range."""
+    bits as with the formulas written out in full.  The shock branch reads
+    sqrt(A_K / (p + B_K)) as `sqrt(a / (p + b)) * scale`: a = A_K and
+    scale = 1, except where A_K / B_K exceeds 2**1000 (rho_K p_K near the
+    smallest double) and the quotient could overflow; there
+    a = A_K / 4**k and scale = 2**k.  Raises `ClosedFormOverflow` when c_K
+    exceeds the float range.  Over arrays (the lane kernel of
+    `fuzz.run_fuzz`) it keeps a = A_K and scale = 1 and raises nothing:
+    the kernel checks the values it computes instead."""
 
-    __slots__ = ("x", "u", "c", "a", "b", "rar", "imp", "z", "zd")
+    __slots__ = ("x", "u", "c", "a", "scale", "b", "rar", "imp", "z", "zd")
 
-    def __init__(self, state: EulerState, params: EulerParams):
+    def __init__(self, state: EulerState, params: EulerParams, sqrt=math.sqrt):
         g = params.gamma
         self.x, self.u = state.p, state.u
-        self.a = 2.0 / ((g + 1.0) * state.rho)
-        self.b = (g - 1.0) / (g + 1.0) * state.p
-        self.c = c = math.sqrt(g * state.p / state.rho)  # sound_speed(state, params)
-        if c == math.inf:
-            raise ClosedFormOverflow(f"the sound speed overflows at p = {state.p}, "
-                                     f"rho = {state.rho}")
+        self.a = a = 2.0 / ((g + 1.0) * state.rho)
+        self.b = b = (g - 1.0) / (g + 1.0) * state.p
+        self.scale = 1.0
+        self.c = c = sqrt(g * state.p / state.rho)  # sound_speed(state, params)
         self.rar = 2.0 * c / (g - 1.0)
         self.imp = state.rho * c
         self.z = (g - 1.0) / (2.0 * g)
         self.zd = -(g + 1.0) / (2.0 * g)
+        if isinstance(c, float):  # not over arrays
+            if c == math.inf:
+                raise ClosedFormOverflow(f"the sound speed overflows at p = {state.p}, "
+                                         f"rho = {state.rho}")
+            if a > b * _SHOCK_RATIO_MAX:
+                k = math.frexp(a)[1] // 2
+                self.a, self.scale = math.ldexp(a, -2 * k), math.ldexp(1.0, k)
 
 
 @record
@@ -111,20 +126,20 @@ def specific_enthalpy(state: EulerState, params: EulerParams) -> float:
 # eqs. (4.6)-(4.7) and (4.37); `core.wave_curves` composes them.
 
 
-def _shock(p: float, s: _Side) -> float:
-    return (p - s.x) * math.sqrt(s.a / (p + s.b))
+def _shock(p: float, s: _Side, sqrt=math.sqrt) -> float:
+    return (p - s.x) * sqrt(s.a / (p + s.b)) * s.scale
 
 
-def _rarefaction(p: float, s: _Side) -> float:
+def _rarefaction(p: float, s: _Side, sqrt=math.sqrt) -> float:
     return s.rar * ((p / s.x) ** s.z - 1.0)
 
 
-def _shock_slope(p: float, s: _Side) -> float:
+def _shock_slope(p: float, s: _Side, sqrt=math.sqrt) -> float:
     b = p + s.b
-    return math.sqrt(s.a / b) * (1.0 - 0.5 * (p - s.x) / b)
+    return sqrt(s.a / b) * s.scale * (1.0 - 0.5 * (p - s.x) / b)
 
 
-def _rarefaction_slope(p: float, s: _Side) -> float:
+def _rarefaction_slope(p: float, s: _Side, sqrt=math.sqrt) -> float:
     try:
         return (p / s.x) ** s.zd / s.imp
     except ArithmeticError:  # (p/p_K)**zd overflows, or p/p_K underflowed to 0
@@ -147,22 +162,24 @@ def two_rarefaction_pressure(problem: EulerProblem) -> float:
     """
     if not check_positivity(problem):
         raise SYSTEM.no_star_error()
-    left, right = problem._sides
-    z = left.z
-    num = left.c + right.c - 0.5 * (problem.params.gamma - 1.0) * (right.u - left.u)
-    den = left.c / left.x**z + right.c / right.x**z
     try:
-        return (num / den) ** (1.0 / z)
+        return _two_rarefaction(*problem._sides, problem.params)
     except OverflowError:
-        raise ClosedFormOverflow(
-            f"two-rarefaction pressure ({num / den})**{1.0 / z} overflows"
-        ) from None
+        raise ClosedFormOverflow(f"two-rarefaction pressure overflows at gamma = "
+                                 f"{problem.params.gamma}") from None
 
 
-def q_factor(p: float, side_state: EulerState, params: EulerParams) -> float:
+def _two_rarefaction(left: _Side, right: _Side, params: EulerParams) -> float:
+    z = left.z
+    num = left.c + right.c - 0.5 * (params.gamma - 1.0) * (right.u - left.u)
+    den = left.c / left.x**z + right.c / right.x**z
+    return (num / den) ** (1.0 / z)
+
+
+def q_factor(p: float, side_state: EulerState, params: EulerParams, sqrt=math.sqrt) -> float:
     """Shock-speed multiplier: S = u_K -/+ c_K * q_K(p)."""
     g = params.gamma
-    return math.sqrt(1.0 + (g + 1.0) / (2.0 * g) * (p / side_state.p - 1.0))
+    return sqrt(1.0 + (g + 1.0) / (2.0 * g) * (p / side_state.p - 1.0))
 
 
 def classify(problem: EulerProblem) -> WavePattern:
@@ -171,13 +188,13 @@ def classify(problem: EulerProblem) -> WavePattern:
     return problem._wave_data.pattern
 
 
-def _two_shock_pressure(problem: EulerProblem, p0: float) -> float:
+def _two_shock_pressure(problem: EulerProblem, p0: float, sqrt=math.sqrt) -> float:
     """Toro's two-shock approximation of p*, linearized about p0
     (Toro, Riemann Solvers and Numerical Methods for Fluid Dynamics,
     3rd ed., 2009, Sec. 4.3.2)."""
     left, right = problem._sides
-    gl = math.sqrt(left.a / (p0 + left.b))
-    gr = math.sqrt(right.a / (p0 + right.b))
+    gl = sqrt(left.a / (p0 + left.b)) * left.scale
+    gr = sqrt(right.a / (p0 + right.b)) * right.scale
     return (gl * left.x + gr * right.x - (right.u - left.u)) / (gl + gr)
 
 
@@ -192,7 +209,7 @@ def solve_exact(problem: EulerProblem, rel_tol: float = 1e-12) -> EulerExactSolu
     if pattern is _VACUUM:
         raise SYSTEM.no_star_error()
     left, right = problem.left, problem.right
-    p_star = solve_star(SYSTEM, problem, lambda x: _two_shock_pressure(problem, x), rel_tol)
+    p_star = solve_star(SYSTEM, problem, rel_tol)
     u_star = 0.5 * (left.u + right.u) + 0.5 * core.side_difference(SYSTEM, problem, p_star)
     return EulerExactSolution(p_star, u_star, pattern, *star_speeds(SYSTEM, problem, p_star))
 
@@ -249,6 +266,8 @@ SYSTEM = System(
     no_star_message="data generate vacuum; no positive star pressure",
     curve="pressure_function",
     two_rarefaction="two_rarefaction_pressure",
+    rr_closed_form=_two_rarefaction,
+    two_shock=_two_shock_pressure,
     positive=check_positivity,
     flags={"--gamma": "gamma"},
     # a + (b - a) * rng.random() is rng.uniform(a, b), without its call.

@@ -60,6 +60,24 @@ def _violation(trial: int, estimator: str, side: str, estimate: float,
                          tuple(vars(problem.right).values()))
 
 
+#: Fewest trials for which `run_fuzz` runs the lane kernel, when numpy
+#: imports: it pays numpy's import, about 0.1 s in a cold process, only on
+#: runs long enough to win it back.
+KERNEL_MIN_COUNT = 1000
+#: Problems per kernel call.
+KERNEL_CHUNK = 1024
+
+
+def _lane_kernel():
+    """The numpy lane kernel module, or None without numpy.  Imported on
+    first use, so that importing the package never imports numpy."""
+    try:
+        from . import _kernel
+    except ImportError:
+        return None
+    return _kernel
+
+
 def run_fuzz(system: str, count: int, seed: int,
              estimators: Optional[Tuple[EstimatorId, ...]] = None) -> FuzzReport:
     """Check the bound and dominance properties on `count` random problems.
@@ -69,6 +87,13 @@ def run_fuzz(system: str, count: int, seed: int,
     directly, without a `SpeedBounds` record per trial.  EXACT stands for
     the trial's own solution, which always bounds itself, so it adds no
     check.
+
+    With numpy, at least `KERNEL_MIN_COUNT` trials and the system's
+    `bound_estimators`, the problems are drawn `KERNEL_CHUNK` at a time and
+    the lane kernel (`_kernel.scalar_lanes`) names those whose checks are
+    not certain to pass; only those go through the scalar check, in trial
+    order.  The scalar check alone builds violations and raises errors, so
+    the report and any error are the same either way.
     """
     if count <= 0:
         raise ValueError("count must be positive")
@@ -81,8 +106,9 @@ def run_fuzz(system: str, count: int, seed: int,
     rng = random.Random(seed)
     violations = []
 
-    for trial in range(count):
-        problem = sample_problem(system, rng)
+    def check(trial: int, problem) -> None:
+        """The scalar check of one trial: its exact solve, every estimator
+        and the two-rarefaction dominance."""
         exact = module.solve_exact(problem)
         exact_left, exact_right = exact.s_left, exact.s_right
         slack = REL_SLACK * max(1.0, abs(exact_left), abs(exact_right))
@@ -102,5 +128,18 @@ def run_fuzz(system: str, count: int, seed: int,
         if star_rr < star - REL_SLACK * max(1.0, star):
             violations.append(_violation(
                 trial, "two_rarefaction", "star", star_rr, star, problem))
+
+    kernel = None
+    if count >= KERNEL_MIN_COUNT and tuple(estimators) == record.bound_estimators:
+        kernel = _lane_kernel()
+    if kernel is None:
+        for trial in range(count):
+            check(trial, sample_problem(system, rng))
+    else:
+        for start in range(0, count, KERNEL_CHUNK):
+            problems = [sample_problem(system, rng)
+                        for _ in range(min(KERNEL_CHUNK, count - start))]
+            for lane in kernel.scalar_lanes(record, problems, REL_SLACK):
+                check(start + lane, problems[lane])
 
     return FuzzReport(system, count, seed, tuple(violations))

@@ -61,9 +61,9 @@ class _Side:
 
     __slots__ = ("x", "u", "c", "g")
 
-    def __init__(self, state: SweState, params: SweParams):
+    def __init__(self, state: SweState, params: SweParams, sqrt=math.sqrt):
         self.x, self.u, self.g = state.h, state.u, params.g
-        self.c = math.sqrt(params.g * state.h)  # celerity(state, params)
+        self.c = sqrt(params.g * state.h)  # celerity(state, params)
 
 
 @record
@@ -84,21 +84,21 @@ def celerity(state: SweState, params: SweParams) -> float:
 # `core.wave_curves` composes them.
 
 
-def _shock(h: float, s: _Side) -> float:
-    return (h - s.x) * math.sqrt(0.5 * s.g * (h + s.x) / (h * s.x))
+def _shock(h: float, s: _Side, sqrt=math.sqrt) -> float:
+    return (h - s.x) * sqrt(0.5 * s.g * (h + s.x) / (h * s.x))
 
 
-def _rarefaction(h: float, s: _Side) -> float:
-    return 2.0 * (math.sqrt(s.g * h) - s.c)
+def _rarefaction(h: float, s: _Side, sqrt=math.sqrt) -> float:
+    return 2.0 * (sqrt(s.g * h) - s.c)
 
 
-def _shock_slope(h: float, s: _Side) -> float:
-    root = math.sqrt(0.5 * s.g * (1.0 / h + 1.0 / s.x))
+def _shock_slope(h: float, s: _Side, sqrt=math.sqrt) -> float:
+    root = sqrt(0.5 * s.g * (1.0 / h + 1.0 / s.x))
     return root - 0.25 * s.g * (h - s.x) / (h * h * root)
 
 
-def _rarefaction_slope(h: float, s: _Side) -> float:
-    return math.sqrt(s.g / h)
+def _rarefaction_slope(h: float, s: _Side, sqrt=math.sqrt) -> float:
+    return sqrt(s.g / h)
 
 
 def is_wet(problem: SweProblem) -> bool:
@@ -112,28 +112,31 @@ def two_rarefaction_depth(problem: SweProblem) -> float:
     an upper bound for the true star depth."""
     if not is_wet(problem):
         raise SYSTEM.no_star_error()
-    left, right = problem._sides
+    return _two_rarefaction(*problem._sides, problem.params)
+
+
+def _two_rarefaction(left: _Side, right: _Side, params: SweParams) -> float:
     b = 0.5 * (left.c + right.c) + 0.25 * (left.u - right.u)
-    return b * b / problem.params.g
+    return b * b / params.g
 
 
-def q_factor(h: float, side_state: SweState, params: SweParams) -> float:
+def q_factor(h: float, side_state: SweState, params: SweParams, sqrt=math.sqrt) -> float:
     """Shock-speed multiplier: S = u_K -/+ c_K * q_K(h)."""
     y = h / side_state.h
-    return math.sqrt(0.5 * (y * y + y))
+    return sqrt(0.5 * (y * y + y))
 
 
 def classify(problem: SweProblem) -> WavePattern:
     return problem._wave_data.pattern
 
 
-def _two_shock_depth(problem: SweProblem, h0: float) -> float:
+def _two_shock_depth(problem: SweProblem, h0: float, sqrt=math.sqrt) -> float:
     """Two-shock approximation of h*, linearized about h0 (Toro,
     Shock-Capturing Methods for Free-Surface Shallow Flows, 2001)."""
-    left, right, g = problem.left, problem.right, problem.params.g
-    gl = math.sqrt(0.5 * g * (h0 + left.h) / (h0 * left.h))
-    gr = math.sqrt(0.5 * g * (h0 + right.h) / (h0 * right.h))
-    return (gl * left.h + gr * right.h - (right.u - left.u)) / (gl + gr)
+    left, right = problem._sides
+    gl = sqrt(0.5 * left.g * (h0 + left.x) / (h0 * left.x))
+    gr = sqrt(0.5 * right.g * (h0 + right.x) / (h0 * right.x))
+    return (gl * left.x + gr * right.x - (right.u - left.u)) / (gl + gr)
 
 
 def solve_exact(problem: SweProblem, rel_tol: float = 1e-12) -> SweExactSolution:
@@ -147,17 +150,17 @@ def solve_exact(problem: SweProblem, rel_tol: float = 1e-12) -> SweExactSolution
     if pattern is _VACUUM:
         raise SYSTEM.no_star_error()
     left, right = problem.left, problem.right
-    h_star = solve_star(SYSTEM, problem, lambda x: _two_shock_depth(problem, x), rel_tol)
+    h_star = solve_star(SYSTEM, problem, rel_tol)
     u_star = 0.5 * (left.u + right.u) + 0.5 * core.side_difference(SYSTEM, problem, h_star)
     return SweExactSolution(h_star, u_star, pattern, *star_speeds(SYSTEM, problem, h_star))
 
 
-def _tms_d(system: System, problem: SweProblem):
+def _tms_d(system: System, problem: SweProblem, minimum=min, maximum=max):
     if problem._wave_data.pattern is _VACUUM:
         raise system.no_star_error()
     left, right = problem._sides
     cl, cr = left.c, right.c
-    return min(left.u - cl, right.u - 2.0 * cr), max(right.u + cr, left.u + 2.0 * cl)
+    return minimum(left.u - cl, right.u - 2.0 * cr), maximum(right.u + cr, left.u + 2.0 * cl)
 
 
 def estimate(problem: SweProblem, estimator: EstimatorId) -> SpeedBounds:
@@ -179,6 +182,8 @@ SYSTEM = System(
     no_star_message="data dry the bed; no positive star depth",
     curve="depth_function",
     two_rarefaction="two_rarefaction_depth",
+    rr_closed_form=_two_rarefaction,
+    two_shock=_two_shock_depth,
     positive=is_wet,
     flags={"--gravity": "g"},
     # a + (b - a) * rng.random() is rng.uniform(a, b), without its call.

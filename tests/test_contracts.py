@@ -52,11 +52,15 @@ def swe_problem(left, right, g):
 # Per reproducer: system, problem, the calls ("exact" or an estimator id)
 # that must raise, and the error they must raise.
 REPRODUCERS = {
-    # (p/p_K)**zd with p/p_K underflowed to 0 in the slope raised ZeroDivisionError.
+    # (p/p_K)**zd with p/p_K underflowed to 0 in the slope raised
+    # ZeroDivisionError; then A_L / (p + B_L) overflowed in the left shock
+    # branch, the root solve raised NoConvergence, and it is solved now
+    # (SOLVED).  Toro and TMS_c take the q factor at p_rr = 1.19e188, where
+    # S_L is -inf.
     "euler-slope-underflow": ("euler", euler_problem(
         (3.163620301440339e-264, -0.0005312154766262234, 4.044859046496202e-205),
         (1.0035356994693857e+68, -2.3538580921671553e+45, 1.1914666961457971e+188),
-        1.068152417570789), ["exact"], RiemannBoundsError),
+        1.068152417570789), ["toro", "tms_c"], ClosedFormOverflow),
     # h * h_K underflowed to 0 in the shock branch, inside the root solve.
     "swe-root-solve-underflow": ("swe", swe_problem(
         (7.2148075922827245e+165, 5.029258498855064),
@@ -128,6 +132,16 @@ REPRODUCERS = {
 }
 
 
+#: Reproducers that `solve_exact` solves: the oracle's star value, S_L and
+#: S_R (`bench/oracle.py`, a log-space bisection in mpmath), and the relative
+#: tolerance.  In "euler-slope-underflow" p*/p_R = 3e-329 underflows to 0 in
+#: the right rarefaction branch, which puts p* 7e-11 off.
+SOLVED = {
+    "euler-slope-underflow": (
+        (3.5728655018390565e-141, -3.417373364477865e+61, 1.1261368096479661e+60), 1e-10),
+}
+
+
 def speeds(module, problem, call):
     """(S_L, S_R) of `call`: "exact" or an estimator id."""
     if call == "exact":
@@ -160,6 +174,17 @@ def test_reproducer_raises_a_named_error(name):
         with pytest.raises(error):
             speeds(module, problem, call)
     check_contract(system, problem)
+
+
+@pytest.mark.parametrize("name", SOLVED)
+def test_reproducer_is_solved_as_the_oracle_solves_it(name):
+    system, problem, _, _ = REPRODUCERS[name]
+    (star, s_left, s_right), rel = SOLVED[name]
+    solution = tables.system_module(system).solve_exact(problem)
+    assert solution.p_star == pytest.approx(star, rel=rel)
+    assert solution.s_left == pytest.approx(s_left, rel=rel)
+    assert solution.s_right == pytest.approx(s_right, rel=rel)
+    assert math.isfinite(solution.u_star)
 
 
 def test_euler_slope_is_infinite_where_the_pressure_ratio_underflows():

@@ -126,6 +126,18 @@ class TestFindRoot:
         root = find_root(f, bracket, fprime=lambda x: 3.0 * x * x, x0=4.0)
         assert root == pytest.approx(2.0, rel=1e-10)
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_bisection_spans_hundreds_of_decades(self, reverse):
+        # An infinite slope makes every Newton step a bisection.  Halving a
+        # bracket of 393 decades at its midpoint gains one bit per step and
+        # ran out of iterations; its geometric mean closes it.
+        sign = -1.0 if reverse else 1.0  # a falling f is oriented from hi to lo
+        f = lambda x: sign * (math.log(x) - math.log(3.57e-141))  # noqa: E731
+        lo, hi = 4.04e-205, 1.19e188
+        bracket = RootBracket(lo, hi, f(lo), f(hi))
+        root = find_root(f, bracket, fprime=lambda x: sign * math.inf)
+        assert root == pytest.approx(3.57e-141, rel=1e-11)
+
     def test_invalid_tolerance(self):
         bracket = RootBracket.from_function(lambda x: x - 2.0, 0.0, 5.0)
         with pytest.raises(ValueError):

@@ -1,14 +1,19 @@
 """Tests for the randomized bound-property fuzzer."""
 
+import dataclasses
 import random
+import subprocess
+import sys
 
 import pytest
 
-from riemann_bounds import bloodflow, euler, shallow, tables
-from riemann_bounds.core import EstimatorId, UnsupportedEstimator
+import riemann_bounds
+from riemann_bounds import bloodflow, euler, fuzz, shallow, tables
+from riemann_bounds.core import EstimatorId, UnsupportedEstimator, speed_function
 from riemann_bounds.fuzz import (
     BOUND_ESTIMATORS,
-    REL_SLACK,
+    KERNEL_CHUNK,
+    KERNEL_MIN_COUNT,
     FuzzReport,
     FuzzViolation,
     run_fuzz,
@@ -104,7 +109,9 @@ class TestRunFuzz:
 
 def public_fuzz(system, count, seed, estimators):
     """run_fuzz written with the public sample_problem, solve_exact and
-    estimate: one SpeedBounds record per estimator and trial."""
+    estimate: one SpeedBounds record per estimator and trial.  It reads
+    `fuzz.REL_SLACK` when it runs, as `run_fuzz` does."""
+    rel_slack = fuzz.REL_SLACK
     record = tables.system_record(system)
     module, star_field = record.module, record.star_field
     two_rarefaction = getattr(module, record.two_rarefaction)
@@ -119,7 +126,7 @@ def public_fuzz(system, count, seed, estimators):
     for trial in range(count):
         problem = sample_problem(system, rng)
         exact = module.solve_exact(problem)
-        slack = REL_SLACK * max(1.0, abs(exact.s_left), abs(exact.s_right))
+        slack = rel_slack * max(1.0, abs(exact.s_left), abs(exact.s_right))
         for estimator in estimators:
             bounds = module.estimate(problem, estimator)
             if bounds.s_left > exact.s_left + slack:
@@ -130,7 +137,7 @@ def public_fuzz(system, count, seed, estimators):
                                             bounds.s_right, exact.s_right, problem))
         star = getattr(exact, star_field)
         star_rr = two_rarefaction(problem)
-        if star_rr < star - REL_SLACK * max(1.0, star):
+        if star_rr < star - rel_slack * max(1.0, star):
             violations.append(violation(trial, "two_rarefaction", "star", star_rr, star, problem))
     return FuzzReport(system, count, seed, tuple(violations))
 
@@ -167,3 +174,153 @@ class TestRunFuzzMatchesThePublicLoop:
         with pytest.raises(UnsupportedEstimator) as from_fuzz:
             run_fuzz("swe", 10, seed=1, estimators=(EstimatorId.EINFELDT,))
         assert str(from_fuzz.value) == str(from_estimate.value)
+
+
+#: Per system, the seed of its acceptance ensemble (`tests/test_acceptance.py`).
+ACCEPTANCE_SEEDS = {"euler": 42, "swe": 7, "bfe": 13}
+#: Trials of the kernel comparisons: two full chunks and a short tail.
+KERNEL_COUNT = 2 * KERNEL_CHUNK + 37
+
+
+@pytest.fixture(scope="module")
+def public_reports():
+    """public_fuzz on the bound estimators, KERNEL_COUNT trials, computed once
+    per (system, seed, slack)."""
+    cache = {}
+
+    def report(system, seed):
+        key = (system, seed, fuzz.REL_SLACK)
+        if key not in cache:
+            cache[key] = public_fuzz(system, KERNEL_COUNT, seed, BOUND_ESTIMATORS[system])
+        return cache[key]
+    return report
+
+
+def kernel_calls(monkeypatch):
+    """Chunk sizes `run_fuzz` hands the lane kernel, recorded per call."""
+    kernel = fuzz._lane_kernel()
+    sizes, scalar_lanes = [], kernel.scalar_lanes
+
+    def spy(system, problems, rel_slack):
+        sizes.append(len(problems))
+        return scalar_lanes(system, problems, rel_slack)
+    monkeypatch.setattr(kernel, "scalar_lanes", spy)
+    return sizes
+
+
+@pytest.mark.skipif(fuzz._lane_kernel() is None, reason="numpy does not import")
+class TestLaneKernel:
+    """`run_fuzz` at or above KERNEL_MIN_COUNT runs the numpy lane kernel; its
+    reports must be those of the scalar loop, which is the oracle."""
+
+    @pytest.mark.parametrize("system", ("euler", "swe", "bfe"))
+    @pytest.mark.parametrize("seed", (5, 29))
+    def test_same_report_as_the_public_loop(self, monkeypatch, public_reports, system, seed):
+        assert KERNEL_COUNT >= KERNEL_MIN_COUNT
+        sizes = kernel_calls(monkeypatch)
+        assert run_fuzz(system, KERNEL_COUNT, seed) == public_reports(system, seed)
+        assert sizes == [KERNEL_CHUNK, KERNEL_CHUNK, 37]
+
+    @pytest.mark.parametrize("system", ("euler", "swe", "bfe"))
+    def test_violations_pass_through_the_kernel(self, monkeypatch, public_reports, system):
+        # A negative slack makes every estimate that equals an exact speed
+        # (an eigenvalue, a rarefaction side) and every R/R star value a
+        # violation: the kernel must hand each such lane to the scalar check.
+        monkeypatch.setattr(fuzz, "REL_SLACK", -1e-7)
+        sizes = kernel_calls(monkeypatch)
+        report = run_fuzz(system, KERNEL_COUNT, 5)
+        assert len(report.violations) > 100
+        assert {v.side for v in report.violations} >= {"s_left", "s_right", "star"}
+        assert report == public_reports(system, 5)
+        assert len(sizes) == 3
+
+    @pytest.mark.parametrize("system", ("euler", "swe", "bfe"))
+    def test_star_violations_pass_through_the_kernel(self, monkeypatch, system):
+        # The same with no bound estimator, so that only the dominance check
+        # can hand a lane to the scalar check.
+        record = dataclasses.replace(tables.system_record(system), bound_estimators=())
+        monkeypatch.setitem(tables._REGISTRY, system, record)
+        monkeypatch.setattr(fuzz, "REL_SLACK", -1e-7)
+        sizes = kernel_calls(monkeypatch)
+        report = run_fuzz(system, KERNEL_COUNT, 5)
+        assert len(report.violations) > 100
+        assert {v.side for v in report.violations} == {"star"}
+        assert report == public_fuzz(system, KERNEL_COUNT, 5, ())
+        assert len(sizes) == 3
+
+    def test_short_runs_and_other_estimator_sets_stay_scalar(self, monkeypatch):
+        sizes = kernel_calls(monkeypatch)
+        run_fuzz("euler", KERNEL_MIN_COUNT - 1, 3)
+        run_fuzz("swe", KERNEL_MIN_COUNT, 3, (EstimatorId.TORO,))
+        assert sizes == []
+
+    @pytest.mark.parametrize("system", ("euler", "swe", "bfe"))
+    def test_lanes_match_the_scalar_path(self, system):
+        # The kernel's p*, S_L and S_R against solve_exact, and its bound
+        # estimates against the registry functions, on the first 20 000
+        # acceptance problems: within BAND / 100 of the check's scale
+        # max(1, |S_L|, |S_R|) (max(1, p*) for the star value; for an
+        # estimate, of its own size where that is larger), on every lane it
+        # keeps.
+        kernel = fuzz._lane_kernel()
+        record = tables.system_record(system)
+        rng = random.Random(ACCEPTANCE_SEEDS[system])
+        worst, doubted = {}, 0
+        for _ in range(20):
+            problems = [sample_problem(system, rng) for _ in range(1000)]
+            lanes = kernel._Lanes(record, problems)
+            values = dict(zip(("star", "s_left", "s_right"), lanes.exact()))
+            for estimator in record.bound_estimators:
+                values[estimator.value] = lanes.estimate(estimator)
+            doubted += int(lanes.doubt.sum())
+            for i in (~lanes.doubt).nonzero()[0]:
+                problem = problems[i]
+                exact = record.module.solve_exact(problem)
+                scale = max(1.0, abs(exact.s_left), abs(exact.s_right))
+                star = getattr(exact, record.star_field)
+                errors = {"star": abs(values["star"][i] - star) / max(1.0, star),
+                          "s_left": abs(values["s_left"][i] - exact.s_left) / scale,
+                          "s_right": abs(values["s_right"][i] - exact.s_right) / scale}
+                for estimator in record.bound_estimators:
+                    pair = speed_function(record, estimator)(record, problem)
+                    errors[estimator.value] = max(
+                        abs(mine[i] - theirs) / max(scale, abs(theirs))
+                        for mine, theirs in zip(values[estimator.value], pair))
+                for name, error in errors.items():
+                    worst[name] = max(worst.get(name, 0.0), error)
+        print(f"{system}: {doubted} of 20000 lanes doubted; largest differences "
+              + ", ".join(f"{name} {error:.1e}" for name, error in worst.items()))
+        assert max(worst.values()) <= kernel.BAND / 100
+        assert doubted <= 20
+
+    def test_weak_shocks_go_to_the_scalar_check(self):
+        # A blood-flow shock with A*/A_K - 1 near 1e-6: its shock factor
+        # loses ten digits to cancellation, so the kernel must not judge it.
+        kernel = fuzz._lane_kernel()
+        record = tables.system_record("bfe")
+        problems = [tables.make_problem("bfe", (1.0, 0.0), (1.0, -du))
+                    for du in (1e-3, 1e-2, 2e-3, 3e-4)]
+        stars = [bloodflow.solve_exact(problem).a_star for problem in problems]
+        assert all(0.0 < star - 1.0 < kernel.WEAK_SHOCK for star in stars)
+        assert kernel.scalar_lanes(record, problems, fuzz.REL_SLACK) == [0, 1, 2, 3]
+
+
+def test_same_report_without_numpy(monkeypatch, public_reports):
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    monkeypatch.delitem(sys.modules, "riemann_bounds._kernel", raising=False)
+    monkeypatch.delattr(riemann_bounds, "_kernel", raising=False)
+    assert fuzz._lane_kernel() is None
+    for system in ("euler", "swe", "bfe"):
+        assert run_fuzz(system, KERNEL_COUNT, 29) == public_reports(system, 29)
+    assert "riemann_bounds._kernel" not in sys.modules
+
+
+def test_importing_the_cli_does_not_import_numpy():
+    # numpy's import adds about 0.1 s to a cold process; only a run_fuzz
+    # long enough for the kernel may pay it.
+    code = ("import sys, riemann_bounds.cli, riemann_bounds.fuzz; "
+            "print('numpy' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={"PYTHONPATH": str(riemann_bounds.__path__[0] + "/..")},
+                          check=True)
+    assert done.stdout.strip() == "False"
