@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import partial
 
 from . import core
 from .core import (
@@ -13,10 +14,10 @@ from .core import (
     CollapseData,
     EstimatorId,
     Problem,
-    SpeedBounds,
     System,
     WavePattern,
     _VACUUM,  # WavePattern.VACUUM, bound once
+    classify,
     find_root,  # read as a module attribute by core.solve_star
     interpolate_root,  # read as a module attribute by core.tms
     record,
@@ -144,19 +145,9 @@ def is_open(problem: BfeProblem) -> bool:
     return 4.0 * left.c + 4.0 * right.c > right.u - left.u
 
 
-def two_rarefaction_area(problem: BfeProblem) -> float:
-    """Closed-form star area assuming both waves are rarefactions;
-    an upper bound for the true star area.  Raises `ClosedFormOverflow`
-    when the value exceeds the float range."""
-    if not is_open(problem):
-        raise SYSTEM.no_star_error()
-    try:
-        return _two_rarefaction(*problem._sides, problem.params)
-    except OverflowError:
-        raise ClosedFormOverflow("two-rarefaction area overflows") from None
-
-
 def _two_rarefaction(left: _Side, right: _Side, params: BfeParams) -> float:
+    """Closed-form star area assuming both waves are rarefactions;
+    an upper bound for the true star area."""
     b = 0.5 * (left.c + right.c) - 0.125 * (right.u - left.u)
     return (2.0 * params.rho * b * b / params.beta) ** 2
 
@@ -174,10 +165,6 @@ def q_factor(a: float, side_state: BfeState, params: BfeParams, sqrt=math.sqrt) 
         return math.inf
 
 
-def classify(problem: BfeProblem) -> WavePattern:
-    return problem._wave_data.pattern
-
-
 def solve_exact(problem: BfeProblem, rel_tol: float = 1e-12) -> BfeExactSolution:
     """Exact star state and extreme wave speeds.
 
@@ -185,8 +172,6 @@ def solve_exact(problem: BfeProblem, rel_tol: float = 1e-12) -> BfeExactSolution
     (`core.solve_star`), from the start `core.star_start` picks.
     """
     pattern = classify(problem)
-    if pattern is _VACUUM:
-        raise SYSTEM.no_star_error()
     left, right = problem.left, problem.right
     a_star = solve_star(SYSTEM, problem, rel_tol)
     u_star = 0.5 * (left.u + right.u) + 0.5 * core.side_difference(SYSTEM, problem, a_star)
@@ -206,11 +191,6 @@ def _tms_d(system: System, problem: BfeProblem, minimum=min, maximum=max):
         minimum(left.u - cl, right.u - 4.0 * (cr - c_floor)),
         maximum(right.u + cr, left.u + 4.0 * (cl - c_floor)),
     )
-
-
-def estimate(problem: BfeProblem, estimator: EstimatorId) -> SpeedBounds:
-    """Wave-speed pair (S_L, S_R) for the requested estimator."""
-    return core.estimate(SYSTEM, problem, estimator)
 
 
 SYSTEM = System(
@@ -245,5 +225,7 @@ SYSTEM = System(
 )
 
 area_function, area_function_deriv = core.wave_curves(SYSTEM)
+two_rarefaction_area = partial(core.two_rarefaction, SYSTEM)
+estimate = partial(core.estimate, SYSTEM)
 BfeProblem._system = SYSTEM
 ESTIMATORS = tuple(SYSTEM.speeds)

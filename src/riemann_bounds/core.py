@@ -231,11 +231,15 @@ class System:
     """One hyperbolic system, described once for the shared code below, the
     registry in `tables`, the fuzzer and the CLI.
 
-    Shared code reaches `classify`, `q_factor`, `interpolate_root`,
-    `find_root`, `solve_exact` and the functions named by `curve` and
-    `two_rarefaction` as attributes of `module` when it runs, so that
-    replacing them on the module (to count or time calls) takes effect.
-    A problem's `_sides` is the pair of `side` records of its two states.
+    A system module holds only its physics and `solve_exact`, and binds
+    the surface written once below under its public names: `classify`,
+    the wave curve and its slope (`wave_curves`), and `estimate` and
+    `two_rarefaction` given this record.  Shared code reaches `classify`,
+    `q_factor`, `interpolate_root`, `find_root`, `solve_exact` and the
+    functions named by `curve` and `two_rarefaction` as attributes of
+    `module` when it runs, so that replacing them on the module (to count
+    or time calls) takes effect.  A problem's `_sides` is the pair of
+    `side` records of its two states.
     """
 
     name: str  # registry key and CLI --system value
@@ -334,6 +338,21 @@ def side_difference(system: System, problem, x: float) -> float:
             - (system.shock(x, left) if x > left.x else system.rarefaction(x, left)))
 
 
+def two_rarefaction(system: System, problem) -> float:
+    """Closed-form star value assuming both waves are rarefactions,
+    `system.rr_closed_form`; each module binds it under the name
+    `system.two_rarefaction`.  Raises the system's no-star error for data
+    without a positive star value and `ClosedFormOverflow` when the value
+    exceeds the float range."""
+    if not system.positive(problem):
+        raise system.no_star_error()
+    try:
+        return system.rr_closed_form(*problem._sides, problem.params)
+    except OverflowError:
+        raise ClosedFormOverflow(f"two-rarefaction {system.star_label} overflows at "
+                                 f"{problem.params}") from None
+
+
 def wave_data(system: System, problem) -> WaveData:
     """Wave data of `problem` from the signs of the wave-curve function at
     the data values, without solving for the star state.
@@ -384,6 +403,12 @@ class Problem:
     def _wave_data(self) -> WaveData:
         """The problem's `wave_data`."""
         return wave_data(self._system, self)
+
+
+def classify(problem) -> WavePattern:
+    """Wave pattern from the signs of the wave-curve function at the data
+    values, without solving for the star state."""
+    return problem._wave_data.pattern
 
 
 def star_bracket(
@@ -441,11 +466,14 @@ def star_start(system: System, problem, wave: WaveData, bracket: RootBracket) ->
 
 
 def solve_star(system: System, problem, rel_tol: float) -> float:
-    """Star value of a problem that has a positive one: Newton inside the
-    bracket that the wave pattern gives (`star_bracket`), from the start
-    `star_start` picks.  Raises `ClosedFormOverflow` when an evaluation
-    raises an arithmetic error."""
+    """Star value of a problem: Newton inside the bracket that the wave
+    pattern gives (`star_bracket`), from the start `star_start` picks.
+    Raises the system's no-star error for data without a positive star
+    value, and `ClosedFormOverflow` when an evaluation raises an
+    arithmetic error."""
     wave, module, (left, right) = problem._wave_data, system.module, problem._sides
+    if wave.pattern is _VACUUM:
+        raise system.no_star_error()
     curve = getattr(module, system.curve)
     slope = getattr(module, system.curve + "_deriv")
     f = lambda x: curve(x, problem)  # noqa: E731

@@ -5,17 +5,17 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import partial
 
 from . import core
 from .core import (
     ClosedFormOverflow,
     EstimatorId,
     Problem,
-    SpeedBounds,
     System,
     VacuumData,
     WavePattern,
-    _VACUUM,  # WavePattern.VACUUM, bound once
+    classify,
     find_root,  # read as a module attribute by core.solve_star
     interpolate_root,  # read as a module attribute by core.tms
     record,
@@ -152,24 +152,13 @@ def check_positivity(problem: EulerProblem) -> bool:
     return left.rar + right.rar > right.u - left.u
 
 
-def two_rarefaction_pressure(problem: EulerProblem) -> float:
+def _two_rarefaction(left: _Side, right: _Side, params: EulerParams) -> float:
     """Closed-form star pressure assuming both waves are rarefactions.
 
     An upper bound for the true star pressure for 1 < gamma <= 5/3
     (Guermond & Popov, J. Comput. Phys. 321, 2016); above 5/3 it can fall
-    below it.  Raises `ClosedFormOverflow` when the value exceeds the
-    float range (gamma near 1).
+    below it.  It overflows for gamma near 1.
     """
-    if not check_positivity(problem):
-        raise SYSTEM.no_star_error()
-    try:
-        return _two_rarefaction(*problem._sides, problem.params)
-    except OverflowError:
-        raise ClosedFormOverflow(f"two-rarefaction pressure overflows at gamma = "
-                                 f"{problem.params.gamma}") from None
-
-
-def _two_rarefaction(left: _Side, right: _Side, params: EulerParams) -> float:
     z = left.z
     num = left.c + right.c - 0.5 * (params.gamma - 1.0) * (right.u - left.u)
     den = left.c / left.x**z + right.c / right.x**z
@@ -180,12 +169,6 @@ def q_factor(p: float, side_state: EulerState, params: EulerParams, sqrt=math.sq
     """Shock-speed multiplier: S = u_K -/+ c_K * q_K(p)."""
     g = params.gamma
     return sqrt(1.0 + (g + 1.0) / (2.0 * g) * (p / side_state.p - 1.0))
-
-
-def classify(problem: EulerProblem) -> WavePattern:
-    """Wave pattern from the signs of f at the data pressures, without
-    solving for the star state."""
-    return problem._wave_data.pattern
 
 
 def _two_shock_pressure(problem: EulerProblem, p0: float, sqrt=math.sqrt) -> float:
@@ -206,8 +189,6 @@ def solve_exact(problem: EulerProblem, rel_tol: float = 1e-12) -> EulerExactSolu
     SS that is refined by Toro's two-shock approximation.
     """
     pattern = classify(problem)
-    if pattern is _VACUUM:
-        raise SYSTEM.no_star_error()
     left, right = problem.left, problem.right
     p_star = solve_star(SYSTEM, problem, rel_tol)
     u_star = 0.5 * (left.u + right.u) + 0.5 * core.side_difference(SYSTEM, problem, p_star)
@@ -247,11 +228,6 @@ def _batten(system: System, problem: EulerProblem):
     return min(left.u - cl, u_roe - c_roe), max(right.u + cr, u_roe + c_roe)
 
 
-def estimate(problem: EulerProblem, estimator: EstimatorId) -> SpeedBounds:
-    """Wave-speed pair (S_L, S_R) for the requested estimator."""
-    return core.estimate(SYSTEM, problem, estimator)
-
-
 SYSTEM = System(
     name="euler",
     title="Euler",
@@ -288,5 +264,7 @@ SYSTEM = System(
 )
 
 pressure_function, pressure_function_deriv = core.wave_curves(SYSTEM)
+two_rarefaction_pressure = partial(core.two_rarefaction, SYSTEM)
+estimate = partial(core.estimate, SYSTEM)
 EulerProblem._system = SYSTEM
 ESTIMATORS = tuple(SYSTEM.speeds)

@@ -6,16 +6,17 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import partial
 
 from . import core
 from .core import (
     DryBed,
     EstimatorId,
     Problem,
-    SpeedBounds,
     System,
     WavePattern,
     _VACUUM,  # WavePattern.VACUUM, bound once
+    classify,
     find_root,  # read as a module attribute by core.solve_star
     interpolate_root,  # read as a module attribute by core.tms
     record,
@@ -107,15 +108,9 @@ def is_wet(problem: SweProblem) -> bool:
     return 2.0 * left.c + 2.0 * right.c > right.u - left.u
 
 
-def two_rarefaction_depth(problem: SweProblem) -> float:
+def _two_rarefaction(left: _Side, right: _Side, params: SweParams) -> float:
     """Closed-form star depth assuming both waves are rarefactions;
     an upper bound for the true star depth."""
-    if not is_wet(problem):
-        raise SYSTEM.no_star_error()
-    return _two_rarefaction(*problem._sides, problem.params)
-
-
-def _two_rarefaction(left: _Side, right: _Side, params: SweParams) -> float:
     b = 0.5 * (left.c + right.c) + 0.25 * (left.u - right.u)
     return b * b / params.g
 
@@ -124,10 +119,6 @@ def q_factor(h: float, side_state: SweState, params: SweParams, sqrt=math.sqrt) 
     """Shock-speed multiplier: S = u_K -/+ c_K * q_K(h)."""
     y = h / side_state.h
     return sqrt(0.5 * (y * y + y))
-
-
-def classify(problem: SweProblem) -> WavePattern:
-    return problem._wave_data.pattern
 
 
 def _two_shock_depth(problem: SweProblem, h0: float, sqrt=math.sqrt) -> float:
@@ -147,8 +138,6 @@ def solve_exact(problem: SweProblem, rel_tol: float = 1e-12) -> SweExactSolution
     SS that is refined by the two-shock approximation.
     """
     pattern = classify(problem)
-    if pattern is _VACUUM:
-        raise SYSTEM.no_star_error()
     left, right = problem.left, problem.right
     h_star = solve_star(SYSTEM, problem, rel_tol)
     u_star = 0.5 * (left.u + right.u) + 0.5 * core.side_difference(SYSTEM, problem, h_star)
@@ -161,11 +150,6 @@ def _tms_d(system: System, problem: SweProblem, minimum=min, maximum=max):
     left, right = problem._sides
     cl, cr = left.c, right.c
     return minimum(left.u - cl, right.u - 2.0 * cr), maximum(right.u + cr, left.u + 2.0 * cl)
-
-
-def estimate(problem: SweProblem, estimator: EstimatorId) -> SpeedBounds:
-    """Wave-speed pair (S_L, S_R) for the requested estimator."""
-    return core.estimate(SYSTEM, problem, estimator)
 
 
 SYSTEM = System(
@@ -200,5 +184,7 @@ SYSTEM = System(
 )
 
 depth_function, depth_function_deriv = core.wave_curves(SYSTEM)
+two_rarefaction_depth = partial(core.two_rarefaction, SYSTEM)
+estimate = partial(core.estimate, SYSTEM)
 SweProblem._system = SYSTEM
 ESTIMATORS = tuple(SYSTEM.speeds)

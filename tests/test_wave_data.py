@@ -241,19 +241,47 @@ def test_shared_code_reaches_module_functions(monkeypatch, system):
     # The estimators and the root solve shared in core must call the
     # module's functions through its attributes, so that a replacement
     # (a counter, a timing wrapper) sees every call.
+    # The same names `bench/tracing.py` wraps, the wave curve, its slope
+    # and the two-rarefaction closed form included.
     module, _, make, data, _, _ = SYSTEMS[system]
-    calls = {name: counting(monkeypatch, module, name)
-             for name in ("interpolate_root", "q_factor", "classify")}
+    curve, two_rarefaction = module.SYSTEM.curve, module.SYSTEM.two_rarefaction
+    names = ("interpolate_root", "q_factor", "classify", curve, curve + "_deriv",
+             two_rarefaction, "solve_exact")
+    calls = {name: counting(monkeypatch, module, name) for name in names}
     roots = []
     find_root = module.find_root
     monkeypatch.setattr(module, "find_root",
                         lambda *args, **kwargs: roots.append(args) or find_root(*args, **kwargs))
     bounds = module.estimate(make(*data[1]), EstimatorId.TMS_A)
     assert bounds.pattern is WavePattern.RS
+    # RS wave data: f at both data values and at the two-rarefaction value
     assert {name: count[0] for name, count in calls.items()} == {
-        "interpolate_root": 1, "q_factor": 1, "classify": 1}
+        "interpolate_root": 1, "q_factor": 1, "classify": 1, curve: 3, curve + "_deriv": 0,
+        two_rarefaction: 1, "solve_exact": 0}
     module.estimate(make(*data[0]), EstimatorId.EXACT)
-    assert len(roots) == 1 and calls["classify"][0] == 2
+    assert len(roots) == 1
+    counts = {name: count[0] for name, count in calls.items()}
+    assert (counts["classify"], counts[two_rarefaction], counts["solve_exact"]) == (2, 2, 1)
+    assert counts[curve] > 3 and counts[curve + "_deriv"] >= 1
+
+
+# Per system: data (left, right) that leave no positive star value, and the
+# error that says so.
+VACUUM = {
+    "euler": (((1.0, -50.0, 0.01), (1.0, 50.0, 0.01)), core.VacuumData),
+    "swe": (((0.01, -10.0), (0.01, 10.0)), core.DryBed),
+    "bfe": (((0.01, -400.0), (0.01, 400.0)), core.CollapseData),
+}
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_exact_solve_of_vacuum_data_raises_the_no_star_error(system):
+    module, _, make, _, _, _ = SYSTEMS[system]
+    (left, right), error = VACUUM[system]
+    with pytest.raises(error, match=module.SYSTEM.no_star_message):
+        core.solve_star(module.SYSTEM, make(left, right), 1e-12)
+    with pytest.raises(error, match=module.SYSTEM.no_star_message):
+        module.solve_exact(make(left, right))
 
 
 @pytest.mark.parametrize("system, estimator, title", [

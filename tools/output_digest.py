@@ -12,6 +12,11 @@ that moved.  The lines are, per system:
 - the first `--problems` problems of the acceptance ensemble (the seeds of
   `tests/test_acceptance.py`): `solve_exact`, `classify` and `estimate` for
   every `EstimatorId`, unsupported ones included;
+- `RAW_PAIRS` raw pairs of the system's fuzz draw, seed `RAW_SEED`, without
+  the positivity filter of the acceptance ensemble, so that data leaving no
+  positive star value are among them: the positivity test, `classify`, the
+  two-rarefaction closed form, `solve_exact` and `estimate` for every
+  `EstimatorId`;
 - the benchmark's mesh grids of seeds 1-3 and their mirror images: every
   estimator of the system and the exact solve at every interface, and
   `courant_dt` of each estimator's column per grid;
@@ -44,6 +49,8 @@ ACCEPTANCE_SEEDS = {"euler": 42, "swe": 7, "bfe": 13}
 MESH_SEEDS = (1, 2, 3)
 FUZZ_SEEDS = (1, 2, 3)
 FUZZ_TRIALS = 1000
+RAW_SEED = 5
+RAW_PAIRS = 3000
 
 
 def outcome(fn, *args) -> str:
@@ -66,6 +73,24 @@ def acceptance_lines(system: str, count: int):
         yield f"{system} {i} classify {outcome(module.classify, problem)}"
         for estimator in EstimatorId:
             yield f"{system} {i} {estimator.value} {outcome(module.estimate, problem, estimator)}"
+
+
+def raw_lines(system: str):
+    from riemann_bounds import tables
+    from riemann_bounds.core import EstimatorId
+
+    record = tables.system_record(system)
+    module = record.module
+    two_rarefaction = getattr(module, record.two_rarefaction)
+    rng = random.Random(RAW_SEED)
+    for i in range(RAW_PAIRS):
+        problem = tables.make_problem(system, record.draw(rng), record.draw(rng))
+        yield f"raw {system} {i} positive {outcome(record.positive, problem)}"
+        yield f"raw {system} {i} classify {outcome(module.classify, problem)}"
+        yield f"raw {system} {i} two_rarefaction {outcome(two_rarefaction, problem)}"
+        yield f"raw {system} {i} exact {outcome(module.solve_exact, problem)}"
+        for estimator in EstimatorId:
+            yield f"raw {system} {i} {estimator.value} {outcome(module.estimate, problem, estimator)}"
 
 
 @functools.cache
@@ -133,6 +158,7 @@ def table_lines():
 def sections(problems: int):
     for system in ACCEPTANCE_SEEDS:
         yield f"acceptance {system}", acceptance_lines(system, problems)
+        yield f"raw {system}", raw_lines(system)
         for seed in MESH_SEEDS:
             yield f"mesh {system} seed {seed}", mesh_lines(system, seed)
         yield f"fuzz {system}", fuzz_lines(system)
