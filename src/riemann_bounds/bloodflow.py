@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import partial
 
 from . import core
 from .core import (
@@ -225,7 +224,7 @@ SYSTEM = System(
 )
 
 area_function, area_function_deriv = core.wave_curves(SYSTEM)
-two_rarefaction_area = partial(core.two_rarefaction, SYSTEM)
-estimate = partial(core.estimate, SYSTEM)
+two_rarefaction_area = core.bind(SYSTEM, core.two_rarefaction, SYSTEM.two_rarefaction)
+estimate = core.bind(SYSTEM, core.estimate, "estimate")
 BfeProblem._system = SYSTEM
 ESTIMATORS = tuple(SYSTEM.speeds)

@@ -330,6 +330,17 @@ def wave_curves(system: System):
     return curve, slope
 
 
+def bind(system: System, func: Callable, name: str) -> Callable:
+    """`func` with `system` bound as its first argument, named `name` in the
+    system's module as `wave_curves` names the curves: an unnamed partial
+    reads as `functools.partial` in help() and in test ids."""
+    bound = partial(func, system)
+    bound.__name__ = bound.__qualname__ = name
+    bound.__module__ = system.module.__name__
+    bound.__doc__ = func.__doc__
+    return bound
+
+
 def side_difference(system: System, problem, x: float) -> float:
     """f_R(x) - f_L(x), the difference of the wave curve's side terms that
     u* = (u_L + u_R)/2 + (f_R(p*) - f_L(p*))/2 is computed from."""

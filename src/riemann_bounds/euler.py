@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import partial
 
 from . import core
 from .core import (
@@ -264,7 +263,7 @@ SYSTEM = System(
 )
 
 pressure_function, pressure_function_deriv = core.wave_curves(SYSTEM)
-two_rarefaction_pressure = partial(core.two_rarefaction, SYSTEM)
-estimate = partial(core.estimate, SYSTEM)
+two_rarefaction_pressure = core.bind(SYSTEM, core.two_rarefaction, SYSTEM.two_rarefaction)
+estimate = core.bind(SYSTEM, core.estimate, "estimate")
 EulerProblem._system = SYSTEM
 ESTIMATORS = tuple(SYSTEM.speeds)

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import partial
 
 from . import core
 from .core import (
@@ -184,7 +183,7 @@ SYSTEM = System(
 )
 
 depth_function, depth_function_deriv = core.wave_curves(SYSTEM)
-two_rarefaction_depth = partial(core.two_rarefaction, SYSTEM)
-estimate = partial(core.estimate, SYSTEM)
+two_rarefaction_depth = core.bind(SYSTEM, core.two_rarefaction, SYSTEM.two_rarefaction)
+estimate = core.bind(SYSTEM, core.estimate, "estimate")
 SweProblem._system = SYSTEM
 ESTIMATORS = tuple(SYSTEM.speeds)
