@@ -63,10 +63,9 @@ def _gather(objects: Sequence, record_type: type) -> SimpleNamespace:
 
 
 def _bisect(lo, hi):
-    """`core._bisect` over lanes: the geometric mean of normal positive
-    ends more than its ratio apart, else the midpoint."""
-    small, large = np.minimum(lo, hi), np.maximum(lo, hi)
-    geometric = (small >= _MIN_NORMAL) & (large > small * _GEOMETRIC_RATIO)
+    """`core._bisect` over lanes lo <= hi: the geometric mean of normal
+    positive ends more than its ratio apart, else the midpoint."""
+    geometric = (lo >= _MIN_NORMAL) & (hi > lo * _GEOMETRIC_RATIO)
     return _where(geometric, _sqrt(lo) * _sqrt(hi), 0.5 * (lo + hi))
 
 

@@ -56,14 +56,6 @@ class BfeParams:
         if not 0.0 < self.rho < math.inf:
             raise ValueError(f"rho must be positive and finite, got {self.rho}")
 
-    @property
-    def gamma_tube(self) -> float:
-        return self.beta / (3.0 * self.rho)
-
-    @property
-    def zeta(self) -> float:
-        return math.sqrt(self.beta / (2.0 * self.rho))
-
 
 @record
 class BfeProblem(Problem):
@@ -87,10 +79,10 @@ class _Side:
             self.a32 = state.a**1.5
         except OverflowError:
             raise ClosedFormOverflow(f"A**1.5 overflows at A = {state.a}") from None
-        self.zeta = zeta = sqrt(params.beta / (2.0 * params.rho))  # params.zeta
+        self.zeta = zeta = sqrt(params.beta / (2.0 * params.rho))
         self.zeta4 = 4.0 * zeta
-        self.gamma_tube = params.beta / (3.0 * params.rho)  # params.gamma_tube
-        self.c = zeta * self.a14  # wave_speed(state, params)
+        self.gamma_tube = params.beta / (3.0 * params.rho)
+        self.c = zeta * self.a14
 
 
 @record
@@ -100,11 +92,6 @@ class BfeExactSolution:
     pattern: WavePattern
     s_left: float
     s_right: float
-
-
-def wave_speed(state: BfeState, params: BfeParams) -> float:
-    """Elastic-wall wave speed c = zeta * A^(1/4)."""
-    return params.zeta * state.a**0.25
 
 
 # Side K's term f_K(A) of f(A) = f_L(A) + f_R(A) + u_R - u_L and its slope

@@ -18,7 +18,8 @@ class RiemannBoundsError(Exception):
 
 
 class InvalidBracket(RiemannBoundsError):
-    """The supplied interval does not bracket a sign change."""
+    """The supplied interval does not bracket a sign change, or, for
+    `find_root`, f falls across it."""
 
 
 class NoConvergence(RiemannBoundsError):
@@ -199,10 +200,6 @@ class RootBracket:
                 f"f({self.lo})={self.f_lo}, f({self.hi})={self.f_hi}"
             )
 
-    @classmethod
-    def from_function(cls, f: Callable[[float], float], lo: float, hi: float) -> "RootBracket":
-        return cls(lo, hi, f(lo), f(hi))
-
 
 @record
 class WaveData:
@@ -291,6 +288,10 @@ class System:
     ss_tms_c_eigen: bool
     #: Estimators with a proven bound property, which `fuzz.run_fuzz` checks.
     bound_estimators: Tuple[EstimatorId, ...]
+
+    def __repr__(self) -> str:
+        # The dataclass repr prints every field: 2 KB, in each bound function's too.
+        return f"System({self.name!r})"
 
     @property
     def star_field(self) -> str:
@@ -495,7 +496,7 @@ def solve_star(system: System, problem, rel_tol: float) -> float:
     try:
         bracket = star_bracket(wave, f, f_zero)
         # Positional: keywords cost a dict per call.
-        return module.find_root(f, bracket, rel_tol, 100, lambda x: slope(x, problem),
+        return module.find_root(f, bracket, lambda x: slope(x, problem), rel_tol,
                                 star_start(system, problem, wave, bracket))
     except ArithmeticError:
         raise ClosedFormOverflow("the wave curve overflows during the root solve") from None
@@ -668,19 +669,19 @@ def interpolate_root(p1: Tuple[float, float], p2: Tuple[float, float]) -> float:
 
 #: Bracket ends of one sign more than this factor apart are bisected at
 #: their geometric mean, so that a bracket spanning hundreds of decades
-#: closes within `find_root`'s iteration budget.
+#: closes within `find_root`'s iteration budget, `_MAX_ITER`.
 _GEOMETRIC_RATIO = 10.0
 _MIN_NORMAL = sys.float_info.min
+_MAX_ITER = 100
 
 
 def _bisect(lo: float, hi: float) -> float:
-    """Bisection point of the bracket between `lo` and `hi`, in either
-    order: sqrt(lo) * sqrt(hi) when both are normal positive floats more
-    than `_GEOMETRIC_RATIO` apart, the midpoint otherwise.  Among
-    subnormals `find_root`'s absolute floor on the width test would accept
-    a geometric step far from the root."""
-    small, large = (lo, hi) if lo < hi else (hi, lo)
-    if small >= _MIN_NORMAL and large > small * _GEOMETRIC_RATIO:
+    """Bisection point of the bracket lo < hi: sqrt(lo) * sqrt(hi) when
+    both ends are normal positive floats more than `_GEOMETRIC_RATIO`
+    apart, the midpoint otherwise.  Among subnormals `find_root`'s
+    absolute floor on the width test would accept a geometric step far
+    from the root."""
+    if lo >= _MIN_NORMAL and hi > lo * _GEOMETRIC_RATIO:
         return math.sqrt(lo) * math.sqrt(hi)
     return 0.5 * (lo + hi)
 
@@ -688,23 +689,22 @@ def _bisect(lo: float, hi: float) -> float:
 def find_root(
     f: Callable[[float], float],
     bracket: RootBracket,
+    fprime: Callable[[float], float],
     rel_tol: float = 1e-12,
-    max_iter: int = 100,
-    fprime: Optional[Callable[[float], float]] = None,
     x0: Optional[float] = None,
 ) -> float:
-    """Root of a monotone continuous function inside a bracket.
+    """Root of an increasing continuous function `f` with slope `fprime`
+    inside a bracket with f(lo) <= 0 <= f(hi).
 
-    With `fprime` this is a Newton iteration started from `x0` (default:
-    the endpoint with the smaller |f|) that falls back to bisection
-    whenever an iterate leaves the current bracket.  Once |f| passes the
-    residual test it returns the pending Newton correction, when that lies
-    inside the bracket and is below sqrt(rel_tol) * |x| or is the third
-    one past the test.  It evaluates `fprime` at most once per iterate.
-    Without `fprime` it is an Illinois-damped false-position iteration.
-    Either way each function evaluation shrinks the bracket, so
-    convergence is guaranteed for monotone f.  Raises `ValueError` unless
-    0 < rel_tol < 1.
+    A Newton iteration started from `x0` (default: the endpoint with the
+    smaller |f|) that falls back to bisection whenever an iterate leaves
+    the current bracket.  Once |f| passes the residual test it returns the
+    pending Newton correction, when that lies inside the bracket and is
+    below sqrt(rel_tol) * |x| or is the third one past the test.  It
+    evaluates `fprime` at most once per iterate, and each evaluation of
+    `f` shrinks the bracket.  Raises `ValueError` unless 0 < rel_tol < 1,
+    `InvalidBracket` when f(lo) > 0 > f(hi) (a falling f), and
+    `NoConvergence` after `_MAX_ITER` iterations.
     """
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
@@ -713,59 +713,20 @@ def find_root(
         return lo
     if f_hi == 0.0:
         return hi
-    # Orient so f(lo) < 0 < f(hi); `rising` tells whether lo < hi then.  An
-    # iterate strictly inside the bracket keeps that orientation, and one
-    # that would flip it ends the iteration first (the width test).
-    rising = f_lo < 0.0
-    if not rising:
-        lo, hi, f_lo, f_hi = hi, lo, f_hi, f_lo
+    if f_lo > 0.0:
+        raise InvalidBracket(f"f must increase across the bracket, but falls: "
+                             f"f({lo})={f_lo} > 0 > f({hi})={f_hi}")
     f_tol = rel_tol * max(abs(f_lo), abs(f_hi))
-
-    if x0 is not None and (lo <= x0 <= hi if rising else hi <= x0 <= lo):
+    if x0 is not None and lo <= x0 <= hi:
         x = x0
     else:
         x = lo if abs(f_lo) <= abs(f_hi) else hi
     fx = f(x)
     ax = abs(x)
     x_tol = rel_tol * (1e-300 if ax < 1e-300 else ax)  # rel_tol * max(|x|, 1e-300)
-
-    if fprime is None:
-        side = 0  # Illinois bookkeeping
-        for _ in range(max_iter):
-            if abs(fx) <= f_tol:
-                return x
-            if fx < 0.0:
-                if side == -1:
-                    f_hi *= 0.5  # Illinois: damp the stagnant endpoint
-                lo, f_lo = x, fx
-                side = -1
-            else:
-                if side == 1:
-                    f_lo *= 0.5
-                hi, f_hi = x, fx
-                side = 1
-            if abs(hi - lo) <= x_tol:
-                return x
-            x_new = _bisect(lo, hi)
-            if f_hi != f_lo:
-                cand = lo - (hi - lo) / (f_hi - f_lo) * f_lo
-                if lo < cand < hi if rising else hi < cand < lo:
-                    x_new = cand
-            if x_new == x:
-                return x
-            x = x_new
-            fx = f(x)
-            ax = abs(x)
-            x_tol = rel_tol * (1e-300 if ax < 1e-300 else ax)
-            if abs(x - lo) <= x_tol and fx * f_lo > 0:
-                return x
-            if abs(hi - x) <= x_tol and fx * f_hi > 0:
-                return x
-        raise NoConvergence(f"no root to rel_tol={rel_tol} within {max_iter} iterations")
-
     isfinite, sqrt_tol = math.isfinite, math.sqrt(rel_tol)
     corrections = 3  # Newton steps allowed past the residual test
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         step = None  # the Newton iterate from x, once fprime(x) is known
         if abs(fx) <= f_tol:
             # f_tol can be far above f near the root (a distant bracket
@@ -774,7 +735,7 @@ def find_root(
             # convergence makes the corrected value exact to rel_tol.
             dfx = fprime(x)
             step = x - fx / dfx if dfx != 0.0 and isfinite(dfx) else x
-            if not (lo < step < hi if rising else hi < step < lo):
+            if not lo < step < hi:
                 return x
             corrections -= 1
             if corrections == 0 or abs(step - x) <= sqrt_tol * ax:
@@ -784,23 +745,23 @@ def find_root(
             lo, f_lo = x, fx
         else:
             hi, f_hi = x, fx
-        if abs(hi - lo) <= x_tol:
+        if hi - lo <= x_tol:
             return x
         if step is None:
             dfx = fprime(x)
             step = x - fx / dfx if dfx != 0.0 and isfinite(dfx) else math.nan
-        x_new = step if (lo < step < hi if rising else hi < step < lo) else _bisect(lo, hi)
+        x_new = step if lo < step < hi else _bisect(lo, hi)
         if x_new == x:
             return x
         x = x_new
         fx = f(x)
         ax = abs(x)
         x_tol = rel_tol * (1e-300 if ax < 1e-300 else ax)
-        if abs(x - lo) <= x_tol and fx * f_lo > 0:
+        if x - lo <= x_tol and fx * f_lo > 0:
             return x
-        if abs(hi - x) <= x_tol and fx * f_hi > 0:
+        if hi - x <= x_tol and fx * f_hi > 0:
             return x
-    raise NoConvergence(f"no root to rel_tol={rel_tol} within {max_iter} iterations")
+    raise NoConvergence(f"no root to rel_tol={rel_tol} within {_MAX_ITER} iterations")
 
 
 def courant_dt(speeds: Sequence[SpeedBounds], dx: float, c_cfl: float) -> float:

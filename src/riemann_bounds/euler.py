@@ -87,7 +87,7 @@ class _Side:
         self.a = a = 2.0 / ((g + 1.0) * state.rho)
         self.b = b = (g - 1.0) / (g + 1.0) * state.p
         self.scale = 1.0
-        self.c = c = sqrt(g * state.p / state.rho)  # sound_speed(state, params)
+        self.c = c = sqrt(g * state.p / state.rho)
         self.rar = 2.0 * c / (g - 1.0)
         self.imp = state.rho * c
         self.z = (g - 1.0) / (2.0 * g)
@@ -108,10 +108,6 @@ class EulerExactSolution:
     pattern: WavePattern
     s_left: float
     s_right: float
-
-
-def sound_speed(state: EulerState, params: EulerParams) -> float:
-    return math.sqrt(params.gamma * state.p / state.rho)
 
 
 def specific_enthalpy(state: EulerState, params: EulerParams) -> float:

@@ -5,16 +5,10 @@ value must dominate the exact one, on large random problem ensembles."""
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from .core import EstimatorId, record, speed_function
-from .tables import SYSTEMS, make_problem, system_record
-
-#: Estimators with a proven bound property, per system: each `System`
-#: record's `bound_estimators`.
-BOUND_ESTIMATORS: Dict[str, Tuple[EstimatorId, ...]] = {
-    name: system_record(name).bound_estimators for name in SYSTEMS
-}
+from .tables import make_problem, system_record
 
 #: Relative slack applied to every comparison, scaled by the problem's
 #: speed magnitude; absorbs root-finder and floating-point round-off.

@@ -63,7 +63,7 @@ class _Side:
 
     def __init__(self, state: SweState, params: SweParams, sqrt=math.sqrt):
         self.x, self.u, self.g = state.h, state.u, params.g
-        self.c = sqrt(params.g * state.h)  # celerity(state, params)
+        self.c = sqrt(params.g * state.h)
 
 
 @record
@@ -73,10 +73,6 @@ class SweExactSolution:
     pattern: WavePattern
     s_left: float
     s_right: float
-
-
-def celerity(state: SweState, params: SweParams) -> float:
-    return math.sqrt(params.g * state.h)
 
 
 # Side K's term f_K(h) of f(h) = f_L(h) + f_R(h) + u_R - u_L and its slope

@@ -23,7 +23,6 @@ from riemann_bounds.bloodflow import (
     q_factor,
     solve_exact,
     two_rarefaction_area,
-    wave_speed,
 )
 
 
@@ -61,15 +60,9 @@ class TestState:
             BfeParams(rho=0.0)
 
     def test_default_wall_constants(self):
-        params = BfeParams()
-        assert params.zeta == pytest.approx(math.sqrt(28209.4792 / 2.1))
-        assert params.gamma_tube == pytest.approx(28209.4792 / 3.15)
-
-    def test_wave_speed(self):
-        params = BfeParams()
-        assert wave_speed(BfeState(PI, 0.0), params) == pytest.approx(
-            154.3033, abs=1e-4
-        )
+        side = problem((PI, 0.0), (PI, 0.0))._sides[0]
+        assert side.zeta == pytest.approx(math.sqrt(28209.4792 / 2.1))
+        assert side.gamma_tube == pytest.approx(28209.4792 / 3.15)
 
 
 class TestSolveExact:

@@ -47,10 +47,6 @@ class TestRootBracket:
     def test_endpoint_root_allowed(self):
         RootBracket(0.0, 5.0, 0.0, 3.0)
 
-    def test_from_function(self):
-        bracket = RootBracket.from_function(lambda x: x - 2.0, 0.0, 5.0)
-        assert bracket.f_lo == -2.0 and bracket.f_hi == 3.0
-
     @pytest.mark.parametrize("lo, hi", [(0.0, INF), (-INF, 1.0), (-INF, INF), (NAN, 1.0),
                                         (0.0, NAN)])
     def test_non_finite_end_rejected(self, lo, hi):
@@ -66,9 +62,9 @@ class TestRootBracket:
         # With f(hi) = inf the residual test passes at once, and an infinite
         # end is returned as the root: neither bracket can be built now.
         with pytest.raises(InvalidBracket):
-            find_root(lambda x: x - 0.5, RootBracket(0.0, 1.0, -0.5, INF))
+            find_root(lambda x: x - 0.5, RootBracket(0.0, 1.0, -0.5, INF), lambda x: 1.0)
         with pytest.raises(InvalidBracket):
-            find_root(lambda x: x - 0.5, RootBracket(0.0, INF, -1.0, 1.0))
+            find_root(lambda x: x - 0.5, RootBracket(0.0, INF, -1.0, 1.0), lambda x: 1.0)
 
 
 def _ss_wave(curve):
@@ -112,46 +108,54 @@ class TestInterpolateRoot:
 
 class TestFindRoot:
     def test_linear(self):
-        bracket = RootBracket.from_function(lambda x: x - 2.0, 0.0, 5.0)
-        assert find_root(lambda x: x - 2.0, bracket) == pytest.approx(2.0)
+        bracket = RootBracket(0.0, 5.0, -2.0, 3.0)
+        assert find_root(lambda x: x - 2.0, bracket, lambda x: 1.0) == pytest.approx(2.0)
 
     def test_quadratic(self):
         f = lambda x: x * x - 4.0
-        bracket = RootBracket.from_function(f, 0.0, 5.0)
-        assert find_root(f, bracket) == pytest.approx(2.0, rel=1e-10)
+        bracket = RootBracket(0.0, 5.0, -4.0, 21.0)
+        assert find_root(f, bracket, lambda x: 2.0 * x) == pytest.approx(2.0, rel=1e-10)
 
     def test_with_derivative(self):
         f = lambda x: x * x * x - 8.0
-        bracket = RootBracket.from_function(f, 0.0, 5.0)
+        bracket = RootBracket(0.0, 5.0, -8.0, 117.0)
         root = find_root(f, bracket, fprime=lambda x: 3.0 * x * x, x0=4.0)
         assert root == pytest.approx(2.0, rel=1e-10)
 
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_bisection_spans_hundreds_of_decades(self, reverse):
+    @pytest.mark.parametrize("start_inside", [False, True])
+    def test_bisection_spans_hundreds_of_decades(self, start_inside):
         # An infinite slope makes every Newton step a bisection.  Halving a
         # bracket of 393 decades at its midpoint gains one bit per step and
         # ran out of iterations; its geometric mean closes it.
-        sign = -1.0 if reverse else 1.0  # a falling f is oriented from hi to lo
-        f = lambda x: sign * (math.log(x) - math.log(3.57e-141))  # noqa: E731
+        f = lambda x: math.log(x) - math.log(3.57e-141)  # noqa: E731
         lo, hi = 4.04e-205, 1.19e188
         bracket = RootBracket(lo, hi, f(lo), f(hi))
-        root = find_root(f, bracket, fprime=lambda x: sign * math.inf)
+        root = find_root(f, bracket, fprime=lambda x: math.inf,
+                         x0=1e100 if start_inside else None)
         assert root == pytest.approx(3.57e-141, rel=1e-11)
 
+    def test_falling_bracket_rejected(self):
+        # f must increase: a falling f, root-bracketing or not, is refused
+        # with a message that names the orientation.
+        f = lambda x: math.log(3.57e-141) - math.log(x)  # noqa: E731
+        lo, hi = 4.04e-205, 1.19e188
+        with pytest.raises(InvalidBracket, match="must increase"):
+            find_root(f, RootBracket(lo, hi, f(lo), f(hi)), fprime=lambda x: -1.0 / x)
+
     def test_invalid_tolerance(self):
-        bracket = RootBracket.from_function(lambda x: x - 2.0, 0.0, 5.0)
+        bracket = RootBracket(0.0, 5.0, -2.0, 3.0)
         with pytest.raises(ValueError):
-            find_root(lambda x: x - 2.0, bracket, rel_tol=0.0)
+            find_root(lambda x: x - 2.0, bracket, lambda x: 1.0, rel_tol=0.0)
 
     @pytest.mark.parametrize("rel_tol", [NAN, INF, -INF, 1.0, 1.5, -1e-12, 0.0])
-    @pytest.mark.parametrize("use_derivative", [False, True])
-    def test_tolerance_outside_zero_one_rejected(self, rel_tol, use_derivative):
+    @pytest.mark.parametrize("with_start", [False, True])
+    def test_tolerance_outside_zero_one_rejected(self, rel_tol, with_start):
         # A tolerance of 1 or more passes the residual test at once: the
         # cubic below came back as 0.0, where f = -2.  NaN passed `<= 0`.
         f = lambda x: x**3 - 2.0
-        fprime = (lambda x: 3.0 * x * x) if use_derivative else None
         with pytest.raises(ValueError, match=r"rel_tol must lie in \(0, 1\)"):
-            find_root(f, RootBracket(0.0, 2.0, -2.0, 6.0), rel_tol, fprime=fprime)
+            find_root(f, RootBracket(0.0, 2.0, -2.0, 6.0), lambda x: 3.0 * x * x, rel_tol,
+                      x0=1.0 if with_start else None)
 
     def test_exact_solve_rejects_an_infinite_tolerance(self):
         # It returned p* = 0.30312980 for Sod (exact 0.30313018) as exact.
@@ -164,8 +168,7 @@ class TestFindRoot:
     @pytest.mark.parametrize("rel_tol", [5e-324, 1e-300, 0.5, 0.999])
     def test_tolerance_inside_zero_one_accepted(self, rel_tol):
         f = lambda x: x**3 - 2.0
-        root = find_root(f, RootBracket(0.0, 2.0, -2.0, 6.0), rel_tol,
-                         fprime=lambda x: 3.0 * x * x)
+        root = find_root(f, RootBracket(0.0, 2.0, -2.0, 6.0), lambda x: 3.0 * x * x, rel_tol)
         assert 0.0 <= root <= 2.0
         if rel_tol < 1e-12:
             assert root == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-15)
@@ -180,7 +183,7 @@ class TestFindRoot:
         # The far bracket end makes the residual test pass with a large
         # Newton correction still pending, which is then also the next step.
         f = lambda x: x**3 - 8.0
-        root = find_root(f, RootBracket(0.0, 1e4, -8.0, 1e12 - 8.0), fprime=fprime, x0=3.0)
+        root = find_root(f, RootBracket(0.0, 1e4, -8.0, 1e12 - 8.0), fprime, x0=3.0)
         assert root == pytest.approx(2.0, rel=1e-12)
         assert len(seen) == len(set(seen)) >= 3, seen
 
@@ -188,16 +191,17 @@ class TestFindRoot:
         a=st.floats(0.01, 10.0),
         b=st.floats(0.0, 10.0),
         root=st.floats(-5.0, 5.0),
-        use_derivative=st.booleans(),
+        start=st.one_of(st.none(), st.floats(-7.0, 9.0)),
     )
     @settings(max_examples=200, deadline=None)
-    def test_monotone_cubic(self, a, b, root, use_derivative):
-        # Strictly increasing cubic with a known root.
+    def test_monotone_cubic(self, a, b, root, start):
+        # Strictly increasing cubic with a known root, from the endpoint
+        # with the smaller |f| or from a start inside the bracket.
         f = lambda x: a * (x - root) ** 3 + b * (x - root)
         lo, hi = root - 7.0, root + 9.0
         bracket = RootBracket(lo, hi, f(lo), f(hi))
-        fprime = (lambda x: 3.0 * a * (x - root) ** 2 + b) if use_derivative else None
-        x = find_root(f, bracket, fprime=fprime)
+        fprime = lambda x: 3.0 * a * (x - root) ** 2 + b
+        x = find_root(f, bracket, fprime, x0=None if start is None else root + start)
         # Contract: small residual relative to the bracket's f-scale, or a
         # tight bracket around the returned iterate.
         f_scale = max(abs(f(lo)), abs(f(hi)))

@@ -27,7 +27,6 @@ from riemann_bounds.euler import (
     pressure_function,
     q_factor,
     solve_exact,
-    sound_speed,
     two_rarefaction_pressure,
 )
 
@@ -66,10 +65,6 @@ class TestState:
             EulerState(1.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             EulerParams(gamma=1.0)
-
-    def test_sound_speed(self):
-        state = EulerState(1.0, 0.0, 1.0)
-        assert sound_speed(state, EulerParams()) == pytest.approx(math.sqrt(1.4))
 
 
 class TestSolveExact:

@@ -11,7 +11,6 @@ import riemann_bounds
 from riemann_bounds import bloodflow, euler, fuzz, shallow, tables
 from riemann_bounds.core import EstimatorId, UnsupportedEstimator, speed_function
 from riemann_bounds.fuzz import (
-    BOUND_ESTIMATORS,
     KERNEL_CHUNK,
     KERNEL_MIN_COUNT,
     FuzzReport,
@@ -82,7 +81,8 @@ class TestRunFuzz:
             run_fuzz("euler", 0, seed=1)
 
     def test_estimator_sets(self):
-        names = {s: {e.value for e in ests} for s, ests in BOUND_ESTIMATORS.items()}
+        names = {s: {e.value for e in tables.system_record(s).bound_estimators}
+                 for s in tables.SYSTEMS}
         assert names["euler"] == {"toro", "tms_a", "tms_b", "tms_c"}
         assert names["swe"] == {"toro", "tms_a", "tms_b", "tms_c", "tms_d"}
         assert names["bfe"] == names["swe"]
@@ -90,8 +90,8 @@ class TestRunFuzz:
     @pytest.mark.parametrize("system", ("euler", "swe", "bfe"))
     def test_estimator_sets_come_from_the_system_records(self, system):
         record = tables.system_record(system)
-        assert BOUND_ESTIMATORS[system] is record.bound_estimators
         assert set(record.bound_estimators) <= set(record.speeds)
+        assert run_fuzz(system, 20, 5) == run_fuzz(system, 20, 5, record.bound_estimators)
 
     def test_detects_planted_violation(self):
         # A deliberately wrong "estimator" must be reported.
@@ -158,7 +158,7 @@ class TestRunFuzzMatchesThePublicLoop:
     @pytest.mark.parametrize("kind", ("bound", "non_bound", "exact"))
     def test_same_report(self, system, seed, kind):
         estimators = {
-            "bound": BOUND_ESTIMATORS[system],
+            "bound": tables.system_record(system).bound_estimators,
             "non_bound": NON_BOUND[system],
             "exact": (EstimatorId.EXACT, EstimatorId.DAVIS_A),
         }[kind]
@@ -191,7 +191,8 @@ def public_reports():
     def report(system, seed):
         key = (system, seed, fuzz.REL_SLACK)
         if key not in cache:
-            cache[key] = public_fuzz(system, KERNEL_COUNT, seed, BOUND_ESTIMATORS[system])
+            cache[key] = public_fuzz(system, KERNEL_COUNT, seed,
+                                     tables.system_record(system).bound_estimators)
         return cache[key]
     return report
 

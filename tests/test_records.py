@@ -63,11 +63,23 @@ TWINS = types.ModuleType("record_twins")
 sys.modules[TWINS.__name__] = TWINS
 
 
+#: Source file of the methods that `dataclass` generates.
+GENERATED = inspect.unwrap(dataclass(type("Probe", (), {})).__repr__).__code__.co_filename
+
+
+def own_repr(cls) -> bool:
+    """Whether `cls` defines its `__repr__` itself, which `dataclass` keeps."""
+    return inspect.unwrap(cls.__repr__).__code__.co_filename != GENERATED
+
+
 def twin_of(cls):
     """A plain `dataclass(frozen=True)` with the fields and methods of `cls`,
-    under the same name, so that its repr is the same."""
-    twin = dataclass(frozen=True)(type(cls.__name__, (cls,), {
-        "__module__": TWINS.__name__, "__qualname__": cls.__qualname__}))
+    under the same name, so that its repr is the same: the dataclass repr,
+    or the one `cls` defines."""
+    namespace = {"__module__": TWINS.__name__, "__qualname__": cls.__qualname__}
+    if own_repr(cls):
+        namespace["__repr__"] = cls.__repr__
+    twin = dataclass(frozen=True)(type(cls.__name__, (cls,), namespace))
     setattr(TWINS, cls.__qualname__, twin)
     return twin
 
@@ -189,6 +201,22 @@ def test_wrong_arguments_raise_type_error():
 def test_unsupported_field_kinds_are_refused(body):
     with pytest.raises(TypeError, match="plain positional"):
         record(type("Bad", (), dict(body)))
+
+
+def test_a_repr_the_class_defines_is_kept():
+    Point = record(type("Point", (), {"__annotations__": {"x": float},
+                                      "__repr__": lambda self: f"P{self.x}"}))
+    assert repr(Point(2.0)) == "P2.0" and own_repr(Point)
+    assert [cls.__qualname__ for cls in package_dataclasses().values()
+            if own_repr(cls)] == ["System"]
+
+
+@pytest.mark.parametrize("module", [euler, shallow, bloodflow], ids=lambda m: m.SYSTEM.name)
+def test_bound_functions_have_a_short_repr(module):
+    # The System record's dataclass repr printed every field, the registry
+    # included, in the repr of each function bound to it: 2030 characters.
+    for bound in (module.estimate, getattr(module, module.SYSTEM.two_rarefaction)):
+        assert len(repr(bound)) < 200 and f"System({module.SYSTEM.name!r})" in repr(bound)
 
 
 def test_class_variables_are_not_fields():

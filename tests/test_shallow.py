@@ -1,6 +1,5 @@
 """Tests for the shallow-water exact solver and speed estimators."""
 
-import math
 import random
 
 import pytest
@@ -16,7 +15,6 @@ from riemann_bounds.shallow import (
     SweParams,
     SweProblem,
     SweState,
-    celerity,
     classify,
     depth_function,
     estimate,
@@ -56,11 +54,6 @@ class TestState:
             SweState(0.0, 1.0)
         with pytest.raises(ValueError):
             SweParams(g=-9.8)
-
-    def test_celerity(self):
-        assert celerity(SweState(1.0, 0.0), SweParams()) == pytest.approx(
-            math.sqrt(9.8)
-        )
 
 
 class TestSolveExact:

@@ -115,6 +115,34 @@ SYSTEMS = {
 }
 
 
+#: Per system: the celerity c of one state, written out from the formula
+#: (the sound speed, the gravity-wave celerity and the elastic-wall wave
+#: speed), a state and its published celerity.
+CELERITIES = {
+    "euler": (lambda s, params: math.sqrt(params.gamma * s.p / s.rho),
+              (1.0, 0.0, 1.0), math.sqrt(1.4)),
+    "swe": (lambda s, params: math.sqrt(params.g * s.h), (1.0, 0.0), math.sqrt(9.8)),
+    "bfe": (lambda s, params: math.sqrt(params.beta / (2.0 * params.rho)) * s.a**0.25,
+            (math.pi, 0.0), 154.3033),
+}
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_davis_a_is_the_eigenvalue_pair(system):
+    # Davis a reads each side record's celerity: it must be the formula's.
+    celerity, state, published = CELERITIES[system]
+    module, make = SYSTEMS[system][0], SYSTEMS[system][2]
+    problem = make(state, state)
+    assert module.estimate(problem, EstimatorId.DAVIS_A).s_right == pytest.approx(
+        published, abs=1e-4)
+    for left, right in SYSTEMS[system][3]:
+        problem = make(left, right)
+        bounds = module.estimate(problem, EstimatorId.DAVIS_A)
+        assert (bounds.s_left, bounds.s_right) == (
+            problem.left.u - celerity(problem.left, problem.params),
+            problem.right.u + celerity(problem.right, problem.params))
+
+
 def counting(monkeypatch, module, name):
     calls = [0]
     original = getattr(module, name)

@@ -27,6 +27,13 @@ and then the nine `tables.reproduce` reports.  Values are written with
 and message.  The mesh grids come from `bench/workloads.py` of the checkout
 this script belongs to.
 
+The public root finder has a section of its own, printed after the total
+and not part of it, so that the total stays comparable with totals taken
+before the section existed: `core.find_root` on `ROOT_CUBICS` seeded
+increasing cubics with their slopes, at each of `ROOT_TOLS`, from its
+default start and from a start inside the bracket, with the root and the
+counts of function and slope evaluations.
+
 After the total it prints, apart from it, a hash of the mesh grids' input
 states.  Digests compare only within one Python minor version: from
 Python 3.12 on, `sum()` of floats is compensated, so `build_grid` in
@@ -51,6 +58,9 @@ FUZZ_SEEDS = (1, 2, 3)
 FUZZ_TRIALS = 1000
 RAW_SEED = 5
 RAW_PAIRS = 3000
+ROOT_SEED = 11
+ROOT_CUBICS = 300
+ROOT_TOLS = (1e-6, 1e-10, 1e-12, 1e-14)
 
 
 def outcome(fn, *args) -> str:
@@ -155,6 +165,59 @@ def table_lines():
             yield f"table {system} {table} {outcome(tables.reproduce, system, table)}"
 
 
+def counted_root(f, fprime, lo, hi, **kwargs):
+    """(root, evaluations of f, evaluations of fprime) of `find_root` on
+    [lo, hi].  Every argument but f and the bracket goes by keyword, so
+    that the call reads the same whatever order a checkout's signature
+    gives them."""
+    from riemann_bounds.core import RootBracket, find_root
+
+    calls = [0, 0]
+
+    def counted_f(x):
+        calls[0] += 1
+        return f(x)
+
+    def counted_fprime(x):
+        calls[1] += 1
+        return fprime(x)
+
+    root = find_root(counted_f, RootBracket(lo, hi, f(lo), f(hi)), fprime=counted_fprime,
+                     **kwargs)
+    return root, calls[0], calls[1]
+
+
+def root_lines():
+    """`find_root` on increasing cubics f(x) = a (x - r)^3 + b (x - r):
+    even ones on a bracket around r of 1e-3 to 1e3 on either side, odd
+    ones with r > 0 on a bracket spanning up to 30 decades on either side,
+    where bisection is geometric.  b = 0 gives a zero slope at the root."""
+    rng = random.Random(ROOT_SEED)
+    for i in range(ROOT_CUBICS):
+        a, b = 10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(-3, 3)
+        if rng.random() < 0.2:
+            b = 0.0
+        if i % 2 == 0:
+            r = rng.uniform(-10.0, 10.0)
+            lo, hi = r - 10.0 ** rng.uniform(-3, 3), r + 10.0 ** rng.uniform(-3, 3)
+        else:
+            r = 10.0 ** rng.uniform(-20, 20)
+            lo, hi = r * 10.0 ** -rng.uniform(0, 30), r * 10.0 ** rng.uniform(0, 30)
+        x0 = rng.uniform(lo, hi)
+
+        def f(x, a=a, b=b, r=r):
+            return a * (x - r) ** 3 + b * (x - r)
+
+        def fprime(x, a=a, b=b, r=r):
+            return 3.0 * a * (x - r) ** 2 + b
+
+        for rel_tol in ROOT_TOLS:
+            for start in (None, x0):
+                result = outcome(lambda: counted_root(f, fprime, lo, hi, rel_tol=rel_tol,
+                                                      x0=start))
+                yield f"root {i} {r!r} {lo!r} {hi!r} {rel_tol!r} {start!r} {result}"
+
+
 def sections(problems: int):
     for system in ACCEPTANCE_SEEDS:
         yield f"acceptance {system}", acceptance_lines(system, problems)
@@ -163,6 +226,15 @@ def sections(problems: int):
             yield f"mesh {system} seed {seed}", mesh_lines(system, seed)
         yield f"fuzz {system}", fuzz_lines(system)
     yield "tables", table_lines()
+
+
+def digest(lines):
+    """SHA-256 hex digest of `lines`, each ended by a newline, and their count."""
+    sha, n = hashlib.sha256(), 0
+    for line in lines:
+        sha.update((line + "\n").encode())
+        n += 1
+    return sha.hexdigest(), n
 
 
 def main(argv=None) -> int:
@@ -196,11 +268,10 @@ def main(argv=None) -> int:
         if dump:
             dump.close()
     print(f"{total.hexdigest()}  {count}  total ({Path(riemann_bounds.__file__).parent})")
-    inputs, n = hashlib.sha256(), 0
-    for line in mesh_input_lines():
-        inputs.update((line + "\n").encode())
-        n += 1
-    print(f"{inputs.hexdigest()}  {n}  mesh input states, not in the total "
+    roots, n = digest(root_lines())
+    print(f"{roots}  {n}  find_root, not in the total")
+    inputs, n = digest(mesh_input_lines())
+    print(f"{inputs}  {n}  mesh input states, not in the total "
           f"(Python {sys.version_info.major}.{sys.version_info.minor})")
     return 0
 
