@@ -64,6 +64,17 @@ class BfeProblem(Problem):
     params: BfeParams = BfeParams()
 
 
+def _celerity(state: BfeState, params: BfeParams, sqrt=math.sqrt) -> float:
+    """Wave speed c_K = zeta A_K^(1/4), zeta = sqrt(beta / (2 rho))."""
+    return sqrt(params.beta / (2.0 * params.rho)) * state.a**0.25
+
+
+def _positivity(c_left: float, c_right: float, du: float, params: BfeParams) -> bool:
+    """Area positivity, 4 c_L + 4 c_R > u_R - u_L: the data do not
+    collapse the vessel."""
+    return 4.0 * c_left + 4.0 * c_right > du
+
+
 class _Side:
     """Wave-curve constants of one side K of a problem: the data area
     x = A_K, the velocity u_K, A_K^(1/4), A_K^(3/2), the wave speed c_K,
@@ -82,7 +93,7 @@ class _Side:
         self.zeta = zeta = sqrt(params.beta / (2.0 * params.rho))
         self.zeta4 = 4.0 * zeta
         self.gamma_tube = params.beta / (3.0 * params.rho)
-        self.c = zeta * self.a14
+        self.c = _celerity(state, params, sqrt)
 
 
 @record
@@ -123,12 +134,6 @@ def _shock_slope(a: float, s: _Side, sqrt=math.sqrt) -> float:
 
 def _rarefaction_slope(a: float, s: _Side, sqrt=math.sqrt) -> float:
     return s.zeta * a**-0.75
-
-
-def is_open(problem: BfeProblem) -> bool:
-    """True when the data do not collapse the vessel (positive star area)."""
-    left, right = problem._sides
-    return 4.0 * left.c + 4.0 * right.c > right.u - left.u
 
 
 def _two_rarefaction(left: _Side, right: _Side, params: BfeParams) -> float:
@@ -195,7 +200,8 @@ SYSTEM = System(
     two_rarefaction="two_rarefaction_area",
     rr_closed_form=_two_rarefaction,
     two_shock=None,
-    positive=is_open,
+    celerity=_celerity,
+    positivity=_positivity,
     flags={"--beta": "beta", "--rho-blood": "rho"},
     # a + (b - a) * rng.random() is rng.uniform(a, b), without its call.
     draw=lambda rng: (10.0 ** (-2.0 + 3.0 * rng.random()), -300.0 + 600.0 * rng.random()),
@@ -211,6 +217,7 @@ SYSTEM = System(
 )
 
 area_function, area_function_deriv = core.wave_curves(SYSTEM)
+is_open = core.bind(SYSTEM, core.positive, "is_open")
 two_rarefaction_area = core.bind(SYSTEM, core.two_rarefaction, SYSTEM.two_rarefaction)
 estimate = core.bind(SYSTEM, core.estimate, "estimate")
 BfeProblem._system = SYSTEM

@@ -236,7 +236,11 @@ class System:
     functions named by `curve` and `two_rarefaction` as attributes of
     `module` when it runs, so that replacing them on the module (to count
     or time calls) takes effect.  A problem's `_sides` is the pair of
-    `side` records of its two states.
+    `side` records of its two states.  The celerity and the positivity
+    condition are each written once per system, in `celerity` and
+    `positivity`: the side record, the public positivity test (`positive`
+    below), the guards of `wave_data` and `two_rarefaction`, and
+    `fuzz.sample_problem` all call them.
     """
 
     name: str  # registry key and CLI --system value
@@ -249,11 +253,16 @@ class System:
     #: data value `x`, velocity `u`, celerity `c` and the constants its
     #: branches read.
     side: type
+    #: The celerity c_K of one state, celerity(state, params, sqrt=math.sqrt):
+    #: the side record's `c`.
+    celerity: Callable[..., float]
     star: str  # state field of the star variable; the solution's is star + "_star"
     star_label: str  # CLI label of the star value
     no_star: type  # error raised for data that leave no positive star value
     no_star_message: str
-    positive: Callable[[Any], bool]  # the data leave a positive star value
+    #: positivity(c_left, c_right, du, params): the data leave a positive
+    #: star value, from the two celerities and du = u_R - u_L.
+    positivity: Callable[[float, float, float, Any], bool]
     curve: str  # module name of the wave curve f(x, problem); its slope is <curve>_deriv
     two_rarefaction: str  # closed-form star value of both waves rarefactions
     #: The formulas below, the per-side branches and the `_tms_d`
@@ -350,19 +359,31 @@ def side_difference(system: System, problem, x: float) -> float:
             - (system.shock(x, left) if x > left.x else system.rarefaction(x, left)))
 
 
+def positive(system: System, problem) -> bool:
+    """True when the data leave a positive star value: no vacuum (Euler),
+    no dry bed (shallow water), no vessel collapse (blood flow).  Each
+    module binds it under its own name (`check_positivity`, `is_wet`,
+    `is_open`).  It reads the problem's side records, so it raises what
+    building them raises (`ClosedFormOverflow` for a side constant past
+    the float range)."""
+    left, right = problem._sides
+    return system.positivity(left.c, right.c, right.u - left.u, problem.params)
+
+
 def two_rarefaction(system: System, problem) -> float:
     """Closed-form star value assuming both waves are rarefactions,
     `system.rr_closed_form`; each module binds it under the name
     `system.two_rarefaction`.  Raises the system's no-star error for data
     without a positive star value and `ClosedFormOverflow` when the value
     exceeds the float range."""
-    if not system.positive(problem):
+    (left, right), params = problem._sides, problem.params
+    if not system.positivity(left.c, right.c, right.u - left.u, params):
         raise system.no_star_error()
     try:
-        return system.rr_closed_form(*problem._sides, problem.params)
+        return system.rr_closed_form(left, right, params)
     except OverflowError:
         raise ClosedFormOverflow(f"two-rarefaction {system.star_label} overflows at "
-                                 f"{problem.params}") from None
+                                 f"{params}") from None
 
 
 def wave_data(system: System, problem) -> WaveData:
@@ -378,7 +399,7 @@ def wave_data(system: System, problem) -> WaveData:
     right_min = x_right <= x_left
     x_min, x_max = (x_right, x_left) if right_min else (x_left, x_right)
     c_left, c_right, nan = left.c, right.c, math.nan
-    if not system.positive(problem):
+    if not system.positivity(c_left, c_right, right.u - left.u, problem.params):
         return WaveData(c_left, c_right, x_min, x_max, nan, nan, nan, nan, _VACUUM)
     curve, isfinite = getattr(module, system.curve), math.isfinite
     try:

@@ -57,6 +57,18 @@ class EulerProblem(Problem):
     params: EulerParams = EulerParams()
 
 
+def _celerity(state: EulerState, params: EulerParams, sqrt=math.sqrt) -> float:
+    """Sound speed c_K = sqrt(gamma p_K / rho_K)."""
+    return sqrt(params.gamma * state.p / state.rho)
+
+
+def _positivity(c_left: float, c_right: float, du: float, params: EulerParams) -> bool:
+    """Pressure positivity, 2 c_L/(gamma-1) + 2 c_R/(gamma-1) > u_R - u_L:
+    the data do not generate vacuum."""
+    g = params.gamma
+    return 2.0 * c_left / (g - 1.0) + 2.0 * c_right / (g - 1.0) > du
+
+
 #: Largest A_K / B_K whose shock constants `_Side` keeps unscaled.
 _SHOCK_RATIO_MAX = 2.0**1000
 
@@ -87,7 +99,7 @@ class _Side:
         self.a = a = 2.0 / ((g + 1.0) * state.rho)
         self.b = b = (g - 1.0) / (g + 1.0) * state.p
         self.scale = 1.0
-        self.c = c = sqrt(g * state.p / state.rho)
+        self.c = c = _celerity(state, params, sqrt)
         self.rar = 2.0 * c / (g - 1.0)
         self.imp = state.rho * c
         self.z = (g - 1.0) / (2.0 * g)
@@ -139,12 +151,6 @@ def _rarefaction_slope(p: float, s: _Side, sqrt=math.sqrt) -> float:
         return (p / s.x) ** s.zd / s.imp
     except ArithmeticError:  # (p/p_K)**zd overflows, or p/p_K underflowed to 0
         return math.inf
-
-
-def check_positivity(problem: EulerProblem) -> bool:
-    """Pressure positivity: the data do not generate vacuum."""
-    left, right = problem._sides
-    return left.rar + right.rar > right.u - left.u
 
 
 def _two_rarefaction(left: _Side, right: _Side, params: EulerParams) -> float:
@@ -239,7 +245,8 @@ SYSTEM = System(
     two_rarefaction="two_rarefaction_pressure",
     rr_closed_form=_two_rarefaction,
     two_shock=_two_shock_pressure,
-    positive=check_positivity,
+    celerity=_celerity,
+    positivity=_positivity,
     flags={"--gamma": "gamma"},
     # a + (b - a) * rng.random() is rng.uniform(a, b), without its call.
     draw=lambda rng: (10.0 ** (-3.0 + 6.0 * rng.random()), -100.0 + 200.0 * rng.random(),
@@ -259,6 +266,7 @@ SYSTEM = System(
 )
 
 pressure_function, pressure_function_deriv = core.wave_curves(SYSTEM)
+check_positivity = core.bind(SYSTEM, core.positive, "check_positivity")
 two_rarefaction_pressure = core.bind(SYSTEM, core.two_rarefaction, SYSTEM.two_rarefaction)
 estimate = core.bind(SYSTEM, core.estimate, "estimate")
 EulerProblem._system = SYSTEM

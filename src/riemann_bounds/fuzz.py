@@ -39,11 +39,21 @@ class FuzzReport:
 
 
 def sample_problem(system: str, rng: random.Random):
-    """One random non-degenerate Riemann problem from the system ensemble."""
+    """One random non-degenerate Riemann problem from the system ensemble.
+
+    Each candidate is tested for positivity from its states' celerities
+    (`System.celerity`, `System.positivity`), with the bits of the
+    public positivity test, but without the side records: a problem is
+    returned without them, and builds them when a solve or an estimate
+    first reads them.  A constant past the float range therefore raises
+    there, not here.
+    """
     record = system_record(system)
+    draw, celerity, positivity = record.draw, record.celerity, record.positivity
     while True:
-        problem = make_problem(system, record.draw(rng), record.draw(rng))
-        if record.positive(problem):
+        problem = make_problem(system, draw(rng), draw(rng))
+        left, right, params = problem.left, problem.right, problem.params
+        if positivity(celerity(left, params), celerity(right, params), right.u - left.u, params):
             return problem
 
 

@@ -55,15 +55,26 @@ class SweProblem(Problem):
     params: SweParams = SweParams()
 
 
+def _celerity(state: SweState, params: SweParams, sqrt=math.sqrt) -> float:
+    """Celerity c_K = sqrt(g h_K)."""
+    return sqrt(params.g * state.h)
+
+
+def _positivity(c_left: float, c_right: float, du: float, params: SweParams) -> bool:
+    """Depth positivity, 2 c_L + 2 c_R > u_R - u_L: the data do not dry
+    the bed."""
+    return 2.0 * c_left + 2.0 * c_right > du
+
+
 class _Side:
     """Wave-curve constants of one side K of a problem: the data depth
-    x = h_K, the velocity u_K, the celerity c_K = sqrt(g h_K) and g."""
+    x = h_K, the velocity u_K, the celerity c_K and g."""
 
     __slots__ = ("x", "u", "c", "g")
 
     def __init__(self, state: SweState, params: SweParams, sqrt=math.sqrt):
         self.x, self.u, self.g = state.h, state.u, params.g
-        self.c = sqrt(params.g * state.h)
+        self.c = _celerity(state, params, sqrt)
 
 
 @record
@@ -95,12 +106,6 @@ def _shock_slope(h: float, s: _Side, sqrt=math.sqrt) -> float:
 
 def _rarefaction_slope(h: float, s: _Side, sqrt=math.sqrt) -> float:
     return sqrt(s.g / h)
-
-
-def is_wet(problem: SweProblem) -> bool:
-    """True when the data do not dry the bed (positive star depth)."""
-    left, right = problem._sides
-    return 2.0 * left.c + 2.0 * right.c > right.u - left.u
 
 
 def _two_rarefaction(left: _Side, right: _Side, params: SweParams) -> float:
@@ -163,7 +168,8 @@ SYSTEM = System(
     two_rarefaction="two_rarefaction_depth",
     rr_closed_form=_two_rarefaction,
     two_shock=_two_shock_depth,
-    positive=is_wet,
+    celerity=_celerity,
+    positivity=_positivity,
     flags={"--gravity": "g"},
     # a + (b - a) * rng.random() is rng.uniform(a, b), without its call.
     draw=lambda rng: (10.0 ** (-3.0 + 5.0 * rng.random()), -20.0 + 40.0 * rng.random()),
@@ -179,6 +185,7 @@ SYSTEM = System(
 )
 
 depth_function, depth_function_deriv = core.wave_curves(SYSTEM)
+is_wet = core.bind(SYSTEM, core.positive, "is_wet")
 two_rarefaction_depth = core.bind(SYSTEM, core.two_rarefaction, SYSTEM.two_rarefaction)
 estimate = core.bind(SYSTEM, core.estimate, "estimate")
 SweProblem._system = SYSTEM

@@ -103,26 +103,34 @@ class TableReport:
     passed: bool
 
 
-def _speed_cells(system: str, ref: dict, test: dict, side: str) -> List[CellCheck]:
-    """One row of a speed table: each column's speed pair read from the
-    registry function `estimate` calls, or from `solve_exact` for EXACT."""
-    record = system_record(system)
-    problem = make_problem(system, test["left"], test["right"])
-    index = 0 if side == "s_left" else 1
+def _speed_columns(record: System, ref: dict) -> List[tuple]:
+    """The columns of a speed table, each resolved once per table:
+    (column, the note of an unimplemented column or None, the registry
+    function `estimate` calls, None for EXACT)."""
     unimplemented = ref.get("unimplemented_columns", {})
+    return [(column, unimplemented[column], None) if column in unimplemented
+            else (column, None, speed_function(record, EstimatorId(column)))
+            for column in ref["columns"]]
+
+
+def _speed_cells(record: System, columns: List[tuple], test: dict,
+                 side: str) -> List[CellCheck]:
+    """One row of a speed table: each column's speed pair read from its
+    registry function (`_speed_columns`), or from `solve_exact` for EXACT."""
+    problem = make_problem(record.name, test["left"], test["right"])
+    index = 0 if side == "s_left" else 1
     skipped = test.get("skipped_cells", {}).get(side, {})
     cells = []
-    for column in ref["columns"]:
+    for column, unimplemented, speeds in columns:
         expected = test[side][column]
-        if column in unimplemented:
+        if unimplemented is not None:
             cells.append(CellCheck(test["id"], column, expected, None, None,
-                                   "skipped", unimplemented[column]))
+                                   "skipped", unimplemented))
             continue
         if column in skipped:
             cells.append(CellCheck(test["id"], column, expected, None, None,
                                    "skipped", skipped[column]))
             continue
-        speeds = speed_function(record, EstimatorId(column))
         if speeds is None:
             exact = record.module.solve_exact(problem)
             pair = exact.s_left, exact.s_right
@@ -171,11 +179,14 @@ def reproduce(system: str, table: str) -> TableReport:
         raise ValueError(f"unknown table {table!r}")
     ref = load_reference(system)
     cells: List[CellCheck] = []
-    for test in ref["tests"]:
-        if table == "ic":
+    if table == "ic":
+        for test in ref["tests"]:
             cells.extend(_ic_cells(system, ref, test))
-        else:
-            cells.extend(_speed_cells(system, ref, test, table))
+    else:
+        record = system_record(system)
+        columns = _speed_columns(record, ref)
+        for test in ref["tests"]:
+            cells.extend(_speed_cells(record, columns, test, table))
     deviations = [c.deviation for c in cells if c.deviation is not None]
     return TableReport(
         system=system,

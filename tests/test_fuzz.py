@@ -1,6 +1,7 @@
 """Tests for the randomized bound-property fuzzer."""
 
 import dataclasses
+import math
 import random
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 
 import riemann_bounds
 from riemann_bounds import bloodflow, euler, fuzz, shallow, tables
-from riemann_bounds.core import EstimatorId, UnsupportedEstimator, speed_function
+from riemann_bounds.core import EstimatorId, UnsupportedEstimator, WavePattern, speed_function
 from riemann_bounds.fuzz import (
     KERNEL_CHUNK,
     KERNEL_MIN_COUNT,
@@ -18,6 +19,22 @@ from riemann_bounds.fuzz import (
     run_fuzz,
     sample_problem,
 )
+
+
+#: The raw draws of `tools/output_digest.py`: pairs of the fuzz draw
+#: without the positivity filter.
+RAW_SEED, RAW_PAIRS = 5, 3000
+#: Per system, the public positivity test, which reads the side records.
+PUBLIC_POSITIVITY = {"euler": euler.check_positivity, "swe": shallow.is_wet,
+                     "bfe": bloodflow.is_open}
+
+
+def positive_from_states(record, problem):
+    """The positivity test of `sample_problem`: the system's inequality
+    over the celerities of the states."""
+    left, right, params = problem.left, problem.right, problem.params
+    return record.positivity(record.celerity(left, params), record.celerity(right, params),
+                             right.u - left.u, params)
 
 
 class TestSampleProblem:
@@ -48,6 +65,80 @@ class TestSampleProblem:
     def test_unknown_system(self):
         with pytest.raises(ValueError):
             sample_problem("mhd", random.Random(0))
+
+    @pytest.mark.parametrize("system", ("euler", "swe", "bfe"))
+    def test_problems_come_without_side_records(self, system):
+        # The records are built when a solve or an estimate first reads them.
+        rng = random.Random(3)
+        for _ in range(500):
+            problem = sample_problem(system, rng)
+            assert "_sides" not in vars(problem)
+            assert "_wave_data" not in vars(problem)
+        assert problem._sides[0].c == tables.system_record(system).celerity(
+            problem.left, problem.params)
+
+    @pytest.mark.parametrize("system", ("euler", "swe", "bfe"))
+    def test_positivity_from_states_is_that_of_the_sides(self, system):
+        # On every raw draw the two tests agree, and `sample_problem`
+        # accepts the draws that the public test accepts, in order.
+        record = tables.system_record(system)
+        rng = random.Random(RAW_SEED)
+        accepted, verdicts = [], set()
+        for _ in range(RAW_PAIRS):
+            problem = tables.make_problem(system, record.draw(rng), record.draw(rng))
+            verdict = PUBLIC_POSITIVITY[system](problem)
+            assert positive_from_states(record, problem) is verdict, problem
+            verdicts.add(verdict)
+            if verdict:
+                accepted.append((problem.left, problem.right))
+        assert verdicts == {True, False}
+        rng = random.Random(RAW_SEED)
+        for left, right in accepted:
+            problem = sample_problem(system, rng)
+            assert (problem.left, problem.right) == (left, right)
+
+    @pytest.mark.parametrize("system, left, right", [
+        ("euler", (1.0, 0.0, 1.0), (0.125, 0.0, 0.1)),
+        ("swe", (1.0, 0.0), (0.1, 0.0)),
+        ("bfe", (3.0, 0.0), (0.5, 0.0)),
+    ])
+    def test_positivity_at_its_threshold(self, monkeypatch, system, left, right):
+        # u_R - u_L equal to the left-hand side of the positivity condition
+        # leaves no positive star value; one ulp below it, a positive one.
+        # Both tests must say so, and `sample_problem` must reject the first.
+        record = tables.system_record(system)
+        module, params = record.module, record.params_type()
+        c_left, c_right = (record.side(record.state_type(*state), params).c
+                           for state in (left, right))
+        if system == "euler":
+            g = params.gamma
+            lhs = 2.0 * c_left / (g - 1.0) + 2.0 * c_right / (g - 1.0)
+        else:
+            k = 2.0 if system == "swe" else 4.0
+            lhs = k * c_left + k * c_right
+
+        def states(du):
+            """left and right with u_L = -du/2 and u_R = du/2, so that
+            u_R - u_L is du exactly."""
+            return left[:1] + (-0.5 * du,) + left[2:], right[:1] + (0.5 * du,) + right[2:]
+
+        below = math.nextafter(lhs, 0.0)
+        for du, verdict in ((lhs, False), (below, True)):
+            problem = tables.make_problem(system, *states(du))
+            assert problem.right.u - problem.left.u == du
+            assert PUBLIC_POSITIVITY[system](problem) is verdict
+            assert positive_from_states(record, problem) is verdict
+        problem = tables.make_problem(system, *states(lhs))
+        assert module.classify(problem) is WavePattern.VACUUM
+        with pytest.raises(record.no_star):
+            getattr(module, record.two_rarefaction)(problem)
+
+        draws = iter(states(lhs) + states(below))
+        monkeypatch.setitem(tables._REGISTRY, system,
+                            dataclasses.replace(record, draw=lambda rng: next(draws)))
+        problem = sample_problem(system, random.Random(0))
+        assert problem == tables.make_problem(system, *states(below))
+        assert next(draws, None) is None
 
     @pytest.mark.parametrize("system, uniform", [
         ("euler", lambda rng: (10.0 ** rng.uniform(-3, 3), rng.uniform(-100, 100),
@@ -207,6 +298,26 @@ def kernel_calls(monkeypatch):
         return scalar_lanes(system, problems, rel_slack)
     monkeypatch.setattr(kernel, "scalar_lanes", spy)
     return sizes
+
+
+@pytest.mark.parametrize("path", ("kernel", "scalar"))
+@pytest.mark.parametrize("system", ("euler", "swe", "bfe"))
+def test_run_fuzz_samples_each_trial_through_the_module(monkeypatch, path, system):
+    # One `fuzz.sample_problem` call per trial, looked up on the module when
+    # it runs: the benchmark's traced run wraps it there and counts on it.
+    if path == "kernel" and fuzz._lane_kernel() is None:
+        pytest.skip("numpy does not import")
+    count = KERNEL_COUNT if path == "kernel" else KERNEL_MIN_COUNT - 1
+    calls, sample = [], fuzz.sample_problem
+
+    def counting(system, rng):
+        calls.append(system)
+        return sample(system, rng)
+    monkeypatch.setattr(fuzz, "sample_problem", counting)
+    sizes = kernel_calls(monkeypatch) if path == "kernel" else []
+    assert run_fuzz(system, count, 8).trials == count
+    assert calls == [system] * count
+    assert sizes == ([KERNEL_CHUNK, KERNEL_CHUNK, 37] if path == "kernel" else [])
 
 
 @pytest.mark.skipif(fuzz._lane_kernel() is None, reason="numpy does not import")

@@ -57,6 +57,8 @@ MESH_SEEDS = (1, 2, 3)
 FUZZ_SEEDS = (1, 2, 3)
 FUZZ_TRIALS = 1000
 RAW_SEED = 5
+#: Per system, the public name of its positivity test.
+POSITIVITY = {"euler": "check_positivity", "swe": "is_wet", "bfe": "is_open"}
 RAW_PAIRS = 3000
 ROOT_SEED = 11
 ROOT_CUBICS = 300
@@ -91,11 +93,12 @@ def raw_lines(system: str):
 
     record = tables.system_record(system)
     module = record.module
+    positive = getattr(module, POSITIVITY[system])
     two_rarefaction = getattr(module, record.two_rarefaction)
     rng = random.Random(RAW_SEED)
     for i in range(RAW_PAIRS):
         problem = tables.make_problem(system, record.draw(rng), record.draw(rng))
-        yield f"raw {system} {i} positive {outcome(record.positive, problem)}"
+        yield f"raw {system} {i} positive {outcome(positive, problem)}"
         yield f"raw {system} {i} classify {outcome(module.classify, problem)}"
         yield f"raw {system} {i} two_rarefaction {outcome(two_rarefaction, problem)}"
         yield f"raw {system} {i} exact {outcome(module.solve_exact, problem)}"
