@@ -27,7 +27,8 @@ the Newton iteration, the speeds and TMS_a-c.
 from __future__ import annotations
 
 from dataclasses import fields
-from operator import attrgetter
+from itertools import repeat
+from operator import attrgetter, is_not
 from types import SimpleNamespace
 from typing import List, Sequence
 
@@ -83,7 +84,7 @@ class _Lanes:
     def __init__(self, system: System, problems: Sequence):
         self.system = system
         self.params = params = problems[0].params
-        if any(problem.params is not params for problem in problems):
+        if any(map(is_not, map(attrgetter("params"), problems), repeat(params))):
             params = self.params = _gather([p.params for p in problems], system.params_type)
         self.states = (_gather(list(map(attrgetter("left"), problems)), system.state_type),
                        _gather(list(map(attrgetter("right"), problems)), system.state_type))

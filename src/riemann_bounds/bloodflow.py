@@ -64,9 +64,10 @@ class BfeProblem(Problem):
     params: BfeParams = BfeParams()
 
 
-def _celerity(state: BfeState, params: BfeParams, sqrt=math.sqrt) -> float:
-    """Wave speed c_K = zeta A_K^(1/4), zeta = sqrt(beta / (2 rho))."""
-    return sqrt(params.beta / (2.0 * params.rho)) * state.a**0.25
+def _celerity(values, params: BfeParams, sqrt=math.sqrt) -> float:
+    """Wave speed c_K = zeta A_K^(1/4), zeta = sqrt(beta / (2 rho)), of a
+    state's values (A_K, u_K)."""
+    return sqrt(params.beta / (2.0 * params.rho)) * values[0]**0.25
 
 
 def _positivity(c_left: float, c_right: float, du: float, params: BfeParams) -> bool:
@@ -78,14 +79,15 @@ def _positivity(c_left: float, c_right: float, du: float, params: BfeParams) -> 
 class _Side:
     """Wave-curve constants of one side K of a problem: the data area
     x = A_K, the velocity u_K, A_K^(1/4), A_K^(3/2), the wave speed c_K,
-    zeta, 4 zeta and gamma_tube.  Raises `ClosedFormOverflow` when
-    A_K^(3/2) exceeds the float range."""
+    zeta, 4 zeta and gamma_tube.  c_K is zeta * A_K^(1/4), the product
+    `_celerity` computes, from the factors kept here.  Raises
+    `ClosedFormOverflow` when A_K^(3/2) exceeds the float range."""
 
     __slots__ = ("x", "u", "c", "a14", "a32", "zeta", "zeta4", "gamma_tube")
 
     def __init__(self, state: BfeState, params: BfeParams, sqrt=math.sqrt):
         self.x, self.u = state.a, state.u
-        self.a14 = state.a**0.25
+        self.a14 = a14 = state.a**0.25
         try:
             self.a32 = state.a**1.5
         except OverflowError:
@@ -93,7 +95,7 @@ class _Side:
         self.zeta = zeta = sqrt(params.beta / (2.0 * params.rho))
         self.zeta4 = 4.0 * zeta
         self.gamma_tube = params.beta / (3.0 * params.rho)
-        self.c = _celerity(state, params, sqrt)
+        self.c = zeta * a14
 
 
 @record

@@ -238,9 +238,10 @@ class System:
     or time calls) takes effect.  A problem's `_sides` is the pair of
     `side` records of its two states.  The celerity and the positivity
     condition are each written once per system, in `celerity` and
-    `positivity`: the side record, the public positivity test (`positive`
-    below), the guards of `wave_data` and `two_rarefaction`, and
-    `fuzz.sample_problem` all call them.
+    `positivity`: the side record (blood flow's multiplies the two factors
+    it keeps, with `celerity`'s bits), the public positivity test
+    (`positive` below), the guards of `wave_data` and `two_rarefaction`,
+    and `fuzz.sample_problem` all call them.
     """
 
     name: str  # registry key and CLI --system value
@@ -253,8 +254,10 @@ class System:
     #: data value `x`, velocity `u`, celerity `c` and the constants its
     #: branches read.
     side: type
-    #: The celerity c_K of one state, celerity(state, params, sqrt=math.sqrt):
-    #: the side record's `c`.
+    #: The celerity c_K of one state, celerity(values, params, sqrt=math.sqrt),
+    #: over the state's field values in field order (a `draw`, or a side's
+    #: state as scalars or arrays): the side record's `c`.  The velocity u
+    #: is the second field of every state type.
     celerity: Callable[..., float]
     star: str  # state field of the star variable; the solution's is star + "_star"
     star_label: str  # CLI label of the star value

@@ -57,9 +57,10 @@ class EulerProblem(Problem):
     params: EulerParams = EulerParams()
 
 
-def _celerity(state: EulerState, params: EulerParams, sqrt=math.sqrt) -> float:
-    """Sound speed c_K = sqrt(gamma p_K / rho_K)."""
-    return sqrt(params.gamma * state.p / state.rho)
+def _celerity(values, params: EulerParams, sqrt=math.sqrt) -> float:
+    """Sound speed c_K = sqrt(gamma p_K / rho_K) of a state's values
+    (rho_K, u_K, p_K)."""
+    return sqrt(params.gamma * values[2] / values[0])
 
 
 def _positivity(c_left: float, c_right: float, du: float, params: EulerParams) -> bool:
@@ -95,13 +96,14 @@ class _Side:
 
     def __init__(self, state: EulerState, params: EulerParams, sqrt=math.sqrt):
         g = params.gamma
-        self.x, self.u = state.p, state.u
-        self.a = a = 2.0 / ((g + 1.0) * state.rho)
-        self.b = b = (g - 1.0) / (g + 1.0) * state.p
+        rho, u, p = values = state.rho, state.u, state.p
+        self.x, self.u = p, u
+        self.a = a = 2.0 / ((g + 1.0) * rho)
+        self.b = b = (g - 1.0) / (g + 1.0) * p
         self.scale = 1.0
-        self.c = c = _celerity(state, params, sqrt)
+        self.c = c = _celerity(values, params, sqrt)
         self.rar = 2.0 * c / (g - 1.0)
-        self.imp = state.rho * c
+        self.imp = rho * c
         self.z = (g - 1.0) / (2.0 * g)
         self.zd = -(g + 1.0) / (2.0 * g)
         if isinstance(c, float):  # not over arrays
@@ -196,18 +198,12 @@ def solve_exact(problem: EulerProblem, rel_tol: float = 1e-12) -> EulerExactSolu
     return EulerExactSolution(p_star, u_star, pattern, *star_speeds(SYSTEM, problem, p_star))
 
 
-def _roe_velocity(problem: EulerProblem) -> float:
-    left, right = problem.left, problem.right
-    wl, wr = math.sqrt(left.rho), math.sqrt(right.rho)
-    return (wl * left.u + wr * right.u) / (wl + wr)
-
-
 def _einfeldt(system: System, problem: EulerProblem):
     left, right = problem.left, problem.right
     side_l, side_r = problem._sides
     wl, wr = math.sqrt(left.rho), math.sqrt(right.rho)
     cl, cr, du = side_l.c, side_r.c, right.u - left.u
-    u_roe = _roe_velocity(problem)
+    u_roe = (wl * left.u + wr * right.u) / (wl + wr)
     d2 = (wl * cl * cl + wr * cr * cr) / (wl + wr) + 0.5 * wl * wr / (wl + wr) ** 2 * du * du
     d = math.sqrt(d2)
     return u_roe - d, u_roe + d
@@ -218,7 +214,7 @@ def _batten(system: System, problem: EulerProblem):
     side_l, side_r = problem._sides
     wl, wr = math.sqrt(left.rho), math.sqrt(right.rho)
     cl, cr = side_l.c, side_r.c
-    u_roe = _roe_velocity(problem)
+    u_roe = (wl * left.u + wr * right.u) / (wl + wr)
     h_roe = (wl * specific_enthalpy(left, params) + wr * specific_enthalpy(right, params)) / (
         wl + wr
     )

@@ -41,20 +41,22 @@ class FuzzReport:
 def sample_problem(system: str, rng: random.Random):
     """One random non-degenerate Riemann problem from the system ensemble.
 
-    Each candidate is tested for positivity from its states' celerities
-    (`System.celerity`, `System.positivity`), with the bits of the
-    public positivity test, but without the side records: a problem is
-    returned without them, and builds them when a solve or an estimate
-    first reads them.  A constant past the float range therefore raises
-    there, not here.
+    Each candidate pair of draws is tested for positivity on the drawn
+    values themselves (`System.celerity`, `System.positivity`), with the
+    bits of the public positivity test, and only the accepted pair is built
+    into a problem (`make_problem`, one call per sample).  The problem
+    comes without its side records, which a solve or an estimate builds
+    when it first reads them: a constant past the float range therefore
+    raises there, not here.
     """
     record = system_record(system)
     draw, celerity, positivity = record.draw, record.celerity, record.positivity
+    params = record.problem_type.params  # the default that `make_problem` gives
     while True:
-        problem = make_problem(system, draw(rng), draw(rng))
-        left, right, params = problem.left, problem.right, problem.params
-        if positivity(celerity(left, params), celerity(right, params), right.u - left.u, params):
-            return problem
+        left, right = draw(rng), draw(rng)
+        if positivity(celerity(left, params), celerity(right, params), right[1] - left[1],
+                      params):
+            return make_problem(system, left, right)
 
 
 def _violation(trial: int, estimator: str, side: str, estimate: float,

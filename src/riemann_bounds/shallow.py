@@ -55,9 +55,9 @@ class SweProblem(Problem):
     params: SweParams = SweParams()
 
 
-def _celerity(state: SweState, params: SweParams, sqrt=math.sqrt) -> float:
-    """Celerity c_K = sqrt(g h_K)."""
-    return sqrt(params.g * state.h)
+def _celerity(values, params: SweParams, sqrt=math.sqrt) -> float:
+    """Celerity c_K = sqrt(g h_K) of a state's values (h_K, u_K)."""
+    return sqrt(params.g * values[0])
 
 
 def _positivity(c_left: float, c_right: float, du: float, params: SweParams) -> bool:
@@ -73,8 +73,9 @@ class _Side:
     __slots__ = ("x", "u", "c", "g")
 
     def __init__(self, state: SweState, params: SweParams, sqrt=math.sqrt):
-        self.x, self.u, self.g = state.h, state.u, params.g
-        self.c = _celerity(state, params, sqrt)
+        self.x, self.u = values = state.h, state.u
+        self.g = params.g
+        self.c = _celerity(values, params, sqrt)
 
 
 @record

@@ -29,12 +29,27 @@ PUBLIC_POSITIVITY = {"euler": euler.check_positivity, "swe": shallow.is_wet,
                      "bfe": bloodflow.is_open}
 
 
+def values(state):
+    """A state's field values in field order, as `System.draw` gives them."""
+    return tuple(vars(state).values())
+
+
 def positive_from_states(record, problem):
     """The positivity test of `sample_problem`: the system's inequality
-    over the celerities of the states."""
+    over the celerities of the states' values."""
     left, right, params = problem.left, problem.right, problem.params
-    return record.positivity(record.celerity(left, params), record.celerity(right, params),
-                             right.u - left.u, params)
+    return record.positivity(record.celerity(values(left), params),
+                             record.celerity(values(right), params), right.u - left.u, params)
+
+
+def sample_by_building(system, rng):
+    """`sample_problem` in the order of its first form: each candidate pair
+    built into a problem, then tested by the public positivity test."""
+    record = tables.system_record(system)
+    while True:
+        problem = tables.make_problem(system, record.draw(rng), record.draw(rng))
+        if PUBLIC_POSITIVITY[system](problem):
+            return problem
 
 
 class TestSampleProblem:
@@ -75,17 +90,21 @@ class TestSampleProblem:
             assert "_sides" not in vars(problem)
             assert "_wave_data" not in vars(problem)
         assert problem._sides[0].c == tables.system_record(system).celerity(
-            problem.left, problem.params)
+            values(problem.left), problem.params)
 
     @pytest.mark.parametrize("system", ("euler", "swe", "bfe"))
     def test_positivity_from_states_is_that_of_the_sides(self, system):
-        # On every raw draw the two tests agree, and `sample_problem`
+        # On every raw draw the two tests agree, the celerity of the drawn
+        # values is the side record's `c` to the bit, and `sample_problem`
         # accepts the draws that the public test accepts, in order.
         record = tables.system_record(system)
         rng = random.Random(RAW_SEED)
         accepted, verdicts = [], set()
         for _ in range(RAW_PAIRS):
-            problem = tables.make_problem(system, record.draw(rng), record.draw(rng))
+            draws = record.draw(rng), record.draw(rng)
+            problem = tables.make_problem(system, *draws)
+            for draw, side in zip(draws, problem._sides):
+                assert record.celerity(draw, problem.params).hex() == side.c.hex(), draw
             verdict = PUBLIC_POSITIVITY[system](problem)
             assert positive_from_states(record, problem) is verdict, problem
             verdicts.add(verdict)
@@ -96,6 +115,18 @@ class TestSampleProblem:
         for left, right in accepted:
             problem = sample_problem(system, rng)
             assert (problem.left, problem.right) == (left, right)
+
+    @pytest.mark.parametrize("system", ("euler", "swe", "bfe"))
+    def test_accepted_pairs_and_rng_state_are_those_of_building_first(self, system):
+        # Testing the drawn values before building a problem must accept the
+        # same pairs, and leave the rng where building every candidate did.
+        mine, theirs = random.Random(17), random.Random(17)
+        for _ in range(5000):
+            problem = sample_problem(system, mine)
+            reference = sample_by_building(system, theirs)
+            assert (problem.left, problem.right) == (reference.left, reference.right)
+            assert problem.params is reference.params
+        assert mine.getstate() == theirs.getstate()
 
     @pytest.mark.parametrize("system, left, right", [
         ("euler", (1.0, 0.0, 1.0), (0.125, 0.0, 0.1)),
@@ -305,18 +336,26 @@ def kernel_calls(monkeypatch):
 def test_run_fuzz_samples_each_trial_through_the_module(monkeypatch, path, system):
     # One `fuzz.sample_problem` call per trial, looked up on the module when
     # it runs: the benchmark's traced run wraps it there and counts on it.
+    # Only the accepted draw becomes a problem: one `fuzz.make_problem`
+    # call per trial, which the traced run counts per sample.
     if path == "kernel" and fuzz._lane_kernel() is None:
         pytest.skip("numpy does not import")
     count = KERNEL_COUNT if path == "kernel" else KERNEL_MIN_COUNT - 1
-    calls, sample = [], fuzz.sample_problem
+    calls, built, sample, make_problem = [], [], fuzz.sample_problem, fuzz.make_problem
 
     def counting(system, rng):
         calls.append(system)
         return sample(system, rng)
+
+    def counting_builds(system, left, right):
+        built.append(system)
+        return make_problem(system, left, right)
     monkeypatch.setattr(fuzz, "sample_problem", counting)
+    monkeypatch.setattr(fuzz, "make_problem", counting_builds)
     sizes = kernel_calls(monkeypatch) if path == "kernel" else []
     assert run_fuzz(system, count, 8).trials == count
     assert calls == [system] * count
+    assert built == [system] * count
     assert sizes == ([KERNEL_CHUNK, KERNEL_CHUNK, 37] if path == "kernel" else [])
 
 
