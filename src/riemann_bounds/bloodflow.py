@@ -158,7 +158,7 @@ def q_factor(a: float, side_state: BfeState, params: BfeParams, sqrt=math.sqrt) 
         return math.inf
 
 
-def solve_exact(problem: BfeProblem, rel_tol: float = 1e-12) -> BfeExactSolution:
+def solve_exact(problem: BfeProblem) -> BfeExactSolution:
     """Exact star state and extreme wave speeds.
 
     Newton runs inside the bracket that the wave pattern gives
@@ -166,7 +166,7 @@ def solve_exact(problem: BfeProblem, rel_tol: float = 1e-12) -> BfeExactSolution
     """
     pattern = classify(problem)
     left, right = problem.left, problem.right
-    a_star = solve_star(SYSTEM, problem, rel_tol)
+    a_star = solve_star(SYSTEM, problem)
     u_star = 0.5 * (left.u + right.u) + 0.5 * core.side_difference(SYSTEM, problem, a_star)
     return BfeExactSolution(a_star, u_star, pattern, *star_speeds(SYSTEM, problem, a_star))
 

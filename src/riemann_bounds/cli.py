@@ -19,7 +19,7 @@ from .core import (
     UnsupportedEstimator,
 )
 from . import tables
-from .fuzz import run_fuzz
+from .fuzz import FuzzViolation, run_fuzz
 from .tables import make_problem, star_values, system_record
 
 EXIT_OK = 0
@@ -76,41 +76,33 @@ def _fmt(value: Optional[float]) -> str:
     return "" if value is None else f"{value:.4f}"
 
 
-def _emit_md(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    lines = [
-        "| " + " | ".join(header) + " |",
-        "| " + " | ".join("---" for _ in header) + " |",
-    ]
-    lines.extend("| " + " | ".join(row) + " |" for row in rows)
-    return "\n".join(lines)
+def _md_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    return "\n".join("| " + " | ".join(row) + " |"
+                     for row in (header, ["---"] * len(header), *rows))
 
 
-def _emit_csv(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue().rstrip("\n")
+def _emit(args, payload: dict, header: Sequence[str],
+          rows: Sequence[Sequence[str]], text: Optional[str] = None) -> None:
+    """Print a command's output in its --format: the payload for json, the
+    header and rows for csv, and for md the command's own text, or the
+    rows as a Markdown table when it passes none."""
+    if args.format == "json":
+        print(json.dumps(payload, indent=2))
+    elif args.format == "csv":
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows([header, *rows])
+        print(buffer.getvalue().rstrip("\n"))
+    else:
+        print(_md_table(header, rows) if text is None else text)
 
 
-def _problem_json(left, right, params) -> dict:
+def _result_json(bounds) -> dict:
     return {
-        "left": list(left),
-        "right": list(right),
-        "params": {key: getattr(params, key) for key in vars(params)},
-    }
-
-
-def _result_json(bounds, star: Optional[dict] = None) -> dict:
-    result = {
         "estimator": bounds.estimator.value,
         "s_left": bounds.s_left,
         "s_right": bounds.s_right,
         "pattern": bounds.pattern.value if bounds.pattern is not None else None,
     }
-    if star is not None:
-        result["star"] = star
-    return result
 
 
 def _problem(args):
@@ -122,31 +114,33 @@ def _problem(args):
     return record, left, right, make_problem(args.system, left, right, overrides)
 
 
+def _problem_payload(args, left, right, params, results: List[dict]) -> dict:
+    """The json payload of `exact` and `bounds`: the problem and its results."""
+    return {
+        "system": args.system,
+        "problem": {
+            "left": left,
+            "right": right,
+            "params": {key: getattr(params, key) for key in vars(params)},
+        },
+        "results": results,
+    }
+
+
 def _cmd_exact(args) -> int:
     record, left, right, problem = _problem(args)
     solution = record.module.solve_exact(problem)
     star = star_values(args.system, solution)
-
-    if args.format == "json":
-        bounds = SpeedBounds(solution.s_left, solution.s_right, EstimatorId.EXACT,
-                             solution.pattern)
-        payload = {
-            "system": args.system,
-            "problem": _problem_json(left, right, problem.params),
-            "results": [_result_json(bounds, star)],
-        }
-        print(json.dumps(payload, indent=2))
-        return EXIT_OK
-
+    bounds = SpeedBounds(solution.s_left, solution.s_right, EstimatorId.EXACT,
+                         solution.pattern)
+    payload = _problem_payload(args, left, right, problem.params,
+                               [{**_result_json(bounds), "star": star}])
     header = [record.star_label, "u_*", "pattern", "s_left", "s_right"]
     row = [_fmt(star[record.star_field]), _fmt(solution.u_star),
            solution.pattern.value, _fmt(solution.s_left),
            _fmt(solution.s_right)]
-    if args.format == "csv":
-        print(_emit_csv(header, [row]))
-    else:
-        for name, value in zip(header, row):
-            print(f"{name} = {value}")
+    text = "\n".join(f"{name} = {value}" for name, value in zip(header, row))
+    _emit(args, payload, header, [row], text)
     return EXIT_OK
 
 
@@ -165,41 +159,27 @@ def _cmd_bounds(args) -> int:
     module = record.module
     results = [module.estimate(problem, estimator)
                for estimator in _resolve_estimators(args, module)]
-
-    if args.format == "json":
-        payload = {
-            "system": args.system,
-            "problem": _problem_json(left, right, problem.params),
-            "results": [_result_json(bounds) for bounds in results],
-        }
-        print(json.dumps(payload, indent=2))
-        return EXIT_OK
-
+    payload = _problem_payload(args, left, right, problem.params,
+                               [_result_json(bounds) for bounds in results])
     header = ["estimator", "s_left", "s_right", "pattern"]
     rows = [
         [bounds.estimator.value, _fmt(bounds.s_left), _fmt(bounds.s_right),
          bounds.pattern.value if bounds.pattern is not None else ""]
         for bounds in results
     ]
-    emit = _emit_csv if args.format == "csv" else _emit_md
-    print(emit(header, rows))
+    _emit(args, payload, header, rows)
     return EXIT_OK
 
 
 def _cmd_reproduce(args) -> int:
     report = tables.reproduce(args.system, args.table)
-
-    if args.format == "json":
-        payload = {
-            "system": report.system,
-            "table": report.table,
-            "max_deviation": report.max_deviation,
-            "passed": report.passed,
-            "cells": [asdict(cell) for cell in report.cells],
-        }
-        print(json.dumps(payload, indent=2))
-        return EXIT_OK if report.passed else EXIT_TOLERANCE
-
+    payload = {
+        "system": report.system,
+        "table": report.table,
+        "max_deviation": report.max_deviation,
+        "passed": report.passed,
+        "cells": [asdict(cell) for cell in report.cells],
+    }
     header = ["test", "column", "published", "computed", "|dev|", "status",
               "note"]
     rows = [
@@ -207,12 +187,9 @@ def _cmd_reproduce(args) -> int:
          _fmt(cell.computed), _fmt(cell.deviation), cell.status, cell.note]
         for cell in report.cells
     ]
-    if args.format == "csv":
-        print(_emit_csv(header, rows))
-    else:
-        print(_emit_md(header, rows))
-        print(f"\nmax |deviation| = {report.max_deviation:.6f} "
-              f"({'pass' if report.passed else 'FAIL'})")
+    text = (f"{_md_table(header, rows)}\n\nmax |deviation| = "
+            f"{report.max_deviation:.6f} ({'pass' if report.passed else 'FAIL'})")
+    _emit(args, payload, header, rows, text)
     return EXIT_OK if report.passed else EXIT_TOLERANCE
 
 
@@ -220,26 +197,23 @@ def _cmd_fuzz(args) -> int:
     if args.count <= 0:
         raise _UsageError("--count must be positive")
     report = run_fuzz(args.system, args.count, args.seed)
-
-    if args.format == "json":
-        payload = {
-            "system": report.system,
-            "trials": report.trials,
-            "seed": report.seed,
-            "violations": [asdict(violation) for violation in report.violations],
-        }
-        print(json.dumps(payload, indent=2))
-        return EXIT_VIOLATIONS if report.violations else EXIT_OK
-
-    print(f"system = {report.system}")
-    print(f"trials = {report.trials}")
-    print(f"seed = {report.seed}")
-    print(f"violations = {len(report.violations)}")
-    for violation in report.violations:
-        print(f"  trial {violation.trial}: {violation.estimator} "
-              f"{violation.side} = {violation.estimate!r} vs exact "
-              f"{violation.exact!r} (left={violation.left}, "
-              f"right={violation.right})")
+    # One row per violation, in FuzzViolation's field order; the values at
+    # full precision, as the md line prints them.
+    header = [field.name for field in fields(FuzzViolation)]
+    rows = [
+        [str(v.trial), v.estimator, v.side, repr(v.estimate), repr(v.exact),
+         str(v.left), str(v.right)]
+        for v in report.violations
+    ]
+    text = "\n".join([
+        f"system = {report.system}",
+        f"trials = {report.trials}",
+        f"seed = {report.seed}",
+        f"violations = {len(report.violations)}",
+        *("  trial {}: {} {} = {} vs exact {} (left={}, right={})".format(*row)
+          for row in rows),
+    ])
+    _emit(args, asdict(report), header, rows, text)
     return EXIT_VIOLATIONS if report.violations else EXIT_OK
 
 
@@ -271,7 +245,7 @@ def _build_parser() -> _Parser:
                                 help="recompute a published table")
     add_common(sub, states=False)
     sub.add_argument("--table", required=True,
-                     choices=("ic", "s_left", "s_right"))
+                     choices=tables.TABLES)
     sub.set_defaults(func=_cmd_reproduce)
 
     sub = subparsers.add_parser("fuzz", help="randomized bound checking")

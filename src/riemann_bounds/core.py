@@ -501,9 +501,10 @@ def star_start(system: System, problem, wave: WaveData, bracket: RootBracket) ->
     return 0.5 * (bracket.lo + bracket.hi)
 
 
-def solve_star(system: System, problem, rel_tol: float) -> float:
-    """Star value of a problem: Newton inside the bracket that the wave
-    pattern gives (`star_bracket`), from the start `star_start` picks.
+def solve_star(system: System, problem) -> float:
+    """Star value of a problem to a relative tolerance of 1e-12: Newton
+    inside the bracket that the wave pattern gives (`star_bracket`), from
+    the start `star_start` picks.
     Raises the system's no-star error for data without a positive star
     value, and `ClosedFormOverflow` when an evaluation raises an
     arithmetic error."""
@@ -520,7 +521,7 @@ def solve_star(system: System, problem, rel_tol: float) -> float:
     try:
         bracket = star_bracket(wave, f, f_zero)
         # Positional: keywords cost a dict per call.
-        return module.find_root(f, bracket, lambda x: slope(x, problem), rel_tol,
+        return module.find_root(f, bracket, lambda x: slope(x, problem), 1e-12,
                                 star_start(system, problem, wave, bracket))
     except ArithmeticError:
         raise ClosedFormOverflow("the wave curve overflows during the root solve") from None

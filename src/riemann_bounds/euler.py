@@ -184,7 +184,7 @@ def _two_shock_pressure(problem: EulerProblem, p0: float, sqrt=math.sqrt) -> flo
     return (gl * left.x + gr * right.x - (right.u - left.u)) / (gl + gr)
 
 
-def solve_exact(problem: EulerProblem, rel_tol: float = 1e-12) -> EulerExactSolution:
+def solve_exact(problem: EulerProblem) -> EulerExactSolution:
     """Exact star state and extreme wave speeds.
 
     Newton runs inside the bracket that the wave pattern gives
@@ -193,7 +193,7 @@ def solve_exact(problem: EulerProblem, rel_tol: float = 1e-12) -> EulerExactSolu
     """
     pattern = classify(problem)
     left, right = problem.left, problem.right
-    p_star = solve_star(SYSTEM, problem, rel_tol)
+    p_star = solve_star(SYSTEM, problem)
     u_star = 0.5 * (left.u + right.u) + 0.5 * core.side_difference(SYSTEM, problem, p_star)
     return EulerExactSolution(p_star, u_star, pattern, *star_speeds(SYSTEM, problem, p_star))
 

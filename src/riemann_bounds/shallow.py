@@ -131,7 +131,7 @@ def _two_shock_depth(problem: SweProblem, h0: float, sqrt=math.sqrt) -> float:
     return (gl * left.x + gr * right.x - (right.u - left.u)) / (gl + gr)
 
 
-def solve_exact(problem: SweProblem, rel_tol: float = 1e-12) -> SweExactSolution:
+def solve_exact(problem: SweProblem) -> SweExactSolution:
     """Exact star state and extreme wave speeds.
 
     Newton runs inside the bracket that the wave pattern gives
@@ -140,7 +140,7 @@ def solve_exact(problem: SweProblem, rel_tol: float = 1e-12) -> SweExactSolution
     """
     pattern = classify(problem)
     left, right = problem.left, problem.right
-    h_star = solve_star(SYSTEM, problem, rel_tol)
+    h_star = solve_star(SYSTEM, problem)
     u_star = 0.5 * (left.u + right.u) + 0.5 * core.side_difference(SYSTEM, problem, h_star)
     return SweExactSolution(h_star, u_star, pattern, *star_speeds(SYSTEM, problem, h_star))
 

@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
+import csv
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -265,7 +267,7 @@ class TestFuzz:
                            "violations": []}
 
 
-    @pytest.mark.parametrize("fmt", ("md", "json"))
+    @pytest.mark.parametrize("fmt", ("md", "json", "csv"))
     def test_violations_exit_code(self, capsys, monkeypatch, fmt):
         violation = FuzzViolation(3, "tms_b", "s_left", -0.5, -1.0,
                                   (1.0, 0.0, 1.0), (1.0, 0.0, 0.1))
@@ -275,6 +277,29 @@ class TestFuzz:
                            "--count", "10", "--seed", "42", "--format", fmt)
         assert code == cli.EXIT_VIOLATIONS == 4
         assert "tms_b" in out
+        if fmt == "csv":
+            header, row = csv.reader(out.splitlines())
+            assert header == [field.name for field in fields(FuzzViolation)]
+            assert row[:3] == ["3", "tms_b", "s_left"]
+            assert row[3:] == ["-0.5", "-1.0", "(1.0, 0.0, 1.0)", "(1.0, 0.0, 0.1)"]
+
+
+class TestFormats:
+    @pytest.mark.parametrize("fmt", ("json", "csv"))
+    @pytest.mark.parametrize("argv", [
+        ("exact", "--system", "swe", "--left", "1,-5", "--right", "1,5"),
+        ("bounds", "--system", "bfe", "--left", "3.14,-10", "--right", "3.14,20"),
+        ("reproduce", "--system", "euler", "--table", "ic"),
+        ("fuzz", "--system", "swe", "--count", "20", "--seed", "1"),
+    ], ids=lambda argv: argv[0])
+    def test_output_parses(self, capsys, argv, fmt):
+        code, out, _ = run(capsys, *argv, "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            assert isinstance(json.loads(out), dict)
+        else:
+            header, *rows = csv.reader(out.splitlines())
+            assert all(len(row) == len(header) for row in rows)
 
 
 class TestUsage:

@@ -5,7 +5,6 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from riemann_bounds import euler
 from riemann_bounds.core import (
     DegeneratePoints,
     EstimatorId,
@@ -156,14 +155,6 @@ class TestFindRoot:
         with pytest.raises(ValueError, match=r"rel_tol must lie in \(0, 1\)"):
             find_root(f, RootBracket(0.0, 2.0, -2.0, 6.0), lambda x: 3.0 * x * x, rel_tol,
                       x0=1.0 if with_start else None)
-
-    def test_exact_solve_rejects_an_infinite_tolerance(self):
-        # It returned p* = 0.30312980 for Sod (exact 0.30313018) as exact.
-        sod = euler.EulerProblem(euler.EulerState(1.0, 0.0, 1.0),
-                                 euler.EulerState(0.125, 0.0, 0.1))
-        with pytest.raises(ValueError, match="rel_tol"):
-            euler.solve_exact(sod, rel_tol=INF)
-        assert euler.solve_exact(sod, rel_tol=0.5).p_star > 0.0
 
     @pytest.mark.parametrize("rel_tol", [5e-324, 1e-300, 0.5, 0.999])
     def test_tolerance_inside_zero_one_accepted(self, rel_tol):

@@ -307,7 +307,7 @@ def test_exact_solve_of_vacuum_data_raises_the_no_star_error(system):
     module, _, make, _, _, _ = SYSTEMS[system]
     (left, right), error = VACUUM[system]
     with pytest.raises(error, match=module.SYSTEM.no_star_message):
-        core.solve_star(module.SYSTEM, make(left, right), 1e-12)
+        core.solve_star(module.SYSTEM, make(left, right))
     with pytest.raises(error, match=module.SYSTEM.no_star_message):
         module.solve_exact(make(left, right))
 
