@@ -29,7 +29,7 @@ _SONIC_EPS = 1e-8  # q_factor is 0/0 at unit area ratio; return the limit 1
 _VACUUM_FLOOR_AREA = 1e-12  # cm^2; near-empty vessel used by the crude bound
 
 
-@record
+@record(slots=False)
 class BfeState:
     """Cross-sectional area (cm^2) and velocity (cm/s)."""
 
@@ -43,7 +43,7 @@ class BfeState:
             raise ValueError(f"u must be finite, got {self.u}")
 
 
-@record
+@record(slots=False)
 class BfeParams:
     """Wall stiffness beta (dyne/cm^3) and blood density rho (g/cm^3)."""
 
@@ -57,7 +57,7 @@ class BfeParams:
             raise ValueError(f"rho must be positive and finite, got {self.rho}")
 
 
-@record
+@record(slots=False)
 class BfeProblem(Problem):
     left: BfeState
     right: BfeState

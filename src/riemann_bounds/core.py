@@ -65,8 +65,10 @@ class cached_attribute:
     first access and stored as an instance attribute, which later lookups
     find first.  Python 3.11's cached_property takes an RLock on every first
     access; two threads racing here both compute the value, which is
-    harmless for a pure function of frozen fields.  Stored as `record`
-    stores fields, for the reason given there."""
+    harmless for a pure function of frozen fields.  It needs an instance
+    `__dict__`, so it serves only the records declared `record(slots=False)`
+    (the problem types), and stores as their `__init__` stores fields, for
+    the reason given at `record`."""
 
     def __init__(self, func):
         self.func = func
@@ -81,24 +83,37 @@ class cached_attribute:
         return value
 
 
-def record(cls: type) -> type:
-    """Class decorator of the package's value types: `dataclass(frozen=True)`
-    with a faster `__init__`.
+def record(cls: Optional[type] = None, *, slots: bool = True):
+    """Class decorator of the package's value types:
+    `dataclass(frozen=True, slots=slots)` with a faster `__init__`, used as
+    `@record` or `@record(slots=False)`.
 
     A frozen dataclass's own `__init__` looks `object.__setattr__` up again
-    for every field it stores.  This one calls it bound once, through a
-    closure, in field order, and then calls `__post_init__` when the class
-    has one.  It does not write into the instance `__dict__`: on CPython
-    3.11 that turns the attribute values kept inline in the object into a
-    separate dict, a second object for the garbage collector that makes
-    its full collections more frequent.  Everything else is the
-    dataclass's: assignment raises `FrozenInstanceError`, and equality,
-    hashing, repr, `fields`, `asdict`, `replace`, `vars()` and pickling are
-    unchanged.  Only plain positional fields, with or without a default,
-    are handled; any other field kind (`default_factory`, `init=False`,
-    `kw_only`, `InitVar`) raises `TypeError` when the class is created.
+    for every field it stores.  This one stores the fields in field order
+    through functions bound once, in a closure, and then calls
+    `__post_init__` when the class has one.  A slotted record (the default:
+    `SpeedBounds`, the exact solutions, the wave data and the reports) is
+    one allocation, and stores each field through its slot's descriptor
+    `__set__`: on CPython 3.11 `object.__setattr__` stores into a values
+    array that the interpreter allocates apart from the object.  The input
+    types, the state, params and problem types of each system, declare
+    `slots=False`: `vars()` enumerates their fields, and a problem keeps its
+    `cached_attribute` values in its `__dict__`.  They store each field
+    through `object.__setattr__` and never write into the `__dict__`
+    itself: on CPython 3.11 that turns the attribute values kept inline in
+    the object into a separate dict, a second object for the garbage
+    collector that makes its full collections more frequent.  Everything
+    else is the dataclass's: assignment raises `FrozenInstanceError`, and
+    equality, hashing, repr, `fields`, `asdict`, `replace`, `copy` and
+    pickling are unchanged; a slotted record has no `__dict__`, so `vars()`
+    raises `TypeError` on it.  Only plain positional fields, with or
+    without a default, are handled; any other field kind
+    (`default_factory`, `init=False`, `kw_only`, `InitVar`) raises
+    `TypeError` when the class is created.
     """
-    cls = dataclass(frozen=True)(cls)
+    if cls is None:
+        return partial(record, slots=slots)
+    cls = dataclass(frozen=True, slots=slots)(cls)
     plain = cls.__init__
     code, own = plain.__code__, fields(cls)
     names = tuple(f.name for f in own)
@@ -107,15 +122,22 @@ def record(cls: type) -> type:
         raise TypeError(f"record {cls.__qualname__}: every field must be a plain "
                         f"positional one (no default_factory, init=False, kw_only "
                         f"or InitVar)")
-    lines = ["def make_init(__store):",  # no field name can start with __
-             f"    def __init__(self, {', '.join(names)}):"]
-    lines += [f"        __store(self, {name!r}, {name})" for name in names]
+    # No field name can start with __, so the closure's names cannot clash.
+    if slots:
+        stores = [getattr(cls, name).__set__ for name in names]  # the slot descriptors
+        params = [f"__set{i}" for i in range(len(names))]
+        body = [f"        __set{i}(self, {name})" for i, name in enumerate(names)]
+    else:
+        stores, params = [object.__setattr__], ["__store"]
+        body = [f"        __store(self, {name!r}, {name})" for name in names]
+    lines = [f"def make_init({', '.join(params)}):",
+             f"    def __init__(self, {', '.join(names)}):", *body]
     if hasattr(cls, "__post_init__"):
         lines.append("        self.__post_init__()")
     lines.append("    return __init__")
     namespace: dict = {}
     exec(compile("\n".join(lines), "<record>", "exec"), {}, namespace)
-    init = namespace["make_init"](object.__setattr__)
+    init = namespace["make_init"](*stores)
     init.__defaults__ = plain.__defaults__
     init.__annotations__ = plain.__annotations__
     init.__qualname__ = plain.__qualname__
@@ -240,8 +262,8 @@ class System:
     condition are each written once per system, in `celerity` and
     `positivity`: the side record (blood flow's multiplies the two factors
     it keeps, with `celerity`'s bits), the public positivity test
-    (`positive` below), the guards of `wave_data` and `two_rarefaction`,
-    and `fuzz.sample_problem` all call them.
+    (`positive` below), the guard of `two_rarefaction` (the one test of
+    `wave_data`) and `fuzz.sample_problem` all call them.
     """
 
     name: str  # registry key and CLI --system value
@@ -393,6 +415,8 @@ def wave_data(system: System, problem) -> WaveData:
     """Wave data of `problem` from the signs of the wave-curve function at
     the data values, without solving for the star state.
 
+    The positivity condition is tested once, by the guard of the module's
+    two-rarefaction function: its no-star error gives the VACUUM wave data.
     Raises `ClosedFormOverflow` when x_rr or f at a node it evaluates is not
     finite, or when evaluating one raises an arithmetic error (overflow, or
     a division by a product that underflowed to zero).
@@ -402,11 +426,12 @@ def wave_data(system: System, problem) -> WaveData:
     right_min = x_right <= x_left
     x_min, x_max = (x_right, x_left) if right_min else (x_left, x_right)
     c_left, c_right, nan = left.c, right.c, math.nan
-    if not system.positivity(c_left, c_right, right.u - left.u, problem.params):
-        return WaveData(c_left, c_right, x_min, x_max, nan, nan, nan, nan, _VACUUM)
     curve, isfinite = getattr(module, system.curve), math.isfinite
     try:
-        x_rr = getattr(module, system.two_rarefaction)(problem)
+        try:
+            x_rr = getattr(module, system.two_rarefaction)(problem)
+        except system.no_star:  # from its positivity guard
+            return WaveData(c_left, c_right, x_min, x_max, nan, nan, nan, nan, _VACUUM)
         f_min = curve(x_min, problem)
         if not (isfinite(x_rr) and isfinite(f_min)):
             raise ClosedFormOverflow(f"wave data overflows: x_rr = {x_rr}, f(x_min) = {f_min}")

@@ -24,7 +24,7 @@ from .core import (
 )
 
 
-@record
+@record(slots=False)
 class EulerState:
     """Primitive gas state (SI units)."""
 
@@ -41,7 +41,7 @@ class EulerState:
             raise ValueError(f"p must be positive and finite, got {self.p}")
 
 
-@record
+@record(slots=False)
 class EulerParams:
     gamma: float = 1.4
 
@@ -50,7 +50,7 @@ class EulerParams:
             raise ValueError(f"gamma must be finite and exceed 1, got {self.gamma}")
 
 
-@record
+@record(slots=False)
 class EulerProblem(Problem):
     left: EulerState
     right: EulerState

@@ -25,7 +25,7 @@ from .core import (
 )
 
 
-@record
+@record(slots=False)
 class SweState:
     """Depth and velocity (SI units)."""
 
@@ -39,7 +39,7 @@ class SweState:
             raise ValueError(f"u must be finite, got {self.u}")
 
 
-@record
+@record(slots=False)
 class SweParams:
     g: float = 9.8
 
@@ -48,7 +48,7 @@ class SweParams:
             raise ValueError(f"g must be positive and finite, got {self.g}")
 
 
-@record
+@record(slots=False)
 class SweProblem(Problem):
     left: SweState
     right: SweState

@@ -1,9 +1,10 @@
 """The package's value types are declared with `core.record`: a frozen
-dataclass with a faster generated `__init__`.  Each record must behave
-exactly like a plain `dataclass(frozen=True)` twin with the same fields and
-methods, and the enums that key the estimator registry must hash by
-identity."""
+dataclass with a faster generated `__init__`, slotted except for the state,
+params and problem types.  Each record must behave exactly like a plain
+`dataclass(frozen=True)` twin with the same fields, methods and layout,
+and the enums that key the estimator registry must hash by identity."""
 
+import copy
 import dataclasses
 import importlib
 import inspect
@@ -72,14 +73,20 @@ def own_repr(cls) -> bool:
     return inspect.unwrap(cls.__repr__).__code__.co_filename != GENERATED
 
 
+def slotted(cls) -> bool:
+    """Whether `cls` keeps its fields in `__slots__`, without an instance
+    `__dict__`."""
+    return not cls.__dictoffset__
+
+
 def twin_of(cls):
-    """A plain `dataclass(frozen=True)` with the fields and methods of `cls`,
-    under the same name, so that its repr is the same: the dataclass repr,
-    or the one `cls` defines."""
+    """A plain `dataclass(frozen=True, slots=...)` with the fields, methods
+    and layout of `cls`, under the same name, so that its repr is the same:
+    the dataclass repr, or the one `cls` defines."""
     namespace = {"__module__": TWINS.__name__, "__qualname__": cls.__qualname__}
     if own_repr(cls):
         namespace["__repr__"] = cls.__repr__
-    twin = dataclass(frozen=True)(type(cls.__name__, (cls,), namespace))
+    twin = dataclass(frozen=True, slots=slotted(cls))(type(cls.__name__, (cls,), namespace))
     setattr(TWINS, cls.__qualname__, twin)
     return twin
 
@@ -98,9 +105,17 @@ def outcome(fn, obj):
         return type(exc)
 
 
-def pickle_round_trip(obj):
-    back = pickle.loads(pickle.dumps(obj))
-    return type(back).__qualname__, vars(back), back == obj
+def field_values(obj) -> list:
+    return [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+
+
+def round_trip(through):
+    """What `through(obj)` gives back: its type, field values, `vars()`
+    outcome, and whether it equals `obj`."""
+    def trip(obj):
+        back = through(obj)
+        return type(back).__qualname__, field_values(back), outcome(vars, back), back == obj
+    return trip
 
 
 def test_samples_cover_every_record_type():
@@ -125,18 +140,26 @@ def test_matches_plain_frozen_dataclass(sample):
     assert [(f.name, f.type, f.default) for f in dataclasses.fields(mine)] == [
         (f.name, f.type, f.default) for f in dataclasses.fields(theirs)]
     assert inspect.signature(cls) == inspect.signature(twin)
-    assert vars(mine) == vars(theirs)
-    assert list(vars(mine)) == [f.name for f in dataclasses.fields(cls)]
+    assert slotted(twin) == slotted(cls)
+    if slotted(cls):
+        for target in (mine, theirs):
+            with pytest.raises(TypeError):
+                vars(target)
+    else:
+        assert vars(mine) == vars(theirs)
+        assert list(vars(mine)) == [f.name for f in dataclasses.fields(cls)]
     assert outcome(dataclasses.asdict, mine) == outcome(dataclasses.asdict, theirs)
     assert outcome(dataclasses.astuple, mine) == outcome(dataclasses.astuple, theirs)
     assert repr(mine) == repr(theirs)
     assert mine == cls(*values) and mine == sample and mine != theirs
     assert outcome(hash, mine) == outcome(hash, theirs) == outcome(hash, sample)
     assert dataclasses.replace(mine) == mine
-    assert vars(dataclasses.replace(theirs)) == vars(mine)
+    assert field_values(dataclasses.replace(theirs)) == field_values(mine)
     first = dataclasses.fields(cls)[0].name
     assert getattr(dataclasses.replace(mine, **{first: values[0]}), first) is values[0]
-    assert outcome(pickle_round_trip, mine) == outcome(pickle_round_trip, theirs)
+    for through in (lambda obj: pickle.loads(pickle.dumps(obj)), copy.copy, copy.deepcopy):
+        trip = round_trip(through)
+        assert outcome(trip, mine) == outcome(trip, theirs)
 
     for target in (mine, theirs):
         with pytest.raises(FrozenInstanceError):
@@ -220,9 +243,26 @@ def test_bound_functions_have_a_short_repr(module):
 
 
 def test_class_variables_are_not_fields():
-    Point = record(type("Point", (), {"__annotations__": {"x": float, "unit": ClassVar[str]},
-                                      "unit": "m"}))
-    assert vars(Point(2.0)) == {"x": 2.0} and Point.unit == "m"
+    for slots in (True, False):
+        Point = record(slots=slots)(type("Point", (), {
+            "__annotations__": {"x": float, "unit": ClassVar[str]}, "unit": "m"}))
+        assert [f.name for f in dataclasses.fields(Point)] == ["x"]
+        assert dataclasses.asdict(Point(2.0)) == {"x": 2.0}
+        assert Point.unit == Point(2.0).unit == "m"
+
+
+def test_only_the_input_types_keep_an_instance_dict():
+    # vars() enumerates the states and params, and a problem keeps its
+    # cached side records and wave data in its __dict__; every result
+    # record is slotted.
+    inputs = {cls for module in (euler, shallow, bloodflow)
+              for cls in (module.SYSTEM.state_type, module.SYSTEM.params_type,
+                          module.SYSTEM.problem_type)}
+    records = set(package_dataclasses().values())
+    assert len(inputs) == 9 and inputs < records
+    assert {cls for cls in records if not slotted(cls)} == inputs
+    for cls in records - inputs:
+        assert cls.__slots__ == tuple(f.name for f in dataclasses.fields(cls)), cls
 
 
 @pytest.mark.parametrize("enum", [WavePattern, EstimatorId])

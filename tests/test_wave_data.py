@@ -5,6 +5,7 @@ object and shared by the exact solve and every estimator."""
 import dataclasses
 import math
 import random
+import sys
 
 import pytest
 
@@ -310,6 +311,28 @@ def test_exact_solve_of_vacuum_data_raises_the_no_star_error(system):
         core.solve_star(module.SYSTEM, make(left, right))
     with pytest.raises(error, match=module.SYSTEM.no_star_message):
         module.solve_exact(make(left, right))
+
+
+@pytest.mark.parametrize("vacuum", [False, True], ids=["positive", "vacuum"])
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_classify_tests_positivity_once(system, vacuum):
+    # The guard of the two-rarefaction function is the wave data's only
+    # positivity test: its no-star error gives the VACUUM pattern.
+    module, _, make, data, _, _ = SYSTEMS[system]
+    problem = make(*(VACUUM[system][0] if vacuum else data[0]))
+    code, calls = module.SYSTEM.positivity.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(event)
+
+    sys.setprofile(profile)
+    try:
+        pattern = module.classify(problem)
+    finally:
+        sys.setprofile(None)
+    assert len(calls) == 1
+    assert (pattern is WavePattern.VACUUM) == vacuum
 
 
 @pytest.mark.parametrize("system, estimator, title", [
