@@ -46,6 +46,10 @@ BAND = 1e-10
 #: there (so that one ulp of y**1.5 moves it by 1e-12 at this width), and
 #: its scalar form is 1 within `bloodflow._SONIC_EPS`.
 WEAK_SHOCK = 1e-4
+#: The estimators that `_Lanes.estimate` evaluates: `fuzz.run_fuzz` runs
+#: the kernel only when they cover the system's bound estimators.
+ESTIMATORS = frozenset((EstimatorId.TORO, EstimatorId.TMS_A, EstimatorId.TMS_B,
+                        EstimatorId.TMS_C, EstimatorId.TMS_D))
 #: Newton passes before an unconverged lane is left to the scalar check.
 NEWTON_PASSES = 8
 #: A Newton step below this fraction of the iterate ends a lane's solve.
@@ -220,12 +224,12 @@ class _Lanes:
 
     @np.errstate(all="ignore")
     def estimate(self, estimator: EstimatorId):
-        """(S_L, S_R) of a bound estimator over lanes."""
+        """(S_L, S_R) of an estimator of `ESTIMATORS` over lanes."""
         if estimator is EstimatorId.TORO:
             x_rr = self.x_rr
             return self.speeds(x_rr, x_rr > self.left.x, x_rr > self.right.x)
         if estimator is EstimatorId.TMS_D:
-            return self.system.speeds[estimator][0](self.system, self, np.minimum, np.maximum)
+            return self.system.speeds[estimator](self.system, self, np.minimum, np.maximum)
         return self.tms(estimator)
 
     @np.errstate(all="ignore")
@@ -243,8 +247,8 @@ def scalar_lanes(system: System, problems: Sequence, rel_slack: float) -> List[i
     """Indices, ascending, of the problems whose bound and dominance checks
     the scalar path must make: every lane that is not clean, and so every
     lane with a violation.  `problems` come from `fuzz.sample_problem`;
-    the checks are those of `system.bound_estimators` with slack
-    `rel_slack`."""
+    the checks are those of `system.bound_estimators`, all of `ESTIMATORS`,
+    with slack `rel_slack`."""
     lanes = _Lanes(system, problems)
     star, s_left, s_right = lanes.exact()
     scale = np.maximum(1.0, np.maximum(np.abs(s_left), np.abs(s_right)))

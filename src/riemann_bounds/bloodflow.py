@@ -207,7 +207,7 @@ SYSTEM = System(
     flags={"--beta": "beta", "--rho-blood": "rho"},
     # a + (b - a) * rng.random() is rng.uniform(a, b), without its call.
     draw=lambda rng: (10.0 ** (-2.0 + 3.0 * rng.random()), -300.0 + 600.0 * rng.random()),
-    speeds=speed_registry({EstimatorId.TMS_D: (_tms_d, True)}),
+    speeds=speed_registry({EstimatorId.TMS_D: _tms_d}),
     shock=_shock,
     rarefaction=_rarefaction,
     shock_slope=_shock_slope,

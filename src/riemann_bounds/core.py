@@ -187,6 +187,9 @@ _RR, _RS, _SR, _SS, _VACUUM = (WavePattern.RR, WavePattern.RS, WavePattern.SR,
                                WavePattern.SS, WavePattern.VACUUM)
 _TMS_A, _TMS_B, _TMS_C, _EXACT = (EstimatorId.TMS_A, EstimatorId.TMS_B,
                                   EstimatorId.TMS_C, EstimatorId.EXACT)
+#: The estimators whose `SpeedBounds` carries the wave pattern, which
+#: `estimate` reads from `classify`; EXACT's comes from its solution.
+_WITH_PATTERN = frozenset((_TMS_A, _TMS_B, _TMS_C, EstimatorId.TMS_D))
 _INF, _NEG_INF = math.inf, -math.inf
 
 
@@ -231,11 +234,10 @@ class WaveData:
     (ties resolve to (x_R, x_L)), `f_min`, `f_max` the wave-curve function
     there, `x_rr` the two-rarefaction closed form and `f_rr = f(x_rr)`.
     Values the pattern does not need are NaN and were never computed:
-    everything but the celerities under VACUUM, `f_max` and `f_rr` under RR.
+    everything but `x_min` and `x_max` under VACUUM, `f_max` and `f_rr`
+    under RR.
     """
 
-    c_left: float
-    c_right: float
     x_min: float
     x_max: float
     f_min: float
@@ -302,11 +304,11 @@ class System:
     two_shock: Optional[Callable[..., float]]
     flags: Mapping[str, str]  # CLI constant flag -> params field
     draw: Callable[[Any], Tuple[float, ...]]  # one state of the fuzz ensemble from an rng
-    #: From `speed_registry`; its key order is the module's `ESTIMATORS`.
-    #: Its three callers: `estimate`, which wraps the pair in a
-    #: `SpeedBounds`, and, through `speed_function`, `fuzz.run_fuzz` and
-    #: `tables._speed_cells`, which read the pair itself.
-    speeds: Mapping[EstimatorId, Tuple[Callable[[Any, Any], Tuple[float, float]], bool]]
+    #: Each estimator id to its pair function fn(system, problem) -> (S_L, S_R),
+    #: from `speed_registry`; its key order is the module's `ESTIMATORS`.
+    #: `estimate` wraps the pair in a `SpeedBounds`; `fuzz.run_fuzz` and
+    #: `tables._speed_cells` read it through `speed_function`.
+    speeds: Mapping[EstimatorId, Callable[[Any, Any], Tuple[float, float]]]
     #: One side's wave-curve term f_K(x, side, sqrt=math.sqrt) on its shock
     #: branch (taken where x exceeds the side's data value) and its
     #: rarefaction branch (at or below it), and the slopes of both;
@@ -425,18 +427,18 @@ def wave_data(system: System, problem) -> WaveData:
     x_left, x_right = left.x, right.x
     right_min = x_right <= x_left
     x_min, x_max = (x_right, x_left) if right_min else (x_left, x_right)
-    c_left, c_right, nan = left.c, right.c, math.nan
+    nan = math.nan
     curve, isfinite = getattr(module, system.curve), math.isfinite
     try:
         try:
             x_rr = getattr(module, system.two_rarefaction)(problem)
         except system.no_star:  # from its positivity guard
-            return WaveData(c_left, c_right, x_min, x_max, nan, nan, nan, nan, _VACUUM)
+            return WaveData(x_min, x_max, nan, nan, nan, nan, _VACUUM)
         f_min = curve(x_min, problem)
         if not (isfinite(x_rr) and isfinite(f_min)):
             raise ClosedFormOverflow(f"wave data overflows: x_rr = {x_rr}, f(x_min) = {f_min}")
         if f_min >= 0.0:
-            return WaveData(c_left, c_right, x_min, x_max, f_min, nan, x_rr, nan, _RR)
+            return WaveData(x_min, x_max, f_min, nan, x_rr, nan, _RR)
         f_max, f_rr = curve(x_max, problem), curve(x_rr, problem)
         if not (isfinite(f_max) and isfinite(f_rr)):
             raise ClosedFormOverflow(f"wave data overflows: f(x_max) = {f_max}, f(x_rr) = {f_rr}")
@@ -446,7 +448,7 @@ def wave_data(system: System, problem) -> WaveData:
         pattern = _SS
     else:
         pattern = _RS if right_min else _SR
-    return WaveData(c_left, c_right, x_min, x_max, f_min, f_max, x_rr, f_rr, pattern)
+    return WaveData(x_min, x_max, f_min, f_max, x_rr, f_rr, pattern)
 
 
 class Problem:
@@ -596,8 +598,8 @@ def tms(variant: EstimatorId, system: System, problem) -> Tuple[float, float]:
     `ClosedFormOverflow` for a chord root that is not positive (overflow
     or rounding in the wave data) or a speed that is not finite."""
     left, right, params = problem.left, problem.right, problem.params
-    wave = problem._wave_data
-    cl, cr, module = wave.c_left, wave.c_right, system.module
+    (side_l, side_r), wave = problem._sides, problem._wave_data
+    cl, cr, module = side_l.c, side_r.c, system.module
 
     if wave.pattern is _RR:  # eigenvalue speeds are exact
         s_left, s_right = left.u - cl, right.u + cr
@@ -627,7 +629,6 @@ def tms(variant: EstimatorId, system: System, problem) -> Tuple[float, float]:
             x_min, f_min = wave.x_min, wave.f_min
             # The side with the larger data value extends its shock branch below it.
             if system.ss_shock_extension:
-                side_l, side_r = problem._sides
                 try:
                     f_min = (system.shock(x_min, side_l) + system.shock(x_min, side_r)
                              + (right.u - left.u))
@@ -647,56 +648,64 @@ def tms(variant: EstimatorId, system: System, problem) -> Tuple[float, float]:
 
 def speed_registry(own: Mapping) -> dict:
     """The estimators all systems share and a system's `own` ones, in
-    `EstimatorId` order.  Per estimator: its speed pair, called as
-    fn(system, problem), and whether `estimate` reports the wave pattern.
-    A function that reports it raises the system's no-star error itself
-    for data without a positive star value, so that a caller of the pair
-    alone sees what `estimate` raises."""
+    `EstimatorId` order, each mapped to its pair function
+    fn(system, problem) -> (S_L, S_R).  A function that needs a positive
+    star value (TORO, TMS) raises the system's no-star error itself for
+    data without one, so that a caller of the pair alone sees what
+    `estimate` raises."""
     speeds = {
-        EstimatorId.DAVIS_A: (davis_a, False),
-        EstimatorId.DAVIS_B: (davis_b, False),
-        EstimatorId.TORO: (toro, False),
+        EstimatorId.DAVIS_A: davis_a,
+        EstimatorId.DAVIS_B: davis_b,
+        EstimatorId.TORO: toro,
         # Positional: a keyword partial builds a dict on every call.
-        EstimatorId.TMS_A: (partial(tms, EstimatorId.TMS_A), True),
-        EstimatorId.TMS_B: (partial(tms, EstimatorId.TMS_B), True),
-        EstimatorId.TMS_C: (partial(tms, EstimatorId.TMS_C), True),
+        EstimatorId.TMS_A: partial(tms, EstimatorId.TMS_A),
+        EstimatorId.TMS_B: partial(tms, EstimatorId.TMS_B),
+        EstimatorId.TMS_C: partial(tms, EstimatorId.TMS_C),
         **own,
     }
     return {estimator: speeds[estimator] for estimator in EstimatorId if estimator in speeds}
 
 
+def exact_speeds(system: System, problem) -> Tuple[float, float]:
+    """The pair of EXACT: the extreme wave speeds of the module's
+    `solve_exact`."""
+    solution = system.module.solve_exact(problem)
+    return solution.s_left, solution.s_right
+
+
 def estimate(system: System, problem, estimator: EstimatorId) -> SpeedBounds:
     """Wave-speed pair (S_L, S_R) of `problem` for the requested estimator,
-    as a `SpeedBounds` record: the public entry point.  Loops that read
-    only the pair call the function `speed_function` resolves, once."""
+    as a `SpeedBounds` record: the public entry point.  The record carries
+    the wave pattern for EXACT, from its solution, and for TMS_a-d, from
+    the module's `classify`.  Loops that read only the pair call the
+    function `speed_function` resolves, once."""
     if estimator is _EXACT:
         sol = system.module.solve_exact(problem)
         return SpeedBounds(sol.s_left, sol.s_right, estimator, sol.pattern)
-    entry = system.speeds.get(estimator)
-    if entry is None:
+    speeds = system.speeds.get(estimator)
+    if speeds is None:
         raise system.unsupported_error(estimator)
-    speeds, with_pattern = entry
     # A function that reports the pattern raises the no-star error itself.
-    pattern = system.module.classify(problem) if with_pattern else None
+    pattern = system.module.classify(problem) if estimator in _WITH_PATTERN else None
     s_left, s_right = speeds(system, problem)
     return SpeedBounds(s_left, s_right, estimator, pattern)
 
 
 def speed_function(
     system: System, estimator: EstimatorId
-) -> Optional[Callable[[System, Any], Tuple[float, float]]]:
-    """The registry function that `estimate` calls for `estimator`,
-    fn(system, problem) -> (S_L, S_R): the same pair, without building a
-    `SpeedBounds` or classifying, for loops that read only the speeds.
-    None for EXACT, whose pair is the exact solve's.  Raises
+) -> Callable[[System, Any], Tuple[float, float]]:
+    """The function fn(system, problem) -> (S_L, S_R) of `estimator`: the
+    pair that `estimate` returns, without building a `SpeedBounds` or
+    classifying, for loops that read only the speeds.  EXACT resolves to
+    `exact_speeds`, every other id to its registry function.  Raises
     `UnsupportedEstimator`, as `estimate` does, for an id the system
     lacks."""
     if estimator is _EXACT:
-        return None
-    entry = system.speeds.get(estimator)
-    if entry is None:
+        return exact_speeds
+    speeds = system.speeds.get(estimator)
+    if speeds is None:
         raise system.unsupported_error(estimator)
-    return entry[0]
+    return speeds
 
 
 def interpolate_root(p1: Tuple[float, float], p2: Tuple[float, float]) -> float:

@@ -247,10 +247,7 @@ SYSTEM = System(
     # a + (b - a) * rng.random() is rng.uniform(a, b), without its call.
     draw=lambda rng: (10.0 ** (-3.0 + 6.0 * rng.random()), -100.0 + 200.0 * rng.random(),
                       10.0 ** (-3.0 + 6.0 * rng.random())),
-    speeds=speed_registry({
-        EstimatorId.EINFELDT: (_einfeldt, False),
-        EstimatorId.BATTEN: (_batten, False),
-    }),
+    speeds=speed_registry({EstimatorId.EINFELDT: _einfeldt, EstimatorId.BATTEN: _batten}),
     shock=_shock,
     rarefaction=_rarefaction,
     shock_slope=_shock_slope,

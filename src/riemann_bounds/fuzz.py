@@ -5,9 +5,9 @@ value must dominate the exact one, on large random problem ensembles."""
 from __future__ import annotations
 
 import random
-from typing import Optional, Tuple
+from typing import Tuple
 
-from .core import EstimatorId, record, speed_function
+from .core import record, speed_function
 from .tables import make_problem, system_record
 
 #: Relative slack applied to every comparison, scaled by the problem's
@@ -67,8 +67,9 @@ def _violation(trial: int, estimator: str, side: str, estimate: float,
 
 
 #: Fewest trials for which `run_fuzz` runs the lane kernel, when numpy
-#: imports: it pays numpy's import, about 0.1 s in a cold process, only on
-#: runs long enough to win it back.
+#: imports.  A cold process pays numpy's import first, about 0.1 s, which
+#: is more than the kernel saves on 1000 trials (a few tens of ms): the
+#: threshold pays off only in a process that runs many chunks.
 KERNEL_MIN_COUNT = 1000
 #: Problems per kernel call.
 KERNEL_CHUNK = 1024
@@ -84,30 +85,28 @@ def _lane_kernel():
     return _kernel
 
 
-def run_fuzz(system: str, count: int, seed: int,
-             estimators: Optional[Tuple[EstimatorId, ...]] = None) -> FuzzReport:
-    """Check the bound and dominance properties on `count` random problems.
+def run_fuzz(system: str, count: int, seed: int) -> FuzzReport:
+    """Check the bound and dominance properties on `count` random problems:
+    each of the system's `bound_estimators` against the exact speeds, and
+    the two-rarefaction star value against the exact one.
 
-    Each estimator is resolved once to the registry function that
-    `estimate` calls (`core.speed_function`), and its speed pair is read
-    directly, without a `SpeedBounds` record per trial.  EXACT stands for
-    the trial's own solution, which always bounds itself, so it adds no
-    check.
+    Each estimator is resolved once to the function of its pair
+    (`core.speed_function`), which is read directly, without a
+    `SpeedBounds` record per trial.
 
-    With numpy, at least `KERNEL_MIN_COUNT` trials and the system's
-    `bound_estimators`, the problems are drawn `KERNEL_CHUNK` at a time and
-    the lane kernel (`_kernel.scalar_lanes`) names those whose checks are
-    not certain to pass; only those go through the scalar check, in trial
-    order.  The scalar check alone builds violations and raises errors, so
-    the report and any error are the same either way.
+    The problems are drawn `KERNEL_CHUNK` at a time.  With numpy, at least
+    `KERNEL_MIN_COUNT` trials and bound estimators that the lane kernel
+    evaluates (`_kernel.ESTIMATORS`), the kernel (`_kernel.scalar_lanes`)
+    names the problems of a chunk whose checks are not certain to pass;
+    otherwise every problem is named.  Only those go through the scalar
+    check, in trial order.  The scalar check alone builds violations and
+    raises errors, so the report and any error are the same either way.
     """
     if count <= 0:
         raise ValueError("count must be positive")
     record = system_record(system)
-    if estimators is None:
-        estimators = record.bound_estimators
-    checks = tuple((estimator.value, speeds) for estimator in estimators
-                   if (speeds := speed_function(record, estimator)) is not None)
+    checks = tuple((estimator.value, speed_function(record, estimator))
+                   for estimator in record.bound_estimators)
     module, star_field = record.module, record.star_field
     rng = random.Random(seed)
     violations = []
@@ -135,17 +134,14 @@ def run_fuzz(system: str, count: int, seed: int,
             violations.append(_violation(
                 trial, "two_rarefaction", "star", star_rr, star, problem))
 
-    kernel = None
-    if count >= KERNEL_MIN_COUNT and tuple(estimators) == record.bound_estimators:
-        kernel = _lane_kernel()
-    if kernel is None:
-        for trial in range(count):
-            check(trial, sample_problem(system, rng))
-    else:
-        for start in range(0, count, KERNEL_CHUNK):
-            problems = [sample_problem(system, rng)
-                        for _ in range(min(KERNEL_CHUNK, count - start))]
-            for lane in kernel.scalar_lanes(record, problems, REL_SLACK):
-                check(start + lane, problems[lane])
+    kernel = _lane_kernel() if count >= KERNEL_MIN_COUNT else None
+    if kernel is not None and not kernel.ESTIMATORS.issuperset(record.bound_estimators):
+        kernel = None
+    for start in range(0, count, KERNEL_CHUNK):
+        problems = [sample_problem(system, rng) for _ in range(min(KERNEL_CHUNK, count - start))]
+        lanes = (range(len(problems)) if kernel is None
+                 else kernel.scalar_lanes(record, problems, REL_SLACK))
+        for lane in lanes:
+            check(start + lane, problems[lane])
 
     return FuzzReport(system, count, seed, tuple(violations))

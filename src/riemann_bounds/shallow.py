@@ -174,7 +174,7 @@ SYSTEM = System(
     flags={"--gravity": "g"},
     # a + (b - a) * rng.random() is rng.uniform(a, b), without its call.
     draw=lambda rng: (10.0 ** (-3.0 + 5.0 * rng.random()), -20.0 + 40.0 * rng.random()),
-    speeds=speed_registry({EstimatorId.TMS_D: (_tms_d, True)}),
+    speeds=speed_registry({EstimatorId.TMS_D: _tms_d}),
     shock=_shock,
     rarefaction=_rarefaction,
     shock_slope=_shock_slope,

@@ -69,8 +69,7 @@ def load_reference(system: str) -> dict:
     Every call returns the same dict, shared by all callers: treat it as
     read-only.
     """
-    if system not in SYSTEMS:
-        raise ValueError(f"unknown system {system!r}")
+    system_record(system)  # raises for an unknown system
     path = resources.files(__package__) / "data" / f"{system}.json"
     return json.loads(path.read_text())
 
@@ -105,8 +104,8 @@ class TableReport:
 
 def _speed_columns(record: System, ref: dict) -> List[tuple]:
     """The columns of a speed table, each resolved once per table:
-    (column, the note of an unimplemented column or None, the registry
-    function `estimate` calls, None for EXACT)."""
+    (column, the note of an unimplemented column or None, the column's
+    `speed_function` or None)."""
     unimplemented = ref.get("unimplemented_columns", {})
     return [(column, unimplemented[column], None) if column in unimplemented
             else (column, None, speed_function(record, EstimatorId(column)))
@@ -116,7 +115,7 @@ def _speed_columns(record: System, ref: dict) -> List[tuple]:
 def _speed_cells(record: System, columns: List[tuple], test: dict,
                  side: str) -> List[CellCheck]:
     """One row of a speed table: each column's speed pair read from its
-    registry function (`_speed_columns`), or from `solve_exact` for EXACT."""
+    function (`_speed_columns`)."""
     problem = make_problem(record.name, test["left"], test["right"])
     index = 0 if side == "s_left" else 1
     skipped = test.get("skipped_cells", {}).get(side, {})
@@ -131,12 +130,7 @@ def _speed_cells(record: System, columns: List[tuple], test: dict,
             cells.append(CellCheck(test["id"], column, expected, None, None,
                                    "skipped", skipped[column]))
             continue
-        if speeds is None:
-            exact = record.module.solve_exact(problem)
-            pair = exact.s_left, exact.s_right
-        else:
-            pair = speeds(record, problem)
-        computed = pair[index]
+        computed = speeds(record, problem)[index]
         deviation = abs(computed - expected)
         status = "ok" if deviation <= cell_tolerance(expected) else "fail"
         cells.append(CellCheck(test["id"], column, expected, computed,
@@ -197,12 +191,13 @@ def reproduce(system: str, table: str) -> TableReport:
     )
 
 
-def bound_violations(test: dict, side: str, tol: float = VIOLATION_TOL) -> List[str]:
+def bound_violations(test: dict, side: str) -> List[str]:
     """Published estimates of one table row that fail to bound the exact speed.
 
     An entry violates the lower bound when it exceeds the exact minimal
     speed, and the upper bound when it falls short of the exact maximal
-    speed, both by more than `tol` (the print resolution of the values).
+    speed, both by more than `VIOLATION_TOL` (the print resolution of the
+    values).
     """
     exact = test[side]["exact"]
     violators = []
@@ -210,9 +205,9 @@ def bound_violations(test: dict, side: str, tol: float = VIOLATION_TOL) -> List[
         if column == "exact":
             continue
         if side == "s_left":
-            violates = value > exact + tol
+            violates = value > exact + VIOLATION_TOL
         else:
-            violates = value < exact - tol
+            violates = value < exact - VIOLATION_TOL
         if violates:
             violators.append(column)
     return violators

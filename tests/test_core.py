@@ -69,7 +69,7 @@ class TestRootBracket:
 def _ss_wave(curve):
     """S/S wave data whose two-rarefaction node still has f < 0."""
     x_max, x_rr = 1.0, 2.0
-    return WaveData(1.0, 1.0, 0.5, x_max, curve(0.5), curve(x_max), x_rr, curve(x_rr),
+    return WaveData(0.5, x_max, curve(0.5), curve(x_max), x_rr, curve(x_rr),
                     WavePattern.SS)
 
 

@@ -42,6 +42,13 @@ def positive_from_states(record, problem):
                              record.celerity(values(right), params), right.u - left.u, params)
 
 
+def with_bound_estimators(monkeypatch, system, estimators):
+    """Put a copy of the system's record whose `bound_estimators` are
+    `estimators` in the registry, so that `run_fuzz` checks those."""
+    record = dataclasses.replace(tables.system_record(system), bound_estimators=estimators)
+    monkeypatch.setitem(tables._REGISTRY, system, record)
+
+
 def sample_by_building(system, rng):
     """`sample_problem` in the order of its first form: each candidate pair
     built into a problem, then tested by the public positivity test."""
@@ -213,14 +220,11 @@ class TestRunFuzz:
     def test_estimator_sets_come_from_the_system_records(self, system):
         record = tables.system_record(system)
         assert set(record.bound_estimators) <= set(record.speeds)
-        assert run_fuzz(system, 20, 5) == run_fuzz(system, 20, 5, record.bound_estimators)
 
-    def test_detects_planted_violation(self):
+    def test_detects_planted_violation(self, monkeypatch):
         # A deliberately wrong "estimator" must be reported.
-        from riemann_bounds.core import EstimatorId
-
-        report = run_fuzz("swe", 50, seed=4,
-                          estimators=(EstimatorId.DAVIS_A,))
+        with_bound_estimators(monkeypatch, "swe", (EstimatorId.DAVIS_A,))
+        report = run_fuzz("swe", 50, seed=4)
         # davis_a is not a certified bound; over 50 random problems it is
         # extremely unlikely to bound every exact speed pair.
         assert report.violations
@@ -278,23 +282,25 @@ class TestRunFuzzMatchesThePublicLoop:
     @pytest.mark.parametrize("system", ("euler", "swe", "bfe"))
     @pytest.mark.parametrize("seed", (3, 71))
     @pytest.mark.parametrize("kind", ("bound", "non_bound", "exact"))
-    def test_same_report(self, system, seed, kind):
+    def test_same_report(self, monkeypatch, system, seed, kind):
         estimators = {
             "bound": tables.system_record(system).bound_estimators,
             "non_bound": NON_BOUND[system],
             "exact": (EstimatorId.EXACT, EstimatorId.DAVIS_A),
         }[kind]
-        report = run_fuzz(system, 300, seed, estimators)
+        with_bound_estimators(monkeypatch, system, estimators)
+        report = run_fuzz(system, 300, seed)
         assert report == public_fuzz(system, 300, seed, estimators)
         if kind != "bound":
             assert report.violations  # the comparison covers violation records
 
-    def test_unsupported_estimator_raises_as_estimate_does(self):
+    def test_unsupported_estimator_raises_as_estimate_does(self, monkeypatch):
         problem = sample_problem("swe", random.Random(0))
         with pytest.raises(UnsupportedEstimator) as from_estimate:
             shallow.estimate(problem, EstimatorId.EINFELDT)
+        with_bound_estimators(monkeypatch, "swe", (EstimatorId.EINFELDT,))
         with pytest.raises(UnsupportedEstimator) as from_fuzz:
-            run_fuzz("swe", 10, seed=1, estimators=(EstimatorId.EINFELDT,))
+            run_fuzz("swe", 10, seed=1)
         assert str(from_fuzz.value) == str(from_estimate.value)
 
 
@@ -302,6 +308,54 @@ class TestRunFuzzMatchesThePublicLoop:
 ACCEPTANCE_SEEDS = {"euler": 42, "swe": 7, "bfe": 13}
 #: Trials of the kernel comparisons: two full chunks and a short tail.
 KERNEL_COUNT = 2 * KERNEL_CHUNK + 37
+
+
+def outcome(call, *args):
+    """What a call gives: its value, or the type and message of its error."""
+    try:
+        return call(*args)
+    except Exception as error:
+        return type(error), str(error)
+
+
+#: The estimators whose `SpeedBounds` carries the wave pattern.
+WITH_PATTERN = {EstimatorId.EXACT, EstimatorId.TMS_A, EstimatorId.TMS_B, EstimatorId.TMS_C,
+                EstimatorId.TMS_D}
+
+
+@pytest.mark.parametrize("system", ("euler", "swe", "bfe"))
+def test_speed_functions_give_the_pairs_of_estimate(system):
+    # run_fuzz and reproduce read the pair of `speed_function`, estimate
+    # wraps its own: on the first 200 acceptance problems and 200 raw draws
+    # (no positivity filter, so no-star data are among them) both give the
+    # same bits, or the same error.  Each call gets a fresh problem, so
+    # that neither reads what the other cached.
+    record = tables.system_record(system)
+    module = record.module
+    acceptance, raw = random.Random(ACCEPTANCE_SEEDS[system]), random.Random(RAW_SEED)
+    data = [(values(p.left), values(p.right))
+            for p in (sample_problem(system, acceptance) for _ in range(200))]
+    data += [(record.draw(raw), record.draw(raw)) for _ in range(200)]
+    errors = 0
+    for estimator in EstimatorId:
+        if estimator is not EstimatorId.EXACT and estimator not in module.ESTIMATORS:
+            problem = tables.make_problem(system, *data[0])
+            assert (outcome(speed_function, record, estimator)
+                    == outcome(module.estimate, problem, estimator))
+            continue
+        speeds = speed_function(record, estimator)
+        for left, right in data:
+            pair = outcome(speeds, record, tables.make_problem(system, left, right))
+            problem = tables.make_problem(system, left, right)
+            bounds = outcome(module.estimate, problem, estimator)
+            if isinstance(pair[0], type):
+                assert bounds == pair, (estimator, left, right)
+                errors += 1
+                continue
+            assert repr(pair) == repr((bounds.s_left, bounds.s_right)), (estimator, left, right)
+            expected = module.classify(problem) if estimator in WITH_PATTERN else None
+            assert bounds.pattern is expected, (estimator, left, right)
+    assert errors  # the error paths are covered too
 
 
 @pytest.fixture(scope="module")
@@ -389,8 +443,7 @@ class TestLaneKernel:
     def test_star_violations_pass_through_the_kernel(self, monkeypatch, system):
         # The same with no bound estimator, so that only the dominance check
         # can hand a lane to the scalar check.
-        record = dataclasses.replace(tables.system_record(system), bound_estimators=())
-        monkeypatch.setitem(tables._REGISTRY, system, record)
+        with_bound_estimators(monkeypatch, system, ())
         monkeypatch.setattr(fuzz, "REL_SLACK", -1e-7)
         sizes = kernel_calls(monkeypatch)
         report = run_fuzz(system, KERNEL_COUNT, 5)
@@ -400,9 +453,12 @@ class TestLaneKernel:
         assert len(sizes) == 3
 
     def test_short_runs_and_other_estimator_sets_stay_scalar(self, monkeypatch):
+        # The kernel evaluates TORO and TMS_a-d only; one estimator outside
+        # them, EXACT included, keeps the whole run on the scalar path.
         sizes = kernel_calls(monkeypatch)
         run_fuzz("euler", KERNEL_MIN_COUNT - 1, 3)
-        run_fuzz("swe", KERNEL_MIN_COUNT, 3, (EstimatorId.TORO,))
+        with_bound_estimators(monkeypatch, "swe", (EstimatorId.TORO, EstimatorId.EXACT))
+        run_fuzz("swe", KERNEL_MIN_COUNT, 3)
         assert sizes == []
 
     @pytest.mark.parametrize("system", ("euler", "swe", "bfe"))
