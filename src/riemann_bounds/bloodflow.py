@@ -204,7 +204,6 @@ SYSTEM = System(
     two_shock=None,
     celerity=_celerity,
     positivity=_positivity,
-    flags={"--beta": "beta", "--rho-blood": "rho"},
     # a + (b - a) * rng.random() is rng.uniform(a, b), without its call.
     draw=lambda rng: (10.0 ** (-2.0 + 3.0 * rng.random()), -300.0 + 600.0 * rng.random()),
     speeds=speed_registry({EstimatorId.TMS_D: _tms_d}),

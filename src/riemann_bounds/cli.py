@@ -4,7 +4,6 @@ evaluation, golden-table reproduction and randomized property fuzzing."""
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -12,14 +11,16 @@ from dataclasses import asdict, fields
 from typing import Dict, List, Optional, Sequence
 
 from .core import (
+    CollapseData,
+    DryBed,
     EstimatorId,
     RiemannBoundsError,
     SpeedBounds,
     System,
     UnsupportedEstimator,
+    VacuumData,
 )
 from . import tables
-from .fuzz import FuzzViolation, run_fuzz
 from .tables import make_problem, star_values, system_record
 
 EXIT_OK = 0
@@ -29,12 +30,18 @@ EXIT_TOLERANCE = 3
 EXIT_VIOLATIONS = 4
 EXIT_SOLVER = 5  # any other library error: no convergence, closed-form overflow, ...
 
-_RECORDS = tuple(system_record(system) for system in tables.SYSTEMS)
-#: Physical-constant flags of all systems; each applies to one system.
-_CONSTANT_FLAGS = tuple(flag for record in _RECORDS for flag in record.flags)
+#: Physical-constant flags of each system, to the params field each sets.
+#: Every subcommand with states takes all of them, and a flag of another
+#: system is a usage error; kept here, so that building the parser imports
+#: no system module.
+_CONSTANT_FLAGS = {
+    "euler": {"--gamma": "gamma"},
+    "swe": {"--gravity": "g"},
+    "bfe": {"--beta": "beta", "--rho-blood": "rho"},
+}
 #: Errors in the physical data: no positive star value, or a state or
 #: constant out of range.
-_PHYSICAL_ERRORS = tuple(record.no_star for record in _RECORDS) + (ValueError,)
+_PHYSICAL_ERRORS = (VacuumData, DryBed, CollapseData, ValueError)
 
 
 class _UsageError(Exception):
@@ -61,14 +68,16 @@ def _parse_state(text: str, record: System) -> List[float]:
 
 
 def _params_overrides(record: System, args) -> Dict[str, float]:
+    own = _CONSTANT_FLAGS[record.name]
     overrides: Dict[str, float] = {}
-    for flag in _CONSTANT_FLAGS:
-        value = getattr(args, flag[2:].replace("-", "_"))
-        if value is None:
-            continue
-        if flag not in record.flags:
-            raise _UsageError(f"{flag} does not apply to the {record.name} system")
-        overrides[record.flags[flag]] = value
+    for flags in _CONSTANT_FLAGS.values():
+        for flag in flags:
+            value = getattr(args, flag[2:].replace("-", "_"))
+            if value is None:
+                continue
+            if flag not in own:
+                raise _UsageError(f"{flag} does not apply to the {record.name} system")
+            overrides[own[flag]] = value
     return overrides
 
 
@@ -89,6 +98,8 @@ def _emit(args, payload: dict, header: Sequence[str],
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":
+        import csv
+
         buffer = io.StringIO()
         csv.writer(buffer, lineterminator="\n").writerows([header, *rows])
         print(buffer.getvalue().rstrip("\n"))
@@ -194,6 +205,8 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    from .fuzz import FuzzViolation, run_fuzz
+
     if args.count <= 0:
         raise _UsageError("--count must be positive")
     report = run_fuzz(args.system, args.count, args.seed)
@@ -229,8 +242,9 @@ def _build_parser() -> _Parser:
         if states:
             sub.add_argument("--left", required=True, metavar="a,b[,c]")
             sub.add_argument("--right", required=True, metavar="a,b[,c]")
-            for flag in _CONSTANT_FLAGS:
-                sub.add_argument(flag, type=float, default=None)
+            for flags in _CONSTANT_FLAGS.values():
+                for flag in flags:
+                    sub.add_argument(flag, type=float, default=None)
 
     sub = subparsers.add_parser("exact", help="exact star state and speeds")
     add_common(sub, states=True)

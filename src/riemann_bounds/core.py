@@ -250,7 +250,9 @@ class WaveData:
 @record
 class System:
     """One hyperbolic system, described once for the shared code below, the
-    registry in `tables`, the fuzzer and the CLI.
+    registry in `tables`, the fuzzer and the CLI.  The CLI's constant flags
+    are not part of it: `cli` keeps them in a table of its own, so that its
+    parser is built without importing any system module.
 
     A system module holds only its physics and `solve_exact`, and binds
     the surface written once below under its public names: `classify`,
@@ -302,7 +304,6 @@ class System:
     #: S/S Newton start refined by the two-shock approximation linearized
     #: about x0, two_shock(problem, x0, sqrt); None where there is none.
     two_shock: Optional[Callable[..., float]]
-    flags: Mapping[str, str]  # CLI constant flag -> params field
     draw: Callable[[Any], Tuple[float, ...]]  # one state of the fuzz ensemble from an rng
     #: Each estimator id to its pair function fn(system, problem) -> (S_L, S_R),
     #: from `speed_registry`; its key order is the module's `ESTIMATORS`.
@@ -576,7 +577,13 @@ def davis_a(system: System, problem) -> Tuple[float, float]:
 
 def davis_b(system: System, problem) -> Tuple[float, float]:
     left, right = problem._sides
-    return min(left.u - left.c, right.u - right.c), max(left.u + left.c, right.u + right.c)
+    # min(a, b) and max(a, b) without their calls, with the same result
+    # (NaN and signed zeros included): the first argument unless the
+    # second is strictly smaller (larger).
+    a, b = left.u - left.c, right.u - right.c
+    s_left = b if b < a else a
+    a, b = left.u + left.c, right.u + right.c
+    return s_left, b if b > a else a
 
 
 def toro(system: System, problem) -> Tuple[float, float]:

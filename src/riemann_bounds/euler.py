@@ -243,7 +243,6 @@ SYSTEM = System(
     two_shock=_two_shock_pressure,
     celerity=_celerity,
     positivity=_positivity,
-    flags={"--gamma": "gamma"},
     # a + (b - a) * rng.random() is rng.uniform(a, b), without its call.
     draw=lambda rng: (10.0 ** (-3.0 + 6.0 * rng.random()), -100.0 + 200.0 * rng.random(),
                       10.0 ** (-3.0 + 6.0 * rng.random())),

@@ -171,7 +171,6 @@ SYSTEM = System(
     two_shock=_two_shock_depth,
     celerity=_celerity,
     positivity=_positivity,
-    flags={"--gravity": "g"},
     # a + (b - a) * rng.random() is rng.uniform(a, b), without its call.
     draw=lambda rng: (10.0 ** (-3.0 + 5.0 * rng.random()), -20.0 + 40.0 * rng.random()),
     speeds=speed_registry({EstimatorId.TMS_D: _tms_d}),

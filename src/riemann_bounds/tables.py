@@ -5,19 +5,20 @@ which published estimates fail to bound the exact wave speeds."""
 from __future__ import annotations
 
 import functools
+import importlib
 import json
-from importlib import resources
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import bloodflow, euler, shallow
 from .core import EstimatorId, System, record, speed_function
 
-#: The systems, keyed by name; each module describes its system once, in
-#: its `SYSTEM` record.
-_REGISTRY: Dict[str, System] = {
-    record.name: record for record in (euler.SYSTEM, shallow.SYSTEM, bloodflow.SYSTEM)
-}
-SYSTEMS = tuple(_REGISTRY)
+#: The module of each system, keyed by name; each module describes its
+#: system once, in its `SYSTEM` record.  A module is imported by the first
+#: `system_record` call for its system, so that a process imports only the
+#: systems it uses.
+_MODULES = {"euler": "euler", "swe": "shallow", "bfe": "bloodflow"}
+#: The records of the systems imported so far, keyed by name.
+_REGISTRY: Dict[str, System] = {}
+SYSTEMS = tuple(_MODULES)
 TABLES = ("ic", "s_left", "s_right")
 
 #: |computed - published| tolerance floor for speed cells; the published
@@ -30,11 +31,16 @@ VIOLATION_TOL = 1e-3
 
 
 def system_record(system: str) -> System:
-    """`System` record of the named system."""
+    """`System` record of the named system; the first call for a system
+    imports its module."""
     try:
         return _REGISTRY[system]
     except KeyError:
-        raise ValueError(f"unknown system {system!r}") from None
+        if system not in _MODULES:
+            raise ValueError(f"unknown system {system!r}") from None
+    record = importlib.import_module(f"{__package__}.{_MODULES[system]}").SYSTEM
+    _REGISTRY[system] = record
+    return record
 
 
 def system_module(system: str):
@@ -69,6 +75,8 @@ def load_reference(system: str) -> dict:
     Every call returns the same dict, shared by all callers: treat it as
     read-only.
     """
+    from importlib import resources  # here, so that only reproduce pays for it
+
     system_record(system)  # raises for an unknown system
     path = resources.files(__package__) / "data" / f"{system}.json"
     return json.loads(path.read_text())

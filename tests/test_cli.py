@@ -2,11 +2,14 @@
 
 import csv
 import json
+import subprocess
+import sys
 from dataclasses import fields
 
 import pytest
 
-from riemann_bounds import cli, euler, tables
+import riemann_bounds
+from riemann_bounds import cli, euler, fuzz, tables
 from riemann_bounds.fuzz import FuzzReport, FuzzViolation
 
 
@@ -127,33 +130,59 @@ class TestExact:
         assert json.loads(out)["results"][0]["s_right"] == solve(solves[0]).s_right
 
 
+#: (system, state, flag): each flag of the CLI's table with each system it
+#: does not apply to.
+FLAGS_OF_OTHER_SYSTEMS = [
+    ("swe", "1,0", "--gamma"),
+    ("euler", "1,0,1", "--gravity"),
+    ("bfe", "1,0", "--gamma"),
+    ("euler", "1,0,1", "--rho-blood"),
+    ("swe", "1,0", "--beta"),
+    ("bfe", "1,0", "--gravity"),
+    ("euler", "1,0,1", "--beta"),
+    ("swe", "1,0", "--rho-blood"),
+]
+#: (system, state, flag, field): each flag of the CLI's table with its
+#: system and the params field it sets.
+FLAGS_OF_THE_SYSTEM = [
+    ("euler", "1,0,1", "--gamma", "gamma"),
+    ("swe", "1,0", "--gravity", "g"),
+    ("bfe", "1,0", "--beta", "beta"),
+    ("bfe", "1,0", "--rho-blood", "rho"),
+]
+
+
 class TestConstantFlags:
+    def test_every_flag_names_a_field_of_its_params_type(self):
+        assert tuple(cli._CONSTANT_FLAGS) == tables.SYSTEMS
+        for system, flags in cli._CONSTANT_FLAGS.items():
+            params = {f.name for f in fields(tables.system_record(system).params_type)}
+            assert set(flags.values()) <= params, system
+
+    def test_the_cases_below_cover_the_flag_table(self):
+        table = cli._CONSTANT_FLAGS
+        assert {(s, flag, field) for s, _, flag, field in FLAGS_OF_THE_SYSTEM} == {
+            (s, flag, field) for s, flags in table.items() for flag, field in flags.items()}
+        every_flag = {flag for flags in table.values() for flag in flags}
+        assert {(s, flag) for s, _, flag in FLAGS_OF_OTHER_SYSTEMS} == {
+            (s, flag) for s in table for flag in every_flag - set(table[s])}
+
     @pytest.mark.parametrize("command", ["exact", "bounds"])
-    @pytest.mark.parametrize("system, state, flag", [
-        ("swe", "1,0", "--gamma"),
-        ("euler", "1,0,1", "--gravity"),
-        ("bfe", "1,0", "--gamma"),
-        ("euler", "1,0,1", "--rho-blood"),
-        ("swe", "1,0", "--beta"),
-    ])
+    @pytest.mark.parametrize("system, state, flag", FLAGS_OF_OTHER_SYSTEMS)
     def test_flag_of_another_system_is_usage_error(self, capsys, command, system, state, flag):
         code, out, err = run(capsys, command, "--system", system, "--left", state,
                              "--right", state, flag, "3")
         assert code == cli.EXIT_USAGE
-        assert flag in err and system in err
+        assert err == f"error: {flag} does not apply to the {system} system\n"
         assert out == ""
 
-    @pytest.mark.parametrize("system, state, flag, field", [
-        ("euler", "1,0,1", "--gamma", "gamma"),
-        ("swe", "1,0", "--gravity", "g"),
-        ("bfe", "1,0", "--beta", "beta"),
-        ("bfe", "1,0", "--rho-blood", "rho"),
-    ])
+    @pytest.mark.parametrize("system, state, flag, field", FLAGS_OF_THE_SYSTEM)
     def test_flag_of_the_system_sets_its_constant(self, capsys, system, state, flag, field):
         code, out, _ = run(capsys, "exact", "--system", system, "--left", state,
                            "--right", state, flag, "1.5", "--format", "json")
         assert code == 0
-        assert json.loads(out)["problem"]["params"][field] == 1.5
+        defaults = vars(tables.system_record(system).params_type())
+        assert json.loads(out)["problem"]["params"] == {**defaults, field: 1.5}
 
     def test_system_choices_are_the_registry(self, capsys):
         code, _, err = run(capsys, "exact", "--system", "mhd",
@@ -272,7 +301,7 @@ class TestFuzz:
         violation = FuzzViolation(3, "tms_b", "s_left", -0.5, -1.0,
                                   (1.0, 0.0, 1.0), (1.0, 0.0, 0.1))
         report = FuzzReport("euler", 10, 42, (violation,))
-        monkeypatch.setattr(cli, "run_fuzz", lambda *args: report)
+        monkeypatch.setattr(fuzz, "run_fuzz", lambda *args: report)
         code, out, _ = run(capsys, "fuzz", "--system", "euler",
                            "--count", "10", "--seed", "42", "--format", fmt)
         assert code == cli.EXIT_VIOLATIONS == 4
@@ -313,3 +342,51 @@ class TestUsage:
                            "--left", "1,0", "--right", "1,0")
         assert code == 1
         assert err
+
+
+#: One cold `cli.main(argv)`, argv from the command line; its last output
+#: line is the exit code and the modules it left loaded, of the package
+#: and of those a call should import only when it needs them.
+COLD_CALL = """\
+import sys
+from riemann_bounds import cli
+code = cli.main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.split(".")[0] == "riemann_bounds"
+                    or m in ("csv", "importlib.resources", "numpy")))
+"""
+COLD_BASE = {"riemann_bounds", "riemann_bounds.core", "riemann_bounds.tables",
+             "riemann_bounds.cli"}
+SYSTEM_MODULE = {"euler": "riemann_bounds.euler", "swe": "riemann_bounds.shallow",
+                 "bfe": "riemann_bounds.bloodflow"}
+STATES = {"euler": ("1,0,1", "1,0,0.1"), "swe": ("1,-5", "1,5"), "bfe": ("3.14,-10", "3.14,20")}
+
+
+def cold_modules(*argv):
+    """The modules a cold `riemann-bounds` call loads, in a fresh interpreter
+    under -S, where no `.pth` file of site-packages preloads any."""
+    done = subprocess.run([sys.executable, "-S", "-c", COLD_CALL, *argv],
+                          capture_output=True, text=True, check=True,
+                          env={"PYTHONPATH": str(riemann_bounds.__path__[0] + "/..")})
+    code, *modules = done.stdout.splitlines()[-1].split()
+    assert code == "0", done.stderr
+    return set(modules)
+
+
+class TestColdImports:
+    """A call imports the system it names and the code of its subcommand,
+    and no other system module."""
+
+    @pytest.mark.parametrize("command", ["exact", "bounds"])
+    @pytest.mark.parametrize("system", tables.SYSTEMS)
+    def test_a_call_with_states_imports_its_system_alone(self, command, system):
+        left, right = STATES[system]
+        assert cold_modules(command, "--system", system, "--left", left,
+                            "--right", right) == COLD_BASE | {SYSTEM_MODULE[system]}
+
+    def test_only_reproduce_reads_the_embedded_tables(self):
+        assert cold_modules("reproduce", "--system", "bfe", "--table", "s_left") == (
+            COLD_BASE | {"riemann_bounds.bloodflow", "importlib.resources"})
+
+    def test_a_short_fuzz_imports_neither_the_lane_kernel_nor_numpy(self):
+        assert cold_modules("fuzz", "--system", "euler", "--count", "5") == (
+            COLD_BASE | {"riemann_bounds.euler", "riemann_bounds.fuzz"})
