@@ -10,7 +10,7 @@ import math
 import sys
 from dataclasses import MISSING, dataclass, fields
 from functools import partial
-from typing import Any, Callable, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, Mapping, Optional, Tuple
 
 
 class RiemannBoundsError(Exception):
@@ -555,18 +555,22 @@ def solve_star(system: System, problem) -> float:
         raise ClosedFormOverflow("the wave curve overflows during the root solve") from None
 
 
+def _not_finite(s_left: float, s_right: float) -> ClosedFormOverflow:
+    return ClosedFormOverflow(f"wave speeds are not finite: S_L = {s_left}, S_R = {s_right}")
+
+
 def star_speeds(system: System, problem, x: float) -> Tuple[float, float]:
     """(S_L, S_R) for star value x: on a side whose data value x exceeds
     the wave is a shock, u_K -/+ c_K q_K(x), otherwise a rarefaction
     headed by the eigenvalue u_K -/+ c_K.  Raises `ClosedFormOverflow`
     for a speed that is not finite."""
     left, right = problem._sides
-    params, q_factor = problem.params, system.module.q_factor
-    s_left = left.u - left.c if x <= left.x else left.u - left.c * q_factor(x, problem.left, params)
+    s_left = (left.u - left.c if x <= left.x
+              else left.u - left.c * system.module.q_factor(x, problem.left, problem.params))
     s_right = (right.u + right.c if x <= right.x
-               else right.u + right.c * q_factor(x, problem.right, params))
+               else right.u + right.c * system.module.q_factor(x, problem.right, problem.params))
     if not _NEG_INF < s_left < _INF > s_right > _NEG_INF:  # NaN fails every comparison
-        raise ClosedFormOverflow(f"wave speeds are not finite: S_L = {s_left}, S_R = {s_right}")
+        raise _not_finite(s_left, s_right)
     return s_left, s_right
 
 
@@ -604,15 +608,17 @@ def tms(variant: EstimatorId, system: System, problem) -> Tuple[float, float]:
     system's no-star error for data without a positive star value, and
     `ClosedFormOverflow` for a chord root that is not positive (overflow
     or rounding in the wave data) or a speed that is not finite."""
-    left, right, params = problem.left, problem.right, problem.params
     (side_l, side_r), wave = problem._sides, problem._wave_data
-    cl, cr, module = side_l.c, side_r.c, system.module
-
     if wave.pattern is _RR:  # eigenvalue speeds are exact
-        s_left, s_right = left.u - cl, right.u + cr
-    elif wave.pattern is _VACUUM:
+        s_left, s_right = side_l.u - side_l.c, side_r.u + side_r.c
+        if not _NEG_INF < s_left < _INF > s_right > _NEG_INF:
+            raise _not_finite(s_left, s_right)
+        return s_left, s_right
+    if wave.pattern is _VACUUM:
         raise system.no_star_error()
-    elif wave.pattern is not _SS:  # the shock sits on the side of x_min
+    left, right, params = problem.left, problem.right, problem.params
+    cl, cr, module = side_l.c, side_r.c, system.module
+    if wave.pattern is not _SS:  # the shock sits on the side of x_min
         if variant is _TMS_A:
             x_hat = module.interpolate_root((wave.x_min, wave.f_min), (wave.x_max, wave.f_max))
         elif variant is _TMS_B:
@@ -649,7 +655,7 @@ def tms(variant: EstimatorId, system: System, problem) -> Tuple[float, float]:
         s_left = left.u - cl * module.q_factor(x_hat, left, params)
         s_right = right.u + cr * module.q_factor(x_hat, right, params)
     if not _NEG_INF < s_left < _INF > s_right > _NEG_INF:
-        raise ClosedFormOverflow(f"wave speeds are not finite: S_L = {s_left}, S_R = {s_right}")
+        raise _not_finite(s_left, s_right)
     return s_left, s_right
 
 
@@ -685,13 +691,15 @@ def estimate(system: System, problem, estimator: EstimatorId) -> SpeedBounds:
     as a `SpeedBounds` record: the public entry point.  The record carries
     the wave pattern for EXACT, from its solution, and for TMS_a-d, from
     the module's `classify`.  Loops that read only the pair call the
-    function `speed_function` resolves, once."""
-    if estimator is _EXACT:
-        sol = system.module.solve_exact(problem)
-        return SpeedBounds(sol.s_left, sol.s_right, estimator, sol.pattern)
+    function `speed_function` resolves, once.  The registry never holds
+    EXACT, so one lookup serves every other id, and EXACT or an id the
+    system lacks is resolved only when it misses."""
     speeds = system.speeds.get(estimator)
     if speeds is None:
-        raise system.unsupported_error(estimator)
+        if estimator is not _EXACT:
+            raise system.unsupported_error(estimator)
+        sol = system.module.solve_exact(problem)
+        return SpeedBounds(sol.s_left, sol.s_right, estimator, sol.pattern)
     # A function that reports the pattern raises the no-star error itself.
     pattern = system.module.classify(problem) if estimator in _WITH_PATTERN else None
     s_left, s_right = speeds(system, problem)
@@ -830,25 +838,36 @@ def find_root(
     raise NoConvergence(f"no root to rel_tol={rel_tol} within {_MAX_ITER} iterations")
 
 
-def courant_dt(speeds: Sequence[SpeedBounds], dx: float, c_cfl: float) -> float:
+def courant_dt(speeds: Iterable[SpeedBounds], dx: float, c_cfl: float) -> float:
     """Stable explicit time step dt = C_cfl * dx / S_max.
 
-    Raises `ValueError` for a dx that is not positive and finite, naming
-    it, and for the first speed pair with a NaN or infinite speed.
+    `speeds` is any iterable of speed pairs, a generator included: it is
+    read once, in one pass that checks each pair and keeps the running
+    maximum of |S|.  Raises `ValueError` for a dx that is not positive and
+    finite, naming it, for an empty `speeds`, and for the first speed pair
+    with a NaN or infinite speed, naming its position.
     """
     if not 0.0 < dx < math.inf:
         raise ValueError(f"dx must be positive and finite, got {dx}")
     if not 0.0 < c_cfl <= 1.0:
         raise ValueError("c_cfl must lie in (0, 1]")
-    if not speeds:
-        raise ValueError("speeds must be non-empty")
-    isfinite = math.isfinite
+    # Every pair is checked before its magnitudes enter the maximum, so a
+    # NaN raises instead of being skipped or kept by a comparison.  The
+    # magnitudes are never negative: starting from +0.0, the running
+    # maximum is the bits max() over them would give.
+    s_max, i = 0.0, -1
     for i, s in enumerate(speeds):
-        # Checked first: with a NaN in it, max() depends on the order.
-        if not (isfinite(s.s_left) and isfinite(s.s_right)):
-            raise ValueError(f"speeds[{i}] is not finite: s_left={s.s_left}, "
-                             f"s_right={s.s_right} ({s.estimator})")
-    s_max = max(max(abs(s.s_left), abs(s.s_right)) for s in speeds)
+        s_left, s_right = s.s_left, s.s_right
+        if not _NEG_INF < s_left < _INF > s_right > _NEG_INF:  # NaN fails every comparison
+            raise ValueError(f"speeds[{i}] is not finite: s_left={s_left}, "
+                             f"s_right={s_right} ({s.estimator})")
+        s_left, s_right = abs(s_left), abs(s_right)
+        if s_left > s_max:
+            s_max = s_left
+        if s_right > s_max:
+            s_max = s_right
+    if i < 0:
+        raise ValueError("speeds must be non-empty")
     if s_max == 0.0:
         raise ZeroMaxSpeed("all wave speeds are zero")
     return c_cfl * dx / s_max

@@ -124,12 +124,6 @@ class EulerExactSolution:
     s_right: float
 
 
-def specific_enthalpy(state: EulerState, params: EulerParams) -> float:
-    # H = (E + p) / rho with E = rho (u^2/2 + e), e = p / (rho (gamma - 1))
-    g = params.gamma
-    return 0.5 * state.u * state.u + g / (g - 1.0) * state.p / state.rho
-
-
 # Side K's term f_K(p) of f(p) = f_L(p) + f_R(p) + u_R - u_L and its slope
 # on the shock (p > p_K) and rarefaction (p <= p_K) branch, Toro (2009),
 # eqs. (4.6)-(4.7) and (4.37); `core.wave_curves` composes them.
@@ -210,19 +204,27 @@ def _einfeldt(system: System, problem: EulerProblem):
 
 
 def _batten(system: System, problem: EulerProblem):
-    left, right, params = problem.left, problem.right, problem.params
+    left, right, g = problem.left, problem.right, problem.params.gamma
     side_l, side_r = problem._sides
     wl, wr = math.sqrt(left.rho), math.sqrt(right.rho)
-    cl, cr = side_l.c, side_r.c
     u_roe = (wl * left.u + wr * right.u) / (wl + wr)
-    h_roe = (wl * specific_enthalpy(left, params) + wr * specific_enthalpy(right, params)) / (
-        wl + wr
-    )
-    c_roe2 = (params.gamma - 1.0) * (h_roe - 0.5 * u_roe * u_roe)
+    # Specific enthalpies H = (E + p) / rho with E = rho (u^2/2 + e),
+    # e = p / (rho (gamma - 1)), Roe-averaged; k p / rho is evaluated as
+    # g / (g - 1) * p / rho, left to right
+    k = g / (g - 1.0)
+    h_left = 0.5 * left.u * left.u + k * left.p / left.rho
+    h_right = 0.5 * right.u * right.u + k * right.p / right.rho
+    h_roe = (wl * h_left + wr * h_right) / (wl + wr)
+    c_roe2 = (g - 1.0) * (h_roe - 0.5 * u_roe * u_roe)
     if not 0.0 <= c_roe2 < math.inf:  # cancellation or overflow in the Roe averages
         raise ClosedFormOverflow(f"the Roe sound speed squared is {c_roe2}")
     c_roe = math.sqrt(c_roe2)
-    return min(left.u - cl, u_roe - c_roe), max(right.u + cr, u_roe + c_roe)
+    # min and max as in core.davis_b: the first argument unless the second
+    # is strictly smaller (larger)
+    a, b = left.u - side_l.c, u_roe - c_roe
+    s_left = b if b < a else a
+    a, b = right.u + side_r.c, u_roe + c_roe
+    return s_left, b if b > a else a
 
 
 SYSTEM = System(

@@ -1,6 +1,8 @@
 """Tests for the system-agnostic scaffolding."""
 
 import math
+import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +24,63 @@ from riemann_bounds.core import (
 )
 
 NAN, INF = math.nan, math.inf
+
+
+def two_pass_courant_dt(speeds, dx, c_cfl):
+    """The two-pass definition of `courant_dt` that its one-pass loop
+    replaced, kept as the reference: a finiteness loop, then max() of the
+    pairwise max()."""
+    if not 0.0 < dx < math.inf:
+        raise ValueError(f"dx must be positive and finite, got {dx}")
+    if not 0.0 < c_cfl <= 1.0:
+        raise ValueError("c_cfl must lie in (0, 1]")
+    if not speeds:
+        raise ValueError("speeds must be non-empty")
+    isfinite = math.isfinite
+    for i, s in enumerate(speeds):
+        if not (isfinite(s.s_left) and isfinite(s.s_right)):
+            raise ValueError(f"speeds[{i}] is not finite: s_left={s.s_left}, "
+                             f"s_right={s.s_right} ({s.estimator})")
+    s_max = max(max(abs(s.s_left), abs(s.s_right)) for s in speeds)
+    if s_max == 0.0:
+        raise ZeroMaxSpeed("all wave speeds are zero")
+    return c_cfl * dx / s_max
+
+
+#: Seed and count of the special-value speed lists; `tools/output_digest.py`
+#: digests `courant_dt` on the same lists.
+SPECIAL_SEED, SPECIAL_LISTS = 17, 2000
+
+
+def special_speed_lists(seed=SPECIAL_SEED, count=SPECIAL_LISTS):
+    """(speeds, dx, c_cfl) per call: lists of 1-300 pairs drawn from a few of
+    four kinds of value (signed zeros, subnormals, magnitudes near the
+    largest float, normal magnitudes), and in half of the lists one or two
+    +-inf or NaN at a random position and side."""
+    rng = random.Random(seed)
+    big = sys.float_info.max
+    estimators = list(EstimatorId)
+    kinds = (
+        lambda: rng.choice((0.0, -0.0)),
+        lambda: rng.choice((1, -1)) * rng.randrange(1, 2**52) * 5e-324,
+        lambda: rng.choice((1.0, -1.0)) * big * rng.uniform(0.5, 1.0),
+        lambda: rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-300.0, 300.0),
+    )
+    for _ in range(count):
+        n, mix = rng.randint(1, 300), rng.sample(kinds, rng.randint(1, len(kinds)))
+        pairs = [[rng.choice(mix)(), rng.choice(mix)()] for _ in range(n)]
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            pairs[rng.randrange(n)][rng.randrange(2)] = rng.choice((INF, -INF, NAN))
+        speeds = [SpeedBounds(a, b, rng.choice(estimators)) for a, b in pairs]
+        yield speeds, 10.0 ** rng.uniform(-8.0, 2.0), rng.choice((1.0, rng.uniform(0.05, 1.0)))
+
+
+def dt_outcome(call, *args):
+    """The dt's bits, or the type and message of the error."""
+    try:
+        return call(*args).hex()
+    except Exception as error:  # noqa: BLE001 - errors are outcomes too
+        return type(error), str(error)
 
 
 class TestRootBracket:
@@ -236,7 +295,7 @@ class TestCourantDt:
     @pytest.mark.parametrize("position", [0, 1, 2])
     @pytest.mark.parametrize("side", ["s_left", "s_right"])
     def test_non_finite_speed_rejected(self, bad, position, side):
-        # max() over a sequence holding NaN depends on where the NaN sits.
+        # A NaN anywhere is named, never skipped by a comparison.
         speeds = [SpeedBounds(-1.0, 2.0, EstimatorId.TMS_B) for _ in range(3)]
         pair = {"s_left": -1.0, "s_right": 2.0, side: bad}
         speeds[position] = SpeedBounds(pair["s_left"], pair["s_right"], EstimatorId.TORO)
@@ -259,6 +318,33 @@ class TestCourantDt:
         speeds = [SpeedBounds(-0.1, 0.3, EstimatorId.TORO), SpeedBounds(-7.25, 1e-3, EstimatorId.TORO),
                   SpeedBounds(-0.0, 7.25, EstimatorId.TORO)]
         assert courant_dt(speeds, 0.01, 0.9) == 0.9 * 0.01 / 7.25
+
+    def test_matches_the_two_pass_definition(self):
+        # Same bits or the same error on every special-value list, errors
+        # of every kind among them.
+        outcomes = set()
+        for speeds, dx, c_cfl in special_speed_lists():
+            got = dt_outcome(courant_dt, speeds, dx, c_cfl)
+            assert got == dt_outcome(two_pass_courant_dt, speeds, dx, c_cfl), (speeds, dx, c_cfl)
+            outcomes.add(got[0] if isinstance(got, tuple) else float.fromhex(got) < INF)
+        assert outcomes == {ValueError, ZeroMaxSpeed, True, False}
+
+    def test_generator_gives_the_bits_of_the_list(self):
+        for speeds, dx, c_cfl in special_speed_lists(count=200):
+            assert (dt_outcome(courant_dt, (s for s in speeds), dx, c_cfl)
+                    == dt_outcome(courant_dt, speeds, dx, c_cfl))
+
+    def test_empty_iterator_rejected(self):
+        with pytest.raises(ValueError, match="^speeds must be non-empty$"):
+            courant_dt(iter([]), dx=1.0, c_cfl=0.5)
+
+    @pytest.mark.parametrize("position", [0, 1, 4])
+    def test_generator_names_the_non_finite_pair(self, position):
+        speeds = [SpeedBounds(-1.0, 2.0, EstimatorId.TMS_B) for _ in range(5)]
+        speeds[position] = SpeedBounds(-1.0, NAN, EstimatorId.TORO)
+        with pytest.raises(ValueError, match=rf"^speeds\[{position}\] is not finite: "
+                                             rf"s_left=-1.0, s_right=nan"):
+            courant_dt((s for s in speeds), dx=1.0, c_cfl=0.5)
 
 
 def test_wave_pattern_values():

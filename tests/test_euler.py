@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import riemann_bounds
+from riemann_bounds import tables
 from riemann_bounds.core import (
     ClosedFormOverflow,
     EstimatorId,
@@ -17,6 +18,12 @@ from riemann_bounds.core import (
     WavePattern,
 )
 from riemann_bounds import euler, fuzz
+from test_contracts import (
+    DRAWS as CONTRACT_DRAWS,
+    REPRODUCERS,
+    SEED as CONTRACT_SEED,
+    draw as contract_draw,
+)
 from riemann_bounds.euler import (
     EulerParams,
     EulerProblem,
@@ -312,6 +319,49 @@ class TestEstimators:
             for estimator in (EstimatorId.EXACT, *ordered):
                 bounds = estimate(prob, estimator)
                 assert bounds.s_left <= bounds.s_right
+
+    def test_batten_matches_the_enthalpy_reference(self):
+        # Batten's pair as it was written with an enthalpy helper and the
+        # builtin min/max: the same bits or the same error, on the first
+        # 2000 acceptance problems, 3000 raw draws (no positivity filter)
+        # and the gamma-varied ensemble and Euler reproducers of
+        # test_contracts.py.
+        def enthalpy(state, params):
+            g = params.gamma
+            return 0.5 * state.u * state.u + g / (g - 1.0) * state.p / state.rho
+
+        def reference(system, prob):
+            left, right, params = prob.left, prob.right, prob.params
+            side_l, side_r = prob._sides
+            wl, wr = math.sqrt(left.rho), math.sqrt(right.rho)
+            cl, cr = side_l.c, side_r.c
+            u_roe = (wl * left.u + wr * right.u) / (wl + wr)
+            h_roe = (wl * enthalpy(left, params) + wr * enthalpy(right, params)) / (wl + wr)
+            c_roe2 = (params.gamma - 1.0) * (h_roe - 0.5 * u_roe * u_roe)
+            if not 0.0 <= c_roe2 < math.inf:
+                raise ClosedFormOverflow(f"the Roe sound speed squared is {c_roe2}")
+            c_roe = math.sqrt(c_roe2)
+            return min(left.u - cl, u_roe - c_roe), max(right.u + cr, u_roe + c_roe)
+
+        def outcome(call, prob):
+            try:
+                return repr(call(euler.SYSTEM, prob))
+            except Exception as error:  # noqa: BLE001 - errors are outcomes too
+                return type(error), str(error)
+
+        acceptance, raw = random.Random(42), random.Random(5)
+        contracts = random.Random(f"{CONTRACT_SEED}:euler")
+        problems = [fuzz.sample_problem("euler", acceptance) for _ in range(2000)]
+        problems += [tables.make_problem("euler", euler.SYSTEM.draw(raw), euler.SYSTEM.draw(raw))
+                     for _ in range(3000)]
+        problems += [contract_draw("euler", contracts) for _ in range(CONTRACT_DRAWS)]
+        problems += [prob for system, prob, _, _ in REPRODUCERS.values() if system == "euler"]
+        errors = 0
+        for prob in problems:
+            expected = outcome(reference, prob)
+            assert outcome(euler._batten, prob) == expected, prob
+            errors += isinstance(expected, tuple)
+        assert errors >= 3  # the two Batten reproducers and a sound speed overflow
 
     def test_bound_property(self):
         certified = (EstimatorId.TORO, EstimatorId.TMS_A, EstimatorId.TMS_B,

@@ -355,6 +355,7 @@ def test_speed_functions_give_the_pairs_of_estimate(system):
             assert repr(pair) == repr((bounds.s_left, bounds.s_right)), (estimator, left, right)
             expected = module.classify(problem) if estimator in WITH_PATTERN else None
             assert bounds.pattern is expected, (estimator, left, right)
+            assert bounds.estimator is estimator, (estimator, left, right)
     assert errors  # the error paths are covered too
 
 

@@ -32,7 +32,11 @@ and not part of it, so that the total stays comparable with totals taken
 before the section existed: `core.find_root` on `ROOT_CUBICS` seeded
 increasing cubics with their slopes, at each of `ROOT_TOLS`, from its
 default start and from a start inside the bracket, with the root and the
-counts of function and slope evaluations.
+counts of function and slope evaluations.  `core.courant_dt` has one too,
+also apart from the total: the dt or the error of each of `COURANT_LISTS`
+seeded lists of speed pairs that mix signed zeros, subnormals, magnitudes
+near the largest float and, in some lists, infinities and NaN (the mesh
+lines above reach it only with finite columns).
 
 After the total it prints, apart from it, a hash of the mesh grids' input
 states.  Digests compare only within one Python minor version: from
@@ -46,6 +50,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import math
 import random
 import sys
 from pathlib import Path
@@ -63,6 +68,8 @@ RAW_PAIRS = 3000
 ROOT_SEED = 11
 ROOT_CUBICS = 300
 ROOT_TOLS = (1e-6, 1e-10, 1e-12, 1e-14)
+#: The special-value lists of `tests/test_core.py`.
+COURANT_SEED, COURANT_LISTS = 17, 2000
 
 
 def outcome(fn, *args) -> str:
@@ -221,6 +228,32 @@ def root_lines():
                 yield f"root {i} {r!r} {lo!r} {hi!r} {rel_tol!r} {start!r} {result}"
 
 
+def courant_lines():
+    """`courant_dt` on the special-value lists of `tests/test_core.py`,
+    drawn as `special_speed_lists` there draws them: per call, lists of
+    1-300 pairs from a few of four kinds of value, and in half of the lists
+    one or two +-inf or NaN at a random position and side."""
+    from riemann_bounds.core import EstimatorId, SpeedBounds, courant_dt
+
+    rng = random.Random(COURANT_SEED)
+    big = sys.float_info.max
+    estimators = list(EstimatorId)
+    kinds = (
+        lambda: rng.choice((0.0, -0.0)),
+        lambda: rng.choice((1, -1)) * rng.randrange(1, 2**52) * 5e-324,
+        lambda: rng.choice((1.0, -1.0)) * big * rng.uniform(0.5, 1.0),
+        lambda: rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-300.0, 300.0),
+    )
+    for i in range(COURANT_LISTS):
+        n, mix = rng.randint(1, 300), rng.sample(kinds, rng.randint(1, len(kinds)))
+        pairs = [[rng.choice(mix)(), rng.choice(mix)()] for _ in range(n)]
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            pairs[rng.randrange(n)][rng.randrange(2)] = rng.choice((math.inf, -math.inf, math.nan))
+        speeds = [SpeedBounds(a, b, rng.choice(estimators)) for a, b in pairs]
+        dx, c_cfl = 10.0 ** rng.uniform(-8.0, 2.0), rng.choice((1.0, rng.uniform(0.05, 1.0)))
+        yield f"courant_dt {i} {dx!r} {c_cfl!r} {outcome(courant_dt, speeds, dx, c_cfl)}"
+
+
 def sections(problems: int):
     for system in ACCEPTANCE_SEEDS:
         yield f"acceptance {system}", acceptance_lines(system, problems)
@@ -273,6 +306,8 @@ def main(argv=None) -> int:
     print(f"{total.hexdigest()}  {count}  total ({Path(riemann_bounds.__file__).parent})")
     roots, n = digest(root_lines())
     print(f"{roots}  {n}  find_root, not in the total")
+    courant, n = digest(courant_lines())
+    print(f"{courant}  {n}  courant_dt, not in the total")
     inputs, n = digest(mesh_input_lines())
     print(f"{inputs}  {n}  mesh input states, not in the total "
           f"(Python {sys.version_info.major}.{sys.version_info.minor})")
