@@ -12,7 +12,6 @@ lane passes.  A lane passes here only when it is clean:
 - every value it computed is finite, and no chord root of TMS is degenerate
   or non-positive;
 - its bracket needed no doubling (S/S) and f(x_rr) >= 0 (R/S, S/R);
-- no shock it evaluates is weak: x / x_K - 1 >= `WEAK_SHOCK` for each;
 - every compared speed and the star value lie farther than `BAND` times
   their scale from the threshold of the check.
 
@@ -41,11 +40,6 @@ from .core import _GEOMETRIC_RATIO, _MIN_NORMAL, EstimatorId, System
 #: largest kernel-to-scalar difference of the exact speeds, estimates and
 #: star values measured on the acceptance ensembles (`tests/test_fuzz.py`).
 BAND = 1e-10
-#: Shocks weaker than this (x / x_K - 1) go to the scalar check.  The
-#: blood-flow shock factor loses digits as 1 / (y - 1) to cancellation
-#: there (so that one ulp of y**1.5 moves it by 1e-12 at this width), and
-#: its scalar form is 1 within `bloodflow._SONIC_EPS`.
-WEAK_SHOCK = 1e-4
 #: The estimators that `_Lanes.estimate` evaluates: `fuzz.run_fuzz` runs
 #: the kernel only when they cover the system's bound estimators.
 ESTIMATORS = frozenset((EstimatorId.TORO, EstimatorId.TMS_A, EstimatorId.TMS_B,
@@ -128,7 +122,6 @@ class _Lanes:
         for side, state, shock, sign in ((left, self.states[0], left_shock, -1.0),
                                          (right, self.states[1], right_shock, 1.0)):
             q = _where(shock, system.module.q_factor(x, state, params, _sqrt), 1.0)
-            self.doubt_unless(~shock | (x / side.x - 1.0 >= WEAK_SHOCK))
             pair.append(side.u + sign * (side.c * q))
         return pair
 

@@ -25,7 +25,6 @@ from .core import (
     star_speeds,
 )
 
-_SONIC_EPS = 1e-8  # q_factor is 0/0 at unit area ratio; return the limit 1
 _VACUUM_FLOOR_AREA = 1e-12  # cm^2; near-empty vessel used by the crude bound
 
 
@@ -109,7 +108,8 @@ class BfeExactSolution:
 
 # Side K's term f_K(A) of f(A) = f_L(A) + f_R(A) + u_R - u_L and its slope
 # on the shock (A > A_K) and rarefaction (A <= A_K) branch, which agree at
-# A = A_K (+0.0, the same slope); `core.wave_curves` composes them.
+# A = A_K (+0.0, and the same slope up to rounding); `core.wave_curves`
+# composes them.
 
 
 def _shock(a: float, s: _Side, sqrt=math.sqrt) -> float:
@@ -121,17 +121,13 @@ def _rarefaction(a: float, s: _Side, sqrt=math.sqrt) -> float:
 
 
 def _shock_slope(a: float, s: _Side, sqrt=math.sqrt) -> float:
-    n = (a - s.x) * (a**1.5 - s.a32)
-    g = s.gamma_tube
-    dn = (a**1.5 - s.a32) + 1.5 * (a - s.x) * a**0.5
-    q = g * n / (a * s.x)
-    dq = g * (dn / (a * s.x) - n / (a * a * s.x))
-    try:
-        return 0.5 * dq / sqrt(q)
-    except ZeroDivisionError:
-        # The sonic point, n = 0: the rarefaction-branch slope is the
-        # limit.  Arrays divide without raising; a lane there is not finite.
-        return _rarefaction_slope(a, s)
+    # The shock branch is (A - A_K) sqrt(gamma_t (A + sqrt(A A_K) + A_K)
+    # / ((sqrt(A) + sqrt(A_K)) A A_K)), the same value without the 0/0 of
+    # (A^1.5 - A_K^1.5) / (A - A_K).  With t = sqrt(A_K / A) its slope is a
+    # sum of positive terms, which loses no digits as A approaches A_K.
+    t = sqrt(s.x / a)
+    return (sqrt(s.gamma_tube / ((1.0 + t) * (1.0 + t + t * t) * sqrt(a) * s.x))
+            * (3.0 + t * (3.0 + t * (2.0 + t * (2.0 + 2.0 * t)))) * 0.25)
 
 
 def _rarefaction_slope(a: float, s: _Side, sqrt=math.sqrt) -> float:
@@ -146,16 +142,14 @@ def _two_rarefaction(left: _Side, right: _Side, params: BfeParams) -> float:
 
 
 def q_factor(a: float, side_state: BfeState, params: BfeParams, sqrt=math.sqrt) -> float:
-    """Shock-speed multiplier: S = u_K -/+ c_K * q_K(A).  Over arrays it
-    skips the sonic-point test: the lane kernel of `fuzz.run_fuzz` leaves
-    shocks that weak to the scalar path."""
+    """Shock-speed multiplier: S = u_K -/+ c_K * q_K(A), with y = A / A_K,
+    q_K = sqrt(2/3 y (y^1.5 - 1) / (y - 1)).  The quotient is written as
+    (y + sqrt(y) + 1) / (sqrt(y) + 1) = sqrt(y) + 1 / (sqrt(y) + 1): no 0/0
+    at y = 1, no cancellation near it, floats and arrays alike.  Past the
+    float range it is inf, and so is the speed."""
     y = a / side_state.a
-    if isinstance(y, float) and abs(y - 1.0) < _SONIC_EPS:
-        return 1.0
-    try:
-        return sqrt(2.0 / 3.0 * (y**1.5 - 1.0) * y / (y - 1.0))
-    except OverflowError:  # y**1.5 past the float range, and the speed with it
-        return math.inf
+    r = sqrt(y)
+    return sqrt(2.0 / 3.0 * y * (r + 1.0 / (r + 1.0)))
 
 
 def solve_exact(problem: BfeProblem) -> BfeExactSolution:

@@ -31,7 +31,8 @@ class DegeneratePoints(RiemannBoundsError):
 
 
 class ZeroMaxSpeed(RiemannBoundsError):
-    """All wave speeds are zero; the Courant step is unbounded."""
+    """All wave speeds are zero, or so close to it that the Courant step
+    overflows; the step is unbounded."""
 
 
 class VacuumData(RiemannBoundsError):
@@ -845,7 +846,9 @@ def courant_dt(speeds: Iterable[SpeedBounds], dx: float, c_cfl: float) -> float:
     read once, in one pass that checks each pair and keeps the running
     maximum of |S|.  Raises `ValueError` for a dx that is not positive and
     finite, naming it, for an empty `speeds`, and for the first speed pair
-    with a NaN or infinite speed, naming its position.
+    with a NaN or infinite speed, naming its position.  Raises
+    `ZeroMaxSpeed` when every speed is zero, and when S_max is so small
+    that dt overflows, naming S_max: the step is never infinite.
     """
     if not 0.0 < dx < math.inf:
         raise ValueError(f"dx must be positive and finite, got {dx}")
@@ -870,4 +873,7 @@ def courant_dt(speeds: Iterable[SpeedBounds], dx: float, c_cfl: float) -> float:
         raise ValueError("speeds must be non-empty")
     if s_max == 0.0:
         raise ZeroMaxSpeed("all wave speeds are zero")
-    return c_cfl * dx / s_max
+    dt = c_cfl * dx / s_max
+    if dt == _INF:
+        raise ZeroMaxSpeed(f"the Courant step overflows: S_max = {s_max!r}")
+    return dt

@@ -129,14 +129,49 @@ class TestTwoRarefaction:
             two_rarefaction_area(problem((0.01, -400.0), (0.01, 400.0)))
 
 
+#: Blood-flow S/R problem with A*/A_L - 1 near 1e-8.  With the shock factor
+#: written as (y^1.5 - 1)/(y - 1), which cancels there, its exact S_L is
+#: 1.0e-9 of the speed scale off and TMS_b's S_L is no lower bound.
+WEAK_LEFT_SHOCK = problem((0.3857900568839984, -124.41788759076593),
+                          (1.110419021897587, -13.885933579728686))
+
+
+def mp_exact_speeds(prob, mpmath):
+    """(S_L, S_R) of a blood-flow problem in mpmath: the root of the
+    textbook wave curve, bracketed by the data areas (the star area of an
+    R/S or S/R problem lies between them), and the textbook shock speed."""
+    params = prob.params
+    gamma_tube = mpmath.mpf(params.beta) / (3 * mpmath.mpf(params.rho))
+    zeta = mpmath.sqrt(mpmath.mpf(params.beta) / (2 * mpmath.mpf(params.rho)))
+    sides = [(mpmath.mpf(s.a), mpmath.mpf(s.u)) for s in (prob.left, prob.right)]
+
+    def term(a, a_k):
+        if a > a_k:
+            return mpmath.sqrt(gamma_tube * (a - a_k) * (a**1.5 - a_k**1.5) / (a * a_k))
+        return 4 * zeta * (a**0.25 - a_k**0.25)
+
+    (a_l, u_l), (a_r, u_r) = sides
+    a = mpmath.findroot(lambda a: term(a, a_l) + term(a, a_r) + u_r - u_l,
+                        (min(a_l, a_r), max(a_l, a_r)), solver="anderson")
+
+    def offset(a_k):  # |S - u_K|
+        c = zeta * a_k**0.25
+        if a <= a_k:
+            return c
+        y = a / a_k
+        return c * mpmath.sqrt(mpmath.mpf(2) / 3 * y * (y**1.5 - 1) / (y - 1))
+    return u_l - offset(a_l), u_r + offset(a_r)
+
+
 class TestQFactor:
     def test_unit_ratio_limit(self):
-        # The closed form is 0/0 at unit ratio; the limit is 1.
+        # The written form has no 0/0 at unit ratio; its value there is the
+        # limit 1, and next to it about 1 + 0.625 (y - 1).
         params = BfeParams()
         state = BfeState(2.0, 0.0)
         assert q_factor(2.0, state, params) == 1.0
         assert q_factor(2.0 * (1.0 + 1e-6), state, params) == pytest.approx(
-            1.0, abs=1e-6
+            1.0 + 0.625e-6, rel=1e-12
         )
 
     def test_increasing_in_area(self):
@@ -144,6 +179,56 @@ class TestQFactor:
         params = BfeParams()
         values = [q_factor(a, state, params) for a in (1.0, 2.0, 5.0, 50.0)]
         assert values == sorted(values)
+
+    def test_past_the_float_range_is_inf(self):
+        params = BfeParams()
+        assert q_factor(1e300, BfeState(1e-3, 0.0), params) == math.inf  # y finite
+        assert q_factor(1e300, BfeState(1e-10, 0.0), params) == math.inf  # y = inf
+
+    def test_factor_and_slope_match_mpmath_from_weak_to_strong(self):
+        # Against 40-digit values of the cancelling textbook forms, on the
+        # float arguments themselves: q_K(y) and the shock-branch slope
+        # d/dA sqrt(gamma_t (A - A_K)(A^1.5 - A_K^1.5) / (A A_K)).
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(21)
+        params = BfeParams()
+        worst_q = worst_slope = 0.0
+        with mpmath.workdps(40):
+            for _ in range(2000):
+                y = 1.0 + 10.0 ** rng.uniform(-15.0, 1.0)  # y - 1 log-uniform
+                m = mpmath.mpf(y)
+                true_q = mpmath.sqrt(mpmath.mpf(2) / 3 * m * (m**1.5 - 1) / (m - 1))
+                worst_q = max(worst_q, abs(q_factor(y, BfeState(1.0, 0.0), params) - true_q)
+                              / true_q)
+
+                side = bloodflow._Side(BfeState(10.0 ** rng.uniform(-2.0, 1.0), 0.0), params)
+                a = side.x * y
+                g, x, k = mpmath.mpf(side.gamma_tube), mpmath.mpf(a), mpmath.mpf(side.x)
+                n = (x - k) * (x**1.5 - k**1.5)
+                dn = (x**1.5 - k**1.5) + mpmath.mpf(1.5) * (x - k) * mpmath.sqrt(x)
+                true_slope = (g * (dn / (x * k) - n / (x * x * k))
+                              / (2 * mpmath.sqrt(g * n / (x * k))))
+                worst_slope = max(worst_slope, abs(bloodflow._shock_slope(a, side) - true_slope)
+                                  / true_slope)
+        print(f"largest relative errors: q_factor {float(worst_q):.1e}, "
+              f"_shock_slope {float(worst_slope):.1e}")
+        assert worst_q <= 1e-15
+        assert worst_slope <= 1e-15
+
+    def test_weak_shock_speed_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        exact = solve_exact(WEAK_LEFT_SHOCK)
+        assert exact.pattern is WavePattern.SR
+        assert 0.0 < exact.a_star / WEAK_LEFT_SHOCK.left.a - 1.0 < 1e-7
+        with mpmath.workdps(40):
+            s_left, s_right = mp_exact_speeds(WEAK_LEFT_SHOCK, mpmath)
+            scale = max(1, abs(s_left), abs(s_right))
+            assert abs(exact.s_left - s_left) <= 1e-12 * scale
+            assert abs(exact.s_right - s_right) <= 1e-12 * scale
+            # Bounds, up to round-off of the speed scale.
+            for estimator in (EstimatorId.TORO, EstimatorId.TMS_B):
+                bounds = estimate(WEAK_LEFT_SHOCK, estimator)
+                assert bounds.s_left <= s_left + 1e-15 * scale, estimator
 
 
 class TestEstimators:

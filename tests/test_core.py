@@ -29,7 +29,7 @@ NAN, INF = math.nan, math.inf
 def two_pass_courant_dt(speeds, dx, c_cfl):
     """The two-pass definition of `courant_dt` that its one-pass loop
     replaced, kept as the reference: a finiteness loop, then max() of the
-    pairwise max()."""
+    pairwise max(), and no infinite step."""
     if not 0.0 < dx < math.inf:
         raise ValueError(f"dx must be positive and finite, got {dx}")
     if not 0.0 < c_cfl <= 1.0:
@@ -44,6 +44,8 @@ def two_pass_courant_dt(speeds, dx, c_cfl):
     s_max = max(max(abs(s.s_left), abs(s.s_right)) for s in speeds)
     if s_max == 0.0:
         raise ZeroMaxSpeed("all wave speeds are zero")
+    if not math.isfinite(c_cfl * dx / s_max):
+        raise ZeroMaxSpeed(f"the Courant step overflows: S_max = {s_max!r}")
     return c_cfl * dx / s_max
 
 
@@ -291,6 +293,13 @@ class TestCourantDt:
         with pytest.raises(ZeroMaxSpeed):
             courant_dt([SpeedBounds(0.0, 0.0, EstimatorId.EXACT)], 1.0, 0.5)
 
+    def test_overflowing_step_rejected(self):
+        # 0.9 * 0.01 / 5e-324 is past the float range: the step would be inf.
+        speeds = [SpeedBounds(-5e-324, 0.0, EstimatorId.TMS_B)]
+        with pytest.raises(ZeroMaxSpeed, match=r"^the Courant step overflows: S_max = 5e-324$"):
+            courant_dt(speeds, 0.01, 0.9)
+        assert courant_dt(speeds, 1e-300, 1.0) == 1e-300 / 5e-324
+
     @pytest.mark.parametrize("bad", [NAN, INF, -INF])
     @pytest.mark.parametrize("position", [0, 1, 2])
     @pytest.mark.parametrize("side", ["s_left", "s_right"])
@@ -321,13 +330,13 @@ class TestCourantDt:
 
     def test_matches_the_two_pass_definition(self):
         # Same bits or the same error on every special-value list, errors
-        # of every kind among them.
+        # of every kind among them, and never an infinite step.
         outcomes = set()
         for speeds, dx, c_cfl in special_speed_lists():
             got = dt_outcome(courant_dt, speeds, dx, c_cfl)
             assert got == dt_outcome(two_pass_courant_dt, speeds, dx, c_cfl), (speeds, dx, c_cfl)
             outcomes.add(got[0] if isinstance(got, tuple) else float.fromhex(got) < INF)
-        assert outcomes == {ValueError, ZeroMaxSpeed, True, False}
+        assert outcomes == {ValueError, ZeroMaxSpeed, True}
 
     def test_generator_gives_the_bits_of_the_list(self):
         for speeds, dx, c_cfl in special_speed_lists(count=200):

@@ -464,53 +464,90 @@ class TestLaneKernel:
 
     @pytest.mark.parametrize("system", ("euler", "swe", "bfe"))
     def test_lanes_match_the_scalar_path(self, system):
-        # The kernel's p*, S_L and S_R against solve_exact, and its bound
-        # estimates against the registry functions, on the first 20 000
-        # acceptance problems: within BAND / 100 of the check's scale
-        # max(1, |S_L|, |S_R|) (max(1, p*) for the star value; for an
-        # estimate, of its own size where that is larger), on every lane it
-        # keeps.
-        kernel = fuzz._lane_kernel()
-        record = tables.system_record(system)
+        # The kernel against the scalar path on the first 20 000 acceptance
+        # problems: within BAND / 100 on every lane it keeps.
         rng = random.Random(ACCEPTANCE_SEEDS[system])
-        worst, doubted = {}, 0
-        for _ in range(20):
-            problems = [sample_problem(system, rng) for _ in range(1000)]
-            lanes = kernel._Lanes(record, problems)
-            values = dict(zip(("star", "s_left", "s_right"), lanes.exact()))
-            for estimator in record.bound_estimators:
-                values[estimator.value] = lanes.estimate(estimator)
-            doubted += int(lanes.doubt.sum())
-            for i in (~lanes.doubt).nonzero()[0]:
-                problem = problems[i]
-                exact = record.module.solve_exact(problem)
-                scale = max(1.0, abs(exact.s_left), abs(exact.s_right))
-                star = getattr(exact, record.star_field)
-                errors = {"star": abs(values["star"][i] - star) / max(1.0, star),
-                          "s_left": abs(values["s_left"][i] - exact.s_left) / scale,
-                          "s_right": abs(values["s_right"][i] - exact.s_right) / scale}
-                for estimator in record.bound_estimators:
-                    pair = speed_function(record, estimator)(record, problem)
-                    errors[estimator.value] = max(
-                        abs(mine[i] - theirs) / max(scale, abs(theirs))
-                        for mine, theirs in zip(values[estimator.value], pair))
-                for name, error in errors.items():
-                    worst[name] = max(worst.get(name, 0.0), error)
-        print(f"{system}: {doubted} of 20000 lanes doubted; largest differences "
-              + ", ".join(f"{name} {error:.1e}" for name, error in worst.items()))
-        assert max(worst.values()) <= kernel.BAND / 100
+        worst, doubted = lane_differences(
+            system, [sample_problem(system, rng) for _ in range(20000)])
+        assert max(worst.values()) <= fuzz._lane_kernel().BAND / 100
         assert doubted <= 20
 
-    def test_weak_shocks_go_to_the_scalar_check(self):
-        # A blood-flow shock with A*/A_K - 1 near 1e-6: its shock factor
-        # loses ten digits to cancellation, so the kernel must not judge it.
-        kernel = fuzz._lane_kernel()
-        record = tables.system_record("bfe")
-        problems = [tables.make_problem("bfe", (1.0, 0.0), (1.0, -du))
-                    for du in (1e-3, 1e-2, 2e-3, 3e-4)]
-        stars = [bloodflow.solve_exact(problem).a_star for problem in problems]
-        assert all(0.0 < star - 1.0 < kernel.WEAK_SHOCK for star in stars)
-        assert kernel.scalar_lanes(record, problems, fuzz.REL_SLACK) == [0, 1, 2, 3]
+    @pytest.mark.parametrize("system", ("euler", "swe", "bfe"))
+    def test_weak_shocks(self, monkeypatch, system):
+        # Weak waves, where a shock factor written with (y^1.5 - 1)/(y - 1)
+        # cancels: the report is that of the scalar loop, and every lane the
+        # kernel keeps is within BAND / 10 of the scalar values.  Not
+        # BAND / 100: on weak S/S problems the scalar root solve stops up to
+        # about 1e-12 of the star value from the root that the kernel's
+        # Newton iteration finds.
+        rng = random.Random(ACCEPTANCE_SEEDS[system])
+        worst, doubted = lane_differences(
+            system, [weak_shock_problem(system, rng) for _ in range(2000)])
+        assert max(worst.values()) <= fuzz._lane_kernel().BAND / 10
+        # Lanes whose bracket needs doubling, or whose f(x_rr) rounds below
+        # 0, still go to the scalar check; the weak shocks themselves do not.
+        assert doubted <= 1000
+
+        monkeypatch.setattr(fuzz, "sample_problem", weak_shock_problem)
+        sizes = kernel_calls(monkeypatch)
+        with_kernel = run_fuzz(system, KERNEL_COUNT, 3)
+        assert sizes == [KERNEL_CHUNK, KERNEL_CHUNK, 37]
+        monkeypatch.setattr(fuzz, "_lane_kernel", lambda: None)
+        assert run_fuzz(system, KERNEL_COUNT, 3) == with_kernel
+
+
+def weak_shock_problem(system, rng):
+    """Converging data with weak waves: the left state a draw of the
+    system's ensemble, the right one its copy with u lowered by c_L times
+    10^U(-12, -1) and, in half the draws, the data value of the star
+    variable (p, h or A) raised by a factor 1 + 10^U(-12, -2)."""
+    record = tables.system_record(system)
+    left = record.draw(rng)
+    right = list(left)
+    c_left = record.celerity(left, record.problem_type.params)
+    right[1] -= c_left * 10.0 ** rng.uniform(-12.0, -1.0)
+    if rng.random() < 0.5:
+        k = [f.name for f in dataclasses.fields(record.state_type)].index(record.star)
+        right[k] *= 1.0 + 10.0 ** rng.uniform(-12.0, -2.0)
+    return tables.make_problem(system, left, tuple(right))
+
+
+def lane_differences(system, problems):
+    """Largest kernel-to-scalar differences over the lanes that the kernel
+    keeps, per value, and the number of lanes it leaves to the scalar
+    check, over `problems` in chunks of 1000: the kernel's star value,
+    S_L and S_R against `solve_exact`, each relative to the check's scale
+    max(1, |S_L|, |S_R|) (max(1, star) for the star value), and its bound
+    estimates against the registry functions (relative to their own size
+    where that is larger)."""
+    kernel = fuzz._lane_kernel()
+    record = tables.system_record(system)
+    worst, doubted = {}, 0
+    for start in range(0, len(problems), 1000):
+        chunk = problems[start:start + 1000]
+        lanes = kernel._Lanes(record, chunk)
+        values = dict(zip(("star", "s_left", "s_right"), lanes.exact()))
+        for estimator in record.bound_estimators:
+            values[estimator.value] = lanes.estimate(estimator)
+        doubted += int(lanes.doubt.sum())
+        for i in (~lanes.doubt).nonzero()[0]:
+            problem = chunk[i]
+            exact = record.module.solve_exact(problem)
+            scale = max(1.0, abs(exact.s_left), abs(exact.s_right))
+            star = getattr(exact, record.star_field)
+            errors = {"star": abs(values["star"][i] - star) / max(1.0, star),
+                      "s_left": abs(values["s_left"][i] - exact.s_left) / scale,
+                      "s_right": abs(values["s_right"][i] - exact.s_right) / scale}
+            for estimator in record.bound_estimators:
+                pair = speed_function(record, estimator)(record, problem)
+                errors[estimator.value] = max(
+                    abs(mine[i] - theirs) / max(scale, abs(theirs))
+                    for mine, theirs in zip(values[estimator.value], pair))
+            for name, error in errors.items():
+                worst[name] = max(worst.get(name, 0.0), error)
+    print(f"{system}: {doubted} of {len(problems)} lanes doubted; largest differences "
+          + ", ".join(f"{name} {error:.1e}" for name, error in worst.items()))
+    return worst, doubted
 
 
 def test_same_report_without_numpy(monkeypatch, public_reports):

@@ -21,8 +21,7 @@ from riemann_bounds.fuzz import sample_problem
 
 # Textbook wave-curve branches (f_K, f_K') of one side K, written out from
 # the formulas with no precomputed constant, and the side term f_K on the
-# branch the textbook selects (blood flow with the opposite comparison,
-# which gives the same bits at A = A_K).
+# branch the textbook selects: the shock branch above the data value.
 
 
 def euler_shock(p, s, params):
@@ -62,16 +61,14 @@ def swe_side(h, s, params):
 
 
 def bfe_shock(a, s, params):
-    zeta = math.sqrt(params.beta / (2.0 * params.rho))
     gamma_tube = params.beta / (3.0 * params.rho)
-    n = (a - s.a) * (a**1.5 - s.a**1.5)
     f = math.sqrt(gamma_tube * (a - s.a) * (a**1.5 - s.a**1.5) / (a * s.a))
-    if n == 0.0:
-        return f, zeta * a**-0.75
-    dn = (a**1.5 - s.a**1.5) + 1.5 * (a - s.a) * a**0.5
-    q = gamma_tube * n / (a * s.a)
-    dq = gamma_tube * (dn / (a * s.a) - n / (a * a * s.a))
-    return f, 0.5 * dq / math.sqrt(q)
+    # df/da of the same branch written without the 0/0 at a = A_K, with
+    # t = sqrt(A_K / a): sqrt(gamma_tube / ((1 + t)(1 + t + t^2) sqrt(a) A_K))
+    # (3 + 3t + 2t^2 + 2t^3 + 2t^4) / 4.
+    t = math.sqrt(s.a / a)
+    return f, (math.sqrt(gamma_tube / ((1.0 + t) * (1.0 + t + t * t) * math.sqrt(a) * s.a))
+               * (3.0 + t * (3.0 + t * (2.0 + t * (2.0 + 2.0 * t)))) * 0.25)
 
 
 def bfe_rarefaction(a, s, params):
@@ -80,7 +77,7 @@ def bfe_rarefaction(a, s, params):
 
 
 def bfe_side(a, s, params):
-    return (bfe_rarefaction if a < s.a else bfe_shock)(a, s, params)
+    return (bfe_shock if a > s.a else bfe_rarefaction)(a, s, params)
 
 
 # Per system: the textbook shock and rarefaction branches.
