@@ -25,7 +25,6 @@ the Newton iteration, the speeds and TMS_a-c.
 
 from __future__ import annotations
 
-from dataclasses import fields
 from itertools import repeat
 from operator import attrgetter, is_not
 from types import SimpleNamespace
@@ -33,7 +32,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .core import _GEOMETRIC_RATIO, _MIN_NORMAL, EstimatorId, System
+from .core import _GEOMETRIC_RATIO, _MIN_NORMAL, EstimatorId, System, fields
 
 #: Half-width of the doubt band around each threshold, relative to the
 #: scale of the check (that of `REL_SLACK`).  It is at least 100 times the
@@ -57,8 +56,8 @@ def _gather(objects: Sequence, record_type: type) -> SimpleNamespace:
     field of every object, in order."""
     n = len(objects)
     return SimpleNamespace(**{
-        f.name: np.fromiter(map(attrgetter(f.name), objects), float, count=n)
-        for f in fields(record_type)})
+        name: np.fromiter(map(attrgetter(name), objects), float, count=n)
+        for name in fields(record_type)})
 
 
 def _bisect(lo, hi):

@@ -7,7 +7,6 @@ import argparse
 import io
 import json
 import sys
-from dataclasses import asdict, fields
 from typing import Dict, List, Optional, Sequence
 
 from .core import (
@@ -19,6 +18,8 @@ from .core import (
     System,
     UnsupportedEstimator,
     VacuumData,
+    asdict,
+    fields,
 )
 from . import tables
 from .tables import make_problem, star_values, system_record
@@ -132,7 +133,7 @@ def _problem_payload(args, left, right, params, results: List[dict]) -> dict:
         "problem": {
             "left": left,
             "right": right,
-            "params": {key: getattr(params, key) for key in vars(params)},
+            "params": asdict(params),
         },
         "results": results,
     }
@@ -212,7 +213,7 @@ def _cmd_fuzz(args) -> int:
     report = run_fuzz(args.system, args.count, args.seed)
     # One row per violation, in FuzzViolation's field order; the values at
     # full precision, as the md line prints them.
-    header = [field.name for field in fields(FuzzViolation)]
+    header = list(fields(FuzzViolation))
     rows = [
         [str(v.trial), v.estimator, v.side, repr(v.estimate), repr(v.exact),
          str(v.left), str(v.right)]

@@ -8,7 +8,6 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import MISSING, dataclass, fields
 from functools import partial
 from typing import Any, Callable, Iterable, Mapping, Optional, Tuple
 
@@ -61,15 +60,16 @@ class ClosedFormOverflow(RiemannBoundsError):
     square root of it would follow."""
 
 
+class FrozenInstanceError(AttributeError):
+    """Assignment to, or deletion of, an attribute of a record."""
+
+
 class cached_attribute:
-    """`functools.cached_property` without a lock: the value is computed on
-    first access and stored as an instance attribute, which later lookups
-    find first.  Python 3.11's cached_property takes an RLock on every first
-    access; two threads racing here both compute the value, which is
-    harmless for a pure function of frozen fields.  It needs an instance
-    `__dict__`, so it serves only the records declared `record(slots=False)`
-    (the problem types), and stores as their `__init__` stores fields, for
-    the reason given at `record`."""
+    """`functools.cached_property` without the RLock that Python 3.11's
+    takes on every first access (racing threads both compute the value, a
+    pure function of frozen fields).  It needs an instance `__dict__`, so
+    it serves the problem types, and stores through `object.__setattr__`,
+    past the frozen `__setattr__`, as their `__init__` stores fields."""
 
     def __init__(self, func):
         self.func = func
@@ -84,45 +84,84 @@ class cached_attribute:
         return value
 
 
-def record(cls: Optional[type] = None, *, slots: bool = True):
-    """Class decorator of the package's value types:
-    `dataclass(frozen=True, slots=slots)` with a faster `__init__`, used as
-    `@record` or `@record(slots=False)`.
+def fields(record) -> Tuple[str, ...]:
+    """The field names of a record type or record, in order."""
+    return record._fields
 
-    A frozen dataclass's own `__init__` looks `object.__setattr__` up again
-    for every field it stores.  This one stores the fields in field order
-    through functions bound once, in a closure, and then calls
-    `__post_init__` when the class has one.  A slotted record (the default:
-    `SpeedBounds`, the exact solutions, the wave data and the reports) is
-    one allocation, and stores each field through its slot's descriptor
-    `__set__`: on CPython 3.11 `object.__setattr__` stores into a values
-    array that the interpreter allocates apart from the object.  The input
-    types, the state, params and problem types of each system, declare
-    `slots=False`: `vars()` enumerates their fields, and a problem keeps its
-    `cached_attribute` values in its `__dict__`.  They store each field
-    through `object.__setattr__` and never write into the `__dict__`
-    itself: on CPython 3.11 that turns the attribute values kept inline in
-    the object into a separate dict, a second object for the garbage
-    collector that makes its full collections more frequent.  Everything
-    else is the dataclass's: assignment raises `FrozenInstanceError`, and
-    equality, hashing, repr, `fields`, `asdict`, `replace`, `copy` and
-    pickling are unchanged; a slotted record has no `__dict__`, so `vars()`
-    raises `TypeError` on it.  Only plain positional fields, with or
-    without a default, are handled; any other field kind
-    (`default_factory`, `init=False`, `kw_only`, `InitVar`) raises
-    `TypeError` when the class is created.
-    """
+
+def asdict(value):
+    """A record as a dict of its fields and a tuple or list item by item,
+    each converted in turn; any other value as it is."""
+    if hasattr(type(value), "_fields"):
+        return {name: asdict(getattr(value, name)) for name in value._fields}
+    return type(value)(map(asdict, value)) if isinstance(value, (tuple, list)) else value
+
+
+def replace(record, **changes):
+    """A record like `record` with `changes`, built (and checked) by `__init__`."""
+    return type(record)(**{**dict(zip(record._fields, _values(record))), **changes})
+
+
+def _values(self) -> tuple:
+    return tuple([getattr(self, name) for name in self._fields])
+
+
+def _eq(self, other):
+    return _values(self) == _values(other) if other.__class__ is self.__class__ else NotImplemented
+
+
+def _hash(self) -> int:
+    return hash(_values(self))
+
+
+def _repr(self) -> str:
+    values = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+    return f"{self.__class__.__qualname__}({values})"
+
+
+def _frozen(self, name, *value):  # __setattr__ and __delattr__
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+def _setstate(self, state):
+    self.__init__(*state)
+
+
+def record(cls: Optional[type] = None, *, slots: bool = True):
+    """Class decorator of the package's value types, `@record` or
+    `@record(slots=False)`: `dataclass(frozen=True, slots=slots)` without
+    the dataclass module, from the shared functions above, with a faster
+    `__init__` (see README).  The fields are the class's own annotations but
+    `ClassVar` ones, with class attributes as defaults.  `__init__` stores
+    them through each slot's `__set__` or `object.__setattr__`, bound once,
+    then calls `__post_init__`.  Equality compares field tuples, as on
+    Python 3.10-3.12 (3.13's `dataclass` compares field by field).  Fields
+    other than plain positional ones raise `TypeError`."""
     if cls is None:
         return partial(record, slots=slots)
-    cls = dataclass(frozen=True, slots=slots)(cls)
-    plain = cls.__init__
-    code, own = plain.__code__, fields(cls)
-    names = tuple(f.name for f in own)
-    if (code.co_varnames[1:code.co_argcount] != names or code.co_kwonlyargcount
-            or any(f.default_factory is not MISSING for f in own)):
-        raise TypeError(f"record {cls.__qualname__}: every field must be a plain "
-                        f"positional one (no default_factory, init=False, kw_only "
-                        f"or InitVar)")
+    namespace = {"__repr__": _repr, **cls.__dict__}  # a repr of its own is kept
+    annotations = namespace.get("__annotations__", {})
+    names, defaults = [], []
+    for name, annotation in annotations.items():
+        kind = (annotation if isinstance(annotation, str) else repr(annotation)).partition("[")[0]
+        if kind.endswith("ClassVar"):  # "typing.ClassVar", or a `__future__` string
+            continue
+        if (kind.endswith("InitVar") or "KW_ONLY" in kind
+                or type(namespace.get(name)).__name__ == "Field"):
+            raise TypeError(f"record {cls.__qualname__}: fields must be plain positional ones")
+        if name in namespace:
+            defaults.append(namespace[name])
+        elif defaults:
+            raise TypeError(f"non-default argument {name!r} follows default argument")
+        names.append(name)
+    names = tuple(names)
+    for name in ("__dict__", "__weakref__", *(names if slots else ())):
+        namespace.pop(name, None)  # a slot replaces its default
+    namespace.update(__qualname__=cls.__qualname__, _fields=names,
+                     __eq__=_eq, __hash__=_hash, __setattr__=_frozen, __delattr__=_frozen)
+    if slots:
+        namespace.update(__slots__=names, __getstate__=_values, __setstate__=_setstate)
+    cls = type(cls)(cls.__name__, cls.__bases__, namespace)
     # No field name can start with __, so the closure's names cannot clash.
     if slots:
         stores = [getattr(cls, name).__set__ for name in names]  # the slot descriptors
@@ -136,13 +175,13 @@ def record(cls: Optional[type] = None, *, slots: bool = True):
     if hasattr(cls, "__post_init__"):
         lines.append("        self.__post_init__()")
     lines.append("    return __init__")
-    namespace: dict = {}
-    exec(compile("\n".join(lines), "<record>", "exec"), {}, namespace)
-    init = namespace["make_init"](*stores)
-    init.__defaults__ = plain.__defaults__
-    init.__annotations__ = plain.__annotations__
-    init.__qualname__ = plain.__qualname__
-    init.__module__ = plain.__module__
+    scope: dict = {}
+    exec(compile("\n".join(lines), "<record>", "exec"), {}, scope)
+    init = scope["make_init"](*stores)
+    init.__defaults__ = tuple(defaults) or None
+    init.__annotations__ = {**{name: annotations[name] for name in names}, "return": None}
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
     cls.__init__ = init
     return cls
 
@@ -328,7 +367,7 @@ class System:
     bound_estimators: Tuple[EstimatorId, ...]
 
     def __repr__(self) -> str:
-        # The dataclass repr prints every field: 2 KB, in each bound function's too.
+        # The field repr prints every field: 2 KB, in each bound function's too.
         return f"System({self.name!r})"
 
     @property

@@ -7,7 +7,7 @@ from __future__ import annotations
 import random
 from typing import Tuple
 
-from .core import record, speed_function
+from .core import asdict, record, speed_function
 from .tables import make_problem, system_record
 
 #: Relative slack applied to every comparison, scaled by the problem's
@@ -62,8 +62,8 @@ def sample_problem(system: str, rng: random.Random):
 def _violation(trial: int, estimator: str, side: str, estimate: float,
                exact: float, problem) -> FuzzViolation:
     return FuzzViolation(trial, estimator, side, estimate, exact,
-                         tuple(vars(problem.left).values()),
-                         tuple(vars(problem.right).values()))
+                         tuple(asdict(problem.left).values()),
+                         tuple(asdict(problem.right).values()))
 
 
 #: Fewest trials for which `run_fuzz` runs the lane kernel, when numpy

@@ -4,12 +4,12 @@ import csv
 import json
 import subprocess
 import sys
-from dataclasses import fields
 
 import pytest
 
 import riemann_bounds
 from riemann_bounds import cli, euler, fuzz, tables
+from riemann_bounds.core import fields
 from riemann_bounds.fuzz import FuzzReport, FuzzViolation
 
 
@@ -156,7 +156,7 @@ class TestConstantFlags:
     def test_every_flag_names_a_field_of_its_params_type(self):
         assert tuple(cli._CONSTANT_FLAGS) == tables.SYSTEMS
         for system, flags in cli._CONSTANT_FLAGS.items():
-            params = {f.name for f in fields(tables.system_record(system).params_type)}
+            params = set(fields(tables.system_record(system).params_type))
             assert set(flags.values()) <= params, system
 
     def test_the_cases_below_cover_the_flag_table(self):
@@ -308,7 +308,7 @@ class TestFuzz:
         assert "tms_b" in out
         if fmt == "csv":
             header, row = csv.reader(out.splitlines())
-            assert header == [field.name for field in fields(FuzzViolation)]
+            assert header == list(fields(FuzzViolation))
             assert row[:3] == ["3", "tms_b", "s_left"]
             assert row[3:] == ["-0.5", "-1.0", "(1.0, 0.0, 1.0)", "(1.0, 0.0, 0.1)"]
 
@@ -346,13 +346,13 @@ class TestUsage:
 
 #: One cold `cli.main(argv)`, argv from the command line; its last output
 #: line is the exit code and the modules it left loaded, of the package
-#: and of those a call should import only when it needs them.
+#: and of those a call should import only when it needs them, or never.
 COLD_CALL = """\
 import sys
 from riemann_bounds import cli
 code = cli.main(sys.argv[1:])
 print(code, *sorted(m for m in sys.modules if m.split(".")[0] == "riemann_bounds"
-                    or m in ("csv", "importlib.resources", "numpy")))
+                    or m in ("csv", "importlib.resources", "numpy", "dataclasses", "inspect")))
 """
 COLD_BASE = {"riemann_bounds", "riemann_bounds.core", "riemann_bounds.tables",
              "riemann_bounds.cli"}
@@ -390,3 +390,24 @@ class TestColdImports:
     def test_a_short_fuzz_imports_neither_the_lane_kernel_nor_numpy(self):
         assert cold_modules("fuzz", "--system", "euler", "--count", "5") == (
             COLD_BASE | {"riemann_bounds.euler", "riemann_bounds.fuzz"})
+
+    def test_json_calls_import_no_dataclass_machinery(self):
+        # The records are built without `dataclasses` (and the `inspect`,
+        # `ast` and `tokenize` it imports): a stray import of any of them,
+        # or of numpy, would undo most of what a cold call saves.
+        # Modules loaded by importlib.import_module, as the system modules
+        # are, do not show in `-X importtime`; sys.modules lists them.
+        code = """if True:
+            import contextlib, io, sys
+            from riemann_bounds import cli
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["exact", "--system", "euler", "--left", "1,0,1",
+                                 "--right", "0.125,0,0.1", "--format", "json"]) == 0
+                assert cli.main(["fuzz", "--system", "euler", "--count", "100",
+                                 "--format", "json"]) == 0
+            print(*sorted({"dataclasses", "inspect", "numpy"} & set(sys.modules)))
+        """
+        done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                              text=True, check=True,
+                              env={"PYTHONPATH": str(riemann_bounds.__path__[0] + "/..")})
+        assert done.stdout.strip() == "", done.stdout

@@ -1,6 +1,5 @@
 """Tests for the randomized bound-property fuzzer."""
 
-import dataclasses
 import math
 import random
 import subprocess
@@ -10,7 +9,14 @@ import pytest
 
 import riemann_bounds
 from riemann_bounds import bloodflow, euler, fuzz, shallow, tables
-from riemann_bounds.core import EstimatorId, UnsupportedEstimator, WavePattern, speed_function
+from riemann_bounds.core import (
+    EstimatorId,
+    UnsupportedEstimator,
+    WavePattern,
+    fields,
+    replace,
+    speed_function,
+)
 from riemann_bounds.fuzz import (
     KERNEL_CHUNK,
     KERNEL_MIN_COUNT,
@@ -45,7 +51,7 @@ def positive_from_states(record, problem):
 def with_bound_estimators(monkeypatch, system, estimators):
     """Put a copy of the system's record whose `bound_estimators` are
     `estimators` in the registry, so that `run_fuzz` checks those."""
-    record = dataclasses.replace(tables.system_record(system), bound_estimators=estimators)
+    record = replace(tables.system_record(system), bound_estimators=estimators)
     monkeypatch.setitem(tables._REGISTRY, system, record)
 
 
@@ -173,7 +179,7 @@ class TestSampleProblem:
 
         draws = iter(states(lhs) + states(below))
         monkeypatch.setitem(tables._REGISTRY, system,
-                            dataclasses.replace(record, draw=lambda rng: next(draws)))
+                            replace(record, draw=lambda rng: next(draws)))
         problem = sample_problem(system, random.Random(0))
         assert problem == tables.make_problem(system, *states(below))
         assert next(draws, None) is None
@@ -507,7 +513,7 @@ def weak_shock_problem(system, rng):
     c_left = record.celerity(left, record.problem_type.params)
     right[1] -= c_left * 10.0 ** rng.uniform(-12.0, -1.0)
     if rng.random() < 0.5:
-        k = [f.name for f in dataclasses.fields(record.state_type)].index(record.star)
+        k = fields(record.state_type).index(record.star)
         right[k] *= 1.0 + 10.0 ** rng.uniform(-12.0, -2.0)
     return tables.make_problem(system, left, tuple(right))
 

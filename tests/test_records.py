@@ -1,11 +1,13 @@
-"""The package's value types are declared with `core.record`: a frozen
-dataclass with a faster generated `__init__`, slotted except for the state,
-params and problem types.  Each record must behave exactly like a plain
-`dataclass(frozen=True)` twin with the same fields, methods and layout,
-and the enums that key the estimator registry must hash by identity."""
+"""The package's value types are declared with `core.record`: frozen
+records with a faster generated `__init__`, slotted except for the state,
+params and problem types, built without `dataclasses`.  Each record must
+behave exactly like a plain `dataclass(frozen=True, slots=...)` twin with
+the same fields, methods and layout, and the enums that key the estimator
+registry must hash by identity."""
 
 import copy
 import dataclasses
+import functools
 import importlib
 import inspect
 import math
@@ -13,18 +15,18 @@ import pickle
 import pkgutil
 import sys
 import types
-from dataclasses import FrozenInstanceError, InitVar, dataclass, field
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 from typing import ClassVar
 
 import pytest
 
 import riemann_bounds
 from riemann_bounds import bloodflow, core, euler, fuzz, shallow, tables
-from riemann_bounds.core import EstimatorId, InvalidBracket, WavePattern, record
+from riemann_bounds.core import EstimatorId, InvalidBracket, WavePattern, WaveData, record
 
 
-def package_dataclasses():
-    """Every dataclass defined at module level in the package."""
+def package_classes():
+    """Every class defined at module level in the package."""
     found = {}
     for info in pkgutil.walk_packages(riemann_bounds.__path__, "riemann_bounds."):
         try:
@@ -34,10 +36,14 @@ def package_dataclasses():
                 raise
             continue
         for obj in vars(module).values():
-            if (isinstance(obj, type) and obj.__module__ == module.__name__
-                    and dataclasses.is_dataclass(obj)):
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
                 found[f"{module.__name__}.{obj.__qualname__}"] = obj
     return found
+
+
+def package_records():
+    """Every record type of the package: the classes with a field tuple."""
+    return {name: cls for name, cls in package_classes().items() if "_fields" in vars(cls)}
 
 
 def samples():
@@ -64,13 +70,16 @@ TWINS = types.ModuleType("record_twins")
 sys.modules[TWINS.__name__] = TWINS
 
 
-#: Source file of the methods that `dataclass` generates.
-GENERATED = inspect.unwrap(dataclass(type("Probe", (), {})).__repr__).__code__.co_filename
+#: A record without methods of its own: its repr is the one `record` installs.
+PROBE = record(type("Probe", (), {"__annotations__": {"x": float}}))
+#: What `record` installs in a record type, besides its fields' slots.
+INSTALLED = {"__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__",
+             "__getstate__", "__setstate__", "__slots__", "_fields", "__dict__", "__weakref__"}
 
 
 def own_repr(cls) -> bool:
-    """Whether `cls` defines its `__repr__` itself, which `dataclass` keeps."""
-    return inspect.unwrap(cls.__repr__).__code__.co_filename != GENERATED
+    """Whether `cls` defines its `__repr__` itself, which `record` keeps."""
+    return cls.__repr__ is not PROBE.__repr__
 
 
 def slotted(cls) -> bool:
@@ -79,16 +88,48 @@ def slotted(cls) -> bool:
     return not cls.__dictoffset__
 
 
+def tuple_eq(self, other):
+    """The `__eq__` that `dataclass` generates on Python 3.10-3.12."""
+    if other.__class__ is self.__class__:
+        names = [f.name for f in dataclasses.fields(self)]
+        return tuple(getattr(self, n) for n in names) == tuple(getattr(other, n) for n in names)
+    return NotImplemented
+
+
+@functools.cache
 def twin_of(cls):
-    """A plain `dataclass(frozen=True, slots=...)` with the fields, methods
-    and layout of `cls`, under the same name, so that its repr is the same:
-    the dataclass repr, or the one `cls` defines."""
-    namespace = {"__module__": TWINS.__name__, "__qualname__": cls.__qualname__}
+    """A plain `dataclass(frozen=True, slots=...)` under the same name, so
+    that its repr is the same, with the bases, layout and own methods of
+    `cls` and its annotations and defaults, from which `dataclass` finds
+    the fields itself."""
+    defaults = {name: p.default for name, p in inspect.signature(cls).parameters.items()
+                if p.default is not p.empty}
+    namespace = {name: value for name, value in vars(cls).items()
+                 if name not in INSTALLED and name not in core.fields(cls)}
     if own_repr(cls):
         namespace["__repr__"] = cls.__repr__
-    twin = dataclass(frozen=True, slots=slotted(cls))(type(cls.__name__, (cls,), namespace))
+    namespace.update(defaults, __module__=TWINS.__name__, __qualname__=cls.__qualname__,
+                     __annotations__=dict(vars(cls)["__annotations__"]))
+    twin = dataclass(frozen=True, slots=slotted(cls))(type(cls.__name__, cls.__bases__, namespace))
+    if sys.version_info >= (3, 13):
+        # From 3.13 on `dataclass` compares field by field; `record` pins
+        # the tuple comparison of 3.10-3.12 (see `core.record`).
+        twin.__eq__ = tuple_eq
     setattr(TWINS, cls.__qualname__, twin)
     return twin
+
+
+def to_twin(value):
+    """`value` with every record in it, also in a tuple, list or dict, made
+    a twin: the value a twin holds where a record holds `value`."""
+    if isinstance(value, (tuple, list)):
+        return type(value)(map(to_twin, value))
+    if isinstance(value, dict):
+        return {key: to_twin(item) for key, item in value.items()}
+    if hasattr(type(value), "_fields"):
+        return twin_of(type(value))(*[to_twin(getattr(value, name))
+                                      for name in core.fields(value)])
+    return value
 
 
 SAMPLES = samples()
@@ -105,27 +146,38 @@ def outcome(fn, obj):
         return type(exc)
 
 
-def field_values(obj) -> list:
-    return [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+def astuple(obj) -> tuple:
+    """`dataclasses.astuple` of a record, over `core.fields`, sharing the
+    values that are not records or tuples or lists, as `core.asdict` does."""
+    def plain(value):
+        if isinstance(value, (tuple, list)):
+            return type(value)(map(plain, value))
+        return astuple(value) if hasattr(type(value), "_fields") else value
+    return tuple(plain(getattr(obj, name)) for name in core.fields(obj))
 
 
-def round_trip(through):
-    """What `through(obj)` gives back: its type, field values, `vars()`
-    outcome, and whether it equals `obj`."""
+def round_trip(through, names):
+    """What `through(obj)` gives back: its type, the values of the fields
+    `names` and its `vars()` outcome, with records made twins, and whether
+    it equals `obj`."""
     def trip(obj):
         back = through(obj)
-        return type(back).__qualname__, field_values(back), outcome(vars, back), back == obj
+        return (type(back).__qualname__, [to_twin(getattr(back, name)) for name in names],
+                outcome(lambda o: to_twin(vars(o)), back), back == obj)
     return trip
 
 
 def test_samples_cover_every_record_type():
-    assert {type(s) for s in SAMPLES} == set(package_dataclasses().values())
+    assert {type(s) for s in SAMPLES} == set(package_records().values())
 
 
 def test_every_dataclass_is_a_record():
-    # A dataclass declared with plain `dataclass(...)` gets the generated
-    # __init__ that stores each field through object.__setattr__.
-    slow = [name for name, cls in package_dataclasses().items()
+    # A class declared with plain `dataclass(...)` gets the generated
+    # __init__ that stores each field through object.__setattr__, and
+    # importing `dataclasses` costs a cold call 7-11 ms.
+    plain = [name for name, cls in package_classes().items() if dataclasses.is_dataclass(cls)]
+    assert not plain, f"declare these with core.record: {plain}"
+    slow = [name for name, cls in package_records().items()
             if cls.__init__.__code__.co_filename != "<record>"]
     assert not slow, f"declare these with core.record: {slow}"
 
@@ -134,11 +186,15 @@ def test_every_dataclass_is_a_record():
 def test_matches_plain_frozen_dataclass(sample):
     cls = type(sample)
     twin = twin_of(cls)
-    values = [getattr(sample, f.name) for f in dataclasses.fields(cls)]
-    mine, theirs = cls(*values), twin(*values)
+    names = core.fields(cls)
+    values = [getattr(sample, name) for name in names]
+    mine, theirs = cls(*values), twin(*to_twin(values))
 
-    assert [(f.name, f.type, f.default) for f in dataclasses.fields(mine)] == [
-        (f.name, f.type, f.default) for f in dataclasses.fields(theirs)]
+    defaults = inspect.signature(cls).parameters
+    assert core.fields(mine) == names
+    assert [(name, cls.__annotations__[name], defaults[name].default) for name in names] == [
+        (f.name, f.type, inspect.Parameter.empty if f.default is dataclasses.MISSING
+         else f.default) for f in dataclasses.fields(theirs)]
     assert inspect.signature(cls) == inspect.signature(twin)
     assert slotted(twin) == slotted(cls)
     if slotted(cls):
@@ -146,26 +202,45 @@ def test_matches_plain_frozen_dataclass(sample):
             with pytest.raises(TypeError):
                 vars(target)
     else:
-        assert vars(mine) == vars(theirs)
-        assert list(vars(mine)) == [f.name for f in dataclasses.fields(cls)]
-    assert outcome(dataclasses.asdict, mine) == outcome(dataclasses.asdict, theirs)
-    assert outcome(dataclasses.astuple, mine) == outcome(dataclasses.astuple, theirs)
+        assert to_twin(vars(mine)) == vars(theirs)
+        assert list(vars(mine)) == list(names)
+    # `core.asdict` shares the values `dataclasses.asdict` deep-copies.
+    assert outcome(lambda obj: copy.deepcopy(core.asdict(obj)), mine) == outcome(
+        dataclasses.asdict, theirs)
+    assert outcome(lambda obj: copy.deepcopy(astuple(obj)), mine) == outcome(
+        dataclasses.astuple, theirs)
     assert repr(mine) == repr(theirs)
     assert mine == cls(*values) and mine == sample and mine != theirs
     assert outcome(hash, mine) == outcome(hash, theirs) == outcome(hash, sample)
-    assert dataclasses.replace(mine) == mine
-    assert field_values(dataclasses.replace(theirs)) == field_values(mine)
-    first = dataclasses.fields(cls)[0].name
-    assert getattr(dataclasses.replace(mine, **{first: values[0]}), first) is values[0]
+    assert core.replace(mine) == mine
+    replaced = dataclasses.replace(theirs)
+    assert [getattr(replaced, name) for name in names] == to_twin(values)
+    first = names[0]
+    assert getattr(core.replace(mine, **{first: values[0]}), first) is values[0]
     for through in (lambda obj: pickle.loads(pickle.dumps(obj)), copy.copy, copy.deepcopy):
-        trip = round_trip(through)
+        trip = round_trip(through, names)
         assert outcome(trip, mine) == outcome(trip, theirs)
 
-    for target in (mine, theirs):
-        with pytest.raises(FrozenInstanceError):
+    messages = []
+    for target, error in ((mine, core.FrozenInstanceError),
+                          (theirs, dataclasses.FrozenInstanceError)):
+        with pytest.raises(error) as assigned:
             setattr(target, first, values[0])
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(error) as deleted:
             delattr(target, first)
+        messages.append((str(assigned.value), str(deleted.value)))
+    assert messages[0] == messages[1]
+    assert issubclass(core.FrozenInstanceError, AttributeError)
+
+
+def test_equality_compares_field_tuples():
+    # As `dataclass` on Python 3.10-3.12: a tuple comparison, where a field
+    # that is the same object on both sides is equal even when it is a NaN.
+    nan = float("nan")
+    wave = WaveData(0.0, 1.0, nan, nan, nan, nan, WavePattern.VACUUM)
+    assert wave == copy.copy(wave) == WaveData(*astuple(wave))
+    assert wave != WaveData(0.0, 1.0, float("nan"), nan, nan, nan, WavePattern.VACUUM)
+    assert hash(wave) == hash(astuple(wave))
 
 
 def test_defaults_are_kept():
@@ -178,7 +253,7 @@ def test_defaults_are_kept():
     assert core.SpeedBounds(1.0, 2.0, EstimatorId.TORO).pattern is None
     assert tables.CellCheck(1, "toro", 1.0, 1.0, 0.0, "ok").note == ""
     assert tables.make_problem("bfe", (1.0, 0.0), (2.0, 0.0)).params is (
-        bloodflow.BfeProblem.__dataclass_fields__["params"].default)
+        inspect.signature(bloodflow.BfeProblem).parameters["params"].default)
 
 
 @pytest.mark.parametrize("cls, args, error", [
@@ -195,13 +270,13 @@ def test_post_init_runs(cls, args, error):
     with pytest.raises(error):
         cls(*args)
     # ... and keyword arguments reach it too.
-    names = [f.name for f in dataclasses.fields(cls)]
+    names = core.fields(cls)
     with pytest.raises(error):
         cls(**dict(zip(names, args)))
 
 
 def test_post_init_cases_cover_every_validating_record():
-    validating = {cls for cls in package_dataclasses().values() if hasattr(cls, "__post_init__")}
+    validating = {cls for cls in package_records().values() if hasattr(cls, "__post_init__")}
     covered = {args[0] for args in test_post_init_runs.pytestmark[0].args[1]}
     assert validating == covered
 
@@ -220,17 +295,29 @@ def test_wrong_arguments_raise_type_error():
     {"__annotations__": {"x": float, "y": float}, "y": field(default=0.0, init=False)},
     {"__annotations__": {"x": float, "y": float}, "y": field(kw_only=True)},
     {"__annotations__": {"x": float, "y": InitVar[float]}},
-], ids=["default_factory", "init_false", "kw_only", "initvar"])
+    {"__annotations__": {"x": float, "_": KW_ONLY, "y": float}},
+    # Under `from __future__ import annotations`, as in the package's modules.
+    {"__annotations__": {"x": "float", "y": "InitVar[float]"}},
+    {"__annotations__": {"x": "float", "_": "dataclasses.KW_ONLY", "y": "float"}},
+], ids=["default_factory", "init_false", "kw_only", "initvar", "kw_only_marker",
+        "initvar_string", "kw_only_marker_string"])
 def test_unsupported_field_kinds_are_refused(body):
     with pytest.raises(TypeError, match="plain positional"):
         record(type("Bad", (), dict(body)))
+
+
+def test_a_field_without_default_after_one_with_is_refused():
+    body = {"__annotations__": {"x": float, "y": float}, "x": 0.0}
+    for make in (dataclass(frozen=True), record):
+        with pytest.raises(TypeError, match="non-default argument 'y' follows default"):
+            make(type("Bad", (), dict(body)))
 
 
 def test_a_repr_the_class_defines_is_kept():
     Point = record(type("Point", (), {"__annotations__": {"x": float},
                                       "__repr__": lambda self: f"P{self.x}"}))
     assert repr(Point(2.0)) == "P2.0" and own_repr(Point)
-    assert [cls.__qualname__ for cls in package_dataclasses().values()
+    assert [cls.__qualname__ for cls in package_records().values()
             if own_repr(cls)] == ["System"]
 
 
@@ -246,9 +333,13 @@ def test_class_variables_are_not_fields():
     for slots in (True, False):
         Point = record(slots=slots)(type("Point", (), {
             "__annotations__": {"x": float, "unit": ClassVar[str]}, "unit": "m"}))
-        assert [f.name for f in dataclasses.fields(Point)] == ["x"]
-        assert dataclasses.asdict(Point(2.0)) == {"x": 2.0}
+        assert core.fields(Point) == ("x",)
+        assert core.asdict(Point(2.0)) == {"x": 2.0}
         assert Point.unit == Point(2.0).unit == "m"
+        # ... also under `from __future__ import annotations`.
+        Point = record(slots=slots)(type("Point", (), {
+            "__annotations__": {"x": "float", "unit": "typing.ClassVar[str]"}, "unit": "m"}))
+        assert core.fields(Point) == ("x",) and Point(2.0).unit == "m"
 
 
 def test_only_the_input_types_keep_an_instance_dict():
@@ -258,11 +349,11 @@ def test_only_the_input_types_keep_an_instance_dict():
     inputs = {cls for module in (euler, shallow, bloodflow)
               for cls in (module.SYSTEM.state_type, module.SYSTEM.params_type,
                           module.SYSTEM.problem_type)}
-    records = set(package_dataclasses().values())
+    records = set(package_records().values())
     assert len(inputs) == 9 and inputs < records
     assert {cls for cls in records if not slotted(cls)} == inputs
     for cls in records - inputs:
-        assert cls.__slots__ == tuple(f.name for f in dataclasses.fields(cls)), cls
+        assert cls.__slots__ == core.fields(cls), cls
 
 
 @pytest.mark.parametrize("enum", [WavePattern, EstimatorId])

@@ -2,7 +2,6 @@
 two-rarefaction value and the pattern) are computed once per problem
 object and shared by the exact solve and every estimator."""
 
-import dataclasses
 import math
 import random
 import sys
@@ -185,7 +184,8 @@ def test_data_values_one_ulp_apart(system):
     data = {"euler": ((1.0, 0.0, x), (1.0, 0.0, 1.0)), "swe": ((x, 0.0), (1.0, 0.0)),
             "bfe": ((x, 0.0), (1.0, 0.0))}[system]
     for left, right in (data, data[::-1]):
-        star = dataclasses.astuple(module.solve_exact(make(left, right)))[0]
+        solution = module.solve_exact(make(left, right))
+        star = getattr(solution, core.fields(solution)[0])
         assert 1.0 <= star <= x
 
 

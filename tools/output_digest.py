@@ -36,7 +36,14 @@ counts of function and slope evaluations.  `core.courant_dt` has one too,
 also apart from the total: the dt or the error of each of `COURANT_LISTS`
 seeded lists of speed pairs that mix signed zeros, subnormals, magnitudes
 near the largest float and, in some lists, infinities and NaN (the mesh
-lines above reach it only with finite columns).
+lines above reach it only with finite columns).  The value types have one
+too, apart from the total: for one sample of every record type and for
+R/R wave data with NaN fields, and for what pickling, `copy.copy` and
+`copy.deepcopy` give back of each, the repr,
+whether it equals a copy rebuilt from the sample's field values, and
+whether its hash equals that copy's and that of the tuple of its field
+values.  It reads the fields from the `__init__` signature, so that it
+runs on a checkout of any version.
 
 After the total it prints, apart from it, a hash of the mesh grids' input
 states.  Digests compare only within one Python minor version: from
@@ -254,6 +261,56 @@ def courant_lines():
         yield f"courant_dt {i} {dx!r} {c_cfl!r} {outcome(courant_dt, speeds, dx, c_cfl)}"
 
 
+def record_samples():
+    """One instance of every record type of the package, from library
+    output, and R/R wave data."""
+    from riemann_bounds import core, fuzz, tables
+    from riemann_bounds.core import EstimatorId
+
+    out = []
+    for system in tables.SYSTEMS:
+        record = tables.system_record(system)
+        ref = tables.load_reference(system)["tests"][0]
+        problem = tables.make_problem(system, ref["left"], ref["right"])
+        out += [problem.left, problem.params, problem, record.module.solve_exact(problem),
+                record.module.estimate(problem, EstimatorId.TMS_B), problem._wave_data,
+                record]
+    # R/R wave data, with NaN for the values the pattern does not need
+    out.append(tables.make_problem("euler", (1.0, -2.0, 0.4), (1.0, 2.0, 0.4))._wave_data)
+    report = tables.reproduce("euler", "s_left")
+    violation = fuzz.FuzzViolation(3, "tms_b", "s_left", 1.5, 1.25, (1.0, 0.0, 1.0),
+                                   (0.125, 0.0, 0.1))
+    return out + [core.RootBracket(0.0, 1.0, -0.5, 2.0), report, report.cells[0],
+                  fuzz.run_fuzz("swe", 3, 1), fuzz.FuzzReport("euler", 1, 2, (violation,)),
+                  violation]
+
+
+def record_lines():
+    """Repr, equality and hash of each record sample and of its round
+    trips, by generic operations alone: hashes of strings and enum members
+    change from process to process, so only hash equalities are written."""
+    import copy
+    import inspect
+    import pickle
+
+    trips = {"self": lambda obj: obj, "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+             "copy": copy.copy, "deepcopy": copy.deepcopy}
+    for sample in record_samples():
+        cls = type(sample)
+        values = tuple(getattr(sample, name) for name in inspect.signature(cls).parameters)
+        rebuilt = cls(*values)
+        for via, trip in trips.items():
+            try:
+                obj = trip(sample)
+            except Exception as error:  # noqa: BLE001 - errors are outputs too
+                yield f"records {cls.__qualname__} {via} {type(error).__name__}: {error}"
+                continue
+            yield (f"records {cls.__qualname__} {via} {outcome(repr, obj)} "
+                   f"eq={outcome(lambda: obj == rebuilt)} "
+                   f"hash={outcome(lambda: hash(obj) == hash(rebuilt))} "
+                   f"tuple_hash={outcome(lambda: hash(obj) == hash(values))}")
+
+
 def sections(problems: int):
     for system in ACCEPTANCE_SEEDS:
         yield f"acceptance {system}", acceptance_lines(system, problems)
@@ -308,6 +365,8 @@ def main(argv=None) -> int:
     print(f"{roots}  {n}  find_root, not in the total")
     courant, n = digest(courant_lines())
     print(f"{courant}  {n}  courant_dt, not in the total")
+    records, n = digest(record_lines())
+    print(f"{records}  {n}  records, not in the total")
     inputs, n = digest(mesh_input_lines())
     print(f"{inputs}  {n}  mesh input states, not in the total "
           f"(Python {sys.version_info.major}.{sys.version_info.minor})")
