@@ -16,11 +16,11 @@ lane passes.  A lane passes here only when it is clean:
   their scale from the threshold of the check.
 
 The formulas are the scalar ones: the side record, the branch functions,
-the closed form, the two-shock start, the shock factor and the TMS_d pair
-of each `System` record take arrays (`sqrt=numpy.sqrt`, states and params
-of arrays).  Only what branches on a value has its array form here: the
-choice between a side's two branches, the pattern, the bracket, the start,
-the Newton iteration, the speeds and TMS_a-c.
+the closed form, the shock factor and the TMS_d pair of each `System`
+record, and `core.chord_start`, take arrays (`sqrt=numpy.sqrt`, states and
+params of arrays).  Only what branches on a value has its array form here:
+the choice between a side's two branches, the pattern, the bracket, the
+choice of the start, the Newton iteration, the speeds and TMS_a-c.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .core import _GEOMETRIC_RATIO, _MIN_NORMAL, EstimatorId, System, fields
+from .core import _GEOMETRIC_RATIO, _MIN_NORMAL, EstimatorId, System, chord_start, fields
 
 #: Half-width of the doubt band around each threshold, relative to the
 #: scale of the check (that of `REL_SLACK`).  It is at least 100 times the
@@ -152,12 +152,7 @@ class _Lanes:
         f_hi = _where(rr, f_min, _where(top, f_rr, f_max))
         self.doubt_unless(rr | ss | (f_rr >= 0.0))
         self.doubt_unless((f_lo < 0.0) & (f_hi > 0.0))
-        q_lo, q_hi = _sqrt(lo), _sqrt(hi)
-        q = q_lo - (q_hi - q_lo) / (f_hi - f_lo) * f_lo
-        x = q * q
-        if system.two_shock is not None:
-            x = _where(ss, system.two_shock(self, x, _sqrt), x)
-        x = _where(rr, x_rr, x)
+        x = _where(rr, x_rr, chord_start(system, lo, hi, f_lo, f_hi, _sqrt))
         self.x0 = _where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
         self.lo, self.hi = lo, hi
 

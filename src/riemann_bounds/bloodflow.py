@@ -195,7 +195,6 @@ SYSTEM = System(
     curve="area_function",
     two_rarefaction="two_rarefaction_area",
     rr_closed_form=_two_rarefaction,
-    two_shock=None,
     celerity=_celerity,
     positivity=_positivity,
     # a + (b - a) * rng.random() is rng.uniform(a, b), without its call.
@@ -205,6 +204,7 @@ SYSTEM = System(
     rarefaction=_rarefaction,
     shock_slope=_shock_slope,
     rarefaction_slope=_rarefaction_slope,
+    sqrt_chord=True,
     ss_shock_extension=False,  # Test 5 moves by 1.6e-3 with the shock extension
     ss_tms_c_eigen=True,
     bound_estimators=(EstimatorId.TORO, EstimatorId.TMS_A, EstimatorId.TMS_B,

@@ -341,9 +341,6 @@ class System:
     #: x_rr from the two side records and the params, for data that leave
     #: a positive star value: the formula of `two_rarefaction`.
     rr_closed_form: Callable[[Any, Any, Any], float]
-    #: S/S Newton start refined by the two-shock approximation linearized
-    #: about x0, two_shock(problem, x0, sqrt); None where there is none.
-    two_shock: Optional[Callable[..., float]]
     draw: Callable[[Any], Tuple[float, ...]]  # one state of the fuzz ensemble from an rng
     #: Each estimator id to its pair function fn(system, problem) -> (S_L, S_R),
     #: from `speed_registry`; its key order is the module's `ESTIMATORS`.
@@ -358,6 +355,10 @@ class System:
     rarefaction: Callable[[float, Any], float]
     shock_slope: Callable[[float, Any], float]
     rarefaction_slope: Callable[[float, Any], float]
+    #: The Newton start `chord_start` draws its chord over sqrt(x), where
+    #: the wave curves of strong shocks are nearly straight, when true, and
+    #: over x when false.
+    sqrt_chord: bool
     #: S/S node of TMS_b at x_min: both sides on their shock branch when
     #: true, else f(x_min) itself (blood flow, pinned by its Test 5).
     ss_shock_extension: bool
@@ -544,26 +545,30 @@ def star_bracket(
     return RootBracket(wave.x_max, hi, wave.f_max, f_hi)
 
 
-def star_start(system: System, problem, wave: WaveData, bracket: RootBracket) -> float:
-    """Newton start for the star value, strictly inside `bracket`.
+def chord_start(system: System, lo, hi, f_lo, f_hi, sqrt=math.sqrt):
+    """Root of the chord through (lo, f_lo) and (hi, f_hi), drawn over
+    sqrt(x) or over x as `system.sqrt_chord` picks: the Newton start of
+    `star_start` and of the lane kernel, which passes arrays and
+    `numpy.sqrt`."""
+    if system.sqrt_chord:
+        # sqrt(lo) may equal sqrt(hi) when the data values are one ulp apart.
+        q_lo, q_hi = sqrt(lo), sqrt(hi)
+        q = q_lo - (q_hi - q_lo) / (f_hi - f_lo) * f_lo
+        return q * q
+    return lo - (hi - lo) / (f_hi - f_lo) * f_lo
 
-    Under RR it is x_rr, which is then the root.  Otherwise it is the root
-    of the chord through the bracket's end points drawn over sqrt(x), where
-    the wave curves of strong shocks are nearly straight; under SS it is
-    refined by the system's two-shock approximation linearized about that
-    value, `system.two_shock(problem, x0)`, when the system has one.  A
-    value outside the bracket falls back to the bracket's midpoint.
+
+def star_start(system: System, wave: WaveData, bracket: RootBracket) -> float:
+    """Newton start for the star value, strictly inside `bracket`: x_rr
+    under RR, which is then the root, and otherwise the `chord_start` of
+    the bracket's end points (f_lo < f_hi in every bracket of
+    `star_bracket`).  A value outside the bracket falls back to the
+    bracket's midpoint.
     """
     if wave.pattern is _RR:
         x = wave.x_rr
     else:
-        # f_lo < f_hi in every bracket of star_bracket; sqrt(lo) may equal
-        # sqrt(hi) when the data values are one ulp apart.
-        q_lo, q_hi = math.sqrt(bracket.lo), math.sqrt(bracket.hi)
-        q = q_lo - (q_hi - q_lo) / (bracket.f_hi - bracket.f_lo) * bracket.f_lo
-        x = q * q
-        if wave.pattern is _SS and system.two_shock is not None:
-            x = system.two_shock(problem, x)
+        x = chord_start(system, bracket.lo, bracket.hi, bracket.f_lo, bracket.f_hi)
     if bracket.lo < x < bracket.hi:
         return x
     return 0.5 * (bracket.lo + bracket.hi)
@@ -590,7 +595,7 @@ def solve_star(system: System, problem) -> float:
         bracket = star_bracket(wave, f, f_zero)
         # Positional: keywords cost a dict per call.
         return module.find_root(f, bracket, lambda x: slope(x, problem), 1e-12,
-                                star_start(system, problem, wave, bracket))
+                                star_start(system, wave, bracket))
     except ArithmeticError:
         raise ClosedFormOverflow("the wave curve overflows during the root solve") from None
 

@@ -70,49 +70,39 @@ def _positivity(c_left: float, c_right: float, du: float, params: EulerParams) -
     return 2.0 * c_left / (g - 1.0) + 2.0 * c_right / (g - 1.0) > du
 
 
-#: Largest A_K / B_K whose shock constants `_Side` keeps unscaled.
-_SHOCK_RATIO_MAX = 2.0**1000
-
-
 class _Side:
     """Wave-curve constants of one side K of a problem, as in Toro's PREFUN
     (Riemann Solvers and Numerical Methods for Fluid Dynamics, 3rd ed.,
     2009, Sec. 4.9): the data pressure x = p_K and velocity u_K, the sound
-    speed c_K, the shock constants A_K = 2/((gamma+1) rho_K) and
-    B_K = (gamma-1)/(gamma+1) p_K, the rarefaction factor 2 c_K/(gamma-1),
-    the impedance rho_K c_K, and the exponents z = (gamma-1)/(2 gamma) and
-    -(gamma+1)/(2 gamma).  Each is computed with the formula's own
-    expression and order of operations, so the curve values are the same
-    bits as with the formulas written out in full.  The shock branch reads
-    sqrt(A_K / (p + B_K)) as `sqrt(a / (p + b)) * scale`: a = A_K and
-    scale = 1, except where A_K / B_K exceeds 2**1000 (rho_K p_K near the
-    smallest double) and the quotient could overflow; there
-    a = A_K / 4**k and scale = 2**k.  Raises `ClosedFormOverflow` when c_K
-    exceeds the float range.  Over arrays (the lane kernel of
-    `fuzz.run_fuzz`) it keeps a = A_K and scale = 1 and raises nothing:
-    the kernel checks the values it computes instead."""
+    speed c_K, sa = sqrt(A_K) = sqrt(2/(gamma+1)) / sqrt(rho_K) of the
+    shock constant A_K = 2/((gamma+1) rho_K), B_K = (gamma-1)/(gamma+1) p_K,
+    the rarefaction factor 2 c_K/(gamma-1), the impedance rho_K c_K, and
+    the exponents z = (gamma-1)/(2 gamma) and -(gamma+1)/(2 gamma).  Each
+    is computed with its formula's own expression and order of operations.
+    The shock branch reads sqrt(A_K/(p + B_K)) as sa / sqrt(p + B_K):
+    A_K overflows for rho_K near the smallest double, and the quotient
+    underflows for a dense side at a high pressure, while this form is
+    finite wherever the branch's value is.  Raises
+    `ClosedFormOverflow` when c_K exceeds the float range; over arrays (the
+    lane kernel of `fuzz.run_fuzz`) it raises nothing: the kernel checks
+    the values it computes instead."""
 
-    __slots__ = ("x", "u", "c", "a", "scale", "b", "rar", "imp", "z", "zd")
+    __slots__ = ("x", "u", "c", "sa", "b", "rar", "imp", "z", "zd")
 
     def __init__(self, state: EulerState, params: EulerParams, sqrt=math.sqrt):
         g = params.gamma
         rho, u, p = values = state.rho, state.u, state.p
         self.x, self.u = p, u
-        self.a = a = 2.0 / ((g + 1.0) * rho)
-        self.b = b = (g - 1.0) / (g + 1.0) * p
-        self.scale = 1.0
+        self.sa = sqrt(2.0 / (g + 1.0)) / sqrt(rho)
+        self.b = (g - 1.0) / (g + 1.0) * p
         self.c = c = _celerity(values, params, sqrt)
         self.rar = 2.0 * c / (g - 1.0)
         self.imp = rho * c
         self.z = (g - 1.0) / (2.0 * g)
         self.zd = -(g + 1.0) / (2.0 * g)
-        if isinstance(c, float):  # not over arrays
-            if c == math.inf:
-                raise ClosedFormOverflow(f"the sound speed overflows at p = {state.p}, "
-                                         f"rho = {state.rho}")
-            if a > b * _SHOCK_RATIO_MAX:
-                k = math.frexp(a)[1] // 2
-                self.a, self.scale = math.ldexp(a, -2 * k), math.ldexp(1.0, k)
+        if isinstance(c, float) and c == math.inf:  # not over arrays
+            raise ClosedFormOverflow(f"the sound speed overflows at p = {state.p}, "
+                                     f"rho = {state.rho}")
 
 
 @record
@@ -130,7 +120,7 @@ class EulerExactSolution:
 
 
 def _shock(p: float, s: _Side, sqrt=math.sqrt) -> float:
-    return (p - s.x) * sqrt(s.a / (p + s.b)) * s.scale
+    return (p - s.x) / sqrt(p + s.b) * s.sa
 
 
 def _rarefaction(p: float, s: _Side, sqrt=math.sqrt) -> float:
@@ -139,7 +129,7 @@ def _rarefaction(p: float, s: _Side, sqrt=math.sqrt) -> float:
 
 def _shock_slope(p: float, s: _Side, sqrt=math.sqrt) -> float:
     b = p + s.b
-    return sqrt(s.a / b) * s.scale * (1.0 - 0.5 * (p - s.x) / b)
+    return s.sa / sqrt(b) * (1.0 - 0.5 * (p - s.x) / b)
 
 
 def _rarefaction_slope(p: float, s: _Side, sqrt=math.sqrt) -> float:
@@ -168,22 +158,11 @@ def q_factor(p: float, side_state: EulerState, params: EulerParams, sqrt=math.sq
     return sqrt(1.0 + (g + 1.0) / (2.0 * g) * (p / side_state.p - 1.0))
 
 
-def _two_shock_pressure(problem: EulerProblem, p0: float, sqrt=math.sqrt) -> float:
-    """Toro's two-shock approximation of p*, linearized about p0
-    (Toro, Riemann Solvers and Numerical Methods for Fluid Dynamics,
-    3rd ed., 2009, Sec. 4.3.2)."""
-    left, right = problem._sides
-    gl = sqrt(left.a / (p0 + left.b)) * left.scale
-    gr = sqrt(right.a / (p0 + right.b)) * right.scale
-    return (gl * left.x + gr * right.x - (right.u - left.u)) / (gl + gr)
-
-
 def solve_exact(problem: EulerProblem) -> EulerExactSolution:
     """Exact star state and extreme wave speeds.
 
     Newton runs inside the bracket that the wave pattern gives
-    (`core.solve_star`), from the start `core.star_start` picks; under
-    SS that is refined by Toro's two-shock approximation.
+    (`core.solve_star`), from the start `core.star_start` picks.
     """
     pattern = classify(problem)
     left, right = problem.left, problem.right
@@ -242,7 +221,6 @@ SYSTEM = System(
     curve="pressure_function",
     two_rarefaction="two_rarefaction_pressure",
     rr_closed_form=_two_rarefaction,
-    two_shock=_two_shock_pressure,
     celerity=_celerity,
     positivity=_positivity,
     # a + (b - a) * rng.random() is rng.uniform(a, b), without its call.
@@ -253,6 +231,7 @@ SYSTEM = System(
     rarefaction=_rarefaction,
     shock_slope=_shock_slope,
     rarefaction_slope=_rarefaction_slope,
+    sqrt_chord=True,
     ss_shock_extension=True,
     ss_tms_c_eigen=False,
     bound_estimators=(EstimatorId.TORO, EstimatorId.TMS_A, EstimatorId.TMS_B,

@@ -122,21 +122,11 @@ def q_factor(h: float, side_state: SweState, params: SweParams, sqrt=math.sqrt) 
     return sqrt(0.5 * (y * y + y))
 
 
-def _two_shock_depth(problem: SweProblem, h0: float, sqrt=math.sqrt) -> float:
-    """Two-shock approximation of h*, linearized about h0 (Toro,
-    Shock-Capturing Methods for Free-Surface Shallow Flows, 2001)."""
-    left, right = problem._sides
-    gl = sqrt(0.5 * left.g * (h0 + left.x) / (h0 * left.x))
-    gr = sqrt(0.5 * right.g * (h0 + right.x) / (h0 * right.x))
-    return (gl * left.x + gr * right.x - (right.u - left.u)) / (gl + gr)
-
-
 def solve_exact(problem: SweProblem) -> SweExactSolution:
     """Exact star state and extreme wave speeds.
 
     Newton runs inside the bracket that the wave pattern gives
-    (`core.solve_star`), from the start `core.star_start` picks; under
-    SS that is refined by the two-shock approximation.
+    (`core.solve_star`), from the start `core.star_start` picks.
     """
     pattern = classify(problem)
     left, right = problem.left, problem.right
@@ -168,7 +158,6 @@ SYSTEM = System(
     curve="depth_function",
     two_rarefaction="two_rarefaction_depth",
     rr_closed_form=_two_rarefaction,
-    two_shock=_two_shock_depth,
     celerity=_celerity,
     positivity=_positivity,
     # a + (b - a) * rng.random() is rng.uniform(a, b), without its call.
@@ -178,6 +167,7 @@ SYSTEM = System(
     rarefaction=_rarefaction,
     shock_slope=_shock_slope,
     rarefaction_slope=_rarefaction_slope,
+    sqrt_chord=False,
     ss_shock_extension=True,
     ss_tms_c_eigen=True,
     bound_estimators=(EstimatorId.TORO, EstimatorId.TMS_A, EstimatorId.TMS_B,

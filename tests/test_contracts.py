@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from riemann_bounds import bloodflow, euler, shallow, tables
+from riemann_bounds import bloodflow, euler, fuzz, shallow, tables
 from riemann_bounds.core import ClosedFormOverflow, EstimatorId, RiemannBoundsError
 
 SEED = 2005
@@ -108,17 +108,8 @@ REPRODUCERS = {
         "euler", (5.3340097753571314e+197, 8133.430277554056, 9.28512128125268e+68),
         (5.297495636365946e-248, 82.80458655341135, 5.63989070365722e-159)),
         ["batten"], ClosedFormOverflow),
-    # The TMS_a chord root is negative, and q_factor took its square root.
-    "euler-tms-a-negative-chord-root": ("euler", tables.make_problem(
-        "euler", (4.218711246146151e+174, 900.4840954410993, 6.39103596564457e+146),
-        (3.869184416937872e+169, -5627.047518164938, 5.026772276168695e-47)),
-        ["tms_a"], ClosedFormOverflow),
-    # The same for TMS_b.
-    "euler-tms-b-negative-chord-root": ("euler", tables.make_problem(
-        "euler", (3.35140239615322e+229, 9614.871707839637, 3.939094590922741e+230),
-        (1.6194710822460035e+257, -8366.027878089182, 2.2309770306664407e+259)),
-        ["tms_b"], ClosedFormOverflow),
-    # The same for SWE TMS_b, after h * h_K overflowed at the S/S node.
+    # The SWE TMS_b chord root is negative, and q_factor took its square
+    # root, after h * h_K overflowed at the S/S node.
     "swe-tms-b-negative-chord-root": ("swe", tables.make_problem(
         "swe", (8.487361008586014e+276, -2484.5044844899776),
         (2.9607947920135834e+92, -4370.537533982078)),
@@ -140,14 +131,95 @@ SIDE_OVERFLOWS = {
 }
 
 
-#: Reproducers that `solve_exact` solves: the oracle's star value, S_L and
-#: S_R (`bench/oracle.py`, a log-space bisection in mpmath), and the relative
-#: tolerance.  In "euler-slope-underflow" p*/p_R = 3e-329 underflows to 0 in
-#: the right rarefaction branch, which puts p* 7e-11 off.
+#: The data of "euler-tms-b-negative-chord-root" below.
+EULER_TMS_B_DATA = ((3.35140239615322e+229, 9614.871707839637, 3.939094590922741e+230),
+                    (1.6194710822460035e+257, -8366.027878089182, 2.2309770306664407e+259))
+
+#: Reproducers that `solve_exact` solves: the system and problem, the
+#: oracle's star value, S_L and S_R (`bench/oracle.py`, a log-space
+#: bisection in mpmath), the relative tolerance, and the estimators whose
+#: pair must be finite and contain the oracle's.
 SOLVED = {
+    # p*/p_R = 3e-329 underflows to 0 in the right rarefaction branch,
+    # which puts p* 7e-11 off.
     "euler-slope-underflow": (
-        (3.5728655018390565e-141, -3.417373364477865e+61, 1.1261368096479661e+60), 1e-10),
+        *REPRODUCERS["euler-slope-underflow"][:2],
+        (3.5728655018390565e-141, -3.417373364477865e+61, 1.1261368096479661e+60), 1e-10, []),
+    # A_K / (p + B_K) underflowed to 0 in the shock branch of the denser
+    # side.  The TMS_a chord root came out negative, where q_factor took
+    # its square root, and the S/S bracket of the exact solve doubled to
+    # infinity (NoConvergence).
+    "euler-tms-a-negative-chord-root": ("euler", tables.make_problem(
+        "euler", (4.218711246146151e+174, 900.4840954410993, 6.39103596564457e+146),
+        (3.869184416937872e+169, -5627.047518164938, 5.026772276168695e-47)),
+        (1.9664012615532341e+177, 876.8337877787721, 2182.3401104999793), 1e-12,
+        ["tms_a", "tms_b"]),
+    # The same for TMS_b; here the underflow also made the S/R data S/S.
+    "euler-tms-b-negative-chord-root": (
+        "euler", tables.make_problem("euler", *EULER_TMS_B_DATA),
+        (1.310314037388404e+238, -12045.456501771787, -8352.140349418067), 1e-12,
+        ["toro", "tms_a", "tms_b", "tms_c"]),
 }
+
+
+#: Euler data at the ends of the float range, at gamma = 1.4: left and
+#: right states (rho, u, p).
+EXTREME_EULER = {
+    # A_L = 2/((gamma+1) rho_L) overflows, and c_L is 5.3e11.
+    "subnormal-density": ((5e-324, 0.0, 1e-300), (1.0, 0.0, 1.0)),
+    # The same on both sides of two colliding streams.
+    "colliding-subnormal-densities": ((1e-310, 10.0, 1e-10), (1e-310, -10.0, 1e-10)),
+    # rho_R near 1e257: A_R / (p + B_R) underflows.
+    "tms-b-reproducer": EULER_TMS_B_DATA,
+}
+
+
+def mp_euler_solution(left, right, gamma, mpmath):
+    """(p*, S_L, S_R) of Euler data in mpmath: bisection on log p of
+    Toro's wave curve (2009, eqs. (4.6)-(4.7)) to a width of 1e-35, and
+    the shock speed or the rarefaction head speed of each side."""
+    g = mpmath.mpf(gamma)
+    (rho_l, u_l, p_l), (rho_r, u_r, p_r) = ([mpmath.mpf(v) for v in s] for s in (left, right))
+
+    def term(p, rho, p_k):
+        if p > p_k:
+            return (p - p_k) * mpmath.sqrt(2 / ((g + 1) * rho) / (p + (g - 1) / (g + 1) * p_k))
+        c = mpmath.sqrt(g * p_k / rho)
+        return 2 * c / (g - 1) * ((p / p_k) ** ((g - 1) / (2 * g)) - 1)
+
+    def f(log_p):
+        p = mpmath.exp(log_p)
+        return term(p, rho_l, p_l) + term(p, rho_r, p_r) + u_r - u_l
+
+    lo, hi = mpmath.mpf(-3000), mpmath.mpf(3000)
+    assert f(lo) < 0 < f(hi)
+    while hi - lo > mpmath.mpf("1e-35"):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if f(mid) < 0 else (lo, mid)
+    p = mpmath.exp((lo + hi) / 2)
+
+    def offset(rho, p_k):  # |S - u_K|
+        c = mpmath.sqrt(g * p_k / rho)
+        return c * mpmath.sqrt((g + 1) / (2 * g) * p / p_k + (g - 1) / (2 * g)) if p > p_k else c
+    return p, u_l - offset(rho_l, p_l), u_r + offset(rho_r, p_r)
+
+
+@pytest.mark.parametrize("name", EXTREME_EULER)
+def test_extreme_euler_data_are_solved_and_bounded(name):
+    mpmath = pytest.importorskip("mpmath")
+    left, right = EXTREME_EULER[name]
+    problem = tables.make_problem("euler", left, right)
+    solution = euler.solve_exact(problem)
+    with mpmath.workdps(40):
+        p_star, s_left, s_right = (float(v) for v in mp_euler_solution(left, right, 1.4, mpmath))
+    scale = max(1.0, abs(s_left), abs(s_right))
+    assert abs(solution.p_star - p_star) <= 1e-10 * p_star
+    assert abs(solution.s_left - s_left) <= 1e-10 * scale
+    assert abs(solution.s_right - s_right) <= 1e-10 * scale
+    slack = fuzz.REL_SLACK * scale
+    for estimator in euler.SYSTEM.bound_estimators:
+        bounds = euler.estimate(problem, estimator)
+        assert bounds.s_left <= s_left + slack and bounds.s_right >= s_right - slack, estimator
 
 
 def speeds(module, problem, call):
@@ -186,13 +258,18 @@ def test_reproducer_raises_a_named_error(name):
 
 @pytest.mark.parametrize("name", SOLVED)
 def test_reproducer_is_solved_as_the_oracle_solves_it(name):
-    system, problem, _, _ = REPRODUCERS[name]
-    (star, s_left, s_right), rel = SOLVED[name]
-    solution = tables.system_module(system).solve_exact(problem)
+    system, problem, (star, s_left, s_right), rel, estimators = SOLVED[name]
+    module = tables.system_module(system)
+    solution = module.solve_exact(problem)
     assert solution.p_star == pytest.approx(star, rel=rel)
     assert solution.s_left == pytest.approx(s_left, rel=rel)
     assert solution.s_right == pytest.approx(s_right, rel=rel)
     assert math.isfinite(solution.u_star)
+    for call in estimators:
+        bounds = speeds(module, problem, call)
+        assert all(map(math.isfinite, bounds)), call
+        assert bounds[0] <= s_left and bounds[1] >= s_right, call
+    check_contract(system, problem)
 
 
 def test_euler_slope_is_infinite_where_the_pressure_ratio_underflows():

@@ -24,12 +24,14 @@ from riemann_bounds.fuzz import sample_problem
 
 
 def euler_shock(p, s, params):
-    # Toro (2009), eqs. (4.6)-(4.7) and (4.37)
+    # Toro (2009), eqs. (4.6)-(4.7) and (4.37), with sqrt(A_K / (p + B_K))
+    # written sqrt(A_K) / sqrt(p + B_K), A_K = 2 / ((gamma + 1) rho_K), as
+    # the library evaluates it: the quotient underflows for a dense side at
+    # a high pressure.
     g = params.gamma
-    ak = 2.0 / ((g + 1.0) * s.rho)
-    bk = (g - 1.0) / (g + 1.0) * s.p
-    root = math.sqrt(ak / (p + bk))
-    return (p - s.p) * root, root * (1.0 - 0.5 * (p - s.p) / (p + bk))
+    sa = math.sqrt(2.0 / (g + 1.0)) / math.sqrt(s.rho)
+    b = p + (g - 1.0) / (g + 1.0) * s.p
+    return (p - s.p) / math.sqrt(b) * sa, sa / math.sqrt(b) * (1.0 - 0.5 * (p - s.p) / b)
 
 
 def euler_rarefaction(p, s, params):
@@ -260,6 +262,29 @@ def test_rr_solve_evaluates_the_curve_twice(monkeypatch, system):
         assert calls[0] == 2
         solved += 1
     assert solved > 10
+
+
+#: Per system: the seed of its acceptance ensemble (`tests/test_acceptance.py`)
+#: and the largest mean number of wave-curve evaluations per `solve_exact`
+#: on its first 2000 problems, counted after the wave data is built: the
+#: cost of the Newton start, which measured 3.469, 3.4215 and 2.925.
+SOLVE_EVALS = {"euler": (42, 3.50), "swe": (7, 3.45), "bfe": (13, 2.95)}
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_solve_evaluation_count_on_the_acceptance_ensemble(monkeypatch, system):
+    module, curve = SYSTEMS[system][:2]
+    seed, most = SOLVE_EVALS[system]
+    rng = random.Random(seed)
+    problems = [sample_problem(system, rng) for _ in range(2000)]
+    for problem in problems:
+        problem._wave_data
+    calls = counting(monkeypatch, module, curve)
+    for problem in problems:
+        module.solve_exact(problem)
+    mean = calls[0] / len(problems)
+    print(f"{system}: {mean:.4f} wave-curve evaluations per solve")
+    assert mean <= most
 
 
 @pytest.mark.parametrize("system", SYSTEMS)
