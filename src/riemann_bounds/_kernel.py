@@ -17,22 +17,26 @@ lane passes.  A lane passes here only when it is clean:
 
 The formulas are the scalar ones: the side record, the branch functions,
 the closed form, the shock factor and the TMS_d pair of each `System`
-record, and `core.chord_start`, take arrays (`sqrt=numpy.sqrt`, states and
-params of arrays).  Only what branches on a value has its array form here:
-the choice between a side's two branches, the pattern, the bracket, the
-choice of the start, the Newton iteration, the speeds and TMS_a-c.
+record, and `core.chord_start`, take arrays (`sqrt=numpy.sqrt`, states of
+arrays; a chunk shares one params object).  Only what branches on a value
+has its array form here: the choice between a side's two branches, the
+pattern, the bracket, the choice of the start, the Newton iteration, the
+speeds and TMS_a-c.  The Newton iteration is `core.find_root`'s loop over
+lanes, to the same tolerance, `core.STAR_TOL`; the two differ only in their
+exits.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import repeat
 from operator import attrgetter, is_not
 from types import SimpleNamespace
-from typing import List, Sequence
 
 import numpy as np
 
-from .core import _GEOMETRIC_RATIO, _MIN_NORMAL, EstimatorId, System, chord_start, fields
+from .core import (_GEOMETRIC_RATIO, _MIN_NORMAL, STAR_TOL, EstimatorId, System, chord_start,
+                   fields)
 
 #: Half-width of the doubt band around each threshold, relative to the
 #: scale of the check (that of `REL_SLACK`).  It is at least 100 times the
@@ -45,8 +49,6 @@ ESTIMATORS = frozenset((EstimatorId.TORO, EstimatorId.TMS_A, EstimatorId.TMS_B,
                         EstimatorId.TMS_C, EstimatorId.TMS_D))
 #: Newton passes before an unconverged lane is left to the scalar check.
 NEWTON_PASSES = 8
-#: A Newton step below this fraction of the iterate ends a lane's solve.
-NEWTON_TOL = 1e-12
 
 _sqrt, _where = np.sqrt, np.where
 
@@ -82,7 +84,8 @@ class _Lanes:
         self.system = system
         self.params = params = problems[0].params
         if any(map(is_not, map(attrgetter("params"), problems), repeat(params))):
-            params = self.params = _gather([p.params for p in problems], system.params_type)
+            raise ValueError("the problems of a chunk must share one params object, "
+                             "as `fuzz.sample_problem` gives them")
         self.states = (_gather(list(map(attrgetter("left"), problems)), system.state_type),
                        _gather(list(map(attrgetter("right"), problems)), system.state_type))
         self.left, self.right = (system.side(state, params, _sqrt) for state in self.states)
@@ -159,7 +162,7 @@ class _Lanes:
     def solve(self):
         """Star value of every lane: Newton from the start, inside the
         bracket, bisecting where a step leaves it, until the step falls
-        below `NEWTON_TOL` of the iterate.  Lanes still moving after
+        below `core.STAR_TOL` of the iterate.  Lanes still moving after
         `NEWTON_PASSES`, or with a non-finite value or slope on the way,
         are left to the scalar check."""
         x, lo, hi = self.x0, self.lo, self.hi
@@ -171,7 +174,7 @@ class _Lanes:
             below = fx < 0.0
             lo, hi = _where(below, x, lo), _where(below, hi, x)
             step = x - fx / dfx
-            done = moving & ((fx == 0.0) | (np.abs(step - x) <= NEWTON_TOL * x))
+            done = moving & ((fx == 0.0) | (np.abs(step - x) <= STAR_TOL * x))
             root = _where(done, _where(fx == 0.0, x, step), root)
             moving &= ~done
             if not moving.any():
@@ -230,10 +233,11 @@ class _Lanes:
 
 
 @np.errstate(all="ignore")
-def scalar_lanes(system: System, problems: Sequence, rel_slack: float) -> List[int]:
+def scalar_lanes(system: System, problems: Sequence, rel_slack: float) -> list[int]:
     """Indices, ascending, of the problems whose bound and dominance checks
     the scalar path must make: every lane that is not clean, and so every
-    lane with a violation.  `problems` come from `fuzz.sample_problem`;
+    lane with a violation.  `problems` come from `fuzz.sample_problem`, and
+    so share one params object (`ValueError` otherwise);
     the checks are those of `system.bound_estimators`, all of `ESTIMATORS`,
     with slack `rel_slack`."""
     lanes = _Lanes(system, problems)

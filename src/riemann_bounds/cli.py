@@ -7,7 +7,7 @@ import argparse
 import io
 import json
 import sys
-from typing import Dict, List, Optional, Sequence
+from collections.abc import Sequence
 
 from .core import (
     CollapseData,
@@ -54,7 +54,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _parse_state(text: str, record: System) -> List[float]:
+def _parse_state(text: str, record: System) -> list[float]:
     parts = text.split(",")
     arity = len(fields(record.state_type))
     if len(parts) != arity:
@@ -68,9 +68,9 @@ def _parse_state(text: str, record: System) -> List[float]:
         raise _UsageError(f"non-numeric state component in {text!r}") from None
 
 
-def _params_overrides(record: System, args) -> Dict[str, float]:
+def _params_overrides(record: System, args) -> dict[str, float]:
     own = _CONSTANT_FLAGS[record.name]
-    overrides: Dict[str, float] = {}
+    overrides: dict[str, float] = {}
     for flags in _CONSTANT_FLAGS.values():
         for flag in flags:
             value = getattr(args, flag[2:].replace("-", "_"))
@@ -82,7 +82,7 @@ def _params_overrides(record: System, args) -> Dict[str, float]:
     return overrides
 
 
-def _fmt(value: Optional[float]) -> str:
+def _fmt(value: float | None) -> str:
     return "" if value is None else f"{value:.4f}"
 
 
@@ -92,7 +92,7 @@ def _md_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 
 
 def _emit(args, payload: dict, header: Sequence[str],
-          rows: Sequence[Sequence[str]], text: Optional[str] = None) -> None:
+          rows: Sequence[Sequence[str]], text: str | None = None) -> None:
     """Print a command's output in its --format: the payload for json, the
     header and rows for csv, and for md the command's own text, or the
     rows as a Markdown table when it passes none."""
@@ -126,7 +126,7 @@ def _problem(args):
     return record, left, right, make_problem(args.system, left, right, overrides)
 
 
-def _problem_payload(args, left, right, params, results: List[dict]) -> dict:
+def _problem_payload(args, left, right, params, results: list[dict]) -> dict:
     """The json payload of `exact` and `bounds`: the problem and its results."""
     return {
         "system": args.system,
@@ -156,7 +156,7 @@ def _cmd_exact(args) -> int:
     return EXIT_OK
 
 
-def _resolve_estimators(args, module) -> List[EstimatorId]:
+def _resolve_estimators(args, module) -> list[EstimatorId]:
     if args.estimator == "all":
         return [EstimatorId.EXACT, *module.ESTIMATORS]
     try:
@@ -272,7 +272,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

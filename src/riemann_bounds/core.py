@@ -8,8 +8,9 @@ from __future__ import annotations
 import enum
 import math
 import sys
+from collections.abc import Callable, Iterable, Mapping
 from functools import partial
-from typing import Any, Callable, Iterable, Mapping, Optional, Tuple
+from types import ModuleType
 
 
 class RiemannBoundsError(Exception):
@@ -84,7 +85,7 @@ class cached_attribute:
         return value
 
 
-def fields(record) -> Tuple[str, ...]:
+def fields(record) -> tuple[str, ...]:
     """The field names of a record type or record, in order."""
     return record._fields
 
@@ -127,7 +128,7 @@ def _setstate(self, state):
     self.__init__(*state)
 
 
-def record(cls: Optional[type] = None, *, slots: bool = True):
+def record(cls: type | None = None, *, slots: bool = True):
     """Class decorator of the package's value types, `@record` or
     `@record(slots=False)`: `dataclass(frozen=True, slots=slots)` without
     the dataclass module, from the shared functions above, with a faster
@@ -240,7 +241,7 @@ class SpeedBounds:
     s_left: float
     s_right: float
     estimator: EstimatorId
-    pattern: Optional[WavePattern] = None
+    pattern: WavePattern | None = None
 
 
 @record
@@ -312,7 +313,7 @@ class System:
 
     name: str  # registry key and CLI --system value
     title: str  # in messages: "the <title> system"
-    module: Any
+    module: ModuleType
     state_type: type
     params_type: type
     problem_type: type  # a `Problem` whose `_system` is this record
@@ -331,30 +332,30 @@ class System:
     no_star_message: str
     #: positivity(c_left, c_right, du, params): the data leave a positive
     #: star value, from the two celerities and du = u_R - u_L.
-    positivity: Callable[[float, float, float, Any], bool]
+    positivity: Callable[[float, float, float, object], bool]
     curve: str  # module name of the wave curve f(x, problem); its slope is <curve>_deriv
     two_rarefaction: str  # closed-form star value of both waves rarefactions
     #: The formulas below, the per-side branches and the `_tms_d`
     #: estimators evaluate numpy arrays as well as floats, for the lane
-    #: kernel of `fuzz.run_fuzz`: a `sqrt` argument takes `numpy.sqrt`, a
-    #: side record or params object may hold arrays.
+    #: kernel of `fuzz.run_fuzz`: a `sqrt` argument takes `numpy.sqrt`, and
+    #: a side record may hold arrays (the params object is one for all lanes).
     #: x_rr from the two side records and the params, for data that leave
     #: a positive star value: the formula of `two_rarefaction`.
-    rr_closed_form: Callable[[Any, Any, Any], float]
-    draw: Callable[[Any], Tuple[float, ...]]  # one state of the fuzz ensemble from an rng
+    rr_closed_form: Callable[[object, object, object], float]
+    draw: Callable[[object], tuple[float, ...]]  # one state of the fuzz ensemble from an rng
     #: Each estimator id to its pair function fn(system, problem) -> (S_L, S_R),
     #: from `speed_registry`; its key order is the module's `ESTIMATORS`.
     #: `estimate` wraps the pair in a `SpeedBounds`; `fuzz.run_fuzz` and
     #: `tables._speed_cells` read it through `speed_function`.
-    speeds: Mapping[EstimatorId, Callable[[Any, Any], Tuple[float, float]]]
+    speeds: Mapping[EstimatorId, Callable[[object, object], tuple[float, float]]]
     #: One side's wave-curve term f_K(x, side, sqrt=math.sqrt) on its shock
     #: branch (taken where x exceeds the side's data value) and its
     #: rarefaction branch (at or below it), and the slopes of both;
     #: `wave_curves` composes them.
-    shock: Callable[[float, Any], float]
-    rarefaction: Callable[[float, Any], float]
-    shock_slope: Callable[[float, Any], float]
-    rarefaction_slope: Callable[[float, Any], float]
+    shock: Callable[[float, object], float]
+    rarefaction: Callable[[float, object], float]
+    shock_slope: Callable[[float, object], float]
+    rarefaction_slope: Callable[[float, object], float]
     #: The Newton start `chord_start` draws its chord over sqrt(x), where
     #: the wave curves of strong shocks are nearly straight, when true, and
     #: over x when false.
@@ -365,7 +366,7 @@ class System:
     #: S/S TMS_c is the eigenvalue pair instead of the q factors at x_rr.
     ss_tms_c_eigen: bool
     #: Estimators with a proven bound property, which `fuzz.run_fuzz` checks.
-    bound_estimators: Tuple[EstimatorId, ...]
+    bound_estimators: tuple[EstimatorId, ...]
 
     def __repr__(self) -> str:
         # The field repr prints every field: 2 KB, in each bound function's too.
@@ -574,8 +575,13 @@ def star_start(system: System, wave: WaveData, bracket: RootBracket) -> float:
     return 0.5 * (bracket.lo + bracket.hi)
 
 
+#: Relative tolerance of every star-value solve: `solve_star`'s `find_root`
+#: and the lane kernel's Newton loop (`_kernel._Lanes.solve`).
+STAR_TOL = 1e-12
+
+
 def solve_star(system: System, problem) -> float:
-    """Star value of a problem to a relative tolerance of 1e-12: Newton
+    """Star value of a problem to a relative tolerance of `STAR_TOL`: Newton
     inside the bracket that the wave pattern gives (`star_bracket`), from
     the start `star_start` picks.
     Raises the system's no-star error for data without a positive star
@@ -594,7 +600,7 @@ def solve_star(system: System, problem) -> float:
     try:
         bracket = star_bracket(wave, f, f_zero)
         # Positional: keywords cost a dict per call.
-        return module.find_root(f, bracket, lambda x: slope(x, problem), 1e-12,
+        return module.find_root(f, bracket, lambda x: slope(x, problem), STAR_TOL,
                                 star_start(system, wave, bracket))
     except ArithmeticError:
         raise ClosedFormOverflow("the wave curve overflows during the root solve") from None
@@ -604,7 +610,7 @@ def _not_finite(s_left: float, s_right: float) -> ClosedFormOverflow:
     return ClosedFormOverflow(f"wave speeds are not finite: S_L = {s_left}, S_R = {s_right}")
 
 
-def star_speeds(system: System, problem, x: float) -> Tuple[float, float]:
+def star_speeds(system: System, problem, x: float) -> tuple[float, float]:
     """(S_L, S_R) for star value x: on a side whose data value x exceeds
     the wave is a shock, u_K -/+ c_K q_K(x), otherwise a rarefaction
     headed by the eigenvalue u_K -/+ c_K.  Raises `ClosedFormOverflow`
@@ -619,12 +625,12 @@ def star_speeds(system: System, problem, x: float) -> Tuple[float, float]:
     return s_left, s_right
 
 
-def davis_a(system: System, problem) -> Tuple[float, float]:
+def davis_a(system: System, problem) -> tuple[float, float]:
     left, right = problem._sides
     return left.u - left.c, right.u + right.c
 
 
-def davis_b(system: System, problem) -> Tuple[float, float]:
+def davis_b(system: System, problem) -> tuple[float, float]:
     left, right = problem._sides
     # min(a, b) and max(a, b) without their calls, with the same result
     # (NaN and signed zeros included): the first argument unless the
@@ -635,7 +641,7 @@ def davis_b(system: System, problem) -> Tuple[float, float]:
     return s_left, b if b > a else a
 
 
-def toro(system: System, problem) -> Tuple[float, float]:
+def toro(system: System, problem) -> tuple[float, float]:
     """Two-rarefaction estimator: the q factors at the closed form x_rr."""
     wave = problem._wave_data
     if wave.pattern is _VACUUM:
@@ -647,58 +653,46 @@ def _no_chord_root(x_hat: float) -> ClosedFormOverflow:
     return ClosedFormOverflow(f"the chord root of the star value is not positive: {x_hat}")
 
 
-def tms(variant: EstimatorId, system: System, problem) -> Tuple[float, float]:
+def tms(variant: EstimatorId, system: System, problem) -> tuple[float, float]:
     """Interpolation bounds TMS_a-c: the q factors at a star value from a
     chord of the wave curve (a, b) or at a data value (c).  Raises the
     system's no-star error for data without a positive star value, and
     `ClosedFormOverflow` for a chord root that is not positive (overflow
     or rounding in the wave data) or a speed that is not finite."""
     (side_l, side_r), wave = problem._sides, problem._wave_data
-    if wave.pattern is _RR:  # eigenvalue speeds are exact
+    pattern = wave.pattern
+    if pattern is _RR:  # eigenvalue speeds are exact
         s_left, s_right = side_l.u - side_l.c, side_r.u + side_r.c
-        if not _NEG_INF < s_left < _INF > s_right > _NEG_INF:
-            raise _not_finite(s_left, s_right)
-        return s_left, s_right
-    if wave.pattern is _VACUUM:
+    elif pattern is _VACUUM:
         raise system.no_star_error()
-    left, right, params = problem.left, problem.right, problem.params
-    cl, cr, module = side_l.c, side_r.c, system.module
-    if wave.pattern is not _SS:  # the shock sits on the side of x_min
-        if variant is _TMS_A:
-            x_hat = module.interpolate_root((wave.x_min, wave.f_min), (wave.x_max, wave.f_max))
-        elif variant is _TMS_B:
-            x_hat = module.interpolate_root((wave.x_min, wave.f_min), (wave.x_rr, wave.f_rr))
-        else:  # TMS_C: data value of the opposite side
-            x_hat = wave.x_max
-        if not x_hat > 0.0:
-            raise _no_chord_root(x_hat)
-        if wave.pattern is _RS:
-            s_left, s_right = left.u - cl, right.u + cr * module.q_factor(x_hat, right, params)
-        else:
-            s_left, s_right = left.u - cl * module.q_factor(x_hat, left, params), right.u + cr
-    # S/S: both waves are shocks.  x_rr > x_max, so f_rr is on the shock
-    # branch of both sides.
-    elif variant is _TMS_C and system.ss_tms_c_eigen:
-        s_left, s_right = right.u - cr, left.u + cl
+    elif pattern is _SS and variant is _TMS_C and system.ss_tms_c_eigen:
+        s_left, s_right = side_r.u - side_r.c, side_l.u + side_l.c
     else:
-        if variant is _TMS_A:
-            x_hat = module.interpolate_root((wave.x_max, wave.f_max), (wave.x_rr, wave.f_rr))
-        elif variant is _TMS_B:
-            x_min, f_min = wave.x_min, wave.f_min
-            # The side with the larger data value extends its shock branch below it.
-            if system.ss_shock_extension:
+        # One star value: TMS_c's data value x_max (R/S, S/R) or x_rr (S/S), or
+        # the root of a chord.  Under S/S x_rr > x_max, so f_rr is on the
+        # shock branch of both sides.
+        ss, module, params = pattern is _SS, system.module, problem.params
+        if variant is _TMS_C:
+            x_hat = wave.x_rr if ss else wave.x_max
+        elif variant is _TMS_A and not ss:
+            x_hat = module.interpolate_root((wave.x_min, wave.f_min), (wave.x_max, wave.f_max))
+        else:  # a chord to (x_rr, f_rr)
+            node = (wave.x_max, wave.f_max) if variant is _TMS_A else (wave.x_min, wave.f_min)
+            if ss and variant is _TMS_B and system.ss_shock_extension:
+                # The side with the larger data value extends its shock branch below it.
                 try:
-                    f_min = (system.shock(x_min, side_l) + system.shock(x_min, side_r)
-                             + (right.u - left.u))
+                    node = (wave.x_min, system.shock(wave.x_min, side_l)
+                            + system.shock(wave.x_min, side_r) + (side_r.u - side_l.u))
                 except ArithmeticError:
                     raise ClosedFormOverflow("the shock branches overflow at x_min") from None
-            x_hat = module.interpolate_root((x_min, f_min), (wave.x_rr, wave.f_rr))
-        else:
-            x_hat = wave.x_rr
+            x_hat = module.interpolate_root(node, (wave.x_rr, wave.f_rr))
         if not x_hat > 0.0:
             raise _no_chord_root(x_hat)
-        s_left = left.u - cl * module.q_factor(x_hat, left, params)
-        s_right = right.u + cr * module.q_factor(x_hat, right, params)
+        # The left wave is a shock unless R/S, the right one unless S/R.
+        s_left = (side_l.u - side_l.c if pattern is _RS
+                  else side_l.u - side_l.c * module.q_factor(x_hat, problem.left, params))
+        s_right = (side_r.u + side_r.c if pattern is _SR
+                   else side_r.u + side_r.c * module.q_factor(x_hat, problem.right, params))
     if not _NEG_INF < s_left < _INF > s_right > _NEG_INF:
         raise _not_finite(s_left, s_right)
     return s_left, s_right
@@ -724,7 +718,7 @@ def speed_registry(own: Mapping) -> dict:
     return {estimator: speeds[estimator] for estimator in EstimatorId if estimator in speeds}
 
 
-def exact_speeds(system: System, problem) -> Tuple[float, float]:
+def exact_speeds(system: System, problem) -> tuple[float, float]:
     """The pair of EXACT: the extreme wave speeds of the module's
     `solve_exact`."""
     solution = system.module.solve_exact(problem)
@@ -753,7 +747,7 @@ def estimate(system: System, problem, estimator: EstimatorId) -> SpeedBounds:
 
 def speed_function(
     system: System, estimator: EstimatorId
-) -> Callable[[System, Any], Tuple[float, float]]:
+) -> Callable[[System, object], tuple[float, float]]:
     """The function fn(system, problem) -> (S_L, S_R) of `estimator`: the
     pair that `estimate` returns, without building a `SpeedBounds` or
     classifying, for loops that read only the speeds.  EXACT resolves to
@@ -768,7 +762,7 @@ def speed_function(
     return speeds
 
 
-def interpolate_root(p1: Tuple[float, float], p2: Tuple[float, float]) -> float:
+def interpolate_root(p1: tuple[float, float], p2: tuple[float, float]) -> float:
     """Root of the chord through two points of a function.
 
     For a concave-down function whose root lies between the points the
@@ -810,20 +804,23 @@ def find_root(
     bracket: RootBracket,
     fprime: Callable[[float], float],
     rel_tol: float = 1e-12,
-    x0: Optional[float] = None,
+    x0: float | None = None,
 ) -> float:
     """Root of an increasing continuous function `f` with slope `fprime`
     inside a bracket with f(lo) <= 0 <= f(hi).
 
     A Newton iteration started from `x0` (default: the endpoint with the
-    smaller |f|) that falls back to bisection whenever an iterate leaves
-    the current bracket.  Once |f| passes the residual test it returns the
-    pending Newton correction, when that lies inside the bracket and is
-    below sqrt(rel_tol) * |x| or is the third one past the test.  It
-    evaluates `fprime` at most once per iterate, and each evaluation of
-    `f` shrinks the bracket.  Raises `ValueError` unless 0 < rel_tol < 1,
-    `InvalidBracket` when f(lo) > 0 > f(hi) (a falling f), and
-    `NoConvergence` after `_MAX_ITER` iterations.
+    smaller |f|) that falls back to bisection whenever a step leaves the
+    current bracket.  Each iterate evaluates `f` and `fprime` once, and its
+    value of `f` shrinks the bracket.  It returns at four exits: an end of
+    `bracket` where f is 0; once |f| passes the residual test, the pending
+    Newton correction when that lies inside the bracket and is below
+    sqrt(rel_tol) * |x| or is the third one past the test, else the iterate
+    when it leaves the bracket; the iterate when the bracket is narrower
+    than rel_tol * |x|; and the iterate when the next one would repeat it.
+    Raises `ValueError` unless 0 < rel_tol < 1, `InvalidBracket` when
+    f(lo) > 0 > f(hi) (a falling f), and `NoConvergence` after `_MAX_ITER`
+    iterates.
     """
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
@@ -840,46 +837,32 @@ def find_root(
         x = x0
     else:
         x = lo if abs(f_lo) <= abs(f_hi) else hi
-    fx = f(x)
-    ax = abs(x)
-    x_tol = rel_tol * (1e-300 if ax < 1e-300 else ax)  # rel_tol * max(|x|, 1e-300)
     isfinite, sqrt_tol = math.isfinite, math.sqrt(rel_tol)
     corrections = 3  # Newton steps allowed past the residual test
     for _ in range(_MAX_ITER):
-        step = None  # the Newton iterate from x, once fprime(x) is known
+        fx, dfx = f(x), fprime(x)
+        step = x - fx / dfx if dfx != 0.0 and isfinite(dfx) else math.nan
+        ax = abs(x)
         if abs(fx) <= f_tol:
             # f_tol can be far above f near the root (a distant bracket
             # end), so the test can pass early.  The correction costs no
             # evaluation of f, and once it is small, Newton's quadratic
             # convergence makes the corrected value exact to rel_tol.
-            dfx = fprime(x)
-            step = x - fx / dfx if dfx != 0.0 and isfinite(dfx) else x
-            if not lo < step < hi:
+            if not lo < step < hi:  # NaN too
                 return x
             corrections -= 1
             if corrections == 0 or abs(step - x) <= sqrt_tol * ax:
                 return step
-            # Past here dfx is finite and nonzero: step == x returned above.
         if fx < 0.0:
-            lo, f_lo = x, fx
+            lo = x
         else:
-            hi, f_hi = x, fx
-        if hi - lo <= x_tol:
+            hi = x
+        if hi - lo <= rel_tol * (1e-300 if ax < 1e-300 else ax):  # rel_tol * max(|x|, 1e-300)
             return x
-        if step is None:
-            dfx = fprime(x)
-            step = x - fx / dfx if dfx != 0.0 and isfinite(dfx) else math.nan
         x_new = step if lo < step < hi else _bisect(lo, hi)
         if x_new == x:
             return x
         x = x_new
-        fx = f(x)
-        ax = abs(x)
-        x_tol = rel_tol * (1e-300 if ax < 1e-300 else ax)
-        if x - lo <= x_tol and fx * f_lo > 0:
-            return x
-        if hi - x <= x_tol and fx * f_hi > 0:
-            return x
     raise NoConvergence(f"no root to rel_tol={rel_tol} within {_MAX_ITER} iterations")
 
 

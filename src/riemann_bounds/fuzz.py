@@ -5,7 +5,6 @@ value must dominate the exact one, on large random problem ensembles."""
 from __future__ import annotations
 
 import random
-from typing import Tuple
 
 from .core import asdict, record, speed_function
 from .tables import make_problem, system_record
@@ -24,8 +23,8 @@ class FuzzViolation:
     side: str  # "s_left" | "s_right" | "star"
     estimate: float
     exact: float
-    left: Tuple[float, ...]
-    right: Tuple[float, ...]
+    left: tuple[float, ...]
+    right: tuple[float, ...]
 
 
 @record
@@ -35,7 +34,7 @@ class FuzzReport:
     system: str
     trials: int
     seed: int
-    violations: Tuple[FuzzViolation, ...]
+    violations: tuple[FuzzViolation, ...]
 
 
 def sample_problem(system: str, rng: random.Random):

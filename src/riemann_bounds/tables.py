@@ -7,7 +7,7 @@ from __future__ import annotations
 import functools
 import importlib
 import json
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections.abc import Sequence
 
 from .core import EstimatorId, System, record, speed_function
 
@@ -17,7 +17,7 @@ from .core import EstimatorId, System, record, speed_function
 #: systems it uses.
 _MODULES = {"euler": "euler", "swe": "shallow", "bfe": "bloodflow"}
 #: The records of the systems imported so far, keyed by name.
-_REGISTRY: Dict[str, System] = {}
+_REGISTRY: dict[str, System] = {}
 SYSTEMS = tuple(_MODULES)
 TABLES = ("ic", "s_left", "s_right")
 
@@ -49,7 +49,7 @@ def system_module(system: str):
 
 
 def make_problem(system: str, left: Sequence[float], right: Sequence[float],
-                 params: Optional[Dict[str, float]] = None):
+                 params: dict[str, float] | None = None):
     """Riemann problem object for a system from plain numeric data.
 
     Without overrides the problem keeps its class's default params object,
@@ -62,7 +62,7 @@ def make_problem(system: str, left: Sequence[float], right: Sequence[float],
     return record.problem_type(left_state, right_state)
 
 
-def star_values(system: str, solution) -> Dict[str, float]:
+def star_values(system: str, solution) -> dict[str, float]:
     """Star-region values of an exact solution keyed like the reference."""
     field = system_record(system).star_field
     return {field: getattr(solution, field), "u_star": solution.u_star}
@@ -92,9 +92,9 @@ class CellCheck:
 
     test_id: int
     column: str
-    expected: Optional[float]
-    computed: Optional[float]
-    deviation: Optional[float]
+    expected: float | None
+    computed: float | None
+    deviation: float | None
     status: str  # "ok" | "fail" | "skipped"
     note: str = ""
 
@@ -105,12 +105,12 @@ class TableReport:
 
     system: str
     table: str
-    cells: Tuple[CellCheck, ...]
+    cells: tuple[CellCheck, ...]
     max_deviation: float
     passed: bool
 
 
-def _speed_columns(record: System, ref: dict) -> List[tuple]:
+def _speed_columns(record: System, ref: dict) -> list[tuple]:
     """The columns of a speed table, each resolved once per table:
     (column, the note of an unimplemented column or None, the column's
     `speed_function` or None)."""
@@ -120,8 +120,8 @@ def _speed_columns(record: System, ref: dict) -> List[tuple]:
             for column in ref["columns"]]
 
 
-def _speed_cells(record: System, columns: List[tuple], test: dict,
-                 side: str) -> List[CellCheck]:
+def _speed_cells(record: System, columns: list[tuple], test: dict,
+                 side: str) -> list[CellCheck]:
     """One row of a speed table: each column's speed pair read from its
     function (`_speed_columns`)."""
     problem = make_problem(record.name, test["left"], test["right"])
@@ -146,7 +146,7 @@ def _speed_cells(record: System, columns: List[tuple], test: dict,
     return cells
 
 
-def _ic_cells(system: str, ref: dict, test: dict) -> List[CellCheck]:
+def _ic_cells(system: str, ref: dict, test: dict) -> list[CellCheck]:
     module = system_module(system)
     problem = make_problem(system, test["left"], test["right"])
     solution = module.solve_exact(problem)
@@ -180,7 +180,7 @@ def reproduce(system: str, table: str) -> TableReport:
     if table not in TABLES:
         raise ValueError(f"unknown table {table!r}")
     ref = load_reference(system)
-    cells: List[CellCheck] = []
+    cells: list[CellCheck] = []
     if table == "ic":
         for test in ref["tests"]:
             cells.extend(_ic_cells(system, ref, test))
@@ -199,7 +199,7 @@ def reproduce(system: str, table: str) -> TableReport:
     )
 
 
-def bound_violations(test: dict, side: str) -> List[str]:
+def bound_violations(test: dict, side: str) -> list[str]:
     """Published estimates of one table row that fail to bound the exact speed.
 
     An entry violates the lower bound when it exceeds the exact minimal

@@ -238,6 +238,38 @@ class TestBounds:
         _, second, _ = run(capsys, *args)
         assert first == second
 
+    def test_sod_exact_pair_inside_tms_b_and_patterns_on_exact_and_tms_rows(self, capsys):
+        code, out, _ = run(capsys, "bounds", "--system", "euler", "--left", "1,0,1",
+                           "--right", "0.125,0,0.1", "--format", "json")
+        assert code == 0
+        rows = {r["estimator"]: r for r in json.loads(out)["results"]}
+        exact, tms_b = rows["exact"], rows["tms_b"]
+        assert tms_b["s_left"] <= exact["s_left"] and exact["s_right"] <= tms_b["s_right"]
+        assert {k for k, r in rows.items() if r["pattern"] is not None} == {
+            k for k in rows if k == "exact" or k.startswith("tms_")}
+
+    @pytest.mark.parametrize("system, left, right, estimators", [
+        # S/R with A*/A_L - 1 near 1e-8: a shock weak enough to cancel in
+        # (y^1.5 - 1)/(y - 1).
+        ("bfe", "0.3857900568839984,-124.41788759076593",
+         "1.110419021897587,-13.885933579728686",
+         ("toro", "tms_a", "tms_b", "tms_c", "tms_d")),
+        # S/R with rho_R near 1e257, where A_K/(p + B_K) underflows.
+        ("euler", "3.35140239615322e+229,9614.871707839637,3.939094590922741e+230",
+         "1.6194710822460035e+257,-8366.027878089182,2.2309770306664407e+259",
+         ("toro", "tms_a", "tms_b", "tms_c")),
+    ], ids=["bfe-weak-shock", "euler-dense-side"])
+    def test_reproducer_exact_pair_inside_every_bound(self, capsys, system, left, right,
+                                                      estimators):
+        code, out, _ = run(capsys, "bounds", "--system", system, "--left", left,
+                           "--right", right, "--format", "json")
+        assert code == 0
+        rows = {r["estimator"]: r for r in json.loads(out)["results"]}
+        exact = rows["exact"]
+        outside = [k for k in estimators if not (rows[k]["s_left"] <= exact["s_left"]
+                                                 and exact["s_right"] <= rows[k]["s_right"])]
+        assert not outside, (exact, {k: rows[k] for k in outside})
+
 
 class TestReproduce:
     @pytest.mark.parametrize("system", ("euler", "swe", "bfe"))
@@ -255,6 +287,15 @@ class TestReproduce:
         payload = json.loads(out)
         assert payload["passed"] is True
         assert payload["max_deviation"] <= 1e-3
+
+    def test_ic_json_cells_carry_the_cell_check_keys(self, capsys):
+        code, out, _ = run(capsys, "reproduce", "--system", "euler", "--table", "ic",
+                           "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        keys = {"test_id", "column", "expected", "computed", "deviation", "status", "note"}
+        assert payload["passed"] is True and payload["cells"]
+        assert [c for c in payload["cells"] if set(c) != keys] == []
 
     def test_skipped_cells_annotated(self, capsys):
         code, out, _ = run(capsys, "reproduce", "--system", "euler",
@@ -294,6 +335,13 @@ class TestFuzz:
         payload = json.loads(out)
         assert payload == {"system": "bfe", "trials": 25, "seed": 7,
                            "violations": []}
+
+    def test_json_report_of_a_default_seed_run(self, capsys):
+        code, out, _ = run(capsys, "fuzz", "--system", "euler", "--count", "100",
+                           "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["trials"], payload["violations"]) == (100, [])
 
 
     @pytest.mark.parametrize("fmt", ("md", "json", "csv"))
@@ -393,8 +441,10 @@ class TestColdImports:
 
     def test_json_calls_import_no_dataclass_machinery(self):
         # The records are built without `dataclasses` (and the `inspect`,
-        # `ast` and `tokenize` it imports): a stray import of any of them,
-        # or of numpy, would undo most of what a cold call saves.
+        # `ast` and `tokenize` it imports), and annotations need no
+        # `typing`: a stray import of any of them, or of numpy, would undo
+        # most of what a cold call saves.  (`reproduce` imports `typing`
+        # through `importlib.resources`.)
         # Modules loaded by importlib.import_module, as the system modules
         # are, do not show in `-X importtime`; sys.modules lists them.
         code = """if True:
@@ -405,7 +455,7 @@ class TestColdImports:
                                  "--right", "0.125,0,0.1", "--format", "json"]) == 0
                 assert cli.main(["fuzz", "--system", "euler", "--count", "100",
                                  "--format", "json"]) == 0
-            print(*sorted({"dataclasses", "inspect", "numpy"} & set(sys.modules)))
+            print(*sorted({"dataclasses", "inspect", "numpy", "typing"} & set(sys.modules)))
         """
         done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                               text=True, check=True,

@@ -468,6 +468,16 @@ class TestLaneKernel:
         run_fuzz("swe", KERNEL_MIN_COUNT, 3)
         assert sizes == []
 
+    def test_a_chunk_shares_one_params_object(self):
+        # `sample_problem` gives every problem the class-default params; the
+        # kernel reads one params object per chunk and refuses a second one.
+        rng = random.Random(3)
+        chunk = [sample_problem("swe", rng) for _ in range(3)]
+        chunk[1] = tables.make_problem("swe", values(chunk[1].left), values(chunk[1].right),
+                                       {"g": 9.0})
+        with pytest.raises(ValueError, match="one params object"):
+            fuzz._lane_kernel().scalar_lanes(tables.system_record("swe"), chunk, fuzz.REL_SLACK)
+
     @pytest.mark.parametrize("system", ("euler", "swe", "bfe"))
     def test_lanes_match_the_scalar_path(self, system):
         # The kernel against the scalar path on the first 20 000 acceptance
