@@ -5,24 +5,12 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import sys
 from collections.abc import Sequence
 
-from .core import (
-    CollapseData,
-    DryBed,
-    EstimatorId,
-    RiemannBoundsError,
-    SpeedBounds,
-    System,
-    UnsupportedEstimator,
-    VacuumData,
-    asdict,
-    fields,
-)
-from . import tables
-from .tables import make_problem, star_values, system_record
+from .core import (SYSTEMS, TABLES, CollapseData, DryBed, EstimatorId, RiemannBoundsError,
+                   SpeedBounds, System, UnsupportedEstimator, VacuumData, asdict, fields,
+                   make_problem, star_values, system_record)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -97,6 +85,8 @@ def _emit(args, payload: dict, header: Sequence[str],
     header and rows for csv, and for md the command's own text, or the
     rows as a Markdown table when it passes none."""
     if args.format == "json":
+        import json
+
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":
         import csv
@@ -184,7 +174,9 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    report = tables.reproduce(args.system, args.table)
+    from .tables import reproduce
+
+    report = reproduce(args.system, args.table)
     payload = {
         "system": report.system,
         "table": report.table,
@@ -237,7 +229,7 @@ def _build_parser() -> _Parser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     def add_common(sub, states: bool):
-        sub.add_argument("--system", required=True, choices=tables.SYSTEMS)
+        sub.add_argument("--system", required=True, choices=SYSTEMS)
         sub.add_argument("--format", choices=("md", "csv", "json"),
                          default="md")
         if states:
@@ -259,8 +251,7 @@ def _build_parser() -> _Parser:
     sub = subparsers.add_parser("reproduce",
                                 help="recompute a published table")
     add_common(sub, states=False)
-    sub.add_argument("--table", required=True,
-                     choices=tables.TABLES)
+    sub.add_argument("--table", required=True, choices=TABLES)
     sub.set_defaults(func=_cmd_reproduce)
 
     sub = subparsers.add_parser("fuzz", help="randomized bound checking")

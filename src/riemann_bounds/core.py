@@ -1,14 +1,15 @@
 """System-agnostic scaffolding: wave patterns, estimator ids, the `System`
-record that describes one system, the estimators shared by all systems,
-root finding, linear interpolation of wave-curve functions and the
-Courant time step."""
+record that describes one system and the registry of the three, the
+estimators shared by all systems, root finding, linear interpolation of
+wave-curve functions and the Courant time step."""
 
 from __future__ import annotations
 
 import enum
+import importlib
 import math
 import sys
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import partial
 from types import ModuleType
 
@@ -291,9 +292,9 @@ class WaveData:
 @record
 class System:
     """One hyperbolic system, described once for the shared code below, the
-    registry in `tables`, the fuzzer and the CLI.  The CLI's constant flags
-    are not part of it: `cli` keeps them in a table of its own, so that its
-    parser is built without importing any system module.
+    registry after it (`system_record`), the fuzzer and the CLI.  The CLI's
+    constant flags are not part of it: `cli` keeps them in a table of its
+    own, so that its parser is built without importing any system module.
 
     A system module holds only its physics and `solve_exact`, and binds
     the surface written once below under its public names: `classify`,
@@ -382,6 +383,56 @@ class System:
     def unsupported_error(self, estimator: EstimatorId) -> UnsupportedEstimator:
         return UnsupportedEstimator(
             f"{estimator.value} is not defined for the {self.title} system")
+
+
+#: The module of each system, keyed by name; each module describes its
+#: system once, in its `SYSTEM` record.  A module is imported by the first
+#: `system_record` call for its system, so that a process imports only the
+#: systems it uses.
+_MODULES = {"euler": "euler", "swe": "shallow", "bfe": "bloodflow"}
+#: The records of the systems imported so far, keyed by name.
+_REGISTRY: dict[str, System] = {}
+SYSTEMS = tuple(_MODULES)
+#: The golden tables of `tables.reproduce`, which the CLI parser offers.
+TABLES = ("ic", "s_left", "s_right")
+
+
+def system_record(system: str) -> System:
+    """`System` record of the named system; the first call for a system
+    imports its module."""
+    try:
+        return _REGISTRY[system]
+    except KeyError:
+        if system not in _MODULES:
+            raise ValueError(f"unknown system {system!r}") from None
+    record = importlib.import_module(f"{__package__}.{_MODULES[system]}").SYSTEM
+    _REGISTRY[system] = record
+    return record
+
+
+def system_module(system: str):
+    """Solver module implementing the named system."""
+    return system_record(system).module
+
+
+def make_problem(system: str, left: Sequence[float], right: Sequence[float],
+                 params: dict[str, float] | None = None):
+    """Riemann problem object for a system from plain numeric data.
+
+    Without overrides the problem keeps its class's default params object,
+    shared by all such problems (params are frozen).
+    """
+    record = system_record(system)
+    left_state, right_state = record.state_type(*left), record.state_type(*right)
+    if params:
+        return record.problem_type(left_state, right_state, record.params_type(**params))
+    return record.problem_type(left_state, right_state)
+
+
+def star_values(system: str, solution) -> dict[str, float]:
+    """Star-region values of an exact solution keyed like the reference."""
+    field = system_record(system).star_field
+    return {field: getattr(solution, field), "u_star": solution.u_star}
 
 
 def wave_curves(system: System):

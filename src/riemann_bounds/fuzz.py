@@ -6,8 +6,7 @@ from __future__ import annotations
 
 import random
 
-from .core import asdict, record, speed_function
-from .tables import make_problem, system_record
+from .core import asdict, make_problem, record, speed_function, system_record
 
 #: Relative slack applied to every comparison, scaled by the problem's
 #: speed magnitude; absorbs root-finder and floating-point round-off.

@@ -1,25 +1,18 @@
 """Reference-table reproduction: embedded golden tables for the three
 systems, per-cell diffing of recomputed values, and classification of
-which published estimates fail to bound the exact wave speeds."""
+which published estimates fail to bound the exact wave speeds.
+
+The system registry (`system_record`, `make_problem`, ...) lives in
+`core`, so that only the CLI's `reproduce` imports this module; its names
+stay here for callers that reach them as `tables.*`."""
 
 from __future__ import annotations
 
 import functools
-import importlib
 import json
-from collections.abc import Sequence
 
-from .core import EstimatorId, System, record, speed_function
-
-#: The module of each system, keyed by name; each module describes its
-#: system once, in its `SYSTEM` record.  A module is imported by the first
-#: `system_record` call for its system, so that a process imports only the
-#: systems it uses.
-_MODULES = {"euler": "euler", "swe": "shallow", "bfe": "bloodflow"}
-#: The records of the systems imported so far, keyed by name.
-_REGISTRY: dict[str, System] = {}
-SYSTEMS = tuple(_MODULES)
-TABLES = ("ic", "s_left", "s_right")
+from .core import (SYSTEMS, TABLES, EstimatorId, System, make_problem, record,
+                   speed_function, star_values, system_module, system_record)
 
 #: |computed - published| tolerance floor for speed cells; the published
 #: tables carry four decimals, so deviations below this are rounding noise.
@@ -28,44 +21,6 @@ CELL_TOL_REL = 1e-6
 
 #: Margin when deciding whether a published estimate violates a bound.
 VIOLATION_TOL = 1e-3
-
-
-def system_record(system: str) -> System:
-    """`System` record of the named system; the first call for a system
-    imports its module."""
-    try:
-        return _REGISTRY[system]
-    except KeyError:
-        if system not in _MODULES:
-            raise ValueError(f"unknown system {system!r}") from None
-    record = importlib.import_module(f"{__package__}.{_MODULES[system]}").SYSTEM
-    _REGISTRY[system] = record
-    return record
-
-
-def system_module(system: str):
-    """Solver module implementing the named system."""
-    return system_record(system).module
-
-
-def make_problem(system: str, left: Sequence[float], right: Sequence[float],
-                 params: dict[str, float] | None = None):
-    """Riemann problem object for a system from plain numeric data.
-
-    Without overrides the problem keeps its class's default params object,
-    shared by all such problems (params are frozen).
-    """
-    record = system_record(system)
-    left_state, right_state = record.state_type(*left), record.state_type(*right)
-    if params:
-        return record.problem_type(left_state, right_state, record.params_type(**params))
-    return record.problem_type(left_state, right_state)
-
-
-def star_values(system: str, solution) -> dict[str, float]:
-    """Star-region values of an exact solution keyed like the reference."""
-    field = system_record(system).star_field
-    return {field: getattr(solution, field), "u_star": solution.u_star}
 
 
 @functools.cache

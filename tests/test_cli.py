@@ -400,10 +400,9 @@ import sys
 from riemann_bounds import cli
 code = cli.main(sys.argv[1:])
 print(code, *sorted(m for m in sys.modules if m.split(".")[0] == "riemann_bounds"
-                    or m in ("csv", "importlib.resources", "numpy", "dataclasses", "inspect")))
+                    or m in ("csv", "json", "importlib.resources", "numpy", "dataclasses", "inspect")))
 """
-COLD_BASE = {"riemann_bounds", "riemann_bounds.core", "riemann_bounds.tables",
-             "riemann_bounds.cli"}
+COLD_BASE = {"riemann_bounds", "riemann_bounds.core", "riemann_bounds.cli"}
 SYSTEM_MODULE = {"euler": "riemann_bounds.euler", "swe": "riemann_bounds.shallow",
                  "bfe": "riemann_bounds.bloodflow"}
 STATES = {"euler": ("1,0,1", "1,0,0.1"), "swe": ("1,-5", "1,5"), "bfe": ("3.14,-10", "3.14,20")}
@@ -422,7 +421,8 @@ def cold_modules(*argv):
 
 class TestColdImports:
     """A call imports the system it names and the code of its subcommand,
-    and no other system module."""
+    and no other system module; only `reproduce` imports the golden-table
+    module, and only `--format json` the `json` module."""
 
     @pytest.mark.parametrize("command", ["exact", "bounds"])
     @pytest.mark.parametrize("system", tables.SYSTEMS)
@@ -432,12 +432,33 @@ class TestColdImports:
                             "--right", right) == COLD_BASE | {SYSTEM_MODULE[system]}
 
     def test_only_reproduce_reads_the_embedded_tables(self):
+        # The embedded tables are json files, whatever the --format.
         assert cold_modules("reproduce", "--system", "bfe", "--table", "s_left") == (
-            COLD_BASE | {"riemann_bounds.bloodflow", "importlib.resources"})
+            COLD_BASE | {"riemann_bounds.bloodflow", "riemann_bounds.tables", "json",
+                         "importlib.resources"})
 
     def test_a_short_fuzz_imports_neither_the_lane_kernel_nor_numpy(self):
         assert cold_modules("fuzz", "--system", "euler", "--count", "5") == (
             COLD_BASE | {"riemann_bounds.euler", "riemann_bounds.fuzz"})
+
+    @pytest.mark.parametrize("format_", ["csv", "json"])
+    def test_a_csv_or_json_call_imports_its_format_module_alone(self, format_):
+        assert cold_modules("exact", "--system", "euler", "--left", "1,0,1",
+                            "--right", "0.125,0,0.1", "--format", format_) == (
+            COLD_BASE | {"riemann_bounds.euler", format_})
+
+    def test_run_fuzz_imports_no_golden_tables(self):
+        # `fuzz` reaches the system registry in `core`, not in `tables`.
+        code = """if True:
+            import sys
+            from riemann_bounds import fuzz
+            fuzz.run_fuzz("euler", 5, 0)
+            print("riemann_bounds.tables" in sys.modules)
+        """
+        done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                              text=True, check=True,
+                              env={"PYTHONPATH": str(riemann_bounds.__path__[0] + "/..")})
+        assert done.stdout.strip() == "False", done.stdout
 
     def test_json_calls_import_no_dataclass_machinery(self):
         # The records are built without `dataclasses` (and the `inspect`,

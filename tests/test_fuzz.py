@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import riemann_bounds
-from riemann_bounds import bloodflow, euler, fuzz, shallow, tables
+from riemann_bounds import bloodflow, core, euler, fuzz, shallow, tables
 from riemann_bounds.core import (
     EstimatorId,
     UnsupportedEstimator,
@@ -52,7 +52,7 @@ def with_bound_estimators(monkeypatch, system, estimators):
     """Put a copy of the system's record whose `bound_estimators` are
     `estimators` in the registry, so that `run_fuzz` checks those."""
     record = replace(tables.system_record(system), bound_estimators=estimators)
-    monkeypatch.setitem(tables._REGISTRY, system, record)
+    monkeypatch.setitem(core._REGISTRY, system, record)
 
 
 def sample_by_building(system, rng):
@@ -178,7 +178,7 @@ class TestSampleProblem:
             getattr(module, record.two_rarefaction)(problem)
 
         draws = iter(states(lhs) + states(below))
-        monkeypatch.setitem(tables._REGISTRY, system,
+        monkeypatch.setitem(core._REGISTRY, system,
                             replace(record, draw=lambda rng: next(draws)))
         problem = sample_problem(system, random.Random(0))
         assert problem == tables.make_problem(system, *states(below))

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from riemann_bounds import tables
+from riemann_bounds import core, tables
 from riemann_bounds.core import EstimatorId
 
 
@@ -119,3 +119,10 @@ class TestGlue:
         solution = tables.system_module("swe").solve_exact(prob)
         star = tables.star_values("swe", solution)
         assert set(star) == {"h_star", "u_star"}
+
+    @pytest.mark.parametrize("name", ["system_record", "system_module", "make_problem",
+                                      "star_values", "SYSTEMS", "TABLES"])
+    def test_the_registry_names_of_tables_are_those_of_core(self, name):
+        # The registry lives in `core`; callers that reach it as `tables.*`
+        # (the benchmark's workloads, tools/output_digest.py) get the same objects.
+        assert getattr(tables, name) is getattr(core, name)
