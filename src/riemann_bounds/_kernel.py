@@ -18,12 +18,14 @@ lane passes.  A lane passes here only when it is clean:
 The formulas are the scalar ones: the side record, the branch functions,
 the closed form, the shock factor and the TMS_d pair of each `System`
 record, and `core.chord_start`, take arrays (`sqrt=numpy.sqrt`, states of
-arrays; a chunk shares one params object).  Only what branches on a value
-has its array form here: the choice between a side's two branches, the
-pattern, the bracket, the choice of the start, the Newton iteration, the
-speeds and TMS_a-c.  The Newton iteration is `core.find_root`'s loop over
-lanes, to the same tolerance, `core.STAR_TOL`; the two differ only in their
-exits.
+arrays; a chunk shares one params object); the TMS_d pair takes the
+`_Lanes` object as its problem.  The kernel checks the `bound_estimators`
+of the record it is given, which may be a copy of the problems' own.
+Only what branches on a value has its array form here: the choice between
+a side's two branches, the pattern, the bracket, the choice of the start,
+the Newton iteration, the speeds and TMS_a-c.  The Newton iteration is
+`core.find_root`'s loop over lanes, to the same tolerance,
+`core.STAR_TOL`; the two differ only in their exits.
 """
 
 from __future__ import annotations
@@ -219,7 +221,7 @@ class _Lanes:
             x_rr = self.x_rr
             return self.speeds(x_rr, x_rr > self.left.x, x_rr > self.right.x)
         if estimator is EstimatorId.TMS_D:
-            return self.system.speeds[estimator](self.system, self, np.minimum, np.maximum)
+            return self.system.speeds[estimator](self, np.minimum, np.maximum)
         return self.tms(estimator)
 
     @np.errstate(all="ignore")

@@ -160,17 +160,17 @@ def solve_exact(problem: BfeProblem) -> BfeExactSolution:
     """
     pattern = classify(problem)
     left, right = problem.left, problem.right
-    a_star = solve_star(SYSTEM, problem)
-    u_star = 0.5 * (left.u + right.u) + 0.5 * core.side_difference(SYSTEM, problem, a_star)
-    return BfeExactSolution(a_star, u_star, pattern, *star_speeds(SYSTEM, problem, a_star))
+    a_star = solve_star(problem)
+    u_star = 0.5 * (left.u + right.u) + 0.5 * core.side_difference(problem, a_star)
+    return BfeExactSolution(a_star, u_star, pattern, *star_speeds(problem, a_star))
 
 
-def _tms_d(system: System, problem: BfeProblem, minimum=min, maximum=max):
+def _tms_d(problem: BfeProblem, minimum=min, maximum=max):
     # The crude opposite-side term is the front speed of a rarefaction
     # expanding into a near-empty vessel with floor area 1e-12 cm^2,
     # u -/+ 4(c - c_floor), rather than the full-vacuum limit u -/+ 4c.
     if problem._wave_data.pattern is _VACUUM:
-        raise system.no_star_error()
+        raise problem._system.no_star_error()
     left, right = problem._sides
     cl, cr = left.c, right.c
     c_floor = left.zeta * _VACUUM_FLOOR_AREA**0.25
@@ -212,8 +212,8 @@ SYSTEM = System(
 )
 
 area_function, area_function_deriv = core.wave_curves(SYSTEM)
-is_open = core.bind(SYSTEM, core.positive, "is_open")
-two_rarefaction_area = core.bind(SYSTEM, core.two_rarefaction, SYSTEM.two_rarefaction)
-estimate = core.bind(SYSTEM, core.estimate, "estimate")
+is_open = core.positive
+two_rarefaction_area = core.two_rarefaction
+estimate = core.estimate
 BfeProblem._system = SYSTEM
 ESTIMATORS = tuple(SYSTEM.speeds)

@@ -298,18 +298,20 @@ class System:
 
     A system module holds only its physics and `solve_exact`, and binds
     the surface written once below under its public names: `classify`,
-    the wave curve and its slope (`wave_curves`), and `estimate` and
-    `two_rarefaction` given this record.  Shared code reaches `classify`,
-    `q_factor`, `interpolate_root`, `find_root`, `solve_exact` and the
-    functions named by `curve` and `two_rarefaction` as attributes of
-    `module` when it runs, so that replacing them on the module (to count
-    or time calls) takes effect.  A problem's `_sides` is the pair of
-    `side` records of its two states.  The celerity and the positivity
-    condition are each written once per system, in `celerity` and
-    `positivity`: the side record (blood flow's multiplies the two factors
-    it keeps, with `celerity`'s bits), the public positivity test
-    (`positive` below), the guard of `two_rarefaction` (the one test of
-    `wave_data`) and `fuzz.sample_problem` all call them.
+    the wave curve and its slope (`wave_curves`), `estimate`, the
+    positivity test and the two-rarefaction function, which take a problem
+    alone and read this record as the problem type's `_system`.
+    Shared code reaches `classify`, `q_factor`, `interpolate_root`,
+    `find_root`, `solve_exact` and the functions named by `curve` and
+    `two_rarefaction` as attributes of `module` when it runs, so that
+    replacing them on the module (to count or time calls) takes effect.  A
+    problem's `_sides` is the pair of `side` records of its two states.
+    The celerity and the positivity condition are each written once per
+    system, in `celerity` and `positivity`: the side record (blood flow's
+    multiplies the two factors it keeps, with `celerity`'s bits), the
+    public positivity test (`positive` below), the guard of
+    `two_rarefaction` (the one test of `wave_data`) and
+    `fuzz.sample_problem` all call them.
     """
 
     name: str  # registry key and CLI --system value
@@ -344,7 +346,7 @@ class System:
     #: a positive star value: the formula of `two_rarefaction`.
     rr_closed_form: Callable[[object, object, object], float]
     draw: Callable[[object], tuple[float, ...]]  # one state of the fuzz ensemble from an rng
-    #: Each estimator id to its pair function fn(system, problem) -> (S_L, S_R),
+    #: Each estimator id to its pair function fn(problem) -> (S_L, S_R),
     #: from `speed_registry`; its key order is the module's `ESTIMATORS`.
     #: `estimate` wraps the pair in a `SpeedBounds`; `fuzz.run_fuzz` and
     #: `tables._speed_cells` read it through `speed_function`.
@@ -370,7 +372,7 @@ class System:
     bound_estimators: tuple[EstimatorId, ...]
 
     def __repr__(self) -> str:
-        # The field repr prints every field: 2 KB, in each bound function's too.
+        # The field repr prints every field, the registry and module included: 2 KB.
         return f"System({self.name!r})"
 
     @property
@@ -461,26 +463,15 @@ def wave_curves(system: System):
     return curve, slope
 
 
-def bind(system: System, func: Callable, name: str) -> Callable:
-    """`func` with `system` bound as its first argument, named `name` in the
-    system's module as `wave_curves` names the curves: an unnamed partial
-    reads as `functools.partial` in help() and in test ids."""
-    bound = partial(func, system)
-    bound.__name__ = bound.__qualname__ = name
-    bound.__module__ = system.module.__name__
-    bound.__doc__ = func.__doc__
-    return bound
-
-
-def side_difference(system: System, problem, x: float) -> float:
+def side_difference(problem, x: float) -> float:
     """f_R(x) - f_L(x), the difference of the wave curve's side terms that
     u* = (u_L + u_R)/2 + (f_R(p*) - f_L(p*))/2 is computed from."""
-    left, right = problem._sides
+    (left, right), system = problem._sides, problem._system
     return ((system.shock(x, right) if x > right.x else system.rarefaction(x, right))
             - (system.shock(x, left) if x > left.x else system.rarefaction(x, left)))
 
 
-def positive(system: System, problem) -> bool:
+def positive(problem) -> bool:
     """True when the data leave a positive star value: no vacuum (Euler),
     no dry bed (shallow water), no vessel collapse (blood flow).  Each
     module binds it under its own name (`check_positivity`, `is_wet`,
@@ -488,16 +479,16 @@ def positive(system: System, problem) -> bool:
     building them raises (`ClosedFormOverflow` for a side constant past
     the float range)."""
     left, right = problem._sides
-    return system.positivity(left.c, right.c, right.u - left.u, problem.params)
+    return problem._system.positivity(left.c, right.c, right.u - left.u, problem.params)
 
 
-def two_rarefaction(system: System, problem) -> float:
-    """Closed-form star value assuming both waves are rarefactions,
-    `system.rr_closed_form`; each module binds it under the name
-    `system.two_rarefaction`.  Raises the system's no-star error for data
+def two_rarefaction(problem) -> float:
+    """Closed-form star value assuming both waves are rarefactions, the
+    system's `rr_closed_form`; each module binds it under the name in its
+    record's `two_rarefaction`.  Raises the system's no-star error for data
     without a positive star value and `ClosedFormOverflow` when the value
     exceeds the float range."""
-    (left, right), params = problem._sides, problem.params
+    (left, right), params, system = problem._sides, problem.params, problem._system
     if not system.positivity(left.c, right.c, right.u - left.u, params):
         raise system.no_star_error()
     try:
@@ -507,7 +498,7 @@ def two_rarefaction(system: System, problem) -> float:
                                  f"{params}") from None
 
 
-def wave_data(system: System, problem) -> WaveData:
+def wave_data(problem) -> WaveData:
     """Wave data of `problem` from the signs of the wave-curve function at
     the data values, without solving for the star state.
 
@@ -517,15 +508,15 @@ def wave_data(system: System, problem) -> WaveData:
     finite, or when evaluating one raises an arithmetic error (overflow, or
     a division by a product that underflowed to zero).
     """
-    (left, right), module = problem._sides, system.module
+    (left, right), system = problem._sides, problem._system
     x_left, x_right = left.x, right.x
     right_min = x_right <= x_left
     x_min, x_max = (x_right, x_left) if right_min else (x_left, x_right)
     nan = math.nan
-    curve, isfinite = getattr(module, system.curve), math.isfinite
+    curve, isfinite = getattr(system.module, system.curve), math.isfinite
     try:
         try:
-            x_rr = getattr(module, system.two_rarefaction)(problem)
+            x_rr = getattr(system.module, system.two_rarefaction)(problem)
         except system.no_star:  # from its positivity guard
             return WaveData(x_min, x_max, nan, nan, nan, nan, _VACUUM)
         f_min = curve(x_min, problem)
@@ -559,7 +550,7 @@ class Problem:
     @cached_attribute
     def _wave_data(self) -> WaveData:
         """The problem's `wave_data`."""
-        return wave_data(self._system, self)
+        return wave_data(self)
 
 
 def classify(problem) -> WavePattern:
@@ -631,14 +622,15 @@ def star_start(system: System, wave: WaveData, bracket: RootBracket) -> float:
 STAR_TOL = 1e-12
 
 
-def solve_star(system: System, problem) -> float:
+def solve_star(problem) -> float:
     """Star value of a problem to a relative tolerance of `STAR_TOL`: Newton
     inside the bracket that the wave pattern gives (`star_bracket`), from
     the start `star_start` picks.
     Raises the system's no-star error for data without a positive star
     value, and `ClosedFormOverflow` when an evaluation raises an
     arithmetic error."""
-    wave, module, (left, right) = problem._wave_data, system.module, problem._sides
+    wave, system, (left, right) = problem._wave_data, problem._system, problem._sides
+    module = system.module
     if wave.pattern is _VACUUM:
         raise system.no_star_error()
     curve = getattr(module, system.curve)
@@ -661,27 +653,27 @@ def _not_finite(s_left: float, s_right: float) -> ClosedFormOverflow:
     return ClosedFormOverflow(f"wave speeds are not finite: S_L = {s_left}, S_R = {s_right}")
 
 
-def star_speeds(system: System, problem, x: float) -> tuple[float, float]:
+def star_speeds(problem, x: float) -> tuple[float, float]:
     """(S_L, S_R) for star value x: on a side whose data value x exceeds
     the wave is a shock, u_K -/+ c_K q_K(x), otherwise a rarefaction
     headed by the eigenvalue u_K -/+ c_K.  Raises `ClosedFormOverflow`
     for a speed that is not finite."""
-    left, right = problem._sides
+    (left, right), module = problem._sides, problem._system.module
     s_left = (left.u - left.c if x <= left.x
-              else left.u - left.c * system.module.q_factor(x, problem.left, problem.params))
+              else left.u - left.c * module.q_factor(x, problem.left, problem.params))
     s_right = (right.u + right.c if x <= right.x
-               else right.u + right.c * system.module.q_factor(x, problem.right, problem.params))
+               else right.u + right.c * module.q_factor(x, problem.right, problem.params))
     if not _NEG_INF < s_left < _INF > s_right > _NEG_INF:  # NaN fails every comparison
         raise _not_finite(s_left, s_right)
     return s_left, s_right
 
 
-def davis_a(system: System, problem) -> tuple[float, float]:
+def davis_a(problem) -> tuple[float, float]:
     left, right = problem._sides
     return left.u - left.c, right.u + right.c
 
 
-def davis_b(system: System, problem) -> tuple[float, float]:
+def davis_b(problem) -> tuple[float, float]:
     left, right = problem._sides
     # min(a, b) and max(a, b) without their calls, with the same result
     # (NaN and signed zeros included): the first argument unless the
@@ -692,25 +684,25 @@ def davis_b(system: System, problem) -> tuple[float, float]:
     return s_left, b if b > a else a
 
 
-def toro(system: System, problem) -> tuple[float, float]:
+def toro(problem) -> tuple[float, float]:
     """Two-rarefaction estimator: the q factors at the closed form x_rr."""
     wave = problem._wave_data
     if wave.pattern is _VACUUM:
-        raise system.no_star_error()
-    return star_speeds(system, problem, wave.x_rr)
+        raise problem._system.no_star_error()
+    return star_speeds(problem, wave.x_rr)
 
 
 def _no_chord_root(x_hat: float) -> ClosedFormOverflow:
     return ClosedFormOverflow(f"the chord root of the star value is not positive: {x_hat}")
 
 
-def tms(variant: EstimatorId, system: System, problem) -> tuple[float, float]:
+def tms(variant: EstimatorId, problem) -> tuple[float, float]:
     """Interpolation bounds TMS_a-c: the q factors at a star value from a
     chord of the wave curve (a, b) or at a data value (c).  Raises the
     system's no-star error for data without a positive star value, and
     `ClosedFormOverflow` for a chord root that is not positive (overflow
     or rounding in the wave data) or a speed that is not finite."""
-    (side_l, side_r), wave = problem._sides, problem._wave_data
+    (side_l, side_r), wave, system = problem._sides, problem._wave_data, problem._system
     pattern = wave.pattern
     if pattern is _RR:  # eigenvalue speeds are exact
         s_left, s_right = side_l.u - side_l.c, side_r.u + side_r.c
@@ -752,10 +744,10 @@ def tms(variant: EstimatorId, system: System, problem) -> tuple[float, float]:
 def speed_registry(own: Mapping) -> dict:
     """The estimators all systems share and a system's `own` ones, in
     `EstimatorId` order, each mapped to its pair function
-    fn(system, problem) -> (S_L, S_R).  A function that needs a positive
-    star value (TORO, TMS) raises the system's no-star error itself for
-    data without one, so that a caller of the pair alone sees what
-    `estimate` raises."""
+    fn(problem) -> (S_L, S_R), which reads the system from the problem.  A
+    function that needs a positive star value (TORO, TMS) raises the
+    system's no-star error itself for data without one, so that a caller
+    of the pair alone sees what `estimate` raises."""
     speeds = {
         EstimatorId.DAVIS_A: davis_a,
         EstimatorId.DAVIS_B: davis_b,
@@ -769,21 +761,22 @@ def speed_registry(own: Mapping) -> dict:
     return {estimator: speeds[estimator] for estimator in EstimatorId if estimator in speeds}
 
 
-def exact_speeds(system: System, problem) -> tuple[float, float]:
+def exact_speeds(problem) -> tuple[float, float]:
     """The pair of EXACT: the extreme wave speeds of the module's
     `solve_exact`."""
-    solution = system.module.solve_exact(problem)
+    solution = problem._system.module.solve_exact(problem)
     return solution.s_left, solution.s_right
 
 
-def estimate(system: System, problem, estimator: EstimatorId) -> SpeedBounds:
-    """Wave-speed pair (S_L, S_R) of `problem` for the requested estimator,
-    as a `SpeedBounds` record: the public entry point.  The record carries
-    the wave pattern for EXACT, from its solution, and for TMS_a-d, from
-    the module's `classify`.  Loops that read only the pair call the
-    function `speed_function` resolves, once.  The registry never holds
-    EXACT, so one lookup serves every other id, and EXACT or an id the
-    system lacks is resolved only when it misses."""
+def estimate(problem, estimator: EstimatorId) -> SpeedBounds:
+    """Wave-speed pair (S_L, S_R) of `problem` for the requested estimator
+    of its system, as a `SpeedBounds` record: the public entry point.  The
+    record carries the wave pattern for EXACT, from its solution, and for
+    TMS_a-d, from the module's `classify`.  Loops that read only the pair
+    call the function `speed_function` resolves, once.  The registry never
+    holds EXACT, so one lookup serves every other id, and EXACT or an id
+    the system lacks is resolved only when it misses."""
+    system = problem._system
     speeds = system.speeds.get(estimator)
     if speeds is None:
         if estimator is not _EXACT:
@@ -792,19 +785,19 @@ def estimate(system: System, problem, estimator: EstimatorId) -> SpeedBounds:
         return SpeedBounds(sol.s_left, sol.s_right, estimator, sol.pattern)
     # A function that reports the pattern raises the no-star error itself.
     pattern = system.module.classify(problem) if estimator in _WITH_PATTERN else None
-    s_left, s_right = speeds(system, problem)
+    s_left, s_right = speeds(problem)
     return SpeedBounds(s_left, s_right, estimator, pattern)
 
 
 def speed_function(
     system: System, estimator: EstimatorId
-) -> Callable[[System, object], tuple[float, float]]:
-    """The function fn(system, problem) -> (S_L, S_R) of `estimator`: the
-    pair that `estimate` returns, without building a `SpeedBounds` or
-    classifying, for loops that read only the speeds.  EXACT resolves to
-    `exact_speeds`, every other id to its registry function.  Raises
-    `UnsupportedEstimator`, as `estimate` does, for an id the system
-    lacks."""
+) -> Callable[[object], tuple[float, float]]:
+    """The function fn(problem) -> (S_L, S_R) of `estimator` for problems
+    of `system`, resolved once per loop: the pair that `estimate` returns,
+    without building a `SpeedBounds` or classifying, for loops that read
+    only the speeds.  EXACT resolves to `exact_speeds`, every other id to
+    its registry function.  Raises `UnsupportedEstimator`, as `estimate`
+    does, for an id the system lacks."""
     if estimator is _EXACT:
         return exact_speeds
     speeds = system.speeds.get(estimator)

@@ -166,12 +166,12 @@ def solve_exact(problem: EulerProblem) -> EulerExactSolution:
     """
     pattern = classify(problem)
     left, right = problem.left, problem.right
-    p_star = solve_star(SYSTEM, problem)
-    u_star = 0.5 * (left.u + right.u) + 0.5 * core.side_difference(SYSTEM, problem, p_star)
-    return EulerExactSolution(p_star, u_star, pattern, *star_speeds(SYSTEM, problem, p_star))
+    p_star = solve_star(problem)
+    u_star = 0.5 * (left.u + right.u) + 0.5 * core.side_difference(problem, p_star)
+    return EulerExactSolution(p_star, u_star, pattern, *star_speeds(problem, p_star))
 
 
-def _einfeldt(system: System, problem: EulerProblem):
+def _einfeldt(problem: EulerProblem):
     left, right = problem.left, problem.right
     side_l, side_r = problem._sides
     wl, wr = math.sqrt(left.rho), math.sqrt(right.rho)
@@ -182,7 +182,7 @@ def _einfeldt(system: System, problem: EulerProblem):
     return u_roe - d, u_roe + d
 
 
-def _batten(system: System, problem: EulerProblem):
+def _batten(problem: EulerProblem):
     left, right, g = problem.left, problem.right, problem.params.gamma
     side_l, side_r = problem._sides
     wl, wr = math.sqrt(left.rho), math.sqrt(right.rho)
@@ -239,8 +239,8 @@ SYSTEM = System(
 )
 
 pressure_function, pressure_function_deriv = core.wave_curves(SYSTEM)
-check_positivity = core.bind(SYSTEM, core.positive, "check_positivity")
-two_rarefaction_pressure = core.bind(SYSTEM, core.two_rarefaction, SYSTEM.two_rarefaction)
-estimate = core.bind(SYSTEM, core.estimate, "estimate")
+check_positivity = core.positive
+two_rarefaction_pressure = core.two_rarefaction
+estimate = core.estimate
 EulerProblem._system = SYSTEM
 ESTIMATORS = tuple(SYSTEM.speeds)

@@ -118,7 +118,7 @@ def run_fuzz(system: str, count: int, seed: int) -> FuzzReport:
         left_max, right_min = exact_left + slack, exact_right - slack
 
         for name, speeds in checks:
-            s_left, s_right = speeds(record, problem)
+            s_left, s_right = speeds(problem)
             if s_left > left_max:
                 violations.append(_violation(
                     trial, name, "s_left", s_left, exact_left, problem))

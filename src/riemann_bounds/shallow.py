@@ -130,14 +130,14 @@ def solve_exact(problem: SweProblem) -> SweExactSolution:
     """
     pattern = classify(problem)
     left, right = problem.left, problem.right
-    h_star = solve_star(SYSTEM, problem)
-    u_star = 0.5 * (left.u + right.u) + 0.5 * core.side_difference(SYSTEM, problem, h_star)
-    return SweExactSolution(h_star, u_star, pattern, *star_speeds(SYSTEM, problem, h_star))
+    h_star = solve_star(problem)
+    u_star = 0.5 * (left.u + right.u) + 0.5 * core.side_difference(problem, h_star)
+    return SweExactSolution(h_star, u_star, pattern, *star_speeds(problem, h_star))
 
 
-def _tms_d(system: System, problem: SweProblem, minimum=min, maximum=max):
+def _tms_d(problem: SweProblem, minimum=min, maximum=max):
     if problem._wave_data.pattern is _VACUUM:
-        raise system.no_star_error()
+        raise problem._system.no_star_error()
     left, right = problem._sides
     cl, cr = left.c, right.c
     return minimum(left.u - cl, right.u - 2.0 * cr), maximum(right.u + cr, left.u + 2.0 * cl)
@@ -175,8 +175,8 @@ SYSTEM = System(
 )
 
 depth_function, depth_function_deriv = core.wave_curves(SYSTEM)
-is_wet = core.bind(SYSTEM, core.positive, "is_wet")
-two_rarefaction_depth = core.bind(SYSTEM, core.two_rarefaction, SYSTEM.two_rarefaction)
-estimate = core.bind(SYSTEM, core.estimate, "estimate")
+is_wet = core.positive
+two_rarefaction_depth = core.two_rarefaction
+estimate = core.estimate
 SweProblem._system = SYSTEM
 ESTIMATORS = tuple(SYSTEM.speeds)

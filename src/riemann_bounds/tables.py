@@ -93,7 +93,7 @@ def _speed_cells(record: System, columns: list[tuple], test: dict,
             cells.append(CellCheck(test["id"], column, expected, None, None,
                                    "skipped", skipped[column]))
             continue
-        computed = speeds(record, problem)[index]
+        computed = speeds(problem)[index]
         deviation = abs(computed - expected)
         status = "ok" if deviation <= cell_tolerance(expected) else "fail"
         cells.append(CellCheck(test["id"], column, expected, computed,

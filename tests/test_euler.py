@@ -262,7 +262,8 @@ class TestTwoRarefaction:
             two_rarefaction_pressure(problem((1.0, -50.0, 0.01), (1.0, 50.0, 0.01)))
 
     @pytest.mark.parametrize("call", [
-        two_rarefaction_pressure,
+        # Named: its own name is that of core.two_rarefaction.
+        pytest.param(two_rarefaction_pressure, id="two_rarefaction_pressure"),
         classify,
         solve_exact,
         lambda prob: estimate(prob, EstimatorId.TORO),
@@ -330,7 +331,7 @@ class TestEstimators:
             g = params.gamma
             return 0.5 * state.u * state.u + g / (g - 1.0) * state.p / state.rho
 
-        def reference(system, prob):
+        def reference(prob):
             left, right, params = prob.left, prob.right, prob.params
             side_l, side_r = prob._sides
             wl, wr = math.sqrt(left.rho), math.sqrt(right.rho)
@@ -345,7 +346,7 @@ class TestEstimators:
 
         def outcome(call, prob):
             try:
-                return repr(call(euler.SYSTEM, prob))
+                return repr(call(prob))
             except Exception as error:  # noqa: BLE001 - errors are outcomes too
                 return type(error), str(error)
 

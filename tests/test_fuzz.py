@@ -351,7 +351,7 @@ def test_speed_functions_give_the_pairs_of_estimate(system):
             continue
         speeds = speed_function(record, estimator)
         for left, right in data:
-            pair = outcome(speeds, record, tables.make_problem(system, left, right))
+            pair = outcome(speeds, tables.make_problem(system, left, right))
             problem = tables.make_problem(system, left, right)
             bounds = outcome(module.estimate, problem, estimator)
             if isinstance(pair[0], type):
@@ -555,7 +555,7 @@ def lane_differences(system, problems):
                       "s_left": abs(values["s_left"][i] - exact.s_left) / scale,
                       "s_right": abs(values["s_right"][i] - exact.s_right) / scale}
             for estimator in record.bound_estimators:
-                pair = speed_function(record, estimator)(record, problem)
+                pair = speed_function(record, estimator)(problem)
                 errors[estimator.value] = max(
                     abs(mine[i] - theirs) / max(scale, abs(theirs))
                     for mine, theirs in zip(values[estimator.value], pair))

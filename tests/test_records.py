@@ -321,14 +321,6 @@ def test_a_repr_the_class_defines_is_kept():
             if own_repr(cls)] == ["System"]
 
 
-@pytest.mark.parametrize("module", [euler, shallow, bloodflow], ids=lambda m: m.SYSTEM.name)
-def test_bound_functions_have_a_short_repr(module):
-    # The System record's dataclass repr printed every field, the registry
-    # included, in the repr of each function bound to it: 2030 characters.
-    for bound in (module.estimate, getattr(module, module.SYSTEM.two_rarefaction)):
-        assert len(repr(bound)) < 200 and f"System({module.SYSTEM.name!r})" in repr(bound)
-
-
 def test_class_variables_are_not_fields():
     for slots in (True, False):
         Point = record(slots=slots)(type("Point", (), {

@@ -316,6 +316,42 @@ def test_shared_code_reaches_module_functions(monkeypatch, system):
     assert counts[curve] > 3 and counts[curve + "_deriv"] >= 1
 
 
+#: Per module: the public names of its positivity test and its
+#: two-rarefaction function.
+PUBLIC = {euler: ("check_positivity", "two_rarefaction_pressure"),
+          shallow: ("is_wet", "two_rarefaction_depth"),
+          bloodflow: ("is_open", "two_rarefaction_area")}
+
+
+def outcome(call, *args):
+    """What a call gives: the repr of its value, or the type of its error."""
+    try:
+        return repr(call(*args))
+    except Exception as error:  # noqa: BLE001 - errors are outcomes too
+        return type(error)
+
+
+@pytest.mark.parametrize("mine, theirs", [(a, b) for a in PUBLIC for b in PUBLIC if a is not b],
+                         ids=lambda m: m.SYSTEM.name)
+def test_public_functions_answer_for_the_problems_own_system(mine, theirs):
+    # A problem carries its system (its type's `_system`), so one module's
+    # `estimate`, positivity test and two-rarefaction function give, on a
+    # problem of another system, what that system's own do.  Each call gets
+    # a fresh problem, so that neither reads what the other cached.
+    rng = random.Random(0)
+    data = [(p.left, p.right) for p in (sample_problem(theirs.SYSTEM.name, rng)
+                                         for _ in range(50))]
+    make = theirs.SYSTEM.problem_type
+    calls = [(mine.estimate, theirs.estimate, estimator)
+             for estimator in (EstimatorId.EXACT, *theirs.ESTIMATORS)]
+    calls += [(getattr(mine, a), getattr(theirs, b)) for a, b in zip(PUBLIC[mine], PUBLIC[theirs])]
+    for left, right in data:
+        for mine_fn, theirs_fn, *estimator in calls:
+            got = outcome(mine_fn, make(left, right), *estimator)
+            assert got == outcome(theirs_fn, make(left, right), *estimator), (
+                mine_fn, estimator, left, right)
+
+
 # Per system: data (left, right) that leave no positive star value, and the
 # error that says so.
 VACUUM = {
@@ -330,7 +366,7 @@ def test_exact_solve_of_vacuum_data_raises_the_no_star_error(system):
     module, _, make, _, _, _ = SYSTEMS[system]
     (left, right), error = VACUUM[system]
     with pytest.raises(error, match=module.SYSTEM.no_star_message):
-        core.solve_star(module.SYSTEM, make(left, right))
+        core.solve_star(make(left, right))
     with pytest.raises(error, match=module.SYSTEM.no_star_message):
         module.solve_exact(make(left, right))
 
