@@ -230,7 +230,7 @@ _RR, _RS, _SR, _SS, _VACUUM = (WavePattern.RR, WavePattern.RS, WavePattern.SR,
 _TMS_A, _TMS_B, _TMS_C, _EXACT = (EstimatorId.TMS_A, EstimatorId.TMS_B,
                                   EstimatorId.TMS_C, EstimatorId.EXACT)
 #: The estimators whose `SpeedBounds` carries the wave pattern, which
-#: `estimate` reads from `classify`; EXACT's comes from its solution.
+#: `estimate` reads from `classify`; its EXACT branch does too.
 _WITH_PATTERN = frozenset((_TMS_A, _TMS_B, _TMS_C, EstimatorId.TMS_D))
 _INF, _NEG_INF = math.inf, -math.inf
 
@@ -300,9 +300,10 @@ class System:
     the surface written once below under its public names: `classify`,
     the wave curve and its slope (`wave_curves`), `estimate`, the
     positivity test and the two-rarefaction function, which take a problem
-    alone and read this record as the problem type's `_system`.
-    Shared code reaches `classify`, `q_factor`, `interpolate_root`,
-    `find_root`, `solve_exact` and the functions named by `curve` and
+    alone and read this record as the problem type's `_system`; a
+    module's `solve_exact` hands a problem of another system to that
+    system's own.  Shared code reaches `classify`, `q_factor`,
+    `interpolate_root`, `find_root` and the functions named by `curve` and
     `two_rarefaction` as attributes of `module` when it runs, so that
     replacing them on the module (to count or time calls) takes effect.  A
     problem's `_sides` is the pair of `side` records of its two states.
@@ -382,7 +383,11 @@ class System:
     def no_star_error(self) -> RiemannBoundsError:
         return self.no_star(self.no_star_message)
 
-    def unsupported_error(self, estimator: EstimatorId) -> UnsupportedEstimator:
+    def unsupported_error(self, estimator) -> UnsupportedEstimator:
+        """The error for an estimator that the registry misses: an id the
+        system lacks, or a value that is no `EstimatorId` at all."""
+        if not isinstance(estimator, EstimatorId):
+            return UnsupportedEstimator(f"{estimator!r} is not an EstimatorId")
         return UnsupportedEstimator(
             f"{estimator.value} is not defined for the {self.title} system")
 
@@ -762,17 +767,17 @@ def speed_registry(own: Mapping) -> dict:
 
 
 def exact_speeds(problem) -> tuple[float, float]:
-    """The pair of EXACT: the extreme wave speeds of the module's
-    `solve_exact`."""
-    solution = problem._system.module.solve_exact(problem)
-    return solution.s_left, solution.s_right
+    """The pair of EXACT: the `star_speeds` at the `solve_star` value, which
+    are the `s_left`, `s_right` of the module's `solve_exact`, without u*
+    or a solution record."""
+    return star_speeds(problem, solve_star(problem))
 
 
 def estimate(problem, estimator: EstimatorId) -> SpeedBounds:
     """Wave-speed pair (S_L, S_R) of `problem` for the requested estimator
     of its system, as a `SpeedBounds` record: the public entry point.  The
-    record carries the wave pattern for EXACT, from its solution, and for
-    TMS_a-d, from the module's `classify`.  Loops that read only the pair
+    record carries the wave pattern for EXACT and TMS_a-d, from the
+    module's `classify`.  Loops that read only the pair
     call the function `speed_function` resolves, once.  The registry never
     holds EXACT, so one lookup serves every other id, and EXACT or an id
     the system lacks is resolved only when it misses."""
@@ -781,8 +786,8 @@ def estimate(problem, estimator: EstimatorId) -> SpeedBounds:
     if speeds is None:
         if estimator is not _EXACT:
             raise system.unsupported_error(estimator)
-        sol = system.module.solve_exact(problem)
-        return SpeedBounds(sol.s_left, sol.s_right, estimator, sol.pattern)
+        pattern = system.module.classify(problem)
+        return SpeedBounds(*exact_speeds(problem), estimator, pattern)
     # A function that reports the pattern raises the no-star error itself.
     pattern = system.module.classify(problem) if estimator in _WITH_PATTERN else None
     s_left, s_right = speeds(problem)

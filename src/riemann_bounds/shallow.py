@@ -126,8 +126,11 @@ def solve_exact(problem: SweProblem) -> SweExactSolution:
     """Exact star state and extreme wave speeds.
 
     Newton runs inside the bracket that the wave pattern gives
-    (`core.solve_star`), from the start `core.star_start` picks.
+    (`core.solve_star`), from the start `core.star_start` picks.  A
+    problem of another system gets that system's own solution.
     """
+    if problem._system is not SYSTEM:
+        return problem._system.module.solve_exact(problem)
     pattern = classify(problem)
     left, right = problem.left, problem.right
     h_star = solve_star(problem)

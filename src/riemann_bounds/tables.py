@@ -22,6 +22,9 @@ CELL_TOL_REL = 1e-6
 #: Margin when deciding whether a published estimate violates a bound.
 VIOLATION_TOL = 1e-3
 
+#: Each estimator id by its value, the name of its speed-table column.
+_ESTIMATOR_IDS = {estimator.value: estimator for estimator in EstimatorId}
+
 
 @functools.cache
 def load_reference(system: str) -> dict:
@@ -35,10 +38,6 @@ def load_reference(system: str) -> dict:
     system_record(system)  # raises for an unknown system
     path = resources.files(__package__) / "data" / f"{system}.json"
     return json.loads(path.read_text())
-
-
-def cell_tolerance(expected: float) -> float:
-    return max(CELL_TOL_ABS, CELL_TOL_REL * abs(expected))
 
 
 @record
@@ -71,7 +70,7 @@ def _speed_columns(record: System, ref: dict) -> list[tuple]:
     `speed_function` or None)."""
     unimplemented = ref.get("unimplemented_columns", {})
     return [(column, unimplemented[column], None) if column in unimplemented
-            else (column, None, speed_function(record, EstimatorId(column)))
+            else (column, None, speed_function(record, _ESTIMATOR_IDS[column]))
             for column in ref["columns"]]
 
 
@@ -81,37 +80,41 @@ def _speed_cells(record: System, columns: list[tuple], test: dict,
     function (`_speed_columns`)."""
     problem = make_problem(record.name, test["left"], test["right"])
     index = 0 if side == "s_left" else 1
+    row, test_id = test[side], test["id"]
     skipped = test.get("skipped_cells", {}).get(side, {})
     cells = []
     for column, unimplemented, speeds in columns:
-        expected = test[side][column]
+        expected = row[column]
         if unimplemented is not None:
-            cells.append(CellCheck(test["id"], column, expected, None, None,
+            cells.append(CellCheck(test_id, column, expected, None, None,
                                    "skipped", unimplemented))
             continue
         if column in skipped:
-            cells.append(CellCheck(test["id"], column, expected, None, None,
+            cells.append(CellCheck(test_id, column, expected, None, None,
                                    "skipped", skipped[column]))
             continue
         computed = speeds(problem)[index]
         deviation = abs(computed - expected)
-        status = "ok" if deviation <= cell_tolerance(expected) else "fail"
-        cells.append(CellCheck(test["id"], column, expected, computed,
+        # deviation <= max(CELL_TOL_ABS, CELL_TOL_REL * |expected|), NaN
+        # included, without the call
+        status = ("ok" if deviation <= CELL_TOL_ABS or deviation <= CELL_TOL_REL * abs(expected)
+                  else "fail")
+        cells.append(CellCheck(test_id, column, expected, computed,
                                deviation, status))
     return cells
 
 
-def _ic_cells(system: str, ref: dict, test: dict) -> list[CellCheck]:
-    module = system_module(system)
-    problem = make_problem(system, test["left"], test["right"])
-    solution = module.solve_exact(problem)
-    computed_star = star_values(system, solution)
+def _ic_cells(record: System, star_fields: list[str], test: dict) -> list[CellCheck]:
+    """One row of the ic table: the star values and the pattern of the
+    module's `solve_exact` (the fields of `star_values`)."""
+    problem = make_problem(record.name, test["left"], test["right"])
+    solution = record.module.solve_exact(problem)
     cells = []
     star_skipped = test.get("star_skipped")
     decimals = test.get("star_decimals", {})
-    for field in ref["star_fields"]:
+    for field in star_fields:
         expected = test["star"][field]
-        computed = computed_star[field]
+        computed = getattr(solution, field)
         if star_skipped is not None:
             cells.append(CellCheck(test["id"], field, expected, computed, None,
                                    "skipped", star_skipped))
@@ -135,12 +138,12 @@ def reproduce(system: str, table: str) -> TableReport:
     if table not in TABLES:
         raise ValueError(f"unknown table {table!r}")
     ref = load_reference(system)
+    record = system_record(system)
     cells: list[CellCheck] = []
     if table == "ic":
         for test in ref["tests"]:
-            cells.extend(_ic_cells(system, ref, test))
+            cells.extend(_ic_cells(record, ref["star_fields"], test))
     else:
-        record = system_record(system)
         columns = _speed_columns(record, ref)
         for test in ref["tests"]:
             cells.extend(_speed_cells(record, columns, test, table))

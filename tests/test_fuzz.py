@@ -334,7 +334,8 @@ def test_speed_functions_give_the_pairs_of_estimate(system):
     # run_fuzz and reproduce read the pair of `speed_function`, estimate
     # wraps its own: on the first 200 acceptance problems and 200 raw draws
     # (no positivity filter, so no-star data are among them) both give the
-    # same bits, or the same error.  Each call gets a fresh problem, so
+    # same bits, or the same error.  EXACT's pair and pattern are those of
+    # `solve_exact`, or its error type.  Each call gets a fresh problem, so
     # that neither reads what the other cached.
     record = tables.system_record(system)
     module = record.module
@@ -354,6 +355,13 @@ def test_speed_functions_give_the_pairs_of_estimate(system):
             pair = outcome(speeds, tables.make_problem(system, left, right))
             problem = tables.make_problem(system, left, right)
             bounds = outcome(module.estimate, problem, estimator)
+            if estimator is EstimatorId.EXACT:
+                solution = outcome(module.solve_exact, tables.make_problem(system, left, right))
+                if isinstance(pair[0], type):
+                    assert isinstance(solution, tuple) and solution[0] is pair[0], (left, right)
+                else:
+                    assert (repr((solution.s_left, solution.s_right)) == repr(pair)
+                            and solution.pattern is bounds.pattern), (left, right)
             if isinstance(pair[0], type):
                 assert bounds == pair, (estimator, left, right)
                 errors += 1

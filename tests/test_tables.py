@@ -39,17 +39,25 @@ class TestReproduce:
         assert report.passed, [c for c in report.cells if c.status == "fail"]
 
     @pytest.mark.parametrize("system", tables.SYSTEMS)
-    @pytest.mark.parametrize("side", ("s_left", "s_right"))
+    @pytest.mark.parametrize("side", ("s_left", "s_right", "ic"))
     def test_speed_cells_are_the_sides_of_estimate(self, system, side):
         # reproduce reads the registry's speed pairs; the public estimate
-        # must give the same bits, EXACT (solve_exact) included.
+        # must give the same bits, EXACT included.  The ic table's star
+        # cells are the star values of `solve_exact`, bit for bit.
         module = tables.system_module(system)
         tests = {test["id"]: test for test in tables.load_reference(system)["tests"]}
         computed = [c for c in tables.reproduce(system, side).cells if c.computed is not None]
-        assert {c.column for c in computed} >= {"exact", "toro", "tms_a"}
+        if side == "ic":
+            assert {c.column for c in computed} == {module.SYSTEM.star_field, "u_star"}
+        else:
+            assert {c.column for c in computed} >= {"exact", "toro", "tms_a"}
         for cell in computed:
             test = tests[cell.test_id]
             problem = tables.make_problem(system, test["left"], test["right"])
+            if side == "ic":
+                star = tables.star_values(system, module.solve_exact(problem))
+                assert repr(cell.computed) == repr(star[cell.column]), cell
+                continue
             bounds = module.estimate(problem, EstimatorId(cell.column))
             assert cell.computed == getattr(bounds, side), cell
 

@@ -309,10 +309,12 @@ def test_shared_code_reaches_module_functions(monkeypatch, system):
     assert {name: count[0] for name, count in calls.items()} == {
         "interpolate_root": 1, "q_factor": 1, "classify": 1, curve: 3, curve + "_deriv": 0,
         two_rarefaction: 1, "solve_exact": 0}
+    # EXACT is the star speeds of the root solve: its pattern comes from
+    # `classify`, and no solution record (u*) is built.
     module.estimate(make(*data[0]), EstimatorId.EXACT)
     assert len(roots) == 1
     counts = {name: count[0] for name, count in calls.items()}
-    assert (counts["classify"], counts[two_rarefaction], counts["solve_exact"]) == (2, 2, 1)
+    assert (counts["classify"], counts[two_rarefaction], counts["solve_exact"]) == (2, 2, 0)
     assert counts[curve] > 3 and counts[curve + "_deriv"] >= 1
 
 
@@ -335,9 +337,10 @@ def outcome(call, *args):
                          ids=lambda m: m.SYSTEM.name)
 def test_public_functions_answer_for_the_problems_own_system(mine, theirs):
     # A problem carries its system (its type's `_system`), so one module's
-    # `estimate`, positivity test and two-rarefaction function give, on a
-    # problem of another system, what that system's own do.  Each call gets
-    # a fresh problem, so that neither reads what the other cached.
+    # `estimate`, `solve_exact`, positivity test and two-rarefaction
+    # function give, on a problem of another system, what that system's own
+    # do: its solution record too.  Each call gets a fresh problem, so that
+    # neither reads what the other cached.
     rng = random.Random(0)
     data = [(p.left, p.right) for p in (sample_problem(theirs.SYSTEM.name, rng)
                                          for _ in range(50))]
@@ -345,6 +348,7 @@ def test_public_functions_answer_for_the_problems_own_system(mine, theirs):
     calls = [(mine.estimate, theirs.estimate, estimator)
              for estimator in (EstimatorId.EXACT, *theirs.ESTIMATORS)]
     calls += [(getattr(mine, a), getattr(theirs, b)) for a, b in zip(PUBLIC[mine], PUBLIC[theirs])]
+    calls.append((mine.solve_exact, theirs.solve_exact))
     for left, right in data:
         for mine_fn, theirs_fn, *estimator in calls:
             got = outcome(mine_fn, make(left, right), *estimator)
@@ -403,6 +407,20 @@ def test_unsupported_estimator_names_the_system(system, estimator, title):
     with pytest.raises(UnsupportedEstimator,
                        match=f"{estimator.value} is not defined for the {title} system"):
         tables.system_module(system).estimate(problem, estimator)
+
+
+@pytest.mark.parametrize("estimator", ["tms_b", None, 7])
+@pytest.mark.parametrize("system", ["euler", "swe", "bfe"])
+def test_an_estimator_that_is_no_estimator_id_is_unsupported(system, estimator):
+    # A registry miss on a value that is no `EstimatorId` (its value string,
+    # None) names that value, from `estimate` and `speed_function` alike.
+    record = tables.system_record(system)
+    problem = sample_problem(system, random.Random(0))
+    message = f"{estimator!r} is not an EstimatorId"
+    with pytest.raises(UnsupportedEstimator, match=message):
+        record.module.estimate(problem, estimator)
+    with pytest.raises(UnsupportedEstimator, match=message):
+        core.speed_function(record, estimator)
 
 
 # Huge opposing velocities: f(x_rr) overflows to inf (BFE 1e34 and 1e50),
