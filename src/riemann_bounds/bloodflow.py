@@ -12,6 +12,7 @@ from .core import (
     ClosedFormOverflow,
     CollapseData,
     EstimatorId,
+    InputRecord,
     Problem,
     System,
     WavePattern,
@@ -28,8 +29,8 @@ from .core import (
 _VACUUM_FLOOR_AREA = 1e-12  # cm^2; near-empty vessel used by the crude bound
 
 
-@record(slots=False)
-class BfeState:
+@record
+class BfeState(InputRecord):
     """Cross-sectional area (cm^2) and velocity (cm/s)."""
 
     a: float
@@ -42,8 +43,8 @@ class BfeState:
             raise ValueError(f"u must be finite, got {self.u}")
 
 
-@record(slots=False)
-class BfeParams:
+@record
+class BfeParams(InputRecord):
     """Wall stiffness beta (dyne/cm^3) and blood density rho (g/cm^3)."""
 
     beta: float = 28209.4792

@@ -108,6 +108,19 @@ def _values(self) -> tuple:
     return tuple([getattr(self, name) for name in self._fields])
 
 
+class InputRecord:
+    """Base of the state and params types, slotted records: `vars()` of one
+    is a new dict of its fields in field order, built on each call, so that
+    code that enumerates a state's or params' fields with `vars()` reads
+    them as it did when these types kept an instance dict."""
+
+    __slots__ = ()
+
+    @property
+    def __dict__(self) -> dict:
+        return dict(zip(self._fields, _values(self)))
+
+
 def _eq(self, other):
     return _values(self) == _values(other) if other.__class__ is self.__class__ else NotImplemented
 
@@ -130,10 +143,11 @@ def _setstate(self, state):
 
 
 def record(cls: type | None = None, *, slots: bool = True):
-    """Class decorator of the package's value types, `@record` or
-    `@record(slots=False)`: `dataclass(frozen=True, slots=slots)` without
-    the dataclass module, from the shared functions above, with a faster
-    `__init__` (see README).  The fields are the class's own annotations but
+    """Class decorator of the package's value types, `@record`, or with
+    `slots=False` for the problem types, which keep an instance dict:
+    `dataclass(frozen=True, slots=slots)` without the dataclass module,
+    from the shared functions above, with a faster `__init__` (see
+    README).  The fields are the class's own annotations but
     `ClassVar` ones, with class attributes as defaults.  `__init__` stores
     them through each slot's `__set__` or `object.__setattr__`, bound once,
     then calls `__post_init__`.  Equality compares field tuples, as on

@@ -10,6 +10,7 @@ from . import core
 from .core import (
     ClosedFormOverflow,
     EstimatorId,
+    InputRecord,
     Problem,
     System,
     VacuumData,
@@ -24,8 +25,8 @@ from .core import (
 )
 
 
-@record(slots=False)
-class EulerState:
+@record
+class EulerState(InputRecord):
     """Primitive gas state (SI units)."""
 
     rho: float
@@ -41,8 +42,8 @@ class EulerState:
             raise ValueError(f"p must be positive and finite, got {self.p}")
 
 
-@record(slots=False)
-class EulerParams:
+@record
+class EulerParams(InputRecord):
     gamma: float = 1.4
 
     def __post_init__(self):

@@ -11,6 +11,7 @@ from . import core
 from .core import (
     DryBed,
     EstimatorId,
+    InputRecord,
     Problem,
     System,
     WavePattern,
@@ -25,8 +26,8 @@ from .core import (
 )
 
 
-@record(slots=False)
-class SweState:
+@record
+class SweState(InputRecord):
     """Depth and velocity (SI units)."""
 
     h: float
@@ -39,8 +40,8 @@ class SweState:
             raise ValueError(f"u must be finite, got {self.u}")
 
 
-@record(slots=False)
-class SweParams:
+@record
+class SweParams(InputRecord):
     g: float = 9.8
 
     def __post_init__(self):

@@ -3,8 +3,9 @@ systems, per-cell diffing of recomputed values, and classification of
 which published estimates fail to bound the exact wave speeds.
 
 The system registry (`system_record`, `make_problem`, ...) lives in
-`core`, so that only the CLI's `reproduce` imports this module; its names
-stay here for callers that reach them as `tables.*`."""
+`core`, so that only the CLI's `reproduce` imports this module.  Its names
+stay here as `tables.*` for `bench/workloads.py`, their only caller; the
+package, its tests and `tools/output_digest.py` call them from `core`."""
 
 from __future__ import annotations
 

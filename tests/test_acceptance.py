@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from riemann_bounds import bloodflow, euler, shallow, tables
+from riemann_bounds import bloodflow, core, euler, shallow, tables
 from riemann_bounds.core import EstimatorId
 from riemann_bounds.euler import pressure_function
 from riemann_bounds.fuzz import run_fuzz
@@ -54,7 +54,7 @@ def test_criterion_2_euler_exact_stars():
     # zero-residual check instead of the published star row.
     ref = tables.load_reference("euler")
     test6 = next(t for t in ref["tests"] if t["id"] == 6)
-    problem = tables.make_problem("euler", test6["left"], test6["right"])
+    problem = core.make_problem("euler", test6["left"], test6["right"])
     solution = euler.solve_exact(problem)
     ok = ok and abs(solution.s_left - 70.4335) <= 1e-3
     ok = ok and abs(solution.s_right - 88.8686) <= 1e-3
@@ -64,7 +64,7 @@ def test_criterion_2_euler_exact_stars():
 
 
 def test_criterion_3_swe_tables():
-    reports = [tables.reproduce("swe", table) for table in tables.TABLES]
+    reports = [tables.reproduce("swe", table) for table in core.TABLES]
     toro_cell = next(
         c for c in tables.reproduce("swe", "s_right").cells
         if c.test_id == 4 and c.column == "toro"
@@ -75,7 +75,7 @@ def test_criterion_3_swe_tables():
 
 
 def test_criterion_4_bfe_tables():
-    reports = [tables.reproduce("bfe", table) for table in tables.TABLES]
+    reports = [tables.reproduce("bfe", table) for table in core.TABLES]
     largest = next(
         c for c in tables.reproduce("bfe", "s_left").cells
         if c.test_id == 3 and c.column == "tms_c"
@@ -136,8 +136,8 @@ def test_criterion_7_analytic_properties():
                 ok = False
 
     # Swap symmetry on 10^4 mirrored pairs per system.
-    for system in tables.SYSTEMS:
-        module = tables.system_module(system)
+    for system in core.SYSTEMS:
+        module = core.system_module(system)
         rng = random.Random(202)
         for _ in range(10_000):
             problem = _sample(system, rng)
@@ -155,7 +155,7 @@ def test_criterion_7_analytic_properties():
 
 def test_criterion_8_known_failures_classified():
     ok = True
-    for system in tables.SYSTEMS:
+    for system in core.SYSTEMS:
         ref = tables.load_reference(system)
         for test in ref["tests"]:
             for side in ("s_left", "s_right"):
@@ -181,8 +181,8 @@ def _sample(system, rng):
 
 def _mirror(system, problem):
     state_type = type(problem.left)
-    left_fields = list(vars(problem.left).values())
-    right_fields = list(vars(problem.right).values())
+    left_fields = list(core.asdict(problem.left).values())
+    right_fields = list(core.asdict(problem.right).values())
     if system == "euler":
         new_left = state_type(right_fields[0], -right_fields[1], right_fields[2])
         new_right = state_type(left_fields[0], -left_fields[1], left_fields[2])

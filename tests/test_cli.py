@@ -8,8 +8,8 @@ import sys
 import pytest
 
 import riemann_bounds
-from riemann_bounds import cli, euler, fuzz, tables
-from riemann_bounds.core import fields
+from riemann_bounds import cli, core, euler, fuzz, tables
+from riemann_bounds.core import asdict, fields
 from riemann_bounds.fuzz import FuzzReport, FuzzViolation
 
 
@@ -154,9 +154,9 @@ FLAGS_OF_THE_SYSTEM = [
 
 class TestConstantFlags:
     def test_every_flag_names_a_field_of_its_params_type(self):
-        assert tuple(cli._CONSTANT_FLAGS) == tables.SYSTEMS
+        assert tuple(cli._CONSTANT_FLAGS) == core.SYSTEMS
         for system, flags in cli._CONSTANT_FLAGS.items():
-            params = set(fields(tables.system_record(system).params_type))
+            params = set(fields(core.system_record(system).params_type))
             assert set(flags.values()) <= params, system
 
     def test_the_cases_below_cover_the_flag_table(self):
@@ -181,14 +181,14 @@ class TestConstantFlags:
         code, out, _ = run(capsys, "exact", "--system", system, "--left", state,
                            "--right", state, flag, "1.5", "--format", "json")
         assert code == 0
-        defaults = vars(tables.system_record(system).params_type())
+        defaults = asdict(core.system_record(system).params_type())
         assert json.loads(out)["problem"]["params"] == {**defaults, field: 1.5}
 
     def test_system_choices_are_the_registry(self, capsys):
         code, _, err = run(capsys, "exact", "--system", "mhd",
                            "--left", "1,0", "--right", "1,0")
         assert code == cli.EXIT_USAGE
-        assert all(repr(system) in err for system in tables.SYSTEMS)
+        assert all(repr(system) in err for system in core.SYSTEMS)
 
 
 class TestBounds:
@@ -425,7 +425,7 @@ class TestColdImports:
     module, and only `--format json` the `json` module."""
 
     @pytest.mark.parametrize("command", ["exact", "bounds"])
-    @pytest.mark.parametrize("system", tables.SYSTEMS)
+    @pytest.mark.parametrize("system", core.SYSTEMS)
     def test_a_call_with_states_imports_its_system_alone(self, command, system):
         left, right = STATES[system]
         assert cold_modules(command, "--system", system, "--left", left,

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from riemann_bounds import bloodflow, euler, fuzz, shallow, tables
+from riemann_bounds import bloodflow, core, euler, fuzz, shallow
 from riemann_bounds.core import ClosedFormOverflow, EstimatorId, RiemannBoundsError
 
 SEED = 2005
@@ -36,7 +36,7 @@ def draw(system, rng):
         params = {"g": log_uniform(rng, 1e-2, 1e2)}
     else:
         params = {"beta": log_uniform(rng, 1e2, 1e8), "rho": rng.uniform(0.5, 2.0)}
-    return tables.make_problem(system, state(), state(), params)
+    return core.make_problem(system, state(), state(), params)
 
 
 def euler_problem(left, right, gamma):
@@ -104,19 +104,19 @@ REPRODUCERS = {
         ["batten"], ClosedFormOverflow),
     # The rest at the default constants.
     # Cancellation in h_Roe - u_Roe**2/2: Batten's c_Roe**2 is negative.
-    "euler-batten-roe-sound-speed": ("euler", tables.make_problem(
+    "euler-batten-roe-sound-speed": ("euler", core.make_problem(
         "euler", (5.3340097753571314e+197, 8133.430277554056, 9.28512128125268e+68),
         (5.297495636365946e-248, 82.80458655341135, 5.63989070365722e-159)),
         ["batten"], ClosedFormOverflow),
     # The SWE TMS_b chord root is negative, and q_factor took its square
     # root, after h * h_K overflowed at the S/S node.
-    "swe-tms-b-negative-chord-root": ("swe", tables.make_problem(
+    "swe-tms-b-negative-chord-root": ("swe", core.make_problem(
         "swe", (8.487361008586014e+276, -2484.5044844899776),
         (2.9607947920135834e+92, -4370.537533982078)),
         ["tms_b"], ClosedFormOverflow),
     # c_L = sqrt(gamma p/rho) overflows: Davis a/b, Einfeldt and Batten gave
     # infinite speeds, the rest already raised from the wave data.
-    "euler-sound-speed-overflow": ("euler", tables.make_problem(
+    "euler-sound-speed-overflow": ("euler", core.make_problem(
         "euler", (1.3573213500443768e-141, -5096.667016126539, 3.539777407430506e+187),
         (0.09568177268457889, -1682.5579811141924, 4.5235660048190316e+136)),
         ["exact"] + [e.value for e in euler.ESTIMATORS], ClosedFormOverflow),
@@ -149,14 +149,14 @@ SOLVED = {
     # side.  The TMS_a chord root came out negative, where q_factor took
     # its square root, and the S/S bracket of the exact solve doubled to
     # infinity (NoConvergence).
-    "euler-tms-a-negative-chord-root": ("euler", tables.make_problem(
+    "euler-tms-a-negative-chord-root": ("euler", core.make_problem(
         "euler", (4.218711246146151e+174, 900.4840954410993, 6.39103596564457e+146),
         (3.869184416937872e+169, -5627.047518164938, 5.026772276168695e-47)),
         (1.9664012615532341e+177, 876.8337877787721, 2182.3401104999793), 1e-12,
         ["tms_a", "tms_b"]),
     # The same for TMS_b; here the underflow also made the S/R data S/S.
     "euler-tms-b-negative-chord-root": (
-        "euler", tables.make_problem("euler", *EULER_TMS_B_DATA),
+        "euler", core.make_problem("euler", *EULER_TMS_B_DATA),
         (1.310314037388404e+238, -12045.456501771787, -8352.140349418067), 1e-12,
         ["toro", "tms_a", "tms_b", "tms_c"]),
 }
@@ -208,7 +208,7 @@ def mp_euler_solution(left, right, gamma, mpmath):
 def test_extreme_euler_data_are_solved_and_bounded(name):
     mpmath = pytest.importorskip("mpmath")
     left, right = EXTREME_EULER[name]
-    problem = tables.make_problem("euler", left, right)
+    problem = core.make_problem("euler", left, right)
     solution = euler.solve_exact(problem)
     with mpmath.workdps(40):
         p_star, s_left, s_right = (float(v) for v in mp_euler_solution(left, right, 1.4, mpmath))
@@ -232,7 +232,7 @@ def speeds(module, problem, call):
 
 
 def check_contract(system, problem):
-    module = tables.system_module(system)
+    module = core.system_module(system)
     for call in ["exact"] + [e.value for e in module.ESTIMATORS]:
         try:
             s_left, s_right = speeds(module, problem, call)
@@ -244,7 +244,7 @@ def check_contract(system, problem):
 @pytest.mark.parametrize("name", REPRODUCERS)
 def test_reproducer_raises_a_named_error(name):
     system, problem, calls, error = REPRODUCERS[name]
-    module = tables.system_module(system)
+    module = core.system_module(system)
     if name in SIDE_OVERFLOWS:
         with pytest.raises(error):
             getattr(module, SIDE_OVERFLOWS[name])(problem)
@@ -259,7 +259,7 @@ def test_reproducer_raises_a_named_error(name):
 @pytest.mark.parametrize("name", SOLVED)
 def test_reproducer_is_solved_as_the_oracle_solves_it(name):
     system, problem, (star, s_left, s_right), rel, estimators = SOLVED[name]
-    module = tables.system_module(system)
+    module = core.system_module(system)
     solution = module.solve_exact(problem)
     assert solution.p_star == pytest.approx(star, rel=rel)
     assert solution.s_left == pytest.approx(s_left, rel=rel)

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import riemann_bounds
-from riemann_bounds import tables
+from riemann_bounds import core
 from riemann_bounds.core import (
     ClosedFormOverflow,
     EstimatorId,
@@ -353,7 +353,7 @@ class TestEstimators:
         acceptance, raw = random.Random(42), random.Random(5)
         contracts = random.Random(f"{CONTRACT_SEED}:euler")
         problems = [fuzz.sample_problem("euler", acceptance) for _ in range(2000)]
-        problems += [tables.make_problem("euler", euler.SYSTEM.draw(raw), euler.SYSTEM.draw(raw))
+        problems += [core.make_problem("euler", euler.SYSTEM.draw(raw), euler.SYSTEM.draw(raw))
                      for _ in range(3000)]
         problems += [contract_draw("euler", contracts) for _ in range(CONTRACT_DRAWS)]
         problems += [prob for system, prob, _, _ in REPRODUCERS.values() if system == "euler"]

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import riemann_bounds
-from riemann_bounds import bloodflow, core, euler, fuzz, shallow, tables
+from riemann_bounds import bloodflow, core, euler, fuzz, shallow
 from riemann_bounds.core import (
     EstimatorId,
     UnsupportedEstimator,
@@ -37,7 +37,7 @@ PUBLIC_POSITIVITY = {"euler": euler.check_positivity, "swe": shallow.is_wet,
 
 def values(state):
     """A state's field values in field order, as `System.draw` gives them."""
-    return tuple(vars(state).values())
+    return tuple(core.asdict(state).values())
 
 
 def positive_from_states(record, problem):
@@ -51,16 +51,16 @@ def positive_from_states(record, problem):
 def with_bound_estimators(monkeypatch, system, estimators):
     """Put a copy of the system's record whose `bound_estimators` are
     `estimators` in the registry, so that `run_fuzz` checks those."""
-    record = replace(tables.system_record(system), bound_estimators=estimators)
+    record = replace(core.system_record(system), bound_estimators=estimators)
     monkeypatch.setitem(core._REGISTRY, system, record)
 
 
 def sample_by_building(system, rng):
     """`sample_problem` in the order of its first form: each candidate pair
     built into a problem, then tested by the public positivity test."""
-    record = tables.system_record(system)
+    record = core.system_record(system)
     while True:
-        problem = tables.make_problem(system, record.draw(rng), record.draw(rng))
+        problem = core.make_problem(system, record.draw(rng), record.draw(rng))
         if PUBLIC_POSITIVITY[system](problem):
             return problem
 
@@ -102,7 +102,7 @@ class TestSampleProblem:
             problem = sample_problem(system, rng)
             assert "_sides" not in vars(problem)
             assert "_wave_data" not in vars(problem)
-        assert problem._sides[0].c == tables.system_record(system).celerity(
+        assert problem._sides[0].c == core.system_record(system).celerity(
             values(problem.left), problem.params)
 
     @pytest.mark.parametrize("system", ("euler", "swe", "bfe"))
@@ -110,12 +110,12 @@ class TestSampleProblem:
         # On every raw draw the two tests agree, the celerity of the drawn
         # values is the side record's `c` to the bit, and `sample_problem`
         # accepts the draws that the public test accepts, in order.
-        record = tables.system_record(system)
+        record = core.system_record(system)
         rng = random.Random(RAW_SEED)
         accepted, verdicts = [], set()
         for _ in range(RAW_PAIRS):
             draws = record.draw(rng), record.draw(rng)
-            problem = tables.make_problem(system, *draws)
+            problem = core.make_problem(system, *draws)
             for draw, side in zip(draws, problem._sides):
                 assert record.celerity(draw, problem.params).hex() == side.c.hex(), draw
             verdict = PUBLIC_POSITIVITY[system](problem)
@@ -150,7 +150,7 @@ class TestSampleProblem:
         # u_R - u_L equal to the left-hand side of the positivity condition
         # leaves no positive star value; one ulp below it, a positive one.
         # Both tests must say so, and `sample_problem` must reject the first.
-        record = tables.system_record(system)
+        record = core.system_record(system)
         module, params = record.module, record.params_type()
         c_left, c_right = (record.side(record.state_type(*state), params).c
                            for state in (left, right))
@@ -168,11 +168,11 @@ class TestSampleProblem:
 
         below = math.nextafter(lhs, 0.0)
         for du, verdict in ((lhs, False), (below, True)):
-            problem = tables.make_problem(system, *states(du))
+            problem = core.make_problem(system, *states(du))
             assert problem.right.u - problem.left.u == du
             assert PUBLIC_POSITIVITY[system](problem) is verdict
             assert positive_from_states(record, problem) is verdict
-        problem = tables.make_problem(system, *states(lhs))
+        problem = core.make_problem(system, *states(lhs))
         assert module.classify(problem) is WavePattern.VACUUM
         with pytest.raises(record.no_star):
             getattr(module, record.two_rarefaction)(problem)
@@ -181,7 +181,7 @@ class TestSampleProblem:
         monkeypatch.setitem(core._REGISTRY, system,
                             replace(record, draw=lambda rng: next(draws)))
         problem = sample_problem(system, random.Random(0))
-        assert problem == tables.make_problem(system, *states(below))
+        assert problem == core.make_problem(system, *states(below))
         assert next(draws, None) is None
 
     @pytest.mark.parametrize("system, uniform", [
@@ -193,7 +193,7 @@ class TestSampleProblem:
     def test_draws_are_those_of_rng_uniform(self, system, uniform):
         # The ensemble is defined by these rng.uniform draws; a draw written
         # differently must give the same bits, or every fixed-seed report moves.
-        draw = tables.system_record(system).draw
+        draw = core.system_record(system).draw
         mine, theirs = random.Random(2024), random.Random(2024)
         for _ in range(10_000):
             assert draw(mine) == uniform(theirs)
@@ -216,15 +216,15 @@ class TestRunFuzz:
             run_fuzz("euler", 0, seed=1)
 
     def test_estimator_sets(self):
-        names = {s: {e.value for e in tables.system_record(s).bound_estimators}
-                 for s in tables.SYSTEMS}
+        names = {s: {e.value for e in core.system_record(s).bound_estimators}
+                 for s in core.SYSTEMS}
         assert names["euler"] == {"toro", "tms_a", "tms_b", "tms_c"}
         assert names["swe"] == {"toro", "tms_a", "tms_b", "tms_c", "tms_d"}
         assert names["bfe"] == names["swe"]
 
     @pytest.mark.parametrize("system", ("euler", "swe", "bfe"))
     def test_estimator_sets_come_from_the_system_records(self, system):
-        record = tables.system_record(system)
+        record = core.system_record(system)
         assert set(record.bound_estimators) <= set(record.speeds)
 
     def test_detects_planted_violation(self, monkeypatch):
@@ -244,7 +244,7 @@ def public_fuzz(system, count, seed, estimators):
     estimate: one SpeedBounds record per estimator and trial.  It reads
     `fuzz.REL_SLACK` when it runs, as `run_fuzz` does."""
     rel_slack = fuzz.REL_SLACK
-    record = tables.system_record(system)
+    record = core.system_record(system)
     module, star_field = record.module, record.star_field
     two_rarefaction = getattr(module, record.two_rarefaction)
     rng = random.Random(seed)
@@ -252,8 +252,7 @@ def public_fuzz(system, count, seed, estimators):
 
     def violation(trial, name, side, value, exact, problem):
         return FuzzViolation(trial, name, side, value, exact,
-                             tuple(vars(problem.left).values()),
-                             tuple(vars(problem.right).values()))
+                             values(problem.left), values(problem.right))
 
     for trial in range(count):
         problem = sample_problem(system, rng)
@@ -290,7 +289,7 @@ class TestRunFuzzMatchesThePublicLoop:
     @pytest.mark.parametrize("kind", ("bound", "non_bound", "exact"))
     def test_same_report(self, monkeypatch, system, seed, kind):
         estimators = {
-            "bound": tables.system_record(system).bound_estimators,
+            "bound": core.system_record(system).bound_estimators,
             "non_bound": NON_BOUND[system],
             "exact": (EstimatorId.EXACT, EstimatorId.DAVIS_A),
         }[kind]
@@ -337,7 +336,7 @@ def test_speed_functions_give_the_pairs_of_estimate(system):
     # same bits, or the same error.  EXACT's pair and pattern are those of
     # `solve_exact`, or its error type.  Each call gets a fresh problem, so
     # that neither reads what the other cached.
-    record = tables.system_record(system)
+    record = core.system_record(system)
     module = record.module
     acceptance, raw = random.Random(ACCEPTANCE_SEEDS[system]), random.Random(RAW_SEED)
     data = [(values(p.left), values(p.right))
@@ -346,17 +345,17 @@ def test_speed_functions_give_the_pairs_of_estimate(system):
     errors = 0
     for estimator in EstimatorId:
         if estimator is not EstimatorId.EXACT and estimator not in module.ESTIMATORS:
-            problem = tables.make_problem(system, *data[0])
+            problem = core.make_problem(system, *data[0])
             assert (outcome(speed_function, record, estimator)
                     == outcome(module.estimate, problem, estimator))
             continue
         speeds = speed_function(record, estimator)
         for left, right in data:
-            pair = outcome(speeds, tables.make_problem(system, left, right))
-            problem = tables.make_problem(system, left, right)
+            pair = outcome(speeds, core.make_problem(system, left, right))
+            problem = core.make_problem(system, left, right)
             bounds = outcome(module.estimate, problem, estimator)
             if estimator is EstimatorId.EXACT:
-                solution = outcome(module.solve_exact, tables.make_problem(system, left, right))
+                solution = outcome(module.solve_exact, core.make_problem(system, left, right))
                 if isinstance(pair[0], type):
                     assert isinstance(solution, tuple) and solution[0] is pair[0], (left, right)
                 else:
@@ -383,7 +382,7 @@ def public_reports():
         key = (system, seed, fuzz.REL_SLACK)
         if key not in cache:
             cache[key] = public_fuzz(system, KERNEL_COUNT, seed,
-                                     tables.system_record(system).bound_estimators)
+                                     core.system_record(system).bound_estimators)
         return cache[key]
     return report
 
@@ -481,10 +480,10 @@ class TestLaneKernel:
         # kernel reads one params object per chunk and refuses a second one.
         rng = random.Random(3)
         chunk = [sample_problem("swe", rng) for _ in range(3)]
-        chunk[1] = tables.make_problem("swe", values(chunk[1].left), values(chunk[1].right),
+        chunk[1] = core.make_problem("swe", values(chunk[1].left), values(chunk[1].right),
                                        {"g": 9.0})
         with pytest.raises(ValueError, match="one params object"):
-            fuzz._lane_kernel().scalar_lanes(tables.system_record("swe"), chunk, fuzz.REL_SLACK)
+            fuzz._lane_kernel().scalar_lanes(core.system_record("swe"), chunk, fuzz.REL_SLACK)
 
     @pytest.mark.parametrize("system", ("euler", "swe", "bfe"))
     def test_lanes_match_the_scalar_path(self, system):
@@ -525,7 +524,7 @@ def weak_shock_problem(system, rng):
     system's ensemble, the right one its copy with u lowered by c_L times
     10^U(-12, -1) and, in half the draws, the data value of the star
     variable (p, h or A) raised by a factor 1 + 10^U(-12, -2)."""
-    record = tables.system_record(system)
+    record = core.system_record(system)
     left = record.draw(rng)
     right = list(left)
     c_left = record.celerity(left, record.problem_type.params)
@@ -533,7 +532,7 @@ def weak_shock_problem(system, rng):
     if rng.random() < 0.5:
         k = fields(record.state_type).index(record.star)
         right[k] *= 1.0 + 10.0 ** rng.uniform(-12.0, -2.0)
-    return tables.make_problem(system, left, tuple(right))
+    return core.make_problem(system, left, tuple(right))
 
 
 def lane_differences(system, problems):
@@ -545,7 +544,7 @@ def lane_differences(system, problems):
     estimates against the registry functions (relative to their own size
     where that is larger)."""
     kernel = fuzz._lane_kernel()
-    record = tables.system_record(system)
+    record = core.system_record(system)
     worst, doubted = {}, 0
     for start in range(0, len(problems), 1000):
         chunk = problems[start:start + 1000]

@@ -1,8 +1,9 @@
 """The package's value types are declared with `core.record`: frozen
-records with a faster generated `__init__`, slotted except for the state,
-params and problem types, built without `dataclasses`.  Each record must
-behave exactly like a plain `dataclass(frozen=True, slots=...)` twin with
-the same fields, methods and layout, and the enums that key the estimator
+records with a faster generated `__init__`, slotted except for the problem
+types, built without `dataclasses`.  Each record must behave exactly like
+a plain `dataclass(frozen=True, slots=...)` twin with the same fields,
+methods and layout, except that `vars()` of a state or params lists its
+fields where its slotted twin raises, and the enums that key the estimator
 registry must hash by identity."""
 
 import copy
@@ -15,6 +16,7 @@ import pickle
 import pkgutil
 import sys
 import types
+import weakref
 from dataclasses import KW_ONLY, InitVar, dataclass, field
 from typing import ClassVar
 
@@ -49,10 +51,10 @@ def package_records():
 def samples():
     """One instance of every record type, taken from real library output."""
     out = []
-    for system in tables.SYSTEMS:
-        record_ = tables.system_record(system)
+    for system in core.SYSTEMS:
+        record_ = core.system_record(system)
         ref = tables.load_reference(system)["tests"][0]
-        problem = tables.make_problem(system, ref["left"], ref["right"])
+        problem = core.make_problem(system, ref["left"], ref["right"])
         out += [problem.left, problem.params, problem, record_.module.solve_exact(problem),
                 record_.module.estimate(problem, EstimatorId.TMS_B), problem._wave_data,
                 record_]
@@ -99,9 +101,9 @@ def tuple_eq(self, other):
 @functools.cache
 def twin_of(cls):
     """A plain `dataclass(frozen=True, slots=...)` under the same name, so
-    that its repr is the same, with the bases, layout and own methods of
-    `cls` and its annotations and defaults, from which `dataclass` finds
-    the fields itself."""
+    that its repr is the same, with the bases (but `core.InputRecord`),
+    layout and own methods of `cls` and its annotations and defaults, from
+    which `dataclass` finds the fields itself."""
     defaults = {name: p.default for name, p in inspect.signature(cls).parameters.items()
                 if p.default is not p.empty}
     namespace = {name: value for name, value in vars(cls).items()
@@ -110,7 +112,8 @@ def twin_of(cls):
         namespace["__repr__"] = cls.__repr__
     namespace.update(defaults, __module__=TWINS.__name__, __qualname__=cls.__qualname__,
                      __annotations__=dict(vars(cls)["__annotations__"]))
-    twin = dataclass(frozen=True, slots=slotted(cls))(type(cls.__name__, cls.__bases__, namespace))
+    bases = tuple(base for base in cls.__bases__ if base is not core.InputRecord)
+    twin = dataclass(frozen=True, slots=slotted(cls))(type(cls.__name__, bases, namespace))
     if sys.version_info >= (3, 13):
         # From 3.13 on `dataclass` compares field by field; `record` pins
         # the tuple comparison of 3.10-3.12 (see `core.record`).
@@ -156,6 +159,18 @@ def astuple(obj) -> tuple:
     return tuple(plain(getattr(obj, name)) for name in core.fields(obj))
 
 
+def vars_outcome(obj):
+    """The outcome of `vars(obj)`, with records made twins.  A state or
+    params lists its fields, where its slotted twin raises `TypeError`:
+    the one documented difference from the twins, pinned by
+    `test_vars_of_states_and_params_lists_their_fields`.  Here it reads as
+    the twin's outcome once the dict is checked."""
+    if isinstance(obj, core.InputRecord):
+        assert vars(obj) == core.asdict(obj)
+        return TypeError
+    return outcome(lambda o: to_twin(vars(o)), obj)
+
+
 def round_trip(through, names):
     """What `through(obj)` gives back: its type, the values of the fields
     `names` and its `vars()` outcome, with records made twins, and whether
@@ -163,7 +178,7 @@ def round_trip(through, names):
     def trip(obj):
         back = through(obj)
         return (type(back).__qualname__, [to_twin(getattr(back, name)) for name in names],
-                outcome(lambda o: to_twin(vars(o)), back), back == obj)
+                vars_outcome(back), back == obj)
     return trip
 
 
@@ -198,9 +213,9 @@ def test_matches_plain_frozen_dataclass(sample):
     assert inspect.signature(cls) == inspect.signature(twin)
     assert slotted(twin) == slotted(cls)
     if slotted(cls):
-        for target in (mine, theirs):
-            with pytest.raises(TypeError):
-                vars(target)
+        with pytest.raises(TypeError):
+            vars(theirs)
+        assert vars_outcome(mine) is TypeError
     else:
         assert to_twin(vars(mine)) == vars(theirs)
         assert list(vars(mine)) == list(names)
@@ -252,7 +267,7 @@ def test_defaults_are_kept():
     assert bloodflow.BfeParams() == bloodflow.BfeParams(28209.4792, 1.05)
     assert core.SpeedBounds(1.0, 2.0, EstimatorId.TORO).pattern is None
     assert tables.CellCheck(1, "toro", 1.0, 1.0, 0.0, "ok").note == ""
-    assert tables.make_problem("bfe", (1.0, 0.0), (2.0, 0.0)).params is (
+    assert core.make_problem("bfe", (1.0, 0.0), (2.0, 0.0)).params is (
         inspect.signature(bloodflow.BfeProblem).parameters["params"].default)
 
 
@@ -334,18 +349,65 @@ def test_class_variables_are_not_fields():
         assert core.fields(Point) == ("x",) and Point(2.0).unit == "m"
 
 
-def test_only_the_input_types_keep_an_instance_dict():
-    # vars() enumerates the states and params, and a problem keeps its
-    # cached side records and wave data in its __dict__; every result
-    # record is slotted.
-    inputs = {cls for module in (euler, shallow, bloodflow)
-              for cls in (module.SYSTEM.state_type, module.SYSTEM.params_type,
-                          module.SYSTEM.problem_type)}
+#: One state and one params object of each system, from `samples`.
+INPUTS = [sample for sample in SAMPLES if isinstance(sample, core.InputRecord)]
+INPUT_IDS = [type(sample).__qualname__ for sample in INPUTS]
+
+
+def test_only_the_three_problem_types_keep_an_instance_dict():
+    # A problem keeps its cached side records and wave data in its
+    # __dict__; every other record, the states and params included, is
+    # slotted, and the states and params are the `InputRecord`s.
+    systems = [module.SYSTEM for module in (euler, shallow, bloodflow)]
+    problems = {system.problem_type for system in systems}
     records = set(package_records().values())
-    assert len(inputs) == 9 and inputs < records
-    assert {cls for cls in records if not slotted(cls)} == inputs
-    for cls in records - inputs:
+    assert len(problems) == 3 and problems < records
+    assert {cls for cls in records if not slotted(cls)} == problems
+    for cls in records - problems:
         assert cls.__slots__ == core.fields(cls), cls
+    inputs = {cls for system in systems for cls in (system.state_type, system.params_type)}
+    assert {cls for cls in records if issubclass(cls, core.InputRecord)} == inputs
+    assert len(INPUTS) == len(inputs) == 6 and {type(sample) for sample in INPUTS} == inputs
+
+
+@pytest.mark.parametrize("sample", INPUTS, ids=INPUT_IDS)
+def test_vars_of_states_and_params_lists_their_fields(sample):
+    # What code that enumerates a state or params with vars() relies on
+    # (the benchmark's workloads do): the fields in order, as a shallow
+    # `core.asdict`, in a new dict on each call that does not write through.
+    names = core.fields(sample)
+    listed = vars(sample)
+    assert list(listed) == list(names)
+    assert list(listed.values()) == [getattr(sample, name) for name in names]
+    assert listed == core.asdict(sample) == {name: getattr(sample, name) for name in names}
+    assert vars(sample) is not listed and sample.__dict__ is not listed
+    listed[names[0]] = -1.0
+    assert vars(sample) != listed and getattr(sample, names[0]) != -1.0
+
+
+@pytest.mark.parametrize("sample", INPUTS, ids=INPUT_IDS)
+def test_slotted_inputs(sample):
+    cls, names = type(sample), core.fields(sample)
+    values = [getattr(sample, name) for name in names]
+    assert not cls.__dictoffset__ and core.InputRecord.__slots__ == ()
+    assert "__weakref__" not in dir(cls)
+    with pytest.raises(TypeError):
+        weakref.ref(sample)
+    for name in (*names, "__dict__", "other"):
+        with pytest.raises(core.FrozenInstanceError):
+            setattr(sample, name, 1.0)
+    with pytest.raises(core.FrozenInstanceError):
+        delattr(sample, names[0])
+    assert [getattr(sample, name) for name in names] == values
+    for through in (lambda obj: pickle.loads(pickle.dumps(obj)), copy.copy, copy.deepcopy,
+                    core.replace):
+        back = through(sample)
+        assert type(back) is cls and back == sample and hash(back) == hash(sample)
+        assert [getattr(back, name) for name in names] == values
+        assert vars(back) == vars(sample)
+    changed = core.replace(sample, **{names[0]: 2.0 * values[0]})
+    assert type(changed) is cls and getattr(changed, names[0]) == 2.0 * values[0]
+    assert [getattr(changed, name) for name in names[1:]] == values[1:]
 
 
 @pytest.mark.parametrize("enum", [WavePattern, EstimatorId])

@@ -14,7 +14,7 @@ import random
 import pytest
 
 from riemann_bounds import euler, shallow
-from riemann_bounds.core import EstimatorId
+from riemann_bounds.core import EstimatorId, asdict
 from riemann_bounds.fuzz import sample_problem
 
 LAMBDAS = {"2^-20": 2.0**-20, "2": 2.0, "2^20": 2.0**20}
@@ -47,7 +47,7 @@ def test_speeds_scale_with_the_data(system, scale):
     record = module.SYSTEM
     rng = random.Random(3)
     for base in [sample_problem(system, rng) for _ in range(DRAWS)]:
-        left, right = (tuple(vars(state).values()) for state in (base.left, base.right))
+        left, right = (tuple(asdict(state).values()) for state in (base.left, base.right))
         scaled = record.problem_type(record.state_type(*rescale(left, scale)),
                                      record.state_type(*rescale(right, scale)))
         for estimator in (EstimatorId.EXACT, *module.ESTIMATORS):

@@ -8,12 +8,12 @@ from riemann_bounds import core, tables
 from riemann_bounds.core import EstimatorId
 
 
-ALL_COMBOS = [(s, t) for s in tables.SYSTEMS for t in tables.TABLES]
+ALL_COMBOS = [(s, t) for s in core.SYSTEMS for t in core.TABLES]
 
 
 class TestLoadReference:
     def test_all_systems_load(self):
-        for system in tables.SYSTEMS:
+        for system in core.SYSTEMS:
             ref = tables.load_reference(system)
             assert ref["system"] == system
             assert ref["tests"]
@@ -38,13 +38,13 @@ class TestReproduce:
         report = tables.reproduce(system, table)
         assert report.passed, [c for c in report.cells if c.status == "fail"]
 
-    @pytest.mark.parametrize("system", tables.SYSTEMS)
+    @pytest.mark.parametrize("system", core.SYSTEMS)
     @pytest.mark.parametrize("side", ("s_left", "s_right", "ic"))
     def test_speed_cells_are_the_sides_of_estimate(self, system, side):
         # reproduce reads the registry's speed pairs; the public estimate
         # must give the same bits, EXACT included.  The ic table's star
         # cells are the star values of `solve_exact`, bit for bit.
-        module = tables.system_module(system)
+        module = core.system_module(system)
         tests = {test["id"]: test for test in tables.load_reference(system)["tests"]}
         computed = [c for c in tables.reproduce(system, side).cells if c.computed is not None]
         if side == "ic":
@@ -53,9 +53,9 @@ class TestReproduce:
             assert {c.column for c in computed} >= {"exact", "toro", "tms_a"}
         for cell in computed:
             test = tests[cell.test_id]
-            problem = tables.make_problem(system, test["left"], test["right"])
+            problem = core.make_problem(system, test["left"], test["right"])
             if side == "ic":
-                star = tables.star_values(system, module.solve_exact(problem))
+                star = core.star_values(system, module.solve_exact(problem))
                 assert repr(cell.computed) == repr(star[cell.column]), cell
                 continue
             bounds = module.estimate(problem, EstimatorId(cell.column))
@@ -90,7 +90,7 @@ class TestReproduce:
         assert "bounds" in cell.note
 
     def test_patterns_reproduced(self):
-        for system in tables.SYSTEMS:
+        for system in core.SYSTEMS:
             report = tables.reproduce(system, "ic")
             patterns = [c for c in report.cells if c.column == "pattern"]
             assert patterns and all(c.status == "ok" for c in patterns)
@@ -98,7 +98,7 @@ class TestReproduce:
 
 class TestBoundViolations:
     def test_matches_published_flags(self):
-        for system in tables.SYSTEMS:
+        for system in core.SYSTEMS:
             ref = tables.load_reference(system)
             for test in ref["tests"]:
                 for side in ("s_left", "s_right"):
@@ -118,19 +118,19 @@ class TestBoundViolations:
 
 class TestGlue:
     def test_make_problem_overrides(self):
-        prob = tables.make_problem("euler", (1.0, 0.0, 1.0), (1.0, 0.0, 0.1),
+        prob = core.make_problem("euler", (1.0, 0.0, 1.0), (1.0, 0.0, 0.1),
                                    {"gamma": 1.6})
         assert prob.params.gamma == 1.6
 
     def test_star_values_keys(self):
-        prob = tables.make_problem("swe", (1.0, 0.0), (0.7, 0.0))
-        solution = tables.system_module("swe").solve_exact(prob)
-        star = tables.star_values("swe", solution)
+        prob = core.make_problem("swe", (1.0, 0.0), (0.7, 0.0))
+        solution = core.system_module("swe").solve_exact(prob)
+        star = core.star_values("swe", solution)
         assert set(star) == {"h_star", "u_star"}
 
     @pytest.mark.parametrize("name", ["system_record", "system_module", "make_problem",
                                       "star_values", "SYSTEMS", "TABLES"])
     def test_the_registry_names_of_tables_are_those_of_core(self, name):
         # The registry lives in `core`; callers that reach it as `tables.*`
-        # (the benchmark's workloads, tools/output_digest.py) get the same objects.
+        # (the benchmark's workloads) get the same objects.
         assert getattr(tables, name) is getattr(core, name)

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from riemann_bounds import bloodflow, core, euler, shallow, tables
+from riemann_bounds import bloodflow, core, euler, shallow
 from riemann_bounds.core import (
     ClosedFormOverflow,
     EstimatorId,
@@ -406,7 +406,7 @@ def test_unsupported_estimator_names_the_system(system, estimator, title):
     problem = sample_problem(system, random.Random(0))
     with pytest.raises(UnsupportedEstimator,
                        match=f"{estimator.value} is not defined for the {title} system"):
-        tables.system_module(system).estimate(problem, estimator)
+        core.system_module(system).estimate(problem, estimator)
 
 
 @pytest.mark.parametrize("estimator", ["tms_b", None, 7])
@@ -414,7 +414,7 @@ def test_unsupported_estimator_names_the_system(system, estimator, title):
 def test_an_estimator_that_is_no_estimator_id_is_unsupported(system, estimator):
     # A registry miss on a value that is no `EstimatorId` (its value string,
     # None) names that value, from `estimate` and `speed_function` alike.
-    record = tables.system_record(system)
+    record = core.system_record(system)
     problem = sample_problem(system, random.Random(0))
     message = f"{estimator!r} is not an EstimatorId"
     with pytest.raises(UnsupportedEstimator, match=message):
@@ -436,8 +436,8 @@ NON_FINITE = [
 @pytest.mark.parametrize("call", ["exact", "toro", "tms_a", "tms_b", "tms_c"])
 @pytest.mark.parametrize("system, left, right", NON_FINITE)
 def test_non_finite_wave_data_raise(system, left, right, call):
-    module = tables.system_module(system)
-    problem = tables.make_problem(system, left, right)
+    module = core.system_module(system)
+    problem = core.make_problem(system, left, right)
     with pytest.raises(ClosedFormOverflow, match="overflows"):
         if call == "exact":
             module.solve_exact(problem)

@@ -88,10 +88,10 @@ def outcome(fn, *args) -> str:
 
 
 def acceptance_lines(system: str, count: int):
-    from riemann_bounds import fuzz, tables
+    from riemann_bounds import core, fuzz
     from riemann_bounds.core import EstimatorId
 
-    module = tables.system_module(system)
+    module = core.system_module(system)
     rng = random.Random(ACCEPTANCE_SEEDS[system])
     for i in range(count):
         problem = fuzz.sample_problem(system, rng)
@@ -102,16 +102,16 @@ def acceptance_lines(system: str, count: int):
 
 
 def raw_lines(system: str):
-    from riemann_bounds import tables
+    from riemann_bounds import core
     from riemann_bounds.core import EstimatorId
 
-    record = tables.system_record(system)
+    record = core.system_record(system)
     module = record.module
     positive = getattr(module, POSITIVITY[system])
     two_rarefaction = getattr(module, record.two_rarefaction)
     rng = random.Random(RAW_SEED)
     for i in range(RAW_PAIRS):
-        problem = tables.make_problem(system, record.draw(rng), record.draw(rng))
+        problem = core.make_problem(system, record.draw(rng), record.draw(rng))
         yield f"raw {system} {i} positive {outcome(positive, problem)}"
         yield f"raw {system} {i} classify {outcome(module.classify, problem)}"
         yield f"raw {system} {i} two_rarefaction {outcome(two_rarefaction, problem)}"
@@ -132,11 +132,11 @@ def mesh(seed: int):
 
 
 def mesh_lines(system: str, seed: int):
-    from riemann_bounds import core, tables
+    from riemann_bounds import core
     from riemann_bounds.core import EstimatorId
 
     grids = mesh(seed)
-    module = tables.system_module(system)
+    module = core.system_module(system)
     estimators = tuple(module.ESTIMATORS) + (EstimatorId.EXACT,)
     for k, pair in enumerate(grids.grids[system]):
         for side, problems in zip(("grid", "mirror"), pair):
@@ -175,10 +175,10 @@ def fuzz_lines(system: str):
 
 
 def table_lines():
-    from riemann_bounds import tables
+    from riemann_bounds import core, tables
 
-    for system in tables.SYSTEMS:
-        for table in tables.TABLES:
+    for system in core.SYSTEMS:
+        for table in core.TABLES:
             yield f"table {system} {table} {outcome(tables.reproduce, system, table)}"
 
 
@@ -268,15 +268,15 @@ def record_samples():
     from riemann_bounds.core import EstimatorId
 
     out = []
-    for system in tables.SYSTEMS:
-        record = tables.system_record(system)
+    for system in core.SYSTEMS:
+        record = core.system_record(system)
         ref = tables.load_reference(system)["tests"][0]
-        problem = tables.make_problem(system, ref["left"], ref["right"])
+        problem = core.make_problem(system, ref["left"], ref["right"])
         out += [problem.left, problem.params, problem, record.module.solve_exact(problem),
                 record.module.estimate(problem, EstimatorId.TMS_B), problem._wave_data,
                 record]
     # R/R wave data, with NaN for the values the pattern does not need
-    out.append(tables.make_problem("euler", (1.0, -2.0, 0.4), (1.0, 2.0, 0.4))._wave_data)
+    out.append(core.make_problem("euler", (1.0, -2.0, 0.4), (1.0, 2.0, 0.4))._wave_data)
     report = tables.reproduce("euler", "s_left")
     violation = fuzz.FuzzViolation(3, "tms_b", "s_left", 1.5, 1.25, (1.0, 0.0, 1.0),
                                    (0.125, 0.0, 0.1))
