@@ -12,7 +12,6 @@ from .core import (
     ClosedFormOverflow,
     CollapseData,
     EstimatorId,
-    InputRecord,
     Problem,
     System,
     WavePattern,
@@ -30,7 +29,7 @@ _VACUUM_FLOOR_AREA = 1e-12  # cm^2; near-empty vessel used by the crude bound
 
 
 @record
-class BfeState(InputRecord):
+class BfeState:
     """Cross-sectional area (cm^2) and velocity (cm/s)."""
 
     a: float
@@ -44,7 +43,7 @@ class BfeState(InputRecord):
 
 
 @record
-class BfeParams(InputRecord):
+class BfeParams:
     """Wall stiffness beta (dyne/cm^3) and blood density rho (g/cm^3)."""
 
     beta: float = 28209.4792
@@ -57,7 +56,7 @@ class BfeParams(InputRecord):
             raise ValueError(f"rho must be positive and finite, got {self.rho}")
 
 
-@record(slots=False)
+@record
 class BfeProblem(Problem):
     left: BfeState
     right: BfeState

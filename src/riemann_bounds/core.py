@@ -66,26 +66,6 @@ class FrozenInstanceError(AttributeError):
     """Assignment to, or deletion of, an attribute of a record."""
 
 
-class cached_attribute:
-    """`functools.cached_property` without the RLock that Python 3.11's
-    takes on every first access (racing threads both compute the value, a
-    pure function of frozen fields).  It needs an instance `__dict__`, so
-    it serves the problem types, and stores through `object.__setattr__`,
-    past the frozen `__setattr__`, as their `__init__` stores fields."""
-
-    def __init__(self, func):
-        self.func = func
-        self.name = func.__name__
-        self.__doc__ = func.__doc__
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = self.func(instance)
-        object.__setattr__(instance, self.name, value)
-        return value
-
-
 def fields(record) -> tuple[str, ...]:
     """The field names of a record type or record, in order."""
     return record._fields
@@ -106,19 +86,6 @@ def replace(record, **changes):
 
 def _values(self) -> tuple:
     return tuple([getattr(self, name) for name in self._fields])
-
-
-class InputRecord:
-    """Base of the state and params types, slotted records: `vars()` of one
-    is a new dict of its fields in field order, built on each call, so that
-    code that enumerates a state's or params' fields with `vars()` reads
-    them as it did when these types kept an instance dict."""
-
-    __slots__ = ()
-
-    @property
-    def __dict__(self) -> dict:
-        return dict(zip(self._fields, _values(self)))
 
 
 def _eq(self, other):
@@ -142,19 +109,21 @@ def _setstate(self, state):
     self.__init__(*state)
 
 
-def record(cls: type | None = None, *, slots: bool = True):
-    """Class decorator of the package's value types, `@record`, or with
-    `slots=False` for the problem types, which keep an instance dict:
-    `dataclass(frozen=True, slots=slots)` without the dataclass module,
-    from the shared functions above, with a faster `__init__` (see
-    README).  The fields are the class's own annotations but
-    `ClassVar` ones, with class attributes as defaults.  `__init__` stores
-    them through each slot's `__set__` or `object.__setattr__`, bound once,
-    then calls `__post_init__`.  Equality compares field tuples, as on
-    Python 3.10-3.12 (3.13's `dataclass` compares field by field).  Fields
-    other than plain positional ones raise `TypeError`."""
-    if cls is None:
-        return partial(record, slots=slots)
+def _fields_dict(self) -> dict:
+    return dict(zip(self._fields, _values(self)))
+
+
+def record(cls: type):
+    """Class decorator of the package's value types:
+    `dataclass(frozen=True, slots=True)` without the dataclass module, from
+    the shared functions above, with a faster `__init__` (see README).  The
+    fields are the class's own annotations but `ClassVar` ones, with class
+    attributes as defaults.  `__init__` stores them through each slot's
+    `__set__`, bound once, then calls `__post_init__`.  Equality compares
+    field tuples, as on Python 3.10-3.12 (3.13's `dataclass` compares field
+    by field).  `vars()`, where the dataclass raises, is a new dict of the
+    fields in order (a read-only `__dict__` property).  Fields other than
+    plain positional ones raise `TypeError`."""
     namespace = {"__repr__": _repr, **cls.__dict__}  # a repr of its own is kept
     annotations = namespace.get("__annotations__", {})
     names, defaults = [], []
@@ -171,29 +140,23 @@ def record(cls: type | None = None, *, slots: bool = True):
             raise TypeError(f"non-default argument {name!r} follows default argument")
         names.append(name)
     names = tuple(names)
-    for name in ("__dict__", "__weakref__", *(names if slots else ())):
+    for name in ("__weakref__", *names):
         namespace.pop(name, None)  # a slot replaces its default
-    namespace.update(__qualname__=cls.__qualname__, _fields=names,
-                     __eq__=_eq, __hash__=_hash, __setattr__=_frozen, __delattr__=_frozen)
-    if slots:
-        namespace.update(__slots__=names, __getstate__=_values, __setstate__=_setstate)
+    namespace.update(__qualname__=cls.__qualname__, _fields=names, __slots__=names,
+                     __dict__=property(_fields_dict), __eq__=_eq, __hash__=_hash,
+                     __setattr__=_frozen, __delattr__=_frozen, __getstate__=_values,
+                     __setstate__=_setstate)
     cls = type(cls)(cls.__name__, cls.__bases__, namespace)
     # No field name can start with __, so the closure's names cannot clash.
-    if slots:
-        stores = [getattr(cls, name).__set__ for name in names]  # the slot descriptors
-        params = [f"__set{i}" for i in range(len(names))]
-        body = [f"        __set{i}(self, {name})" for i, name in enumerate(names)]
-    else:
-        stores, params = [object.__setattr__], ["__store"]
-        body = [f"        __store(self, {name!r}, {name})" for name in names]
-    lines = [f"def make_init({', '.join(params)}):",
-             f"    def __init__(self, {', '.join(names)}):", *body]
+    lines = [f"def make_init({', '.join(f'__set{i}' for i in range(len(names)))}):",
+             f"    def __init__(self, {', '.join(names)}):",
+             *[f"        __set{i}(self, {name})" for i, name in enumerate(names)]]
     if hasattr(cls, "__post_init__"):
         lines.append("        self.__post_init__()")
     lines.append("    return __init__")
     scope: dict = {}
     exec(compile("\n".join(lines), "<record>", "exec"), {}, scope)
-    init = scope["make_init"](*stores)
+    init = scope["make_init"](*[getattr(cls, name).__set__ for name in names])  # the slots'
     init.__defaults__ = tuple(defaults) or None
     init.__annotations__ = {**{name: annotations[name] for name in names}, "return": None}
     init.__qualname__ = f"{cls.__qualname__}.__init__"
@@ -320,7 +283,8 @@ class System:
     `interpolate_root`, `find_root` and the functions named by `curve` and
     `two_rarefaction` as attributes of `module` when it runs, so that
     replacing them on the module (to count or time calls) takes effect.  A
-    problem's `_sides` is the pair of `side` records of its two states.
+    problem's `_sides` slot holds the pair of `side` records of its two
+    states, built on first read (see `Problem`).
     The celerity and the positivity condition are each written once per
     system, in `celerity` and `positivity`: the side record (blood flow's
     multiplies the two factors it keeps, with `celerity`'s bits), the
@@ -556,20 +520,26 @@ def wave_data(problem) -> WaveData:
 
 
 class Problem:
-    """Base of the problem types: what every solve and estimate of one
-    problem reads, computed on first use and kept on the object.  Each
-    system module sets its problem type's `_system` to its `SYSTEM`."""
+    """Base of the problem types, whose `_system` each system module sets to
+    its `SYSTEM`.  What every solve and estimate reads is built on first
+    read and kept in a slot: `_sides`, the system's side record of each
+    state, and `_wave_data`, the problem's `wave_data`.  `__getattr__` runs
+    only while a slot is empty, and stores past the frozen `__setattr__`; a
+    build that raises leaves the slot empty, to raise again on a re-read."""
 
-    @cached_attribute
-    def _sides(self) -> tuple:
-        """(left, right): the system's per-side record of each state."""
-        side = self._system.side
-        return side(self.left, self.params), side(self.right, self.params)
+    __slots__ = ("_sides", "_wave_data")
 
-    @cached_attribute
-    def _wave_data(self) -> WaveData:
-        """The problem's `wave_data`."""
-        return wave_data(self)
+    def __getattr__(self, name):
+        if name == "_sides":
+            side = self._system.side
+            value = side(self.left, self.params), side(self.right, self.params)
+        elif name == "_wave_data":
+            value = wave_data(self)
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}",
+                                 name=name, obj=self)
+        object.__setattr__(self, name, value)
+        return value
 
 
 def classify(problem) -> WavePattern:

@@ -10,7 +10,6 @@ from . import core
 from .core import (
     ClosedFormOverflow,
     EstimatorId,
-    InputRecord,
     Problem,
     System,
     VacuumData,
@@ -26,7 +25,7 @@ from .core import (
 
 
 @record
-class EulerState(InputRecord):
+class EulerState:
     """Primitive gas state (SI units)."""
 
     rho: float
@@ -43,7 +42,7 @@ class EulerState(InputRecord):
 
 
 @record
-class EulerParams(InputRecord):
+class EulerParams:
     gamma: float = 1.4
 
     def __post_init__(self):
@@ -51,7 +50,7 @@ class EulerParams(InputRecord):
             raise ValueError(f"gamma must be finite and exceed 1, got {self.gamma}")
 
 
-@record(slots=False)
+@record
 class EulerProblem(Problem):
     left: EulerState
     right: EulerState
@@ -181,9 +180,15 @@ def _einfeldt(problem: EulerProblem):
     wl, wr = math.sqrt(left.rho), math.sqrt(right.rho)
     cl, cr, du = side_l.c, side_r.c, right.u - left.u
     u_roe = (wl * left.u + wr * right.u) / (wl + wr)
-    d2 = (wl * cl * cl + wr * cr * cr) / (wl + wr) + 0.5 * wl * wr / (wl + wr) ** 2 * du * du
+    try:
+        d2 = (wl * cl * cl + wr * cr * cr) / (wl + wr) + 0.5 * wl * wr / (wl + wr) ** 2 * du * du
+    except OverflowError:  # (wl + wr) ** 2, for densities near the largest double
+        d2 = math.inf
     d = math.sqrt(d2)
-    return u_roe - d, u_roe + d
+    s_left, s_right = u_roe - d, u_roe + d
+    if not -math.inf < s_left < math.inf > s_right > -math.inf:  # NaN fails every comparison
+        raise ClosedFormOverflow(f"Einfeldt's speeds are not finite: {s_left}, {s_right}")
+    return s_left, s_right
 
 
 def _batten(problem: EulerProblem):

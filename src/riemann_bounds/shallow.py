@@ -11,7 +11,6 @@ from . import core
 from .core import (
     DryBed,
     EstimatorId,
-    InputRecord,
     Problem,
     System,
     WavePattern,
@@ -27,7 +26,7 @@ from .core import (
 
 
 @record
-class SweState(InputRecord):
+class SweState:
     """Depth and velocity (SI units)."""
 
     h: float
@@ -41,7 +40,7 @@ class SweState(InputRecord):
 
 
 @record
-class SweParams(InputRecord):
+class SweParams:
     g: float = 9.8
 
     def __post_init__(self):
@@ -49,7 +48,7 @@ class SweParams(InputRecord):
             raise ValueError(f"g must be positive and finite, got {self.g}")
 
 
-@record(slots=False)
+@record
 class SweProblem(Problem):
     left: SweState
     right: SweState

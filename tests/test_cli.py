@@ -231,6 +231,16 @@ class TestBounds:
         assert code == 1
         assert err
 
+    def test_infinite_einfeldt_speeds_exit_code(self, capsys):
+        # du**2 overflows in Einfeldt's d**2: the pair was (-inf, +inf),
+        # printed as -Infinity, which is not JSON, with exit code 0.
+        code, out, err = run(capsys, "bounds", "--system", "euler",
+                             "--left", "1,1e200,1", "--right", "1,-1e200,1",
+                             "--estimator", "einfeldt", "--format", "json")
+        assert code == cli.EXIT_SOLVER
+        assert err.startswith("error: ClosedFormOverflow: ")
+        assert out == ""
+
     def test_deterministic_output(self, capsys):
         args = ("bounds", "--system", "euler", "--left", "1,0,1",
                 "--right", "1,0,0.1")

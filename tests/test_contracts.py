@@ -120,6 +120,13 @@ REPRODUCERS = {
         "euler", (1.3573213500443768e-141, -5096.667016126539, 3.539777407430506e+187),
         (0.09568177268457889, -1682.5579811141924, 4.5235660048190316e+136)),
         ["exact"] + [e.value for e in euler.ESTIMATORS], ClosedFormOverflow),
+    # du**2 overflows in Einfeldt's d**2, which gave the pair (-inf, +inf).
+    "euler-einfeldt-infinite-speeds": ("euler", core.make_problem(
+        "euler", (1.0, 1e200, 1.0), (1.0, -1e200, 1.0)), ["einfeldt"], ClosedFormOverflow),
+    # (sqrt(rho_L) + sqrt(rho_R))**2 overflows in Einfeldt's weight, which
+    # raised a raw OverflowError.
+    "euler-einfeldt-weight-overflow": ("euler", core.make_problem(
+        "euler", (1e308, 0.0, 1.0), (1e308, 0.0, 1.0)), ["einfeldt"], ClosedFormOverflow),
 }
 
 

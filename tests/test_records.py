@@ -1,10 +1,11 @@
-"""The package's value types are declared with `core.record`: frozen
-records with a faster generated `__init__`, slotted except for the problem
-types, built without `dataclasses`.  Each record must behave exactly like
-a plain `dataclass(frozen=True, slots=...)` twin with the same fields,
-methods and layout, except that `vars()` of a state or params lists its
-fields where its slotted twin raises, and the enums that key the estimator
-registry must hash by identity."""
+"""The package's value types are declared with `core.record`: frozen,
+slotted records with a faster generated `__init__`, built without
+`dataclasses`.  Each record must behave exactly like a plain
+`dataclass(frozen=True, slots=True)` twin with the same fields, methods and
+layout, except that `vars()` of a record lists its fields where the twin
+raises, and the enums that key the estimator registry must hash by
+identity.  A problem keeps its side records and wave data in two slots of
+its own, filled on first read."""
 
 import copy
 import dataclasses
@@ -25,6 +26,7 @@ import pytest
 import riemann_bounds
 from riemann_bounds import bloodflow, core, euler, fuzz, shallow, tables
 from riemann_bounds.core import EstimatorId, InvalidBracket, WavePattern, WaveData, record
+from test_contracts import REPRODUCERS
 
 
 def package_classes():
@@ -84,12 +86,6 @@ def own_repr(cls) -> bool:
     return cls.__repr__ is not PROBE.__repr__
 
 
-def slotted(cls) -> bool:
-    """Whether `cls` keeps its fields in `__slots__`, without an instance
-    `__dict__`."""
-    return not cls.__dictoffset__
-
-
 def tuple_eq(self, other):
     """The `__eq__` that `dataclass` generates on Python 3.10-3.12."""
     if other.__class__ is self.__class__:
@@ -100,10 +96,10 @@ def tuple_eq(self, other):
 
 @functools.cache
 def twin_of(cls):
-    """A plain `dataclass(frozen=True, slots=...)` under the same name, so
-    that its repr is the same, with the bases (but `core.InputRecord`),
-    layout and own methods of `cls` and its annotations and defaults, from
-    which `dataclass` finds the fields itself."""
+    """A plain `dataclass(frozen=True, slots=True)` under the same name, so
+    that its repr is the same, with the bases and own methods of `cls` and
+    its annotations and defaults, from which `dataclass` finds the fields
+    itself."""
     defaults = {name: p.default for name, p in inspect.signature(cls).parameters.items()
                 if p.default is not p.empty}
     namespace = {name: value for name, value in vars(cls).items()
@@ -112,8 +108,7 @@ def twin_of(cls):
         namespace["__repr__"] = cls.__repr__
     namespace.update(defaults, __module__=TWINS.__name__, __qualname__=cls.__qualname__,
                      __annotations__=dict(vars(cls)["__annotations__"]))
-    bases = tuple(base for base in cls.__bases__ if base is not core.InputRecord)
-    twin = dataclass(frozen=True, slots=slotted(cls))(type(cls.__name__, bases, namespace))
+    twin = dataclass(frozen=True, slots=True)(type(cls.__name__, cls.__bases__, namespace))
     if sys.version_info >= (3, 13):
         # From 3.13 on `dataclass` compares field by field; `record` pins
         # the tuple comparison of 3.10-3.12 (see `core.record`).
@@ -159,14 +154,19 @@ def astuple(obj) -> tuple:
     return tuple(plain(getattr(obj, name)) for name in core.fields(obj))
 
 
+def shallow_asdict(obj) -> dict:
+    """A record's fields and their values, in field order."""
+    return {name: getattr(obj, name) for name in core.fields(obj)}
+
+
 def vars_outcome(obj):
-    """The outcome of `vars(obj)`, with records made twins.  A state or
-    params lists its fields, where its slotted twin raises `TypeError`:
-    the one documented difference from the twins, pinned by
+    """The outcome of `vars(obj)`, with records made twins.  A record lists
+    its fields, where its twin raises `TypeError`: the one documented
+    difference from the twins, pinned by
     `test_vars_of_states_and_params_lists_their_fields`.  Here it reads as
     the twin's outcome once the dict is checked."""
-    if isinstance(obj, core.InputRecord):
-        assert vars(obj) == core.asdict(obj)
+    if hasattr(type(obj), "_fields"):
+        assert vars(obj) == shallow_asdict(obj)
         return TypeError
     return outcome(lambda o: to_twin(vars(o)), obj)
 
@@ -211,14 +211,10 @@ def test_matches_plain_frozen_dataclass(sample):
         (f.name, f.type, inspect.Parameter.empty if f.default is dataclasses.MISSING
          else f.default) for f in dataclasses.fields(theirs)]
     assert inspect.signature(cls) == inspect.signature(twin)
-    assert slotted(twin) == slotted(cls)
-    if slotted(cls):
-        with pytest.raises(TypeError):
-            vars(theirs)
-        assert vars_outcome(mine) is TypeError
-    else:
-        assert to_twin(vars(mine)) == vars(theirs)
-        assert list(vars(mine)) == list(names)
+    assert cls.__slots__ == twin.__slots__ == names
+    with pytest.raises(TypeError):
+        vars(theirs)
+    assert vars_outcome(mine) is TypeError
     # `core.asdict` shares the values `dataclasses.asdict` deep-copies.
     assert outcome(lambda obj: copy.deepcopy(core.asdict(obj)), mine) == outcome(
         dataclasses.asdict, theirs)
@@ -337,60 +333,53 @@ def test_a_repr_the_class_defines_is_kept():
 
 
 def test_class_variables_are_not_fields():
-    for slots in (True, False):
-        Point = record(slots=slots)(type("Point", (), {
-            "__annotations__": {"x": float, "unit": ClassVar[str]}, "unit": "m"}))
-        assert core.fields(Point) == ("x",)
-        assert core.asdict(Point(2.0)) == {"x": 2.0}
-        assert Point.unit == Point(2.0).unit == "m"
-        # ... also under `from __future__ import annotations`.
-        Point = record(slots=slots)(type("Point", (), {
-            "__annotations__": {"x": "float", "unit": "typing.ClassVar[str]"}, "unit": "m"}))
-        assert core.fields(Point) == ("x",) and Point(2.0).unit == "m"
+    Point = record(type("Point", (), {
+        "__annotations__": {"x": float, "unit": ClassVar[str]}, "unit": "m"}))
+    assert core.fields(Point) == ("x",)
+    assert core.asdict(Point(2.0)) == {"x": 2.0}
+    assert Point.unit == Point(2.0).unit == "m"
+    # ... also under `from __future__ import annotations`.
+    Point = record(type("Point", (), {
+        "__annotations__": {"x": "float", "unit": "typing.ClassVar[str]"}, "unit": "m"}))
+    assert core.fields(Point) == ("x",) and Point(2.0).unit == "m"
 
 
-#: One state and one params object of each system, from `samples`.
-INPUTS = [sample for sample in SAMPLES if isinstance(sample, core.InputRecord)]
-INPUT_IDS = [type(sample).__qualname__ for sample in INPUTS]
+#: The ids of `SAMPLES` by class name alone; pytest numbers repeated ones.
+NAME_IDS = [type(sample).__qualname__ for sample in SAMPLES]
 
 
-def test_only_the_three_problem_types_keep_an_instance_dict():
-    # A problem keeps its cached side records and wave data in its
-    # __dict__; every other record, the states and params included, is
-    # slotted, and the states and params are the `InputRecord`s.
-    systems = [module.SYSTEM for module in (euler, shallow, bloodflow)]
-    problems = {system.problem_type for system in systems}
-    records = set(package_records().values())
-    assert len(problems) == 3 and problems < records
-    assert {cls for cls in records if not slotted(cls)} == problems
-    for cls in records - problems:
-        assert cls.__slots__ == core.fields(cls), cls
-    inputs = {cls for system in systems for cls in (system.state_type, system.params_type)}
-    assert {cls for cls in records if issubclass(cls, core.InputRecord)} == inputs
-    assert len(INPUTS) == len(inputs) == 6 and {type(sample) for sample in INPUTS} == inputs
+def test_every_record_is_slotted():
+    # The slots are the fields; a problem's base adds its two lazy slots.
+    for cls in package_records().values():
+        assert not cls.__dictoffset__ and cls.__slots__ == core.fields(cls), cls
+        assert "__weakref__" not in dir(cls), cls
+    for module in (euler, shallow, bloodflow):
+        assert module.SYSTEM.problem_type.__bases__ == (core.Problem,)
+    assert core.Problem.__slots__ == ("_sides", "_wave_data")
 
 
-@pytest.mark.parametrize("sample", INPUTS, ids=INPUT_IDS)
+@pytest.mark.parametrize("sample", SAMPLES, ids=NAME_IDS)
 def test_vars_of_states_and_params_lists_their_fields(sample):
-    # What code that enumerates a state or params with vars() relies on
-    # (the benchmark's workloads do): the fields in order, as a shallow
-    # `core.asdict`, in a new dict on each call that does not write through.
+    # Every record, though the name speaks of the states and params, which
+    # the benchmark's workloads enumerate with vars(): the fields in order,
+    # as a shallow `core.asdict`, in a new dict on each call that does not
+    # write through.
     names = core.fields(sample)
     listed = vars(sample)
     assert list(listed) == list(names)
     assert list(listed.values()) == [getattr(sample, name) for name in names]
-    assert listed == core.asdict(sample) == {name: getattr(sample, name) for name in names}
+    assert listed == shallow_asdict(sample)
     assert vars(sample) is not listed and sample.__dict__ is not listed
     listed[names[0]] = -1.0
     assert vars(sample) != listed and getattr(sample, names[0]) != -1.0
 
 
-@pytest.mark.parametrize("sample", INPUTS, ids=INPUT_IDS)
+@pytest.mark.parametrize("sample", SAMPLES, ids=NAME_IDS)
 def test_slotted_inputs(sample):
+    # Every record, though the name speaks of the inputs.
     cls, names = type(sample), core.fields(sample)
     values = [getattr(sample, name) for name in names]
-    assert not cls.__dictoffset__ and core.InputRecord.__slots__ == ()
-    assert "__weakref__" not in dir(cls)
+    assert not cls.__dictoffset__
     with pytest.raises(TypeError):
         weakref.ref(sample)
     for name in (*names, "__dict__", "other"):
@@ -401,13 +390,109 @@ def test_slotted_inputs(sample):
     assert [getattr(sample, name) for name in names] == values
     for through in (lambda obj: pickle.loads(pickle.dumps(obj)), copy.copy, copy.deepcopy,
                     core.replace):
-        back = through(sample)
-        assert type(back) is cls and back == sample and hash(back) == hash(sample)
+        back = outcome(through, sample)
+        if back is TypeError:  # a System holds its module
+            assert isinstance(sample, core.System) and through is not copy.copy
+            continue
+        assert type(back) is cls and back == sample
+        assert outcome(hash, back) == outcome(hash, sample)
         assert [getattr(back, name) for name in names] == values
         assert vars(back) == vars(sample)
-    changed = core.replace(sample, **{names[0]: 2.0 * values[0]})
-    assert type(changed) is cls and getattr(changed, names[0]) == 2.0 * values[0]
-    assert [getattr(changed, name) for name in names[1:]] == values[1:]
+    if isinstance(values[0], float):
+        changed = core.replace(sample, **{names[0]: 2.0 * values[0]})
+        assert type(changed) is cls and getattr(changed, names[0]) == 2.0 * values[0]
+        assert [getattr(changed, name) for name in names[1:]] == values[1:]
+
+
+#: Per system: a reproducer of tests/test_contracts.py, and the lazy slot
+#: whose build raises `ClosedFormOverflow` on its problem.
+FAILING_BUILDS = {
+    "euler": ("euler-sound-speed-overflow", "_sides"),
+    "swe": ("swe-wave-data-underflow", "_wave_data"),
+    "bfe": ("bfe-side-constants-overflow", "_sides"),
+}
+LAZY = ("_sides", "_wave_data")
+
+
+def sod_like(system):
+    """The problem of the first golden row of `system`."""
+    row = tables.load_reference(system)["tests"][0]
+    return core.make_problem(system, row["left"], row["right"])
+
+
+def filled(problem) -> list:
+    """The lazy slots of `problem` that hold a value, read past
+    `Problem.__getattr__`, which would fill them."""
+    names = []
+    for name in LAZY:
+        try:
+            object.__getattribute__(problem, name)
+        except AttributeError:
+            continue
+        names.append(name)
+    return names
+
+
+def side_values(side) -> list:
+    return [getattr(side, name) for name in type(side).__slots__]
+
+
+@pytest.mark.parametrize("system", core.SYSTEMS)
+def test_problem_slots_are_built_once(system, monkeypatch):
+    builds = []
+    build = core.wave_data
+    monkeypatch.setattr(core, "wave_data", lambda problem: builds.append(problem) or build(problem))
+    problem = sod_like(system)
+    assert filled(problem) == []
+    sides = problem._sides
+    assert filled(problem) == ["_sides"]
+    module = core.system_module(system)
+    wave = problem._wave_data
+    module.solve_exact(problem)
+    for estimator in module.ESTIMATORS:
+        module.estimate(problem, estimator)
+    assert problem._sides is sides and problem._wave_data is wave
+    assert module.classify(problem) is wave.pattern
+    assert builds == [problem] and filled(problem) == list(LAZY)
+
+
+@pytest.mark.parametrize("system", core.SYSTEMS)
+def test_a_build_that_raises_leaves_its_slot_empty(system):
+    name, failing = FAILING_BUILDS[system]
+    problem = core.replace(REPRODUCERS[name][1])  # a copy, with empty slots
+    for _ in range(2):
+        with pytest.raises(core.ClosedFormOverflow):
+            getattr(problem, failing)
+        assert failing not in filled(problem)
+    # The wave data read the side records first, when those build.
+    assert filled(problem) == ([] if failing == "_sides" else ["_sides"])
+
+
+@pytest.mark.parametrize("system", core.SYSTEMS)
+def test_other_names_raise_the_standard_attribute_error(system):
+    problem = sod_like(system)
+    with pytest.raises(AttributeError) as raised:
+        problem.nope
+    message = f"{type(problem).__name__!r} object has no attribute 'nope'"
+    assert type(raised.value) is AttributeError and str(raised.value) == message
+    assert raised.value.name == "nope" and raised.value.obj is problem
+    assert not hasattr(problem, "nope")
+    assert filled(problem) == []
+
+
+@pytest.mark.parametrize("system", core.SYSTEMS)
+def test_copies_of_a_problem_come_back_with_empty_slots(system):
+    problem = sod_like(system)
+    sides, wave = problem._sides, problem._wave_data
+    for through in (lambda obj: pickle.loads(pickle.dumps(obj)), copy.copy, copy.deepcopy,
+                    core.replace):
+        back = through(problem)
+        assert type(back) is type(problem) and back == problem
+        assert filled(back) == [] and filled(problem) == list(LAZY)
+        assert back._wave_data == wave and back._sides is not sides
+        assert [side_values(side) for side in back._sides] == list(map(side_values, sides))
+    with pytest.raises(TypeError):
+        weakref.ref(problem)
 
 
 @pytest.mark.parametrize("enum", [WavePattern, EstimatorId])
