@@ -92,9 +92,10 @@ class _Lanes:
                        _gather(list(map(attrgetter("right"), problems)), system.state_type))
         self.left, self.right = (system.side(state, params, _sqrt) for state in self.states)
         # What the shared formulas read of a problem: its side records, and
-        # for `_tms_d` the pattern, which is never the vacuum one here.
+        # `_wave_data`, which `_tms_d` reads only to raise on vacuum data:
+        # lanes are never vacuum, so it need only exist.
         self._sides = (self.left, self.right)
-        self._wave_data = SimpleNamespace(pattern=None)
+        self._wave_data = None
         self.doubt = np.zeros(len(problems), dtype=bool)
 
     def doubt_unless(self, ok) -> None:

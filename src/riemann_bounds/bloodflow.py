@@ -15,7 +15,6 @@ from .core import (
     Problem,
     System,
     WavePattern,
-    _VACUUM,  # WavePattern.VACUUM, bound once
     classify,
     find_root,  # read as a module attribute by core.solve_star
     interpolate_root,  # read as a module attribute by core.tms
@@ -156,24 +155,22 @@ def solve_exact(problem: BfeProblem) -> BfeExactSolution:
     """Exact star state and extreme wave speeds.
 
     Newton runs inside the bracket that the wave pattern gives
-    (`core.solve_star`), from the start `core.star_start` picks.  A
-    problem of another system gets that system's own solution.
+    (`core.solve_star`), from the start `core.star_start` picks.  The
+    record is the `solution_type` of the problem's own system, so that a
+    problem of another system gets that system's solution.
     """
-    if problem._system is not SYSTEM:
-        return problem._system.module.solve_exact(problem)
     pattern = classify(problem)
     left, right = problem.left, problem.right
     a_star = solve_star(problem)
     u_star = 0.5 * (left.u + right.u) + 0.5 * core.side_difference(problem, a_star)
-    return BfeExactSolution(a_star, u_star, pattern, *star_speeds(problem, a_star))
+    return problem._system.solution_type(a_star, u_star, pattern, *star_speeds(problem, a_star))
 
 
 def _tms_d(problem: BfeProblem, minimum=min, maximum=max):
     # The crude opposite-side term is the front speed of a rarefaction
     # expanding into a near-empty vessel with floor area 1e-12 cm^2,
     # u -/+ 4(c - c_floor), rather than the full-vacuum limit u -/+ 4c.
-    if problem._wave_data.pattern is _VACUUM:
-        raise problem._system.no_star_error()
+    problem._wave_data  # raises the no-star error for data without a positive star value
     left, right = problem._sides
     cl, cr = left.c, right.c
     c_floor = left.zeta * _VACUUM_FLOOR_AREA**0.25
@@ -190,6 +187,7 @@ SYSTEM = System(
     state_type=BfeState,
     params_type=BfeParams,
     problem_type=BfeProblem,
+    solution_type=BfeExactSolution,
     side=_Side,
     star="a",
     star_label="A_*",

@@ -207,8 +207,8 @@ _RR, _RS, _SR, _SS, _VACUUM = (WavePattern.RR, WavePattern.RS, WavePattern.SR,
 _TMS_A, _TMS_B, _TMS_C, _EXACT = (EstimatorId.TMS_A, EstimatorId.TMS_B,
                                   EstimatorId.TMS_C, EstimatorId.EXACT)
 #: The estimators whose `SpeedBounds` carries the wave pattern, which
-#: `estimate` reads from `classify`; its EXACT branch does too.
-_WITH_PATTERN = frozenset((_TMS_A, _TMS_B, _TMS_C, EstimatorId.TMS_D))
+#: `estimate` reads from `classify`.
+_WITH_PATTERN = frozenset((_TMS_A, _TMS_B, _TMS_C, EstimatorId.TMS_D, _EXACT))
 _INF, _NEG_INF = math.inf, -math.inf
 
 
@@ -252,9 +252,9 @@ class WaveData:
     `x_min <= x_max` are the ordered data values of the star variable
     (ties resolve to (x_R, x_L)), `f_min`, `f_max` the wave-curve function
     there, `x_rr` the two-rarefaction closed form and `f_rr = f(x_rr)`.
-    Values the pattern does not need are NaN and were never computed:
-    everything but `x_min` and `x_max` under VACUUM, `f_max` and `f_rr`
-    under RR.
+    Values the pattern does not need, `f_max` and `f_rr` under RR, are NaN
+    and were never computed.  Data that leave no positive star value have
+    no wave data (see `wave_data`), so `pattern` is never VACUUM.
     """
 
     x_min: float
@@ -278,11 +278,11 @@ class System:
     the wave curve and its slope (`wave_curves`), `estimate`, the
     positivity test and the two-rarefaction function, which take a problem
     alone and read this record as the problem type's `_system`; a
-    module's `solve_exact` hands a problem of another system to that
-    system's own.  Shared code reaches `classify`, `q_factor`,
-    `interpolate_root`, `find_root` and the functions named by `curve` and
-    `two_rarefaction` as attributes of `module` when it runs, so that
-    replacing them on the module (to count or time calls) takes effect.  A
+    module's `solve_exact` builds the `solution_type` of the problem's own
+    system.  Shared code reaches `classify`, `q_factor`, `interpolate_root`,
+    `find_root` and the functions named by `curve` and `two_rarefaction` as
+    attributes of `module` when it runs, so that replacing them on the
+    module (to count or time calls) takes effect.  A
     problem's `_sides` slot holds the pair of `side` records of its two
     states, built on first read (see `Problem`).
     The celerity and the positivity condition are each written once per
@@ -299,6 +299,7 @@ class System:
     state_type: type
     params_type: type
     problem_type: type  # a `Problem` whose `_system` is this record
+    solution_type: type  # the record `solve_exact` returns
     #: Per-side record `side(state, params, sqrt=math.sqrt)`: the side's
     #: data value `x`, velocity `u`, celerity `c` and the constants its
     #: branches read.
@@ -310,7 +311,7 @@ class System:
     celerity: Callable[..., float]
     star: str  # state field of the star variable; the solution's is star + "_star"
     star_label: str  # CLI label of the star value
-    no_star: type  # error raised for data that leave no positive star value
+    no_star: type  # raised with no_star_message for data without a positive star value
     no_star_message: str
     #: positivity(c_left, c_right, du, params): the data leave a positive
     #: star value, from the two celerities and du = u_R - u_L.
@@ -357,9 +358,6 @@ class System:
     @property
     def star_field(self) -> str:
         return self.star + "_star"
-
-    def no_star_error(self) -> RiemannBoundsError:
-        return self.no_star(self.no_star_message)
 
     def unsupported_error(self, estimator) -> UnsupportedEstimator:
         """The error for an estimator that the registry misses: an id the
@@ -473,7 +471,7 @@ def two_rarefaction(problem) -> float:
     exceeds the float range."""
     (left, right), params, system = problem._sides, problem.params, problem._system
     if not system.positivity(left.c, right.c, right.u - left.u, params):
-        raise system.no_star_error()
+        raise system.no_star(system.no_star_message)
     try:
         return system.rr_closed_form(left, right, params)
     except OverflowError:
@@ -486,8 +484,8 @@ def wave_data(problem) -> WaveData:
     the data values, without solving for the star state.
 
     The positivity condition is tested once, by the guard of the module's
-    two-rarefaction function: its no-star error gives the VACUUM wave data.
-    Raises `ClosedFormOverflow` when x_rr or f at a node it evaluates is not
+    two-rarefaction function, whose no-star error this raises.  Raises
+    `ClosedFormOverflow` when x_rr or f at a node it evaluates is not
     finite, or when evaluating one raises an arithmetic error (overflow, or
     a division by a product that underflowed to zero).
     """
@@ -495,18 +493,14 @@ def wave_data(problem) -> WaveData:
     x_left, x_right = left.x, right.x
     right_min = x_right <= x_left
     x_min, x_max = (x_right, x_left) if right_min else (x_left, x_right)
-    nan = math.nan
     curve, isfinite = getattr(system.module, system.curve), math.isfinite
     try:
-        try:
-            x_rr = getattr(system.module, system.two_rarefaction)(problem)
-        except system.no_star:  # from its positivity guard
-            return WaveData(x_min, x_max, nan, nan, nan, nan, _VACUUM)
+        x_rr = getattr(system.module, system.two_rarefaction)(problem)
         f_min = curve(x_min, problem)
         if not (isfinite(x_rr) and isfinite(f_min)):
             raise ClosedFormOverflow(f"wave data overflows: x_rr = {x_rr}, f(x_min) = {f_min}")
         if f_min >= 0.0:
-            return WaveData(x_min, x_max, f_min, nan, x_rr, nan, _RR)
+            return WaveData(x_min, x_max, f_min, math.nan, x_rr, math.nan, _RR)
         f_max, f_rr = curve(x_max, problem), curve(x_rr, problem)
         if not (isfinite(f_max) and isfinite(f_rr)):
             raise ClosedFormOverflow(f"wave data overflows: f(x_max) = {f_max}, f(x_rr) = {f_rr}")
@@ -525,7 +519,8 @@ class Problem:
     read and kept in a slot: `_sides`, the system's side record of each
     state, and `_wave_data`, the problem's `wave_data`.  `__getattr__` runs
     only while a slot is empty, and stores past the frozen `__setattr__`; a
-    build that raises leaves the slot empty, to raise again on a re-read."""
+    build that raises leaves the slot empty, to raise again on a re-read:
+    data without a positive star value raise the no-star error on each."""
 
     __slots__ = ("_sides", "_wave_data")
 
@@ -544,8 +539,12 @@ class Problem:
 
 def classify(problem) -> WavePattern:
     """Wave pattern from the signs of the wave-curve function at the data
-    values, without solving for the star state."""
-    return problem._wave_data.pattern
+    values, without solving for the star state: VACUUM, from the no-star
+    error of the wave data, for data that leave no positive star value."""
+    try:
+        return problem._wave_data.pattern
+    except problem._system.no_star:
+        return _VACUUM
 
 
 def star_bracket(
@@ -620,8 +619,6 @@ def solve_star(problem) -> float:
     arithmetic error."""
     wave, system, (left, right) = problem._wave_data, problem._system, problem._sides
     module = system.module
-    if wave.pattern is _VACUUM:
-        raise system.no_star_error()
     curve = getattr(module, system.curve)
     slope = getattr(module, system.curve + "_deriv")
     f = lambda x: curve(x, problem)  # noqa: E731
@@ -675,10 +672,7 @@ def davis_b(problem) -> tuple[float, float]:
 
 def toro(problem) -> tuple[float, float]:
     """Two-rarefaction estimator: the q factors at the closed form x_rr."""
-    wave = problem._wave_data
-    if wave.pattern is _VACUUM:
-        raise problem._system.no_star_error()
-    return star_speeds(problem, wave.x_rr)
+    return star_speeds(problem, problem._wave_data.x_rr)
 
 
 def _no_chord_root(x_hat: float) -> ClosedFormOverflow:
@@ -695,8 +689,6 @@ def tms(variant: EstimatorId, problem) -> tuple[float, float]:
     pattern = wave.pattern
     if pattern is _RR:  # eigenvalue speeds are exact
         s_left, s_right = side_l.u - side_l.c, side_r.u + side_r.c
-    elif pattern is _VACUUM:
-        raise system.no_star_error()
     elif pattern is _SS and variant is _TMS_C and system.ss_tms_c_eigen:
         s_left, s_right = side_r.u - side_r.c, side_l.u + side_l.c
     else:
@@ -734,9 +726,8 @@ def speed_registry(own: Mapping) -> dict:
     """The estimators all systems share and a system's `own` ones, in
     `EstimatorId` order, each mapped to its pair function
     fn(problem) -> (S_L, S_R), which reads the system from the problem.  A
-    function that needs a positive star value (TORO, TMS) raises the
-    system's no-star error itself for data without one, so that a caller
-    of the pair alone sees what `estimate` raises."""
+    function that needs a positive star value (TORO, TMS) raises the no-star
+    error of the problem's wave data, as `estimate` does."""
     speeds = {
         EstimatorId.DAVIS_A: davis_a,
         EstimatorId.DAVIS_B: davis_b,
@@ -761,18 +752,13 @@ def estimate(problem, estimator: EstimatorId) -> SpeedBounds:
     """Wave-speed pair (S_L, S_R) of `problem` for the requested estimator
     of its system, as a `SpeedBounds` record: the public entry point.  The
     record carries the wave pattern for EXACT and TMS_a-d, from the
-    module's `classify`.  Loops that read only the pair
-    call the function `speed_function` resolves, once.  The registry never
-    holds EXACT, so one lookup serves every other id, and EXACT or an id
-    the system lacks is resolved only when it misses."""
+    module's `classify`, which answers VACUUM where the pair function then
+    raises the no-star error.  Loops that read only the pair call the
+    function `speed_function` resolves, once.  One registry lookup serves
+    every id the registry holds; EXACT, which it never holds, or an id the
+    system lacks is left to `speed_function` when it misses."""
     system = problem._system
-    speeds = system.speeds.get(estimator)
-    if speeds is None:
-        if estimator is not _EXACT:
-            raise system.unsupported_error(estimator)
-        pattern = system.module.classify(problem)
-        return SpeedBounds(*exact_speeds(problem), estimator, pattern)
-    # A function that reports the pattern raises the no-star error itself.
+    speeds = system.speeds.get(estimator) or speed_function(system, estimator)
     pattern = system.module.classify(problem) if estimator in _WITH_PATTERN else None
     s_left, s_right = speeds(problem)
     return SpeedBounds(s_left, s_right, estimator, pattern)
@@ -783,10 +769,10 @@ def speed_function(
 ) -> Callable[[object], tuple[float, float]]:
     """The function fn(problem) -> (S_L, S_R) of `estimator` for problems
     of `system`, resolved once per loop: the pair that `estimate` returns,
-    without building a `SpeedBounds` or classifying, for loops that read
-    only the speeds.  EXACT resolves to `exact_speeds`, every other id to
-    its registry function.  Raises `UnsupportedEstimator`, as `estimate`
-    does, for an id the system lacks."""
+    without building a `SpeedBounds` or classifying.  It is the one place
+    that resolves EXACT, to `exact_speeds`, for `estimate` too; every other
+    id resolves to its registry function.  Raises `UnsupportedEstimator`
+    for an id the system lacks."""
     if estimator is _EXACT:
         return exact_speeds
     speeds = system.speeds.get(estimator)

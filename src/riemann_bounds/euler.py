@@ -162,16 +162,15 @@ def solve_exact(problem: EulerProblem) -> EulerExactSolution:
     """Exact star state and extreme wave speeds.
 
     Newton runs inside the bracket that the wave pattern gives
-    (`core.solve_star`), from the start `core.star_start` picks.  A
-    problem of another system gets that system's own solution.
+    (`core.solve_star`), from the start `core.star_start` picks.  The
+    record is the `solution_type` of the problem's own system, so that a
+    problem of another system gets that system's solution.
     """
-    if problem._system is not SYSTEM:
-        return problem._system.module.solve_exact(problem)
     pattern = classify(problem)
     left, right = problem.left, problem.right
     p_star = solve_star(problem)
     u_star = 0.5 * (left.u + right.u) + 0.5 * core.side_difference(problem, p_star)
-    return EulerExactSolution(p_star, u_star, pattern, *star_speeds(problem, p_star))
+    return problem._system.solution_type(p_star, u_star, pattern, *star_speeds(problem, p_star))
 
 
 def _einfeldt(problem: EulerProblem):
@@ -222,6 +221,7 @@ SYSTEM = System(
     state_type=EulerState,
     params_type=EulerParams,
     problem_type=EulerProblem,
+    solution_type=EulerExactSolution,
     side=_Side,
     star="p",
     star_label="p_*",

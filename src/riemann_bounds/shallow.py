@@ -14,7 +14,6 @@ from .core import (
     Problem,
     System,
     WavePattern,
-    _VACUUM,  # WavePattern.VACUUM, bound once
     classify,
     find_root,  # read as a module attribute by core.solve_star
     interpolate_root,  # read as a module attribute by core.tms
@@ -126,21 +125,19 @@ def solve_exact(problem: SweProblem) -> SweExactSolution:
     """Exact star state and extreme wave speeds.
 
     Newton runs inside the bracket that the wave pattern gives
-    (`core.solve_star`), from the start `core.star_start` picks.  A
-    problem of another system gets that system's own solution.
+    (`core.solve_star`), from the start `core.star_start` picks.  The
+    record is the `solution_type` of the problem's own system, so that a
+    problem of another system gets that system's solution.
     """
-    if problem._system is not SYSTEM:
-        return problem._system.module.solve_exact(problem)
     pattern = classify(problem)
     left, right = problem.left, problem.right
     h_star = solve_star(problem)
     u_star = 0.5 * (left.u + right.u) + 0.5 * core.side_difference(problem, h_star)
-    return SweExactSolution(h_star, u_star, pattern, *star_speeds(problem, h_star))
+    return problem._system.solution_type(h_star, u_star, pattern, *star_speeds(problem, h_star))
 
 
 def _tms_d(problem: SweProblem, minimum=min, maximum=max):
-    if problem._wave_data.pattern is _VACUUM:
-        raise problem._system.no_star_error()
+    problem._wave_data  # raises the no-star error for data without a positive star value
     left, right = problem._sides
     cl, cr = left.c, right.c
     return minimum(left.u - cl, right.u - 2.0 * cr), maximum(right.u + cr, left.u + 2.0 * cl)
@@ -153,6 +150,7 @@ SYSTEM = System(
     state_type=SweState,
     params_type=SweParams,
     problem_type=SweProblem,
+    solution_type=SweExactSolution,
     side=_Side,
     star="h",
     star_label="h_*",

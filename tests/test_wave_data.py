@@ -365,14 +365,63 @@ VACUUM = {
 }
 
 
+#: Estimators whose pair does not need a positive star value.
+NO_STAR_FREE = (EstimatorId.DAVIS_A, EstimatorId.DAVIS_B, EstimatorId.EINFELDT,
+                EstimatorId.BATTEN)
+
+
 @pytest.mark.parametrize("system", SYSTEMS)
 def test_exact_solve_of_vacuum_data_raises_the_no_star_error(system):
     module, _, make, _, _, _ = SYSTEMS[system]
     (left, right), error = VACUUM[system]
-    with pytest.raises(error, match=module.SYSTEM.no_star_message):
+    record = module.SYSTEM
+    message = record.no_star_message
+    with pytest.raises(error, match=message):
         core.solve_star(make(left, right))
-    with pytest.raises(error, match=module.SYSTEM.no_star_message):
+    with pytest.raises(error, match=message):
         module.solve_exact(make(left, right))
+    # The wave data own the no-star case: `classify` is the one reader that
+    # answers VACUUM, and the slot stays empty, so each read raises again.
+    problem = make(left, right)
+    assert module.classify(problem) is WavePattern.VACUUM
+    with pytest.raises(AttributeError):
+        object.__getattribute__(problem, "_wave_data")
+    for _ in range(2):
+        with pytest.raises(error, match=message):
+            problem._wave_data
+    # Every estimator that needs a star value raises it, through `estimate`
+    # and through its `speed_function` pair alike; the others answer.
+    for estimator in (EstimatorId.EXACT, *module.ESTIMATORS):
+        pair = core.speed_function(record, estimator)
+        if estimator in NO_STAR_FREE:
+            bounds = module.estimate(make(left, right), estimator)
+            assert all(map(math.isfinite, (bounds.s_left, bounds.s_right))), estimator
+            assert all(map(math.isfinite, pair(make(left, right)))), estimator
+            continue
+        with pytest.raises(error, match=message):
+            module.estimate(make(left, right), estimator)
+        with pytest.raises(error, match=message):
+            pair(make(left, right))
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_solve_exact_answers_from_the_problems_record(monkeypatch, system):
+    # Each module's `solve_exact` builds the solution of the problem's own
+    # system from its record, without calling that system's `solve_exact`.
+    module, _, make, data, _, _ = SYSTEMS[system]
+    expected = module.solve_exact(make(*data[1]))
+    for other in {euler, shallow, bloodflow} - {module}:
+        def refuse(problem):
+            raise AssertionError("solve_exact handed the problem off")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "solve_exact", refuse)
+            solution = other.solve_exact(make(*data[1]))
+        assert type(solution) is type(expected)
+        assert solution == expected
+    assert module.SYSTEM.solution_type is type(expected) is {
+        "euler": euler.EulerExactSolution, "swe": shallow.SweExactSolution,
+        "bfe": bloodflow.BfeExactSolution}[system]
 
 
 @pytest.mark.parametrize("vacuum", [False, True], ids=["positive", "vacuum"])
