@@ -88,9 +88,9 @@ class _Lanes:
         if any(map(is_not, map(attrgetter("params"), problems), repeat(params))):
             raise ValueError("the problems of a chunk must share one params object, "
                              "as `fuzz.sample_problem` gives them")
-        self.states = (_gather(list(map(attrgetter("left"), problems)), system.state_type),
-                       _gather(list(map(attrgetter("right"), problems)), system.state_type))
-        self.left, self.right = (system.side(state, params, _sqrt) for state in self.states)
+        states = (_gather(list(map(attrgetter("left"), problems)), system.state_type),
+                  _gather(list(map(attrgetter("right"), problems)), system.state_type))
+        self.left, self.right = (system.side(state, params, _sqrt) for state in states)
         # What the shared formulas read of a problem: its side records, and
         # `_wave_data`, which `_tms_d` reads only to raise on vacuum data:
         # lanes are never vacuum, so it need only exist.
@@ -122,13 +122,9 @@ class _Lanes:
     def speeds(self, x, left_shock, right_shock):
         """(S_L, S_R) with the shock factor at x on the sides that are
         shocks and the eigenvalue on the others, as `core.star_speeds`."""
-        system, params, (left, right) = self.system, self.params, self._sides
-        pair = []
-        for side, state, shock, sign in ((left, self.states[0], left_shock, -1.0),
-                                         (right, self.states[1], right_shock, 1.0)):
-            q = _where(shock, system.module.q_factor(x, state, params, _sqrt), 1.0)
-            pair.append(side.u + sign * (side.c * q))
-        return pair
+        q_factor, left, right = self.system.q_factor, self.left, self.right
+        return (left.u - left.c * _where(left_shock, q_factor(x, left, _sqrt), 1.0),
+                right.u + right.c * _where(right_shock, q_factor(x, right, _sqrt), 1.0))
 
     def wave_data(self) -> None:
         """The pattern, the bracket and the Newton start of every lane, as

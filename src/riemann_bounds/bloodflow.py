@@ -9,7 +9,6 @@ import sys
 
 from . import core
 from .core import (
-    ClosedFormOverflow,
     CollapseData,
     EstimatorId,
     Problem,
@@ -78,18 +77,15 @@ class _Side:
     """Wave-curve constants of one side K of a problem: the data area
     x = A_K, the velocity u_K, A_K^(1/4), A_K^(3/2), the wave speed c_K,
     zeta, 4 zeta and gamma_tube.  c_K is zeta * A_K^(1/4), the product
-    `_celerity` computes, from the factors kept here.  Raises
-    `ClosedFormOverflow` when A_K^(3/2) exceeds the float range."""
+    `_celerity` computes, from the factors kept here.  `core.Problem`
+    raises `ClosedFormOverflow` when A_K^(3/2) exceeds the float range."""
 
     __slots__ = ("x", "u", "c", "a14", "a32", "zeta", "zeta4", "gamma_tube")
 
     def __init__(self, state: BfeState, params: BfeParams, sqrt=math.sqrt):
         self.x, self.u = state.a, state.u
         self.a14 = a14 = state.a**0.25
-        try:
-            self.a32 = state.a**1.5
-        except OverflowError:
-            raise ClosedFormOverflow(f"A**1.5 overflows at A = {state.a}") from None
+        self.a32 = state.a**1.5
         self.zeta = zeta = sqrt(params.beta / (2.0 * params.rho))
         self.zeta4 = 4.0 * zeta
         self.gamma_tube = params.beta / (3.0 * params.rho)
@@ -140,13 +136,13 @@ def _two_rarefaction(left: _Side, right: _Side, params: BfeParams) -> float:
     return (2.0 * params.rho * b * b / params.beta) ** 2
 
 
-def q_factor(a: float, side_state: BfeState, params: BfeParams, sqrt=math.sqrt) -> float:
-    """Shock-speed multiplier: S = u_K -/+ c_K * q_K(A), with y = A / A_K,
-    q_K = sqrt(2/3 y (y^1.5 - 1) / (y - 1)).  The quotient is written as
-    (y + sqrt(y) + 1) / (sqrt(y) + 1) = sqrt(y) + 1 / (sqrt(y) + 1): no 0/0
-    at y = 1, no cancellation near it, floats and arrays alike.  Past the
-    float range it is inf, and so is the speed."""
-    y = a / side_state.a
+def q_factor(a: float, s: _Side, sqrt=math.sqrt) -> float:
+    """Shock-speed multiplier of side `s`: S = u_K -/+ c_K * q_K(A), with
+    y = A / A_K, q_K = sqrt(2/3 y (y^1.5 - 1) / (y - 1)).  The quotient is
+    written (y + sqrt(y) + 1) / (sqrt(y) + 1) = sqrt(y) + 1 / (sqrt(y) + 1):
+    no 0/0 at y = 1, no cancellation near it, floats and arrays alike.
+    Past the float range it is inf, and so is the speed."""
+    y = a / s.x
     r = sqrt(y)
     return sqrt(2.0 / 3.0 * y * (r + 1.0 / (r + 1.0)))
 
@@ -160,7 +156,7 @@ def solve_exact(problem: BfeProblem) -> BfeExactSolution:
     problem of another system gets that system's solution.
     """
     pattern = classify(problem)
-    left, right = problem.left, problem.right
+    left, right = problem._sides
     a_star = solve_star(problem)
     u_star = 0.5 * (left.u + right.u) + 0.5 * core.side_difference(problem, a_star)
     return problem._system.solution_type(a_star, u_star, pattern, *star_speeds(problem, a_star))
@@ -205,6 +201,7 @@ SYSTEM = System(
     rarefaction=_rarefaction,
     shock_slope=_shock_slope,
     rarefaction_slope=_rarefaction_slope,
+    q_factor=q_factor,
     sqrt_chord=True,
     ss_shock_extension=False,  # Test 5 moves by 1.6e-3 with the shock extension
     ss_tms_c_eigen=True,

@@ -279,12 +279,12 @@ class System:
     positivity test and the two-rarefaction function, which take a problem
     alone and read this record as the problem type's `_system`; a
     module's `solve_exact` builds the `solution_type` of the problem's own
-    system.  Shared code reaches `classify`, `q_factor`, `interpolate_root`,
-    `find_root` and the functions named by `curve` and `two_rarefaction` as
-    attributes of `module` when it runs, so that replacing them on the
-    module (to count or time calls) takes effect.  A
-    problem's `_sides` slot holds the pair of `side` records of its two
-    states, built on first read (see `Problem`).
+    system.  Shared code reaches `classify`, `interpolate_root`, `find_root`
+    and the functions named by `curve` and `two_rarefaction` as attributes
+    of `module` when it runs, so that replacing them on the module (to count
+    or time calls) takes effect.  A problem's `_sides` slot holds the `side`
+    records of its two states, built on first read (see `Problem`), and
+    shared code reads a side only through them, `q_factor` included.
     The celerity and the positivity condition are each written once per
     system, in `celerity` and `positivity`: the side record (blood flow's
     multiplies the two factors it keeps, with `celerity`'s bits), the
@@ -339,6 +339,8 @@ class System:
     rarefaction: Callable[[float, object], float]
     shock_slope: Callable[[float, object], float]
     rarefaction_slope: Callable[[float, object], float]
+    #: Shock factor q_K(x, side, sqrt=math.sqrt): the shock speed u_K -/+ c_K q_K(x).
+    q_factor: Callable[[float, object], float]
     #: The Newton start `chord_start` draws its chord over sqrt(x), where
     #: the wave curves of strong shocks are nearly straight, when true, and
     #: over x when false.
@@ -457,8 +459,8 @@ def positive(problem) -> bool:
     no dry bed (shallow water), no vessel collapse (blood flow).  Each
     module binds it under its own name (`check_positivity`, `is_wet`,
     `is_open`).  It reads the problem's side records, so it raises what
-    building them raises (`ClosedFormOverflow` for a side constant past
-    the float range)."""
+    building them raises (`ClosedFormOverflow` for a side constant or a
+    celerity past the float range, see `Problem`)."""
     left, right = problem._sides
     return problem._system.positivity(left.c, right.c, right.u - left.u, problem.params)
 
@@ -520,14 +522,21 @@ class Problem:
     state, and `_wave_data`, the problem's `wave_data`.  `__getattr__` runs
     only while a slot is empty, and stores past the frozen `__setattr__`; a
     build that raises leaves the slot empty, to raise again on a re-read:
-    data without a positive star value raise the no-star error on each."""
+    data without a positive star value raise the no-star error on each.
+    A side constant that overflows, or a celerity c that is not finite,
+    raises `ClosedFormOverflow`: the one overflow rule of every system."""
 
     __slots__ = ("_sides", "_wave_data")
 
     def __getattr__(self, name):
         if name == "_sides":
             side = self._system.side
-            value = side(self.left, self.params), side(self.right, self.params)
+            try:
+                value = left, right = side(self.left, self.params), side(self.right, self.params)
+            except ArithmeticError:
+                raise ClosedFormOverflow(f"a side constant overflows at {self}") from None
+            if not (math.isfinite(left.c) and math.isfinite(right.c)):
+                raise ClosedFormOverflow(f"celerity overflows at {self}: c = {left.c}, {right.c}")
         elif name == "_wave_data":
             value = wave_data(self)
         else:
@@ -644,11 +653,9 @@ def star_speeds(problem, x: float) -> tuple[float, float]:
     the wave is a shock, u_K -/+ c_K q_K(x), otherwise a rarefaction
     headed by the eigenvalue u_K -/+ c_K.  Raises `ClosedFormOverflow`
     for a speed that is not finite."""
-    (left, right), module = problem._sides, problem._system.module
-    s_left = (left.u - left.c if x <= left.x
-              else left.u - left.c * module.q_factor(x, problem.left, problem.params))
-    s_right = (right.u + right.c if x <= right.x
-               else right.u + right.c * module.q_factor(x, problem.right, problem.params))
+    (left, right), q_factor = problem._sides, problem._system.q_factor
+    s_left = left.u - left.c if x <= left.x else left.u - left.c * q_factor(x, left)
+    s_right = right.u + right.c if x <= right.x else right.u + right.c * q_factor(x, right)
     if not _NEG_INF < s_left < _INF > s_right > _NEG_INF:  # NaN fails every comparison
         raise _not_finite(s_left, s_right)
     return s_left, s_right
@@ -695,7 +702,7 @@ def tms(variant: EstimatorId, problem) -> tuple[float, float]:
         # One star value: TMS_c's data value x_max (R/S, S/R) or x_rr (S/S), or
         # the root of a chord.  Under S/S x_rr > x_max, so f_rr is on the
         # shock branch of both sides.
-        ss, module, params = pattern is _SS, system.module, problem.params
+        ss, module = pattern is _SS, system.module
         if variant is _TMS_C:
             x_hat = wave.x_rr if ss else wave.x_max
         elif variant is _TMS_A and not ss:
@@ -714,9 +721,9 @@ def tms(variant: EstimatorId, problem) -> tuple[float, float]:
             raise _no_chord_root(x_hat)
         # The left wave is a shock unless R/S, the right one unless S/R.
         s_left = (side_l.u - side_l.c if pattern is _RS
-                  else side_l.u - side_l.c * module.q_factor(x_hat, problem.left, params))
+                  else side_l.u - side_l.c * system.q_factor(x_hat, side_l))
         s_right = (side_r.u + side_r.c if pattern is _SR
-                   else side_r.u + side_r.c * module.q_factor(x_hat, problem.right, params))
+                   else side_r.u + side_r.c * system.q_factor(x_hat, side_r))
     if not _NEG_INF < s_left < _INF > s_right > _NEG_INF:
         raise _not_finite(s_left, s_right)
     return s_left, s_right
@@ -758,7 +765,10 @@ def estimate(problem, estimator: EstimatorId) -> SpeedBounds:
     every id the registry holds; EXACT, which it never holds, or an id the
     system lacks is left to `speed_function` when it misses."""
     system = problem._system
-    speeds = system.speeds.get(estimator) or speed_function(system, estimator)
+    try:
+        speeds = system.speeds.get(estimator) or speed_function(system, estimator)
+    except TypeError:  # an unhashable value, which no registry holds
+        raise system.unsupported_error(estimator) from None
     pattern = system.module.classify(problem) if estimator in _WITH_PATTERN else None
     s_left, s_right = speeds(problem)
     return SpeedBounds(s_left, s_right, estimator, pattern)
@@ -772,13 +782,13 @@ def speed_function(
     without building a `SpeedBounds` or classifying.  It is the one place
     that resolves EXACT, to `exact_speeds`, for `estimate` too; every other
     id resolves to its registry function.  Raises `UnsupportedEstimator`
-    for an id the system lacks."""
+    for any other value, an unhashable one included."""
     if estimator is _EXACT:
         return exact_speeds
-    speeds = system.speeds.get(estimator)
-    if speeds is None:
-        raise system.unsupported_error(estimator)
-    return speeds
+    try:
+        return system.speeds[estimator]
+    except (KeyError, TypeError):
+        raise system.unsupported_error(estimator) from None
 
 
 def interpolate_root(p1: tuple[float, float], p2: tuple[float, float]) -> float:

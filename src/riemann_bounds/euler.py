@@ -82,10 +82,8 @@ class _Side:
     The shock branch reads sqrt(A_K/(p + B_K)) as sa / sqrt(p + B_K):
     A_K overflows for rho_K near the smallest double, and the quotient
     underflows for a dense side at a high pressure, while this form is
-    finite wherever the branch's value is.  Raises
-    `ClosedFormOverflow` when c_K exceeds the float range; over arrays (the
-    lane kernel of `fuzz.run_fuzz`) it raises nothing: the kernel checks
-    the values it computes instead."""
+    finite wherever the branch's value is.  The exponent zd is also the
+    negated shock factor constant (gamma+1)/(2 gamma) of `q_factor`."""
 
     __slots__ = ("x", "u", "c", "sa", "b", "rar", "imp", "z", "zd")
 
@@ -100,9 +98,6 @@ class _Side:
         self.imp = rho * c
         self.z = (g - 1.0) / (2.0 * g)
         self.zd = -(g + 1.0) / (2.0 * g)
-        if isinstance(c, float) and c == math.inf:  # not over arrays
-            raise ClosedFormOverflow(f"the sound speed overflows at p = {state.p}, "
-                                     f"rho = {state.rho}")
 
 
 @record
@@ -152,10 +147,9 @@ def _two_rarefaction(left: _Side, right: _Side, params: EulerParams) -> float:
     return (num / den) ** (1.0 / z)
 
 
-def q_factor(p: float, side_state: EulerState, params: EulerParams, sqrt=math.sqrt) -> float:
-    """Shock-speed multiplier: S = u_K -/+ c_K * q_K(p)."""
-    g = params.gamma
-    return sqrt(1.0 + (g + 1.0) / (2.0 * g) * (p / side_state.p - 1.0))
+def q_factor(p: float, s: _Side, sqrt=math.sqrt) -> float:
+    """Shock-speed multiplier of side `s`: S = u_K -/+ c_K * q_K(p); (gamma+1)/(2 gamma) is -zd."""
+    return sqrt(1.0 - s.zd * (p / s.x - 1.0))
 
 
 def solve_exact(problem: EulerProblem) -> EulerExactSolution:
@@ -167,7 +161,7 @@ def solve_exact(problem: EulerProblem) -> EulerExactSolution:
     problem of another system gets that system's solution.
     """
     pattern = classify(problem)
-    left, right = problem.left, problem.right
+    left, right = problem._sides
     p_star = solve_star(problem)
     u_star = 0.5 * (left.u + right.u) + 0.5 * core.side_difference(problem, p_star)
     return problem._system.solution_type(p_star, u_star, pattern, *star_speeds(problem, p_star))
@@ -240,6 +234,7 @@ SYSTEM = System(
     rarefaction=_rarefaction,
     shock_slope=_shock_slope,
     rarefaction_slope=_rarefaction_slope,
+    q_factor=q_factor,
     sqrt_chord=True,
     ss_shock_extension=True,
     ss_tms_c_eigen=False,

@@ -115,9 +115,9 @@ def _two_rarefaction(left: _Side, right: _Side, params: SweParams) -> float:
     return b * b / params.g
 
 
-def q_factor(h: float, side_state: SweState, params: SweParams, sqrt=math.sqrt) -> float:
-    """Shock-speed multiplier: S = u_K -/+ c_K * q_K(h)."""
-    y = h / side_state.h
+def q_factor(h: float, s: _Side, sqrt=math.sqrt) -> float:
+    """Shock-speed multiplier of side `s`: S = u_K -/+ c_K * q_K(h)."""
+    y = h / s.x
     return sqrt(0.5 * (y * y + y))
 
 
@@ -130,7 +130,7 @@ def solve_exact(problem: SweProblem) -> SweExactSolution:
     problem of another system gets that system's solution.
     """
     pattern = classify(problem)
-    left, right = problem.left, problem.right
+    left, right = problem._sides
     h_star = solve_star(problem)
     u_star = 0.5 * (left.u + right.u) + 0.5 * core.side_difference(problem, h_star)
     return problem._system.solution_type(h_star, u_star, pattern, *star_speeds(problem, h_star))
@@ -168,6 +168,7 @@ SYSTEM = System(
     rarefaction=_rarefaction,
     shock_slope=_shock_slope,
     rarefaction_slope=_rarefaction_slope,
+    q_factor=q_factor,
     sqrt_chord=False,
     ss_shock_extension=True,
     ss_tms_c_eigen=True,

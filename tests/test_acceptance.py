@@ -110,12 +110,12 @@ def test_criterion_7_analytic_properties():
     ok = True
 
     # q-factor is exactly 1 at unit ratio (limit value for blood flow).
-    ok = ok and euler.q_factor(2.0, euler.EulerState(1.0, 0.0, 2.0),
-                               euler.EulerParams()) == 1.0
-    ok = ok and shallow.q_factor(2.0, shallow.SweState(2.0, 0.0),
-                                 shallow.SweParams()) == 1.0
-    ok = ok and bloodflow.q_factor(2.0, bloodflow.BfeState(2.0, 0.0),
-                                   bloodflow.BfeParams()) == 1.0
+    ok = ok and euler.q_factor(2.0, euler.SYSTEM.side(euler.EulerState(1.0, 0.0, 2.0),
+                                                      euler.EulerParams())) == 1.0
+    ok = ok and shallow.q_factor(2.0, shallow.SYSTEM.side(shallow.SweState(2.0, 0.0),
+                                                          shallow.SweParams())) == 1.0
+    ok = ok and bloodflow.q_factor(2.0, bloodflow.SYSTEM.side(bloodflow.BfeState(2.0, 0.0),
+                                                              bloodflow.BfeParams())) == 1.0
 
     # Wave-curve functions bend downward (chord-midpoint test).
     rng = random.Random(101)

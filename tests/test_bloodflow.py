@@ -13,6 +13,7 @@ from riemann_bounds.core import (
 )
 from riemann_bounds import bloodflow
 from riemann_bounds.bloodflow import (
+    SYSTEM,
     BfeParams,
     BfeProblem,
     BfeState,
@@ -169,21 +170,21 @@ class TestQFactor:
         # limit 1, and next to it about 1 + 0.625 (y - 1).
         params = BfeParams()
         state = BfeState(2.0, 0.0)
-        assert q_factor(2.0, state, params) == 1.0
-        assert q_factor(2.0 * (1.0 + 1e-6), state, params) == pytest.approx(
+        assert q_factor(2.0, SYSTEM.side(state, params)) == 1.0
+        assert q_factor(2.0 * (1.0 + 1e-6), SYSTEM.side(state, params)) == pytest.approx(
             1.0 + 0.625e-6, rel=1e-12
         )
 
     def test_increasing_in_area(self):
         state = BfeState(1.0, 0.0)
         params = BfeParams()
-        values = [q_factor(a, state, params) for a in (1.0, 2.0, 5.0, 50.0)]
+        values = [q_factor(a, SYSTEM.side(state, params)) for a in (1.0, 2.0, 5.0, 50.0)]
         assert values == sorted(values)
 
     def test_past_the_float_range_is_inf(self):
         params = BfeParams()
-        assert q_factor(1e300, BfeState(1e-3, 0.0), params) == math.inf  # y finite
-        assert q_factor(1e300, BfeState(1e-10, 0.0), params) == math.inf  # y = inf
+        assert q_factor(1e300, SYSTEM.side(BfeState(1e-3, 0.0), params)) == math.inf  # y finite
+        assert q_factor(1e300, SYSTEM.side(BfeState(1e-10, 0.0), params)) == math.inf  # y = inf
 
     def test_factor_and_slope_match_mpmath_from_weak_to_strong(self):
         # Against 40-digit values of the cancelling textbook forms, on the
@@ -198,8 +199,8 @@ class TestQFactor:
                 y = 1.0 + 10.0 ** rng.uniform(-15.0, 1.0)  # y - 1 log-uniform
                 m = mpmath.mpf(y)
                 true_q = mpmath.sqrt(mpmath.mpf(2) / 3 * m * (m**1.5 - 1) / (m - 1))
-                worst_q = max(worst_q, abs(q_factor(y, BfeState(1.0, 0.0), params) - true_q)
-                              / true_q)
+                worst_q = max(worst_q, abs(q_factor(y, SYSTEM.side(BfeState(1.0, 0.0), params))
+                                           - true_q) / true_q)
 
                 side = bloodflow._Side(BfeState(10.0 ** rng.uniform(-2.0, 1.0), 0.0), params)
                 a = side.x * y

@@ -241,6 +241,15 @@ class TestBounds:
         assert err.startswith("error: ClosedFormOverflow: ")
         assert out == ""
 
+    def test_infinite_celerity_exit_code(self, capsys):
+        # g h_L overflows in the left celerity: Davis b printed -inf | inf
+        # with exit code 0.
+        code, out, err = run(capsys, "bounds", "--system", "swe", "--left", "8.6e307,0",
+                             "--right", "1,0", "--estimator", "davis_b")
+        assert code == cli.EXIT_SOLVER
+        assert err.startswith("error: ClosedFormOverflow: celerity overflows")
+        assert out == ""
+
     def test_deterministic_output(self, capsys):
         args = ("bounds", "--system", "euler", "--left", "1,0,1",
                 "--right", "1,0,0.1")

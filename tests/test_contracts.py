@@ -127,6 +127,17 @@ REPRODUCERS = {
     # raised a raw OverflowError.
     "euler-einfeldt-weight-overflow": ("euler", core.make_problem(
         "euler", (1e308, 0.0, 1.0), (1e308, 0.0, 1.0)), ["einfeldt"], ClosedFormOverflow),
+    # g h_L overflows, so c_L = sqrt(g h_L) is inf: Davis a/b gave infinite
+    # speeds (Davis b the pair (-inf, inf)), the rest raised from the wave
+    # data.
+    "swe-celerity-overflow": ("swe", core.make_problem(
+        "swe", (8.6e307, 0.0), (1.0, 0.0)),
+        ["exact"] + [e.value for e in shallow.ESTIMATORS], ClosedFormOverflow),
+    # zeta = sqrt(beta/(2 rho)) overflows, so both wave speeds are inf: the
+    # same for blood flow.
+    "bfe-celerity-overflow": ("bfe", core.make_problem(
+        "bfe", (1.0, 0.0), (1.0, 0.0), {"beta": 1e308, "rho": 1e-10}),
+        ["exact"] + [e.value for e in bloodflow.ESTIMATORS], ClosedFormOverflow),
 }
 
 
@@ -135,6 +146,8 @@ REPRODUCERS = {
 SIDE_OVERFLOWS = {
     "bfe-side-constants-overflow": "is_open",
     "euler-sound-speed-overflow": "check_positivity",
+    "swe-celerity-overflow": "is_wet",
+    "bfe-celerity-overflow": "is_open",
 }
 
 

@@ -284,12 +284,12 @@ class TestTwoRarefaction:
 class TestQFactor:
     def test_unit_ratio(self):
         state = EulerState(1.0, 0.0, 3.7)
-        assert q_factor(3.7, state, EulerParams()) == 1.0
+        assert q_factor(3.7, euler.SYSTEM.side(state, EulerParams())) == 1.0
 
     def test_increasing_in_pressure(self):
         state = EulerState(1.0, 0.0, 1.0)
         params = EulerParams()
-        values = [q_factor(p, state, params) for p in (1.0, 2.0, 5.0, 50.0)]
+        values = [q_factor(p, euler.SYSTEM.side(state, params)) for p in (1.0, 2.0, 5.0, 50.0)]
         assert values == sorted(values)
 
 

@@ -12,6 +12,7 @@ from riemann_bounds.core import (
 )
 from riemann_bounds import shallow
 from riemann_bounds.shallow import (
+    SYSTEM,
     SweParams,
     SweProblem,
     SweState,
@@ -123,12 +124,12 @@ class TestTwoRarefaction:
 
 class TestQFactor:
     def test_unit_ratio(self):
-        assert q_factor(0.37, SweState(0.37, 0.0), SweParams()) == 1.0
+        assert q_factor(0.37, SYSTEM.side(SweState(0.37, 0.0), SweParams())) == 1.0
 
     def test_increasing_in_depth(self):
         state = SweState(1.0, 0.0)
         params = SweParams()
-        values = [q_factor(h, state, params) for h in (1.0, 2.0, 5.0, 50.0)]
+        values = [q_factor(h, SYSTEM.side(state, params)) for h in (1.0, 2.0, 5.0, 50.0)]
         assert values == sorted(values)
 
 

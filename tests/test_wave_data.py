@@ -3,7 +3,9 @@ two-rarefaction value and the pattern) are computed once per problem
 object and shared by the exact solve and every estimator."""
 
 import math
+import operator
 import random
+import re
 import sys
 
 import pytest
@@ -296,7 +298,7 @@ def test_shared_code_reaches_module_functions(monkeypatch, system):
     # and the two-rarefaction closed form included.
     module, _, make, data, _, _ = SYSTEMS[system]
     curve, two_rarefaction = module.SYSTEM.curve, module.SYSTEM.two_rarefaction
-    names = ("interpolate_root", "q_factor", "classify", curve, curve + "_deriv",
+    names = ("interpolate_root", "classify", curve, curve + "_deriv",
              two_rarefaction, "solve_exact")
     calls = {name: counting(monkeypatch, module, name) for name in names}
     roots = []
@@ -307,7 +309,7 @@ def test_shared_code_reaches_module_functions(monkeypatch, system):
     assert bounds.pattern is WavePattern.RS
     # RS wave data: f at both data values and at the two-rarefaction value
     assert {name: count[0] for name, count in calls.items()} == {
-        "interpolate_root": 1, "q_factor": 1, "classify": 1, curve: 3, curve + "_deriv": 0,
+        "interpolate_root": 1, "classify": 1, curve: 3, curve + "_deriv": 0,
         two_rarefaction: 1, "solve_exact": 0}
     # EXACT is the star speeds of the root solve: its pattern comes from
     # `classify`, and no solution record (u*) is built.
@@ -316,6 +318,49 @@ def test_shared_code_reaches_module_functions(monkeypatch, system):
     counts = {name: count[0] for name, count in calls.items()}
     assert (counts["classify"], counts[two_rarefaction], counts["solve_exact"]) == (2, 2, 0)
     assert counts[curve] > 3 and counts[curve + "_deriv"] >= 1
+
+
+#: The shock sides of each wave pattern: the speeds TMS_a-c and EXACT take
+#: the shock factor on.
+SHOCK_SIDES = {WavePattern.SS: (True, True), WavePattern.RS: (False, True),
+               WavePattern.SR: (True, False), WavePattern.RR: (False, False)}
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_shared_code_reads_the_shock_factor_from_the_record(monkeypatch, system):
+    # Toro, TMS_a-c and EXACT call the record's `q_factor` once per shock
+    # side, with that side's record, and never the module's function.
+    module, _, make, data, _, _ = SYSTEMS[system]
+    q_factor, calls = module.q_factor, []
+
+    def counted(x, side, *sqrt):
+        calls.append(side)
+        return q_factor(x, side, *sqrt)
+
+    record = core.replace(module.SYSTEM, q_factor=counted)
+    counted_problem = type("CountedProblem", (module.SYSTEM.problem_type,),
+                           {"__slots__": (), "_system": record})
+    monkeypatch.setattr(module, "q_factor", None)  # a call through the module fails
+    for left, right in data:
+        plain = make(left, right)
+        problem = counted_problem(plain.left, plain.right)
+        sides, wave = problem._sides, problem._wave_data
+        for estimator in (EstimatorId.TORO, EstimatorId.TMS_A, EstimatorId.TMS_B,
+                          EstimatorId.TMS_C, EstimatorId.EXACT):
+            calls.clear()
+            bounds = module.estimate(problem, estimator)
+            if estimator is EstimatorId.TORO:
+                shocks = [wave.x_rr > side.x for side in sides]
+            elif (estimator is EstimatorId.TMS_C and wave.pattern is WavePattern.SS
+                  and record.ss_tms_c_eigen):
+                shocks = [False, False]  # the eigenvalue pair
+            else:
+                shocks = SHOCK_SIDES[bounds.pattern]
+            expected = [side for side, shock in zip(sides, shocks) if shock]
+            assert len(calls) == len(expected) and all(map(operator.is_, calls, expected)), (
+                wave.pattern, estimator)
+            same = module.estimate(plain, estimator)
+            assert (bounds.s_left, bounds.s_right) == (same.s_left, same.s_right)
 
 
 #: Per module: the public names of its positivity test and its
@@ -466,6 +511,20 @@ def test_an_estimator_that_is_no_estimator_id_is_unsupported(system, estimator):
     record = core.system_record(system)
     problem = sample_problem(system, random.Random(0))
     message = f"{estimator!r} is not an EstimatorId"
+    with pytest.raises(UnsupportedEstimator, match=message):
+        record.module.estimate(problem, estimator)
+    with pytest.raises(UnsupportedEstimator, match=message):
+        core.speed_function(record, estimator)
+
+
+@pytest.mark.parametrize("estimator", [["tms_b"], {}, {"tms_b": 1}])
+@pytest.mark.parametrize("system", ["euler", "swe", "bfe"])
+def test_an_unhashable_estimator_is_unsupported(system, estimator):
+    # A value that cannot be hashed misses the registry as well: it names
+    # the value instead of leaking the dict's `TypeError`.
+    record = core.system_record(system)
+    problem = sample_problem(system, random.Random(0))
+    message = re.escape(f"{estimator!r} is not an EstimatorId")
     with pytest.raises(UnsupportedEstimator, match=message):
         record.module.estimate(problem, estimator)
     with pytest.raises(UnsupportedEstimator, match=message):
