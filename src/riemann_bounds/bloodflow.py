@@ -11,6 +11,8 @@ from . import core
 from .core import (
     CollapseData,
     EstimatorId,
+    Finite,
+    Positive,
     Problem,
     System,
     WavePattern,
@@ -30,28 +32,16 @@ _VACUUM_FLOOR_AREA = 1e-12  # cm^2; near-empty vessel used by the crude bound
 class BfeState:
     """Cross-sectional area (cm^2) and velocity (cm/s)."""
 
-    a: float
-    u: float
-
-    def __post_init__(self):
-        if not 0.0 < self.a < math.inf:
-            raise ValueError(f"a must be positive and finite, got {self.a}")
-        if not math.isfinite(self.u):
-            raise ValueError(f"u must be finite, got {self.u}")
+    a: Positive
+    u: Finite
 
 
 @record
 class BfeParams:
     """Wall stiffness beta (dyne/cm^3) and blood density rho (g/cm^3)."""
 
-    beta: float = 28209.4792
-    rho: float = 1.05
-
-    def __post_init__(self):
-        if not 0.0 < self.beta < math.inf:
-            raise ValueError(f"beta must be positive and finite, got {self.beta}")
-        if not 0.0 < self.rho < math.inf:
-            raise ValueError(f"rho must be positive and finite, got {self.rho}")
+    beta: Positive = 28209.4792
+    rho: Positive = 1.05
 
 
 @record
@@ -131,9 +121,10 @@ def _rarefaction_slope(a: float, s: _Side, sqrt=math.sqrt) -> float:
 
 def _two_rarefaction(left: _Side, right: _Side, params: BfeParams) -> float:
     """Closed-form star area assuming both waves are rarefactions;
-    an upper bound for the true star area."""
+    an upper bound for the true star area.  rho/beta is formed first: the
+    product 2 rho b^2 underflows for rho near the smallest double."""
     b = 0.5 * (left.c + right.c) - 0.125 * (right.u - left.u)
-    return (2.0 * params.rho * b * b / params.beta) ** 2
+    return (2.0 * (params.rho / params.beta) * b * b) ** 2
 
 
 def q_factor(a: float, s: _Side, sqrt=math.sqrt) -> float:

@@ -113,12 +113,27 @@ def _fields_dict(self) -> dict:
     return dict(zip(self._fields, _values(self)))
 
 
+class Positive(float):
+    """Field kind: a value in (0, inf), which the record's `__init__` checks."""
+
+
+class Finite(float):
+    """Field kind: a finite value, which the record's `__init__` checks."""
+
+
+#: Per field kind, the condition that `record` writes into `__init__` and
+#: the message of the `ValueError` it raises otherwise; {0} is the field.
+_CHECKS = {"Positive": ("0.0 < {0} < __inf", "{0} must be positive and finite, got {{{0}}}"),
+           "Finite": ("__isfinite({0})", "{0} must be finite, got {{{0}}}")}
+
+
 def record(cls: type):
     """Class decorator of the package's value types:
     `dataclass(frozen=True, slots=True)` without the dataclass module, from
     the shared functions above, with a faster `__init__` (see README).  The
     fields are the class's own annotations but `ClassVar` ones, with class
-    attributes as defaults.  `__init__` stores them through each slot's
+    attributes as defaults.  `__init__` checks the fields of a field kind
+    (`Positive`, `Finite`) in order, stores each through its slot's
     `__set__`, bound once, then calls `__post_init__`.  Equality compares
     field tuples, as on Python 3.10-3.12 (3.13's `dataclass` compares field
     by field).  `vars()`, where the dataclass raises, is a new dict of the
@@ -126,8 +141,10 @@ def record(cls: type):
     plain positional ones raise `TypeError`."""
     namespace = {"__repr__": _repr, **cls.__dict__}  # a repr of its own is kept
     annotations = namespace.get("__annotations__", {})
-    names, defaults = [], []
+    names, defaults, checks = [], [], []
     for name, annotation in annotations.items():
+        if isinstance(annotation, type):  # a class, as without `__future__` annotations
+            annotation = annotation.__qualname__
         kind = (annotation if isinstance(annotation, str) else repr(annotation)).partition("[")[0]
         if kind.endswith("ClassVar"):  # "typing.ClassVar", or a `__future__` string
             continue
@@ -139,6 +156,10 @@ def record(cls: type):
         elif defaults:
             raise TypeError(f"non-default argument {name!r} follows default argument")
         names.append(name)
+        check = _CHECKS.get(kind.rpartition(".")[2])  # "Positive", or "core.Positive"
+        if check:
+            checks += [f"        if not {check[0].format(name)}:",
+                       f"            raise ValueError(f{check[1].format(name)!r})"]
     names = tuple(names)
     for name in ("__weakref__", *names):
         namespace.pop(name, None)  # a slot replaces its default
@@ -147,15 +168,16 @@ def record(cls: type):
                      __setattr__=_frozen, __delattr__=_frozen, __getstate__=_values,
                      __setstate__=_setstate)
     cls = type(cls)(cls.__name__, cls.__bases__, namespace)
-    # No field name can start with __, so the closure's names cannot clash.
+    # No field name can start with __, so the closure's and globals' names cannot clash.
     lines = [f"def make_init({', '.join(f'__set{i}' for i in range(len(names)))}):",
-             f"    def __init__(self, {', '.join(names)}):",
+             f"    def __init__(self, {', '.join(names)}):", *checks,
              *[f"        __set{i}(self, {name})" for i, name in enumerate(names)]]
     if hasattr(cls, "__post_init__"):
         lines.append("        self.__post_init__()")
     lines.append("    return __init__")
     scope: dict = {}
-    exec(compile("\n".join(lines), "<record>", "exec"), {}, scope)
+    exec(compile("\n".join(lines), "<record>", "exec"),
+         {"__inf": math.inf, "__isfinite": math.isfinite}, scope)  # what the checks read
     init = scope["make_init"](*[getattr(cls, name).__set__ for name in names])  # the slots'
     init.__defaults__ = tuple(defaults) or None
     init.__annotations__ = {**{name: annotations[name] for name in names}, "return": None}

@@ -10,6 +10,8 @@ from . import core
 from .core import (
     ClosedFormOverflow,
     EstimatorId,
+    Finite,
+    Positive,
     Problem,
     System,
     VacuumData,
@@ -28,17 +30,9 @@ from .core import (
 class EulerState:
     """Primitive gas state (SI units)."""
 
-    rho: float
-    u: float
-    p: float
-
-    def __post_init__(self):
-        if not 0.0 < self.rho < math.inf:
-            raise ValueError(f"rho must be positive and finite, got {self.rho}")
-        if not math.isfinite(self.u):
-            raise ValueError(f"u must be finite, got {self.u}")
-        if not 0.0 < self.p < math.inf:
-            raise ValueError(f"p must be positive and finite, got {self.p}")
+    rho: Positive
+    u: Finite
+    p: Positive
 
 
 @record

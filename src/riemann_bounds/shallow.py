@@ -11,6 +11,8 @@ from . import core
 from .core import (
     DryBed,
     EstimatorId,
+    Finite,
+    Positive,
     Problem,
     System,
     WavePattern,
@@ -28,23 +30,13 @@ from .core import (
 class SweState:
     """Depth and velocity (SI units)."""
 
-    h: float
-    u: float
-
-    def __post_init__(self):
-        if not 0.0 < self.h < math.inf:
-            raise ValueError(f"h must be positive and finite, got {self.h}")
-        if not math.isfinite(self.u):
-            raise ValueError(f"u must be finite, got {self.u}")
+    h: Positive
+    u: Finite
 
 
 @record
 class SweParams:
-    g: float = 9.8
-
-    def __post_init__(self):
-        if not 0.0 < self.g < math.inf:
-            raise ValueError(f"g must be positive and finite, got {self.g}")
+    g: Positive = 9.8
 
 
 @record

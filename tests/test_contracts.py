@@ -13,6 +13,7 @@ import pytest
 
 from riemann_bounds import bloodflow, core, euler, fuzz, shallow
 from riemann_bounds.core import ClosedFormOverflow, EstimatorId, RiemannBoundsError
+from test_bloodflow import mp_exact_speeds
 
 SEED = 2005
 DRAWS = 8000  # per system
@@ -194,10 +195,21 @@ EXTREME_EULER = {
 }
 
 
+def mp_log_root(f, mpmath):
+    """The root of a wave curve f in mpmath: bisection on log x over
+    [-3000, 3000] to a width of 1e-35."""
+    lo, hi = mpmath.mpf(-3000), mpmath.mpf(3000)
+    assert f(mpmath.exp(lo)) < 0 < f(mpmath.exp(hi))
+    while hi - lo > mpmath.mpf("1e-35"):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if f(mpmath.exp(mid)) < 0 else (lo, mid)
+    return mpmath.exp((lo + hi) / 2)
+
+
 def mp_euler_solution(left, right, gamma, mpmath):
-    """(p*, S_L, S_R) of Euler data in mpmath: bisection on log p of
-    Toro's wave curve (2009, eqs. (4.6)-(4.7)) to a width of 1e-35, and
-    the shock speed or the rarefaction head speed of each side."""
+    """(p*, S_L, S_R) of Euler data in mpmath: the root of Toro's wave
+    curve (2009, eqs. (4.6)-(4.7)) by `mp_log_root`, and the shock speed
+    or the rarefaction head speed of each side."""
     g = mpmath.mpf(gamma)
     (rho_l, u_l, p_l), (rho_r, u_r, p_r) = ([mpmath.mpf(v) for v in s] for s in (left, right))
 
@@ -207,16 +219,7 @@ def mp_euler_solution(left, right, gamma, mpmath):
         c = mpmath.sqrt(g * p_k / rho)
         return 2 * c / (g - 1) * ((p / p_k) ** ((g - 1) / (2 * g)) - 1)
 
-    def f(log_p):
-        p = mpmath.exp(log_p)
-        return term(p, rho_l, p_l) + term(p, rho_r, p_r) + u_r - u_l
-
-    lo, hi = mpmath.mpf(-3000), mpmath.mpf(3000)
-    assert f(lo) < 0 < f(hi)
-    while hi - lo > mpmath.mpf("1e-35"):
-        mid = (lo + hi) / 2
-        lo, hi = (mid, hi) if f(mid) < 0 else (lo, mid)
-    p = mpmath.exp((lo + hi) / 2)
+    p = mp_log_root(lambda p: term(p, rho_l, p_l) + term(p, rho_r, p_r) + u_r - u_l, mpmath)
 
     def offset(rho, p_k):  # |S - u_K|
         c = mpmath.sqrt(g * p_k / rho)
@@ -239,6 +242,67 @@ def test_extreme_euler_data_are_solved_and_bounded(name):
     slack = fuzz.REL_SLACK * scale
     for estimator in euler.SYSTEM.bound_estimators:
         bounds = euler.estimate(problem, estimator)
+        assert bounds.s_left <= s_left + slack and bounds.s_right >= s_right - slack, estimator
+
+
+def mp_swe_speeds(problem, mpmath):
+    """(S_L, S_R) of shallow-water data in mpmath: the root of the
+    textbook wave curve by `mp_log_root`, and the shock speed or the
+    rarefaction head speed of each side."""
+    g = mpmath.mpf(problem.params.g)
+    (h_l, u_l), (h_r, u_r) = ((mpmath.mpf(s.h), mpmath.mpf(s.u))
+                              for s in (problem.left, problem.right))
+
+    def term(h, h_k):
+        if h > h_k:
+            return (h - h_k) * mpmath.sqrt(g * (h + h_k) / (2 * h * h_k))
+        return 2 * (mpmath.sqrt(g * h) - mpmath.sqrt(g * h_k))
+
+    h = mp_log_root(lambda h: term(h, h_l) + term(h, h_r) + u_r - u_l, mpmath)
+
+    def offset(h_k):  # |S - u_K|
+        c = mpmath.sqrt(g * h_k)
+        return c * mpmath.sqrt(h / h_k * (h / h_k + 1) / 2) if h > h_k else c
+    return u_l - offset(h_l), u_r + offset(h_r)
+
+
+#: Data with constants at the bottom of the float range: system, left and
+#: right states, and params.
+SUBNORMAL_CONSTANTS = {
+    # 2 rho b**2 underflowed in the two-rarefaction area, which read 4.0
+    # instead of 4.398, so certified Toro, TMS_a and TMS_b missed the
+    # exact speeds by up to 1.03e-2, 1.5e-3 and 2.8e-3.
+    "bfe-subnormal-constants": ("bfe", (1.0, 1.0), (2.0, -1.0),
+                                {"beta": 5e-324, "rho": 5e-324}),
+    # Products of g with the data underflow: the two-rarefaction depth
+    # reads 1.0 instead of 1.457, `solve_exact` gives S_L = -3.85e-162
+    # instead of -2.97e-162 (h* = 1.454), Toro's S_L = -2.22e-162 misses
+    # it, and TMS_b raises `DegeneratePoints`.
+    "swe-subnormal-gravity": pytest.param(
+        "swe", (1.0, 0.0), (2.0, 0.0), {"g": 5e-324}, marks=pytest.mark.xfail(
+            strict=True, reason="products of g with the data underflow; the fix needs "
+            "scale-free formulas (ROADMAP items 18 and 21)")),
+}
+MP_SPEEDS = {"bfe": mp_exact_speeds, "swe": mp_swe_speeds}
+
+
+@pytest.mark.parametrize("system, left, right, params", SUBNORMAL_CONSTANTS.values(),
+                         ids=SUBNORMAL_CONSTANTS)
+def test_subnormal_constants_are_solved_and_bounded(system, left, right, params):
+    mpmath = pytest.importorskip("mpmath")
+    problem = core.make_problem(system, left, right, params)
+    module = core.system_module(system)
+    solution = module.solve_exact(problem)
+    with mpmath.workdps(40):
+        s_left, s_right = (float(v) for v in MP_SPEEDS[system](problem, mpmath))
+    # Without the floor of 1 of `REL_SLACK`'s scale, under which the SWE
+    # speeds of 1e-162 would pass as anything near zero.
+    scale = max(abs(s_left), abs(s_right))
+    assert abs(solution.s_left - s_left) <= 1e-10 * scale
+    assert abs(solution.s_right - s_right) <= 1e-10 * scale
+    slack = fuzz.REL_SLACK * scale
+    for estimator in module.SYSTEM.bound_estimators:
+        bounds = module.estimate(problem, estimator)
         assert bounds.s_left <= s_left + slack and bounds.s_right >= s_right - slack, estimator
 
 

@@ -287,9 +287,35 @@ def test_post_init_runs(cls, args, error):
 
 
 def test_post_init_cases_cover_every_validating_record():
-    validating = {cls for cls in package_records().values() if hasattr(cls, "__post_init__")}
+    # A record validates in a `__post_init__` of its own, or in the checks
+    # that `record` writes into `__init__` for its fields of a field kind.
+    validating = {cls for cls in package_records().values()
+                  if hasattr(cls, "__post_init__")
+                  or any(cls.__annotations__[name] in core._CHECKS for name in core.fields(cls))}
     covered = {args[0] for args in test_post_init_runs.pytestmark[0].args[1]}
     assert validating == covered
+    assert sorted(cls.__qualname__ for cls in validating
+                  if hasattr(cls, "__post_init__")) == ["EulerParams", "RootBracket"]
+
+
+@pytest.mark.parametrize("kinds", [(core.Positive, core.Finite), ("Positive", "core.Finite")],
+                         ids=["classes", "strings"])
+def test_fields_of_a_kind_are_checked_in_field_order(kinds):
+    # Class objects, as without `__future__` annotations, and strings,
+    # bare or qualified; a field of another annotation is not checked, and
+    # `__post_init__` runs after the checks.
+    ran = []
+    Point = record(type("Point", (), {
+        "__annotations__": {"x": kinds[0], "y": kinds[1], "z": float},
+        "__post_init__": lambda self: ran.append(self.z)}))
+    assert core.fields(Point(5e-324, -0.0, math.nan)) == ("x", "y", "z") and len(ran) == 1
+    for args, message in [((-0.0, math.nan, 0.0), "x must be positive and finite, got -0.0"),
+                          ((math.inf, 0.0, 0.0), "x must be positive and finite, got inf"),
+                          ((1.0, -math.inf, 0.0), "y must be finite, got -inf")]:
+        with pytest.raises(ValueError) as raised:
+            Point(*args)
+        assert str(raised.value) == message
+    assert len(ran) == 1
 
 
 def test_wrong_arguments_raise_type_error():

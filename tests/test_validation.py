@@ -1,5 +1,5 @@
 """States and physical constants must be finite: NaN and infinite values
-are rejected when the dataclass is built."""
+are rejected when the record is built."""
 
 import math
 
