@@ -2,6 +2,11 @@
 systems, per-cell diffing of recomputed values, and classification of
 which published estimates fail to bound the exact wave speeds.
 
+Each reference row's problem is built once per process (`_row_problems`)
+and serves all three tables, so its side records and wave data are built
+once; every `reproduce` call still reads the published values and runs
+each row's root solve afresh.
+
 The system registry (`system_record`, `make_problem`, ...) lives in
 `core`, so that only the CLI's `reproduce` imports this module.  Its names
 stay here as `tables.*` for `bench/workloads.py`, their only caller; the
@@ -41,6 +46,15 @@ def load_reference(system: str) -> dict:
     return json.loads(path.read_text())
 
 
+@functools.cache
+def _row_problems(system: str) -> tuple:
+    """The problem of each row of a system's golden table, in row order,
+    built once per process and shared by every `reproduce` call: a problem
+    keeps only its side records and wave data, never a root solve."""
+    return tuple(make_problem(system, test["left"], test["right"])
+                 for test in load_reference(system)["tests"])
+
+
 @record
 class CellCheck:
     """One recomputed table cell compared against its published value."""
@@ -75,11 +89,10 @@ def _speed_columns(record: System, ref: dict) -> list[tuple]:
             for column in ref["columns"]]
 
 
-def _speed_cells(record: System, columns: list[tuple], test: dict,
+def _speed_cells(columns: list[tuple], test: dict, problem,
                  side: str) -> list[CellCheck]:
-    """One row of a speed table: each column's speed pair read from its
-    function (`_speed_columns`)."""
-    problem = make_problem(record.name, test["left"], test["right"])
+    """One row of a speed table: each column's speed pair of the row's
+    `problem`, read from its function (`_speed_columns`)."""
     index = 0 if side == "s_left" else 1
     row, test_id = test[side], test["id"]
     skipped = test.get("skipped_cells", {}).get(side, {})
@@ -105,10 +118,11 @@ def _speed_cells(record: System, columns: list[tuple], test: dict,
     return cells
 
 
-def _ic_cells(record: System, star_fields: list[str], test: dict) -> list[CellCheck]:
+def _ic_cells(record: System, star_fields: list[str], test: dict,
+              problem) -> list[CellCheck]:
     """One row of the ic table: the star values and the pattern of the
-    module's `solve_exact` (the fields of `star_values`)."""
-    problem = make_problem(record.name, test["left"], test["right"])
+    module's `solve_exact` of the row's `problem` (the fields of
+    `star_values`)."""
     solution = record.module.solve_exact(problem)
     cells = []
     star_skipped = test.get("star_skipped")
@@ -135,19 +149,26 @@ def _ic_cells(record: System, star_fields: list[str], test: dict) -> list[CellCh
 
 
 def reproduce(system: str, table: str) -> TableReport:
-    """Recompute one published table and diff it against the reference."""
+    """Recompute one published table and diff it against the reference.
+
+    The rows' problems, with their side records and wave data, are those
+    of `_row_problems`, kept per process.  Every call looks the reference
+    up with `load_reference`, reads its published values and solves each
+    row afresh: no solve, estimate, cell or report is kept between calls.
+    """
     if table not in TABLES:
         raise ValueError(f"unknown table {table!r}")
     ref = load_reference(system)
     record = system_record(system)
+    rows = zip(ref["tests"], _row_problems(system), strict=True)
     cells: list[CellCheck] = []
     if table == "ic":
-        for test in ref["tests"]:
-            cells.extend(_ic_cells(record, ref["star_fields"], test))
+        for test, problem in rows:
+            cells.extend(_ic_cells(record, ref["star_fields"], test, problem))
     else:
         columns = _speed_columns(record, ref)
-        for test in ref["tests"]:
-            cells.extend(_speed_cells(record, columns, test, table))
+        for test, problem in rows:
+            cells.extend(_speed_cells(columns, test, problem, table))
     deviations = [c.deviation for c in cells if c.deviation is not None]
     return TableReport(
         system=system,

@@ -202,6 +202,20 @@ class TestFindRoot:
         with pytest.raises(InvalidBracket, match="must increase"):
             find_root(f, RootBracket(lo, hi, f(lo), f(hi)), fprime=lambda x: -1.0 / x)
 
+    def test_zero_at_the_lower_end_is_the_root(self):
+        calls = []
+        f = lambda x: calls.append(x) or x  # noqa: E731
+        assert find_root(f, RootBracket(0.0, 1.0, 0.0, 1.0), lambda x: 1.0) == 0.0
+        assert calls == []  # read from the bracket, without an evaluation
+
+    def test_no_convergence_within_the_iteration_budget(self):
+        # A step at 1e-300 with a NaN slope: every Newton step is a
+        # bisection, at the midpoint while the lower end stays subnormal,
+        # so 100 halvings from 1e308 never reach the root.
+        f = lambda x: -1.0 if x < 1e-300 else 1.0  # noqa: E731
+        with pytest.raises(NoConvergence, match="within 100 iterations"):
+            find_root(f, RootBracket(5e-324, 1e308, -1.0, 1.0), lambda x: NAN)
+
     def test_invalid_tolerance(self):
         bracket = RootBracket(0.0, 5.0, -2.0, 3.0)
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Tests for golden-table loading, reproduction and violation tagging."""
 
+import collections
+import copy
 import math
 
 import pytest
@@ -94,6 +96,71 @@ class TestReproduce:
             report = tables.reproduce(system, "ic")
             patterns = [c for c in report.cells if c.column == "pattern"]
             assert patterns and all(c.status == "ok" for c in patterns)
+
+
+class TestKeptProblems:
+    """Each row's problem is built once per process and shared by the three
+    tables; the reference, the published values and the root solves are
+    read or run on every call."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Counters of `core.wave_data` builds per problem and of the root
+        solves of each system module."""
+        builds, solves = collections.Counter(), collections.Counter()
+        wave_data = core.wave_data
+
+        def counted_wave_data(problem):
+            builds[id(problem)] += 1
+            return wave_data(problem)
+
+        monkeypatch.setattr(core, "wave_data", counted_wave_data)
+        for system in core.SYSTEMS:
+            module = core.system_module(system)
+
+            def counted_find_root(*args, system=system, find_root=module.find_root):
+                solves[system] += 1
+                return find_root(*args)
+
+            monkeypatch.setattr(module, "find_root", counted_find_root)
+        return builds, solves
+
+    @pytest.mark.parametrize("system", core.SYSTEMS)
+    def test_two_passes_build_each_row_once(self, system, counted):
+        builds, solves = counted
+        tables._row_problems.cache_clear()
+        rows = len(tables.load_reference(system)["tests"])
+        passes = []
+        for order in (core.TABLES, tuple(reversed(core.TABLES))):
+            reports = {}
+            for table in order:
+                solves.clear()
+                reports[table] = tables.reproduce(system, table)
+                assert solves[system] == rows, table  # one root solve per row
+            passes.append(reports)
+        problems = tables._row_problems(system)
+        assert len(problems) == rows
+        assert builds == {id(problem): 1 for problem in problems}
+        first, second = passes
+        for table in core.TABLES:
+            assert second[table].cells == first[table].cells
+            assert repr(second[table]) == repr(first[table])  # bit for bit, NaN included
+
+    def test_published_values_are_read_per_call(self, counted, monkeypatch):
+        builds, _ = counted
+        tables.reproduce("euler", "s_left")
+        kept = tables._row_problems("euler")
+        builds.clear()
+        ref = copy.deepcopy(tables.load_reference("euler"))
+        moved = ref["tests"][1]
+        moved["s_left"]["toro"] += 1.0
+        monkeypatch.setattr(tables, "load_reference", lambda system: ref)
+        report = tables.reproduce("euler", "s_left")
+        failed = [c for c in report.cells if c.status == "fail"]
+        assert [(c.test_id, c.column) for c in failed] == [(moved["id"], "toro")]
+        assert not report.passed
+        assert report.max_deviation == pytest.approx(1.0, abs=tables.CELL_TOL_ABS)
+        assert tables._row_problems("euler") is kept and not builds
 
 
 class TestBoundViolations:

@@ -24,8 +24,14 @@ that moved.  The lines are, per system:
 
 and then the nine `tables.reproduce` reports.  Values are written with
 `repr`, which gives every float's bits exactly, and an error as its type
-and message.  The mesh grids come from `bench/workloads.py` of the checkout
-this script belongs to.
+and message.  The mesh grids come from `bench/workloads.py` of the
+checkout this script belongs to.
+
+After the total the nine tables are reproduced a second time, each
+system's in reverse table order, and the script exits 1 if a report
+differs from the first pass: `tables` keeps each row's problem across
+calls, so this checks that nothing one call leaves behind moves another's
+output.  The second pass adds no line to the digest.
 
 The public root finder has a section of its own, printed after the total
 and not part of it, so that the total stays comparable with totals taken
@@ -174,12 +180,18 @@ def fuzz_lines(system: str):
         yield f"fuzz {system} {seed} {outcome(fuzz.run_fuzz, system, FUZZ_TRIALS, seed)}"
 
 
-def table_lines():
+def table_lines(reports: dict, reverse: bool = False):
+    """The line of each of the nine `tables.reproduce` reports, each
+    system's tables in order or in reverse order, also kept in `reports`
+    by (system, table)."""
     from riemann_bounds import core, tables
 
+    order = core.TABLES[::-1] if reverse else core.TABLES
     for system in core.SYSTEMS:
-        for table in core.TABLES:
-            yield f"table {system} {table} {outcome(tables.reproduce, system, table)}"
+        for table in order:
+            line = f"table {system} {table} {outcome(tables.reproduce, system, table)}"
+            reports[system, table] = line
+            yield line
 
 
 def counted_root(f, fprime, lo, hi, **kwargs):
@@ -311,14 +323,14 @@ def record_lines():
                    f"tuple_hash={outcome(lambda: hash(obj) == hash(values))}")
 
 
-def sections(problems: int):
+def sections(problems: int, reports: dict):
     for system in ACCEPTANCE_SEEDS:
         yield f"acceptance {system}", acceptance_lines(system, problems)
         yield f"raw {system}", raw_lines(system)
         for seed in MESH_SEEDS:
             yield f"mesh {system} seed {seed}", mesh_lines(system, seed)
         yield f"fuzz {system}", fuzz_lines(system)
-    yield "tables", table_lines()
+    yield "tables", table_lines(reports)
 
 
 def digest(lines):
@@ -343,10 +355,10 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(src))
     import riemann_bounds
 
-    total, count = hashlib.sha256(), 0
+    total, count, reports = hashlib.sha256(), 0, {}
     dump = open(args.dump, "w") if args.dump else None
     try:
-        for name, lines in sections(args.problems):
+        for name, lines in sections(args.problems, reports):
             part, n = hashlib.sha256(), 0
             for line in lines:
                 data = (line + "\n").encode()
@@ -361,6 +373,12 @@ def main(argv=None) -> int:
         if dump:
             dump.close()
     print(f"{total.hexdigest()}  {count}  total ({Path(riemann_bounds.__file__).parent})")
+    again = {}
+    list(table_lines(again, reverse=True))
+    moved = [f"{system} {table}" for (system, table), line in reports.items()
+             if again[system, table] != line]
+    print(f"tables again in reverse table order, not in the total: "
+          f"{', '.join(moved) or 'none'} moved")
     roots, n = digest(root_lines())
     print(f"{roots}  {n}  find_root, not in the total")
     courant, n = digest(courant_lines())
@@ -370,7 +388,7 @@ def main(argv=None) -> int:
     inputs, n = digest(mesh_input_lines())
     print(f"{inputs}  {n}  mesh input states, not in the total "
           f"(Python {sys.version_info.major}.{sys.version_info.minor})")
-    return 0
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":
