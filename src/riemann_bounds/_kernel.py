@@ -92,10 +92,11 @@ class _Lanes:
                   _gather(list(map(attrgetter("right"), problems)), system.state_type))
         self.left, self.right = (system.side(state, params, _sqrt) for state in states)
         # What the shared formulas read of a problem: its side records, and
-        # `_wave_data`, which `_tms_d` reads only to raise on vacuum data:
-        # lanes are never vacuum, so it need only exist.
+        # `_wave_data`, which `_tms_d` reads only to raise on vacuum data.
+        # Lanes are never vacuum, so any true value stands in; None would
+        # make `_tms_d` build the scalar wave data of the lanes.
         self._sides = (self.left, self.right)
-        self._wave_data = None
+        self._wave_data = True
         self.doubt = np.zeros(len(problems), dtype=bool)
 
     def doubt_unless(self, ok) -> None:

@@ -67,7 +67,7 @@ class _Side:
     """Wave-curve constants of one side K of a problem: the data area
     x = A_K, the velocity u_K, A_K^(1/4), A_K^(3/2), the wave speed c_K,
     zeta, 4 zeta and gamma_tube.  c_K is zeta * A_K^(1/4), the product
-    `_celerity` computes, from the factors kept here.  `core.Problem`
+    `_celerity` computes, from the factors kept here.  `core.sides`
     raises `ClosedFormOverflow` when A_K^(3/2) exceeds the float range."""
 
     __slots__ = ("x", "u", "c", "a14", "a32", "zeta", "zeta4", "gamma_tube")
@@ -147,7 +147,7 @@ def solve_exact(problem: BfeProblem) -> BfeExactSolution:
     problem of another system gets that system's solution.
     """
     pattern = classify(problem)
-    left, right = problem._sides
+    left, right = problem._sides or core.sides(problem)
     a_star = solve_star(problem)
     u_star = 0.5 * (left.u + right.u) + 0.5 * core.side_difference(problem, a_star)
     return problem._system.solution_type(a_star, u_star, pattern, *star_speeds(problem, a_star))
@@ -157,8 +157,9 @@ def _tms_d(problem: BfeProblem, minimum=min, maximum=max):
     # The crude opposite-side term is the front speed of a rarefaction
     # expanding into a near-empty vessel with floor area 1e-12 cm^2,
     # u -/+ 4(c - c_floor), rather than the full-vacuum limit u -/+ 4c.
-    problem._wave_data  # raises the no-star error for data without a positive star value
-    left, right = problem._sides
+    # The wave data raise the no-star error for data without a positive star value.
+    problem._wave_data or core.wave_data(problem)
+    left, right = problem._sides or core.sides(problem)
     cl, cr = left.c, right.c
     c_floor = left.zeta * _VACUUM_FLOOR_AREA**0.25
     return (

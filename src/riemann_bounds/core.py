@@ -134,11 +134,12 @@ def record(cls: type):
     fields are the class's own annotations but `ClassVar` ones, with class
     attributes as defaults.  `__init__` checks the fields of a field kind
     (`Positive`, `Finite`) in order, stores each through its slot's
-    `__set__`, bound once, then calls `__post_init__`.  Equality compares
-    field tuples, as on Python 3.10-3.12 (3.13's `dataclass` compares field
-    by field).  `vars()`, where the dataclass raises, is a new dict of the
-    fields in order (a read-only `__dict__` property).  Fields other than
-    plain positional ones raise `TypeError`."""
+    `__set__`, bound once, stores None in each slot that a base declares,
+    then calls `__post_init__`.  Equality compares field tuples, as on
+    Python 3.10-3.12 (3.13's `dataclass` compares field by field).
+    `vars()`, where the dataclass raises, is a new dict of the fields in
+    order (a read-only `__dict__` property).  Fields other than plain
+    positional ones raise `TypeError`."""
     namespace = {"__repr__": _repr, **cls.__dict__}  # a repr of its own is kept
     annotations = namespace.get("__annotations__", {})
     names, defaults, checks = [], [], []
@@ -168,17 +169,21 @@ def record(cls: type):
                      __setattr__=_frozen, __delattr__=_frozen, __getstate__=_values,
                      __setstate__=_setstate)
     cls = type(cls)(cls.__name__, cls.__bases__, namespace)
+    # The slots that a base declares (a problem's two lazy slots) start as None.
+    empty = [name for base in cls.__mro__[1:] for name in base.__dict__.get("__slots__", ())]
+    slots = (*names, *empty)
     # No field name can start with __, so the closure's and globals' names cannot clash.
-    lines = [f"def make_init({', '.join(f'__set{i}' for i in range(len(names)))}):",
+    lines = [f"def make_init({', '.join(f'__set{i}' for i in range(len(slots)))}):",
              f"    def __init__(self, {', '.join(names)}):", *checks,
-             *[f"        __set{i}(self, {name})" for i, name in enumerate(names)]]
+             *[f"        __set{i}(self, {name})" for i, name in enumerate(names)],
+             *[f"        __set{i}(self, None)" for i in range(len(names), len(slots))]]
     if hasattr(cls, "__post_init__"):
         lines.append("        self.__post_init__()")
     lines.append("    return __init__")
     scope: dict = {}
     exec(compile("\n".join(lines), "<record>", "exec"),
          {"__inf": math.inf, "__isfinite": math.isfinite}, scope)  # what the checks read
-    init = scope["make_init"](*[getattr(cls, name).__set__ for name in names])  # the slots'
+    init = scope["make_init"](*[getattr(cls, name).__set__ for name in slots])  # the slots'
     init.__defaults__ = tuple(defaults) or None
     init.__annotations__ = {**{name: annotations[name] for name in names}, "return": None}
     init.__qualname__ = f"{cls.__qualname__}.__init__"
@@ -305,14 +310,14 @@ class System:
     and the functions named by `curve` and `two_rarefaction` as attributes
     of `module` when it runs, so that replacing them on the module (to count
     or time calls) takes effect.  A problem's `_sides` slot holds the `side`
-    records of its two states, built on first read (see `Problem`), and
-    shared code reads a side only through them, `q_factor` included.
-    The celerity and the positivity condition are each written once per
-    system, in `celerity` and `positivity`: the side record (blood flow's
-    multiplies the two factors it keeps, with `celerity`'s bits), the
-    public positivity test (`positive` below), the guard of
-    `two_rarefaction` (the one test of `wave_data`) and
-    `fuzz.sample_problem` all call them.
+    records of its two states, None until the first reader builds them
+    with `sides` (see `Problem`), and shared code reads a side only
+    through them, `q_factor` included.  The celerity and the positivity
+    condition are each written once per system, in `celerity` and
+    `positivity`: the side record (blood flow's multiplies the two factors
+    it keeps, with `celerity`'s bits), the public positivity test
+    (`positive` below), the guard of `two_rarefaction` (the one test of
+    `wave_data`) and `fuzz.sample_problem` all call them.
     """
 
     name: str  # registry key and CLI --system value
@@ -429,7 +434,7 @@ def make_problem(system: str, left: Sequence[float], right: Sequence[float],
     Without overrides the problem keeps its class's default params object,
     shared by all such problems (params are frozen).
     """
-    record = system_record(system)
+    record = _REGISTRY.get(system) or system_record(system)  # no call once imported
     left_state, right_state = record.state_type(*left), record.state_type(*right)
     if params:
         return record.problem_type(left_state, right_state, record.params_type(**params))
@@ -452,13 +457,13 @@ def wave_curves(system: System):
     shock_slope, rarefaction_slope = system.shock_slope, system.rarefaction_slope
 
     def curve(x: float, problem) -> float:
-        left, right = problem._sides
+        left, right = problem._sides or sides(problem)
         return ((shock(x, left) if x > left.x else rarefaction(x, left))
                 + (shock(x, right) if x > right.x else rarefaction(x, right))
                 + (right.u - left.u))
 
     def slope(x: float, problem) -> float:
-        left, right = problem._sides
+        left, right = problem._sides or sides(problem)
         return ((shock_slope(x, left) if x > left.x else rarefaction_slope(x, left))
                 + (shock_slope(x, right) if x > right.x else rarefaction_slope(x, right)))
 
@@ -471,7 +476,7 @@ def wave_curves(system: System):
 def side_difference(problem, x: float) -> float:
     """f_R(x) - f_L(x), the difference of the wave curve's side terms that
     u* = (u_L + u_R)/2 + (f_R(p*) - f_L(p*))/2 is computed from."""
-    (left, right), system = problem._sides, problem._system
+    (left, right), system = problem._sides or sides(problem), problem._system
     return ((system.shock(x, right) if x > right.x else system.rarefaction(x, right))
             - (system.shock(x, left) if x > left.x else system.rarefaction(x, left)))
 
@@ -482,8 +487,8 @@ def positive(problem) -> bool:
     module binds it under its own name (`check_positivity`, `is_wet`,
     `is_open`).  It reads the problem's side records, so it raises what
     building them raises (`ClosedFormOverflow` for a side constant or a
-    celerity past the float range, see `Problem`)."""
-    left, right = problem._sides
+    celerity past the float range, see `sides`)."""
+    left, right = problem._sides or sides(problem)
     return problem._system.positivity(left.c, right.c, right.u - left.u, problem.params)
 
 
@@ -493,7 +498,8 @@ def two_rarefaction(problem) -> float:
     record's `two_rarefaction`.  Raises the system's no-star error for data
     without a positive star value and `ClosedFormOverflow` when the value
     exceeds the float range."""
-    (left, right), params, system = problem._sides, problem.params, problem._system
+    left, right = problem._sides or sides(problem)
+    params, system = problem.params, problem._system
     if not system.positivity(left.c, right.c, right.u - left.u, params):
         raise system.no_star(system.no_star_message)
     try:
@@ -503,9 +509,44 @@ def two_rarefaction(problem) -> float:
                                  f"{params}") from None
 
 
+class Problem:
+    """Base of the problem types, whose `_system` each system module sets to
+    its `SYSTEM`.  What every solve and estimate reads is built on first
+    read and kept in a slot: `_sides`, the system's side record of each
+    state (`sides`), and `_wave_data`, the problem's `wave_data`.  Both
+    slots hold None from `__init__` on, so every read of a problem is a
+    plain slot read, and each reader writes `problem._sides or
+    sides(problem)` (the same for the wave data).  The builder stores its
+    value past the frozen `__setattr__`; a build that raises leaves the
+    slot None, to raise again on the next read: data without a positive
+    star value raise the no-star error on each."""
+
+    __slots__ = ("_sides", "_wave_data")
+
+
+_set_sides, _set_wave_data = Problem._sides.__set__, Problem._wave_data.__set__
+
+
+def sides(problem) -> tuple:
+    """The side records of `problem`'s two states, built and kept in its
+    `_sides` slot.  A side constant that overflows, or a celerity c that
+    is not finite, raises `ClosedFormOverflow`: the one overflow rule of
+    every system."""
+    side, params = problem._system.side, problem.params
+    try:
+        value = left, right = side(problem.left, params), side(problem.right, params)
+    except ArithmeticError:
+        raise ClosedFormOverflow(f"a side constant overflows at {problem}") from None
+    if not (math.isfinite(left.c) and math.isfinite(right.c)):
+        raise ClosedFormOverflow(f"celerity overflows at {problem}: c = {left.c}, {right.c}")
+    _set_sides(problem, value)
+    return value
+
+
 def wave_data(problem) -> WaveData:
     """Wave data of `problem` from the signs of the wave-curve function at
-    the data values, without solving for the star state.
+    the data values, without solving for the star state, built and kept
+    in its `_wave_data` slot.
 
     The positivity condition is tested once, by the guard of the module's
     two-rarefaction function, whose no-star error this raises.  Raises
@@ -513,7 +554,7 @@ def wave_data(problem) -> WaveData:
     finite, or when evaluating one raises an arithmetic error (overflow, or
     a division by a product that underflowed to zero).
     """
-    (left, right), system = problem._sides, problem._system
+    (left, right), system = problem._sides or sides(problem), problem._system
     x_left, x_right = left.x, right.x
     right_min = x_right <= x_left
     x_min, x_max = (x_right, x_left) if right_min else (x_left, x_right)
@@ -524,48 +565,19 @@ def wave_data(problem) -> WaveData:
         if not (isfinite(x_rr) and isfinite(f_min)):
             raise ClosedFormOverflow(f"wave data overflows: x_rr = {x_rr}, f(x_min) = {f_min}")
         if f_min >= 0.0:
-            return WaveData(x_min, x_max, f_min, math.nan, x_rr, math.nan, _RR)
-        f_max, f_rr = curve(x_max, problem), curve(x_rr, problem)
-        if not (isfinite(f_max) and isfinite(f_rr)):
-            raise ClosedFormOverflow(f"wave data overflows: f(x_max) = {f_max}, f(x_rr) = {f_rr}")
+            f_max = f_rr = math.nan
+            pattern = _RR
+        else:
+            f_max, f_rr = curve(x_max, problem), curve(x_rr, problem)
+            if not (isfinite(f_max) and isfinite(f_rr)):
+                raise ClosedFormOverflow(
+                    f"wave data overflows: f(x_max) = {f_max}, f(x_rr) = {f_rr}")
+            pattern = _SS if f_max < 0.0 else _RS if right_min else _SR
     except ArithmeticError:
         raise ClosedFormOverflow("the wave curve overflows at a wave-data node") from None
-    if f_max < 0.0:
-        pattern = _SS
-    else:
-        pattern = _RS if right_min else _SR
-    return WaveData(x_min, x_max, f_min, f_max, x_rr, f_rr, pattern)
-
-
-class Problem:
-    """Base of the problem types, whose `_system` each system module sets to
-    its `SYSTEM`.  What every solve and estimate reads is built on first
-    read and kept in a slot: `_sides`, the system's side record of each
-    state, and `_wave_data`, the problem's `wave_data`.  `__getattr__` runs
-    only while a slot is empty, and stores past the frozen `__setattr__`; a
-    build that raises leaves the slot empty, to raise again on a re-read:
-    data without a positive star value raise the no-star error on each.
-    A side constant that overflows, or a celerity c that is not finite,
-    raises `ClosedFormOverflow`: the one overflow rule of every system."""
-
-    __slots__ = ("_sides", "_wave_data")
-
-    def __getattr__(self, name):
-        if name == "_sides":
-            side = self._system.side
-            try:
-                value = left, right = side(self.left, self.params), side(self.right, self.params)
-            except ArithmeticError:
-                raise ClosedFormOverflow(f"a side constant overflows at {self}") from None
-            if not (math.isfinite(left.c) and math.isfinite(right.c)):
-                raise ClosedFormOverflow(f"celerity overflows at {self}: c = {left.c}, {right.c}")
-        elif name == "_wave_data":
-            value = wave_data(self)
-        else:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}",
-                                 name=name, obj=self)
-        object.__setattr__(self, name, value)
-        return value
+    value = WaveData(x_min, x_max, f_min, f_max, x_rr, f_rr, pattern)
+    _set_wave_data(problem, value)
+    return value
 
 
 def classify(problem) -> WavePattern:
@@ -573,7 +585,7 @@ def classify(problem) -> WavePattern:
     values, without solving for the star state: VACUUM, from the no-star
     error of the wave data, for data that leave no positive star value."""
     try:
-        return problem._wave_data.pattern
+        return (problem._wave_data or wave_data(problem)).pattern
     except problem._system.no_star:
         return _VACUUM
 
@@ -648,7 +660,8 @@ def solve_star(problem) -> float:
     Raises the system's no-star error for data without a positive star
     value, and `ClosedFormOverflow` when an evaluation raises an
     arithmetic error."""
-    wave, system, (left, right) = problem._wave_data, problem._system, problem._sides
+    wave, system = problem._wave_data or wave_data(problem), problem._system
+    left, right = problem._sides or sides(problem)
     module = system.module
     curve = getattr(module, system.curve)
     slope = getattr(module, system.curve + "_deriv")
@@ -675,7 +688,7 @@ def star_speeds(problem, x: float) -> tuple[float, float]:
     the wave is a shock, u_K -/+ c_K q_K(x), otherwise a rarefaction
     headed by the eigenvalue u_K -/+ c_K.  Raises `ClosedFormOverflow`
     for a speed that is not finite."""
-    (left, right), q_factor = problem._sides, problem._system.q_factor
+    (left, right), q_factor = problem._sides or sides(problem), problem._system.q_factor
     s_left = left.u - left.c if x <= left.x else left.u - left.c * q_factor(x, left)
     s_right = right.u + right.c if x <= right.x else right.u + right.c * q_factor(x, right)
     if not _NEG_INF < s_left < _INF > s_right > _NEG_INF:  # NaN fails every comparison
@@ -684,12 +697,12 @@ def star_speeds(problem, x: float) -> tuple[float, float]:
 
 
 def davis_a(problem) -> tuple[float, float]:
-    left, right = problem._sides
+    left, right = problem._sides or sides(problem)
     return left.u - left.c, right.u + right.c
 
 
 def davis_b(problem) -> tuple[float, float]:
-    left, right = problem._sides
+    left, right = problem._sides or sides(problem)
     # min(a, b) and max(a, b) without their calls, with the same result
     # (NaN and signed zeros included): the first argument unless the
     # second is strictly smaller (larger).
@@ -701,7 +714,7 @@ def davis_b(problem) -> tuple[float, float]:
 
 def toro(problem) -> tuple[float, float]:
     """Two-rarefaction estimator: the q factors at the closed form x_rr."""
-    return star_speeds(problem, problem._wave_data.x_rr)
+    return star_speeds(problem, (problem._wave_data or wave_data(problem)).x_rr)
 
 
 def _no_chord_root(x_hat: float) -> ClosedFormOverflow:
@@ -714,7 +727,8 @@ def tms(variant: EstimatorId, problem) -> tuple[float, float]:
     system's no-star error for data without a positive star value, and
     `ClosedFormOverflow` for a chord root that is not positive (overflow
     or rounding in the wave data) or a speed that is not finite."""
-    (side_l, side_r), wave, system = problem._sides, problem._wave_data, problem._system
+    wave, system = problem._wave_data or wave_data(problem), problem._system
+    side_l, side_r = problem._sides or sides(problem)
     pattern = wave.pattern
     if pattern is _RR:  # eigenvalue speeds are exact
         s_left, s_right = side_l.u - side_l.c, side_r.u + side_r.c

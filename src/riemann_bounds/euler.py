@@ -155,7 +155,7 @@ def solve_exact(problem: EulerProblem) -> EulerExactSolution:
     problem of another system gets that system's solution.
     """
     pattern = classify(problem)
-    left, right = problem._sides
+    left, right = problem._sides or core.sides(problem)
     p_star = solve_star(problem)
     u_star = 0.5 * (left.u + right.u) + 0.5 * core.side_difference(problem, p_star)
     return problem._system.solution_type(p_star, u_star, pattern, *star_speeds(problem, p_star))
@@ -163,7 +163,7 @@ def solve_exact(problem: EulerProblem) -> EulerExactSolution:
 
 def _einfeldt(problem: EulerProblem):
     left, right = problem.left, problem.right
-    side_l, side_r = problem._sides
+    side_l, side_r = problem._sides or core.sides(problem)
     wl, wr = math.sqrt(left.rho), math.sqrt(right.rho)
     cl, cr, du = side_l.c, side_r.c, right.u - left.u
     u_roe = (wl * left.u + wr * right.u) / (wl + wr)
@@ -180,7 +180,7 @@ def _einfeldt(problem: EulerProblem):
 
 def _batten(problem: EulerProblem):
     left, right, g = problem.left, problem.right, problem.params.gamma
-    side_l, side_r = problem._sides
+    side_l, side_r = problem._sides or core.sides(problem)
     wl, wr = math.sqrt(left.rho), math.sqrt(right.rho)
     u_roe = (wl * left.u + wr * right.u) / (wl + wr)
     # Specific enthalpies H = (E + p) / rho with E = rho (u^2/2 + e),

@@ -6,7 +6,8 @@ from __future__ import annotations
 
 import random
 
-from .core import asdict, make_problem, record, speed_function, system_record
+from .core import (_REGISTRY, asdict, make_problem, record, speed_function, system_record,
+                   wave_data)
 
 #: Relative slack applied to every comparison, scaled by the problem's
 #: speed magnitude; absorbs root-finder and floating-point round-off.
@@ -47,7 +48,7 @@ def sample_problem(system: str, rng: random.Random):
     when it first reads them: a constant past the float range therefore
     raises there, not here.
     """
-    record = system_record(system)
+    record = _REGISTRY.get(system) or system_record(system)
     draw, celerity, positivity = record.draw, record.celerity, record.positivity
     params = record.problem_type.__init__.__defaults__[-1]  # the one `make_problem` passes
     while True:
@@ -127,7 +128,8 @@ def run_fuzz(system: str, count: int, seed: int) -> FuzzReport:
                     trial, name, "s_right", s_right, exact_right, problem))
 
         star = getattr(exact, star_field)
-        star_rr = problem._wave_data.x_rr  # the closed form, computed by the solve
+        # The closed form, computed by the solve.
+        star_rr = (problem._wave_data or wave_data(problem)).x_rr
         if star_rr < star - REL_SLACK * max(1.0, star):
             violations.append(_violation(
                 trial, "two_rarefaction", "star", star_rr, star, problem))

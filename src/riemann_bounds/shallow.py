@@ -122,15 +122,16 @@ def solve_exact(problem: SweProblem) -> SweExactSolution:
     problem of another system gets that system's solution.
     """
     pattern = classify(problem)
-    left, right = problem._sides
+    left, right = problem._sides or core.sides(problem)
     h_star = solve_star(problem)
     u_star = 0.5 * (left.u + right.u) + 0.5 * core.side_difference(problem, h_star)
     return problem._system.solution_type(h_star, u_star, pattern, *star_speeds(problem, h_star))
 
 
 def _tms_d(problem: SweProblem, minimum=min, maximum=max):
-    problem._wave_data  # raises the no-star error for data without a positive star value
-    left, right = problem._sides
+    # The wave data raise the no-star error for data without a positive star value.
+    problem._wave_data or core.wave_data(problem)
+    left, right = problem._sides or core.sides(problem)
     cl, cr = left.c, right.c
     return minimum(left.u - cl, right.u - 2.0 * cr), maximum(right.u + cr, left.u + 2.0 * cl)
 

@@ -11,7 +11,7 @@ from riemann_bounds.core import (
     UnsupportedEstimator,
     WavePattern,
 )
-from riemann_bounds import bloodflow
+from riemann_bounds import bloodflow, core
 from riemann_bounds.bloodflow import (
     SYSTEM,
     BfeParams,
@@ -61,7 +61,7 @@ class TestState:
             BfeParams(rho=0.0)
 
     def test_default_wall_constants(self):
-        side = problem((PI, 0.0), (PI, 0.0))._sides[0]
+        side = core.sides(problem((PI, 0.0), (PI, 0.0)))[0]
         assert side.zeta == pytest.approx(math.sqrt(28209.4792 / 2.1))
         assert side.gamma_tube == pytest.approx(28209.4792 / 3.15)
 

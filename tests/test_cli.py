@@ -411,6 +411,30 @@ class TestUsage:
         assert err
 
 
+class TestModuleEntry:
+    """`python -m riemann_bounds.cli`, the form of a cold call: the module's
+    `__main__` guard exits with `main`'s code."""
+
+    def entry(self, *argv):
+        return subprocess.run([sys.executable, "-m", "riemann_bounds.cli", *argv],
+                              capture_output=True, text=True, timeout=60,
+                              env={"PYTHONPATH": str(riemann_bounds.__path__[0] + "/..")})
+
+    def test_exact_sod_json(self):
+        done = self.entry("exact", "--system", "euler", "--left", "1,0,1",
+                          "--right", "0.125,0,0.1", "--format", "json")
+        assert done.returncode == 0, done.stderr
+        (result,) = json.loads(done.stdout)["results"]
+        assert result["star"]["p_star"] == pytest.approx(0.30313, abs=5e-6)
+        assert result["star"]["u_star"] == pytest.approx(0.92745, abs=5e-6)
+
+    def test_vacuum_data_exit_code(self):
+        done = self.entry("exact", "--system", "euler", "--left", "1,-20,1",
+                          "--right", "1,20,1", "--format", "json")
+        assert done.returncode == cli.EXIT_PHYSICAL == 2
+        assert "vacuum" in done.stderr and done.stdout == ""
+
+
 #: One cold `cli.main(argv)`, argv from the command line; its last output
 #: line is the exit code and the modules it left loaded, of the package
 #: and of those a call should import only when it needs them, or never.

@@ -333,7 +333,7 @@ class TestEstimators:
 
         def reference(prob):
             left, right, params = prob.left, prob.right, prob.params
-            side_l, side_r = prob._sides
+            side_l, side_r = core.sides(prob)
             wl, wr = math.sqrt(left.rho), math.sqrt(right.rho)
             cl, cr = side_l.c, side_r.c
             u_roe = (wl * left.u + wr * right.u) / (wl + wr)

@@ -9,6 +9,7 @@ its own, filled on first read."""
 
 import copy
 import dataclasses
+import dis
 import functools
 import importlib
 import inspect
@@ -438,6 +439,8 @@ FAILING_BUILDS = {
     "bfe": ("bfe-side-constants-overflow", "_sides"),
 }
 LAZY = ("_sides", "_wave_data")
+#: A public reader of each lazy slot, which builds it while it is None.
+READERS = {"_sides": core.positive, "_wave_data": core.classify}
 
 
 def sod_like(system):
@@ -447,16 +450,9 @@ def sod_like(system):
 
 
 def filled(problem) -> list:
-    """The lazy slots of `problem` that hold a value, read past
-    `Problem.__getattr__`, which would fill them."""
-    names = []
-    for name in LAZY:
-        try:
-            object.__getattribute__(problem, name)
-        except AttributeError:
-            continue
-        names.append(name)
-    return names
+    """The lazy slots of `problem` that hold a value; a read of a slot is a
+    plain read, which builds nothing."""
+    return [name for name in LAZY if getattr(problem, name) is not None]
 
 
 def side_values(side) -> list:
@@ -470,10 +466,13 @@ def test_problem_slots_are_built_once(system, monkeypatch):
     monkeypatch.setattr(core, "wave_data", lambda problem: builds.append(problem) or build(problem))
     problem = sod_like(system)
     assert filled(problem) == []
+    assert READERS["_sides"](problem)
     sides = problem._sides
     assert filled(problem) == ["_sides"]
     module = core.system_module(system)
+    READERS["_wave_data"](problem)
     wave = problem._wave_data
+    assert filled(problem) == list(LAZY)
     module.solve_exact(problem)
     for estimator in module.ESTIMATORS:
         module.estimate(problem, estimator)
@@ -488,7 +487,7 @@ def test_a_build_that_raises_leaves_its_slot_empty(system):
     problem = core.replace(REPRODUCERS[name][1])  # a copy, with empty slots
     for _ in range(2):
         with pytest.raises(core.ClosedFormOverflow):
-            getattr(problem, failing)
+            READERS[failing](problem)
         assert failing not in filled(problem)
     # The wave data read the side records first, when those build.
     assert filled(problem) == ([] if failing == "_sides" else ["_sides"])
@@ -506,15 +505,41 @@ def test_other_names_raise_the_standard_attribute_error(system):
     assert filled(problem) == []
 
 
+def test_no_problem_type_hooks_attribute_reads():
+    # A class-level `__getattr__` or `__getattribute__` anywhere above a
+    # problem type keeps every read of a problem off the specialized path.
+    for system in core.SYSTEMS:
+        for cls in core.system_record(system).problem_type.__mro__[:-1]:  # object's is generic
+            assert "__getattr__" not in vars(cls) and "__getattribute__" not in vars(cls), cls
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="adaptive instructions from 3.11 on")
+@pytest.mark.parametrize("system", core.SYSTEMS)
+def test_problem_reads_specialize_to_slot_reads(system):
+    if sys.gettrace() is not None:
+        pytest.skip("under a trace function 3.11 runs only unspecialized instructions")
+    scope: dict = {}
+    exec("def read(p):\n    return p.left, p._sides, p.params", scope)  # a fresh code object
+    read, problem = scope["read"], sod_like(system)
+    for _ in range(100):
+        read(problem)
+    loads = [instruction.opname for instruction in dis.get_instructions(read, adaptive=True)
+             if instruction.opname.startswith("LOAD_ATTR")]
+    assert loads == ["LOAD_ATTR_SLOT"] * 3
+
+
 @pytest.mark.parametrize("system", core.SYSTEMS)
 def test_copies_of_a_problem_come_back_with_empty_slots(system):
     problem = sod_like(system)
+    module = core.system_module(system)
+    module.classify(problem)
     sides, wave = problem._sides, problem._wave_data
     for through in (lambda obj: pickle.loads(pickle.dumps(obj)), copy.copy, copy.deepcopy,
                     core.replace):
         back = through(problem)
         assert type(back) is type(problem) and back == problem
         assert filled(back) == [] and filled(problem) == list(LAZY)
+        module.classify(back)
         assert back._wave_data == wave and back._sides is not sides
         assert [side_values(side) for side in back._sides] == list(map(side_values, sides))
     with pytest.raises(TypeError):

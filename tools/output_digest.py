@@ -285,10 +285,10 @@ def record_samples():
         ref = tables.load_reference(system)["tests"][0]
         problem = core.make_problem(system, ref["left"], ref["right"])
         out += [problem.left, problem.params, problem, record.module.solve_exact(problem),
-                record.module.estimate(problem, EstimatorId.TMS_B), problem._wave_data,
+                record.module.estimate(problem, EstimatorId.TMS_B), core.wave_data(problem),
                 record]
     # R/R wave data, with NaN for the values the pattern does not need
-    out.append(core.make_problem("euler", (1.0, -2.0, 0.4), (1.0, 2.0, 0.4))._wave_data)
+    out.append(core.wave_data(core.make_problem("euler", (1.0, -2.0, 0.4), (1.0, 2.0, 0.4))))
     report = tables.reproduce("euler", "s_left")
     violation = fuzz.FuzzViolation(3, "tms_b", "s_left", 1.5, 1.25, (1.0, 0.0, 1.0),
                                    (0.125, 0.0, 0.1))
