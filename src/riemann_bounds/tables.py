@@ -4,8 +4,11 @@ which published estimates fail to bound the exact wave speeds.
 
 Each reference row's problem is built once per process (`_row_problems`)
 and serves all three tables, so its side records and wave data are built
-once; every `reproduce` call still reads the published values and runs
-each row's root solve afresh.
+once; every `reproduce` call still looks the reference up with
+`load_reference`, reads the published values and runs each row's root
+solve afresh.  It builds a table in one pass: each row's published values
+are read once, and the report's maximum deviation and pass flag are kept
+up to date as the cells are made.
 
 The system registry (`system_record`, `make_problem`, ...) lives in
 `core`, so that only the CLI's `reproduce` imports this module.  Its names
@@ -89,63 +92,82 @@ def _speed_columns(record: System, ref: dict) -> list[tuple]:
             for column in ref["columns"]]
 
 
-def _speed_cells(columns: list[tuple], test: dict, problem,
-                 side: str) -> list[CellCheck]:
-    """One row of a speed table: each column's speed pair of the row's
-    `problem`, read from its function (`_speed_columns`)."""
+#: The running maximum deviation before the first one.  Every deviation is
+#: >= 0 or NaN, so `best < 0.0` reads "no deviation yet", and the first one
+#: replaces it, NaN included, as the first item starts `max()`.
+_NO_DEVIATION = -1.0
+
+#: Star-value tolerance at the published four decimals: one unit in the last
+#: printed place, since the published star values mix round-to-nearest and
+#: truncation in their final digit.  A row's `star_decimals` overrides it.
+_STAR_TOL = 1.05 * 10.0 ** -4
+
+
+def _speed_cells(cells: list[CellCheck], columns: list[tuple], test: dict, problem,
+                 side: str, best: float, failed: bool) -> tuple[float, bool]:
+    """Append one row of a speed table to `cells`: each column's speed pair
+    of the row's `problem`, read from its function (`_speed_columns`).
+    Returns the running maximum deviation `best` and the `failed` flag of
+    the table, updated by the row's cells (see `reproduce`)."""
     index = 0 if side == "s_left" else 1
     row, test_id = test[side], test["id"]
-    skipped = test.get("skipped_cells", {}).get(side, {})
-    cells = []
+    skipped = test.get("skipped_cells")
+    skipped = skipped.get(side, ()) if skipped else ()
+    append = cells.append
     for column, unimplemented, speeds in columns:
         expected = row[column]
         if unimplemented is not None:
-            cells.append(CellCheck(test_id, column, expected, None, None,
-                                   "skipped", unimplemented))
-            continue
-        if column in skipped:
-            cells.append(CellCheck(test_id, column, expected, None, None,
-                                   "skipped", skipped[column]))
-            continue
-        computed = speeds(problem)[index]
-        deviation = abs(computed - expected)
-        # deviation <= max(CELL_TOL_ABS, CELL_TOL_REL * |expected|), NaN
-        # included, without the call
-        status = ("ok" if deviation <= CELL_TOL_ABS or deviation <= CELL_TOL_REL * abs(expected)
-                  else "fail")
-        cells.append(CellCheck(test_id, column, expected, computed,
-                               deviation, status))
-    return cells
+            append(CellCheck(test_id, column, expected, None, None, "skipped", unimplemented))
+        elif column in skipped:
+            append(CellCheck(test_id, column, expected, None, None, "skipped", skipped[column]))
+        else:
+            computed = speeds(problem)[index]
+            deviation = abs(computed - expected)
+            # deviation <= max(CELL_TOL_ABS, CELL_TOL_REL * |expected|), NaN
+            # included, without the call
+            if deviation <= CELL_TOL_ABS or deviation <= CELL_TOL_REL * abs(expected):
+                status = "ok"
+            else:
+                status, failed = "fail", True
+            if deviation > best or best < 0.0:
+                best = deviation
+            append(CellCheck(test_id, column, expected, computed, deviation, status))
+    return best, failed
 
 
-def _ic_cells(record: System, star_fields: list[str], test: dict,
-              problem) -> list[CellCheck]:
-    """One row of the ic table: the star values and the pattern of the
-    module's `solve_exact` of the row's `problem` (the fields of
-    `star_values`)."""
+def _ic_cells(cells: list[CellCheck], record: System, star_fields: list[str], test: dict,
+              problem, best: float, failed: bool) -> tuple[float, bool]:
+    """Append one row of the ic table to `cells`: the star values and the
+    pattern of the module's `solve_exact` of the row's `problem` (the fields
+    of `star_values`).  Returns `best` and `failed` as `_speed_cells` does."""
     solution = record.module.solve_exact(problem)
-    cells = []
+    test_id, star = test["id"], test["star"]
     star_skipped = test.get("star_skipped")
-    decimals = test.get("star_decimals", {})
+    decimals = test.get("star_decimals", ())
+    append = cells.append
     for field in star_fields:
-        expected = test["star"][field]
+        expected = star[field]
         computed = getattr(solution, field)
         if star_skipped is not None:
-            cells.append(CellCheck(test["id"], field, expected, computed, None,
-                                   "skipped", star_skipped))
+            append(CellCheck(test_id, field, expected, computed, None, "skipped", star_skipped))
             continue
-        # One unit in the last printed place: the published star values mix
-        # round-to-nearest and truncation in their final digit.
-        tol = 1.05 * 10.0 ** -decimals.get(field, 4)
+        tol = 1.05 * 10.0 ** -decimals[field] if field in decimals else _STAR_TOL
         deviation = abs(computed - expected)
-        status = "ok" if deviation <= tol else "fail"
-        cells.append(CellCheck(test["id"], field, expected, computed,
-                               deviation, status))
-    status = "ok" if solution.pattern.value == test["pattern"] else "fail"
-    cells.append(CellCheck(test["id"], "pattern", None, None, None, status,
-                           f"expected {test['pattern']}, "
-                           f"computed {solution.pattern.value}"))
-    return cells
+        if deviation <= tol:
+            status = "ok"
+        else:
+            status, failed = "fail", True
+        if deviation > best or best < 0.0:
+            best = deviation
+        append(CellCheck(test_id, field, expected, computed, deviation, status))
+    pattern = solution.pattern.value
+    if pattern == test["pattern"]:
+        status = "ok"
+    else:
+        status, failed = "fail", True
+    append(CellCheck(test_id, "pattern", None, None, None, status,
+                     f"expected {test['pattern']}, computed {pattern}"))
+    return best, failed
 
 
 def reproduce(system: str, table: str) -> TableReport:
@@ -155,6 +177,12 @@ def reproduce(system: str, table: str) -> TableReport:
     of `_row_problems`, kept per process.  Every call looks the reference
     up with `load_reference`, reads its published values and solves each
     row afresh: no solve, estimate, cell or report is kept between calls.
+
+    One pass over the rows builds the cells and the summary together, and
+    reads each row's published values once: the maximum deviation is the
+    one `max()` gives over the cells' deviations in cell order (the first
+    of equal ones, and NaN only when it comes first), 0.0 when no cell has
+    one, and the table passes when no cell fails.
     """
     if table not in TABLES:
         raise ValueError(f"unknown table {table!r}")
@@ -162,20 +190,21 @@ def reproduce(system: str, table: str) -> TableReport:
     record = system_record(system)
     rows = zip(ref["tests"], _row_problems(system), strict=True)
     cells: list[CellCheck] = []
+    best, failed = _NO_DEVIATION, False
     if table == "ic":
+        star_fields = ref["star_fields"]
         for test, problem in rows:
-            cells.extend(_ic_cells(record, ref["star_fields"], test, problem))
+            best, failed = _ic_cells(cells, record, star_fields, test, problem, best, failed)
     else:
         columns = _speed_columns(record, ref)
         for test, problem in rows:
-            cells.extend(_speed_cells(columns, test, problem, table))
-    deviations = [c.deviation for c in cells if c.deviation is not None]
+            best, failed = _speed_cells(cells, columns, test, problem, table, best, failed)
     return TableReport(
         system=system,
         table=table,
         cells=tuple(cells),
-        max_deviation=max(deviations) if deviations else 0.0,
-        passed=all(c.status != "fail" for c in cells),
+        max_deviation=0.0 if best < 0.0 else best,
+        passed=not failed,
     )
 
 
@@ -187,15 +216,10 @@ def bound_violations(test: dict, side: str) -> list[str]:
     speed, both by more than `VIOLATION_TOL` (the print resolution of the
     values).
     """
-    exact = test[side]["exact"]
-    violators = []
-    for column, value in test[side].items():
-        if column == "exact":
-            continue
-        if side == "s_left":
-            violates = value > exact + VIOLATION_TOL
-        else:
-            violates = value < exact - VIOLATION_TOL
-        if violates:
-            violators.append(column)
-    return violators
+    row = test[side]
+    exact = row["exact"]
+    if side == "s_left":
+        limit = exact + VIOLATION_TOL
+        return [column for column, value in row.items() if value > limit and column != "exact"]
+    limit = exact - VIOLATION_TOL
+    return [column for column, value in row.items() if value < limit and column != "exact"]

@@ -7,6 +7,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from riemann_bounds import euler
 from riemann_bounds.core import (
     DegeneratePoints,
     EstimatorId,
@@ -17,10 +18,12 @@ from riemann_bounds.core import (
     WaveData,
     WavePattern,
     ZeroMaxSpeed,
+    chord_start,
     courant_dt,
     find_root,
     interpolate_root,
     star_bracket,
+    star_start,
 )
 
 NAN, INF = math.nan, math.inf
@@ -149,6 +152,24 @@ class TestStarBracket:
     def test_ss_doubling_to_infinity_does_not_converge(self, curve):
         with pytest.raises(NoConvergence):
             star_bracket(_ss_wave(curve), curve, -5.0)
+
+
+class TestStarStart:
+    # f_lo = -5e-324 moves the sqrt chord's root less than half an ulp off
+    # sqrt(lo) = 1, so the chord start rounds onto the bracket's end.
+    BRACKET = RootBracket(1.0, 2.0, -5e-324, 1.0)
+
+    def test_a_chord_start_on_an_end_falls_back_to_the_midpoint(self):
+        system = euler.SYSTEM
+        assert system.sqrt_chord
+        bracket = self.BRACKET
+        assert chord_start(system, bracket.lo, bracket.hi, bracket.f_lo, bracket.f_hi) == 1.0
+        wave = WaveData(1.0, 2.0, bracket.f_lo, bracket.f_hi, 1.75, 0.5, WavePattern.RS)
+        assert star_start(system, wave, bracket) == 1.5
+
+    def test_rr_starts_at_x_rr(self):
+        wave = WaveData(2.0, 3.0, 1.0, 2.0, 1.25, NAN, WavePattern.RR)
+        assert star_start(euler.SYSTEM, wave, self.BRACKET) == 1.25
 
 
 class TestInterpolateRoot:

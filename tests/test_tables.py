@@ -163,6 +163,43 @@ class TestKeptProblems:
         assert tables._row_problems("euler") is kept and not builds
 
 
+class TestOnePassSummary:
+    """`reproduce` summarizes a table in the pass that builds its cells: the
+    summary must be the one that `max()` and `all()` give over the cells."""
+
+    #: |computed - FAR| rounds to 2**60 for every |computed| < 128, so two
+    #: cells planted with it tie, as two distinct float objects.
+    FAR = -2.0**60
+
+    @pytest.mark.parametrize("nan_row", (3, 0), ids=("nan-in-a-middle-row", "nan-first"))
+    @pytest.mark.parametrize("table", core.TABLES)
+    def test_planted_summary_is_that_of_max(self, table, nan_row, monkeypatch):
+        ref = copy.deepcopy(tables.load_reference("euler"))
+        published = "star" if table == "ic" else table
+        tied, nan_column = ("u_star", ref["star_fields"][0]) if table == "ic" else ("toro", "exact")
+        # The two largest deviations come in rows 1 and 2; the NaN comes
+        # after them in a middle row, or first of all in row 0.
+        ref["tests"][1][published][tied] = ref["tests"][2][published][tied] = self.FAR
+        ref["tests"][nan_row][published][nan_column] = math.nan
+        monkeypatch.setattr(tables, "load_reference", lambda system: ref)
+        report = tables.reproduce("euler", table)
+        deviations = [c.deviation for c in report.cells if c.deviation is not None]
+        ties = [d for d in deviations if d == 2.0**60]
+        assert len(ties) == 2 and ties[0] is not ties[1]
+        assert report.max_deviation is max(deviations)  # the very float, NaN and ties included
+        if nan_row == 0:
+            assert math.isnan(report.max_deviation)
+        else:
+            assert report.max_deviation is ties[0]
+        failed = {(c.test_id, c.column) for c in report.cells if c.status == "fail"}
+        ids = [test["id"] for test in ref["tests"]]
+        assert failed == {(ids[1], tied), (ids[2], tied), (ids[nan_row], nan_column)}
+        assert not report.passed
+        for other in core.TABLES:
+            if other != table:  # the planted reference leaves its other tables as they are
+                assert tables.reproduce("euler", other).passed, other
+
+
 class TestBoundViolations:
     def test_matches_published_flags(self):
         for system in core.SYSTEMS:
