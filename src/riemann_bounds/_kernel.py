@@ -16,10 +16,10 @@ lane passes.  A lane passes here only when it is clean:
   their scale from the threshold of the check.
 
 The formulas are the scalar ones: the side record, the branch functions,
-the closed form, the shock factor and the TMS_d pair of each `System`
-record, and `core.chord_start`, take arrays (`sqrt=numpy.sqrt`, states of
-arrays; a chunk shares one params object); the TMS_d pair takes the
-`_Lanes` object as its problem.  The kernel checks the `bound_estimators`
+the closed form and the shock factor of each `System` record, and
+`core.chord_start` and `core.tms_d`, take arrays (`sqrt=numpy.sqrt`,
+states of arrays; a chunk shares one params object); `core.tms_d` takes
+the `_Lanes` object as its problem.  The kernel checks the `bound_estimators`
 of the record it is given, which may be a copy of the problems' own.
 Only what branches on a value has its array form here: the choice between
 a side's two branches, the pattern, the bracket, the choice of the start,
@@ -38,7 +38,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .core import (_GEOMETRIC_RATIO, _MIN_NORMAL, STAR_TOL, EstimatorId, System, chord_start,
-                   fields)
+                   fields, tms_d)
 
 #: Half-width of the doubt band around each threshold, relative to the
 #: scale of the check (that of `REL_SLACK`).  It is at least 100 times the
@@ -91,10 +91,10 @@ class _Lanes:
         states = (_gather(list(map(attrgetter("left"), problems)), system.state_type),
                   _gather(list(map(attrgetter("right"), problems)), system.state_type))
         self.left, self.right = (system.side(state, params, _sqrt) for state in states)
-        # What the shared formulas read of a problem: its side records, and
-        # `_wave_data`, which `_tms_d` reads only to raise on vacuum data.
-        # Lanes are never vacuum, so any true value stands in; None would
-        # make `_tms_d` build the scalar wave data of the lanes.
+        # What the shared formulas read of a problem: its side records, its
+        # params, and `_wave_data`, which `core.tms_d` reads only to raise on
+        # vacuum data.  Lanes are never vacuum, so any true value stands in;
+        # None would make `core.tms_d` build the scalar wave data of the lanes.
         self._sides = (self.left, self.right)
         self._wave_data = True
         self.doubt = np.zeros(len(problems), dtype=bool)
@@ -219,7 +219,7 @@ class _Lanes:
             x_rr = self.x_rr
             return self.speeds(x_rr, x_rr > self.left.x, x_rr > self.right.x)
         if estimator is EstimatorId.TMS_D:
-            return self.system.speeds[estimator](self, np.minimum, np.maximum)
+            return tms_d(self, np.minimum, np.maximum)
         return self.tms(estimator)
 
     @np.errstate(all="ignore")

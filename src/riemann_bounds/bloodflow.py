@@ -26,6 +26,7 @@ from .core import (
 )
 
 _VACUUM_FLOOR_AREA = 1e-12  # cm^2; near-empty vessel used by the crude bound
+_FLOOR_C = _VACUUM_FLOOR_AREA**0.25  # its wave speed over zeta
 
 
 @record
@@ -42,6 +43,9 @@ class BfeParams:
 
     beta: Positive = 28209.4792
     rho: Positive = 1.05
+    #: Exponent of the pressure law P = beta/(3 rho) A^gamma, which
+    #: `core.positivity` and `core.tms_d` read; a class attribute, not a field.
+    gamma = 1.5
 
 
 @record
@@ -57,20 +61,16 @@ def _celerity(values, params: BfeParams, sqrt=math.sqrt) -> float:
     return sqrt(params.beta / (2.0 * params.rho)) * values[0]**0.25
 
 
-def _positivity(c_left: float, c_right: float, du: float, params: BfeParams) -> bool:
-    """Area positivity, 4 c_L + 4 c_R > u_R - u_L: the data do not
-    collapse the vessel."""
-    return 4.0 * c_left + 4.0 * c_right > du
-
-
 class _Side:
     """Wave-curve constants of one side K of a problem: the data area
     x = A_K, the velocity u_K, A_K^(1/4), A_K^(3/2), the wave speed c_K,
-    zeta, 4 zeta and gamma_tube.  c_K is zeta * A_K^(1/4), the product
-    `_celerity` computes, from the factors kept here.  `core.sides`
-    raises `ClosedFormOverflow` when A_K^(3/2) exceeds the float range."""
+    zeta, 4 zeta, gamma_tube and `c_floor`, the wave speed at the floor
+    area `_VACUUM_FLOOR_AREA` that TMS_d's vacuum front runs into.  c_K is
+    zeta * A_K^(1/4), the product `_celerity` computes, from the factors
+    kept here.  `core.sides` raises `ClosedFormOverflow` when A_K^(3/2)
+    exceeds the float range."""
 
-    __slots__ = ("x", "u", "c", "a14", "a32", "zeta", "zeta4", "gamma_tube")
+    __slots__ = ("x", "u", "c", "a14", "a32", "zeta", "zeta4", "gamma_tube", "c_floor")
 
     def __init__(self, state: BfeState, params: BfeParams, sqrt=math.sqrt):
         self.x, self.u = state.a, state.u
@@ -80,6 +80,7 @@ class _Side:
         self.zeta4 = 4.0 * zeta
         self.gamma_tube = params.beta / (3.0 * params.rho)
         self.c = zeta * a14
+        self.c_floor = zeta * _FLOOR_C
 
 
 @record
@@ -153,21 +154,6 @@ def solve_exact(problem: BfeProblem) -> BfeExactSolution:
     return problem._system.solution_type(a_star, u_star, pattern, *star_speeds(problem, a_star))
 
 
-def _tms_d(problem: BfeProblem, minimum=min, maximum=max):
-    # The crude opposite-side term is the front speed of a rarefaction
-    # expanding into a near-empty vessel with floor area 1e-12 cm^2,
-    # u -/+ 4(c - c_floor), rather than the full-vacuum limit u -/+ 4c.
-    # The wave data raise the no-star error for data without a positive star value.
-    problem._wave_data or core.wave_data(problem)
-    left, right = problem._sides or core.sides(problem)
-    cl, cr = left.c, right.c
-    c_floor = left.zeta * _VACUUM_FLOOR_AREA**0.25
-    return (
-        minimum(left.u - cl, right.u - 4.0 * (cr - c_floor)),
-        maximum(right.u + cr, left.u + 4.0 * (cl - c_floor)),
-    )
-
-
 SYSTEM = System(
     name="bfe",
     title="blood-flow",
@@ -185,10 +171,9 @@ SYSTEM = System(
     two_rarefaction="two_rarefaction_area",
     rr_closed_form=_two_rarefaction,
     celerity=_celerity,
-    positivity=_positivity,
     # a + (b - a) * rng.random() is rng.uniform(a, b), without its call.
     draw=lambda rng: (10.0 ** (-2.0 + 3.0 * rng.random()), -300.0 + 600.0 * rng.random()),
-    speeds=speed_registry({EstimatorId.TMS_D: _tms_d}),
+    speeds=speed_registry({EstimatorId.TMS_D: core.tms_d}),
     shock=_shock,
     rarefaction=_rarefaction,
     shock_slope=_shock_slope,

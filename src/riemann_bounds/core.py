@@ -57,9 +57,8 @@ class ClosedFormOverflow(RiemannBoundsError):
     wave-curve constants such as its sound speed), the wave-curve function
     at a node of the wave data or during the root solve, or a wave speed
     leaves the floating-point range; or a value that is positive in exact
-    arithmetic (a chord root of the star value, a Roe-averaged sound speed
-    squared) is not a positive float after overflow or rounding, where a
-    square root of it would follow."""
+    arithmetic (a chord root of the star value) is not a positive float
+    after overflow or rounding, where a square root of it would follow."""
 
 
 class FrozenInstanceError(AttributeError):
@@ -312,12 +311,15 @@ class System:
     or time calls) takes effect.  A problem's `_sides` slot holds the `side`
     records of its two states, None until the first reader builds them
     with `sides` (see `Problem`), and shared code reads a side only
-    through them, `q_factor` included.  The celerity and the positivity
-    condition are each written once per system, in `celerity` and
-    `positivity`: the side record (blood flow's multiplies the two factors
-    it keeps, with `celerity`'s bits), the public positivity test
-    (`positive` below), the guard of `two_rarefaction` (the one test of
-    `wave_data`) and `fuzz.sample_problem` all call them.
+    through them, `q_factor` included.  The celerity is written once per
+    system, in `celerity`: the side record (blood flow's multiplies the two
+    factors it keeps, with `celerity`'s bits) and `fuzz.sample_problem`
+    call it.  The positivity condition and TMS_d rest on the front
+    u -/+ 2c/(gamma-1) of a rarefaction into vacuum, and are written once
+    for all systems, in `positivity` and `tms_d` below, from the params'
+    `gamma`: Euler's ratio of specific heats, and for shallow water and
+    blood flow the exponent of their pressure law P = kappa x^gamma, a
+    class attribute of the params type (2 and 3/2), not a field.
     """
 
     name: str  # registry key and CLI --system value
@@ -329,7 +331,7 @@ class System:
     solution_type: type  # the record `solve_exact` returns
     #: Per-side record `side(state, params, sqrt=math.sqrt)`: the side's
     #: data value `x`, velocity `u`, celerity `c` and the constants its
-    #: branches read.
+    #: branches read; with TMS_d, the celerity `c_floor` of its vacuum front.
     side: type
     #: The celerity c_K of one state, celerity(values, params, sqrt=math.sqrt),
     #: over the state's field values in field order (a `draw`, or a side's
@@ -340,15 +342,12 @@ class System:
     star_label: str  # CLI label of the star value
     no_star: type  # raised with no_star_message for data without a positive star value
     no_star_message: str
-    #: positivity(c_left, c_right, du, params): the data leave a positive
-    #: star value, from the two celerities and du = u_R - u_L.
-    positivity: Callable[[float, float, float, object], bool]
     curve: str  # module name of the wave curve f(x, problem); its slope is <curve>_deriv
     two_rarefaction: str  # closed-form star value of both waves rarefactions
-    #: The formulas below, the per-side branches and the `_tms_d`
-    #: estimators evaluate numpy arrays as well as floats, for the lane
-    #: kernel of `fuzz.run_fuzz`: a `sqrt` argument takes `numpy.sqrt`, and
-    #: a side record may hold arrays (the params object is one for all lanes).
+    #: The formulas below, the per-side branches and `tms_d` evaluate numpy
+    #: arrays as well as floats, for the lane kernel of `fuzz.run_fuzz`: a
+    #: `sqrt` argument takes `numpy.sqrt`, and a side record may hold arrays
+    #: (the params object is one for all lanes).
     #: x_rr from the two side records and the params, for data that leave
     #: a positive star value: the formula of `two_rarefaction`.
     rr_closed_form: Callable[[object, object, object], float]
@@ -481,6 +480,16 @@ def side_difference(problem, x: float) -> float:
             - (system.shock(x, left) if x > left.x else system.rarefaction(x, left)))
 
 
+def positivity(c_left: float, c_right: float, du: float, params) -> bool:
+    """The positivity condition 2 c_L/(gamma-1) + 2 c_R/(gamma-1) > du,
+    du = u_R - u_L: the two vacuum fronts u_L + 2 c_L/(gamma-1) and
+    u_R - 2 c_R/(gamma-1) do not cross, so the data leave a positive star
+    value.  For shallow water and blood flow, 2c/(gamma-1) is 2c and 4c,
+    exactly."""
+    g = params.gamma
+    return 2.0 * c_left / (g - 1.0) + 2.0 * c_right / (g - 1.0) > du
+
+
 def positive(problem) -> bool:
     """True when the data leave a positive star value: no vacuum (Euler),
     no dry bed (shallow water), no vessel collapse (blood flow).  Each
@@ -489,7 +498,7 @@ def positive(problem) -> bool:
     building them raises (`ClosedFormOverflow` for a side constant or a
     celerity past the float range, see `sides`)."""
     left, right = problem._sides or sides(problem)
-    return problem._system.positivity(left.c, right.c, right.u - left.u, problem.params)
+    return positivity(left.c, right.c, right.u - left.u, problem.params)
 
 
 def two_rarefaction(problem) -> float:
@@ -500,7 +509,7 @@ def two_rarefaction(problem) -> float:
     exceeds the float range."""
     left, right = problem._sides or sides(problem)
     params, system = problem.params, problem._system
-    if not system.positivity(left.c, right.c, right.u - left.u, params):
+    if not positivity(left.c, right.c, right.u - left.u, params):
         raise system.no_star(system.no_star_message)
     try:
         return system.rr_closed_form(left, right, params)
@@ -763,6 +772,20 @@ def tms(variant: EstimatorId, problem) -> tuple[float, float]:
     if not _NEG_INF < s_left < _INF > s_right > _NEG_INF:
         raise _not_finite(s_left, s_right)
     return s_left, s_right
+
+
+def tms_d(problem, minimum=min, maximum=max) -> tuple[float, float]:
+    """The crude bound TMS_d (shallow water, blood flow): each side's
+    eigenvalue against the other side's vacuum front, u -/+ 2(c - c_floor)
+    /(gamma-1), the front of a rarefaction into the side record's floor
+    celerity `c_floor` (0 for a dry bed).  The lane kernel passes its
+    `_Lanes` as the problem and numpy's minimum and maximum.  Raises the
+    no-star error of the wave data for data without a positive star value."""
+    problem._wave_data or wave_data(problem)
+    left, right = problem._sides or sides(problem)
+    g = problem.params.gamma
+    return (minimum(left.u - left.c, right.u - 2.0 * (right.c - right.c_floor) / (g - 1.0)),
+            maximum(right.u + right.c, left.u + 2.0 * (left.c - left.c_floor) / (g - 1.0)))
 
 
 def speed_registry(own: Mapping) -> dict:

@@ -57,13 +57,6 @@ def _celerity(values, params: EulerParams, sqrt=math.sqrt) -> float:
     return sqrt(params.gamma * values[2] / values[0])
 
 
-def _positivity(c_left: float, c_right: float, du: float, params: EulerParams) -> bool:
-    """Pressure positivity, 2 c_L/(gamma-1) + 2 c_R/(gamma-1) > u_R - u_L:
-    the data do not generate vacuum."""
-    g = params.gamma
-    return 2.0 * c_left / (g - 1.0) + 2.0 * c_right / (g - 1.0) > du
-
-
 class _Side:
     """Wave-curve constants of one side K of a problem, as in Toro's PREFUN
     (Riemann Solvers and Numerical Methods for Fluid Dynamics, 3rd ed.,
@@ -161,17 +154,26 @@ def solve_exact(problem: EulerProblem) -> EulerExactSolution:
     return problem._system.solution_type(p_star, u_star, pattern, *star_speeds(problem, p_star))
 
 
-def _einfeldt(problem: EulerProblem):
+def _roe(problem: EulerProblem, eta: float):
+    """Roe velocity u~ and the speed d of Einfeldt's family (SIAM J. Numer.
+    Anal. 25, 1988), d^2 = (w_L c_L^2 + w_R c_R^2)/(w_L + w_R)
+    + eta w_L w_R/(w_L + w_R)^2 (u_R - u_L)^2 with w_K = sqrt(rho_K).
+    With eta = (gamma - 1)/2, d^2 is Roe's (gamma - 1)(H~ - u~^2/2) in exact
+    arithmetic, written without the enthalpies H~, whose difference cancels."""
     left, right = problem.left, problem.right
     side_l, side_r = problem._sides or core.sides(problem)
     wl, wr = math.sqrt(left.rho), math.sqrt(right.rho)
     cl, cr, du = side_l.c, side_r.c, right.u - left.u
     u_roe = (wl * left.u + wr * right.u) / (wl + wr)
     try:
-        d2 = (wl * cl * cl + wr * cr * cr) / (wl + wr) + 0.5 * wl * wr / (wl + wr) ** 2 * du * du
+        d2 = (wl * cl * cl + wr * cr * cr) / (wl + wr) + eta * wl * wr / (wl + wr) ** 2 * du * du
     except OverflowError:  # (wl + wr) ** 2, for densities near the largest double
         d2 = math.inf
-    d = math.sqrt(d2)
+    return u_roe, math.sqrt(d2)
+
+
+def _einfeldt(problem: EulerProblem):
+    u_roe, d = _roe(problem, 0.5)
     s_left, s_right = u_roe - d, u_roe + d
     if not -math.inf < s_left < math.inf > s_right > -math.inf:  # NaN fails every comparison
         raise ClosedFormOverflow(f"Einfeldt's speeds are not finite: {s_left}, {s_right}")
@@ -179,27 +181,15 @@ def _einfeldt(problem: EulerProblem):
 
 
 def _batten(problem: EulerProblem):
-    left, right, g = problem.left, problem.right, problem.params.gamma
     side_l, side_r = problem._sides or core.sides(problem)
-    wl, wr = math.sqrt(left.rho), math.sqrt(right.rho)
-    u_roe = (wl * left.u + wr * right.u) / (wl + wr)
-    # Specific enthalpies H = (E + p) / rho with E = rho (u^2/2 + e),
-    # e = p / (rho (gamma - 1)), Roe-averaged; k p / rho is evaluated as
-    # g / (g - 1) * p / rho, left to right
-    k = g / (g - 1.0)
-    h_left = 0.5 * left.u * left.u + k * left.p / left.rho
-    h_right = 0.5 * right.u * right.u + k * right.p / right.rho
-    h_roe = (wl * h_left + wr * h_right) / (wl + wr)
-    c_roe2 = (g - 1.0) * (h_roe - 0.5 * u_roe * u_roe)
-    if not 0.0 <= c_roe2 < math.inf:  # cancellation or overflow in the Roe averages
-        raise ClosedFormOverflow(f"the Roe sound speed squared is {c_roe2}")
-    c_roe = math.sqrt(c_roe2)
+    u_roe, d = _roe(problem, 0.5 * (problem.params.gamma - 1.0))
+    s_left, s_right = u_roe - d, u_roe + d
+    if not -math.inf < s_left < math.inf > s_right > -math.inf:
+        raise ClosedFormOverflow(f"Batten's Roe speeds are not finite: {s_left}, {s_right}")
     # min and max as in core.davis_b: the first argument unless the second
     # is strictly smaller (larger)
-    a, b = left.u - side_l.c, u_roe - c_roe
-    s_left = b if b < a else a
-    a, b = right.u + side_r.c, u_roe + c_roe
-    return s_left, b if b > a else a
+    a, b = side_l.u - side_l.c, side_r.u + side_r.c
+    return s_left if s_left < a else a, s_right if s_right > b else b
 
 
 SYSTEM = System(
@@ -219,7 +209,6 @@ SYSTEM = System(
     two_rarefaction="two_rarefaction_pressure",
     rr_closed_form=_two_rarefaction,
     celerity=_celerity,
-    positivity=_positivity,
     # a + (b - a) * rng.random() is rng.uniform(a, b), without its call.
     draw=lambda rng: (10.0 ** (-3.0 + 6.0 * rng.random()), -100.0 + 200.0 * rng.random(),
                       10.0 ** (-3.0 + 6.0 * rng.random())),

@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import random
 
-from .core import (_REGISTRY, asdict, make_problem, record, speed_function, system_record,
-                   wave_data)
+from .core import (_REGISTRY, asdict, make_problem, positivity, record, speed_function,
+                   system_record, wave_data)
 
 #: Relative slack applied to every comparison, scaled by the problem's
 #: speed magnitude; absorbs root-finder and floating-point round-off.
@@ -41,7 +41,7 @@ def sample_problem(system: str, rng: random.Random):
     """One random non-degenerate Riemann problem from the system ensemble.
 
     Each candidate pair of draws is tested for positivity on the drawn
-    values themselves (`System.celerity`, `System.positivity`), with the
+    values themselves (`System.celerity`, `core.positivity`), with the
     bits of the public positivity test, and only the accepted pair is built
     into a problem (`make_problem`, one call per sample).  The problem
     comes without its side records, which a solve or an estimate builds
@@ -49,7 +49,7 @@ def sample_problem(system: str, rng: random.Random):
     raises there, not here.
     """
     record = _REGISTRY.get(system) or system_record(system)
-    draw, celerity, positivity = record.draw, record.celerity, record.positivity
+    draw, celerity = record.draw, record.celerity
     params = record.problem_type.__init__.__defaults__[-1]  # the one `make_problem` passes
     while True:
         left, right = draw(rng), draw(rng)

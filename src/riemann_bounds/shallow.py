@@ -37,6 +37,9 @@ class SweState:
 @record
 class SweParams:
     g: Positive = 9.8
+    #: Exponent of the pressure law P = g/2 h^gamma, which `core.positivity`
+    #: and `core.tms_d` read; a class attribute, not a field.
+    gamma = 2.0
 
 
 @record
@@ -51,17 +54,13 @@ def _celerity(values, params: SweParams, sqrt=math.sqrt) -> float:
     return sqrt(params.g * values[0])
 
 
-def _positivity(c_left: float, c_right: float, du: float, params: SweParams) -> bool:
-    """Depth positivity, 2 c_L + 2 c_R > u_R - u_L: the data do not dry
-    the bed."""
-    return 2.0 * c_left + 2.0 * c_right > du
-
-
 class _Side:
     """Wave-curve constants of one side K of a problem: the data depth
-    x = h_K, the velocity u_K, the celerity c_K and g."""
+    x = h_K, the velocity u_K, the celerity c_K and g.  The vacuum front of
+    TMS_d runs into a dry bed: its floor celerity `c_floor` is 0."""
 
     __slots__ = ("x", "u", "c", "g")
+    c_floor = 0.0
 
     def __init__(self, state: SweState, params: SweParams, sqrt=math.sqrt):
         self.x, self.u = values = state.h, state.u
@@ -128,14 +127,6 @@ def solve_exact(problem: SweProblem) -> SweExactSolution:
     return problem._system.solution_type(h_star, u_star, pattern, *star_speeds(problem, h_star))
 
 
-def _tms_d(problem: SweProblem, minimum=min, maximum=max):
-    # The wave data raise the no-star error for data without a positive star value.
-    problem._wave_data or core.wave_data(problem)
-    left, right = problem._sides or core.sides(problem)
-    cl, cr = left.c, right.c
-    return minimum(left.u - cl, right.u - 2.0 * cr), maximum(right.u + cr, left.u + 2.0 * cl)
-
-
 SYSTEM = System(
     name="swe",
     title="shallow-water",
@@ -153,10 +144,9 @@ SYSTEM = System(
     two_rarefaction="two_rarefaction_depth",
     rr_closed_form=_two_rarefaction,
     celerity=_celerity,
-    positivity=_positivity,
     # a + (b - a) * rng.random() is rng.uniform(a, b), without its call.
     draw=lambda rng: (10.0 ** (-3.0 + 5.0 * rng.random()), -20.0 + 40.0 * rng.random()),
-    speeds=speed_registry({EstimatorId.TMS_D: _tms_d}),
+    speeds=speed_registry({EstimatorId.TMS_D: core.tms_d}),
     shock=_shock,
     rarefaction=_rarefaction,
     shock_slope=_shock_slope,

@@ -12,6 +12,7 @@ from riemann_bounds.core import (
     WavePattern,
 )
 from riemann_bounds import bloodflow, core
+from test_contracts import mp_solution
 from riemann_bounds.bloodflow import (
     SYSTEM,
     BfeParams,
@@ -137,33 +138,6 @@ WEAK_LEFT_SHOCK = problem((0.3857900568839984, -124.41788759076593),
                           (1.110419021897587, -13.885933579728686))
 
 
-def mp_exact_speeds(prob, mpmath):
-    """(S_L, S_R) of a blood-flow problem in mpmath: the root of the
-    textbook wave curve, bracketed by the data areas (the star area of an
-    R/S or S/R problem lies between them), and the textbook shock speed."""
-    params = prob.params
-    gamma_tube = mpmath.mpf(params.beta) / (3 * mpmath.mpf(params.rho))
-    zeta = mpmath.sqrt(mpmath.mpf(params.beta) / (2 * mpmath.mpf(params.rho)))
-    sides = [(mpmath.mpf(s.a), mpmath.mpf(s.u)) for s in (prob.left, prob.right)]
-
-    def term(a, a_k):
-        if a > a_k:
-            return mpmath.sqrt(gamma_tube * (a - a_k) * (a**1.5 - a_k**1.5) / (a * a_k))
-        return 4 * zeta * (a**0.25 - a_k**0.25)
-
-    (a_l, u_l), (a_r, u_r) = sides
-    a = mpmath.findroot(lambda a: term(a, a_l) + term(a, a_r) + u_r - u_l,
-                        (min(a_l, a_r), max(a_l, a_r)), solver="anderson")
-
-    def offset(a_k):  # |S - u_K|
-        c = zeta * a_k**0.25
-        if a <= a_k:
-            return c
-        y = a / a_k
-        return c * mpmath.sqrt(mpmath.mpf(2) / 3 * y * (y**1.5 - 1) / (y - 1))
-    return u_l - offset(a_l), u_r + offset(a_r)
-
-
 class TestQFactor:
     def test_unit_ratio_limit(self):
         # The written form has no 0/0 at unit ratio; its value there is the
@@ -222,7 +196,7 @@ class TestQFactor:
         assert exact.pattern is WavePattern.SR
         assert 0.0 < exact.a_star / WEAK_LEFT_SHOCK.left.a - 1.0 < 1e-7
         with mpmath.workdps(40):
-            s_left, s_right = mp_exact_speeds(WEAK_LEFT_SHOCK, mpmath)
+            _, s_left, s_right = mp_solution(WEAK_LEFT_SHOCK, mpmath)
             scale = max(1, abs(s_left), abs(s_right))
             assert abs(exact.s_left - s_left) <= 1e-12 * scale
             assert abs(exact.s_right - s_right) <= 1e-12 * scale

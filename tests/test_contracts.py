@@ -11,9 +11,8 @@ import random
 
 import pytest
 
-from riemann_bounds import bloodflow, core, euler, fuzz, shallow
+from riemann_bounds import bloodflow, core, euler, fuzz, shallow, tables
 from riemann_bounds.core import ClosedFormOverflow, EstimatorId, RiemannBoundsError
-from test_bloodflow import mp_exact_speeds
 
 SEED = 2005
 DRAWS = 8000  # per system
@@ -98,17 +97,7 @@ REPRODUCERS = {
         (5.290847432789679, -0.0013223454932869741, 1.8826183268763195e-05),
         (599101.3998629061, -1.6234075087363549, 3.1650185557538326e-05),
         1.001), ["toro", "tms_c"], ClosedFormOverflow),
-    # The Roe enthalpy overflows: Batten's c_Roe**2 is +inf (gamma = 1.01).
-    "euler-batten-roe-enthalpy-overflow": ("euler", euler_problem(
-        (2.6253149457325776e-290, -7412.820158872064, 1.8059384531807626e-93),
-        (1.6672378868217063e-290, -4536.70999193011, 2.966675226996676e+17), 1.01),
-        ["batten"], ClosedFormOverflow),
     # The rest at the default constants.
-    # Cancellation in h_Roe - u_Roe**2/2: Batten's c_Roe**2 is negative.
-    "euler-batten-roe-sound-speed": ("euler", core.make_problem(
-        "euler", (5.3340097753571314e+197, 8133.430277554056, 9.28512128125268e+68),
-        (5.297495636365946e-248, 82.80458655341135, 5.63989070365722e-159)),
-        ["batten"], ClosedFormOverflow),
     # The SWE TMS_b chord root is negative, and q_factor took its square
     # root, after h * h_K overflowed at the S/S node.
     "swe-tms-b-negative-chord-root": ("swe", core.make_problem(
@@ -206,25 +195,50 @@ def mp_log_root(f, mpmath):
     return mpmath.exp((lo + hi) / 2)
 
 
-def mp_euler_solution(left, right, gamma, mpmath):
-    """(p*, S_L, S_R) of Euler data in mpmath: the root of Toro's wave
-    curve (2009, eqs. (4.6)-(4.7)) by `mp_log_root`, and the shock speed
-    or the rarefaction head speed of each side."""
-    g = mpmath.mpf(gamma)
-    (rho_l, u_l, p_l), (rho_r, u_r, p_r) = ([mpmath.mpf(v) for v in s] for s in (left, right))
+def mp_solution(problem, mpmath):
+    """(x*, S_L, S_R) of a problem in mpmath: the root x* of its wave curve
+    by `mp_log_root`, and the shock speed or the rarefaction head speed of
+    each side.  Euler's is Toro's (2009, eqs. (4.6)-(4.7)).  Shallow water
+    and blood flow are one isentropic system, A_t + (Au)_x = 0,
+    (Au)_t + (Au^2 + P(A))_x = 0 with P = kappa A^gamma, written once:
+    kappa = g/2 and gamma = 2, or kappa = beta/(3 rho) and gamma = 3/2."""
+    mpf, params, system = mpmath.mpf, problem.params, problem._system
+    g = mpf(params.gamma)
+    if system.name == "swe":
+        kappa = mpf(params.g) / 2
+    elif system.name == "bfe":
+        kappa = mpf(params.beta) / (3 * mpf(params.rho))
 
-    def term(p, rho, p_k):
-        if p > p_k:
-            return (p - p_k) * mpmath.sqrt(2 / ((g + 1) * rho) / (p + (g - 1) / (g + 1) * p_k))
-        c = mpmath.sqrt(g * p_k / rho)
-        return 2 * c / (g - 1) * ((p / p_k) ** ((g - 1) / (2 * g)) - 1)
+    def side(state):
+        """(x_K, u_K, c_K, z, shock) of one state: the rarefaction branch
+        is 2 c_K/(gamma-1) ((x/x_K)^z - 1), and shock(x) is the shock
+        branch's (f_K(x), |S - u_K|)."""
+        u, x_k = mpf(state.u), mpf(getattr(state, system.star))
+        if system.name == "euler":
+            rho = mpf(state.rho)
+            c = mpmath.sqrt(g * x_k / rho)
 
-    p = mp_log_root(lambda p: term(p, rho_l, p_l) + term(p, rho_r, p_r) + u_r - u_l, mpmath)
+            def shock(x):
+                return ((x - x_k) * mpmath.sqrt(2 / ((g + 1) * rho) / (x + (g - 1) / (g + 1) * x_k)),
+                        c * mpmath.sqrt((g + 1) / (2 * g) * x / x_k + (g - 1) / (2 * g)))
+            return x_k, u, c, (g - 1) / (2 * g), shock
 
-    def offset(rho, p_k):  # |S - u_K|
-        c = mpmath.sqrt(g * p_k / rho)
-        return c * mpmath.sqrt((g + 1) / (2 * g) * p / p_k + (g - 1) / (2 * g)) if p > p_k else c
-    return p, u_l - offset(rho_l, p_l), u_r + offset(rho_r, p_r)
+        def shock(x):
+            jump = kappa * (x**g - x_k**g) / (x - x_k)  # (P(x) - P_K) / (x - x_K)
+            return (x - x_k) * mpmath.sqrt(jump / (x * x_k)), mpmath.sqrt(x / x_k * jump)
+        return x_k, u, mpmath.sqrt(kappa * g * x_k ** (g - 1)), (g - 1) / 2, shock
+
+    left, right = side(problem.left), side(problem.right)
+
+    def term(x, s):
+        x_k, _, c, z, shock = s
+        return shock(x)[0] if x > x_k else 2 * c / (g - 1) * ((x / x_k) ** z - 1)
+
+    x = mp_log_root(lambda x: term(x, left) + term(x, right) + right[1] - left[1], mpmath)
+
+    def offset(s):  # |S - u_K|
+        return s[4](x)[1] if x > s[0] else s[2]
+    return x, left[1] - offset(left), right[1] + offset(right)
 
 
 @pytest.mark.parametrize("name", EXTREME_EULER)
@@ -234,7 +248,7 @@ def test_extreme_euler_data_are_solved_and_bounded(name):
     problem = core.make_problem("euler", left, right)
     solution = euler.solve_exact(problem)
     with mpmath.workdps(40):
-        p_star, s_left, s_right = (float(v) for v in mp_euler_solution(left, right, 1.4, mpmath))
+        p_star, s_left, s_right = (float(v) for v in mp_solution(problem, mpmath))
     scale = max(1.0, abs(s_left), abs(s_right))
     assert abs(solution.p_star - p_star) <= 1e-10 * p_star
     assert abs(solution.s_left - s_left) <= 1e-10 * scale
@@ -243,27 +257,6 @@ def test_extreme_euler_data_are_solved_and_bounded(name):
     for estimator in euler.SYSTEM.bound_estimators:
         bounds = euler.estimate(problem, estimator)
         assert bounds.s_left <= s_left + slack and bounds.s_right >= s_right - slack, estimator
-
-
-def mp_swe_speeds(problem, mpmath):
-    """(S_L, S_R) of shallow-water data in mpmath: the root of the
-    textbook wave curve by `mp_log_root`, and the shock speed or the
-    rarefaction head speed of each side."""
-    g = mpmath.mpf(problem.params.g)
-    (h_l, u_l), (h_r, u_r) = ((mpmath.mpf(s.h), mpmath.mpf(s.u))
-                              for s in (problem.left, problem.right))
-
-    def term(h, h_k):
-        if h > h_k:
-            return (h - h_k) * mpmath.sqrt(g * (h + h_k) / (2 * h * h_k))
-        return 2 * (mpmath.sqrt(g * h) - mpmath.sqrt(g * h_k))
-
-    h = mp_log_root(lambda h: term(h, h_l) + term(h, h_r) + u_r - u_l, mpmath)
-
-    def offset(h_k):  # |S - u_K|
-        c = mpmath.sqrt(g * h_k)
-        return c * mpmath.sqrt(h / h_k * (h / h_k + 1) / 2) if h > h_k else c
-    return u_l - offset(h_l), u_r + offset(h_r)
 
 
 #: Data with constants at the bottom of the float range: system, left and
@@ -283,7 +276,6 @@ SUBNORMAL_CONSTANTS = {
             strict=True, reason="products of g with the data underflow; the fix needs "
             "scale-free formulas (ROADMAP items 18 and 21)")),
 }
-MP_SPEEDS = {"bfe": mp_exact_speeds, "swe": mp_swe_speeds}
 
 
 @pytest.mark.parametrize("system, left, right, params", SUBNORMAL_CONSTANTS.values(),
@@ -294,7 +286,7 @@ def test_subnormal_constants_are_solved_and_bounded(system, left, right, params)
     module = core.system_module(system)
     solution = module.solve_exact(problem)
     with mpmath.workdps(40):
-        s_left, s_right = (float(v) for v in MP_SPEEDS[system](problem, mpmath))
+        _, s_left, s_right = (float(v) for v in mp_solution(problem, mpmath))
     # Without the floor of 1 of `REL_SLACK`'s scale, under which the SWE
     # speeds of 1e-162 would pass as anything near zero.
     scale = max(abs(s_left), abs(s_right))
@@ -304,6 +296,29 @@ def test_subnormal_constants_are_solved_and_bounded(system, left, right, params)
     for estimator in module.SYSTEM.bound_estimators:
         bounds = module.estimate(problem, estimator)
         assert bounds.s_left <= s_left + slack and bounds.s_right >= s_right - slack, estimator
+
+
+#: Every row of the three golden tables: (system, row id).
+GOLDEN_ROWS = [(system, test["id"]) for system in core.SYSTEMS
+               for test in tables.load_reference(system)["tests"]]
+
+
+@pytest.mark.parametrize("system, row", GOLDEN_ROWS, ids=[f"{s}-{r}" for s, r in GOLDEN_ROWS])
+def test_golden_row_is_solved_to_full_precision(system, row):
+    # The table check allows 1e-3 against the published four decimals;
+    # against the oracle the exact solve holds to rounding (at most 3.8e-16
+    # of the speed scale and 4.9e-16 of the star scale when this was written).
+    mpmath = pytest.importorskip("mpmath")
+    test = next(test for test in tables.load_reference(system)["tests"] if test["id"] == row)
+    problem = core.make_problem(system, test["left"], test["right"])
+    solution = core.system_module(system).solve_exact(problem)
+    with mpmath.workdps(40):
+        star, s_left, s_right = (float(v) for v in mp_solution(problem, mpmath))
+    scale = max(1.0, abs(s_left), abs(s_right))
+    assert abs(solution.s_left - s_left) <= 1e-13 * scale
+    assert abs(solution.s_right - s_right) <= 1e-13 * scale
+    computed = getattr(solution, problem._system.star_field)
+    assert abs(computed - star) <= 1e-13 * max(1.0, star)
 
 
 def speeds(module, problem, call):

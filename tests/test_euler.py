@@ -322,33 +322,44 @@ class TestEstimators:
                 assert bounds.s_left <= bounds.s_right
 
     def test_batten_matches_the_enthalpy_reference(self):
-        # Batten's pair as it was written with an enthalpy helper and the
-        # builtin min/max: the same bits or the same error, on the first
-        # 2000 acceptance problems, 3000 raw draws (no positivity filter)
-        # and the gamma-varied ensemble and Euler reproducers of
-        # test_contracts.py.
-        def enthalpy(state, params):
-            g = params.gamma
-            return 0.5 * state.u * state.u + g / (g - 1.0) * state.p / state.rho
+        # Batten's pair against a 50-digit evaluation of its textbook form
+        # through the Roe-averaged enthalpy, c_Roe^2 = (gamma - 1)(H_Roe -
+        # u_Roe^2/2), which cancels in floating point: within 1e-14 of the
+        # speed scale, on the first 2000 acceptance problems, 3000 raw
+        # draws (no positivity filter), the gamma-varied ensemble and Euler
+        # reproducers of test_contracts.py, and the two data on which the
+        # float enthalpy form failed.  Where the side records overflow,
+        # Batten raises what building them raises; beyond that it may
+        # raise `ClosedFormOverflow` only where the pair, or a square that
+        # the Roe speed d^2 is summed from (c_L^2, c_R^2, (u_R - u_L)^2,
+        # (sqrt(rho_L) + sqrt(rho_R))^2), leaves the float range.
+        mpmath = pytest.importorskip("mpmath")
+        enthalpy_failures = [
+            # The Roe enthalpy overflowed: c_Roe^2 was +inf (gamma = 1.01).
+            EulerProblem(EulerState(2.6253149457325776e-290, -7412.820158872064,
+                                    1.8059384531807626e-93),
+                         EulerState(1.6672378868217063e-290, -4536.70999193011,
+                                    2.966675226996676e+17), EulerParams(1.01)),
+            # Cancellation in H_Roe - u_Roe^2/2: c_Roe^2 was negative.
+            core.make_problem(
+                "euler", (5.3340097753571314e+197, 8133.430277554056, 9.28512128125268e+68),
+                (5.297495636365946e-248, 82.80458655341135, 5.63989070365722e-159)),
+        ]
 
         def reference(prob):
-            left, right, params = prob.left, prob.right, prob.params
-            side_l, side_r = core.sides(prob)
-            wl, wr = math.sqrt(left.rho), math.sqrt(right.rho)
-            cl, cr = side_l.c, side_r.c
-            u_roe = (wl * left.u + wr * right.u) / (wl + wr)
-            h_roe = (wl * enthalpy(left, params) + wr * enthalpy(right, params)) / (wl + wr)
-            c_roe2 = (params.gamma - 1.0) * (h_roe - 0.5 * u_roe * u_roe)
-            if not 0.0 <= c_roe2 < math.inf:
-                raise ClosedFormOverflow(f"the Roe sound speed squared is {c_roe2}")
-            c_roe = math.sqrt(c_roe2)
-            return min(left.u - cl, u_roe - c_roe), max(right.u + cr, u_roe + c_roe)
-
-        def outcome(call, prob):
-            try:
-                return repr(call(prob))
-            except Exception as error:  # noqa: BLE001 - errors are outcomes too
-                return type(error), str(error)
+            """(S_L, S_R) in mpmath, and the largest square of d^2."""
+            g = mpmath.mpf(prob.params.gamma)
+            (rho_l, u_l, p_l), (rho_r, u_r, p_r) = (
+                [mpmath.mpf(v) for v in (s.rho, s.u, s.p)] for s in (prob.left, prob.right))
+            wl, wr = mpmath.sqrt(rho_l), mpmath.sqrt(rho_r)
+            c_l, c_r = mpmath.sqrt(g * p_l / rho_l), mpmath.sqrt(g * p_r / rho_r)
+            h_l = u_l * u_l / 2 + g / (g - 1) * p_l / rho_l
+            h_r = u_r * u_r / 2 + g / (g - 1) * p_r / rho_r
+            u_roe = (wl * u_l + wr * u_r) / (wl + wr)
+            h_roe = (wl * h_l + wr * h_r) / (wl + wr)
+            c_roe = mpmath.sqrt((g - 1) * (h_roe - u_roe * u_roe / 2))
+            return (min(u_l - c_l, u_roe - c_roe), max(u_r + c_r, u_roe + c_roe),
+                    max(c_l, c_r, abs(u_r - u_l), wl + wr) ** 2)
 
         acceptance, raw = random.Random(42), random.Random(5)
         contracts = random.Random(f"{CONTRACT_SEED}:euler")
@@ -357,12 +368,31 @@ class TestEstimators:
                      for _ in range(3000)]
         problems += [contract_draw("euler", contracts) for _ in range(CONTRACT_DRAWS)]
         problems += [prob for system, prob, _, _ in REPRODUCERS.values() if system == "euler"]
-        errors = 0
-        for prob in problems:
-            expected = outcome(reference, prob)
-            assert outcome(euler._batten, prob) == expected, prob
-            errors += isinstance(expected, tuple)
-        assert errors >= 3  # the two Batten reproducers and a sound speed overflow
+        problems += enthalpy_failures
+        largest, errors = mpmath.mpf(sys.float_info.max), 0
+        with mpmath.workdps(50):
+            for prob in problems:
+                try:
+                    core.sides(prob)
+                except ClosedFormOverflow as error:
+                    with pytest.raises(ClosedFormOverflow) as raised:
+                        euler._batten(prob)
+                    assert str(raised.value) == str(error)
+                    errors += 1
+                    continue
+                s_left, s_right, square = reference(prob)
+                try:
+                    got = euler._batten(prob)
+                except ClosedFormOverflow:
+                    assert max(abs(s_left), abs(s_right), square) > largest, prob
+                    errors += 1
+                    continue
+                scale = max(abs(s_left), abs(s_right))
+                assert abs(got[0] - s_left) <= 1e-14 * scale, prob
+                assert abs(got[1] - s_right) <= 1e-14 * scale, prob
+        assert errors >= 3  # sound speed, Roe weight and velocity jump overflows
+        for prob in enthalpy_failures:
+            assert all(map(math.isfinite, euler._batten(prob)))
 
     def test_bound_property(self):
         certified = (EstimatorId.TORO, EstimatorId.TMS_A, EstimatorId.TMS_B,

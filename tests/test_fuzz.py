@@ -41,11 +41,11 @@ def values(state):
 
 
 def positive_from_states(record, problem):
-    """The positivity test of `sample_problem`: the system's inequality
-    over the celerities of the states' values."""
+    """The positivity test of `sample_problem`: the shared inequality over
+    the celerities of the states' values."""
     left, right, params = problem.left, problem.right, problem.params
-    return record.positivity(record.celerity(values(left), params),
-                             record.celerity(values(right), params), right.u - left.u, params)
+    return core.positivity(record.celerity(values(left), params),
+                           record.celerity(values(right), params), right.u - left.u, params)
 
 
 def with_bound_estimators(monkeypatch, system, estimators):

@@ -1,11 +1,13 @@
 """Exact scaling laws of the wave speeds, checked without an oracle.
 
 Speed scalings multiply every wave speed by lambda:
-- shallow water: (h, u) -> (lambda^2 h, lambda u) with g fixed;
 - Euler: (rho, u, p) -> (rho, lambda u, lambda^2 p);
-- blood flow: (A, u) -> (lambda^4 A, lambda u) with beta and rho fixed.  It
-  is the isentropic system with pressure law beta/(3 rho) A^(3/2), so the
-  map takes solutions to solutions.
+- shallow water and blood flow: (x, u) -> (lambda^(2/(gamma-1)) x,
+  lambda u) with the constants fixed, built from the params' `gamma`.
+  Both are isentropic systems with pressure law P = kappa x^gamma, whose
+  celerity c^2 = kappa gamma x^(gamma-1) scales by lambda^2, so the map
+  takes solutions to solutions: lambda^2 h for shallow water (gamma = 2),
+  lambda^4 A for blood flow (gamma = 3/2).  A wrong exponent fails the law.
 
 With lambda a power of 2 the rescaled data and their square and fourth
 roots are exact.  Shallow water then keeps every bit, its root solve
@@ -17,9 +19,7 @@ does not scale (ROADMAP items 18 and 21), which a strict xfail records.
 
 Two more laws leave the speeds' scale alone:
 - a Galilean shift: adding w to both velocities adds w to every speed of
-  every estimator of each system.  Euler's Batten breaks it at large |w|:
-  its Roe sound speed (gamma - 1)(H - u^2/2) cancels, which a strict xfail
-  records;
+  every estimator of each system;
 - Euler's (alpha rho, u, alpha p) leaves every speed unchanged.
 
 Every law keeps patterns and error types."""
@@ -36,20 +36,27 @@ from riemann_bounds.fuzz import sample_problem
 LAMBDAS = {"2^-20": 2.0**-20, "2": 2.0, "2^20": 2.0**20}
 DRAWS = 500  # first acceptance draws of seed 3, per system
 MODULES = {"swe": shallow, "euler": euler, "bfe": bloodflow}
+
+
+def isentropic_law(params):
+    """The speed scaling (x, u) -> (lambda^(2/(gamma-1)) x, lambda u) of an
+    isentropic system with pressure law P = kappa x^gamma."""
+    power = 2.0 / (params.gamma - 1.0)
+    return lambda v, s: (s**power * v[0], s * v[1])
+
+
 #: Per system: the rescaling of one state's values, and the estimators
 #: whose speeds keep every bit (EXACT included as an id).
 LAWS = {
-    "swe": (lambda v, s: (s * s * v[0], s * v[1]),
-            {EstimatorId.EXACT, *shallow.ESTIMATORS}),
+    "swe": (isentropic_law(shallow.SweParams()), {EstimatorId.EXACT, *shallow.ESTIMATORS}),
     "euler": (lambda v, s: (v[0], s * v[1], s * s * v[2]),
               {EstimatorId.DAVIS_A, EstimatorId.DAVIS_B, EstimatorId.EINFELDT,
                EstimatorId.BATTEN}),
-    "bfe": (lambda v, s: (s * s * s * s * v[0], s * v[1]),
+    "bfe": (isentropic_law(bloodflow.BfeParams()),
             {EstimatorId.EXACT, *bloodflow.ESTIMATORS} - {EstimatorId.TMS_D}),
 }
 #: Estimators that break a law, by system; each has its strict xfail below.
 SCALING_BREAKERS = {"bfe": {EstimatorId.TMS_D}}
-SHIFT_BREAKERS = {"euler": {EstimatorId.BATTEN}}
 #: Shifts w of both velocities: powers of 2 of either sign.
 SHIFTS = {"2^-20": 2.0**-20, "-2": -2.0, "2^20": 2.0**20}
 #: Euler's density and pressure factors alpha: powers of 4, whose square
@@ -154,17 +161,7 @@ def test_bfe_tms_d_scales_with_the_data(scale):
 @pytest.mark.parametrize("system", MODULES)
 def test_speeds_shift_with_the_velocities(system, shift):
     module = MODULES[system]
-    estimators = [e for e in (EstimatorId.EXACT, *module.ESTIMATORS)
-                  if e not in SHIFT_BREAKERS.get(system, ())]
-    check_law(system, shifted_pairs(system, shift), estimators, lambda s: s + shift,
-              lambda want: speed_scale(want, abs(shift)))
-
-
-@pytest.mark.xfail(strict=True, reason="Batten's Roe sound speed squared, (gamma - 1)"
-                                       "(H - u^2/2), cancels when |u| >> c")
-def test_euler_batten_shifts_with_the_velocities():
-    shift = SHIFTS["2^20"]
-    check_law("euler", shifted_pairs("euler", shift), [EstimatorId.BATTEN],
+    check_law(system, shifted_pairs(system, shift), (EstimatorId.EXACT, *module.ESTIMATORS),
               lambda s: s + shift, lambda want: speed_scale(want, abs(shift)))
 
 

@@ -476,7 +476,7 @@ def test_classify_tests_positivity_once(system, vacuum):
     # positivity test: its no-star error gives the VACUUM pattern.
     module, _, make, data, _, _ = SYSTEMS[system]
     problem = make(*(VACUUM[system][0] if vacuum else data[0]))
-    code, calls = module.SYSTEM.positivity.__code__, []
+    code, calls = core.positivity.__code__, []
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code is code:
