@@ -50,7 +50,8 @@ def swe_problem(left, right, g):
 
 
 # Per reproducer: system, problem, the calls ("exact" or an estimator id)
-# that must raise, and the error they must raise.
+# that must raise, and the error they must raise.  A reproducer with no
+# such calls raised once and is mended: every call must give finite speeds.
 REPRODUCERS = {
     # (p/p_K)**zd with p/p_K underflowed to 0 in the slope raised
     # ZeroDivisionError; then A_L / (p + B_L) overflowed in the left shock
@@ -97,7 +98,18 @@ REPRODUCERS = {
         (5.290847432789679, -0.0013223454932869741, 1.8826183268763195e-05),
         (599101.3998629061, -1.6234075087363549, 3.1650185557538326e-05),
         1.001), ["toro", "tms_c"], ClosedFormOverflow),
+    # The Roe enthalpy overflowed: Batten's c_Roe**2 was +inf (gamma = 1.01).
+    # Its Roe sound speed is now formed without enthalpies (no calls).
+    "euler-batten-roe-enthalpy-overflow": ("euler", euler_problem(
+        (2.6253149457325776e-290, -7412.820158872064, 1.8059384531807626e-93),
+        (1.6672378868217063e-290, -4536.70999193011, 2.966675226996676e+17), 1.01),
+        [], None),
     # The rest at the default constants.
+    # Cancellation in h_Roe - u_Roe**2/2: Batten's c_Roe**2 was negative.
+    "euler-batten-roe-sound-speed": ("euler", core.make_problem(
+        "euler", (5.3340097753571314e+197, 8133.430277554056, 9.28512128125268e+68),
+        (5.297495636365946e-248, 82.80458655341135, 5.63989070365722e-159)),
+        [], None),
     # The SWE TMS_b chord root is negative, and q_factor took its square
     # root, after h * h_K overflowed at the S/S node.
     "swe-tms-b-negative-chord-root": ("swe", core.make_problem(
@@ -352,6 +364,9 @@ def test_reproducer_raises_a_named_error(name):
     for call in calls:
         with pytest.raises(error):
             speeds(module, problem, call)
+    if not calls:
+        for call in ["exact"] + [e.value for e in module.ESTIMATORS]:
+            assert all(map(math.isfinite, speeds(module, problem, call))), call
     check_contract(system, problem)
 
 

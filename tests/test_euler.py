@@ -327,24 +327,15 @@ class TestEstimators:
         # u_Roe^2/2), which cancels in floating point: within 1e-14 of the
         # speed scale, on the first 2000 acceptance problems, 3000 raw
         # draws (no positivity filter), the gamma-varied ensemble and Euler
-        # reproducers of test_contracts.py, and the two data on which the
-        # float enthalpy form failed.  Where the side records overflow,
+        # reproducers of test_contracts.py, the two data on which the float
+        # enthalpy form failed among them.  Where the side records overflow,
         # Batten raises what building them raises; beyond that it may
         # raise `ClosedFormOverflow` only where the pair, or a square that
         # the Roe speed d^2 is summed from (c_L^2, c_R^2, (u_R - u_L)^2,
         # (sqrt(rho_L) + sqrt(rho_R))^2), leaves the float range.
         mpmath = pytest.importorskip("mpmath")
-        enthalpy_failures = [
-            # The Roe enthalpy overflowed: c_Roe^2 was +inf (gamma = 1.01).
-            EulerProblem(EulerState(2.6253149457325776e-290, -7412.820158872064,
-                                    1.8059384531807626e-93),
-                         EulerState(1.6672378868217063e-290, -4536.70999193011,
-                                    2.966675226996676e+17), EulerParams(1.01)),
-            # Cancellation in H_Roe - u_Roe^2/2: c_Roe^2 was negative.
-            core.make_problem(
-                "euler", (5.3340097753571314e+197, 8133.430277554056, 9.28512128125268e+68),
-                (5.297495636365946e-248, 82.80458655341135, 5.63989070365722e-159)),
-        ]
+        enthalpy_failures = [REPRODUCERS[name][1] for name in (
+            "euler-batten-roe-enthalpy-overflow", "euler-batten-roe-sound-speed")]
 
         def reference(prob):
             """(S_L, S_R) in mpmath, and the largest square of d^2."""
@@ -368,7 +359,6 @@ class TestEstimators:
                      for _ in range(3000)]
         problems += [contract_draw("euler", contracts) for _ in range(CONTRACT_DRAWS)]
         problems += [prob for system, prob, _, _ in REPRODUCERS.values() if system == "euler"]
-        problems += enthalpy_failures
         largest, errors = mpmath.mpf(sys.float_info.max), 0
         with mpmath.workdps(50):
             for prob in problems:
