@@ -1,31 +1,40 @@
 """Lane kernel of `fuzz.run_fuzz`: the bound and dominance checks of a
 chunk of problems at once, over numpy arrays.
 
-Each problem is a lane.  For every lane the kernel computes what the scalar
-check computes: the wave data, the Newton solve inside the lane's pattern
-bracket, the exact speeds, each bound estimator of the system and the
-two-rarefaction star value.  It does not decide a lane's verdict; it only
-names the lanes whose verdict the scalar check must give, and every other
-lane passes.  A lane passes here only when it is clean:
+Each problem is a lane.  The kernel solves no lane for its star value: it
+proves that a lane's checks pass from the signs of the wave curve f.  f
+increases, so a computed f(x) >= 0 puts the star value x* at or below x;
+each shock factor q_K increases in x, so the speeds at such an x lie
+outside the exact ones.  For every lane the kernel computes
 
-- its Newton iteration converged;
-- every value it computed is finite, and no chord root of TMS is degenerate
-  or non-positive;
-- its bracket needed no doubling (S/S) and f(x_rr) >= 0 (R/S, S/R);
-- every compared speed and the star value lie farther than `BAND` times
-  their scale from the threshold of the check.
+- the wave data, as `core.wave_data`: x_rr, f at x_min, x_max and x_rr,
+  and so the pattern;
+- the TMS_a and TMS_b chord roots, as `core.tms`, and f at each;
+- x_up, the smallest of these values where f >= 0 (x_min under R/R,
+  x_max under R/S and S/R), and under R/R, where f(x_rr) rounds below 0,
+  the root of the chord from (x_rr, f_rr) to (x_min, f_min), which lies at
+  or above x* because f is concave;
+- the outer pair: the speeds at x_up with the pattern's shocks, outside
+  the exact speeds (a rarefaction side reads u_K -/+ c_K, the exact speed
+  to the bit);
+- each bound estimate of the system.
+
+A lane passes when each estimate lies outside the outer pair by more than
+the check's slack less `BAND`, and x_rr lies at or above x_up less the same.
+The kernel does not decide a lane's verdict: it names the lanes that do not
+pass, which the scalar check settles, and every other lane passes.  So are
+named the lanes where the scalar check could raise: a value that is not
+finite, a degenerate or non-positive TMS chord root, or f(x_rr) < 0 under
+S/S, where the scalar bracket doubles.
 
 The formulas are the scalar ones: the side record, the branch functions,
 the closed form and the shock factor of each `System` record, and
-`core.chord_start` and `core.tms_d`, take arrays (`sqrt=numpy.sqrt`,
-states of arrays; a chunk shares one params object); `core.tms_d` takes
-the `_Lanes` object as its problem.  The kernel checks the `bound_estimators`
-of the record it is given, which may be a copy of the problems' own.
-Only what branches on a value has its array form here: the choice between
-a side's two branches, the pattern, the bracket, the choice of the start,
-the Newton iteration, the speeds and TMS_a-c.  The Newton iteration is
-`core.find_root`'s loop over lanes, to the same tolerance,
-`core.STAR_TOL`; the two differ only in their exits.
+`core.tms_d`, take arrays (`sqrt=numpy.sqrt`, states of arrays; a chunk
+shares one params object); `core.tms_d` takes the `_Lanes` object as its
+problem.  The kernel checks the `bound_estimators` of the record it is
+given, which may be a copy of the problems' own.  Only what branches on a
+value has its array form here: the choice between a side's two branches,
+the pattern, the chord roots, the speeds and TMS_a-c.
 """
 
 from __future__ import annotations
@@ -37,22 +46,21 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core import (_GEOMETRIC_RATIO, _MIN_NORMAL, STAR_TOL, EstimatorId, System, chord_start,
-                   fields, tms_d)
+from .core import EstimatorId, System, fields, tms_d
 
-#: Half-width of the doubt band around each threshold, relative to the
-#: scale of the check (that of `REL_SLACK`).  It is at least 100 times the
-#: largest kernel-to-scalar difference of the exact speeds, estimates and
-#: star values measured on the acceptance ensembles (`tests/test_fuzz.py`).
+#: Half-width of the doubt band around each threshold: a lane passes a
+#: check with slack `REL_SLACK` less `BAND`, times a scale at most the
+#: check's (at least it, for a negative slack).  It covers the scalar
+#: check's own rounding, its star value solved to 1e-12, and the kernel's
+#: estimates against the scalar ones, which differ by at most 3.4e-15 of
+#: the check's scale on the acceptance ensembles (`tests/test_fuzz.py`).
 BAND = 1e-10
 #: The estimators that `_Lanes.estimate` evaluates: `fuzz.run_fuzz` runs
 #: the kernel only when they cover the system's bound estimators.
 ESTIMATORS = frozenset((EstimatorId.TORO, EstimatorId.TMS_A, EstimatorId.TMS_B,
                         EstimatorId.TMS_C, EstimatorId.TMS_D))
-#: Newton passes before an unconverged lane is left to the scalar check.
-NEWTON_PASSES = 8
 
-_sqrt, _where = np.sqrt, np.where
+_sqrt, _where, _minimum, _INF = np.sqrt, np.where, np.minimum, np.inf
 
 
 def _gather(objects: Sequence, record_type: type) -> SimpleNamespace:
@@ -64,13 +72,6 @@ def _gather(objects: Sequence, record_type: type) -> SimpleNamespace:
         for name in fields(record_type)})
 
 
-def _bisect(lo, hi):
-    """`core._bisect` over lanes lo <= hi: the geometric mean of normal
-    positive ends more than its ratio apart, else the midpoint."""
-    geometric = (lo >= _MIN_NORMAL) & (hi > lo * _GEOMETRIC_RATIO)
-    return _where(geometric, _sqrt(lo) * _sqrt(hi), 0.5 * (lo + hi))
-
-
 def _chord(x1, f1, x2, f2):
     """`core.interpolate_root` over lanes, and where its points are
     degenerate (where it raises, and a little beyond)."""
@@ -80,7 +81,8 @@ def _chord(x1, f1, x2, f2):
 
 class _Lanes:
     """One chunk of problems as arrays, with the array form of the scalar
-    code that branches on values."""
+    code that branches on values.  Its methods run under the errstate of
+    `scalar_lanes`."""
 
     def __init__(self, system: System, problems: Sequence):
         self.system = system
@@ -104,21 +106,15 @@ class _Lanes:
         scalar check."""
         self.doubt |= ~ok
 
-    def side(self, x, s, slope: bool = False):
-        """Side term f_K(x) (or its slope) of side record `s`: the shock
-        branch where x exceeds the side's data value."""
+    def side(self, x, s):
+        """Side term f_K(x) of side record `s`: the shock branch where x
+        exceeds the side's data value."""
         system = self.system
-        if slope:
-            return _where(x > s.x, system.shock_slope(x, s, _sqrt),
-                          system.rarefaction_slope(x, s, _sqrt))
         return _where(x > s.x, system.shock(x, s, _sqrt), system.rarefaction(x, s, _sqrt))
 
     def curve(self, x):
         left, right = self.left, self.right
         return self.side(x, left) + self.side(x, right) + (right.u - left.u)
-
-    def slope(self, x):
-        return self.side(x, self.left, True) + self.side(x, self.right, True)
 
     def speeds(self, x, left_shock, right_shock):
         """(S_L, S_R) with the shock factor at x on the sides that are
@@ -128,82 +124,57 @@ class _Lanes:
                 right.u + right.c * _where(right_shock, q_factor(x, right, _sqrt), 1.0))
 
     def wave_data(self) -> None:
-        """The pattern, the bracket and the Newton start of every lane, as
-        `core.wave_data`, `core.star_bracket` and `core.star_start`."""
+        """The pattern and the TMS_a-b chord roots of every lane, as
+        `core.wave_data` and `core.tms`, its upper star value x_up and its
+        outer pair."""
         system, left, right = self.system, self.left, self.right
         self.x_rr = x_rr = system.rr_closed_form(left, right, self.params)
         self.right_min = right_min = right.x <= left.x
-        self.x_min = x_min = _where(right_min, right.x, left.x)
+        x_min = _where(right_min, right.x, left.x)
         self.x_max = x_max = _where(right_min, left.x, right.x)
-        self.f_min, self.f_max, self.f_rr = f_min, f_max, f_rr = (
-            self.curve(x_min), self.curve(x_max), self.curve(x_rr))
+        f_min, f_max, f_rr = self.curve(x_min), self.curve(x_max), self.curve(x_rr)
         self.doubt_unless(np.isfinite(x_rr) & np.isfinite(f_min)
                           & np.isfinite(f_max) & np.isfinite(f_rr))
         self.rr = rr = f_min >= 0.0
         self.ss = ss = ~rr & (f_max < 0.0)
-        # R/R: (0, x_min]; R/S and S/R: [x_min, x_rr] where f(x_rr) >= 0
-        # cuts it, which a clean lane needs; S/S: [x_max, max(x_rr, x_max)],
-        # clean when f > 0 at its top without doubling.
-        f_zero = (system.rarefaction(0.0, left, _sqrt) + system.rarefaction(0.0, right, _sqrt)
-                  + (right.u - left.u))
-        cut = (x_min < x_rr) & (x_rr < x_max) & (f_rr >= 0.0)
-        ss_top = x_rr > x_max
-        lo = _where(rr, 0.0, _where(ss, x_max, x_min))
-        f_lo = _where(rr, f_zero, _where(ss, f_max, f_min))
-        top = _where(ss, ss_top, cut)
-        hi = _where(rr, x_min, _where(top, x_rr, x_max))
-        f_hi = _where(rr, f_min, _where(top, f_rr, f_max))
-        self.doubt_unless(rr | ss | (f_rr >= 0.0))
-        self.doubt_unless((f_lo < 0.0) & (f_hi > 0.0))
-        x = _where(rr, x_rr, chord_start(system, lo, hi, f_lo, f_hi, _sqrt))
-        self.x0 = _where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
-        self.lo, self.hi = lo, hi
-
-    def solve(self):
-        """Star value of every lane: Newton from the start, inside the
-        bracket, bisecting where a step leaves it, until the step falls
-        below `core.STAR_TOL` of the iterate.  Lanes still moving after
-        `NEWTON_PASSES`, or with a non-finite value or slope on the way,
-        are left to the scalar check."""
-        x, lo, hi = self.x0, self.lo, self.hi
-        root = np.full_like(x, np.nan)
-        moving = np.ones(x.shape, dtype=bool)
-        for _ in range(NEWTON_PASSES):
-            fx, dfx = self.curve(x), self.slope(x)
-            self.doubt_unless(~moving | np.isfinite(fx) & np.isfinite(dfx) & (dfx > 0.0))
-            below = fx < 0.0
-            lo, hi = _where(below, x, lo), _where(below, hi, x)
-            step = x - fx / dfx
-            done = moving & ((fx == 0.0) | (np.abs(step - x) <= STAR_TOL * x))
-            root = _where(done, _where(fx == 0.0, x, step), root)
-            moving &= ~done
-            if not moving.any():
-                break
-            x = _where((lo < step) & (step < hi), step, _bisect(lo, hi))
-        self.doubt_unless(~moving & (self.lo < root) & (root < self.hi))
-        return root
+        rr_up = f_rr >= 0.0
+        self.doubt_unless(~ss | rr_up)  # else the scalar S/S bracket doubles
+        # The chord roots: TMS_a from (x_min, f_min) to (x_max, f_max), TMS_b
+        # from (x_min, f_min) to (x_rr, f_rr); under S/S, where x_rr > x_max
+        # puts f_rr on the shock branch of both sides, TMS_a from (x_max,
+        # f_max) and TMS_b from its S/S node to (x_rr, f_rr).
+        f_node = f_min
+        if system.ss_shock_extension:  # both sides on their shock branch at x_min
+            f_node = _where(ss, system.shock(x_min, left, _sqrt) + system.shock(x_min, right, _sqrt)
+                            + (right.u - left.u), f_min)
+        self.chords = {
+            EstimatorId.TMS_A: _chord(_where(ss, x_max, x_min), _where(ss, f_max, f_min),
+                                      _where(ss, x_rr, x_max), _where(ss, f_rr, f_max)),
+            EstimatorId.TMS_B: _chord(x_min, f_node, x_rr, f_rr),
+        }
+        # x_up, the smallest upper bound of x*: x_min under R/R, x_max under
+        # R/S and S/R, x_rr and each chord root where f >= 0, and under R/R,
+        # where f(x_rr) may round below 0, the root of the chord from (x_rr,
+        # f_rr) to (x_min, f_min), at or above x* because f is concave.
+        rr_chord = x_rr - (x_min - x_rr) / (f_min - f_rr) * f_rr
+        x_up = _minimum(_where(rr, x_min, _where(ss, _INF, x_max)),
+                        _where(rr_up, x_rr, _where(rr, rr_chord, _INF)))
+        for x_hat, _ in self.chords.values():
+            x_up = _minimum(x_up, _where(self.curve(x_hat) >= 0.0, x_hat, _INF))
+        self.x_up = x_up
+        # R/S: the shock is on the right; S/R: on the left; S/S: both.
+        shocks = ~rr
+        self.outer = self.speeds(x_up, shocks & (ss | ~right_min), shocks & (ss | right_min))
 
     def tms(self, variant: EstimatorId):
         """TMS_a-c over lanes, as `core.tms`."""
-        system, left, right = self.system, self.left, self.right
-        x_min, x_max, x_rr = self.x_min, self.x_max, self.x_rr
-        rr, ss = self.rr, self.ss
-        if variant is EstimatorId.TMS_A:
-            one, one_bad = _chord(x_min, self.f_min, x_max, self.f_max)
-            two, two_bad = _chord(x_max, self.f_max, x_rr, self.f_rr)
-        elif variant is EstimatorId.TMS_B:
-            one, one_bad = _chord(x_min, self.f_min, x_rr, self.f_rr)
-            f_node = self.f_min
-            if system.ss_shock_extension:  # both sides on their shock branch at x_min
-                f_node = (system.shock(x_min, left, _sqrt) + system.shock(x_min, right, _sqrt)
-                          + (right.u - left.u))
-            two, two_bad = _chord(x_min, f_node, x_rr, self.f_rr)
+        system, left, right, rr, ss = self.system, self.left, self.right, self.rr, self.ss
+        if variant is EstimatorId.TMS_C:
+            x_hat, bad = _where(ss, self.x_rr, self.x_max), np.False_
         else:
-            one, one_bad, two, two_bad = x_max, False, x_rr, False
-        x_hat, bad = _where(ss, two, one), _where(ss, two_bad, one_bad)
+            x_hat, bad = self.chords[variant]
         eigen = ss & (variant is EstimatorId.TMS_C and system.ss_tms_c_eigen)
         self.doubt_unless(rr | eigen | ~bad & (x_hat > 0.0))
-        # R/S: the shock is on the right; S/R: on the left; S/S: both.
         shocks = ~rr & ~eigen
         s_left, s_right = self.speeds(x_hat, shocks & (ss | ~self.right_min),
                                       shocks & (ss | self.right_min))
@@ -212,41 +183,43 @@ class _Lanes:
             s_right = _where(ss, left.u + left.c, s_right)
         return s_left, s_right
 
-    @np.errstate(all="ignore")
     def estimate(self, estimator: EstimatorId):
         """(S_L, S_R) of an estimator of `ESTIMATORS` over lanes."""
         if estimator is EstimatorId.TORO:
             x_rr = self.x_rr
             return self.speeds(x_rr, x_rr > self.left.x, x_rr > self.right.x)
         if estimator is EstimatorId.TMS_D:
-            return tms_d(self, np.minimum, np.maximum)
+            return tms_d(self, _minimum, np.maximum)
         return self.tms(estimator)
-
-    @np.errstate(all="ignore")
-    def exact(self):
-        """(star value, S_L, S_R) of every lane, as `solve_exact`."""
-        self.wave_data()
-        star = self.solve()
-        s_left, s_right = self.speeds(star, star > self.left.x, star > self.right.x)
-        self.doubt_unless(np.isfinite(s_left) & np.isfinite(s_right))
-        return star, s_left, s_right
 
 
 @np.errstate(all="ignore")
 def scalar_lanes(system: System, problems: Sequence, rel_slack: float) -> list[int]:
     """Indices, ascending, of the problems whose bound and dominance checks
-    the scalar path must make: every lane that is not clean, and so every
-    lane with a violation.  `problems` come from `fuzz.sample_problem`, and
-    so share one params object (`ValueError` otherwise);
-    the checks are those of `system.bound_estimators`, all of `ESTIMATORS`,
-    with slack `rel_slack`."""
+    the scalar path must make: every lane whose checks the outer pair and
+    x_up do not prove to pass, and so every lane with a violation.
+    `problems` come from `fuzz.sample_problem`, and so share one params
+    object (`ValueError` otherwise); the checks are those of
+    `system.bound_estimators`, all of `ESTIMATORS`, with slack `rel_slack`."""
     lanes = _Lanes(system, problems)
-    star, s_left, s_right = lanes.exact()
-    scale = np.maximum(1.0, np.maximum(np.abs(s_left), np.abs(s_right)))
-    left_max, right_min = s_left + rel_slack * scale, s_right - rel_slack * scale
-    band = BAND * scale
+    lanes.wave_data()
+    s_left, s_right = lanes.outer
+    lanes.doubt_unless(np.isfinite(s_left) & np.isfinite(s_right))
+    margin = rel_slack - BAND
+    # The check's slack is rel_slack times its scale, max(1, |S_L|, |S_R|) of
+    # the exact speeds: a positive margin is taken at scale 1, below it; a
+    # negative one at a scale above it, since each exact speed lies between
+    # the outer one and its side's eigenvalue.
+    scale = star_scale = 1.0
+    if margin < 0.0:
+        left, right = lanes.left, lanes.right
+        scale = np.maximum(1.0, np.abs([s_left, s_right, left.u - left.c,
+                                        right.u + right.c]).max(axis=0))
+        star_scale = np.maximum(1.0, lanes.x_up)
+    left_max, right_min = s_left + margin * scale, s_right - margin * scale
     for estimator in system.bound_estimators:
         e_left, e_right = lanes.estimate(estimator)
-        lanes.doubt_unless((e_left < left_max - band) & (e_right > right_min + band))
-    lanes.doubt_unless(lanes.x_rr > star - (rel_slack - BAND) * np.maximum(1.0, star))
+        lanes.doubt_unless((-_INF < e_left) & (e_left < left_max)
+                           & (right_min < e_right) & (e_right < _INF))
+    lanes.doubt_unless(lanes.x_rr >= lanes.x_up - margin * star_scale)
     return np.flatnonzero(lanes.doubt).tolist()

@@ -367,9 +367,9 @@ class System:
     rarefaction_slope: Callable[[float, object], float]
     #: Shock factor q_K(x, side, sqrt=math.sqrt): the shock speed u_K -/+ c_K q_K(x).
     q_factor: Callable[[float, object], float]
-    #: The Newton start `chord_start` draws its chord over sqrt(x), where
-    #: the wave curves of strong shocks are nearly straight, when true, and
-    #: over x when false.
+    #: `chord_start`, the Newton start of `solve_star` (scalar only), draws
+    #: its chord over sqrt(x), where the wave curves of strong shocks are
+    #: nearly straight, when true, and over x when false.
     sqrt_chord: bool
     #: S/S node of TMS_b at x_min: both sides on their shock branch when
     #: true, else f(x_min) itself (blood flow, pinned by its Test 5).
@@ -628,14 +628,13 @@ def star_bracket(
     return RootBracket(wave.x_max, hi, wave.f_max, f_hi)
 
 
-def chord_start(system: System, lo, hi, f_lo, f_hi, sqrt=math.sqrt):
+def chord_start(system: System, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
     """Root of the chord through (lo, f_lo) and (hi, f_hi), drawn over
     sqrt(x) or over x as `system.sqrt_chord` picks: the Newton start of
-    `star_start` and of the lane kernel, which passes arrays and
-    `numpy.sqrt`."""
+    `star_start`."""
     if system.sqrt_chord:
         # sqrt(lo) may equal sqrt(hi) when the data values are one ulp apart.
-        q_lo, q_hi = sqrt(lo), sqrt(hi)
+        q_lo, q_hi = math.sqrt(lo), math.sqrt(hi)
         q = q_lo - (q_hi - q_lo) / (f_hi - f_lo) * f_lo
         return q * q
     return lo - (hi - lo) / (f_hi - f_lo) * f_lo
@@ -657,8 +656,7 @@ def star_start(system: System, wave: WaveData, bracket: RootBracket) -> float:
     return 0.5 * (bracket.lo + bracket.hi)
 
 
-#: Relative tolerance of every star-value solve: `solve_star`'s `find_root`
-#: and the lane kernel's Newton loop (`_kernel._Lanes.solve`).
+#: Relative tolerance of every star-value solve, `solve_star`'s `find_root`.
 STAR_TOL = 1e-12
 
 

@@ -159,7 +159,9 @@ def _roe(problem: EulerProblem, eta: float):
     Anal. 25, 1988), d^2 = (w_L c_L^2 + w_R c_R^2)/(w_L + w_R)
     + eta w_L w_R/(w_L + w_R)^2 (u_R - u_L)^2 with w_K = sqrt(rho_K).
     With eta = (gamma - 1)/2, d^2 is Roe's (gamma - 1)(H~ - u~^2/2) in exact
-    arithmetic, written without the enthalpies H~, whose difference cancels."""
+    arithmetic, written without the enthalpies H~, whose difference cancels.
+    Its products and squares may overflow where the pair fits: the
+    estimators then take the pair of `_scaled_roe`."""
     left, right = problem.left, problem.right
     side_l, side_r = problem._sides or core.sides(problem)
     wl, wr = math.sqrt(left.rho), math.sqrt(right.rho)
@@ -172,20 +174,42 @@ def _roe(problem: EulerProblem, eta: float):
     return u_roe, math.sqrt(d2)
 
 
+def _scaled_roe(problem: EulerProblem, eta: float, name: str):
+    """(u~ - d, u~ + d) of `_roe` where that pair is not finite: u~ and d^2
+    from the weights w_K/(w_L + w_R), d^2 from c_L, c_R and u_R - u_L
+    divided by the largest of their magnitudes, M, and d = M sqrt(d^2), so
+    that no product or square overflows where the pair fits.  Raises `ClosedFormOverflow` naming
+    `name` for a pair that is still not finite."""
+    left, right = problem.left, problem.right
+    side_l, side_r = problem._sides or core.sides(problem)
+    wl, wr = math.sqrt(left.rho), math.sqrt(right.rho)
+    ol, or_ = wl / (wl + wr), wr / (wl + wr)
+    cl, cr, du = side_l.c, side_r.c, right.u - left.u
+    m = max(cl, cr, abs(du))
+    cl, cr, du = cl / m, cr / m, du / m
+    d = m * math.sqrt(ol * cl * cl + or_ * cr * cr + eta * ol * or_ * du * du)
+    u_roe = ol * left.u + or_ * right.u
+    s_left, s_right = u_roe - d, u_roe + d
+    if not -math.inf < s_left < math.inf > s_right > -math.inf:  # NaN fails every comparison
+        raise ClosedFormOverflow(f"{name} are not finite: {s_left}, {s_right}")
+    return s_left, s_right
+
+
 def _einfeldt(problem: EulerProblem):
     u_roe, d = _roe(problem, 0.5)
     s_left, s_right = u_roe - d, u_roe + d
-    if not -math.inf < s_left < math.inf > s_right > -math.inf:  # NaN fails every comparison
-        raise ClosedFormOverflow(f"Einfeldt's speeds are not finite: {s_left}, {s_right}")
+    if not -math.inf < s_left < math.inf > s_right > -math.inf:
+        return _scaled_roe(problem, 0.5, "Einfeldt's speeds")
     return s_left, s_right
 
 
 def _batten(problem: EulerProblem):
     side_l, side_r = problem._sides or core.sides(problem)
-    u_roe, d = _roe(problem, 0.5 * (problem.params.gamma - 1.0))
+    eta = 0.5 * (problem.params.gamma - 1.0)
+    u_roe, d = _roe(problem, eta)
     s_left, s_right = u_roe - d, u_roe + d
     if not -math.inf < s_left < math.inf > s_right > -math.inf:
-        raise ClosedFormOverflow(f"Batten's Roe speeds are not finite: {s_left}, {s_right}")
+        s_left, s_right = _scaled_roe(problem, eta, "Batten's Roe speeds")
     # min and max as in core.davis_b: the first argument unless the second
     # is strictly smaller (larger)
     a, b = side_l.u - side_l.c, side_r.u + side_r.c

@@ -233,10 +233,17 @@ class TestBounds:
 
     def test_infinite_einfeldt_speeds_exit_code(self, capsys):
         # du**2 overflows in Einfeldt's d**2: the pair was (-inf, +inf),
-        # printed as -Infinity, which is not JSON, with exit code 0.
-        code, out, err = run(capsys, "bounds", "--system", "euler",
-                             "--left", "1,1e200,1", "--right", "1,-1e200,1",
-                             "--estimator", "einfeldt", "--format", "json")
+        # printed as -Infinity, which is not JSON, with exit code 0; then
+        # a ClosedFormOverflow.  The scaled Roe speed gives the finite pair,
+        # as valid JSON; an estimator that needs the star pressure, which
+        # overflows, still exits EXIT_SOLVER.
+        data = ("--system", "euler", "--left", "1,1e200,1", "--right", "1,-1e200,1")
+        code, out, err = run(capsys, "bounds", *data, "--estimator", "einfeldt",
+                             "--format", "json")
+        assert code == 0 and err == ""
+        result = json.loads(out)["results"][0]
+        assert result["s_left"] == -result["s_right"] == pytest.approx(-7.0710678118654752e199)
+        code, out, err = run(capsys, "bounds", *data, "--estimator", "toro", "--format", "json")
         assert code == cli.EXIT_SOLVER
         assert err.startswith("error: ClosedFormOverflow: ")
         assert out == ""

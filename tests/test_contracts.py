@@ -122,13 +122,23 @@ REPRODUCERS = {
         "euler", (1.3573213500443768e-141, -5096.667016126539, 3.539777407430506e+187),
         (0.09568177268457889, -1682.5579811141924, 4.5235660048190316e+136)),
         ["exact"] + [e.value for e in euler.ESTIMATORS], ClosedFormOverflow),
-    # du**2 overflows in Einfeldt's d**2, which gave the pair (-inf, +inf).
+    # du**2 overflows in Einfeldt's d**2, which gave the pair (-inf, +inf),
+    # and then raised; the scaled Roe speed gives the pairs that fit,
+    # Einfeldt's +/-7.07e199 and Batten's +/-4.47e199.  p* overflows.
     "euler-einfeldt-infinite-speeds": ("euler", core.make_problem(
-        "euler", (1.0, 1e200, 1.0), (1.0, -1e200, 1.0)), ["einfeldt"], ClosedFormOverflow),
+        "euler", (1.0, 1e200, 1.0), (1.0, -1e200, 1.0)),
+        ["exact", "toro", "tms_a", "tms_b", "tms_c"], ClosedFormOverflow),
     # (sqrt(rho_L) + sqrt(rho_R))**2 overflows in Einfeldt's weight, which
-    # raised a raw OverflowError.
+    # raised a raw OverflowError, and then a named error.
     "euler-einfeldt-weight-overflow": ("euler", core.make_problem(
-        "euler", (1e308, 0.0, 1.0), (1e308, 0.0, 1.0)), ["einfeldt"], ClosedFormOverflow),
+        "euler", (1e308, 0.0, 1.0), (1e308, 0.0, 1.0)), [], None),
+    # sqrt(rho_K) u_K overflows in the Roe velocity, so Einfeldt's and
+    # Batten's speeds were NaN and raised, though both pairs fit; the
+    # weights sqrt(rho_K)/(sqrt(rho_L) + sqrt(rho_R)) give them.  x_rr
+    # overflows.
+    "euler-roe-velocity-overflow": ("euler", core.make_problem(
+        "euler", (1e300, 1e200, 1.0), (1e300, -1e200, 1.0)),
+        ["exact", "toro", "tms_a", "tms_b", "tms_c"], ClosedFormOverflow),
     # g h_L overflows, so c_L = sqrt(g h_L) is inf: Davis a/b gave infinite
     # speeds (Davis b the pair (-inf, inf)), the rest raised from the wave
     # data.
@@ -390,6 +400,37 @@ def test_euler_slope_is_infinite_where_the_pressure_ratio_underflows():
     # As where (p/p_K)**zd overflows: find_root then bisects.
     _, problem, _, _ = REPRODUCERS["euler-slope-underflow"]
     assert euler.pressure_function_deriv(5e-324, problem) == math.inf
+
+
+@pytest.mark.parametrize("name", ["euler-einfeldt-infinite-speeds",
+                                  "euler-einfeldt-weight-overflow",
+                                  "euler-roe-velocity-overflow"])
+def test_roe_pairs_fit_where_their_squares_overflow(name):
+    # Einfeldt's and Batten's pairs where a square of the Roe speed d^2
+    # overflows (u_R - u_L = -2e200; (sqrt(rho_L) + sqrt(rho_R))^2 = 4e308)
+    # or a product of the Roe velocity does (sqrt(rho_L) u_L = 1e350),
+    # against u~ and d^2 = (w_L c_L^2 + w_R c_R^2)/(w_L + w_R) + eta w_L w_R
+    # (u_R - u_L)^2/(w_L + w_R)^2 in 50-digit mpmath: within 1e-15 of the
+    # speed scale.  Batten's pair also holds the eigenvalues.
+    mpmath = pytest.importorskip("mpmath")
+    _, problem, _, _ = REPRODUCERS[name]
+    left, right = problem.left, problem.right
+    with mpmath.workdps(50):
+        g = mpmath.mpf(problem.params.gamma)
+        wl, wr = mpmath.sqrt(left.rho), mpmath.sqrt(right.rho)
+        cl, cr = mpmath.sqrt(g * left.p / left.rho), mpmath.sqrt(g * right.p / right.rho)
+        du = mpmath.mpf(right.u) - left.u
+        u_roe = (wl * left.u + wr * right.u) / (wl + wr)
+        for estimator, eta in ((euler._einfeldt, mpmath.mpf(0.5)), (euler._batten, (g - 1) / 2)):
+            d = mpmath.sqrt((wl * cl**2 + wr * cr**2) / (wl + wr)
+                            + eta * wl * wr / (wl + wr) ** 2 * du**2)
+            expected = [u_roe - d, u_roe + d]
+            if estimator is euler._batten:
+                expected = [min(expected[0], left.u - cl), max(expected[1], right.u + cr)]
+            got = estimator(problem)
+            scale = max(map(abs, expected))
+            for mine, theirs in zip(got, expected):
+                assert abs(mine - theirs) <= 1e-15 * scale, (estimator, got, expected)
 
 
 def test_exact_speeds_of_the_toro_reproducer_are_finite():

@@ -51,8 +51,11 @@ whether its hash equals that copy's and that of the tuple of its field
 values.  It reads the fields from the `__init__` signature, so that it
 runs on a checkout of any version.
 
-After the total it prints, apart from it, a hash of the mesh grids' input
-states.  Digests compare only within one Python minor version: from
+After the total it prints, apart from it, the lanes that the lane kernel
+(`riemann_bounds._kernel`) handed back to the scalar check in the
+`run_fuzz` lines, per system, counted through a wrapper of
+`_kernel.scalar_lanes`; without numpy the line reads "no kernel".  Then a
+hash of the mesh grids' input states.  Digests compare only within one Python minor version: from
 Python 3.12 on, `sum()` of floats is compensated, so `build_grid` in
 `bench/workloads.py` builds different grids, and the nine mesh lines move
 with the input hash while the library's outputs on equal inputs do not.
@@ -178,6 +181,25 @@ def fuzz_lines(system: str):
 
     for seed in FUZZ_SEEDS:
         yield f"fuzz {system} {seed} {outcome(fuzz.run_fuzz, system, FUZZ_TRIALS, seed)}"
+
+
+def count_handed_back() -> dict | None:
+    """Per system, a count of the lanes that `_kernel.scalar_lanes` hands
+    back from here on, through a wrapper installed on the kernel module;
+    None without the kernel (no numpy)."""
+    from riemann_bounds import fuzz
+
+    kernel = getattr(fuzz, "_lane_kernel", lambda: None)()
+    if kernel is None:
+        return None
+    counts, scalar_lanes = dict.fromkeys(ACCEPTANCE_SEEDS, 0), kernel.scalar_lanes
+
+    def counting(system, problems, rel_slack):
+        lanes = scalar_lanes(system, problems, rel_slack)
+        counts[system.name] += len(lanes)
+        return lanes
+    kernel.scalar_lanes = counting
+    return counts
 
 
 def table_lines(reports: dict, reverse: bool = False):
@@ -356,6 +378,7 @@ def main(argv=None) -> int:
     import riemann_bounds
 
     total, count, reports = hashlib.sha256(), 0, {}
+    handed_back = count_handed_back()
     dump = open(args.dump, "w") if args.dump else None
     try:
         for name, lines in sections(args.problems, reports):
@@ -373,6 +396,9 @@ def main(argv=None) -> int:
         if dump:
             dump.close()
     print(f"{total.hexdigest()}  {count}  total ({Path(riemann_bounds.__file__).parent})")
+    print("lanes handed back by the lane kernel in run_fuzz, not in the total: "
+          + (", ".join(f"{system} {n}" for system, n in handed_back.items())
+             if handed_back is not None else "no kernel"))
     again = {}
     list(table_lines(again, reverse=True))
     moved = [f"{system} {table}" for (system, table), line in reports.items()
