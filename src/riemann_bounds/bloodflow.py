@@ -151,7 +151,9 @@ def solve_exact(problem: BfeProblem) -> BfeExactSolution:
     left, right = problem._sides or core.sides(problem)
     a_star = solve_star(problem)
     u_star = 0.5 * (left.u + right.u) + 0.5 * core.side_difference(problem, a_star)
-    return problem._system.solution_type(a_star, u_star, pattern, *star_speeds(problem, a_star))
+    s_left, s_right = star_speeds(problem, a_star)  # positional: no argument tuple is built
+    solution = problem._system.solution_type
+    return solution.__new__(solution, a_star, u_star, pattern, s_left, s_right)
 
 
 SYSTEM = System(

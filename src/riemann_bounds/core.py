@@ -79,7 +79,8 @@ def asdict(value):
 
 
 def replace(record, **changes):
-    """A record like `record` with `changes`, built (and checked) by `__init__`."""
+    """A record like `record` with `changes`, built (and checked) by its
+    constructor, the class call."""
     return type(record)(**{**dict(zip(record._fields, _values(record))), **changes})
 
 
@@ -104,23 +105,31 @@ def _frozen(self, name, *value):  # __setattr__ and __delattr__
     raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 
 
-def _setstate(self, state):
-    self.__init__(*state)
+def _reduce(self):  # copies and pickles are rebuilt by the class call
+    return type(self), _values(self)
 
 
 def _fields_dict(self) -> dict:
     return dict(zip(self._fields, _values(self)))
 
 
+def _init_subclass(cls, **kwargs):  # __init_subclass__ of a record
+    record = next(base for base in cls.__mro__[1:] if "_fields" in vars(base))
+    if cls.__basicsize__ != record.__basicsize__ or cls.__dictoffset__ or cls.__weakrefoffset__:
+        raise TypeError(f"{cls.__qualname__}: a subclass of the record {record.__qualname__} "
+                        "must declare __slots__ = (), since it is built in the record's layout")
+    super(record, cls).__init_subclass__(**kwargs)
+
+
 class Positive(float):
-    """Field kind: a value in (0, inf), which the record's `__init__` checks."""
+    """Field kind: a value in (0, inf), which the record's constructor checks."""
 
 
 class Finite(float):
-    """Field kind: a finite value, which the record's `__init__` checks."""
+    """Field kind: a finite value, which the record's constructor checks."""
 
 
-#: Per field kind, the condition that `record` writes into `__init__` and
+#: Per field kind, the condition that `record` writes into `__new__` and
 #: the message of the `ValueError` it raises otherwise; {0} is the field.
 _CHECKS = {"Positive": ("0.0 < {0} < __inf", "{0} must be positive and finite, got {{{0}}}"),
            "Finite": ("__isfinite({0})", "{0} must be finite, got {{{0}}}")}
@@ -129,16 +138,23 @@ _CHECKS = {"Positive": ("0.0 < {0} < __inf", "{0} must be positive and finite, g
 def record(cls: type):
     """Class decorator of the package's value types:
     `dataclass(frozen=True, slots=True)` without the dataclass module, from
-    the shared functions above, with a faster `__init__` (see README).  The
-    fields are the class's own annotations but `ClassVar` ones, with class
-    attributes as defaults.  `__init__` checks the fields of a field kind
-    (`Positive`, `Finite`) in order, stores each through its slot's
-    `__set__`, bound once, stores None in each slot that a base declares,
-    then calls `__post_init__`.  Equality compares field tuples, as on
-    Python 3.10-3.12 (3.13's `dataclass` compares field by field).
-    `vars()`, where the dataclass raises, is a new dict of the fields in
-    order (a read-only `__dict__` property).  Fields other than plain
-    positional ones raise `TypeError`."""
+    the shared functions above, with a faster constructor (see README).
+    The fields are the class's own annotations but `ClassVar` ones, with
+    class attributes as defaults.  The one constructor is a generated
+    `__new__(cls, *fields)`, which the class call, `replace`, copies and
+    pickles (`__reduce__`) reach as well, and which hot callers call
+    directly (`SpeedBounds.__new__(SpeedBounds, ...)`).  It checks the
+    fields of a field kind (`Positive`, `Finite`) in order, allocates the
+    record's twin (a class of the same bases and slots without the frozen
+    `__setattr__`), stores each field and the None of each slot that a
+    base declares with a plain store, which CPython 3.11+ specializes to
+    `STORE_ATTR_SLOT`, makes the object a `cls`, then calls
+    `__post_init__`.  A subclass of a record must declare
+    `__slots__ = ()`, so that it keeps the twin's layout.  Equality
+    compares field tuples, as on Python 3.10-3.12 (3.13's `dataclass`
+    compares field by field).  `vars()`, where the dataclass raises, is a
+    new dict of the fields in order (a read-only `__dict__` property).
+    Fields other than plain positional ones raise `TypeError`."""
     namespace = {"__repr__": _repr, **cls.__dict__}  # a repr of its own is kept
     annotations = namespace.get("__annotations__", {})
     names, defaults, checks = [], [], []
@@ -158,36 +174,39 @@ def record(cls: type):
         names.append(name)
         check = _CHECKS.get(kind.rpartition(".")[2])  # "Positive", or "core.Positive"
         if check:
-            checks += [f"        if not {check[0].format(name)}:",
-                       f"            raise ValueError(f{check[1].format(name)!r})"]
+            checks += [f"    if not {check[0].format(name)}:",
+                       f"        raise ValueError(f{check[1].format(name)!r})"]
     names = tuple(names)
     for name in ("__weakref__", *names):
         namespace.pop(name, None)  # a slot replaces its default
+    twin = type(cls)(cls.__name__, cls.__bases__, {"__slots__": names,
+                                                   "__qualname__": f"{cls.__qualname__}.twin"})
     namespace.update(__qualname__=cls.__qualname__, _fields=names, __slots__=names,
                      __dict__=property(_fields_dict), __eq__=_eq, __hash__=_hash,
-                     __setattr__=_frozen, __delattr__=_frozen, __getstate__=_values,
-                     __setstate__=_setstate)
+                     __setattr__=_frozen, __delattr__=_frozen, __reduce__=_reduce,
+                     __init_subclass__=_init_subclass)
     cls = type(cls)(cls.__name__, cls.__bases__, namespace)
     # The slots that a base declares (a problem's two lazy slots) start as None.
     empty = [name for base in cls.__mro__[1:] for name in base.__dict__.get("__slots__", ())]
-    slots = (*names, *empty)
-    # No field name can start with __, so the closure's and globals' names cannot clash.
-    lines = [f"def make_init({', '.join(f'__set{i}' for i in range(len(slots)))}):",
-             f"    def __init__(self, {', '.join(names)}):", *checks,
-             *[f"        __set{i}(self, {name})" for i, name in enumerate(names)],
-             *[f"        __set{i}(self, None)" for i in range(len(names), len(slots))]]
+    # No field name can start with __, so the parameters and globals cannot clash.
+    lines = [f"def __new__(__cls, {', '.join(names)}):", *checks,
+             "    __self = __twin()",
+             *[f"    __self.{name} = {name}" for name in names],
+             *[f"    __self.{name} = None" for name in empty],
+             "    __self.__class__ = __cls"]
     if hasattr(cls, "__post_init__"):
-        lines.append("        self.__post_init__()")
-    lines.append("    return __init__")
-    scope: dict = {}
-    exec(compile("\n".join(lines), "<record>", "exec"),
-         {"__inf": math.inf, "__isfinite": math.isfinite}, scope)  # what the checks read
-    init = scope["make_init"](*[getattr(cls, name).__set__ for name in slots])  # the slots'
-    init.__defaults__ = tuple(defaults) or None
-    init.__annotations__ = {**{name: annotations[name] for name in names}, "return": None}
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    init.__module__ = cls.__module__
-    cls.__init__ = init
+        lines.append("    __self.__post_init__()")
+    lines.append("    return __self")
+    scope = {"__inf": math.inf, "__isfinite": math.isfinite, "__twin": twin}  # what it reads
+    exec(compile("\n".join(lines), "<record>", "exec"), scope)
+    new = scope["__new__"]
+    new.__defaults__ = tuple(defaults) or None
+    # The return annotation of a dataclass's `__init__`, so that
+    # `inspect.signature` of the class is the dataclass's.
+    new.__annotations__ = {**{name: annotations[name] for name in names}, "return": None}
+    new.__qualname__ = f"{cls.__qualname__}.__new__"
+    new.__module__ = cls.__module__
+    cls.__new__ = staticmethod(new)  # as `type` wraps a `__new__` of a class body
     return cls
 
 
@@ -290,6 +309,12 @@ class WaveData:
     x_rr: float
     f_rr: float
     pattern: WavePattern
+
+
+# The constructors of the records that the hot paths below build, bound once
+# and called directly, without the class call (see `record`).
+_new_bounds, _new_bracket, _new_wave_data = (SpeedBounds.__new__, RootBracket.__new__,
+                                             WaveData.__new__)
 
 
 @record
@@ -434,10 +459,14 @@ def make_problem(system: str, left: Sequence[float], right: Sequence[float],
     shared by all such problems (params are frozen).
     """
     record = _REGISTRY.get(system) or system_record(system)  # no call once imported
-    left_state, right_state = record.state_type(*left), record.state_type(*right)
+    state, problem = record.state_type, record.problem_type
+    # The states by the class call, which takes a tuple `left` as its
+    # argument tuple where a starred direct call would build one; the
+    # problem by its constructor, called directly (see `record`).
+    left_state, right_state = state(*left), state(*right)
     if params:
-        return record.problem_type(left_state, right_state, record.params_type(**params))
-    return record.problem_type(left_state, right_state)
+        return problem.__new__(problem, left_state, right_state, record.params_type(**params))
+    return problem.__new__(problem, left_state, right_state)
 
 
 def star_values(system: str, solution) -> dict[str, float]:
@@ -522,13 +551,14 @@ class Problem:
     """Base of the problem types, whose `_system` each system module sets to
     its `SYSTEM`.  What every solve and estimate reads is built on first
     read and kept in a slot: `_sides`, the system's side record of each
-    state (`sides`), and `_wave_data`, the problem's `wave_data`.  Both
-    slots hold None from `__init__` on, so every read of a problem is a
-    plain slot read, and each reader writes `problem._sides or
+    state (`sides`), and `_wave_data`, the problem's `wave_data`.  The
+    record's constructor stores None in both, so every read of a problem
+    is a plain slot read, and each reader writes `problem._sides or
     sides(problem)` (the same for the wave data).  The builder stores its
-    value past the frozen `__setattr__`; a build that raises leaves the
-    slot None, to raise again on the next read: data without a positive
-    star value raise the no-star error on each."""
+    value past the frozen `__setattr__`, through the slot's `__set__`: the
+    only stores into a record after its constructor.  A build that raises
+    leaves the slot None, to raise again on the next read: data without a
+    positive star value raise the no-star error on each."""
 
     __slots__ = ("_sides", "_wave_data")
 
@@ -584,7 +614,7 @@ def wave_data(problem) -> WaveData:
             pattern = _SS if f_max < 0.0 else _RS if right_min else _SR
     except ArithmeticError:
         raise ClosedFormOverflow("the wave curve overflows at a wave-data node") from None
-    value = WaveData(x_min, x_max, f_min, f_max, x_rr, f_rr, pattern)
+    value = _new_wave_data(WaveData, x_min, x_max, f_min, f_max, x_rr, f_rr, pattern)
     _set_wave_data(problem, value)
     return value
 
@@ -612,11 +642,11 @@ def star_bracket(
     when the doubling reaches an infinite end or value of f first.
     """
     if wave.pattern is _RR:
-        return RootBracket(0.0, wave.x_min, f_zero, wave.f_min)
+        return _new_bracket(RootBracket, 0.0, wave.x_min, f_zero, wave.f_min)
     if wave.pattern is not _SS:
         if wave.x_min < wave.x_rr < wave.x_max and wave.f_rr >= 0.0:
-            return RootBracket(wave.x_min, wave.x_rr, wave.f_min, wave.f_rr)
-        return RootBracket(wave.x_min, wave.x_max, wave.f_min, wave.f_max)
+            return _new_bracket(RootBracket, wave.x_min, wave.x_rr, wave.f_min, wave.f_rr)
+        return _new_bracket(RootBracket, wave.x_min, wave.x_max, wave.f_min, wave.f_max)
     hi, f_hi = wave.x_rr, wave.f_rr
     if not hi > wave.x_max:
         hi, f_hi = wave.x_max, wave.f_max
@@ -625,7 +655,7 @@ def star_bracket(
         f_hi = curve(hi)
     if not (0.0 <= f_hi < math.inf and hi < math.inf):
         raise NoConvergence(f"no upper bracket for the star value above {wave.x_max}")
-    return RootBracket(wave.x_max, hi, wave.f_max, f_hi)
+    return _new_bracket(RootBracket, wave.x_max, hi, wave.f_max, f_hi)
 
 
 def chord_start(system: System, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
@@ -828,7 +858,7 @@ def estimate(problem, estimator: EstimatorId) -> SpeedBounds:
         raise system.unsupported_error(estimator) from None
     pattern = system.module.classify(problem) if estimator in _WITH_PATTERN else None
     s_left, s_right = speeds(problem)
-    return SpeedBounds(s_left, s_right, estimator, pattern)
+    return _new_bounds(SpeedBounds, s_left, s_right, estimator, pattern)
 
 
 def speed_function(

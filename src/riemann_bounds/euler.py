@@ -151,7 +151,9 @@ def solve_exact(problem: EulerProblem) -> EulerExactSolution:
     left, right = problem._sides or core.sides(problem)
     p_star = solve_star(problem)
     u_star = 0.5 * (left.u + right.u) + 0.5 * core.side_difference(problem, p_star)
-    return problem._system.solution_type(p_star, u_star, pattern, *star_speeds(problem, p_star))
+    s_left, s_right = star_speeds(problem, p_star)  # positional: no argument tuple is built
+    solution = problem._system.solution_type
+    return solution.__new__(solution, p_star, u_star, pattern, s_left, s_right)
 
 
 def _roe(problem: EulerProblem, eta: float):
@@ -177,16 +179,17 @@ def _roe(problem: EulerProblem, eta: float):
 def _scaled_roe(problem: EulerProblem, eta: float, name: str):
     """(u~ - d, u~ + d) of `_roe` where that pair is not finite: u~ and d^2
     from the weights w_K/(w_L + w_R), d^2 from c_L, c_R and u_R - u_L
-    divided by the largest of their magnitudes, M, and d = M sqrt(d^2), so
-    that no product or square overflows where the pair fits.  Raises `ClosedFormOverflow` naming
-    `name` for a pair that is still not finite."""
+    divided by M, the largest of c_L, c_R, |u_L| and |u_R|, and
+    d = M sqrt(d^2), so that no product or square overflows where the pair
+    fits.  (u_R - u_L)/M is u_R/M - u_L/M, since u_R - u_L itself may
+    overflow.  Raises `ClosedFormOverflow` naming `name` for a pair that is
+    still not finite."""
     left, right = problem.left, problem.right
     side_l, side_r = problem._sides or core.sides(problem)
     wl, wr = math.sqrt(left.rho), math.sqrt(right.rho)
     ol, or_ = wl / (wl + wr), wr / (wl + wr)
-    cl, cr, du = side_l.c, side_r.c, right.u - left.u
-    m = max(cl, cr, abs(du))
-    cl, cr, du = cl / m, cr / m, du / m
+    m = max(side_l.c, side_r.c, abs(left.u), abs(right.u))
+    cl, cr, du = side_l.c / m, side_r.c / m, right.u / m - left.u / m
     d = m * math.sqrt(ol * cl * cl + or_ * cr * cr + eta * ol * or_ * du * du)
     u_roe = ol * left.u + or_ * right.u
     s_left, s_right = u_roe - d, u_roe + d

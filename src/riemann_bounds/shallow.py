@@ -124,7 +124,9 @@ def solve_exact(problem: SweProblem) -> SweExactSolution:
     left, right = problem._sides or core.sides(problem)
     h_star = solve_star(problem)
     u_star = 0.5 * (left.u + right.u) + 0.5 * core.side_difference(problem, h_star)
-    return problem._system.solution_type(h_star, u_star, pattern, *star_speeds(problem, h_star))
+    s_left, s_right = star_speeds(problem, h_star)  # positional: no argument tuple is built
+    solution = problem._system.solution_type
+    return solution.__new__(solution, h_star, u_star, pattern, s_left, s_right)
 
 
 SYSTEM = System(

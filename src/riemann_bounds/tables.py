@@ -82,6 +82,11 @@ class TableReport:
     passed: bool
 
 
+# The constructor of the cells, bound once and called directly, without the
+# class call (see `core.record`).
+_new_cell = CellCheck.__new__
+
+
 def _speed_columns(record: System, ref: dict) -> list[tuple]:
     """The columns of a speed table, each resolved once per table:
     (column, the note of an unimplemented column or None, the column's
@@ -117,9 +122,11 @@ def _speed_cells(cells: list[CellCheck], columns: list[tuple], test: dict, probl
     for column, unimplemented, speeds in columns:
         expected = row[column]
         if unimplemented is not None:
-            append(CellCheck(test_id, column, expected, None, None, "skipped", unimplemented))
+            append(_new_cell(CellCheck, test_id, column, expected, None, None, "skipped",
+                             unimplemented))
         elif column in skipped:
-            append(CellCheck(test_id, column, expected, None, None, "skipped", skipped[column]))
+            append(_new_cell(CellCheck, test_id, column, expected, None, None, "skipped",
+                             skipped[column]))
         else:
             computed = speeds(problem)[index]
             deviation = abs(computed - expected)
@@ -131,7 +138,7 @@ def _speed_cells(cells: list[CellCheck], columns: list[tuple], test: dict, probl
                 status, failed = "fail", True
             if deviation > best or best < 0.0:
                 best = deviation
-            append(CellCheck(test_id, column, expected, computed, deviation, status))
+            append(_new_cell(CellCheck, test_id, column, expected, computed, deviation, status))
     return best, failed
 
 
@@ -149,7 +156,8 @@ def _ic_cells(cells: list[CellCheck], record: System, star_fields: list[str], te
         expected = star[field]
         computed = getattr(solution, field)
         if star_skipped is not None:
-            append(CellCheck(test_id, field, expected, computed, None, "skipped", star_skipped))
+            append(_new_cell(CellCheck, test_id, field, expected, computed, None, "skipped",
+                             star_skipped))
             continue
         tol = 1.05 * 10.0 ** -decimals[field] if field in decimals else _STAR_TOL
         deviation = abs(computed - expected)
@@ -159,13 +167,13 @@ def _ic_cells(cells: list[CellCheck], record: System, star_fields: list[str], te
             status, failed = "fail", True
         if deviation > best or best < 0.0:
             best = deviation
-        append(CellCheck(test_id, field, expected, computed, deviation, status))
+        append(_new_cell(CellCheck, test_id, field, expected, computed, deviation, status))
     pattern = solution.pattern.value
     if pattern == test["pattern"]:
         status = "ok"
     else:
         status, failed = "fail", True
-    append(CellCheck(test_id, "pattern", None, None, None, status,
+    append(_new_cell(CellCheck, test_id, "pattern", None, None, None, status,
                      f"expected {test['pattern']}, computed {pattern}"))
     return best, failed
 
@@ -199,13 +207,8 @@ def reproduce(system: str, table: str) -> TableReport:
         columns = _speed_columns(record, ref)
         for test, problem in rows:
             best, failed = _speed_cells(cells, columns, test, problem, table, best, failed)
-    return TableReport(
-        system=system,
-        table=table,
-        cells=tuple(cells),
-        max_deviation=0.0 if best < 0.0 else best,
-        passed=not failed,
-    )
+    return TableReport.__new__(TableReport, system, table, tuple(cells),
+                               0.0 if best < 0.0 else best, not failed)
 
 
 def bound_violations(test: dict, side: str) -> list[str]:

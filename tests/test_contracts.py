@@ -139,6 +139,13 @@ REPRODUCERS = {
     "euler-roe-velocity-overflow": ("euler", core.make_problem(
         "euler", (1e300, 1e200, 1.0), (1e300, -1e200, 1.0)),
         ["exact", "toro", "tms_a", "tms_b", "tms_c"], ClosedFormOverflow),
+    # u_R - u_L = -2e308 overflows, so the scale M = max(c_L, c_R, |u_R - u_L|)
+    # of the scaled Roe form was inf and Einfeldt's and Batten's speeds NaN,
+    # though both pairs fit; M is now taken from the velocities themselves.
+    # The wave data overflow.
+    "euler-roe-velocity-difference-overflow": ("euler", core.make_problem(
+        "euler", (1.0, 1e308, 1.0), (1.0, -1e308, 1.0)),
+        ["exact", "toro", "tms_a", "tms_b", "tms_c"], ClosedFormOverflow),
     # g h_L overflows, so c_L = sqrt(g h_L) is inf: Davis a/b gave infinite
     # speeds (Davis b the pair (-inf, inf)), the rest raised from the wave
     # data.
@@ -404,11 +411,13 @@ def test_euler_slope_is_infinite_where_the_pressure_ratio_underflows():
 
 @pytest.mark.parametrize("name", ["euler-einfeldt-infinite-speeds",
                                   "euler-einfeldt-weight-overflow",
-                                  "euler-roe-velocity-overflow"])
+                                  "euler-roe-velocity-overflow",
+                                  "euler-roe-velocity-difference-overflow"])
 def test_roe_pairs_fit_where_their_squares_overflow(name):
     # Einfeldt's and Batten's pairs where a square of the Roe speed d^2
-    # overflows (u_R - u_L = -2e200; (sqrt(rho_L) + sqrt(rho_R))^2 = 4e308)
-    # or a product of the Roe velocity does (sqrt(rho_L) u_L = 1e350),
+    # overflows (u_R - u_L = -2e200; (sqrt(rho_L) + sqrt(rho_R))^2 = 4e308),
+    # a product of the Roe velocity does (sqrt(rho_L) u_L = 1e350) or the
+    # velocity difference itself does (u_R - u_L = -2e308),
     # against u~ and d^2 = (w_L c_L^2 + w_R c_R^2)/(w_L + w_R) + eta w_L w_R
     # (u_R - u_L)^2/(w_L + w_R)^2 in 50-digit mpmath: within 1e-15 of the
     # speed scale.  Batten's pair also holds the eigenvalues.

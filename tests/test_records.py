@@ -1,6 +1,6 @@
 """The package's value types are declared with `core.record`: frozen,
-slotted records with a faster generated `__init__`, built without
-`dataclasses`.  Each record must behave exactly like a plain
+slotted records with one faster generated constructor, `__new__`, built
+without `dataclasses`.  Each record must behave exactly like a plain
 `dataclass(frozen=True, slots=True)` twin with the same fields, methods and
 layout, except that `vars()` of a record lists its fields where the twin
 raises, and the enums that key the estimator registry must hash by
@@ -78,8 +78,9 @@ sys.modules[TWINS.__name__] = TWINS
 #: A record without methods of its own: its repr is the one `record` installs.
 PROBE = record(type("Probe", (), {"__annotations__": {"x": float}}))
 #: What `record` installs in a record type, besides its fields' slots.
-INSTALLED = {"__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__",
-             "__getstate__", "__setstate__", "__slots__", "_fields", "__dict__", "__weakref__"}
+INSTALLED = {"__new__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__",
+             "__reduce__", "__init_subclass__", "__slots__", "_fields", "__dict__",
+             "__weakref__"}
 
 
 def own_repr(cls) -> bool:
@@ -194,7 +195,7 @@ def test_every_dataclass_is_a_record():
     plain = [name for name, cls in package_classes().items() if dataclasses.is_dataclass(cls)]
     assert not plain, f"declare these with core.record: {plain}"
     slow = [name for name, cls in package_records().items()
-            if cls.__init__.__code__.co_filename != "<record>"]
+            if cls.__new__.__code__.co_filename != "<record>"]
     assert not slow, f"declare these with core.record: {slow}"
 
 
@@ -268,7 +269,9 @@ def test_defaults_are_kept():
         inspect.signature(bloodflow.BfeProblem).parameters["params"].default)
 
 
-@pytest.mark.parametrize("cls, args, error", [
+#: Arguments that a record refuses, by the check of a field kind or in its
+#: own `__post_init__`, and the error it raises.
+REFUSED = [
     (euler.EulerState, (-1.0, 0.0, 1.0), ValueError),
     (euler.EulerState, (1.0, math.nan, 1.0), ValueError),
     (euler.EulerParams, (1.0,), ValueError),
@@ -277,7 +280,11 @@ def test_defaults_are_kept():
     (bloodflow.BfeState, (1.0, math.inf), ValueError),
     (bloodflow.BfeParams, (1.0, -1.0), ValueError),
     (core.RootBracket, (1.0, 0.0, -1.0, 1.0), InvalidBracket),
-], ids=lambda v: getattr(v, "__qualname__", None))
+]
+
+
+@pytest.mark.parametrize("cls, args, error", REFUSED,
+                         ids=lambda v: getattr(v, "__qualname__", None))
 def test_post_init_runs(cls, args, error):
     with pytest.raises(error):
         cls(*args)
@@ -287,9 +294,22 @@ def test_post_init_runs(cls, args, error):
         cls(**dict(zip(names, args)))
 
 
+@pytest.mark.parametrize("cls, args, error", REFUSED,
+                         ids=lambda v: getattr(v, "__qualname__", None))
+def test_a_direct_constructor_call_refuses_as_the_class_call(cls, args, error):
+    # The hot paths call `cls.__new__(cls, ...)` without the class call:
+    # the same checks and `__post_init__` run, with the same error.
+    raised = []
+    for build in (cls, functools.partial(cls.__new__, cls)):
+        with pytest.raises(error) as refused:
+            build(*args)
+        raised.append((type(refused.value), str(refused.value)))
+    assert raised[0] == raised[1]
+
+
 def test_post_init_cases_cover_every_validating_record():
     # A record validates in a `__post_init__` of its own, or in the checks
-    # that `record` writes into `__init__` for its fields of a field kind.
+    # that `record` writes into `__new__` for its fields of a field kind.
     validating = {cls for cls in package_records().values()
                   if hasattr(cls, "__post_init__")
                   or any(cls.__annotations__[name] in core._CHECKS for name in core.fields(cls))}
@@ -373,6 +393,60 @@ def test_class_variables_are_not_fields():
 
 #: The ids of `SAMPLES` by class name alone; pytest numbers repeated ones.
 NAME_IDS = [type(sample).__qualname__ for sample in SAMPLES]
+
+
+@pytest.mark.parametrize("sample", SAMPLES, ids=NAME_IDS)
+def test_a_direct_constructor_call_builds_what_the_class_call_builds(sample):
+    cls, names = type(sample), core.fields(sample)
+    values = [getattr(sample, name) for name in names]
+    direct, called = cls.__new__(cls, *values), cls(*values)
+    assert type(direct) is cls and direct == called == sample
+    assert all(getattr(direct, name) is value for name, value in zip(names, values))
+    if isinstance(sample, core.Problem):
+        assert filled(direct) == [] and filled(called) == []
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="adaptive instructions from 3.11 on")
+@pytest.mark.parametrize("sample", SAMPLES, ids=NAME_IDS)
+def test_constructor_stores_specialize_to_slot_stores(sample):
+    # Each field and lazy slot is stored into the twin, whose generic
+    # `__setattr__` lets the store specialize; only the one `__class__`
+    # store, which makes the twin a record, stays generic.
+    if sys.gettrace() is not None:
+        pytest.skip("under a trace function 3.11 runs only unspecialized instructions")
+    cls = type(sample)
+    values = [getattr(sample, name) for name in core.fields(sample)]
+    new = cls.__new__
+    for _ in range(100):
+        new(cls, *values)
+    stores = [(instruction.argval, instruction.opname)
+              for instruction in dis.get_instructions(new, adaptive=True)
+              if instruction.opname.startswith("STORE_ATTR")]
+    slots = (*core.fields(cls), *(LAZY if isinstance(sample, core.Problem) else ()))
+    assert stores[:-1] == [(name, "STORE_ATTR_SLOT") for name in slots]
+    assert stores[-1][0] == "__class__"
+
+
+@pytest.mark.parametrize("system", core.SYSTEMS)
+def test_a_subclass_without_slots_of_its_own_builds_to_its_type(system):
+    plain = sod_like(system)
+    sub = type("Sub", (type(plain),), {"__slots__": ()})
+    for built in (sub(plain.left, plain.right), sub.__new__(sub, plain.left, plain.right)):
+        assert type(built) is sub and filled(built) == []
+        assert vars(built) == vars(plain) and built.params is plain.params
+        assert core.classify(built) is core.classify(plain)
+        with pytest.raises(core.FrozenInstanceError):
+            built.left = plain.right
+
+
+@pytest.mark.parametrize("body", [{}, {"__slots__": ("extra",)},
+                                  {"__slots__": ("__weakref__",)}, {"__slots__": ("__dict__",)}],
+                         ids=["dict", "slot", "weakref", "dict_slot"])
+def test_a_subclass_that_adds_to_the_layout_is_refused(body):
+    # Its instances could not be built as the record's twin.
+    for base in (core.SpeedBounds, euler.EulerProblem):
+        with pytest.raises(TypeError, match=r"must declare __slots__ = \(\)"):
+            type("Sub", (base,), dict(body))
 
 
 def test_every_record_is_slotted():

@@ -44,12 +44,12 @@ seeded lists of speed pairs that mix signed zeros, subnormals, magnitudes
 near the largest float and, in some lists, infinities and NaN (the mesh
 lines above reach it only with finite columns).  The value types have one
 too, apart from the total: for one sample of every record type and for
-R/R wave data with NaN fields, and for what pickling, `copy.copy` and
-`copy.deepcopy` give back of each, the repr,
-whether it equals a copy rebuilt from the sample's field values, and
-whether its hash equals that copy's and that of the tuple of its field
-values.  It reads the fields from the `__init__` signature, so that it
-runs on a checkout of any version.
+R/R wave data with NaN fields, and for what pickling at every protocol
+from 0 to `pickle.HIGHEST_PROTOCOL`, `copy.copy` and `copy.deepcopy` give
+back of each, the repr, whether it equals a copy rebuilt from the
+sample's field values, and whether its hash equals that copy's and that
+of the tuple of its field values.  It reads the fields from the
+constructor signature, so that it runs on a checkout of any version.
 
 After the total it prints, apart from it, the lanes that the lane kernel
 (`riemann_bounds._kernel`) handed back to the scalar check in the
@@ -319,6 +319,13 @@ def record_samples():
                   violation]
 
 
+def pickle_trip(obj, protocol: int):
+    """`obj` pickled at `protocol` and loaded back."""
+    import pickle
+
+    return pickle.loads(pickle.dumps(obj, protocol))
+
+
 def record_lines():
     """Repr, equality and hash of each record sample and of its round
     trips, by generic operations alone: hashes of strings and enum members
@@ -327,7 +334,9 @@ def record_lines():
     import inspect
     import pickle
 
-    trips = {"self": lambda obj: obj, "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+    trips = {"self": lambda obj: obj,
+             **{f"pickle{protocol}": functools.partial(pickle_trip, protocol=protocol)
+                for protocol in range(pickle.HIGHEST_PROTOCOL + 1)},
              "copy": copy.copy, "deepcopy": copy.deepcopy}
     for sample in record_samples():
         cls = type(sample)
