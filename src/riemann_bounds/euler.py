@@ -156,14 +156,14 @@ def solve_exact(problem: EulerProblem) -> EulerExactSolution:
     return solution.__new__(solution, p_star, u_star, pattern, s_left, s_right)
 
 
-def _roe(problem: EulerProblem, eta: float):
-    """Roe velocity u~ and the speed d of Einfeldt's family (SIAM J. Numer.
-    Anal. 25, 1988), d^2 = (w_L c_L^2 + w_R c_R^2)/(w_L + w_R)
+def _roe(problem: EulerProblem, eta: float, name: str):
+    """Pair (u~ - d, u~ + d) of Einfeldt's family (SIAM J. Numer. Anal. 25,
+    1988): the Roe velocity u~ and d^2 = (w_L c_L^2 + w_R c_R^2)/(w_L + w_R)
     + eta w_L w_R/(w_L + w_R)^2 (u_R - u_L)^2 with w_K = sqrt(rho_K).
     With eta = (gamma - 1)/2, d^2 is Roe's (gamma - 1)(H~ - u~^2/2) in exact
     arithmetic, written without the enthalpies H~, whose difference cancels.
-    Its products and squares may overflow where the pair fits: the
-    estimators then take the pair of `_scaled_roe`."""
+    Its products and squares may overflow where the pair fits: a pair that
+    is not finite is then that of `_scaled_roe`, which names `name`."""
     left, right = problem.left, problem.right
     side_l, side_r = problem._sides or core.sides(problem)
     wl, wr = math.sqrt(left.rho), math.sqrt(right.rho)
@@ -173,7 +173,11 @@ def _roe(problem: EulerProblem, eta: float):
         d2 = (wl * cl * cl + wr * cr * cr) / (wl + wr) + eta * wl * wr / (wl + wr) ** 2 * du * du
     except OverflowError:  # (wl + wr) ** 2, for densities near the largest double
         d2 = math.inf
-    return u_roe, math.sqrt(d2)
+    d = math.sqrt(d2)
+    s_left, s_right = u_roe - d, u_roe + d
+    if not -math.inf < s_left < math.inf > s_right > -math.inf:  # NaN fails every comparison
+        return _scaled_roe(problem, eta, name)
+    return s_left, s_right
 
 
 def _scaled_roe(problem: EulerProblem, eta: float, name: str):
@@ -193,26 +197,18 @@ def _scaled_roe(problem: EulerProblem, eta: float, name: str):
     d = m * math.sqrt(ol * cl * cl + or_ * cr * cr + eta * ol * or_ * du * du)
     u_roe = ol * left.u + or_ * right.u
     s_left, s_right = u_roe - d, u_roe + d
-    if not -math.inf < s_left < math.inf > s_right > -math.inf:  # NaN fails every comparison
+    if not -math.inf < s_left < math.inf > s_right > -math.inf:
         raise ClosedFormOverflow(f"{name} are not finite: {s_left}, {s_right}")
     return s_left, s_right
 
 
 def _einfeldt(problem: EulerProblem):
-    u_roe, d = _roe(problem, 0.5)
-    s_left, s_right = u_roe - d, u_roe + d
-    if not -math.inf < s_left < math.inf > s_right > -math.inf:
-        return _scaled_roe(problem, 0.5, "Einfeldt's speeds")
-    return s_left, s_right
+    return _roe(problem, 0.5, "Einfeldt's speeds")
 
 
 def _batten(problem: EulerProblem):
     side_l, side_r = problem._sides or core.sides(problem)
-    eta = 0.5 * (problem.params.gamma - 1.0)
-    u_roe, d = _roe(problem, eta)
-    s_left, s_right = u_roe - d, u_roe + d
-    if not -math.inf < s_left < math.inf > s_right > -math.inf:
-        s_left, s_right = _scaled_roe(problem, eta, "Batten's Roe speeds")
+    s_left, s_right = _roe(problem, 0.5 * (problem.params.gamma - 1.0), "Batten's Roe speeds")
     # min and max as in core.davis_b: the first argument unless the second
     # is strictly smaller (larger)
     a, b = side_l.u - side_l.c, side_r.u + side_r.c

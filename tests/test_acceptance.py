@@ -1,7 +1,6 @@
 """Acceptance suite: one test per release criterion, each printing a
 single PASS/FAIL line."""
 
-import math
 import random
 import time
 
@@ -125,7 +124,7 @@ def test_criterion_7_analytic_properties():
         "bfe": (bloodflow.area_function, (-2, 2)),
     }
     for system, (function, exponents) in chord_fns.items():
-        for _ in range(200):
+        for _ in range(500):
             seed = rng.randrange(1 << 30)
             problem = _sample(system, random.Random(seed))
             x = 10.0 ** rng.uniform(*exponents)
@@ -141,7 +140,7 @@ def test_criterion_7_analytic_properties():
         rng = random.Random(202)
         for _ in range(10_000):
             problem = _sample(system, rng)
-            mirrored = _mirror(system, problem)
+            mirrored = _mirror(problem)
             for estimator in (EstimatorId.EXACT, *module.ESTIMATORS):
                 fwd = module.estimate(problem, estimator)
                 rev = module.estimate(mirrored, estimator)
@@ -179,14 +178,11 @@ def _sample(system, rng):
     return sample_problem(system, rng)
 
 
-def _mirror(system, problem):
-    state_type = type(problem.left)
-    left_fields = list(core.asdict(problem.left).values())
-    right_fields = list(core.asdict(problem.right).values())
-    if system == "euler":
-        new_left = state_type(right_fields[0], -right_fields[1], right_fields[2])
-        new_right = state_type(left_fields[0], -left_fields[1], left_fields[2])
-    else:
-        new_left = state_type(right_fields[0], -right_fields[1])
-        new_right = state_type(left_fields[0], -left_fields[1])
-    return type(problem)(new_left, new_right, problem.params)
+def _mirror(problem):
+    """The problem seen from the other side: the states swapped and u, the
+    second field of every state type, negated."""
+    def flipped(state):
+        values = list(core.asdict(state).values())
+        values[1] = -values[1]
+        return type(state)(*values)
+    return type(problem)(flipped(problem.right), flipped(problem.left), problem.params)

@@ -225,12 +225,13 @@ def mp_log_root(f, mpmath):
 
 
 def mp_solution(problem, mpmath):
-    """(x*, S_L, S_R) of a problem in mpmath: the root x* of its wave curve
-    by `mp_log_root`, and the shock speed or the rarefaction head speed of
-    each side.  Euler's is Toro's (2009, eqs. (4.6)-(4.7)).  Shallow water
-    and blood flow are one isentropic system, A_t + (Au)_x = 0,
-    (Au)_t + (Au^2 + P(A))_x = 0 with P = kappa A^gamma, written once:
-    kappa = g/2 and gamma = 2, or kappa = beta/(3 rho) and gamma = 3/2."""
+    """(x*, u*, S_L, S_R) of a problem in mpmath: the root x* of its wave
+    curve by `mp_log_root`, u* = (u_L + u_R + f_R(x*) - f_L(x*))/2, and the
+    shock speed or the rarefaction head speed of each side.  Euler's is
+    Toro's (2009, eqs. (4.6)-(4.7)).  Shallow water and blood flow are one
+    isentropic system, A_t + (Au)_x = 0, (Au)_t + (Au^2 + P(A))_x = 0 with
+    P = kappa A^gamma, written once: kappa = g/2 and gamma = 2, or
+    kappa = beta/(3 rho) and gamma = 3/2."""
     mpf, params, system = mpmath.mpf, problem.params, problem._system
     g = mpf(params.gamma)
     if system.name == "swe":
@@ -267,7 +268,8 @@ def mp_solution(problem, mpmath):
 
     def offset(s):  # |S - u_K|
         return s[4](x)[1] if x > s[0] else s[2]
-    return x, left[1] - offset(left), right[1] + offset(right)
+    u = (left[1] + right[1] + term(x, right) - term(x, left)) / 2
+    return x, u, left[1] - offset(left), right[1] + offset(right)
 
 
 @pytest.mark.parametrize("name", EXTREME_EULER)
@@ -277,7 +279,7 @@ def test_extreme_euler_data_are_solved_and_bounded(name):
     problem = core.make_problem("euler", left, right)
     solution = euler.solve_exact(problem)
     with mpmath.workdps(40):
-        p_star, s_left, s_right = (float(v) for v in mp_solution(problem, mpmath))
+        p_star, _, s_left, s_right = (float(v) for v in mp_solution(problem, mpmath))
     scale = max(1.0, abs(s_left), abs(s_right))
     assert abs(solution.p_star - p_star) <= 1e-10 * p_star
     assert abs(solution.s_left - s_left) <= 1e-10 * scale
@@ -315,7 +317,7 @@ def test_subnormal_constants_are_solved_and_bounded(system, left, right, params)
     module = core.system_module(system)
     solution = module.solve_exact(problem)
     with mpmath.workdps(40):
-        _, s_left, s_right = (float(v) for v in mp_solution(problem, mpmath))
+        _, _, s_left, s_right = (float(v) for v in mp_solution(problem, mpmath))
     # Without the floor of 1 of `REL_SLACK`'s scale, under which the SWE
     # speeds of 1e-162 would pass as anything near zero.
     scale = max(abs(s_left), abs(s_right))
@@ -336,18 +338,20 @@ GOLDEN_ROWS = [(system, test["id"]) for system in core.SYSTEMS
 def test_golden_row_is_solved_to_full_precision(system, row):
     # The table check allows 1e-3 against the published four decimals;
     # against the oracle the exact solve holds to rounding (at most 3.8e-16
-    # of the speed scale and 4.9e-16 of the star scale when this was written).
+    # of the speed scale, 4.9e-16 of the star scale and, for u*, 1.9e-16 of
+    # the speed scale when this was written).
     mpmath = pytest.importorskip("mpmath")
     test = next(test for test in tables.load_reference(system)["tests"] if test["id"] == row)
     problem = core.make_problem(system, test["left"], test["right"])
     solution = core.system_module(system).solve_exact(problem)
     with mpmath.workdps(40):
-        star, s_left, s_right = (float(v) for v in mp_solution(problem, mpmath))
+        star, u_star, s_left, s_right = (float(v) for v in mp_solution(problem, mpmath))
     scale = max(1.0, abs(s_left), abs(s_right))
     assert abs(solution.s_left - s_left) <= 1e-13 * scale
     assert abs(solution.s_right - s_right) <= 1e-13 * scale
     computed = getattr(solution, problem._system.star_field)
     assert abs(computed - star) <= 1e-13 * max(1.0, star)
+    assert abs(solution.u_star - u_star) <= 1e-13 * scale
 
 
 def speeds(module, problem, call):

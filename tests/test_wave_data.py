@@ -425,6 +425,8 @@ def test_exact_solve_of_vacuum_data_raises_the_no_star_error(system):
         core.solve_star(make(left, right))
     with pytest.raises(error, match=message):
         module.solve_exact(make(left, right))
+    with pytest.raises(error, match=message):
+        getattr(module, record.two_rarefaction)(make(left, right))
     # The wave data own the no-star case: `classify` is the one reader that
     # answers VACUUM, and the slot stays None, so each read raises again.
     problem = make(left, right)
@@ -494,6 +496,8 @@ def test_classify_tests_positivity_once(system, vacuum):
 @pytest.mark.parametrize("system, estimator, title", [
     ("euler", EstimatorId.TMS_D, "Euler"),
     ("swe", EstimatorId.EINFELDT, "shallow-water"),
+    ("swe", EstimatorId.BATTEN, "shallow-water"),
+    ("bfe", EstimatorId.EINFELDT, "blood-flow"),
     ("bfe", EstimatorId.BATTEN, "blood-flow"),
 ])
 def test_unsupported_estimator_names_the_system(system, estimator, title):
