@@ -1,14 +1,16 @@
-"""Blood-flow-only checks: the wall constants, and the shock factor and
-slope, which have no 0/0 at A = A_K and no cancellation near it.  The
-contract that the three systems share is checked in `test_systems.py`,
-`test_wave_data.py`, `test_contracts.py` and `test_acceptance.py`."""
+"""Tests for the arterial blood-flow exact solver and speed estimators:
+validation and the wall constants, the star area, collapse, the shock
+factor and slope (no 0/0 at A = A_K and no cancellation near it), and the
+bound, dominance, mirror and concavity checks on blood flow's own draws.
+The rows that the three systems share one for one are in
+`test_systems.py`."""
 
 import math
 import random
 
 import pytest
 
-from riemann_bounds.core import EstimatorId, WavePattern
+from riemann_bounds.core import CollapseData, EstimatorId, WavePattern
 from riemann_bounds import bloodflow, core
 from test_contracts import mp_solution
 from riemann_bounds.bloodflow import (
@@ -16,9 +18,12 @@ from riemann_bounds.bloodflow import (
     BfeParams,
     BfeProblem,
     BfeState,
+    area_function,
     estimate,
+    is_open,
     q_factor,
     solve_exact,
+    two_rarefaction_area,
 )
 
 
@@ -27,13 +32,59 @@ def problem(left, right):
 
 
 PI = math.pi
+TEST_2 = problem((PI, 0.0), (0.2 * PI, 0.0))
+
+
+def random_problems(count, seed=0):
+    rng = random.Random(seed)
+    problems = []
+    while len(problems) < count:
+        candidate = problem(
+            (10.0 ** rng.uniform(-2, 1), rng.uniform(-300, 300)),
+            (10.0 ** rng.uniform(-2, 1), rng.uniform(-300, 300)),
+        )
+        if is_open(candidate):
+            problems.append(candidate)
+    return problems
 
 
 class TestState:
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            BfeState(0.0, 1.0)
+        with pytest.raises(ValueError):
+            BfeParams(beta=-1.0)
+        with pytest.raises(ValueError):
+            BfeParams(rho=0.0)
+
     def test_default_wall_constants(self):
         side = core.sides(problem((PI, 0.0), (PI, 0.0)))[0]
         assert side.zeta == pytest.approx(math.sqrt(28209.4792 / 2.1))
         assert side.gamma_tube == pytest.approx(28209.4792 / 3.15)
+
+
+class TestSolveExact:
+    def test_area_drop(self):
+        solution = solve_exact(TEST_2)
+        assert solution.a_star == pytest.approx(1.4936, abs=1.05e-4)
+        assert solution.u_star == pytest.approx(104.69, abs=1.05e-2)
+        assert solution.pattern is WavePattern.RS
+
+    def test_collapse_raises(self):
+        with pytest.raises(CollapseData):
+            solve_exact(problem((0.01, -400.0), (0.01, 400.0)))
+
+
+class TestTwoRarefaction:
+    def test_dominates_star_area(self):
+        for prob in random_problems(500, seed=1):
+            a_rr = two_rarefaction_area(prob)
+            a_star = solve_exact(prob).a_star
+            assert a_rr >= a_star - 1e-9 * max(1.0, a_star)
+
+    def test_collapse_raises(self):
+        with pytest.raises(CollapseData):
+            two_rarefaction_area(problem((0.01, -400.0), (0.01, 400.0)))
 
 
 #: Blood-flow S/R problem with A*/A_L - 1 near 1e-8.  With the shock factor
@@ -103,3 +154,50 @@ class TestQFactor:
             for estimator in (EstimatorId.TORO, EstimatorId.TMS_B):
                 bounds = estimate(WEAK_LEFT_SHOCK, estimator)
                 assert bounds.s_left <= s_left + 1e-15 * scale, estimator
+
+
+class TestEstimators:
+    def test_bound_property(self):
+        certified = (EstimatorId.TORO, EstimatorId.TMS_A, EstimatorId.TMS_B,
+                     EstimatorId.TMS_C, EstimatorId.TMS_D)
+        for prob in random_problems(300, seed=11):
+            exact = solve_exact(prob)
+            slack = 1e-9 * max(1.0, abs(exact.s_left), abs(exact.s_right))
+            for estimator in certified:
+                bounds = estimate(prob, estimator)
+                assert bounds.s_left <= exact.s_left + slack
+                assert bounds.s_right >= exact.s_right - slack
+
+
+def mirror(prob):
+    left, right = prob.left, prob.right
+    return BfeProblem(
+        BfeState(right.a, -right.u),
+        BfeState(left.a, -left.u),
+        prob.params,
+    )
+
+
+class TestSwapSymmetry:
+    def test_estimators_mirror(self):
+        estimators = (EstimatorId.EXACT, *bloodflow.ESTIMATORS)
+        for prob in random_problems(300, seed=17):
+            mirrored = mirror(prob)
+            for estimator in estimators:
+                fwd = estimate(prob, estimator)
+                rev = estimate(mirrored, estimator)
+                scale = max(1.0, abs(fwd.s_left), abs(fwd.s_right))
+                assert abs(rev.s_left + fwd.s_right) <= 1e-12 * scale
+                assert abs(rev.s_right + fwd.s_left) <= 1e-12 * scale
+
+
+class TestConcavity:
+    def test_area_function_concave_down(self):
+        rng = random.Random(23)
+        for prob in random_problems(100, seed=29):
+            for _ in range(5):
+                a = 10.0 ** rng.uniform(-2, 2)
+                step = 1e-3 * a
+                f = lambda x: area_function(x, prob)
+                bend = f(a + step) + f(a - step) - 2.0 * f(a)
+                assert bend <= 1e-12 * max(1.0, abs(f(a + step)), abs(f(a - step)))

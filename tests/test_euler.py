@@ -1,8 +1,9 @@
-"""Euler-only checks of the exact solver and estimators: an independent
-float reference for p*, the Newton slope, gamma near 1, the closed-form
-overflow, speed ordering and Batten's enthalpy form.  The contract that
-the three systems share is checked in `test_systems.py`,
-`test_wave_data.py`, `test_contracts.py` and `test_acceptance.py`."""
+"""Tests for the Euler-system exact solver and speed estimators: the
+Toro star values, an independent float reference for p*, the Newton
+slope, gamma near 1, the closed-form overflow, speed ordering, Batten's
+enthalpy form, and the bound, dominance, mirror and concavity checks on
+Euler's own draws.  The rows that the three systems share one for one
+are in `test_systems.py`."""
 
 import math
 import os
@@ -14,7 +15,13 @@ import pytest
 
 import riemann_bounds
 from riemann_bounds import core
-from riemann_bounds.core import ClosedFormOverflow, EstimatorId, WavePattern
+from riemann_bounds.core import (
+    ClosedFormOverflow,
+    EstimatorId,
+    UnsupportedEstimator,
+    VacuumData,
+    WavePattern,
+)
 from riemann_bounds import euler, fuzz
 from test_contracts import (
     DRAWS as CONTRACT_DRAWS,
@@ -26,9 +33,11 @@ from riemann_bounds.euler import (
     EulerParams,
     EulerProblem,
     EulerState,
+    check_positivity,
     classify,
     estimate,
     pressure_function,
+    q_factor,
     solve_exact,
     two_rarefaction_pressure,
 )
@@ -38,10 +47,54 @@ def problem(left, right):
     return EulerProblem(EulerState(*left), EulerState(*right))
 
 
+TEST_1 = problem((1.0, 0.0, 1.0), (1.0, 0.0, 0.1))
+TEST_5 = problem((6.0, 8.0, 460.0), (6.0, -6.0, 46.0))
 TEST_7 = problem((1.0, -2.0, 0.4), (1.0, 2.0, 0.4))
 
 
+def random_state(rng):
+    return EulerState(
+        10.0 ** rng.uniform(-3, 3), rng.uniform(-100, 100), 10.0 ** rng.uniform(-3, 3)
+    )
+
+
+def random_problems(count, seed=0):
+    rng = random.Random(seed)
+    problems = []
+    while len(problems) < count:
+        candidate = EulerProblem(random_state(rng), random_state(rng))
+        if check_positivity(candidate):
+            problems.append(candidate)
+    return problems
+
+
+class TestState:
+    def test_positivity_validation(self):
+        with pytest.raises(ValueError):
+            EulerState(-1.0, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            EulerState(1.0, 0.0, 0.0)
+        with pytest.raises(ValueError):
+            EulerParams(gamma=1.0)
+
+
 class TestSolveExact:
+    def test_star_values(self):
+        solution = solve_exact(TEST_1)
+        assert solution.p_star == pytest.approx(0.5219, abs=1e-4)
+        assert solution.u_star == pytest.approx(0.5248, abs=1e-4)
+        assert solution.pattern is WavePattern.RS
+
+    def test_strong_shock_star(self):
+        solution = solve_exact(TEST_5)
+        assert solution.p_star == pytest.approx(790.2928, abs=1e-3)
+        assert solution.u_star == pytest.approx(3.8194, abs=1e-4)
+        assert solution.pattern is WavePattern.SS
+
+    def test_vacuum_raises(self):
+        with pytest.raises(VacuumData):
+            solve_exact(problem((1.0, -50.0, 0.01), (1.0, 50.0, 0.01)))
+
     def test_matches_log_space_bisection(self):
         # An independent float wave curve, bisected in log p down to the
         # last bit, on the first problems of the seed-42 acceptance ensemble.
@@ -146,10 +199,20 @@ for left, right in cases:
 
 
 class TestTwoRarefaction:
+    def test_dominates_star_pressure(self):
+        for prob in random_problems(500, seed=1):
+            p_rr = two_rarefaction_pressure(prob)
+            p_star = solve_exact(prob).p_star
+            assert p_rr >= p_star - 1e-9 * max(1.0, p_star)
+
     def test_exact_for_double_rarefaction(self):
         assert two_rarefaction_pressure(TEST_7) == pytest.approx(
             solve_exact(TEST_7).p_star, rel=1e-10
         )
+
+    def test_vacuum_raises(self):
+        with pytest.raises(VacuumData):
+            two_rarefaction_pressure(problem((1.0, -50.0, 0.01), (1.0, 50.0, 0.01)))
 
     @pytest.mark.parametrize("call", [
         # Named: its own name is that of core.two_rarefaction.
@@ -171,15 +234,29 @@ class TestTwoRarefaction:
             call(prob)
 
 
+class TestQFactor:
+    def test_unit_ratio(self):
+        state = EulerState(1.0, 0.0, 3.7)
+        assert q_factor(3.7, euler.SYSTEM.side(state, EulerParams())) == 1.0
+
+    def test_increasing_in_pressure(self):
+        state = EulerState(1.0, 0.0, 1.0)
+        params = EulerParams()
+        values = [q_factor(p, euler.SYSTEM.side(state, params)) for p in (1.0, 2.0, 5.0, 50.0)]
+        assert values == sorted(values)
+
+
 class TestEstimators:
+    def test_tms_d_unsupported(self):
+        with pytest.raises(UnsupportedEstimator):
+            estimate(TEST_1, EstimatorId.TMS_D)
+
     def test_speed_ordering(self):
         # davis_a is excluded: its two one-sided formulas can cross for
         # strongly convergent data (the published strong-shock rows show
         # exactly that), so the pair ordering is not an invariant there.
         ordered = tuple(e for e in euler.ESTIMATORS if e is not EstimatorId.DAVIS_A)
-        rng = random.Random(5)
-        for _ in range(200):
-            prob = fuzz.sample_problem("euler", rng)
+        for prob in random_problems(200, seed=5):
             for estimator in (EstimatorId.EXACT, *ordered):
                 bounds = estimate(prob, estimator)
                 assert bounds.s_left <= bounds.s_right
@@ -249,3 +326,49 @@ class TestEstimators:
         assert scaled >= 2  # the Roe weight and the velocity jump overflow
         for prob in enthalpy_failures:
             assert all(map(math.isfinite, euler._batten(prob)))
+
+    def test_bound_property(self):
+        certified = (EstimatorId.TORO, EstimatorId.TMS_A, EstimatorId.TMS_B,
+                     EstimatorId.TMS_C)
+        for prob in random_problems(300, seed=11):
+            exact = solve_exact(prob)
+            slack = 1e-9 * max(1.0, abs(exact.s_left), abs(exact.s_right))
+            for estimator in certified:
+                bounds = estimate(prob, estimator)
+                assert bounds.s_left <= exact.s_left + slack
+                assert bounds.s_right >= exact.s_right - slack
+
+
+def mirror(prob):
+    left, right = prob.left, prob.right
+    return EulerProblem(
+        EulerState(right.rho, -right.u, right.p),
+        EulerState(left.rho, -left.u, left.p),
+        prob.params,
+    )
+
+
+class TestSwapSymmetry:
+    def test_estimators_mirror(self):
+        estimators = (EstimatorId.EXACT, *euler.ESTIMATORS)
+        for prob in random_problems(300, seed=17):
+            mirrored = mirror(prob)
+            for estimator in estimators:
+                fwd = estimate(prob, estimator)
+                rev = estimate(mirrored, estimator)
+                scale = max(1.0, abs(fwd.s_left), abs(fwd.s_right))
+                assert abs(rev.s_left + fwd.s_right) <= 1e-12 * scale
+                assert abs(rev.s_right + fwd.s_left) <= 1e-12 * scale
+
+
+class TestConcavity:
+    def test_pressure_function_concave_down(self):
+        # Chord midpoint never exceeds the function value.
+        rng = random.Random(23)
+        for prob in random_problems(100, seed=29):
+            for _ in range(5):
+                p = 10.0 ** rng.uniform(-3, 4)
+                h = 1e-3 * p
+                f = lambda x: pressure_function(x, prob)
+                bend = f(p + h) + f(p - h) - 2.0 * f(p)
+                assert bend <= 1e-12 * max(1.0, abs(f(p + h)), abs(f(p - h)))
