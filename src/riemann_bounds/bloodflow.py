@@ -162,7 +162,9 @@ SYSTEM = System(
     module=sys.modules[__name__],
     state_type=BfeState,
     params_type=BfeParams,
+    params=BfeProblem.__new__.__defaults__[-1],
     problem_type=BfeProblem,
+    build_problem=core.problem_builder(BfeState, BfeProblem, BfeParams),
     solution_type=BfeExactSolution,
     side=_Side,
     star="a",

@@ -352,7 +352,13 @@ class System:
     module: ModuleType
     state_type: type
     params_type: type
+    #: The default params object: the last default of the problem type's
+    #: `__new__`, shared by every problem built without overrides.
+    params: object
     problem_type: type  # a `Problem` whose `_system` is this record
+    #: build_problem(left, right, overrides=None) of `make_problem`, made by
+    #: `problem_builder` from the state, problem and params types.
+    build_problem: Callable[..., object]
     solution_type: type  # the record `solve_exact` returns
     #: Per-side record `side(state, params, sqrt=math.sqrt)`: the side's
     #: data value `x`, velocity `u`, celerity `c` and the constants its
@@ -451,22 +457,45 @@ def system_module(system: str):
     return system_record(system).module
 
 
+def problem_builder(state: type, problem: type, params_type: type) -> Callable[..., object]:
+    """The builder `build_problem(left, right, overrides=None)` of one
+    system, made once from its state, problem and params types, which
+    `make_problem` calls.  It unpacks each state's values into as many
+    names as the state has fields and calls the records' generated
+    `__new__` directly (see `record`): no class call, and no argument
+    tuple built.  Values that do not unpack so (too many, too few, or no
+    iterable) go to the class call `state(*values)` for its `TypeError`.
+    Each state is built before the next is unpacked, so the errors come in
+    the order left state, right state, params."""
+    names = "".join(f"v{i}, " for i in range(len(state._fields)))
+    lines = ["def build_problem(left, right, overrides=None):"]
+    for side in ("left", "right"):
+        lines += ["    try:",
+                  f"        {names}= {side}",
+                  "    except (TypeError, ValueError):",
+                  f"        state(*{side})  # raises the class call's error",
+                  "        raise",
+                  f"    {side} = new_state(state, {names})"]
+    lines += ["    if overrides:",
+              "        return new_problem(problem, left, right, params_type(**overrides))",
+              "    return new_problem(problem, left, right)"]
+    scope = {"state": state, "new_state": state.__new__, "problem": problem,
+             "new_problem": problem.__new__, "params_type": params_type}
+    exec(compile("\n".join(lines), "<problem_builder>", "exec"), scope)
+    build = scope["build_problem"]
+    build.__module__ = problem.__module__
+    return build
+
+
 def make_problem(system: str, left: Sequence[float], right: Sequence[float],
                  params: dict[str, float] | None = None):
-    """Riemann problem object for a system from plain numeric data.
+    """Riemann problem object for a system from plain numeric data, built
+    by the system's `build_problem` (see `problem_builder`).
 
     Without overrides the problem keeps its class's default params object,
-    shared by all such problems (params are frozen).
+    `System.params`, shared by all such problems (params are frozen).
     """
-    record = _REGISTRY.get(system) or system_record(system)  # no call once imported
-    state, problem = record.state_type, record.problem_type
-    # The states by the class call, which takes a tuple `left` as its
-    # argument tuple where a starred direct call would build one; the
-    # problem by its constructor, called directly (see `record`).
-    left_state, right_state = state(*left), state(*right)
-    if params:
-        return problem.__new__(problem, left_state, right_state, record.params_type(**params))
-    return problem.__new__(problem, left_state, right_state)
+    return (_REGISTRY.get(system) or system_record(system)).build_problem(left, right, params)
 
 
 def star_values(system: str, solution) -> dict[str, float]:

@@ -221,7 +221,9 @@ SYSTEM = System(
     module=sys.modules[__name__],
     state_type=EulerState,
     params_type=EulerParams,
+    params=EulerProblem.__new__.__defaults__[-1],
     problem_type=EulerProblem,
+    build_problem=core.problem_builder(EulerState, EulerProblem, EulerParams),
     solution_type=EulerExactSolution,
     side=_Side,
     star="p",

@@ -50,7 +50,7 @@ def sample_problem(system: str, rng: random.Random):
     """
     record = _REGISTRY.get(system) or system_record(system)
     draw, celerity = record.draw, record.celerity
-    params = record.problem_type.__new__.__defaults__[-1]  # the one `make_problem` passes
+    params = record.params  # the one `make_problem` passes
     while True:
         left, right = draw(rng), draw(rng)
         if positivity(celerity(left, params), celerity(right, params), right[1] - left[1],

@@ -135,7 +135,9 @@ SYSTEM = System(
     module=sys.modules[__name__],
     state_type=SweState,
     params_type=SweParams,
+    params=SweProblem.__new__.__defaults__[-1],
     problem_type=SweProblem,
+    build_problem=core.problem_builder(SweState, SweProblem, SweParams),
     solution_type=SweExactSolution,
     side=_Side,
     star="h",

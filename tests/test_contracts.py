@@ -157,6 +157,12 @@ REPRODUCERS = {
     "bfe-celerity-overflow": ("bfe", core.make_problem(
         "bfe", (1.0, 0.0), (1.0, 0.0), {"beta": 1e308, "rho": 1e-10}),
         ["exact"] + [e.value for e in bloodflow.ESTIMATORS], ClosedFormOverflow),
+    # Areas of 1e-127: the residual exit of the root solve stops at
+    # A* = 3.25e-98, where the oracle's root is 6.21e-98, and the exact
+    # pair comes out inverted, (4.13e-8, 1.83e-8), where the oracle gives
+    # 2.98e-8 for both.  TMS_d is inverted too, (5.96e-8, 2.30e-30).
+    "bfe-inverted-exact-pair": ("bfe", core.make_problem(
+        "bfe", (1.56e-127, 5.96e-8), (1.56e-127, 1.56e-127)), [], None),
 }
 
 
@@ -389,6 +395,47 @@ def test_reproducer_raises_a_named_error(name):
         for call in ["exact"] + [e.value for e in module.ESTIMATORS]:
             assert all(map(math.isfinite, speeds(module, problem, call))), call
     check_contract(system, problem)
+
+
+def solves(name) -> bool:
+    """Whether the exact solve of a reproducer finishes."""
+    system, problem, _, _ = REPRODUCERS[name]
+    try:
+        core.system_module(system).solve_exact(problem)
+    except RiemannBoundsError:
+        return False
+    return True
+
+
+#: Reproducers whose exact pair is known to be wrong, and why.
+WRONG_EXACT_PAIRS = {
+    "euler-batten-roe-sound-speed": "the residual exit of the root solve accepts p* = 1.62e-45, "
+    "so the exact S_R is 1.91e101 where Toro, TMS_b and the oracle give 3.86e44 "
+    "(ROADMAP item 16)",
+    "bfe-inverted-exact-pair": "the residual exit of the root solve accepts a non-root and "
+    "the exact pair comes out inverted (ROADMAP item 16); TMS_d is inverted there too "
+    "(ROADMAP item 21)",
+}
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.xfail(strict=True, reason=WRONG_EXACT_PAIRS[name]))
+    if name in WRONG_EXACT_PAIRS else name for name in REPRODUCERS if solves(name)])
+def test_reproducer_exact_pair_is_ordered_and_inside_every_finite_bound(name):
+    system, problem, _, _ = REPRODUCERS[name]
+    module = core.system_module(system)
+    solution = module.solve_exact(problem)
+    s_left, s_right = solution.s_left, solution.s_right
+    assert s_left <= s_right
+    slack = fuzz.REL_SLACK * max(1.0, abs(s_left), abs(s_right))
+    for estimator in module.SYSTEM.bound_estimators:
+        try:
+            bounds = module.estimate(problem, estimator)
+        except RiemannBoundsError:
+            continue
+        if math.isfinite(bounds.s_left) and math.isfinite(bounds.s_right):
+            assert bounds.s_left <= s_left + slack, estimator
+            assert bounds.s_right >= s_right - slack, estimator
 
 
 @pytest.mark.parametrize("name", SOLVED)

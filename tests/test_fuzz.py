@@ -559,7 +559,7 @@ def weak_shock_problem(system, rng):
     record = core.system_record(system)
     left = record.draw(rng)
     right = list(left)
-    c_left = record.celerity(left, record.problem_type.__new__.__defaults__[-1])
+    c_left = record.celerity(left, record.params)
     right[1] -= c_left * 10.0 ** rng.uniform(-12.0, -1.0)
     if rng.random() < 0.5:
         k = fields(record.state_type).index(record.star)

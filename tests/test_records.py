@@ -533,6 +533,51 @@ def side_values(side) -> list:
     return [getattr(side, name) for name in type(side).__slots__]
 
 
+#: Per system: the left and right state values that `make_problem` builds
+#: (a signed zero and a subnormal among them), and params overrides.
+BUILDS = {"euler": ((1.0, -0.0, 1.0), (5e-324, 2.5, 0.1), {"gamma": 5.0 / 3.0}),
+          "swe": ((1.0, -0.0), (5e-324, 2.5), {"g": 1.0}),
+          "bfe": ((1.0, -0.0), (5e-324, 2.5), {"beta": 1e4})}
+
+
+def bits(problem) -> list:
+    """The type of a problem and of its states and params, and the type and
+    bits of each of their fields."""
+    return [type(problem)] + [
+        (type(part), [(type(value), value.hex()) for value in shallow_asdict(part).values()])
+        for part in (problem.left, problem.right, problem.params)]
+
+
+@pytest.mark.parametrize("sequence", [tuple, list])
+@pytest.mark.parametrize("system", core.SYSTEMS)
+def test_make_problem_builds_what_the_class_calls_build(system, sequence):
+    # The system's `build_problem` calls the records' `__new__` directly.
+    record = core.system_record(system)
+    state, problem_type = record.state_type, record.problem_type
+    left, right, overrides = BUILDS[system]
+    left, right = sequence(left), sequence(right)
+    built = core.make_problem(system, left, right)
+    assert bits(built) == bits(problem_type(state(*left), state(*right)))
+    assert filled(built) == [] and built.params is record.params
+    built = core.make_problem(system, left, right, overrides)
+    assert bits(built) == bits(problem_type(state(*left), state(*right),
+                                            record.params_type(**overrides)))
+    assert filled(built) == []
+
+
+@pytest.mark.parametrize("sequence", [tuple, list])
+@pytest.mark.parametrize("system", core.SYSTEMS)
+def test_make_problem_refuses_a_wrong_count_as_the_class_call(system, sequence):
+    state, good = core.system_record(system).state_type, sequence(BUILDS[system][0])
+    for values in (sequence([*good, 1.0]), sequence(good[:-1])):
+        with pytest.raises(TypeError) as expected:
+            state(*values)
+        for left, right in ((values, good), (good, values)):
+            with pytest.raises(TypeError) as raised:
+                core.make_problem(system, left, right)
+            assert str(raised.value) == str(expected.value)
+
+
 @pytest.mark.parametrize("system", core.SYSTEMS)
 def test_problem_slots_are_built_once(system, monkeypatch):
     builds = []
