@@ -690,29 +690,13 @@ def star_bracket(
 def chord_start(system: System, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
     """Root of the chord through (lo, f_lo) and (hi, f_hi), drawn over
     sqrt(x) or over x as `system.sqrt_chord` picks: the Newton start of
-    `star_start`."""
+    `solve_star` outside R/R."""
     if system.sqrt_chord:
         # sqrt(lo) may equal sqrt(hi) when the data values are one ulp apart.
         q_lo, q_hi = math.sqrt(lo), math.sqrt(hi)
         q = q_lo - (q_hi - q_lo) / (f_hi - f_lo) * f_lo
         return q * q
     return lo - (hi - lo) / (f_hi - f_lo) * f_lo
-
-
-def star_start(system: System, wave: WaveData, bracket: RootBracket) -> float:
-    """Newton start for the star value, strictly inside `bracket`: x_rr
-    under RR, which is then the root, and otherwise the `chord_start` of
-    the bracket's end points (f_lo < f_hi in every bracket of
-    `star_bracket`).  A value outside the bracket falls back to the
-    bracket's midpoint.
-    """
-    if wave.pattern is _RR:
-        x = wave.x_rr
-    else:
-        x = chord_start(system, bracket.lo, bracket.hi, bracket.f_lo, bracket.f_hi)
-    if bracket.lo < x < bracket.hi:
-        return x
-    return 0.5 * (bracket.lo + bracket.hi)
 
 
 #: Relative tolerance of every star-value solve, `solve_star`'s `find_root`.
@@ -722,7 +706,10 @@ STAR_TOL = 1e-12
 def solve_star(problem) -> float:
     """Star value of a problem to a relative tolerance of `STAR_TOL`: Newton
     inside the bracket that the wave pattern gives (`star_bracket`), from
-    the start `star_start` picks.
+    x_rr under RR, which is then the root, and otherwise from the
+    `chord_start` of the bracket's end points (f_lo < f_hi in every bracket
+    of `star_bracket`).  `find_root` takes a start on the bracket, its ends
+    included, and replaces any other with the end with the smaller |f|.
     Raises the system's no-star error for data without a positive star
     value, and `ClosedFormOverflow` when an evaluation raises an
     arithmetic error."""
@@ -738,9 +725,10 @@ def solve_star(problem) -> float:
               if wave.pattern is _RR else math.nan)
     try:
         bracket = star_bracket(wave, f, f_zero)
+        x0 = (wave.x_rr if wave.pattern is _RR else
+              chord_start(system, bracket.lo, bracket.hi, bracket.f_lo, bracket.f_hi))
         # Positional: keywords cost a dict per call.
-        return module.find_root(f, bracket, lambda x: slope(x, problem), STAR_TOL,
-                                star_start(system, wave, bracket))
+        return module.find_root(f, bracket, lambda x: slope(x, problem), STAR_TOL, x0)
     except ArithmeticError:
         raise ClosedFormOverflow("the wave curve overflows during the root solve") from None
 

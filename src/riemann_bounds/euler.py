@@ -143,8 +143,8 @@ def solve_exact(problem: EulerProblem) -> EulerExactSolution:
     """Exact star state and extreme wave speeds.
 
     Newton runs inside the bracket that the wave pattern gives
-    (`core.solve_star`), from the start `core.star_start` picks.  The
-    record is the `solution_type` of the problem's own system, so that a
+    (`core.solve_star`), from x_rr under R/R and otherwise from
+    `core.chord_start`.  The record is the `solution_type` of the problem's own system, so that a
     problem of another system gets that system's solution.
     """
     pattern = classify(problem)

@@ -106,6 +106,9 @@ REPRODUCERS = {
         [], None),
     # The rest at the default constants.
     # Cancellation in h_Roe - u_Roe**2/2: Batten's c_Roe**2 was negative.
+    # Then the Newton start, which rounds onto the bracket's end p_R, gave
+    # way to the bracket's midpoint, 4.6e68, and the residual exit of the
+    # root solve accepted p* = 1.62e-45, 57 decades off the oracle's.
     "euler-batten-roe-sound-speed": ("euler", core.make_problem(
         "euler", (5.3340097753571314e+197, 8133.430277554056, 9.28512128125268e+68),
         (5.297495636365946e-248, 82.80458655341135, 5.63989070365722e-159)),
@@ -216,6 +219,11 @@ EXTREME_EULER = {
     "colliding-subnormal-densities": ((1e-310, 10.0, 1e-10), (1e-310, -10.0, 1e-10)),
     # rho_R near 1e257: A_R / (p + B_R) underflows.
     "tms-b-reproducer": EULER_TMS_B_DATA,
+    # A near-vacuum left side: the chord start rounded onto the bracket's
+    # lower end and was replaced by the bracket's midpoint, from which the
+    # residual exit of the root solve stopped with p* 1.9e-8 relative and
+    # S_L 8.0e-9 of the speed scale off the oracle.
+    "near-vacuum-left": ((1e-300, 1.0, 1e-12), (2.0, -1.0, 1e-3)),
 }
 
 
@@ -407,20 +415,26 @@ def solves(name) -> bool:
     return True
 
 
+#: The reproducers whose exact solve finishes.
+FINISHED = [name for name in REPRODUCERS if solves(name)]
+
+
+def known_failures(names, reasons):
+    """`names` as test parameters, each one in `reasons` a strict xfail
+    with its reason."""
+    return [pytest.param(name, marks=pytest.mark.xfail(strict=True, reason=reasons[name]))
+            if name in reasons else name for name in names]
+
+
 #: Reproducers whose exact pair is known to be wrong, and why.
 WRONG_EXACT_PAIRS = {
-    "euler-batten-roe-sound-speed": "the residual exit of the root solve accepts p* = 1.62e-45, "
-    "so the exact S_R is 1.91e101 where Toro, TMS_b and the oracle give 3.86e44 "
-    "(ROADMAP item 16)",
     "bfe-inverted-exact-pair": "the residual exit of the root solve accepts a non-root and "
     "the exact pair comes out inverted (ROADMAP item 16); TMS_d is inverted there too "
     "(ROADMAP item 21)",
 }
 
 
-@pytest.mark.parametrize("name", [
-    pytest.param(name, marks=pytest.mark.xfail(strict=True, reason=WRONG_EXACT_PAIRS[name]))
-    if name in WRONG_EXACT_PAIRS else name for name in REPRODUCERS if solves(name)])
+@pytest.mark.parametrize("name", known_failures(FINISHED, WRONG_EXACT_PAIRS))
 def test_reproducer_exact_pair_is_ordered_and_inside_every_finite_bound(name):
     system, problem, _, _ = REPRODUCERS[name]
     module = core.system_module(system)
@@ -436,6 +450,27 @@ def test_reproducer_exact_pair_is_ordered_and_inside_every_finite_bound(name):
         if math.isfinite(bounds.s_left) and math.isfinite(bounds.s_right):
             assert bounds.s_left <= s_left + slack, estimator
             assert bounds.s_right >= s_right - slack, estimator
+
+
+#: Reproducers whose exact speeds are known to be off the oracle, and why.
+OFF_THE_ORACLE = {
+    "euler-slope-underflow": "p/p_R underflows to 0 in the right rarefaction branch, so S_L "
+    "is 3.3e-11 of the speed scale off (ROADMAP item 3)",
+    "bfe-inverted-exact-pair": "the residual exit of the root solve accepts a non-root, so "
+    "both speeds are 1.1e-8 of the speed scale off (ROADMAP item 16)",
+}
+
+
+@pytest.mark.parametrize("name", known_failures(FINISHED, OFF_THE_ORACLE))
+def test_finished_reproducer_speeds_match_the_oracle(name):
+    mpmath = pytest.importorskip("mpmath")
+    system, problem, _, _ = REPRODUCERS[name]
+    solution = core.system_module(system).solve_exact(problem)
+    with mpmath.workdps(40):
+        _, _, s_left, s_right = (float(v) for v in mp_solution(problem, mpmath))
+    tol = 1e-12 * max(1.0, abs(s_left), abs(s_right))
+    assert abs(solution.s_left - s_left) <= tol
+    assert abs(solution.s_right - s_right) <= tol
 
 
 @pytest.mark.parametrize("name", SOLVED)
@@ -497,6 +532,53 @@ def test_exact_speeds_of_the_toro_reproducer_are_finite():
     # Only the closed-form estimators overflow; the star state fits a float.
     _, problem, _, _ = REPRODUCERS["euler-toro-infinite-speed"]
     assert euler.solve_exact(problem).s_left == pytest.approx(-2.629057572203892, rel=1e-9)
+
+
+@pytest.mark.xfail(strict=True, reason="u_L + u_R overflows in u* = 0.5 * (u_L + u_R) + ...; "
+                   "the fix, 0.5 * left.u + 0.5 * right.u, waits on the text anchor of the "
+                   "benchmark's smoke test (ROADMAP items 17 and 19)")
+@pytest.mark.parametrize("system, state", [("euler", (1.0, 1e308, 1.0)), ("swe", (1.0, 1e308)),
+                                           ("bfe", (1.0, 1e308))], ids=core.SYSTEMS)
+def test_u_star_is_finite_where_the_velocity_sum_overflows(system, state):
+    solution = core.system_module(system).solve_exact(core.make_problem(system, state, state))
+    assert (solution.s_left, solution.s_right) == (1e308, 1e308)
+    assert math.isfinite(solution.u_star)
+
+
+#: The constants of `draw` at the ends of their ranges.
+PARAMS_AT_THE_ENDS = {
+    "euler": [{"gamma": gamma} for gamma in GAMMAS],
+    "swe": [{"g": 1e-2}, {"g": 1e2}],
+    "bfe": [{"beta": beta, "rho": rho} for beta in (1e2, 1e8) for rho in (0.5, 2.0)],
+}
+
+
+def states_at_the_float_ends(system):
+    """States whose data values (and Euler densities) are 5e-324 or 1e300."""
+    ends = (5e-324, 1e300)
+    if system == "euler":
+        return [(rho, 1.0, p) for rho in ends for p in ends]
+    return [(x, 1.0) for x in ends]
+
+
+@pytest.mark.parametrize("system", ["euler", "swe", "bfe"])
+def test_q_factor_is_exactly_one_at_the_data_value(system):
+    # So a star value tied with a side's data value gives that side the
+    # eigenvalue u -/+ c to the bit on either branch: the tie of
+    # `core.star_speeds` (x <= x_K) and the `where` of `_kernel.speeds`
+    # cannot move a speed.
+    record, rng = core.system_record(system), random.Random(f"{SEED}:{system}")
+    problems = [fuzz.sample_problem(system, rng) for _ in range(2000)]
+    states = states_at_the_float_ends(system)
+    problems += [core.make_problem(system, left, right, params)
+                 for params in PARAMS_AT_THE_ENDS[system] for left in states for right in states]
+    for problem in problems:
+        try:
+            sides = core.sides(problem)
+        except ClosedFormOverflow:
+            continue
+        for side in sides:
+            assert record.q_factor(side.x, side) == 1.0, problem
 
 
 @pytest.mark.parametrize("system", ["euler", "swe", "bfe"])

@@ -22,8 +22,10 @@ from riemann_bounds.core import (
     courant_dt,
     find_root,
     interpolate_root,
+    make_problem,
+    solve_star,
     star_bracket,
-    star_start,
+    wave_data,
 )
 
 NAN, INF = math.nan, math.inf
@@ -155,21 +157,60 @@ class TestStarBracket:
 
 
 class TestStarStart:
+    """`solve_star` starts Newton at x_rr under RR and at the chord start
+    otherwise, and `find_root` evaluates a start on the bracket, an end
+    included, before any other point."""
     # f_lo = -5e-324 moves the sqrt chord's root less than half an ulp off
     # sqrt(lo) = 1, so the chord start rounds onto the bracket's end.
     BRACKET = RootBracket(1.0, 2.0, -5e-324, 1.0)
 
-    def test_a_chord_start_on_an_end_falls_back_to_the_midpoint(self):
+    @classmethod
+    def first_evaluation(cls, x0):
+        points = []
+
+        def f(x):
+            points.append(x)
+            return x - 1.0 - 5e-324  # -5e-324 at lo = 1, 1.0 at hi = 2
+        find_root(f, cls.BRACKET, lambda x: 1.0, 1e-12, x0)
+        return points[0]
+
+    def test_a_chord_start_on_an_end_is_evaluated_there_first(self):
         system = euler.SYSTEM
         assert system.sqrt_chord
         bracket = self.BRACKET
-        assert chord_start(system, bracket.lo, bracket.hi, bracket.f_lo, bracket.f_hi) == 1.0
-        wave = WaveData(1.0, 2.0, bracket.f_lo, bracket.f_hi, 1.75, 0.5, WavePattern.RS)
-        assert star_start(system, wave, bracket) == 1.5
+        x0 = chord_start(system, bracket.lo, bracket.hi, bracket.f_lo, bracket.f_hi)
+        assert x0 == 1.0
+        assert self.first_evaluation(x0) == 1.0
 
     def test_rr_starts_at_x_rr(self):
-        wave = WaveData(2.0, 3.0, 1.0, 2.0, 1.25, NAN, WavePattern.RR)
-        assert star_start(euler.SYSTEM, wave, self.BRACKET) == 1.25
+        assert self.first_evaluation(1.25) == 1.25
+
+    @pytest.mark.parametrize("x0", [0.5, 2.5, NAN, None])
+    def test_a_start_off_the_bracket_gives_way_to_the_end_with_the_smaller_f(self, x0):
+        assert self.first_evaluation(x0) == 1.0
+
+    @pytest.mark.parametrize("left, right, pattern", [
+        ((1.0, -2.0, 0.4), (1.0, 2.0, 0.4), WavePattern.RR),   # Toro's test 2
+        ((1.0, 0.0, 1.0), (0.125, 0.0, 0.1), WavePattern.RS),  # Sod
+        ((1.0, 1.0, 1.0), (1.0, -1.0, 1.0), WavePattern.SS),
+    ])
+    def test_solve_star_passes_its_start_to_find_root(self, monkeypatch, left, right, pattern):
+        calls = []
+
+        def recording(f, bracket, fprime, rel_tol, x0):
+            calls.append((bracket, x0))
+            return find_root(f, bracket, fprime, rel_tol, x0)
+        monkeypatch.setattr(euler, "find_root", recording)
+        problem = make_problem("euler", left, right)
+        wave = wave_data(problem)
+        assert wave.pattern is pattern
+        solve_star(problem)
+        ((bracket, x0),) = calls
+        if pattern is WavePattern.RR:
+            assert x0 == wave.x_rr
+        else:
+            assert x0 == chord_start(euler.SYSTEM, bracket.lo, bracket.hi,
+                                     bracket.f_lo, bracket.f_hi)
 
 
 class TestInterpolateRoot:
