@@ -158,46 +158,25 @@ def solve_exact(problem: EulerProblem) -> EulerExactSolution:
 
 def _roe(problem: EulerProblem, eta: float, name: str):
     """Pair (u~ - d, u~ + d) of Einfeldt's family (SIAM J. Numer. Anal. 25,
-    1988): the Roe velocity u~ and d^2 = (w_L c_L^2 + w_R c_R^2)/(w_L + w_R)
-    + eta w_L w_R/(w_L + w_R)^2 (u_R - u_L)^2 with w_K = sqrt(rho_K).
-    With eta = (gamma - 1)/2, d^2 is Roe's (gamma - 1)(H~ - u~^2/2) in exact
-    arithmetic, written without the enthalpies H~, whose difference cancels.
-    Its products and squares may overflow where the pair fits: a pair that
-    is not finite is then that of `_scaled_roe`, which names `name`."""
-    left, right = problem.left, problem.right
-    side_l, side_r = problem._sides or core.sides(problem)
-    wl, wr = math.sqrt(left.rho), math.sqrt(right.rho)
-    cl, cr, du = side_l.c, side_r.c, right.u - left.u
-    u_roe = (wl * left.u + wr * right.u) / (wl + wr)
-    try:
-        d2 = (wl * cl * cl + wr * cr * cr) / (wl + wr) + eta * wl * wr / (wl + wr) ** 2 * du * du
-    except OverflowError:  # (wl + wr) ** 2, for densities near the largest double
-        d2 = math.inf
-    d = math.sqrt(d2)
-    s_left, s_right = u_roe - d, u_roe + d
-    if not -math.inf < s_left < math.inf > s_right > -math.inf:  # NaN fails every comparison
-        return _scaled_roe(problem, eta, name)
-    return s_left, s_right
-
-
-def _scaled_roe(problem: EulerProblem, eta: float, name: str):
-    """(u~ - d, u~ + d) of `_roe` where that pair is not finite: u~ and d^2
-    from the weights w_K/(w_L + w_R), d^2 from c_L, c_R and u_R - u_L
-    divided by M, the largest of c_L, c_R, |u_L| and |u_R|, and
-    d = M sqrt(d^2), so that no product or square overflows where the pair
-    fits.  (u_R - u_L)/M is u_R/M - u_L/M, since u_R - u_L itself may
-    overflow.  Raises `ClosedFormOverflow` naming `name` for a pair that is
-    still not finite."""
+    1988): with the Roe weights o_K = w_K/(w_L + w_R), w_K = sqrt(rho_K),
+    the Roe velocity u~ = o_L u_L + o_R u_R and d^2 = o_L c_L^2 + o_R c_R^2
+    + eta o_L o_R (u_R - u_L)^2.  With eta = (gamma - 1)/2, d^2 is Roe's
+    (gamma - 1)(H~ - u~^2/2) in exact arithmetic, written without the
+    enthalpies H~, whose difference cancels.  d is the `math.hypot` of
+    sqrt(o_L) c_L, sqrt(o_R) c_R and 2 sqrt(eta o_L o_R) (u_R/2 - u_L/2),
+    which scales its arguments before it squares them, so that d neither
+    overflows nor underflows where the pair fits; u_R - u_L itself may
+    overflow.  Raises
+    `ClosedFormOverflow` naming `name` for a pair that is not finite."""
     left, right = problem.left, problem.right
     side_l, side_r = problem._sides or core.sides(problem)
     wl, wr = math.sqrt(left.rho), math.sqrt(right.rho)
     ol, or_ = wl / (wl + wr), wr / (wl + wr)
-    m = max(side_l.c, side_r.c, abs(left.u), abs(right.u))
-    cl, cr, du = side_l.c / m, side_r.c / m, right.u / m - left.u / m
-    d = m * math.sqrt(ol * cl * cl + or_ * cr * cr + eta * ol * or_ * du * du)
     u_roe = ol * left.u + or_ * right.u
+    d = math.hypot(math.sqrt(ol) * side_l.c, math.sqrt(or_) * side_r.c,
+                   2.0 * math.sqrt(eta * ol * or_) * (right.u / 2.0 - left.u / 2.0))
     s_left, s_right = u_roe - d, u_roe + d
-    if not -math.inf < s_left < math.inf > s_right > -math.inf:
+    if not -math.inf < s_left < math.inf > s_right > -math.inf:  # NaN fails every comparison
         raise ClosedFormOverflow(f"{name} are not finite: {s_left}, {s_right}")
     return s_left, s_right
 

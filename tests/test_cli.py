@@ -234,9 +234,9 @@ class TestBounds:
     def test_infinite_einfeldt_speeds_exit_code(self, capsys):
         # du**2 overflows in Einfeldt's d**2: the pair was (-inf, +inf),
         # printed as -Infinity, which is not JSON, with exit code 0; then
-        # a ClosedFormOverflow.  The scaled Roe speed gives the finite pair,
-        # as valid JSON; an estimator that needs the star pressure, which
-        # overflows, still exits EXIT_SOLVER.
+        # a ClosedFormOverflow.  The Roe speed, a `math.hypot` of unsquared
+        # terms, gives the finite pair, as valid JSON; an estimator that
+        # needs the star pressure, which overflows, still exits EXIT_SOLVER.
         data = ("--system", "euler", "--left", "1,1e200,1", "--right", "1,-1e200,1")
         code, out, err = run(capsys, "bounds", *data, "--estimator", "einfeldt",
                              "--format", "json")

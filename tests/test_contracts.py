@@ -126,8 +126,9 @@ REPRODUCERS = {
         (0.09568177268457889, -1682.5579811141924, 4.5235660048190316e+136)),
         ["exact"] + [e.value for e in euler.ESTIMATORS], ClosedFormOverflow),
     # du**2 overflows in Einfeldt's d**2, which gave the pair (-inf, +inf),
-    # and then raised; the scaled Roe speed gives the pairs that fit,
-    # Einfeldt's +/-7.07e199 and Batten's +/-4.47e199.  p* overflows.
+    # and then raised; d as a `math.hypot` of unsquared terms gives the
+    # pairs that fit, Einfeldt's +/-7.07e199 and Batten's +/-4.47e199.
+    # p* overflows.
     "euler-einfeldt-infinite-speeds": ("euler", core.make_problem(
         "euler", (1.0, 1e200, 1.0), (1.0, -1e200, 1.0)),
         ["exact", "toro", "tms_a", "tms_b", "tms_c"], ClosedFormOverflow),
@@ -142,13 +143,17 @@ REPRODUCERS = {
     "euler-roe-velocity-overflow": ("euler", core.make_problem(
         "euler", (1e300, 1e200, 1.0), (1e300, -1e200, 1.0)),
         ["exact", "toro", "tms_a", "tms_b", "tms_c"], ClosedFormOverflow),
-    # u_R - u_L = -2e308 overflows, so the scale M = max(c_L, c_R, |u_R - u_L|)
-    # of the scaled Roe form was inf and Einfeldt's and Batten's speeds NaN,
-    # though both pairs fit; M is now taken from the velocities themselves.
-    # The wave data overflow.
+    # u_R - u_L = -2e308 overflows, so Einfeldt's and Batten's speeds were
+    # NaN, though both pairs fit; the Roe speed d now reads the velocity
+    # jump as 2 (u_R/2 - u_L/2).  The wave data overflow.
     "euler-roe-velocity-difference-overflow": ("euler", core.make_problem(
         "euler", (1.0, 1e308, 1.0), (1.0, -1e308, 1.0)),
         ["exact", "toro", "tms_a", "tms_b", "tms_c"], ClosedFormOverflow),
+    # The term w_L c_L^2/(w_L + w_R) = 1.4e-330 of the Roe speed's d^2
+    # underflows to 0, so Einfeldt's pair was (0.0, 0.0), though it is
+    # +/-1.18e-165; d as a `math.hypot` of unsquared terms gives it.
+    "euler-roe-square-underflow": ("euler", core.make_problem(
+        "euler", (1.0, 0.0, 1e-300), (1e60, 0.0, 1e-300)), [], None),
     # g h_L overflows, so c_L = sqrt(g h_L) is inf: Davis a/b gave infinite
     # speeds (Davis b the pair (-inf, inf)), the rest raised from the wave
     # data.
@@ -498,12 +503,14 @@ def test_euler_slope_is_infinite_where_the_pressure_ratio_underflows():
 @pytest.mark.parametrize("name", ["euler-einfeldt-infinite-speeds",
                                   "euler-einfeldt-weight-overflow",
                                   "euler-roe-velocity-overflow",
-                                  "euler-roe-velocity-difference-overflow"])
-def test_roe_pairs_fit_where_their_squares_overflow(name):
+                                  "euler-roe-velocity-difference-overflow",
+                                  "euler-roe-square-underflow"])
+def test_roe_pairs_fit_where_their_squares_overflow_or_underflow(name):
     # Einfeldt's and Batten's pairs where a square of the Roe speed d^2
     # overflows (u_R - u_L = -2e200; (sqrt(rho_L) + sqrt(rho_R))^2 = 4e308),
-    # a product of the Roe velocity does (sqrt(rho_L) u_L = 1e350) or the
-    # velocity difference itself does (u_R - u_L = -2e308),
+    # a product of the Roe velocity does (sqrt(rho_L) u_L = 1e350), the
+    # velocity difference itself does (u_R - u_L = -2e308), or where d^2
+    # underflows (w_L c_L^2/(w_L + w_R) = 1.4e-330),
     # against u~ and d^2 = (w_L c_L^2 + w_R c_R^2)/(w_L + w_R) + eta w_L w_R
     # (u_R - u_L)^2/(w_L + w_R)^2 in 50-digit mpmath: within 1e-15 of the
     # speed scale.  Batten's pair also holds the eigenvalues.
