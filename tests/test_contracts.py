@@ -500,18 +500,9 @@ def test_euler_slope_is_infinite_where_the_pressure_ratio_underflows():
     assert euler.pressure_function_deriv(5e-324, problem) == math.inf
 
 
-@pytest.mark.parametrize("name", ["euler-einfeldt-infinite-speeds",
-                                  "euler-einfeldt-weight-overflow",
-                                  "euler-roe-velocity-overflow",
-                                  "euler-roe-velocity-difference-overflow",
-                                  "euler-roe-square-underflow"])
-def test_roe_pairs_fit_where_their_squares_overflow_or_underflow(name):
-    # Einfeldt's and Batten's pairs where a square of the Roe speed d^2
-    # overflows (u_R - u_L = -2e200; (sqrt(rho_L) + sqrt(rho_R))^2 = 4e308),
-    # a product of the Roe velocity does (sqrt(rho_L) u_L = 1e350), the
-    # velocity difference itself does (u_R - u_L = -2e308), or where d^2
-    # underflows (w_L c_L^2/(w_L + w_R) = 1.4e-330),
-    # against u~ and d^2 = (w_L c_L^2 + w_R c_R^2)/(w_L + w_R) + eta w_L w_R
+def _check_roe_pairs_against_mpmath(name):
+    # Einfeldt's and Batten's pairs on a reproducer against u~ and
+    # d^2 = (w_L c_L^2 + w_R c_R^2)/(w_L + w_R) + eta w_L w_R
     # (u_R - u_L)^2/(w_L + w_R)^2 in 50-digit mpmath: within 1e-15 of the
     # speed scale.  Batten's pair also holds the eigenvalues.
     mpmath = pytest.importorskip("mpmath")
@@ -533,6 +524,23 @@ def test_roe_pairs_fit_where_their_squares_overflow_or_underflow(name):
             scale = max(map(abs, expected))
             for mine, theirs in zip(got, expected):
                 assert abs(mine - theirs) <= 1e-15 * scale, (estimator, got, expected)
+
+
+@pytest.mark.parametrize("name", ["euler-einfeldt-infinite-speeds",
+                                  "euler-einfeldt-weight-overflow",
+                                  "euler-roe-velocity-overflow",
+                                  "euler-roe-velocity-difference-overflow"])
+def test_roe_pairs_fit_where_their_squares_overflow(name):
+    # A square of the Roe speed d^2 overflows (u_R - u_L = -2e200;
+    # (sqrt(rho_L) + sqrt(rho_R))^2 = 4e308), a product of the Roe velocity
+    # does (sqrt(rho_L) u_L = 1e350), or the velocity difference itself does
+    # (u_R - u_L = -2e308).
+    _check_roe_pairs_against_mpmath(name)
+
+
+def test_roe_pairs_fit_where_their_squares_underflow():
+    # The term w_L c_L^2/(w_L + w_R) = 1.4e-330 of d^2 underflows.
+    _check_roe_pairs_against_mpmath("euler-roe-square-underflow")
 
 
 def test_exact_speeds_of_the_toro_reproducer_are_finite():
